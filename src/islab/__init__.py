@@ -28,7 +28,6 @@ from .maps import (
     rotation_map,
     shear_map,
     torus_diff,
-    torus_dist,
     wrap_torus,
 )
 from .hamiltonian import HamiltonianSystem, energy_drift, hamiltonian_time_map, saddle_system
@@ -94,7 +93,6 @@ __all__ = [
     "rotation_map",
     "shear_map",
     "torus_diff",
-    "torus_dist",
     "wrap_torus",
     "HamiltonianSystem",
     "energy_drift",

@@ -23,17 +23,20 @@ descriptor carries that density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hamiltonian import HamiltonianSystem, _midpoint_steps
-from .maps import MapDescriptor, finite_difference_jacobian, torus_diff, wrap_torus
+from .maps import MapDescriptor, torus_diff, wrap_torus
 
 A_DEFAULT = np.array([[13.0, 8.0], [8.0, 5.0]])
 SIGMA = np.log(9.0 + 4.0 * np.sqrt(5.0))          # expansion exponent
 EXP_2SIGMA = 161.0 + 72.0 * np.sqrt(5.0)          # e^{2 sigma}, saddle multiplier
 CENTERS = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
+# psi_inv: residual floor in ulps of the target, and the iteration cap
+_ROOT_ULPS = 8
+_ROOT_CAP = 80
 
 
 def eigen_rotation(A=A_DEFAULT):
@@ -74,6 +77,13 @@ def _smoothstep_d1(t):
 def _smoothstep_d2(t):
     s = 60 * t * (2 * t - 1) * (t - 1)
     return np.where((t <= 0) | (t >= 1), 0.0, s)
+
+
+def _by_center(mask):
+    """Points inside some disc of a (4, N) membership mask, and the index of
+    that disc (the four discs are disjoint)."""
+    idx = np.nonzero(mask.any(axis=0))[0]
+    return idx, np.argmax(mask[:, idx], axis=0)
 
 
 @dataclass
@@ -130,27 +140,52 @@ class SurgeryProfile:
         return np.where((rho <= self.r1) | (rho >= self.r2), 1.0, bridge)
 
     def psi_inv(self, v):
-        """Inverse of psi on [0, rho_hi]."""
+        """Inverse of psi on [0, rho_hi].
+
+        On the bridge this is a safeguarded Newton iteration (the rtsafe
+        pattern): a Newton step that leaves the current bracket is replaced
+        by bisection, and each point is frozen as soon as its residual is at
+        psi's rounding floor, its Newton step is a few ulp, or its bracket
+        has shrunk to a few ulp.  psi's bridge carries up to ~8 ulp of
+        rounding noise, so a tighter residual test would update brackets
+        from the sign of noise and could cycle.
+
+        Raises RuntimeError if a residual is not finite or a point is still
+        active after the iteration cap.
+        """
         scalar = np.ndim(v) == 0
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.where(v <= self.r1 - self.rho_lo, v + self.rho_lo, v)
-        mid = (v > self.r1 - self.rho_lo) & (v < self.r2)
-        if np.any(mid):
-            # bisection-safeguarded Newton on the bridge bracket [r1, r2]
-            # (plain Newton can 2-cycle between the two unit-slope zones)
+        v1 = self.r1 - self.rho_lo                    # psi(r1)
+        out = np.where(v <= v1, v + self.rho_lo, v)
+        mid = np.nonzero((v > v1) & (v < self.r2))[0]
+        if mid.size:
             target = v[mid]
             lo = np.full(target.shape, self.r1)
             hi = np.full(target.shape, self.r2)
-            x = 0.5 * (lo + hi)
-            for _ in range(80):
-                f = self.psi(x) - target
-                if np.max(np.abs(f)) < 1e-17:
+            # start on the chord of the bridge
+            x = self.r1 + (target - v1) * (self._dt / (self.r2 - v1))
+            f_floor = _ROOT_ULPS * np.spacing(target)
+            act = np.arange(target.size)
+            for _ in range(_ROOT_CAP):
+                xa, la, ha = x[act], lo[act], hi[act]
+                f = self.psi(xa) - target[act]
+                if not np.all(np.isfinite(f)):
+                    raise RuntimeError("psi_inv: non-finite residual on the bridge")
+                done = np.abs(f) <= f_floor[act]
+                la = np.where(f < 0, xa, la)
+                ha = np.where(f > 0, xa, ha)
+                xn = xa - f / self.psi_d1(xa)
+                xn = np.where((xn > la) & (xn < ha), xn, 0.5 * (la + ha))
+                ulp = np.spacing(xa)
+                tiny = (np.abs(xn - xa) <= 2 * ulp) | (ha - la <= 4 * ulp)
+                x[act] = np.where(done, xa, xn)
+                lo[act], hi[act] = la, ha
+                act = act[~(done | tiny)]
+                if act.size == 0:
                     break
-                lo = np.where(f < 0, x, lo)
-                hi = np.where(f > 0, x, hi)
-                xn = x - f / self.psi_d1(x)
-                inside = (xn > lo) & (xn < hi)
-                x = np.where(inside, xn, 0.5 * (lo + hi))
+            else:
+                raise RuntimeError(
+                    f"psi_inv: {act.size} points unconverged after {_ROOT_CAP} iterations")
             out[mid] = x
         return float(out[0]) if scalar else out
 
@@ -337,60 +372,52 @@ class IslandMap:
 
         d, r2 = self._charts(p)
         inside = r2 <= lo2          # (4, N): flow regime per center
-        inside_any = inside.any(axis=0)
 
-        # flow regime
-        for i in range(4):
-            m = inside[i]
-            if np.any(m):
-                di = d[i][m]
-                r2m = r2[i][m]
-                pm = p[m]
-                snap = np.abs(r2m - self._circ2) <= self._circ_band
-                if np.any(snap):
-                    di = di.copy()
-                    pm = pm.copy()
-                    scale = (self.profile.delta
-                             / np.sqrt(r2m[snap]))[:, None]
-                    shift = di[snap] * (scale - 1.0)
-                    di[snap] += shift
-                    pm[snap] = wrap_torus(pm[snap] + shift)
-                o, Jf = self._flow(pm, di, t, steps, with_jac)
-                out[m] = o
-                if with_jac:
-                    J[m] = Jf
+        # flow regime, all four discs in one integration
+        fl, ci = _by_center(inside)
+        if fl.size:
+            di = d[ci, fl]
+            r2m = r2[ci, fl]
+            pm = p[fl]
+            snap = np.abs(r2m - self._circ2) <= self._circ_band
+            if np.any(snap):
+                scale = (self.profile.delta / np.sqrt(r2m[snap]))[:, None]
+                shift = di[snap] * (scale - 1.0)
+                di[snap] += shift
+                pm[snap] = wrap_torus(pm[snap] + shift)
+            o, Jf = self._flow(pm, di, t, steps, with_jac)
+            out[fl] = o
+            if with_jac:
+                J[fl] = Jf
 
-        # surgery regime
-        sm = ~inside_any
-        if np.any(sm):
-            q = p[sm].copy()
+        # surgery regime: Psi on the annuli, then A, then Psi^{-1}
+        sm = np.nonzero(~inside.any(axis=0))[0]
+        if sm.size:
+            q = p[sm]
             Jp = None
             if with_jac:
                 Jp = np.zeros(q.shape + (2,), dtype=float)
                 Jp[..., 0, 0] = 1.0
                 Jp[..., 1, 1] = 1.0
-            for i in range(4):
-                ann = (r2[i][sm] > lo2) & (r2[i][sm] < hi2)
-                if np.any(ann):
-                    di = d[i][sm][ann]
-                    o, Js = self._psi_forward(di, with_jac)
-                    q[ann] = wrap_torus(q[ann] + o - di)
-                    if with_jac:
-                        Jp[ann] = Js
+            a, ci = _by_center((r2[:, sm] > lo2) & (r2[:, sm] < hi2))
+            if a.size:
+                da = d[ci, sm[a]]
+                o, Js = self._psi_forward(da, with_jac)
+                q[a] = wrap_torus(q[a] + o - da)
+                if with_jac:
+                    Jp[a] = Js
             q2 = wrap_torus(q @ mat.T)
             if with_jac:
                 Jp = mat @ Jp
             d2, r2b = self._charts(q2)
-            o2 = q2.copy()
-            for i in range(4):
-                land = (r2b[i] > 1e-28) & (r2b[i] < hi2)
-                if np.any(land):
-                    di = d2[i][land]
-                    o, Js = self._psi_backward(di, with_jac)
-                    o2[land] = wrap_torus(o2[land] + o - di)
-                    if with_jac:
-                        Jp[land] = Js @ Jp[land]
-            out[sm] = o2
+            b, ci = _by_center((r2b > 1e-28) & (r2b < hi2))
+            if b.size:
+                db = d2[ci, b]
+                o, Js = self._psi_backward(db, with_jac)
+                q2[b] = wrap_torus(q2[b] + o - db)
+                if with_jac:
+                    Jp[b] = Js @ Jp[b]
+            out[sm] = q2
             if with_jac:
                 J[sm] = Jp
 
@@ -427,6 +454,7 @@ class IslandMap:
             "Fhat", lambda p: self(p), lambda p: self.jacobian(p),
             lambda q: self.inverse(q), symplectic=True, wrap=True,
             area_density=lambda p: self.area_density(p),
+            fwd_jac=lambda p: self._eval(p, 1, None, with_jac=True),
         )
 
     def island_mask(self, p):
@@ -535,7 +563,6 @@ def link_saddles(island, steps=2048):
             meta.append((ic, float(th)))
     P = np.array(pts)
     defects = np.max(np.abs(torus_diff(island(P), P)), axis=-1)
-    _, Jv = island._eval(P, 1, steps, with_jac=True)
 
     # Finite differences along the saddle frame (radial/tangent in the
     # chart), where the true Jacobian is exactly diagonal.  Extracting
@@ -552,12 +579,17 @@ def link_saddles(island, steps=2048):
     # directions need the smaller step to control truncation instead.
     h_rad = np.full(len(meta), 1e-6)
     h_tan = np.where(np.cos(2 * th_arr) > 0, 1e-5, 1e-6)
+    frames = ((rad, h_rad[:, None]), (tan, h_tan[:, None]))
+    probes = [wrap_torus(P + sign * h * direction)
+              for direction, h in frames for sign in (1.0, -1.0)]
+    # one refined integration for the saddles and all their probes
+    images, Jall = island._eval(np.concatenate([P] + probes), 1, steps,
+                                with_jac=True)
+    Jv = Jall[:len(P)]
+    images = images[len(P):].reshape(len(frames), 2, len(P), 2)
     fd = np.empty((len(meta), 2))
-    for j, (direction, hs) in enumerate(((rad, h_rad), (tan, h_tan))):
-        hcol = hs[:, None]
-        plus = island(wrap_torus(P + hcol * direction), steps=steps)
-        minus = island(wrap_torus(P - hcol * direction), steps=steps)
-        diff = torus_diff(plus, minus) / (2 * hcol)
+    for j, (direction, h) in enumerate(frames):
+        diff = torus_diff(images[j, 0], images[j, 1]) / (2 * h)
         fd[:, j] = np.abs(np.sum(diff * direction, axis=-1))
 
     out = []

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .blowup import IslandMap, link_saddles, symmetry_and_identity_report
+from .blowup import SIGMA, IslandMap, link_saddles, symmetry_and_identity_report
 from .config import ConfigError, ExperimentConfig, validate as validate_raw, parse_text
 from .curves import MaskedPeriodic, curve_sup_diff, random_trig_poly
 from .links import (LinkGeometry, build_suitable_model, restore_link_a,
@@ -30,8 +30,6 @@ from .lyapunov import (LN4, entropy_estimate, lambda_field_rows, max_lyapunov,
                        spectral_norm)
 from .maps import anosov_map, chirikov_map, compose, henon_like, shear_map
 from .rescaling import corollary_composition, desk_model, verify_rescaling
-
-SIGMA = float(np.log(9.0 + 4.0 * np.sqrt(5.0)))
 
 
 def _check(name, value, tolerance, comparison="<="):

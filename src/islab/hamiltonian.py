@@ -68,25 +68,31 @@ def _midpoint_steps(sys, p, t, steps, tol, with_jac, fp_cap=30):
     eye = np.zeros((2, 2)) + np.eye(2)
 
     for _ in range(steps):
-        # fixed-point solve for w = z + h f((z+w)/2), explicit-Euler start
+        # fixed-point solve for w = z + h f((z+w)/2), explicit-Euler start;
+        # each point keeps the iterate at which it converged, so its result
+        # does not depend on the other points of the batch
         w = z + h * sys.field(z)
-        converged = False
+        act = None
         for _ in range(fp_cap):
             w_new = z + h * sys.field(0.5 * (z + w))
-            delta = np.max(np.abs(w_new - w))
-            w = w_new
-            if delta <= tol:
-                converged = True
+            more = np.max(np.abs(w_new - w), axis=-1) > tol
+            if act is not None:
+                w_new = np.where(act[..., None], w_new, w)
+                more &= act
+            w, act = w_new, more
+            if not act.any():
                 break
-        if not converged:
-            # Newton fallback on G(w) = w - z - h f((z+w)/2)
+        if act.any():
+            # Newton fallback on G(w) = w - z - h f((z+w)/2), for the
+            # points the fixed-point sweeps left unconverged
             for _ in range(50):
                 mid = 0.5 * (z + w)
                 G = w - z - h * sys.field(mid)
-                if np.max(np.abs(G)) <= tol:
+                act &= np.max(np.abs(G), axis=-1) > tol
+                if not act.any():
                     break
                 JG = eye - (0.5 * h) * sys.field_jacobian(mid)
-                w = w - _solve2(JG, G)
+                w = np.where(act[..., None], w - _solve2(JG, G), w)
             else:
                 raise RuntimeError(f"{sys.name}: midpoint solver failed at h={h:g}")
         if with_jac:

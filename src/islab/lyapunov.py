@@ -172,13 +172,14 @@ def entropy_estimate(f, region=((0.0, 1.0), (0.0, 1.0)), resolution=100,
         idx = np.nonzero(valid)[0]
         if idx.size == 0:
             break
-        Mi = f.jacobian(x[idx]) @ M[idx]
+        # one name for Df and Df M keeps a single (m, 2, 2) temporary alive
+        xi, Mi = f.value_and_jacobian(x[idx])
+        Mi = Mi @ M[idx]
         s = spectral_norm(Mi)
         ok = np.isfinite(s) & (s > 0.0)
         s_safe = np.where(ok, s, 1.0)
         logs[idx] += np.where(ok, np.log(s_safe), 0.0)
         M[idx] = Mi / s_safe[..., None, None]
-        xi = f(x[idx])
         ok &= np.all(np.isfinite(xi), axis=-1)
         if exclude is not None:
             ok &= ~np.asarray(exclude(xi))

@@ -8,7 +8,7 @@ with shape (..., 2, 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,11 +28,6 @@ def torus_diff(p, q):
     """Shortest-representative difference p - q on the torus, in [-1/2, 1/2)."""
     d = np.asarray(p) - np.asarray(q)
     return d - np.round(d)
-
-
-def torus_dist(p, q):
-    d = torus_diff(p, q)
-    return np.sqrt(np.sum(d * d, axis=-1))
 
 
 def finite_difference_jacobian(f, p, h=None, wrap_output=False):
@@ -96,6 +91,9 @@ class MapDescriptor:
         Density mu(p) > 0 when the map preserves mu * dx dy rather than
         dx dy.  Symplecticity checks then weigh the determinant as
         mu(f(p)) det Df(p) / mu(p).
+    fwd_jac : callable or None
+        Fused evaluation p -> (fwd(p), jacobian(p)) for maps whose image
+        and Jacobian share most of their work.
     """
 
     name: str
@@ -106,9 +104,17 @@ class MapDescriptor:
     wrap: bool = False
     domain: Optional[Callable] = None
     area_density: Optional[Callable] = None
+    fwd_jac: Optional[Callable] = None
 
     def __call__(self, p):
         return self.fwd(np.asarray(p, dtype=float))
+
+    def value_and_jacobian(self, p):
+        """(f(p), Df(p)) in one evaluation when `fwd_jac` is set."""
+        p = np.asarray(p, dtype=float)
+        if self.fwd_jac is not None:
+            return self.fwd_jac(p)
+        return self(p), self.jacobian(p)
 
     def jacobian(self, p):
         p = np.asarray(p, dtype=float)

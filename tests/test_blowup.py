@@ -89,6 +89,49 @@ def test_profile_inverse_roundtrip(t):
     assert abs(back - rho) <= 1e-12
 
 
+def test_psi_inv_roundtrip_dense_grid():
+    prof = SurgeryProfile()
+    v1 = prof.r1 - prof.rho_lo
+
+    def ends(a):
+        # a bracket end and its float neighbours
+        return np.array([a, np.nextafter(a, 0.0), np.nextafter(a, 1.0)])
+
+    rho = np.concatenate([np.linspace(prof.rho_lo, prof.rho_hi, 200_001),
+                          ends(prof.r1), ends(prof.r2)])
+    back = prof.psi_inv(prof.psi(rho))
+    assert np.max(np.abs(back - rho) / np.spacing(rho)) <= 16
+    # psi subtracts rho_lo from its argument, so its rounding is in ulps of
+    # the argument psi_inv(v), not of v
+    v = np.concatenate([np.linspace(0.0, prof.rho_hi, 200_001),
+                        ends(v1), ends(prof.r2)])
+    x = prof.psi_inv(v)
+    assert np.max(np.abs(prof.psi(x) - v) / np.spacing(x)) <= 16
+
+
+def test_psi_inv_raises_on_nonfinite_residual(monkeypatch):
+    prof = SurgeryProfile()
+    psi = prof.psi
+
+    def broken(rho):
+        rho = np.asarray(rho, dtype=float)
+        return np.where((rho > prof.r1) & (rho < prof.r2), np.nan, psi(rho))
+
+    monkeypatch.setattr(prof, "psi", broken)
+    v = 0.5 * (prof.r1 - prof.rho_lo)            # below the bridge
+    assert prof.psi_inv(v) == v + prof.rho_lo
+    with pytest.raises(RuntimeError):
+        prof.psi_inv(np.linspace(prof.r1, prof.r2, 9))
+
+
+def test_psi_inv_raises_at_iteration_cap(monkeypatch):
+    import islab.blowup as blowup
+    prof = SurgeryProfile()
+    monkeypatch.setattr(blowup, "_ROOT_CAP", 2)
+    with pytest.raises(RuntimeError):
+        prof.psi_inv(np.linspace(prof.r1, prof.r2, 9))
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         SurgeryProfile(eps=0.25)
@@ -162,6 +205,51 @@ def test_symplectic_defect_all_regimes(island):
     P = np.concatenate(pts, axis=0)
     desc = island.descriptor()
     assert np.max(desc.symplectic_defect(P)) <= 1e-8
+
+
+def _disc_points(island, rho_lo, rho_hi, m, seed):
+    """m points per center with chart radius rho in [rho_lo, rho_hi)."""
+    rng = np.random.default_rng(seed)
+    rho = rng.uniform(rho_lo, rho_hi, (4, m))
+    th = rng.uniform(0, 2 * np.pi, (4, m))
+    w = from_polar(np.stack([rho, th], axis=-1)) @ island.R.T
+    return wrap_torus(island.centers[:, None, :] + w)
+
+
+def test_value_and_jacobian_bitwise_all_regimes(island):
+    prof = island.profile
+    core = _disc_points(island, 0.0, prof.rho0, 8, 21).reshape(-1, 2)
+    flow = _disc_points(island, prof.rho0, prof.rho_lo, 8, 22).reshape(-1, 2)
+    ann = _disc_points(island, prof.rho_lo * 1.001, prof.rho_hi, 8,
+                       23).reshape(-1, 2)
+    rng = np.random.default_rng(24)
+    far = rng.random((400, 2))
+    far = far[(island._charts(far)[1] >= prof.eps**2).all(axis=0)][:32]
+    P = np.concatenate([core, flow, ann, far])
+    f = island.descriptor()
+    img, J = f.value_and_jacobian(P)
+    assert np.array_equal(img, f(P))
+    assert np.array_equal(J, f.jacobian(P))
+
+
+def test_mixed_disc_batch_matches_per_disc(island):
+    # flow and annulus points of all four discs in one batch
+    prof = island.profile
+    per_disc = _disc_points(island, prof.rho0, prof.rho_hi, 32, 25)
+    img, J = island._eval(per_disc.reshape(-1, 2), 1, None, with_jac=True)
+    img = img.reshape(4, -1, 2)
+    J = J.reshape(4, -1, 2, 2)
+    for i, c in enumerate(island.centers):
+        img_i, J_i = island._eval(per_disc[i], 1, None, with_jac=True)
+        assert np.max(np.abs(torus_diff(img[i], img_i))) <= 1e-12
+        assert np.max(np.abs(J[i] - J_i)) <= 1e-12
+        # flow points against the island flow in their own disc's chart
+        d = torus_diff(per_disc[i], c)
+        fl = np.sum(d * d, axis=-1) <= prof.delta**2
+        ref, J_ref = island._flow(per_disc[i][fl], d[fl], island.sigma,
+                                  island.flow_steps, True)
+        assert np.max(np.abs(torus_diff(img[i][fl], ref))) <= 1e-12
+        assert np.max(np.abs(J[i][fl] - J_ref)) <= 1e-12
 
 
 def test_inverse_roundtrip(island):

@@ -3,6 +3,7 @@ import pytest
 
 from islab.hamiltonian import (
     HamiltonianSystem,
+    _midpoint_steps,
     energy_drift,
     hamiltonian_time_map,
     saddle_system,
@@ -82,6 +83,27 @@ def test_midpoint_second_order_convergence():
     e1 = np.max(np.abs(hamiltonian_time_map(sys, 1.0, steps=64)(p) - ref))
     e2 = np.max(np.abs(hamiltonian_time_map(sys, 1.0, steps=128)(p) - ref))
     assert 3.0 < e1 / e2 < 5.0
+
+
+def test_midpoint_result_independent_of_batch():
+    # each point stops its fixed-point solve at its own convergence, so
+    # integrating it alone or inside a batch gives the same bits
+    sys = pendulum()
+    pts = np.random.default_rng(3).normal(size=(40, 2)) * 0.6
+    z, M = _midpoint_steps(sys, pts, 0.8, 32, 1e-13, True)
+    for i in (0, 17, 39):
+        zi, Mi = _midpoint_steps(sys, pts[i], 0.8, 32, 1e-13, True)
+        assert np.array_equal(z[i], zi)
+        assert np.array_equal(M[i], Mi)
+
+
+def test_midpoint_newton_fallback_matches_fixed_point():
+    # with a single fixed-point sweep every point goes to the Newton solve
+    sys = pendulum()
+    pts = np.random.default_rng(4).normal(size=(40, 2)) * 0.6
+    z, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False)
+    zn, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False, fp_cap=1)
+    assert np.max(np.abs(zn - z)) < 1e-12
 
 
 def test_field_jacobian_requires_hessian():

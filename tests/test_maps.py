@@ -50,6 +50,16 @@ def test_wrap_and_diff():
     assert np.all((d >= -0.5) & (d < 0.5))
 
 
+@pytest.mark.parametrize("f", [anosov_map(), chirikov_map(0.7)],
+                         ids=["anosov", "chirikov"])
+def test_value_and_jacobian_fallback(f):
+    assert f.fwd_jac is None
+    p = np.random.default_rng(7).random((100, 2))
+    img, J = f.value_and_jacobian(p)
+    assert np.array_equal(img, f(p))
+    assert np.array_equal(J, f.jacobian(p))
+
+
 def test_anosov_basics():
     F = anosov_map()
     p = rng.random((200, 2))
