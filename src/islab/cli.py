@@ -26,8 +26,7 @@ from .links import (LinkGeometry, build_suitable_model, restore_link_a,
                     restore_link_b, restoration_b_reference, splitting_a,
                     splitting_a_reference, splitting_b, splitting_b_reference,
                     stable_curve, time_energy_chart, unstable_curve)
-from .lyapunov import (LN4, entropy_estimate, lambda_field_rows, max_lyapunov,
-                       spectral_norm)
+from .lyapunov import LN4, entropy_estimate, lambda_field_rows, max_lyapunov
 from .maps import anosov_map, chirikov_map, compose, henon_like, shear_map
 from .rescaling import corollary_composition, desk_model, verify_rescaling
 
@@ -70,18 +69,24 @@ def _band_hook(geom=None, side="a", height=1.5e-3):
 # suites
 
 
-def _clamped_mean_exponent(f, pts, n):
-    m = len(pts)
-    M = np.broadcast_to(np.eye(2), (m, 2, 2)).copy()
-    logs = np.zeros(m)
-    x = pts.copy()
-    for _ in range(n):
-        Mi = f.jacobian(x) @ M
-        s = spectral_norm(Mi)
-        logs += np.log(s)
-        M = Mi / s[..., None, None]
-        x = f(x)
-    return logs / n
+# rows per batched cocycle call of the stdmap scan; bounds its memory when
+# (a values) x (points) is large
+SCAN_BLOCK_ROWS = 65536
+
+
+def _clamped_mean_exponent(avals, pts, n):
+    """Mean over pts of max(lambda_n, 0) for the standard map at each a.
+
+    Every (a, point) pair is one row of a batched cocycle, in blocks of at
+    most SCAN_BLOCK_ROWS rows.
+    """
+    lam = np.empty(len(avals) * len(pts))
+    for i in range(0, lam.size, SCAN_BLOCK_ROWS):
+        rows = np.arange(i, min(i + SCAN_BLOCK_ROWS, lam.size))
+        a_idx, p_idx = np.divmod(rows, len(pts))
+        lam[rows] = max_lyapunov(chirikov_map(avals[a_idx]), pts[p_idx],
+                                 n).estimate
+    return np.mean(np.maximum(lam, 0.0).reshape(len(avals), len(pts)), axis=1)
 
 
 def _run_lyapunov(cfg, rng, threads):
@@ -91,7 +96,7 @@ def _run_lyapunov(cfg, rng, threads):
     else:
         f = chirikov_map(p["a"])
     pts = rng.random((p["points"], 2))
-    lams = np.array([max_lyapunov(f, q, n=p["n"]).estimate for q in pts])
+    lams = max_lyapunov(f, pts, n=p["n"]).estimate
     checks = []
     metrics = {"mean_lambda": float(np.mean(lams)),
                "min_lambda": float(np.min(lams)),
@@ -136,12 +141,9 @@ def _run_island(cfg, rng, threads):
     f = island.descriptor()
     exclude = lambda q: ~island.island_mask(q)
     rep = entropy_estimate(f, resolution=p["grid"], n=p["n"], exclude=exclude)
+    field_rows = lambda_field_rows(rep)
     # fraction of island cells whose exponent clears ln 4
-    rx, ry = rep.resolution
-    xs = (np.arange(rx) + 0.5) / rx
-    ys = (np.arange(ry) + 0.5) / ry
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    started_in = island.island_mask(np.stack([X.ravel(), Y.ravel()], axis=-1))
+    started_in = island.island_mask(field_rows[:, :2])
     good = rep.valid.ravel() & (np.nan_to_num(rep.field.ravel(), nan=-1.0) >= LN4)
     frac = float(np.count_nonzero(good & started_in) / np.count_nonzero(started_in))
     checks.append(_check("island-fraction-with-lambda>=ln4", frac, 0.95,
@@ -155,8 +157,7 @@ def _run_island(cfg, rng, threads):
                "pesin_lower_bound": bound}
     metrics.update({f"symmetry_{k}": v for k, v in sym.items()})
     tables = {
-        "lambda_field.csv": (("x", "y", "lambda", "valid"),
-                             lambda_field_rows(rep)),
+        "lambda_field.csv": (("x", "y", "lambda", "valid"), field_rows),
         "saddles.csv": (("center", "theta", "x", "y", "mult_stable",
                          "mult_unstable", "fixed_defect"),
                         [(s["center"], s["theta"], s["point"][0], s["point"][1],
@@ -171,16 +172,7 @@ def _run_stdmap(cfg, rng, threads):
     count = int(np.floor((p["a_max"] - p["a_min"]) / p["a_step"] + 1e-9)) + 1
     avals = p["a_min"] + p["a_step"] * np.arange(count)
     pts = rng.random((p["points"], 2))
-
-    def cell(a):
-        lam = _clamped_mean_exponent(chirikov_map(a), pts, p["n"])
-        return float(np.mean(np.maximum(lam, 0.0)))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            means = list(pool.map(cell, avals))
-    else:
-        means = [cell(a) for a in avals]
+    means = _clamped_mean_exponent(avals, pts, p["n"])
     rows = [(a, m, 2.0 - 2.0 * np.pi * a) for a, m in zip(avals, means)]
     metrics = {"cells": count,
                "max_mean_lambda": float(np.max(means)),

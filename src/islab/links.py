@@ -29,7 +29,7 @@ from .curves import (
     graph_transform,
     straight_curve,
 )
-from .maps import MapDescriptor, compose, shear_map
+from .maps import MapDescriptor, compose, identity_map, inverse_descriptor, shear_map
 
 PERIOD_SAMPLES = 128
 
@@ -99,36 +99,6 @@ def _affine_piece(name, ax, bx, ay, by):
     return m
 
 
-def _inverse_descriptor(m):
-    """Descriptor for m^-1 (exact inverse required)."""
-    if m.inv is None:
-        raise ValueError(f"{m.name}: inverse required for backward pipeline steps")
-
-    def jac(q):
-        J = m.jacobian(m.inv(q))
-        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-        out = np.empty_like(J)
-        out[..., 0, 0] = J[..., 1, 1]
-        out[..., 1, 1] = J[..., 0, 0]
-        out[..., 0, 1] = -J[..., 0, 1]
-        out[..., 1, 0] = -J[..., 1, 0]
-        return out / det[..., None, None]
-
-    if hasattr(m, "jac_inv"):
-        jac = m.jac_inv
-    return MapDescriptor(m.name + "^-1", m.inv, jac, m.fwd, symplectic=m.symplectic)
-
-
-def identity_hook():
-    def fwd(p):
-        return np.array(p, dtype=float, copy=True)
-
-    def jac(p):
-        return np.broadcast_to(np.eye(2), np.shape(p)[:-1] + (2, 2)).copy()
-
-    return MapDescriptor("id", fwd, jac, fwd)
-
-
 # ---------------------------------------------------------------------------
 # the model
 
@@ -146,8 +116,8 @@ class SuitableModel:
         self.trans_b = _affine_piece("level-b translation", 1.0, tau, 1.0, 0.0)
         self.fold = _affine_piece("fold", -0.5, jx, -2.0, jy)
         self.crawl = _affine_piece("lower crawl", 1.0, -tau / 2, 1.0, 0.0)
-        self.hook = hook or identity_hook()
-        self._hook_inv = _inverse_descriptor(self.hook)
+        self.hook = hook or identity_map()
+        self._hook_inv = inverse_descriptor(self.hook)
         self.band = abs(g.y1 - g.y2) / 2 * 0.8
         self._validate_hook()
         self.fstar = self._assemble_fstar()
@@ -276,7 +246,7 @@ class SuitableModel:
         return compose(self.hook, piece, name=f"F|{piece.name}")
 
     def backward_step(self, piece):
-        return compose(_inverse_descriptor(piece), self._hook_inv,
+        return compose(inverse_descriptor(piece), self._hook_inv,
                        name=f"F^-1|{piece.name}")
 
     def forward_itinerary(self, side):
@@ -382,7 +352,7 @@ class TimeEnergyChart:
 
         self._fstep = model.forward_step(self._piece)
         self._bstep = model.backward_step(self._piece)
-        self._Finv = _inverse_descriptor(self.F)
+        self._Finv = inverse_descriptor(self.F)
 
         # the blend target Fstar o F^-1 on the fundamental strip: with the
         # model's itinerary decomposition this is piece o (piece^-1 o G^-1)
@@ -574,7 +544,7 @@ class PsiChart:
         self._sneg = shear_map(m, m.d1, name="S_-psi")
         self.fbar = compose(shear_map(psi, psi.d1, name="S_psi"), chart.F,
                             name="Fbar")
-        self._fbar_inv = _inverse_descriptor(self.fbar)
+        self._fbar_inv = inverse_descriptor(self.fbar)
         g = self.model.geometry
         self._seam = g.x_a - g.tau if self.side == "a" else g.x_b + g.tau
 
@@ -866,7 +836,7 @@ def manifold_grow(f, saddle, side, extent, radius=1e-3):
     if side == "unstable":
         lam, v, mp = saddle.lam_u, saddle.v_u, f
     elif side == "stable":
-        lam, v, mp = saddle.lam_s, saddle.v_s, _inverse_descriptor(f)
+        lam, v, mp = saddle.lam_s, saddle.v_s, inverse_descriptor(f)
         lam = 1.0 / lam
     else:
         raise ValueError("side must be 'unstable' or 'stable'")

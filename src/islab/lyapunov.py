@@ -4,9 +4,8 @@ The maximal exponent of a map f at p over horizon n is (1/n) log ||Df^n(p)||.
 The derivative product is accumulated with per-step renormalization and the
 exact 2x2 spectral norm, so the telescoped log-norm is free of overflow and
 of power-iteration alignment error (for a constant symmetric cocycle the
-estimate is exact to rounding at any horizon).  A unit-tangent-vector mode
-is available for comparison; its estimate carries an O(1/n) seed-alignment
-term, so the matrix mode is the default.
+estimate is exact to rounding at any horizon).  One batched kernel,
+`_cocycle_logs`, carries this product for every caller.
 
 Entropy is the midpoint-rule integral of the clamped-positive exponent field
 over a grid: mean of max(lambda_n, 0) over cells times the region area.
@@ -21,20 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import MapDescriptor
+from .maps import inv2, inverse_descriptor
 
 LN4 = float(np.log(4.0))
-
-
-def _inv2(J):
-    """Batched closed-form inverse of 2x2 matrices."""
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    inv = np.empty_like(J)
-    inv[..., 0, 0] = J[..., 1, 1]
-    inv[..., 0, 1] = -J[..., 0, 1]
-    inv[..., 1, 0] = -J[..., 1, 0]
-    inv[..., 1, 1] = J[..., 0, 0]
-    return inv / det[..., None, None]
 
 
 def spectral_norm(M):
@@ -46,83 +34,68 @@ def spectral_norm(M):
     return np.sqrt(np.maximum(half + disc, 0.0))
 
 
-def _norm_rows(v):
-    return np.sqrt(np.sum(v * v, axis=-1))
+def _cocycle_logs(f, pts, n, exclude=None):
+    """Renormalized derivative product along the orbits of pts, shape (m, 2).
+
+    Returns (logs, valid): logs[i] telescopes to log ||Df^k(pts[i])|| up to
+    rounding, where k = n for valid rows.  A row turns invalid, and stops
+    accumulating, at the first step whose product norm or image is not
+    finite (or whose norm is 0), or whose image satisfies the vectorized
+    predicate `exclude`; the start point is tested against `exclude` too.
+    """
+    m = pts.shape[0]
+    valid = np.ones(m, dtype=bool)
+    if exclude is not None:
+        valid &= ~np.asarray(exclude(pts))
+    logs = np.zeros(m)
+    M = np.broadcast_to(np.eye(2), (m, 2, 2)).copy()
+    x = pts.copy()
+    for _ in range(n):
+        idx = np.nonzero(valid)[0]
+        if idx.size == 0:
+            break
+        # one name for Df and Df M keeps a single (m, 2, 2) temporary alive
+        xi, Mi = f.value_and_jacobian(x[idx])
+        Mi = Mi @ M[idx]
+        s = spectral_norm(Mi)
+        ok = np.isfinite(s) & (s > 0.0)
+        s_safe = np.where(ok, s, 1.0)
+        logs[idx] += np.where(ok, np.log(s_safe), 0.0)
+        M[idx] = Mi / s_safe[..., None, None]
+        ok &= np.all(np.isfinite(xi), axis=-1)
+        if exclude is not None:
+            ok &= ~np.asarray(exclude(xi))
+        x[idx] = np.where(np.isfinite(xi), xi, x[idx])
+        valid[idx] = ok
+    return logs, valid
 
 
 @dataclass
 class ExponentSample:
     point: np.ndarray
     n: int
-    log_norm: float          # log ||Df^n|| (or log vector growth in vector mode)
-    estimate: float          # lambda_n = log_norm / n
-    direction: np.ndarray | None = None
-    lower_bound: float | None = None   # -(log cond)/n for symplectic maps
-    stability: float | None = None     # |lambda_n - lambda_2n| when probed
+    log_norm: float | np.ndarray   # log ||Df^n||, per row for a batch
+    estimate: float | np.ndarray   # lambda_n = log_norm / n
 
 
-def _cocycle_logs(f, p, n, mode, direction):
-    """Renormalized cocycle along the orbit of p; returns per-step log factors.
+def max_lyapunov(f, p, n=200):
+    """Finite-horizon maximal Lyapunov exponent (1/n) log ||Df^n|| of f.
 
-    Matrix mode telescopes exactly: sum of the returned logs equals
-    log ||Df^n(p)|| up to rounding.
-    """
-    p = np.asarray(p, dtype=float)
-    x = p.copy()
-    logs = np.empty(n)
-    if mode == "matrix":
-        M = np.eye(2)
-        for k in range(n):
-            M = f.jacobian(x) @ M
-            s = float(spectral_norm(M))
-            if not np.isfinite(s) or s == 0.0:
-                raise RuntimeError(f"cocycle degenerate at step {k}")
-            logs[k] = np.log(s)
-            M /= s
-            x = f(x)
-        return logs, M
-    if mode == "vector":
-        v = (np.array([1.0, 1.0]) / np.sqrt(2.0)
-             if direction is None else np.asarray(direction, dtype=float))
-        v = v / _norm_rows(v)
-        for k in range(n):
-            v = f.jacobian(x) @ v
-            g = float(_norm_rows(v))
-            if not np.isfinite(g) or g == 0.0:
-                raise RuntimeError(f"tangent vector degenerate at step {k}")
-            logs[k] = np.log(g)
-            v /= g
-            x = f(x)
-        return logs, v
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def max_lyapunov(f, p, n=200, mode="matrix", direction=None, probe=False):
-    """Finite-horizon maximal Lyapunov exponent of f at p.
-
-    mode="matrix" accumulates the renormalized derivative product and reports
-    (1/n) log ||Df^n||; mode="vector" power-iterates a unit tangent vector
-    (seed (1,1)/sqrt(2) unless direction is given).
+    p is one point, shape (2,), or a batch, shape (m, 2); a batch gives
+    per-row `log_norm` and `estimate` arrays.  Raises RuntimeError when the
+    cocycle of any row degenerates (a non-finite or zero norm, or a
+    non-finite image).
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    horizon = 2 * n if probe else n
-    logs, _ = _cocycle_logs(f, p, horizon, mode, direction)
-    log_n = float(np.sum(logs[:n]))
-    lam = log_n / n
-    stability = None
-    if probe:
-        lam2 = float(np.sum(logs)) / (2 * n)
-        stability = abs(lam - lam2)
-    lower = None
-    if f.symplectic:
-        # det Df^n = 1 => cond = ||Df^n||^2; the bound -(log cond)/n is a
-        # conservative floor (the exponent of a symplectic map is >= 0).
-        lower = -2.0 * abs(lam)
-    return ExponentSample(
-        point=np.asarray(p, dtype=float), n=n, log_norm=log_n, estimate=lam,
-        direction=(None if mode == "matrix" else direction),
-        lower_bound=lower, stability=stability)
+    p = np.asarray(p, dtype=float)
+    logs, valid = _cocycle_logs(f, np.atleast_2d(p), n)
+    if not valid.all():
+        raise RuntimeError(f"cocycle degenerate at {np.count_nonzero(~valid)} "
+                           f"of {valid.size} points")
+    if p.ndim == 1:
+        logs = float(logs[0])
+    return ExponentSample(point=p, n=n, log_norm=logs, estimate=logs / n)
 
 
 # ----------------------------------------------------------------------
@@ -162,30 +135,7 @@ def entropy_estimate(f, region=((0.0, 1.0), (0.0, 1.0)), resolution=100,
     pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
     m = pts.shape[0]
 
-    valid = np.ones(m, dtype=bool)
-    if exclude is not None:
-        valid &= ~np.asarray(exclude(pts))
-    logs = np.zeros(m)
-    M = np.broadcast_to(np.eye(2), (m, 2, 2)).copy()
-    x = pts.copy()
-    for _ in range(n):
-        idx = np.nonzero(valid)[0]
-        if idx.size == 0:
-            break
-        # one name for Df and Df M keeps a single (m, 2, 2) temporary alive
-        xi, Mi = f.value_and_jacobian(x[idx])
-        Mi = Mi @ M[idx]
-        s = spectral_norm(Mi)
-        ok = np.isfinite(s) & (s > 0.0)
-        s_safe = np.where(ok, s, 1.0)
-        logs[idx] += np.where(ok, np.log(s_safe), 0.0)
-        M[idx] = Mi / s_safe[..., None, None]
-        ok &= np.all(np.isfinite(xi), axis=-1)
-        if exclude is not None:
-            ok &= ~np.asarray(exclude(xi))
-        x[idx] = np.where(np.isfinite(xi), xi, x[idx])
-        valid[idx] = ok
-
+    logs, valid = _cocycle_logs(f, pts, n, exclude)
     lam = logs / n
     field_2d = np.where(valid, lam, np.nan).reshape(rx, ry)
     area = (x1 - x0) * (y1 - y0)
@@ -215,7 +165,7 @@ def _conjugated_step(f, conjugator, x, fx):
     J = f.jacobian(x)
     if conjugator is None:
         return J
-    return conjugator.jacobian(fx) @ J @ _inv2(conjugator.jacobian(x))
+    return conjugator.jacobian(fx) @ J @ inv2(conjugator.jacobian(x))
 
 
 def cone_certificate(f, p, n, conjugator=None, ratio=4.0, tol=0.0):
@@ -260,14 +210,7 @@ def exponent_symmetry_defect(f, p, n=100):
     x = np.asarray(p, dtype=float)
     for _ in range(n):
         x = f(x)
-
-    def inv_jac(y):
-        z = f.inverse(y)
-        return _inv2(f.jacobian(z))
-
-    finv = MapDescriptor(f.name + "^-1", f.inverse, inv_jac,
-                         f.fwd, symplectic=f.symplectic, wrap=f.wrap)
-    bwd = max_lyapunov(finv, x, n)
+    bwd = max_lyapunov(inverse_descriptor(f), x, n)
     return abs(fwd.estimate - bwd.estimate)
 
 
@@ -288,7 +231,7 @@ def conjugacy_exponent_bound(island, p, n=100):
     for q in (np.asarray(p, dtype=float), x):
         J = Psi.jacobian(q)
         norms.append((float(spectral_norm(J)),
-                      float(spectral_norm(_inv2(J)))))
+                      float(spectral_norm(inv2(J)))))
     # ||A^n|| <= ||DPsi(end)|| ||DFhat^n|| ||DPsi(start)^{-1}|| and the
     # reverse factorization give the two one-sided constants.
     c_up = norms[1][0] * norms[0][1]

@@ -179,6 +179,35 @@ def compose(*maps, name=None):
     )
 
 
+def inv2(J):
+    """Batched closed-form inverse of 2x2 matrices (shape (..., 2, 2))."""
+    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    inv = np.empty_like(J)
+    inv[..., 0, 0] = J[..., 1, 1]
+    inv[..., 0, 1] = -J[..., 0, 1]
+    inv[..., 1, 0] = -J[..., 1, 0]
+    inv[..., 1, 1] = J[..., 0, 0]
+    return inv / det[..., None, None]
+
+
+def inverse_descriptor(m):
+    """Descriptor for m^-1 from m's exact inverse.
+
+    The Jacobian is m's own `jac_inv` when it has one, else the inverse of
+    Dm at the preimage.
+    """
+    if m.inv is None:
+        raise ValueError(f"{m.name}: no closed-form inverse")
+
+    def jac(q):
+        return inv2(m.jacobian(m.inv(q)))
+
+    if hasattr(m, "jac_inv"):
+        jac = m.jac_inv
+    return MapDescriptor(m.name + "^-1", m.inv, jac, m.fwd,
+                         symplectic=m.symplectic, wrap=m.wrap)
+
+
 def invert_at(m, target, x0=None, tol=1e-12, max_iter=50):
     """Solve m(p) = target pointwise.
 
@@ -253,9 +282,15 @@ def chirikov_map(a):
     """Standard-family torus map (x, y) -> (2x - y + a sin(2 pi x), x).
 
     The fixed point (1/2, 1/2) is elliptic for 0 < a < 2/pi (the trace of
-    the Jacobian there is 2 - 2 pi a).
+    the Jacobian there is 2 - 2 pi a).  An array `a` gives one parameter
+    per point: it broadcasts against the points' leading axes.
     """
-    a = float(a)
+    if np.ndim(a) == 0:
+        a = float(a)
+        name = f"T_a(a={a:g})"
+    else:
+        a = np.asarray(a, dtype=float)
+        name = f"T_a(a=[{a.size} values])"
 
     def fwd(p):
         x, y = p[..., 0], p[..., 1]
@@ -274,7 +309,7 @@ def chirikov_map(a):
         X, Y = q[..., 0], q[..., 1]
         return wrap_torus(np.stack([Y, 2.0 * Y + a * np.sin(2 * np.pi * Y) - X], axis=-1))
 
-    return MapDescriptor(f"T_a(a={a:g})", fwd, jac, inv, symplectic=True, wrap=True)
+    return MapDescriptor(name, fwd, jac, inv, symplectic=True, wrap=True)
 
 
 def shear_map(psi, dpsi=None, name="S_psi", wrap=False):

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 
+from islab import cli
 from islab.cli import _SUITES, emit_plot_data, main, run
 from islab.config import ExperimentConfig
 
@@ -86,6 +87,13 @@ def test_scan_suite_has_no_checks(tmp_path):
     lines = _read(os.path.join(tmp_path, "scan.csv")).decode().splitlines()
     assert lines[0] == "a,mean_lambda,elliptic_trace"
     assert len(lines) == 1 + 4  # 0.1, 0.5, 0.9, 1.3
+
+
+def test_scan_blocks_do_not_change_outputs(monkeypatch):
+    rows = run(_cfg(SCAN))[0]["_tables"]["scan.csv"][1]
+    # 4 a values x 24 points = 96 rows: three blocks, split inside an a
+    monkeypatch.setattr(cli, "SCAN_BLOCK_ROWS", 40)
+    assert run(_cfg(SCAN))[0]["_tables"]["scan.csv"][1] == rows
 
 
 def test_rescaling_suite(tmp_path):

@@ -60,6 +60,19 @@ def test_value_and_jacobian_fallback(f):
     assert np.array_equal(J, f.jacobian(p))
 
 
+def test_chirikov_array_parameter_matches_scalar_maps():
+    avals = np.array([0.1, 0.7, 1.2, 3.5, 6.0])
+    pts = np.random.default_rng(8).random((5, 2))
+    batch = chirikov_map(avals)
+    img, J = batch(pts), batch.jacobian(pts)
+    back = batch.inverse(pts)
+    for i, a in enumerate(avals):
+        f = chirikov_map(a)
+        assert np.array_equal(img[i], f(pts[i]))
+        assert np.array_equal(J[i], f.jacobian(pts[i]))
+        assert np.array_equal(back[i], f.inverse(pts[i]))
+
+
 def test_anosov_basics():
     F = anosov_map()
     p = rng.random((200, 2))
