@@ -23,7 +23,6 @@ from .maps import (
     finite_difference_jacobian,
     henon_like,
     identity_map,
-    invert_at,
     quarter_turn,
     rotation_map,
     shear_map,
@@ -49,14 +48,11 @@ from .curves import (
 from .links import (
     LinkGeometry,
     PsiChart,
-    SaddleData,
     SuitableModel,
     TimeEnergyChart,
     build_suitable_model,
-    manifold_grow,
     restore_link_a,
     restore_link_b,
-    saddle_data,
     splitting_a,
     splitting_b,
     stable_curve,
@@ -88,7 +84,6 @@ __all__ = [
     "finite_difference_jacobian",
     "henon_like",
     "identity_map",
-    "invert_at",
     "quarter_turn",
     "rotation_map",
     "shear_map",
@@ -117,14 +112,11 @@ __all__ = [
     "straight_curve",
     "LinkGeometry",
     "PsiChart",
-    "SaddleData",
     "SuitableModel",
     "TimeEnergyChart",
     "build_suitable_model",
-    "manifold_grow",
     "restore_link_a",
     "restore_link_b",
-    "saddle_data",
     "splitting_a",
     "splitting_b",
     "stable_curve",

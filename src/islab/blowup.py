@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import smoothstep, smoothstep_d1, smoothstep_d2
 from .hamiltonian import HamiltonianSystem, _midpoint_steps
-from .maps import MapDescriptor, torus_diff, wrap_torus
+from .maps import MapDescriptor, inv2, torus_diff, wrap_torus
 
 A_DEFAULT = np.array([[13.0, 8.0], [8.0, 5.0]])
 SIGMA = np.log(9.0 + 4.0 * np.sqrt(5.0))          # expansion exponent
@@ -62,21 +63,6 @@ def from_polar(s):
     s = np.asarray(s, dtype=float)
     r = np.sqrt(2.0 * s[..., 0])
     return np.stack([r * np.cos(s[..., 1]), r * np.sin(s[..., 1])], axis=-1)
-
-
-def _smoothstep(t):
-    s = 6 * t**5 - 15 * t**4 + 10 * t**3
-    return np.where(t <= 0, 0.0, np.where(t >= 1, 1.0, s))
-
-
-def _smoothstep_d1(t):
-    s = 30 * t**2 * (1 - t) ** 2
-    return np.where((t <= 0) | (t >= 1), 0.0, s)
-
-
-def _smoothstep_d2(t):
-    s = 60 * t * (2 * t - 1) * (t - 1)
-    return np.where((t <= 0) | (t >= 1), 0.0, s)
 
 
 def _by_center(mask):
@@ -195,13 +181,13 @@ class SurgeryProfile:
         return (np.asarray(rho, dtype=float) - self.rho0) / (self.rho_lo - self.rho0)
 
     def xi(self, rho):
-        return _smoothstep(self._xi_t(rho))
+        return smoothstep(self._xi_t(rho))
 
     def xi_d1(self, rho):
-        return _smoothstep_d1(self._xi_t(rho)) / (self.rho_lo - self.rho0)
+        return smoothstep_d1(self._xi_t(rho)) / (self.rho_lo - self.rho0)
 
     def xi_d2(self, rho):
-        return _smoothstep_d2(self._xi_t(rho)) / (self.rho_lo - self.rho0) ** 2
+        return smoothstep_d2(self._xi_t(rho)) / (self.rho_lo - self.rho0) ** 2
 
 
 def island_hamiltonian(profile):
@@ -250,9 +236,12 @@ class IslandMap:
         self.profile = SurgeryProfile(delta, eps, rho0)
         self.flow_steps = int(flow_steps)
         self.A = np.asarray(matrix, dtype=float)
-        self.Ainv = np.array([[self.A[1, 1], -self.A[0, 1]],
-                              [-self.A[1, 0], self.A[0, 0]]])
+        self.Ainv = inv2(self.A)
         self.R = eigen_rotation(self.A)
+        # (N, 2) @ M.T with a transposed view rounds differently depending
+        # on N; a contiguous copy keeps every point's result independent of
+        # its batch
+        self.RT = np.ascontiguousarray(self.R.T)
         self.centers = CENTERS.copy()
         self.sigma = float(np.log(np.max(np.linalg.eigvalsh(self.A))))
         self.system = island_hamiltonian(self.profile)
@@ -298,12 +287,12 @@ class IslandMap:
         ps = self.profile.psi(rho)
         ps1 = self.profile.psi_d1(rho)
         s = np.sqrt(ps / rho)
-        out = (s[..., None] * w) @ self.R.T
+        out = (s[..., None] * w) @ self.RT
         if not with_jac:
             return out, None
         # 2 s s' = (psi' rho - psi)/rho^2
         ds = (ps1 * rho - ps) / (rho**2 * 2 * s)
-        J = self.R @ self._scale_jac(w, s, ds) @ self.R.T
+        J = self.R @ self._scale_jac(w, s, ds) @ self.RT
         return out, J
 
     def _psi_backward(self, d, with_jac):
@@ -312,12 +301,12 @@ class IslandMap:
         rho_v = 0.5 * np.sum(v * v, axis=-1)
         rho_w = self.profile.psi_inv(rho_v)
         u = np.sqrt(rho_w / rho_v)
-        out = (u[..., None] * v) @ self.R.T
+        out = (u[..., None] * v) @ self.RT
         if not with_jac:
             return out, None
         dinv = 1.0 / self.profile.psi_d1(rho_w)       # (psi^{-1})'
         du = (dinv * rho_v - rho_w) / (rho_v**2 * 2 * u)
-        J = self.R @ self._scale_jac(v, u, du) @ self.R.T
+        J = self.R @ self._scale_jac(v, u, du) @ self.RT
         return out, J
 
     def _flow(self, p, d, t, steps, with_jac):
@@ -336,7 +325,7 @@ class IslandMap:
         if np.any(act):
             s_end, M = _midpoint_steps(self.system, state[act], t, steps, 1e-13, with_jac)
             w_end = from_polar(s_end)
-            out[act] = wrap_torus(p[act] + (w_end - w[act]) @ self.R.T)
+            out[act] = wrap_torus(p[act] + (w_end - w[act]) @ self.RT)
             if with_jac:
                 # d(rho,theta)/dw has unit determinant; conjugate M back
                 wa, we = w[act], w_end
@@ -352,7 +341,7 @@ class IslandMap:
                 Dout[..., 0, 1] = -we[..., 1]
                 Dout[..., 1, 0] = we[..., 1] / (2 * rho_e)
                 Dout[..., 1, 1] = we[..., 0]
-                J[act] = self.R @ (Dout @ M @ Din) @ self.R.T
+                J[act] = self.R @ (Dout @ M @ Din) @ self.RT
         return out, J
 
     # --- evaluation ----------------------------------------------------
@@ -406,7 +395,7 @@ class IslandMap:
                 q[a] = wrap_torus(q[a] + o - da)
                 if with_jac:
                     Jp[a] = Js
-            q2 = wrap_torus(q @ mat.T)
+            q2 = wrap_torus(q @ np.ascontiguousarray(mat.T))
             if with_jac:
                 Jp = mat @ Jp
             d2, r2b = self._charts(q2)
@@ -635,7 +624,7 @@ def conjugacy_defect(island, n=2000, seed=5):
     pts = pts[island.island_mask(pts)][:n]
     Psi = island.surgery_descriptor()
     lhs = Psi(island(pts))
-    rhs = wrap_torus(Psi(pts) @ island.A.T)
+    rhs = wrap_torus(Psi(pts) @ np.ascontiguousarray(island.A.T))
     return float(np.max(np.abs(torus_diff(lhs, rhs))))
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .maps import MapDescriptor
+from .maps import MapDescriptor, inv2
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -42,14 +42,6 @@ class HamiltonianSystem:
         if self.hess is None:
             raise ValueError(f"{self.name}: no Hessian available")
         return _J @ self.hess(p)
-
-
-def _solve2(A, b):
-    """Batched 2x2 linear solve (closed form, no LAPACK round trip)."""
-    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-    x0 = (b[..., 0] * A[..., 1, 1] - b[..., 1] * A[..., 0, 1]) / det
-    x1 = (A[..., 0, 0] * b[..., 1] - A[..., 1, 0] * b[..., 0]) / det
-    return np.stack([x0, x1], axis=-1)
 
 
 def _midpoint_steps(sys, p, t, steps, tol, with_jac, fp_cap=30):
@@ -92,7 +84,8 @@ def _midpoint_steps(sys, p, t, steps, tol, with_jac, fp_cap=30):
                 if not act.any():
                     break
                 JG = eye - (0.5 * h) * sys.field_jacobian(mid)
-                w = np.where(act[..., None], w - _solve2(JG, G), w)
+                step = (inv2(JG) @ G[..., None])[..., 0]
+                w = np.where(act[..., None], w - step, w)
             else:
                 raise RuntimeError(f"{sys.name}: midpoint solver failed at h={h:g}")
         if with_jac:
@@ -100,32 +93,22 @@ def _midpoint_steps(sys, p, t, steps, tol, with_jac, fp_cap=30):
             Df = sys.field_jacobian(0.5 * (z + w))
             A = eye - (0.5 * h) * Df
             B = eye + (0.5 * h) * Df
-            BM = B @ M
-            detA = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-            Ainv = np.empty_like(A)
-            Ainv[..., 0, 0] = A[..., 1, 1]
-            Ainv[..., 0, 1] = -A[..., 0, 1]
-            Ainv[..., 1, 0] = -A[..., 1, 0]
-            Ainv[..., 1, 1] = A[..., 0, 0]
-            M = (Ainv @ BM) / detA[..., None, None]
+            M = inv2(A) @ (B @ M)
         z = w
     return z, M
 
 
-def hamiltonian_time_map(sys, t, steps=None, max_dt=0.05, tol=1e-13, name=None):
-    """Time-t flow map of `sys` as a MapDescriptor.
+def hamiltonian_time_map(sys, t, steps, tol=1e-13, name=None):
+    """Time-t flow map of `sys` as a MapDescriptor, in `steps` steps.
 
     Implicit midpoint with a fixed-point inner solve (tolerance `tol`,
     Newton fallback); the Jacobian is the product of the per-step Cayley
-    transforms, which is exactly symplectic.  The number of steps defaults
-    to ceil(|t| / max_dt).
+    transforms, which is exactly symplectic.
 
     The step Jacobian needs sys.hess; without it the descriptor falls back
     to finite differences.
     """
     t = float(t)
-    if steps is None:
-        steps = max(1, int(np.ceil(abs(t) / max_dt))) if t != 0.0 else 1
     has_hess = sys.hess is not None
 
     def fwd(p):

@@ -15,23 +15,25 @@ grown from them by graph transforms following the known piece itinerary
 crawl image share the lower level).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import (
-    GraphCurve,
     MaskedPeriodic,
     PartitionBump,
     PeriodicFn,
     StepFn,
-    curve_sup_diff,
     graph_transform,
     straight_curve,
 )
 from .maps import MapDescriptor, compose, identity_map, inverse_descriptor, shear_map
 
 PERIOD_SAMPLES = 128
+# TimeEnergyChart._sigma: RK4 step counts of the first pass and of the last
+# doubling allowed before it gives up
+SIGMA_STEPS_START = 64
+SIGMA_STEPS_CAP = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +320,7 @@ class TimeEnergyChart:
     Identity when F = Fstar.
     """
 
-    def __init__(self, F, side, model, ode_steps=64):
+    def __init__(self, F, side, model):
         if side not in ("a", "b"):
             raise ValueError("side must be 'a' or 'b'")
         self.side = side
@@ -327,7 +329,6 @@ class TimeEnergyChart:
         self.name = f"phi^{side}"
         g = model.geometry
         tau, d = g.tau, g.delta
-        self._ode_steps = ode_steps
         lo, hi = model.fundamental_interval(side)
         self._lo, self._hi = lo, hi
 
@@ -407,15 +408,16 @@ class TimeEnergyChart:
         y1 = self.model.geometry.y1
         x = p[..., 0]
         y = p[..., 1]
-        n = self._ode_steps
+
+        def rhs(sv):
+            return 1.0 / self._det_phi0(np.stack([x, sv], axis=-1))
+
+        n = SIGMA_STEPS_START
         prev = None
         while True:
             h = (y - y1) / n
             s = np.full_like(y, y1)
             for _ in range(n):
-                def rhs(sv):
-                    q = np.stack([x, sv], axis=-1)
-                    return 1.0 / self._det_phi0(q)
                 k1 = rhs(s)
                 k2 = rhs(s + 0.5 * h * k1)
                 k3 = rhs(s + 0.5 * h * k2)
@@ -423,8 +425,9 @@ class TimeEnergyChart:
                 s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             if prev is not None and np.max(np.abs(s - prev)) < 1e-12:
                 return s
-            if n >= 1024:
-                return s
+            if n >= SIGMA_STEPS_CAP:
+                raise RuntimeError(
+                    f"{self.name}: fiber correction unconverged at {n} RK4 steps")
             prev = s
             n *= 2
 
@@ -521,8 +524,8 @@ class TimeEnergyChart:
         return float(np.max(np.abs(self(frame) - frame)))
 
 
-def time_energy_chart(F, side, model, ode_steps=64):
-    return TimeEnergyChart(F, side, model, ode_steps)
+def time_energy_chart(F, side, model):
+    return TimeEnergyChart(F, side, model)
 
 
 class PsiChart:
@@ -783,89 +786,3 @@ def restore_link_b(F, model, tol=1e-10, max_iter=50, mean_tol=1e-6):
         prev = res_norm0
         psit = (psit - m).zero_mean()
     return MaskedPeriodic(rho, psit), trace
-
-
-# ---------------------------------------------------------------------------
-# saddle data and manifold growth
-
-
-@dataclass
-class SaddleData:
-    """Hyperbolic fixed point with its eigen-frame."""
-
-    point: np.ndarray
-    lam_u: float
-    lam_s: float
-    v_u: np.ndarray
-    v_s: np.ndarray
-
-    def __post_init__(self):
-        if not abs(self.lam_u) > 1.0 > abs(self.lam_s):
-            raise ValueError("saddle needs |lam_u| > 1 > |lam_s|")
-
-    @property
-    def multiplier_product_defect(self):
-        return abs(self.lam_u * self.lam_s) - 1.0
-
-
-def saddle_data(f, guess, iters=60):
-    """Locate a saddle fixed point by Newton and package its eigen-frame."""
-    p = np.asarray(guess, dtype=float)
-    for _ in range(iters):
-        r = f(p) - p
-        J = f.jacobian(p) - np.eye(2)
-        p = p - np.linalg.solve(J, r)
-        if np.max(np.abs(r)) < 1e-14:
-            break
-    vals, vecs = np.linalg.eig(f.jacobian(p))
-    vals = np.real(vals)
-    vecs = np.real(vecs)
-    iu, isv = (0, 1) if abs(vals[0]) > abs(vals[1]) else (1, 0)
-    return SaddleData(point=p, lam_u=float(vals[iu]), lam_s=float(vals[isv]),
-                      v_u=vecs[:, iu] / np.hypot(*vecs[:, iu]),
-                      v_s=vecs[:, isv] / np.hypot(*vecs[:, isv]))
-
-
-def manifold_grow(f, saddle, side, extent, radius=1e-3):
-    """Grow a stable/unstable manifold graph curve from a fundamental
-    segment seeded on the eigendirection within the linearization radius.
-
-    Returns (curve, invariance_defect) where the defect is
-    sup dist(f(W), W) over the common interval.
-    """
-    if side == "unstable":
-        lam, v, mp = saddle.lam_u, saddle.v_u, f
-    elif side == "stable":
-        lam, v, mp = saddle.lam_s, saddle.v_s, inverse_descriptor(f)
-        lam = 1.0 / lam
-    else:
-        raise ValueError("side must be 'unstable' or 'stable'")
-    if abs(v[0]) < 1e-8:
-        raise ValueError("eigendirection too vertical for a graph seed")
-    r0 = radius / abs(lam)
-    x0 = saddle.point[0] + v[0] * r0
-    x1 = saddle.point[0] + v[0] * r0 * abs(lam)
-    slope = v[1] / v[0]
-    lo, hi = min(x0, x1), max(x0, x1)
-    curve = GraphCurve.from_function(
-        lambda x: saddle.point[1] + slope * (x - saddle.point[0]), lo, hi)
-    for _ in range(200):
-        if curve.x1 - curve.x0 >= extent:
-            break
-        grown = graph_transform(mp, curve)
-        lo = min(curve.x0, grown.x0)
-        hi = max(curve.x1, grown.x1)
-        if not (hi - lo > curve.x1 - curve.x0):
-            raise ValueError("manifold segment stopped expanding")
-        inner, outer = curve, grown
-
-        def merged(x, inner=inner, outer=outer):
-            x = np.asarray(x, dtype=float)
-            use = (x >= inner.x0) & (x <= inner.x1)
-            return np.where(use, inner(np.clip(x, inner.x0, inner.x1)),
-                            outer(np.clip(x, outer.x0, outer.x1)))
-
-        curve = GraphCurve.from_function(merged, lo, hi)
-    image = graph_transform(mp, curve)
-    defect = curve_sup_diff(image, curve)
-    return curve, defect

@@ -124,7 +124,7 @@ class MapDescriptor:
 
     def inverse(self, q):
         if self.inv is None:
-            raise ValueError(f"{self.name}: no closed-form inverse; use invert_at")
+            raise ValueError(f"{self.name}: no closed-form inverse")
         return self.inv(np.asarray(q, dtype=float))
 
     def symplectic_defect(self, p):
@@ -206,49 +206,6 @@ def inverse_descriptor(m):
         jac = m.jac_inv
     return MapDescriptor(m.name + "^-1", m.inv, jac, m.fwd,
                          symplectic=m.symplectic, wrap=m.wrap)
-
-
-def invert_at(m, target, x0=None, tol=1e-12, max_iter=50):
-    """Solve m(p) = target pointwise.
-
-    Uses the descriptor's exact inverse when present; otherwise a damped
-    Newton iteration (step halving on residual increase).  Accepts batched
-    targets of shape (..., 2).
-
-    Raises
-    ------
-    RuntimeError if the residual does not reach `tol` within `max_iter`.
-    """
-    target = np.asarray(target, dtype=float)
-    if m.inv is not None:
-        return m.inv(target)
-
-    x = np.array(target if x0 is None else x0, dtype=float, copy=True)
-
-    def resid(z):
-        r = m.fwd(z) - target
-        if m.wrap:
-            r = r - np.round(r)
-        return r
-
-    r = resid(x)
-    for _ in range(max_iter):
-        rn = np.max(np.abs(r))
-        if rn <= tol:
-            return x
-        J = m.jacobian(x)
-        dx = np.linalg.solve(J, r[..., None])[..., 0]
-        s = 1.0
-        for _ in range(60):
-            x_try = x - s * dx
-            r_try = resid(x_try)
-            if np.max(np.abs(r_try)) < rn:
-                break
-            s *= 0.5
-        x, r = x_try, r_try
-    if np.max(np.abs(resid(x))) > tol:
-        raise RuntimeError(f"invert_at({m.name}): Newton stalled above tol={tol}")
-    return x
 
 
 # ----------------------------------------------------------------------

@@ -11,12 +11,13 @@ Henon-form map (X, Y) -> (Y, -X + psi(Y)) with psi injected through a
 small vertical shear g supported in boxes around the landing points.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from .curves import StepFn
+from .hamiltonian import HamiltonianSystem, hamiltonian_time_map
 from .maps import MapDescriptor, compose, henon_like, shear_map
 
 
@@ -460,7 +461,31 @@ class BoxBump:
         return np.where(inner, 2, np.where(outer, 1, 0))
 
 
-def build_perturbation(model, k, psi_list, flow_steps=64):
+def _collar_system(bmp, Psi, psihat, dpsihat):
+    """H = -Psi(x) rho(x, y) for one box, with psihat = Psi' and
+    dpsihat = psihat'."""
+
+    def grad(p):
+        x = p[..., 0]
+        rho, gr = bmp(p), bmp.grad(p)
+        P = Psi(x)
+        return np.stack([-(psihat(x) * rho + P * gr[..., 0]),
+                         -P * gr[..., 1]], axis=-1)
+
+    def hess(p):
+        x = p[..., 0]
+        rho, gr, hs = bmp(p), bmp.grad(p), bmp.hess(p)
+        P, p1, p2 = Psi(x), psihat(x), dpsihat(x)
+        H = np.empty(p.shape[:-1] + (2, 2))
+        H[..., 0, 0] = -(p2 * rho + 2.0 * p1 * gr[..., 0] + P * hs[..., 0, 0])
+        H[..., 0, 1] = H[..., 1, 0] = -(p1 * gr[..., 1] + P * hs[..., 0, 1])
+        H[..., 1, 1] = -P * hs[..., 1, 1]
+        return H
+
+    return HamiltonianSystem("-Psi rho", grad, hess)
+
+
+def build_perturbation(model, k, psi_list):
     """Map descriptor of the k-dependent box perturbation g.
 
     g is the time-1 flow of H = -Psi(x) * rho_box; on each inner box it
@@ -487,6 +512,9 @@ def build_perturbation(model, k, psi_list, flow_steps=64):
         P = ph.integ()
         Psis.append(P - P(model.x_plus[i]))
     dpsihats = [ph.deriv() for ph in psihats]
+    flows = [hamiltonian_time_map(
+        _collar_system(bumps[i], Psis[i], psihats[i], dpsihats[i]), 1.0,
+        steps=64) for i in range(N)]
 
     def classify(p):
         reg = np.zeros(np.shape(p)[:-1], dtype=int)
@@ -508,45 +536,6 @@ def build_perturbation(model, k, psi_list, flow_steps=64):
         y1 = y0 + sign * psihats[i](p[..., 0])
         return (np.abs(x) <= ix) & (np.abs(y0) <= iy) & (np.abs(y1) <= iy)
 
-    def _collar_flow(q, i, sign=1.0, steps=flow_steps, with_jac=False):
-        # implicit midpoint for H = -Psi(x) rho(x,y):
-        #   dx/dt = dH/dy = -Psi(x) d_y rho, dy/dt = -dH/dx = psihat rho + Psi d_x rho
-        bmp, Psi, ph, dph = bumps[i], Psis[i], psihats[i], dpsihats[i]
-
-        def vel(pt):
-            rho = bmp(pt)
-            gr = bmp.grad(pt)
-            P = Psi(pt[..., 0])
-            return np.stack([-P * gr[..., 1],
-                             ph(pt[..., 0]) * rho + P * gr[..., 0]], axis=-1)
-
-        def dvel(pt):
-            # trace-free Jacobian of the Hamiltonian field (exact)
-            rho = bmp(pt)
-            gr = bmp.grad(pt)
-            hs = bmp.hess(pt)
-            x = pt[..., 0]
-            P, p1, p2 = Psi(x), ph(x), dph(x)
-            D = np.empty(pt.shape[:-1] + (2, 2))
-            D[..., 0, 0] = -(p1 * gr[..., 1] + P * hs[..., 0, 1])
-            D[..., 0, 1] = -P * hs[..., 1, 1]
-            D[..., 1, 0] = p2 * rho + 2.0 * p1 * gr[..., 0] + P * hs[..., 0, 0]
-            D[..., 1, 1] = p1 * gr[..., 1] + P * hs[..., 0, 1]
-            return D
-
-        h = sign / steps
-        J = np.broadcast_to(np.eye(2), q.shape + (2,)).copy() if with_jac else None
-        for _ in range(steps):
-            mid = q
-            for _ in range(12):
-                mid = q + 0.5 * h * vel(mid)
-            if with_jac:
-                D = 0.5 * h * dvel(mid)
-                I = np.broadcast_to(np.eye(2), D.shape)
-                J = np.linalg.solve(I - D, (I + D) @ J)
-            q = q + h * vel(mid)
-        return (q, J) if with_jac else q
-
     def fwd(p):
         p = np.asarray(p, dtype=float)
         flat = p.reshape(-1, 2)
@@ -559,7 +548,7 @@ def build_perturbation(model, k, psi_list, flow_steps=64):
                 out[safe, 1] = flat[safe, 1] + psihats[i](flat[safe, 0])
             mc = inbox & ~safe
             if np.any(mc):
-                out[mc] = _collar_flow(flat[mc], i)
+                out[mc] = flows[i].fwd(flat[mc])
         return out.reshape(p.shape)
 
     def jac(p):
@@ -574,7 +563,7 @@ def build_perturbation(model, k, psi_list, flow_steps=64):
                 J[safe, 1, 0] = dpsihats[i](flat[safe, 0])
             mc = inbox & ~safe
             if np.any(mc):
-                J[mc] = _collar_flow(flat[mc], i, with_jac=True)[1]
+                J[mc] = flows[i].jacobian(flat[mc])
         return J.reshape(p.shape[:-1] + (2, 2))
 
     def inv(q):
@@ -591,7 +580,7 @@ def build_perturbation(model, k, psi_list, flow_steps=64):
                 out[safe, 1] = flat[safe, 1] - psihats[i](flat[safe, 0])
             mc = inbox & ~safe
             if np.any(mc):
-                out[mc] = _collar_flow(flat[mc], i, sign=-1.0)
+                out[mc] = flows[i].inv(flat[mc])
         return out.reshape(q.shape)
 
     g = MapDescriptor(f"g[k={k}]", fwd, jac, inv, symplectic=True)
@@ -618,7 +607,7 @@ def _henon(psi):
                       lambda y: dpsi(np.asarray(y, dtype=float)))
 
 
-def verify_rescaling(model, k, psi_list=None, grid=24, collar_tol=0.0):
+def verify_rescaling(model, k, psi_list=None, grid=24):
     """Check the k-passage product formula.
 
     Runs the full N-leg orbit of an exit-chart disc grid, comparing the

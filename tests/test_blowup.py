@@ -252,6 +252,18 @@ def test_mixed_disc_batch_matches_per_disc(island):
         assert np.max(np.abs(J[i][fl] - J_ref)) <= 1e-12
 
 
+def test_value_and_jacobian_batch_independent(island):
+    # every point's image and Jacobian are the same bits whatever batch it
+    # is evaluated in
+    P = np.random.default_rng(26).random((572, 2))
+    f = island.descriptor()
+    img, J = f.value_and_jacobian(P)
+    for k, p in enumerate(P):
+        img_k, J_k = f.value_and_jacobian(p[None])
+        assert np.array_equal(img_k[0], img[k])
+        assert np.array_equal(J_k[0], J[k])
+
+
 def test_inverse_roundtrip(island):
     rng = np.random.default_rng(12)
     P = rng.random((500, 2))

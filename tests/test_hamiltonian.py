@@ -118,6 +118,6 @@ def test_field_jacobian_requires_hessian():
 
 def test_zero_time_map_is_identity():
     sys = pendulum()
-    flow = hamiltonian_time_map(sys, 0.0)
+    flow = hamiltonian_time_map(sys, 0.0, steps=1)
     p = np.array([[0.4, 0.1]])
     assert np.max(np.abs(flow(p) - p)) < 1e-15

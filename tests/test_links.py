@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+from islab import links
 from islab.curves import BumpFn, MaskedPeriodic, PeriodicFn, curve_sup_diff, random_trig_poly
 from islab.links import (
     LinkGeometry,
     PsiChart,
     build_suitable_model,
-    manifold_grow,
     restoration_b_reference,
     restore_link_a,
     restore_link_b,
-    saddle_data,
     splitting_a,
     splitting_a_reference,
     splitting_b,
@@ -19,7 +18,7 @@ from islab.links import (
     time_energy_chart,
     unstable_curve,
 )
-from islab.maps import MapDescriptor, compose, henon_like, shear_map
+from islab.maps import MapDescriptor, compose, shear_map
 
 
 def _model():
@@ -176,10 +175,26 @@ def test_chart_general_hook_fiber_ode():
     g = LinkGeometry()
     model = build_suitable_model(hook=_general_hook(g))
     for side in ("a", "b"):
-        ch = time_energy_chart(model.F, side, model, ode_steps=64)
+        ch = time_energy_chart(model.F, side, model)
         assert not ch._unit_det0  # fiber ODE path engaged
         assert ch.area_defect(120) <= 1e-9
         assert ch.conjugacy_defect(120) <= 1e-8
+
+
+def test_chart_fiber_ode_raises_at_cap(monkeypatch):
+    model = build_suitable_model(hook=_general_hook(LinkGeometry()))
+    ch = time_energy_chart(model.F, "a", model)
+    assert not ch._unit_det0
+    pts = ch._strip_frame(12)
+    ref = ch(pts)
+    # the fiber ODE agrees with itself at 128 steps, so a cap there leaves
+    # every value as it was
+    monkeypatch.setattr(links, "SIGMA_STEPS_CAP", 128)
+    assert np.array_equal(ch(pts), ref)
+    # with no doubling allowed it cannot confirm convergence and must raise
+    monkeypatch.setattr(links, "SIGMA_STEPS_CAP", links.SIGMA_STEPS_START)
+    with pytest.raises(RuntimeError, match="unconverged"):
+        ch(pts)
 
 
 def test_psi_chart_conjugates_sheared_map():
@@ -317,37 +332,3 @@ def test_restore_link_b_aborts_on_broken_a_link():
     model = build_suitable_model(hook=_a_band_hook(LinkGeometry()))
     with pytest.raises(ValueError):
         restore_link_b(model.F, model)
-
-
-# ---------------------------------------------------------------------------
-# saddles and manifolds
-
-
-def test_saddle_multiplier_product():
-    f = henon_like(lambda y: 2.2 * y,
-                   lambda y: np.full_like(np.asarray(y, dtype=float), 2.2))
-    sd = saddle_data(f, np.array([0.1, 0.1]))
-    assert np.max(np.abs(sd.point)) <= 1e-12
-    assert abs(sd.multiplier_product_defect) <= 1e-10
-    lam = 1.1 + np.sqrt(1.1 ** 2 - 1.0)
-    assert sd.lam_u == pytest.approx(lam, abs=1e-12)
-
-
-def test_manifold_grow_linear_saddle():
-    A = np.array([[2.0, 1.0], [1.0, 1.0]])
-
-    def fwd(p):
-        return p @ A.T
-
-    def jac(p):
-        return np.broadcast_to(A, np.shape(p)[:-1] + (2, 2)).copy()
-
-    f = MapDescriptor("cat-like", fwd, jac, lambda q: q @ np.linalg.inv(A).T,
-                      symplectic=True)
-    sd = saddle_data(f, np.array([0.05, -0.02]))
-    for side, v in (("unstable", sd.v_u), ("stable", sd.v_s)):
-        curve, defect = manifold_grow(f, sd, side, extent=1.0)
-        assert curve.x1 - curve.x0 >= 1.0
-        assert defect <= 1e-8
-        xs = np.linspace(curve.x0, curve.x1, 201)
-        assert np.max(np.abs(curve(xs) - (v[1] / v[0]) * xs)) <= 1e-10

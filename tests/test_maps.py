@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from islab.maps import (
-    MapDescriptor,
     anosov_map,
     chirikov_map,
     compose,
     finite_difference_jacobian,
     henon_like,
     identity_map,
-    invert_at,
     quarter_turn,
     rotation_map,
     shear_map,
@@ -162,32 +160,6 @@ def test_compose_inverse_available_when_factors_have_it():
     C = compose(shear_map(psi, dpsi), henon_like(psi, dpsi))
     p = rng.normal(size=(30, 2))
     assert np.max(np.abs(C.inv(C(p)) - p)) < 1e-13
-
-
-def test_invert_at_uses_exact_inverse():
-    F = anosov_map()
-    q = rng.random((20, 2))
-    p = invert_at(F, q)
-    assert np.max(np.abs(torus_diff(F(p), q))) < 1e-12
-
-
-def test_invert_at_newton_without_closed_form():
-    psi, dpsi = trig_psi([8e-3, -4e-3])
-    S = shear_map(psi, dpsi)
-    stripped = MapDescriptor("S_noinv", S.fwd, S.jac, None, symplectic=True)
-    q = rng.normal(size=(25, 2))
-    p = invert_at(stripped, q)
-    assert np.max(np.abs(stripped.fwd(p) - q)) < 1e-12
-
-
-def test_invert_at_raises_when_stuck():
-    # a map that is not locally invertible near the target
-    def collapse(p):
-        return np.stack([p[..., 0] ** 3, p[..., 1]], axis=-1)
-
-    bad = MapDescriptor("collapse", collapse, None, None, symplectic=False)
-    with pytest.raises((RuntimeError, np.linalg.LinAlgError)):
-        invert_at(bad, np.array([1.0, 0.0]), x0=np.array([-1.0, 0.0]), max_iter=4)
 
 
 def test_rotation_map_orthogonal():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Polynomial
 
-from islab.maps import compose, henon_like
+from islab.maps import compose, finite_difference_jacobian, henon_like
 from islab.rescaling import (
     BoxBump,
     RescalingCharts,
@@ -280,6 +280,23 @@ def test_perturbation_symplectic_and_invertible():
                     rng.uniform(-0.05, 0.05, 400)], axis=-1)
     assert np.max(g.symplectic_defect(box)) <= 1e-9
     assert np.max(np.abs(g.inv(g(box)) - box)) <= 1e-10
+
+
+def test_perturbation_collar_jacobian_matches_finite_differences():
+    # collar points take the integrated flow, never the exact shear; the
+    # determinant cannot see a sign slip in the collar Hessian (the Cayley
+    # transform of any trace-free matrix has determinant 1), differences can
+    m = desk_model()
+    g, _, bumps = build_perturbation(m, 10, QUAD_KICKS)
+    rng = np.random.default_rng(11)
+    i = 1
+    box = np.stack([rng.uniform(m.x_plus[i] - 0.15, m.x_plus[i] + 0.15, 2000),
+                    rng.uniform(-0.05, 0.05, 2000)], axis=-1)
+    collar = box[bumps[i].region(box) == 1][:200]
+    assert len(collar) == 200
+    J = g.jacobian(collar)
+    assert np.max(np.abs(J - np.eye(2))) > 0.1  # the collar flow is not a shear
+    assert np.max(np.abs(J - finite_difference_jacobian(g, collar))) <= 1e-5
 
 
 def test_perturbation_rejects_overlapping_boxes():
