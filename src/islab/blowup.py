@@ -1,7 +1,7 @@
 """Surgery construction: blow up the fixed points of the linear torus map
 into circles and glue in a Hamiltonian island flow.
 
-Geometry.  The default automorphism matrix A = [[13,8],[8,5]] is symmetric,
+Geometry.  The automorphism matrix A = [[13,8],[8,5]] is symmetric,
 so its orthonormal eigenbasis is a rotation R and, in the per-center chart
 w = R^T (p - Omega_i) (nearest lift), A acts exactly as diag(e^s, e^-s)
 with s = ln(9+4*sqrt(5)).  That diagonal map is precisely the time-s flow
@@ -28,22 +28,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import smoothstep, smoothstep_d1, smoothstep_d2
-from .hamiltonian import HamiltonianSystem, _midpoint_steps
-from .maps import MapDescriptor, inv2, torus_diff, wrap_torus
+from .hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
+from .maps import ANOSOV, MapDescriptor, inv2, torus_diff, wrap_torus
 
-A_DEFAULT = np.array([[13.0, 8.0], [8.0, 5.0]])
 SIGMA = np.log(9.0 + 4.0 * np.sqrt(5.0))          # expansion exponent
 EXP_2SIGMA = 161.0 + 72.0 * np.sqrt(5.0)          # e^{2 sigma}, saddle multiplier
 CENTERS = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
 # psi_inv: residual floor in ulps of the target, and the iteration cap
 _ROOT_ULPS = 8
 _ROOT_CAP = 80
+# implicit-midpoint steps of the island flow: the evaluation default, and the
+# refined count of the saddle-multiplier verification
+FLOW_STEPS = 64
+SADDLE_STEPS = 2048
 
 
-def eigen_rotation(A=A_DEFAULT):
-    """Rotation R with R^T A R = diag(e^s, e^-s) (A symmetric, det 1)."""
-    A = np.asarray(A, dtype=float)
-    vals, vecs = np.linalg.eigh(A)
+def eigen_rotation():
+    """Rotation R with R^T A R = diag(e^s, e^-s) for A = ANOSOV."""
+    vals, vecs = np.linalg.eigh(ANOSOV)
     u_plus = vecs[:, np.argmax(vals)]
     if u_plus[0] < 0:
         u_plus = -u_plus
@@ -83,13 +85,12 @@ class SurgeryProfile:
     the bridged gap D is positive -- checked at construction anyway).
 
     xi is the flow cutoff: 0 on [0, rho0], 1 on [rho_lo, inf), quintic
-    smoothstep between; its first two derivatives vanish at both joins, so
-    the boundary-saddle linearization is untouched.
+    smoothstep between, with rho0 = delta^2/4; its first two derivatives
+    vanish at both joins, so the boundary-saddle linearization is untouched.
     """
 
     delta: float = 0.15
     eps: float = 0.24
-    rho0: float = None  # default delta^2/4
 
     def __post_init__(self):
         if not (0 < self.delta < self.eps):
@@ -98,10 +99,7 @@ class SurgeryProfile:
             raise ValueError("eps >= 0.25 makes the outer discs overlap")
         self.rho_lo = 0.5 * self.delta**2
         self.rho_hi = 0.5 * self.eps**2
-        if self.rho0 is None:
-            self.rho0 = 0.25 * self.delta**2
-        if not (0 < self.rho0 < self.rho_lo):
-            raise ValueError("need 0 < rho0 < delta^2/2")
+        self.rho0 = 0.25 * self.delta**2
         span = self.rho_hi - self.rho_lo
         self.r1 = self.rho_lo + 0.25 * span   # end of exact-shift zone
         self.r2 = self.rho_hi - 0.25 * span   # start of exact-identity zone
@@ -225,19 +223,18 @@ class IslandMap:
 
     Parameters
     ----------
-    delta, eps, rho0 : see SurgeryProfile.  eps defaults to 0.24 so the
-        four outer discs around the half-integer centers stay disjoint.
-    flow_steps : implicit-midpoint step count for the island flow (the
-        evaluation default; verification routines pass refined counts).
-    matrix : the torus automorphism (symmetric, det 1).
+    delta, eps : see SurgeryProfile.  eps defaults to 0.24 so the four
+        outer discs around the half-integer centers stay disjoint.
+
+    The island flow is integrated in FLOW_STEPS implicit-midpoint steps;
+    `link_saddles` evaluates through `_eval` with a refined count.
     """
 
-    def __init__(self, delta=0.15, eps=0.24, rho0=None, flow_steps=64, matrix=A_DEFAULT):
-        self.profile = SurgeryProfile(delta, eps, rho0)
-        self.flow_steps = int(flow_steps)
-        self.A = np.asarray(matrix, dtype=float)
+    def __init__(self, delta=0.15, eps=0.24):
+        self.profile = SurgeryProfile(delta, eps)
+        self.A = ANOSOV
         self.Ainv = inv2(self.A)
-        self.R = eigen_rotation(self.A)
+        self.R = eigen_rotation()
         # (N, 2) @ M.T with a transposed view rounds differently depending
         # on N; a contiguous copy keeps every point's result independent of
         # its batch
@@ -323,7 +320,8 @@ class IslandMap:
         core = state[..., 0] <= prof.rho0
         act = ~core
         if np.any(act):
-            s_end, M = _midpoint_steps(self.system, state[act], t, steps, 1e-13, with_jac)
+            s_end, M = _midpoint_steps(self.system, state[act], t, steps,
+                                       MIDPOINT_TOL, with_jac)
             w_end = from_polar(s_end)
             out[act] = wrap_torus(p[act] + (w_end - w[act]) @ self.RT)
             if with_jac:
@@ -350,7 +348,7 @@ class IslandMap:
         p = np.asarray(p, dtype=float)
         shape = p.shape
         p = wrap_torus(p.reshape(-1, 2))
-        steps = self.flow_steps if steps is None else int(steps)
+        steps = FLOW_STEPS if steps is None else int(steps)
         lo2 = self._in2
         hi2 = self.profile.eps**2
         mat = self.A if direction > 0 else self.Ainv
@@ -415,15 +413,15 @@ class IslandMap:
             return out, J.reshape(shape + (2,))
         return out
 
-    def __call__(self, p, steps=None):
-        return self._eval(p, 1, steps, with_jac=False)
+    def __call__(self, p):
+        return self._eval(p, 1, with_jac=False)
 
-    def jacobian(self, p, steps=None):
-        _, J = self._eval(p, 1, steps, with_jac=True)
+    def jacobian(self, p):
+        _, J = self._eval(p, 1, with_jac=True)
         return J
 
-    def inverse(self, q, steps=None):
-        return self._eval(q, -1, steps, with_jac=False)
+    def inverse(self, q):
+        return self._eval(q, -1, with_jac=False)
 
     def area_density(self, p):
         """Density of the invariant form: psi'(rho) on annuli, 1 elsewhere."""
@@ -441,7 +439,7 @@ class IslandMap:
     def descriptor(self):
         return MapDescriptor(
             "Fhat", lambda p: self(p), lambda p: self.jacobian(p),
-            lambda q: self.inverse(q), symplectic=True, wrap=True,
+            lambda q: self.inverse(q), wrap=True,
             area_density=lambda p: self.area_density(p),
             fwd_jac=lambda p: self._eval(p, 1, None, with_jac=True),
         )
@@ -516,21 +514,21 @@ class IslandMap:
                     out[land] = wrap_torus(out[land] + o - d[i][land])
             return out.reshape(q.shape)
 
-        return MapDescriptor("Psi", fwd, jac, inv, symplectic=False, wrap=True)
+        return MapDescriptor("Psi", fwd, jac, inv, wrap=True)
 
 
 # ----------------------------------------------------------------------
 # Verification helpers
 # ----------------------------------------------------------------------
 
-def link_saddles(island, steps=2048):
+def link_saddles(island):
     """The boundary fixed points of Fhat and their multipliers.
 
     Four saddles sit on each circle rho = delta^2/2 at chart angles
     0, pi/2, pi, 3pi/2; the island field vanishes there, so they are exact
     fixed points at any step count.  The flow linearization has rates +-2,
     hence map multipliers e^{+-2 sigma}.  The multiplier verification
-    integrates with a refined step count (the 64-step evaluation default
+    integrates in SADDLE_STEPS steps (the FLOW_STEPS evaluation default
     carries a second-order midpoint bias ~4e-3, above the 1e-4 gate) and
     is cross-checked against finite differences taken along the saddle
     frame (radial/tangent in the chart), where the true Jacobian is
@@ -572,7 +570,7 @@ def link_saddles(island, steps=2048):
     probes = [wrap_torus(P + sign * h * direction)
               for direction, h in frames for sign in (1.0, -1.0)]
     # one refined integration for the saddles and all their probes
-    images, Jall = island._eval(np.concatenate([P] + probes), 1, steps,
+    images, Jall = island._eval(np.concatenate([P] + probes), 1, SADDLE_STEPS,
                                 with_jac=True)
     Jv = Jall[:len(P)]
     images = images[len(P):].reshape(len(frames), 2, len(P), 2)
@@ -592,7 +590,7 @@ def link_saddles(island, steps=2048):
     return out
 
 
-def regime_consistency(island, n=64, steps=32768, collar_frac=1.0):
+def regime_consistency(island):
     """Sup distance between the two defining formulas on the outer collar.
 
     On rho in (rho_lo, rho_lo + zeta] with zeta = (r1 - rho_lo) e^{-2 sigma}
@@ -601,25 +599,25 @@ def regime_consistency(island, n=64, steps=32768, collar_frac=1.0):
     the linear zone of psi); the residual measures the refined integrator.
     """
     prof = island.profile
-    zeta = (prof.r1 - prof.rho_lo) * np.exp(-2 * island.sigma) * collar_frac
+    zeta = (prof.r1 - prof.rho_lo) * np.exp(-2 * island.sigma)
     rng = np.random.default_rng(7)
-    th = rng.uniform(0, 2 * np.pi, n)
-    rho = prof.rho_lo + zeta * rng.uniform(0.05, 1.0, n)
+    th = rng.uniform(0, 2 * np.pi, 64)
+    rho = prof.rho_lo + zeta * rng.uniform(0.05, 1.0, 64)
     w = from_polar(np.stack([rho, th], axis=-1))
     worst = 0.0
     for c in island.centers:
         p = wrap_torus(c + w @ island.R.T)
         surg = island(p)                       # rho > rho_lo: surgery branch
         state = np.stack([rho, th], axis=-1)
-        s_end, _ = _midpoint_steps(island.system, state, island.sigma, steps, 1e-15, False)
+        s_end, _ = _midpoint_steps(island.system, state, island.sigma, 32768, 1e-15, False)
         flow = wrap_torus(p + (from_polar(s_end) - w) @ island.R.T)
         worst = max(worst, float(np.max(np.abs(torus_diff(surg, flow)))))
     return worst
 
 
-def conjugacy_defect(island, n=2000, seed=5):
+def conjugacy_defect(island, n=2000):
     """sup | Psi(Fhat p) - F_A(Psi p) | over island samples."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(5)
     pts = rng.random((4 * n, 2))
     pts = pts[island.island_mask(pts)][:n]
     Psi = island.surgery_descriptor()
@@ -628,18 +626,18 @@ def conjugacy_defect(island, n=2000, seed=5):
     return float(np.max(np.abs(torus_diff(lhs, rhs))))
 
 
-def equivariance_defect(island, n=1000, seed=6):
+def equivariance_defect(island, n=1000):
     """sup | Fhat(-p) - (-Fhat(p)) | (toral) -- odd symmetry of the surgery."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(6)
     pts = rng.random((n, 2))
     lhs = island(wrap_torus(-pts))
     rhs = wrap_torus(-island(pts))
     return float(np.max(np.abs(torus_diff(lhs, rhs))))
 
 
-def identity_core_defect(island, n=500, seed=8):
+def identity_core_defect(island, n=500):
     """sup |Fhat(p) - p| over points with rho < rho0 (should be exactly 0)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(8)
     th = rng.uniform(0, 2 * np.pi, n)
     rho = rng.uniform(0, island.profile.rho0 * 0.999, n)
     w = from_polar(np.stack([rho, th], axis=-1))
@@ -660,20 +658,20 @@ def symmetry_and_identity_report(island, n=1000):
     centers_defect = float(np.max(np.abs(
         torus_diff(island(island.centers), island.centers))))
     return dict(
-        equivariance=equivariance_defect(island, n=n, seed=6),
-        identity_core=identity_core_defect(island, n=max(n // 2, 1), seed=8),
-        conjugacy=conjugacy_defect(island, n=n, seed=5),
+        equivariance=equivariance_defect(island, n=n),
+        identity_core=identity_core_defect(island, n=max(n // 2, 1)),
+        conjugacy=conjugacy_defect(island, n=n),
         identity_at_centers=centers_defect,
     )
 
 
-def flow_matches_linear_map(island, n=64, steps=65536):
+def flow_matches_linear_map(island):
     """Precondition check: the chart flow of H0 = rho sin 2 theta over time
     sigma matches the diagonalized automorphism on outer-disc samples."""
     prof = island.profile
     rng = np.random.default_rng(9)
-    th = rng.uniform(0, 2 * np.pi, n)
-    w = from_polar(np.stack([np.full(n, prof.rho_hi), th], axis=-1))
+    th = rng.uniform(0, 2 * np.pi, 64)
+    w = from_polar(np.stack([np.full(64, prof.rho_hi), th], axis=-1))
 
     def grad(s):
         rho, t_ = s[..., 0], s[..., 1]
@@ -689,6 +687,6 @@ def flow_matches_linear_map(island, n=64, steps=65536):
         return H
 
     sys0 = HamiltonianSystem("rho sin 2 theta", grad, hess)
-    s_end, _ = _midpoint_steps(sys0, to_polar(w), island.sigma, steps, 1e-15, False)
+    s_end, _ = _midpoint_steps(sys0, to_polar(w), island.sigma, 65536, 1e-15, False)
     D = np.diag([np.exp(island.sigma), np.exp(-island.sigma)])
     return float(np.max(np.abs(from_polar(s_end) - w @ D.T)))

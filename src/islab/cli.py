@@ -21,11 +21,11 @@ from numpy.polynomial import Polynomial
 
 from .blowup import SIGMA, IslandMap, link_saddles, symmetry_and_identity_report
 from .config import ConfigError, ExperimentConfig, validate as validate_raw, parse_text
-from .curves import MaskedPeriodic, curve_sup_diff, random_trig_poly
-from .links import (LinkGeometry, build_suitable_model, restore_link_a,
-                    restore_link_b, restoration_b_reference, splitting_a,
-                    splitting_a_reference, splitting_b, splitting_b_reference,
-                    stable_curve, time_energy_chart, unstable_curve)
+from .curves import BumpFn, MaskedPeriodic, curve_sup_diff, random_trig_poly
+from .links import (LinkGeometry, TimeEnergyChart, build_suitable_model,
+                    restore_link_a, restore_link_b, restoration_b_reference,
+                    splitting_a, splitting_a_reference, splitting_b,
+                    splitting_b_reference, stable_curve, unstable_curve)
 from .lyapunov import LN4, entropy_estimate, lambda_field_rows, max_lyapunov
 from .maps import anosov_map, chirikov_map, compose, henon_like, shear_map
 from .rescaling import corollary_composition, desk_model, verify_rescaling
@@ -51,13 +51,11 @@ def _write_csv(path, header, rows):
 
 
 def _bump_shear(lo, hi, height):
-    from .curves import BumpFn
     eta = BumpFn(lo, hi, 0.25, height=height)
     return shear_map(eta, eta.d1, name="S_eta")
 
 
-def _band_hook(geom=None, side="a", height=1.5e-3):
-    g = geom or LinkGeometry()
+def _band_hook(g, side, height):
     if side == "a":
         return _bump_shear(g.x_a - 2 * g.tau + 2 * g.delta,
                            g.x_a - 2 * g.delta, height)
@@ -189,8 +187,8 @@ def _run_links(cfg, rng, threads):
     metrics = {}
 
     # closed-form splitting identities on the unperturbed model
-    chart_a = time_energy_chart(base.F, "a", base)
-    chart_b = time_energy_chart(base.F, "b", base)
+    chart_a = TimeEnergyChart(base.F, "a", base)
+    chart_b = TimeEnergyChart(base.F, "b", base)
     xa = np.linspace(g.x_a - g.tau, g.x_a, 401)
     xb = np.linspace(g.x_b, g.x_b + g.tau, 401)
     worst_a = worst_b = worst_mean = 0.0
@@ -229,40 +227,28 @@ def _run_links(cfg, rng, threads):
         worst_ratio = max(worst_ratio, ref_op(z).norm0() / z.norm0())
     checks.append(_check("restoration-b-contraction-factor", worst_ratio, 0.6))
 
-    # restoration runs on randomly perturbed models
+    # restoration runs on randomly perturbed models, side a then side b;
+    # the first run of each side contributes its trace to residuals.csv
     n_each = max(p["count"] // 2, 1)
     max_iters = 0
     max_final = 0.0
     max_coincide = 0.0
     residual_rows = []
-    for run_idx in range(n_each):
-        h = p["size"] * (0.5 + 0.5 * rng.random())
-        model = build_suitable_model(hook=_band_hook(g, "a", h))
-        psi_a, trace = restore_link_a(model.F, model)
-        max_iters = max(max_iters, len(trace))
-        max_final = max(max_final, trace[-1][1])
-        chart = time_energy_chart(model.F, "a", model)
-        w_u = unstable_curve(model.F, model, "a", chart=chart)
-        w_s = stable_curve(model.F, model, "a", psi=psi_a, chart=chart)
-        max_coincide = max(max_coincide, curve_sup_diff(
-            w_u, w_s, g.x_a - g.tau, g.x_a))
-        if run_idx == 0:
-            residual_rows += [(i, s, n0) for i, s, n0 in trace]
-    for run_idx in range(n_each):
-        h = p["size"] * (0.5 + 0.5 * rng.random())
-        model = build_suitable_model(hook=_band_hook(g, "b", h))
-        psi_b, trace = restore_link_b(model.F, model)
-        max_iters = max(max_iters, len(trace))
-        max_final = max(max_final, trace[-1][1])
-        resid = splitting_b(model.F, psi_b, model, check_link_a=False)
-        chart = time_energy_chart(model.F, "b", model)
-        w_u = unstable_curve(model.F, model, "b", chart=chart)
-        w_s = stable_curve(model.F, model, "b", psi=psi_b, chart=chart)
-        max_coincide = max(max_coincide, curve_sup_diff(
-            w_u, w_s, g.x_b, g.x_b + g.tau))
-        if run_idx == 0:
-            base_i = len(residual_rows)
-            residual_rows += [(base_i + i, s, n0) for i, s, n0 in trace]
+    for side, restore in (("a", restore_link_a), ("b", restore_link_b)):
+        for run_idx in range(n_each):
+            h = p["size"] * (0.5 + 0.5 * rng.random())
+            model = build_suitable_model(hook=_band_hook(g, side, h))
+            psi, trace = restore(model.F, model)
+            max_iters = max(max_iters, len(trace))
+            max_final = max(max_final, trace[-1][1])
+            chart = TimeEnergyChart(model.F, side, model)
+            w_u = unstable_curve(model.F, model, side, chart=chart)
+            w_s = stable_curve(model.F, model, side, psi=psi, chart=chart)
+            max_coincide = max(max_coincide, curve_sup_diff(
+                w_u, w_s, *model.fundamental_interval(side)))
+            if run_idx == 0:
+                base_i = len(residual_rows)
+                residual_rows += [(base_i + i, s, n0) for i, s, n0 in trace]
     checks.append({"name": "restoration-iterations", "passed": max_iters <= 30,
                    "value": float(max_iters), "tolerance": 30.0,
                    "comparison": "<="})

@@ -178,18 +178,19 @@ class PeriodicFn:
         samples = np.fft.irfft(coef * self.n, n=self.n)
         return PeriodicFn(self.tau, samples, self.origin)
 
-    def deriv_sup(self, order, oversample=8):
-        d = self.derivative(order)
-        fine = self.origin + np.arange(self.n * oversample) * (self.tau / (self.n * oversample))
-        return float(np.max(np.abs(d(fine))))
+    def _fine_grid(self):
+        """The sample grid refined 8 times, where sup norms are taken."""
+        return self.origin + np.arange(self.n * 8) * (self.tau / (self.n * 8))
 
-    def norm0(self, orders=(1, 2)):
-        """max over the given derivative orders of sup |D^i f|."""
-        return max(self.deriv_sup(i) for i in orders)
+    def deriv_sup(self, order):
+        return float(np.max(np.abs(self.derivative(order)(self._fine_grid()))))
 
-    def sup(self, oversample=8):
-        fine = self.origin + np.arange(self.n * oversample) * (self.tau / (self.n * oversample))
-        return float(np.max(np.abs(self(fine))))
+    def norm0(self):
+        """max(sup |f'|, sup |f''|)."""
+        return max(self.deriv_sup(1), self.deriv_sup(2))
+
+    def sup(self):
+        return float(np.max(np.abs(self(self._fine_grid()))))
 
     def zero_mean(self):
         return PeriodicFn(self.tau, self.samples - np.mean(self.samples), self.origin)
@@ -216,9 +217,10 @@ class PeriodicFn:
 
 
 def random_trig_poly(tau, harmonics=8, amplitude=1e-2, rng=None, zero_mean=False,
-                     n=PERIODIC_SAMPLES, origin=0.0):
+                     origin=0.0):
     """Random band-limited periodic function with coefficients <= amplitude."""
     rng = np.random.default_rng(rng)
+    n = PERIODIC_SAMPLES
     grid = origin + np.arange(n) * (tau / n)
     samples = np.zeros(n)
     if not zero_mean:
@@ -258,8 +260,8 @@ class MaskedPeriodic:
 # graph curves
 
 
-def _sample_count(x0, x1, density=DENSITY):
-    return max(int(round(density * (x1 - x0))), 8) + 1
+def _sample_count(x0, x1):
+    return max(int(round(DENSITY * (x1 - x0))), 8) + 1
 
 
 class GraphCurve:
@@ -291,8 +293,8 @@ class GraphCurve:
             self.err_estimate = 0.0
 
     @classmethod
-    def from_function(cls, fn, x0, x1, density=DENSITY):
-        grid = np.linspace(x0, x1, _sample_count(x0, x1, density))
+    def from_function(cls, fn, x0, x1):
+        grid = np.linspace(x0, x1, _sample_count(x0, x1))
         return cls(x0, x1, np.asarray(fn(grid), dtype=float))
 
     def __call__(self, x):
@@ -308,26 +310,19 @@ class GraphCurve:
         x = np.asarray(x, dtype=float)
         return np.stack([x, self._spline(x)], axis=-1)
 
-    def restrict(self, a, b, density=DENSITY):
-        """Resample onto a standard uniform grid of the subinterval [a, b]."""
-        if not (self.x0 <= a < b <= self.x1):
-            raise ValueError("restriction interval must sit inside the curve interval")
-        grid = np.linspace(a, b, _sample_count(a, b, density))
-        return GraphCurve(a, b, self._spline(grid))
 
-
-def straight_curve(x0, x1, level, density=DENSITY):
+def straight_curve(x0, x1, level):
     """The horizontal segment y = level over [x0, x1]."""
-    return GraphCurve(x0, x1, np.full(_sample_count(x0, x1, density), float(level)))
+    return GraphCurve(x0, x1, np.full(_sample_count(x0, x1), float(level)))
 
 
-def curve_sup_diff(c1, c2, a=None, b=None, n=2049):
+def curve_sup_diff(c1, c2, a=None, b=None):
     """sup |c1 - c2| over the common interval (or [a, b])."""
     lo = max(c1.x0, c2.x0) if a is None else a
     hi = min(c1.x1, c2.x1) if b is None else b
     if not lo < hi:
         raise ValueError("curves have no common interval")
-    x = np.linspace(lo, hi, n)
+    x = np.linspace(lo, hi, 2049)
     return float(np.max(np.abs(c1(x) - c2(x))))
 
 
@@ -349,7 +344,7 @@ def _transversality(f, curve):
             f"{f.name}: image fails to be a graph (fold) near x = {x}", x=x)
 
 
-def graph_transform(f, curve, density=DENSITY):
+def graph_transform(f, curve):
     """Image of a graph curve under the planar map f, as a graph curve.
 
     The image is re-parameterized over x.  When the x-rule is the identity
@@ -380,7 +375,7 @@ def graph_transform(f, curve, density=DENSITY):
         return GraphCurve(tx[-1], tx[0], ty[::-1])
 
     lo, hi = (tx[0], tx[-1]) if span > 0 else (tx[-1], tx[0])
-    X = np.linspace(lo, hi, _sample_count(lo, hi, density))
+    X = np.linspace(lo, hi, _sample_count(lo, hi))
 
     if affine:
         x_src = curve.grid[0] + (X - tx[0]) / alpha

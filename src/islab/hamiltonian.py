@@ -18,6 +18,8 @@ import numpy as np
 from .maps import MapDescriptor, inv2
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# fixed-point tolerance of the midpoint solve in the flow maps
+MIDPOINT_TOL = 1e-13
 
 
 @dataclass
@@ -98,12 +100,12 @@ def _midpoint_steps(sys, p, t, steps, tol, with_jac, fp_cap=30):
     return z, M
 
 
-def hamiltonian_time_map(sys, t, steps, tol=1e-13, name=None):
+def hamiltonian_time_map(sys, t, steps):
     """Time-t flow map of `sys` as a MapDescriptor, in `steps` steps.
 
-    Implicit midpoint with a fixed-point inner solve (tolerance `tol`,
-    Newton fallback); the Jacobian is the product of the per-step Cayley
-    transforms, which is exactly symplectic.
+    Implicit midpoint with a fixed-point inner solve (tolerance
+    MIDPOINT_TOL, Newton fallback); the Jacobian is the product of the
+    per-step Cayley transforms, which is exactly symplectic.
 
     The step Jacobian needs sys.hess; without it the descriptor falls back
     to finite differences.
@@ -112,23 +114,20 @@ def hamiltonian_time_map(sys, t, steps, tol=1e-13, name=None):
     has_hess = sys.hess is not None
 
     def fwd(p):
-        z, _ = _midpoint_steps(sys, p, t, steps, tol, with_jac=False)
+        z, _ = _midpoint_steps(sys, p, t, steps, MIDPOINT_TOL, with_jac=False)
         return z
 
     jac = None
     if has_hess:
         def jac(p):
-            _, M = _midpoint_steps(sys, p, t, steps, tol, with_jac=True)
+            _, M = _midpoint_steps(sys, p, t, steps, MIDPOINT_TOL, with_jac=True)
             return M
 
     def inv(q):
-        z, _ = _midpoint_steps(sys, q, -t, steps, tol, with_jac=False)
+        z, _ = _midpoint_steps(sys, q, -t, steps, MIDPOINT_TOL, with_jac=False)
         return z
 
-    return MapDescriptor(
-        name or f"flow[{sys.name}, t={t:g}]",
-        fwd, jac, inv, symplectic=True,
-    )
+    return MapDescriptor(f"flow[{sys.name}, t={t:g}]", fwd, jac, inv)
 
 
 def energy_drift(sys, mapping, pts):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (
+    PERIODIC_SAMPLES,
     MaskedPeriodic,
     PartitionBump,
     PeriodicFn,
@@ -29,11 +30,17 @@ from .curves import (
 )
 from .maps import MapDescriptor, compose, identity_map, inverse_descriptor, shear_map
 
-PERIOD_SAMPLES = 128
 # TimeEnergyChart._sigma: RK4 step counts of the first pass and of the last
 # doubling allowed before it gives up
 SIGMA_STEPS_START = 64
 SIGMA_STEPS_CAP = 1024
+# splitting_b: largest a-link gap it accepts as intact
+LINK_A_TOL = 1e-8
+# restoration solvers: residual tolerance and iteration cap; side b also
+# aborts when the splitting mean exceeds RESTORE_MEAN_TOL (a broken a-link)
+RESTORE_TOL = 1e-10
+RESTORE_MAX_ITER = 50
+RESTORE_MEAN_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +103,7 @@ def _affine_piece(name, ax, bx, ay, by):
     def jac_inv(q):
         return np.broadcast_to(Ainv, np.shape(q)[:-1] + (2, 2)).copy()
 
-    m = MapDescriptor(name, fwd, jac, inv, symplectic=abs(ax * ay - 1.0) < 1e-14)
+    m = MapDescriptor(name, fwd, jac, inv)
     m.jac_inv = jac_inv
     return m
 
@@ -109,8 +116,8 @@ class SuitableModel:
     """Two-strip model with an optional symplectic perturbation hook G,
     composed as F = G o Fstar."""
 
-    def __init__(self, geometry=None, hook=None):
-        self.geometry = geometry or LinkGeometry()
+    def __init__(self, hook=None):
+        self.geometry = LinkGeometry()
         g = self.geometry
         tau = g.tau
         jx, jy = g.theta
@@ -197,7 +204,7 @@ class SuitableModel:
                 cov = cov | m
             return cov
 
-        return MapDescriptor("Fstar", fwd, jac, inv, symplectic=True, domain=domain)
+        return MapDescriptor("Fstar", fwd, jac, inv, domain=domain)
 
     def _validate_hook(self):
         """The hook must be symplectic and C^1-close to the identity on the
@@ -217,9 +224,6 @@ class SuitableModel:
         det = np.linalg.det(J)
         if np.max(np.abs(det - 1.0)) > 1e-9:
             raise ValueError("perturbation hook is not area-preserving")
-
-    def with_hook(self, hook):
-        return SuitableModel(self.geometry, hook)
 
     def resolve_map(self, F):
         """Accept F for the pipeline only when it agrees with the model's
@@ -300,11 +304,9 @@ class SuitableModel:
         return PartitionBump(lo, tau - 2 * d, tau)
 
 
-def build_suitable_model(geometry=None, hook=None):
-    """Construct the two-strip model (invalid geometry is rejected)."""
-    if geometry is not None and not isinstance(geometry, LinkGeometry):
-        geometry = LinkGeometry(**geometry)
-    return SuitableModel(geometry, hook)
+def build_suitable_model(hook=None):
+    """Construct the two-strip model F = G o Fstar with perturbation hook G."""
+    return SuitableModel(hook)
 
 
 # ---------------------------------------------------------------------------
@@ -519,13 +521,9 @@ class TimeEnergyChart:
         rhs = self.model.fstar(self(frame))
         return float(np.max(np.abs(lhs - rhs)))
 
-    def identity_defect(self, n=400):
-        frame = self._strip_frame(n)
+    def identity_defect(self):
+        frame = self._strip_frame()
         return float(np.max(np.abs(self(frame) - frame)))
-
-
-def time_energy_chart(F, side, model):
-    return TimeEnergyChart(F, side, model)
 
 
 class PsiChart:
@@ -543,8 +541,7 @@ class PsiChart:
         self.model = chart.model
         self.side = chart.side
         self.name = f"phi_psi^{self.side}"
-        m = _neg(psi)
-        self._sneg = shear_map(m, m.d1, name="S_-psi")
+        self._sneg = _shear_steps(psi)
         self.fbar = compose(shear_map(psi, psi.d1, name="S_psi"), chart.F,
                             name="Fbar")
         self._fbar_inv = inverse_descriptor(self.fbar)
@@ -620,7 +617,7 @@ def unstable_curve(F, model, side, psi=None, chart=None):
     exhibits the independence of the unstable side from psi).
     """
     F = model.resolve_map(F)
-    chart = chart or time_energy_chart(F, side, model)
+    chart = chart or TimeEnergyChart(F, side, model)
     piece = model.trans_a if side == "a" else model.trans_b
     c = model.seed_unstable(side)
     if psi is None:
@@ -637,7 +634,7 @@ def stable_curve(F, model, side, psi=None, chart=None):
     """The stable graph curve over the fundamental interval, via the
     forward push + shear-interleaved backward chain."""
     F = model.resolve_map(F)
-    chart = chart or time_energy_chart(F, side, model)
+    chart = chart or TimeEnergyChart(F, side, model)
     sneg = _shear_steps(psi)
     c = model.stable_inflow(side)
     fwd = model.forward_itinerary(side)
@@ -653,7 +650,7 @@ def stable_curve(F, model, side, psi=None, chart=None):
 
 
 def _periodic_from_curves(w_u, w_s, interval, tau):
-    grid = interval[0] + np.arange(PERIOD_SAMPLES) * (tau / PERIOD_SAMPLES)
+    grid = interval[0] + np.arange(PERIODIC_SAMPLES) * (tau / PERIODIC_SAMPLES)
     return PeriodicFn(tau, w_u(grid) - w_s(grid), origin=interval[0])
 
 
@@ -661,14 +658,14 @@ def splitting_a(F, psi, model, chart=None):
     """Splitting function of the a-link for S_psi o F, over [x_a - tau, x_a]."""
     _check_support(psi, model.shear_band("a"), "splitting_a")
     F = model.resolve_map(F)
-    chart = chart or time_energy_chart(F, "a", model)
+    chart = chart or TimeEnergyChart(F, "a", model)
     w_u = unstable_curve(F, model, "a", psi=None, chart=chart)
     w_s = stable_curve(F, model, "a", psi=psi, chart=chart)
     return _periodic_from_curves(w_u, w_s, model.fundamental_interval("a"),
                                  model.geometry.tau)
 
 
-def splitting_b(F, psi, model, chart=None, check_link_a=True, link_a_tol=1e-8):
+def splitting_b(F, psi, model, chart=None, check_link_a=True):
     """Splitting function of the b-link for S_psi o F, over [x_b, x_b + tau].
 
     Requires the a-link to be intact (checked unless check_link_a=False)."""
@@ -676,9 +673,9 @@ def splitting_b(F, psi, model, chart=None, check_link_a=True, link_a_tol=1e-8):
     F = model.resolve_map(F)
     if check_link_a:
         gap = splitting_a(F, None, model).sup()
-        if gap > link_a_tol:
+        if gap > LINK_A_TOL:
             raise ValueError(f"splitting_b: the a-link is broken (sup gap {gap:.3e})")
-    chart = chart or time_energy_chart(F, "b", model)
+    chart = chart or TimeEnergyChart(F, "b", model)
     w_u = unstable_curve(F, model, "b", psi=None, chart=chart)
     w_s = stable_curve(F, model, "b", psi=psi, chart=chart)
     return _periodic_from_curves(w_u, w_s, model.fundamental_interval("b"),
@@ -725,64 +722,74 @@ def restoration_b_reference(model):
 # restoration solvers
 
 
-def restore_link_a(F, model, tol=1e-10, max_iter=50):
+def restore_link_a(F, model):
     """Solve for the masked shear that closes the a-link of F.
 
-    Iterates psit -> psit - M^a(rho psit); returns (psi_a, trace) with
-    trace rows (iteration, sup residual, derivative-norm residual).
+    Iterates psit -> psit - M^a(rho psit) until the sup residual is at most
+    RESTORE_TOL; returns (psi_a, trace) with trace rows (iteration, sup
+    residual, derivative-norm residual).  Raises RuntimeError when
+    RESTORE_MAX_ITER iterations do not reach the tolerance.
     """
     rho = model.partition_bump("a")
     lo, _ = model.fundamental_interval("a")
     tau = model.geometry.tau
     F = model.resolve_map(F)
-    chart = time_energy_chart(F, "a", model)
-    psit = PeriodicFn(tau, np.zeros(PERIOD_SAMPLES), origin=lo)
+    chart = TimeEnergyChart(F, "a", model)
+    psit = PeriodicFn(tau, np.zeros(PERIODIC_SAMPLES), origin=lo)
     trace = []
     prev = None
-    for it in range(max_iter):
+    for it in range(RESTORE_MAX_ITER):
         m = splitting_a(F, MaskedPeriodic(rho, psit), model, chart=chart)
         res_sup, res_norm0 = m.sup(), m.norm0()
         trace.append((it, res_sup, res_norm0))
-        if res_sup <= tol:
+        if res_sup <= RESTORE_TOL:
             break
-        if prev is not None and prev > tol and res_sup >= prev:
+        if prev is not None and prev > RESTORE_TOL and res_sup >= prev:
             raise ValueError(
                 f"restore_link_a: no contraction (residual {res_sup:.3e} after {prev:.3e})")
         prev = res_sup
         psit = psit - m
+    else:
+        raise RuntimeError(f"restore_link_a: residual {res_sup:.3e} after "
+                           f"{RESTORE_MAX_ITER} iterations")
     return MaskedPeriodic(rho, psit), trace
 
 
-def restore_link_b(F, model, tol=1e-10, max_iter=50, mean_tol=1e-6):
+def restore_link_b(F, model):
     """Solve for the zero-mean masked shear that closes the b-link of F.
 
-    Residuals are measured in the derivative-only norm; a splitting mean
-    above mean_tol signals a broken a-link and aborts.
+    Residuals are measured in the derivative-only norm, against RESTORE_TOL;
+    a splitting mean above RESTORE_MEAN_TOL signals a broken a-link and
+    aborts.  Raises RuntimeError when RESTORE_MAX_ITER iterations do not
+    reach the tolerance.
     """
     rho = model.partition_bump("b")
     lo, _ = model.fundamental_interval("b")
     tau = model.geometry.tau
     F = model.resolve_map(F)
-    chart = time_energy_chart(F, "b", model)
-    psit = PeriodicFn(tau, np.zeros(PERIOD_SAMPLES), origin=lo)
+    chart = TimeEnergyChart(F, "b", model)
+    psit = PeriodicFn(tau, np.zeros(PERIODIC_SAMPLES), origin=lo)
     trace = []
     prev = None
     first = True
-    for it in range(max_iter):
+    for it in range(RESTORE_MAX_ITER):
         m = splitting_b(F, MaskedPeriodic(rho, psit), model, chart=chart,
                         check_link_a=first)
         first = False
-        if abs(m.mean()) > mean_tol:
+        if abs(m.mean()) > RESTORE_MEAN_TOL:
             raise ValueError(
-                f"restore_link_b: splitting mean {m.mean():.3e} exceeds {mean_tol:.1e}; "
-                "the a-link appears broken")
+                f"restore_link_b: splitting mean {m.mean():.3e} exceeds "
+                f"{RESTORE_MEAN_TOL:.1e}; the a-link appears broken")
         res_sup, res_norm0 = m.sup(), m.norm0()
         trace.append((it, res_sup, res_norm0))
-        if res_norm0 <= tol:
+        if res_norm0 <= RESTORE_TOL:
             break
-        if prev is not None and prev > tol and res_norm0 >= prev:
+        if prev is not None and prev > RESTORE_TOL and res_norm0 >= prev:
             raise ValueError(
                 f"restore_link_b: no contraction (residual {res_norm0:.3e} after {prev:.3e})")
         prev = res_norm0
         psit = (psit - m).zero_mean()
+    else:
+        raise RuntimeError(f"restore_link_b: residual {res_norm0:.3e} after "
+                           f"{RESTORE_MAX_ITER} iterations")
     return MaskedPeriodic(rho, psit), trace

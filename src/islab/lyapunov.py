@@ -8,7 +8,7 @@ estimate is exact to rounding at any horizon).  One batched kernel,
 `_cocycle_logs`, carries this product for every caller.
 
 Entropy is the midpoint-rule integral of the clamped-positive exponent field
-over a grid: mean of max(lambda_n, 0) over cells times the region area.
+over a grid of the unit square: the mean of max(lambda_n, 0) over cells.
 Cells whose orbit leaves the allowed region are marked invalid and contribute
 zero.  The cone certificate checks, step by step, that the derivative maps
 the closed positive quadrant into itself and expands the two edge generators
@@ -16,7 +16,7 @@ by at least 4, which by convexity certifies ||Df^n v|| >= 4^n ||v|| on the
 whole cone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,21 +104,26 @@ def max_lyapunov(f, p, n=200):
 
 @dataclass
 class EntropyReport:
-    region: tuple
     resolution: tuple
     n: int
-    threshold: float
     field: np.ndarray          # per-cell exponent (NaN where invalid)
     valid: np.ndarray          # per-cell validity mask
-    estimate: float            # mean of clamped field over all cells x area
-    fraction_above: float      # fraction of cells with lambda_n >= threshold
+    estimate: float            # mean of clamped field over all cells
+    fraction_above: float      # fraction of cells with lambda_n >= ln 4
     invalid_cells: int = 0
-    extras: dict = field(default_factory=dict)
 
 
-def entropy_estimate(f, region=((0.0, 1.0), (0.0, 1.0)), resolution=100,
-                     n=200, threshold=LN4, exclude=None):
-    """Midpoint-rule entropy integral of the clamped exponent field.
+def _cell_centers(rx, ry):
+    """Midpoints of the rx x ry cells of the unit square, shape (rx ry, 2)."""
+    xs = (np.arange(rx) + 0.5) / rx
+    ys = (np.arange(ry) + 0.5) / ry
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return np.stack([X.ravel(), Y.ravel()], axis=-1)
+
+
+def entropy_estimate(f, resolution=100, n=200, exclude=None):
+    """Midpoint-rule entropy integral of the clamped exponent field over the
+    unit square, with the fraction of cells whose exponent clears ln 4.
 
     exclude: optional vectorized predicate; cells whose orbit (including the
     start) ever satisfies it are marked invalid and contribute zero.
@@ -128,24 +133,19 @@ def entropy_estimate(f, region=((0.0, 1.0), (0.0, 1.0)), resolution=100,
     rx, ry = resolution
     if rx < 8 or ry < 8:
         raise ValueError("resolution must be >= 8 per axis")
-    (x0, x1), (y0, y1) = region
-    xs = x0 + (np.arange(rx) + 0.5) * (x1 - x0) / rx
-    ys = y0 + (np.arange(ry) + 0.5) * (y1 - y0) / ry
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    pts = _cell_centers(rx, ry)
     m = pts.shape[0]
 
     logs, valid = _cocycle_logs(f, pts, n, exclude)
     lam = logs / n
     field_2d = np.where(valid, lam, np.nan).reshape(rx, ry)
-    area = (x1 - x0) * (y1 - y0)
     clamped = np.where(valid, np.maximum(lam, 0.0), 0.0)
-    estimate = float(np.sum(clamped) / m * area)
-    fraction = float(np.count_nonzero(valid & (lam >= threshold)) / m)
+    estimate = float(np.sum(clamped) / m)
+    fraction = float(np.count_nonzero(valid & (lam >= LN4)) / m)
     return EntropyReport(
-        region=region, resolution=(rx, ry), n=n, threshold=threshold,
-        field=field_2d, valid=valid.reshape(rx, ry), estimate=estimate,
-        fraction_above=fraction, invalid_cells=int(m - valid.sum()))
+        resolution=(rx, ry), n=n, field=field_2d, valid=valid.reshape(rx, ry),
+        estimate=estimate, fraction_above=fraction,
+        invalid_cells=int(m - valid.sum()))
 
 
 # ----------------------------------------------------------------------
@@ -168,14 +168,14 @@ def _conjugated_step(f, conjugator, x, fx):
     return conjugator.jacobian(fx) @ J @ inv2(conjugator.jacobian(x))
 
 
-def cone_certificate(f, p, n, conjugator=None, ratio=4.0, tol=0.0):
+def cone_certificate(f, p, n, conjugator=None):
     """Check that each step maps the closed positive quadrant into itself
-    and expands both edge generators by at least `ratio` in norm.
+    and expands both edge generators by at least 4 in norm.
 
     When `conjugator` is given, the checked chain is
     D(conjugator)(f x) . Df(x) . D(conjugator)(x)^{-1}.
     Sufficiency on the generators: images of e1, e2 in the closed quadrant
-    have nonnegative inner product, so ||M(a e1 + b e2)|| >= ratio ||(a, b)||.
+    have nonnegative inner product, so ||M(a e1 + b e2)|| >= 4 ||(a, b)||.
     """
     x = np.asarray(p, dtype=float)
     ratios = np.empty(n)
@@ -183,11 +183,11 @@ def cone_certificate(f, p, n, conjugator=None, ratio=4.0, tol=0.0):
     for k in range(n):
         fx = f(x)
         M = _conjugated_step(f, conjugator, x, fx)
-        cols_ok = np.all(M >= -tol)
+        cols_ok = np.all(M >= 0.0)
         growth = min(float(np.hypot(M[0, 0], M[1, 0])),
                      float(np.hypot(M[0, 1], M[1, 1])))
         ratios[k] = growth if cols_ok else 0.0
-        if first_failure is None and not (cols_ok and growth >= ratio):
+        if first_failure is None and not (cols_ok and growth >= 4.0):
             first_failure = k
         x = fx
     passed = first_failure is None
@@ -244,11 +244,6 @@ def conjugacy_exponent_bound(island, p, n=100):
 
 def lambda_field_rows(report):
     """Flatten an EntropyReport into (x, y, lambda, valid) rows for CSV."""
-    (x0, x1), (y0, y1) = report.region
-    rx, ry = report.resolution
-    xs = x0 + (np.arange(rx) + 0.5) * (x1 - x0) / rx
-    ys = y0 + (np.arange(ry) + 0.5) * (y1 - y0) / ry
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
     lam = np.where(report.valid, report.field, 0.0)
-    return np.stack([X.ravel(), Y.ravel(), lam.ravel(),
-                     report.valid.ravel().astype(float)], axis=-1)
+    return np.column_stack([_cell_centers(*report.resolution), lam.ravel(),
+                            report.valid.ravel().astype(float)])

@@ -13,11 +13,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# Type aliases for readability; points/Jacobians are plain arrays.
-PlanePoint = np.ndarray   # shape (..., 2)
-TorusPoint = np.ndarray   # shape (..., 2), entries in [0, 1)
-Jacobian2 = np.ndarray    # shape (..., 2, 2)
-
 
 def wrap_torus(p):
     """Reduce points mod 1 into [0, 1)^2."""
@@ -80,9 +75,6 @@ class MapDescriptor:
         When None, `jacobian` falls back to central finite differences.
     inv : callable or None
         Exact inverse evaluation, if one is known in closed form.
-    symplectic : bool
-        Whether the map is declared area-preserving (w.r.t. dx dy, or
-        w.r.t. the weighted form when `area_density` is set).
     wrap : bool
         True for torus maps (outputs in [0,1)^2, FD differences unwrapped).
     domain : callable or None
@@ -100,7 +92,6 @@ class MapDescriptor:
     fwd: Callable
     jac: Optional[Callable] = None
     inv: Optional[Callable] = None
-    symplectic: bool = True
     wrap: bool = False
     domain: Optional[Callable] = None
     area_density: Optional[Callable] = None
@@ -173,7 +164,6 @@ def compose(*maps, name=None):
         fwd=fwd,
         jac=jac,
         inv=inv,
-        symplectic=all(m.symplectic for m in maps),
         wrap=maps[0].wrap,
         domain=maps[-1].domain,
     )
@@ -204,35 +194,32 @@ def inverse_descriptor(m):
 
     if hasattr(m, "jac_inv"):
         jac = m.jac_inv
-    return MapDescriptor(m.name + "^-1", m.inv, jac, m.fwd,
-                         symplectic=m.symplectic, wrap=m.wrap)
+    return MapDescriptor(m.name + "^-1", m.inv, jac, m.fwd, wrap=m.wrap)
 
 
 # ----------------------------------------------------------------------
 # Built-in maps
 # ----------------------------------------------------------------------
 
-def anosov_map(matrix=((13, 8), (8, 5))):
-    """Linear hyperbolic torus automorphism p -> M p (mod 1).
+# The automorphism: symmetric, determinant 1, top eigenvalue 9 + 4 sqrt(5),
+# whose log is the expansion rate sigma.
+ANOSOV = np.array([[13.0, 8.0], [8.0, 5.0]])
 
-    The default matrix is symmetric with determinant 1 and top eigenvalue
-    9 + 4*sqrt(5), whose log is the expansion rate sigma.
-    """
-    M = np.asarray(matrix, dtype=float)
-    if abs(np.linalg.det(M) - 1.0) > 1e-12:
-        raise ValueError("anosov_map: matrix must have determinant 1")
-    Minv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]], dtype=float)
+
+def anosov_map():
+    """Linear hyperbolic torus automorphism p -> A p (mod 1), A = ANOSOV."""
+    Ainv = inv2(ANOSOV)
 
     def fwd(p):
-        return wrap_torus(p @ M.T)
+        return wrap_torus(p @ ANOSOV.T)
 
     def jac(p):
-        return np.broadcast_to(M, np.shape(p)[:-1] + (2, 2)).copy()
+        return np.broadcast_to(ANOSOV, np.shape(p)[:-1] + (2, 2)).copy()
 
     def inv(q):
-        return wrap_torus(q @ Minv.T)
+        return wrap_torus(q @ Ainv.T)
 
-    return MapDescriptor("F_A", fwd, jac, inv, symplectic=True, wrap=True)
+    return MapDescriptor("F_A", fwd, jac, inv, wrap=True)
 
 
 def chirikov_map(a):
@@ -266,10 +253,10 @@ def chirikov_map(a):
         X, Y = q[..., 0], q[..., 1]
         return wrap_torus(np.stack([Y, 2.0 * Y + a * np.sin(2 * np.pi * Y) - X], axis=-1))
 
-    return MapDescriptor(name, fwd, jac, inv, symplectic=True, wrap=True)
+    return MapDescriptor(name, fwd, jac, inv, wrap=True)
 
 
-def shear_map(psi, dpsi=None, name="S_psi", wrap=False):
+def shear_map(psi, dpsi=None, name="S_psi"):
     """Vertical shear S_psi(x, y) = (x, y + psi(x)).
 
     `psi` maps x-arrays to arrays; `dpsi` is its derivative (finite
@@ -283,7 +270,7 @@ def shear_map(psi, dpsi=None, name="S_psi", wrap=False):
     def fwd(p):
         out = np.array(p, dtype=float, copy=True)
         out[..., 1] += psi(p[..., 0])
-        return wrap_torus(out) if wrap else out
+        return out
 
     def jac(p):
         J = np.zeros(np.shape(p)[:-1] + (2, 2), dtype=float)
@@ -295,9 +282,9 @@ def shear_map(psi, dpsi=None, name="S_psi", wrap=False):
     def inv(q):
         out = np.array(q, dtype=float, copy=True)
         out[..., 1] -= psi(q[..., 0])
-        return wrap_torus(out) if wrap else out
+        return out
 
-    return MapDescriptor(name, fwd, jac, inv, symplectic=True, wrap=wrap)
+    return MapDescriptor(name, fwd, jac, inv)
 
 
 def henon_like(psi, dpsi=None, name="H_psi"):
@@ -326,7 +313,7 @@ def henon_like(psi, dpsi=None, name="H_psi"):
         xb, yb = q[..., 0], q[..., 1]
         return np.stack([psi(xb) - yb, xb], axis=-1)
 
-    return MapDescriptor(name, fwd, jac, inv, symplectic=True)
+    return MapDescriptor(name, fwd, jac, inv)
 
 
 def quarter_turn():
@@ -334,7 +321,7 @@ def quarter_turn():
     return henon_like(lambda y: np.zeros_like(y), lambda y: np.zeros_like(y), name="H_0")
 
 
-def rotation_map(angle, name=None):
+def rotation_map(angle):
     """Rigid plane rotation by `angle` (not hyperbolic; cone-test falsifier)."""
     c, s = np.cos(angle), np.sin(angle)
     R = np.array([[c, -s], [s, c]])
@@ -348,10 +335,10 @@ def rotation_map(angle, name=None):
     def inv(q):
         return q @ R
 
-    return MapDescriptor(name or f"R({angle:g})", fwd, jac, inv, symplectic=True)
+    return MapDescriptor(f"R({angle:g})", fwd, jac, inv)
 
 
-def identity_map(name="id"):
+def identity_map():
     def fwd(p):
         return np.array(p, dtype=float, copy=True)
 
@@ -361,4 +348,4 @@ def identity_map(name="id"):
         J[..., 1, 1] = 1.0
         return J
 
-    return MapDescriptor(name, fwd, jac, fwd, symplectic=True)
+    return MapDescriptor("id", fwd, jac, fwd)

@@ -18,7 +18,7 @@ from numpy.polynomial import Polynomial
 
 from .curves import StepFn
 from .hamiltonian import HamiltonianSystem, hamiltonian_time_map
-from .maps import MapDescriptor, compose, henon_like, shear_map
+from .maps import MapDescriptor, compose, henon_like, inverse_descriptor, shear_map
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +63,6 @@ class SaddleNormalForm:
         return J
 
     def descriptor(self, k=1):
-        sym = True
-
         def fwd(p):
             return self.iterate(p, k)
 
@@ -77,21 +75,22 @@ class SaddleNormalForm:
             f = self._factor(u, k)
             return np.stack([q[..., 0] / f, f * q[..., 1]], axis=-1)
 
-        return MapDescriptor(f"T0^{k}", fwd, jac, inv, symplectic=sym)
+        return MapDescriptor(f"T0^{k}", fwd, jac, inv)
 
     # -- boundary-value form ---------------------------------------------------
 
-    def passage_invariant(self, xbar, y, k, tol=1e-15, max_iter=80):
-        """Solve u = xbar * y * e^{k h'(u)} (entry-x and exit-y given)."""
+    def passage_invariant(self, xbar, y, k):
+        """Solve u = xbar * y * e^{k h'(u)} (entry-x and exit-y given) by at
+        most 80 fixed-point sweeps, to relative step 1e-15."""
         if k * abs(self.log_lam) > 500:
             raise ValueError("k outside the overflow-safe range")
         xbar = np.asarray(xbar, dtype=float)
         y = np.asarray(y, dtype=float)
         s = xbar * y * self.lam ** k
         u = s
-        for _ in range(max_iter):
+        for _ in range(80):
             nxt = s * np.exp(2.0 * k * self.c2 * u)
-            if np.max(np.abs(nxt - u)) <= tol * (1.0 + np.max(np.abs(u))):
+            if np.max(np.abs(nxt - u)) <= 1e-15 * (1.0 + np.max(np.abs(u))):
                 u = nxt
                 break
             u = nxt
@@ -108,18 +107,14 @@ class SaddleNormalForm:
             lamk * scaled * np.asarray(y, dtype=float), resid
 
 
-def saddle_normal_form(lam, nonlinearity=0.0):
-    return SaddleNormalForm(lam, nonlinearity)
-
-
-def xi_eta(T0, k, window, n=33):
+def xi_eta(T0, k, window):
     """Sampled correction functions over window = ((x0,x1),(y0,y1)).
 
     Returns (xi, eta, info): callables of (xbar, y) plus the fixed-point
-    residual measured on the sample grid."""
+    residual measured on a 33 x 33 sample grid."""
     (x0, x1), (y0, y1) = window
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
+    xs = np.linspace(x0, x1, 33)
+    ys = np.linspace(y0, y1, 33)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     with np.errstate(over="ignore", invalid="ignore"):
         _, _, resid = T0.xi_eta(k, X, Y)
@@ -218,8 +213,7 @@ class TransitionMap:
         return np.stack([x, y], axis=-1)
 
     def descriptor(self, name="T1"):
-        return MapDescriptor(name, self.__call__, self.jacobian, self.inverse,
-                             symplectic=True)
+        return MapDescriptor(name, self.__call__, self.jacobian, self.inverse)
 
     def tails(self, p):
         """The nonlinear remainders (phi1, phi2) relative to the affine part
@@ -282,8 +276,10 @@ class RescalingModel:
     T1: list
     mu: float
     r: int = 2
-    box_half: tuple = (0.15, 0.05)
-    box_inner: tuple = (0.115, 0.035)
+    # half-widths of the perturbation boxes and of their inner plateaus
+    # (class constants, not fields)
+    box_half = (0.15, 0.05)
+    box_inner = (0.115, 0.035)
 
     def __post_init__(self):
         lam = self.T0.lam
@@ -583,7 +579,7 @@ def build_perturbation(model, k, psi_list):
                 out[mc] = flows[i].inv(flat[mc])
         return out.reshape(q.shape)
 
-    g = MapDescriptor(f"g[k={k}]", fwd, jac, inv, symplectic=True)
+    g = MapDescriptor(f"g[k={k}]", fwd, jac, inv)
     return g, psihats, bumps
 
 
@@ -607,7 +603,7 @@ def _henon(psi):
                       lambda y: dpsi(np.asarray(y, dtype=float)))
 
 
-def verify_rescaling(model, k, psi_list=None, grid=24):
+def verify_rescaling(model, k, psi_list=None):
     """Check the k-passage product formula.
 
     Runs the full N-leg orbit of an exit-chart disc grid, comparing the
@@ -623,7 +619,7 @@ def verify_rescaling(model, k, psi_list=None, grid=24):
         raise ValueError("need one kick function per leg")
     charts = RescalingCharts(model, k)
     g, psihats, bumps = build_perturbation(model, k, psi_list)
-    pts = _disc_grid(grid)
+    pts = _disc_grid(24)
     T0k = model.T0.descriptor(k)
 
     def run_leg(i, XY):
@@ -701,43 +697,31 @@ def verify_rescaling(model, k, psi_list=None, grid=24):
 # the corollary composition
 
 
-def corollary_composition(psi_list, psi, dpsi=None):
+def corollary_composition(psi_list, psi):
     """Pair (F_target, S_psi o F_target) realized by the Henon product.
 
     With kicks psi_1..psi_N' (N' even) followed by 0, 0, psi, the product
     H_psi o H_0 o H_0 o H_{psi_N'} o ... o H_{psi_1} factors as
     S_psi o F_target with F_target = H_0^{-1} o H_{psi_N'} o ... o H_{psi_1}
-    and S_psi = H_psi o H_0^{-1} the vertical shear by psi.
+    and S_psi = H_psi o H_0^{-1} the vertical shear by psi.  The kicks are
+    Polynomials; None stands for the zero kick.
     """
     if len(psi_list) % 2 != 0:
         raise ValueError("the kick list must have even length")
 
-    def as_henon(f):
-        if f is None or isinstance(f, Polynomial):
-            return _henon(f)
-        return henon_like(lambda y: f(np.asarray(y, dtype=float)))
-
     h0 = _henon(None)
-    h0_inv = MapDescriptor("H0^-1", h0.inv,
-                           lambda p: np.broadcast_to(np.array([[0.0, -1.0], [1.0, 0.0]]),
-                                                     np.shape(p)[:-1] + (2, 2)).copy(),
-                           h0.fwd, symplectic=True)
-    chain = [as_henon(f) for f in psi_list]
-    target = h0_inv
+    chain = [_henon(f) for f in psi_list]
+    target = inverse_descriptor(h0)
     for h in reversed(chain):
         target = compose(target, h)
 
     if psi is None:
         psi = Polynomial([0.0])
-    if isinstance(psi, Polynomial):
-        dpoly = psi.deriv()
-        s_psi = shear_map(lambda x: psi(np.asarray(x, dtype=float)),
-                          lambda x: dpoly(np.asarray(x, dtype=float)),
-                          name="S_psi")
-        h_psi = _henon(psi)
-    else:
-        s_psi = shear_map(psi, dpsi, name="S_psi")
-        h_psi = henon_like(psi, dpsi)
+    dpoly = psi.deriv()
+    s_psi = shear_map(lambda x: psi(np.asarray(x, dtype=float)),
+                      lambda x: dpoly(np.asarray(x, dtype=float)),
+                      name="S_psi")
+    h_psi = _henon(psi)
 
     full = compose(h_psi, h0, h0, *reversed(chain), name="H-product")
     pair = compose(s_psi, target, name="S_psi.F")

@@ -19,13 +19,13 @@ from islab.links import (LinkGeometry, build_suitable_model, restore_link_a,
                          restore_link_b, restoration_b_reference, splitting_a,
                          splitting_a_reference, splitting_b,
                          splitting_b_reference, stable_curve,
-                         time_energy_chart, unstable_curve)
+                         TimeEnergyChart, unstable_curve)
 from islab.lyapunov import (LN4, cone_certificate, entropy_estimate,
                             max_lyapunov)
 from islab.maps import (anosov_map, chirikov_map, compose, henon_like,
                         quarter_turn, rotation_map, shear_map)
 from islab.rescaling import (build_perturbation, corollary_composition,
-                             desk_model, saddle_normal_form, build_transition,
+                             desk_model, SaddleNormalForm, build_transition,
                              verify_rescaling)
 
 SIGMA = float(np.log(9.0 + 4.0 * np.sqrt(5.0)))
@@ -84,7 +84,7 @@ def test_criterion_01_symplecticity_of_all_maps():
     assert len(strips) >= npts // 2
     record("F_model", model.F, strips)
 
-    nf = saddle_normal_form(0.4, nonlinearity=0.1)
+    nf = SaddleNormalForm(0.4, c2=0.1)
     record("T_0", nf.descriptor(), rng.uniform(0.05, 1.5, (npts, 2)))
     record("T_0^8", nf.descriptor(8), rng.uniform(0.05, 1.5, (npts, 2)))
     t1 = build_transition(0.9, 0.30, 0.5, -2.0, u2=0.15, u3=0.05, a=0.1)
@@ -214,8 +214,8 @@ def test_criterion_05_splitting_closed_forms():
     rng = np.random.default_rng(RNG_SEED)
     g = LinkGeometry()
     model = build_suitable_model()
-    chart_a = time_energy_chart(model.F, "a", model)
-    chart_b = time_energy_chart(model.F, "b", model)
+    chart_a = TimeEnergyChart(model.F, "a", model)
+    chart_b = TimeEnergyChart(model.F, "b", model)
     xa = np.linspace(g.x_a - g.tau, g.x_a, 401)
     xb = np.linspace(g.x_b, g.x_b + g.tau, 401)
     worst_a = worst_b = 0.0
@@ -251,7 +251,7 @@ def test_criterion_06_zero_mean():
     rng = np.random.default_rng(RNG_SEED)
     g = LinkGeometry()
     model = build_suitable_model()
-    chart_b = time_energy_chart(model.F, "b", model)
+    chart_b = TimeEnergyChart(model.F, "b", model)
     worst = 0.0
     for _ in range(10):
         psit = random_trig_poly(g.tau, harmonics=8, amplitude=1e-3, rng=rng,
@@ -287,7 +287,7 @@ def test_criterion_07_restoration():
             lo, hi = g.x_b, g.x_b + g.tau
         worst_iters = max(worst_iters, len(trace))
         worst_final = max(worst_final, trace[-1][1])
-        chart = time_energy_chart(model.F, side, model)
+        chart = TimeEnergyChart(model.F, side, model)
         w_u = unstable_curve(model.F, model, side, chart=chart)
         w_s = stable_curve(model.F, model, side, psi=psi, chart=chart)
         worst_gap = max(worst_gap, curve_sup_diff(w_u, w_s, lo, hi))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from islab.blowup import (
     EXP_2SIGMA,
+    FLOW_STEPS,
     SIGMA,
     IslandMap,
     SurgeryProfile,
@@ -174,11 +175,11 @@ def test_centers_fixed_and_core_identity(island):
 
 
 def test_equivariance(island):
-    assert equivariance_defect(island, n=1000, seed=6) <= 1e-9
+    assert equivariance_defect(island, n=1000) <= 1e-9
 
 
 def test_conjugacy_with_automorphism(island):
-    assert conjugacy_defect(island, n=1000, seed=5) <= 1e-8
+    assert conjugacy_defect(island, n=1000) <= 1e-8
 
 
 def test_symmetry_report_keys(island):
@@ -247,7 +248,7 @@ def test_mixed_disc_batch_matches_per_disc(island):
         d = torus_diff(per_disc[i], c)
         fl = np.sum(d * d, axis=-1) <= prof.delta**2
         ref, J_ref = island._flow(per_disc[i][fl], d[fl], island.sigma,
-                                  island.flow_steps, True)
+                                  FLOW_STEPS, True)
         assert np.max(np.abs(torus_diff(img[i][fl], ref))) <= 1e-12
         assert np.max(np.abs(J[i][fl] - J_ref)) <= 1e-12
 
@@ -316,7 +317,7 @@ def test_island_mask_and_area(island):
 # ---------------------------------------------------------------------
 
 def test_link_saddles(island):
-    data = link_saddles(island, steps=2048)
+    data = link_saddles(island)
     assert len(data) == 16
     for ic in range(4):
         per = [d for d in data if d["center"] == ic]
@@ -332,11 +333,11 @@ def test_link_saddles(island):
 
 
 def test_regime_consistency(island):
-    assert regime_consistency(island, n=64, steps=32768) <= 1e-9
+    assert regime_consistency(island) <= 1e-9
 
 
 def test_flow_matches_linear_precondition(island):
-    assert flow_matches_linear_map(island, n=64, steps=65536) <= 1e-8
+    assert flow_matches_linear_map(island) <= 1e-8
 
 
 # ---------------------------------------------------------------------

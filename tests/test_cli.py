@@ -247,6 +247,7 @@ def test_console_script_end_to_end(tmp_path):
         [sys.executable, "-m", "islab.cli", "run", path, "--out", out],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert "PASS" in proc.stdout
     assert "elapsed" in proc.stdout  # wall clock on console only
     payload = json.loads(_read(os.path.join(out, "report.json")))

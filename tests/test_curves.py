@@ -184,9 +184,6 @@ def test_graph_curve_basics():
     assert c.err_estimate < 1e-8
     pts = c.points()
     assert pts.shape == (c.n, 2)
-    r = c.restrict(0.5, 1.5)
-    assert (r.x0, r.x1) == (0.5, 1.5)
-    assert np.max(np.abs(r(np.linspace(0.5, 1.5, 97)) - np.sin(np.linspace(0.5, 1.5, 97)))) < 1e-9
 
 
 def test_graph_curve_rejects_bad_input():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from islab import links
+from islab import cli, links
 from islab.curves import BumpFn, MaskedPeriodic, PeriodicFn, curve_sup_diff, random_trig_poly
 from islab.links import (
     LinkGeometry,
@@ -14,8 +14,8 @@ from islab.links import (
     splitting_a_reference,
     splitting_b,
     splitting_b_reference,
+    TimeEnergyChart,
     stable_curve,
-    time_energy_chart,
     unstable_curve,
 )
 from islab.maps import MapDescriptor, compose, shear_map
@@ -50,7 +50,7 @@ def _general_hook(g):
     def inv(q):
         return np.stack([q[..., 0] - c * (q[..., 1] - g.y1), q[..., 1]], axis=-1)
 
-    H = MapDescriptor("H", fwd, jac, inv, symplectic=True)
+    H = MapDescriptor("H", fwd, jac, inv)
     eta = BumpFn(g.x_a - 2 * g.tau + 2 * g.delta, g.x_a - 2 * g.delta, 0.25, height=1e-3)
     return compose(shear_map(eta, eta.d1, name="S_eta"), H, name="G")
 
@@ -157,7 +157,7 @@ def test_resolve_map_rejects_foreign_map():
 def test_chart_identity_at_base_map():
     model = _model()
     for side in ("a", "b"):
-        ch = time_energy_chart(model.F, side, model)
+        ch = TimeEnergyChart(model.F, side, model)
         assert ch.identity_defect() <= 1e-13
         assert ch.area_defect() <= 1e-9
         assert ch.conjugacy_defect() <= 1e-8
@@ -165,7 +165,7 @@ def test_chart_identity_at_base_map():
 
 def test_chart_shear_hook_exact():
     model = build_suitable_model(hook=_a_band_hook(LinkGeometry(), height=2e-3))
-    ch = time_energy_chart(model.F, "a", model)
+    ch = TimeEnergyChart(model.F, "a", model)
     assert ch.area_defect() <= 1e-9
     assert ch.conjugacy_defect() <= 1e-8
     assert ch.identity_defect() > 1e-5  # genuinely non-trivial chart
@@ -175,7 +175,7 @@ def test_chart_general_hook_fiber_ode():
     g = LinkGeometry()
     model = build_suitable_model(hook=_general_hook(g))
     for side in ("a", "b"):
-        ch = time_energy_chart(model.F, side, model)
+        ch = TimeEnergyChart(model.F, side, model)
         assert not ch._unit_det0  # fiber ODE path engaged
         assert ch.area_defect(120) <= 1e-9
         assert ch.conjugacy_defect(120) <= 1e-8
@@ -183,7 +183,7 @@ def test_chart_general_hook_fiber_ode():
 
 def test_chart_fiber_ode_raises_at_cap(monkeypatch):
     model = build_suitable_model(hook=_general_hook(LinkGeometry()))
-    ch = time_energy_chart(model.F, "a", model)
+    ch = TimeEnergyChart(model.F, "a", model)
     assert not ch._unit_det0
     pts = ch._strip_frame(12)
     ref = ch(pts)
@@ -204,7 +204,7 @@ def test_psi_chart_conjugates_sheared_map():
     for side, origin in (("a", g.x_a - 2 * g.tau), ("b", g.x_b)):
         psit = random_trig_poly(g.tau, harmonics=4, amplitude=1e-3, rng=rng, origin=origin)
         psi = MaskedPeriodic(model.partition_bump(side), psit)
-        chart = time_energy_chart(model.F, side, model)
+        chart = TimeEnergyChart(model.F, side, model)
         pc = PsiChart(chart, psi)
         assert pc.conjugacy_defect() <= 1e-8
 
@@ -309,7 +309,7 @@ def test_restore_link_a():
         assert r1 <= 0.5 * r0
     # the restored link is closed: stable and unstable curves coincide
     g = model.geometry
-    chart = time_energy_chart(model.F, "a", model)
+    chart = TimeEnergyChart(model.F, "a", model)
     w_u = unstable_curve(model.F, model, "a", chart=chart)
     w_s = stable_curve(model.F, model, "a", psi=psi_a, chart=chart)
     assert curve_sup_diff(w_u, w_s, g.x_a - g.tau, g.x_a) <= 1e-7
@@ -326,6 +326,18 @@ def test_restore_link_b():
     resid = splitting_b(model.F, psi_b, model, check_link_a=False)
     assert resid.sup() <= 1e-8
     assert abs(psi_b.psi.mean()) <= 1e-12
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_restore_raises_when_the_cap_runs_out(monkeypatch, side):
+    # a perturbed model as the links suite builds it; one iteration short
+    # of what it needs, the solver must raise, not return an unconverged shear
+    restore = {"a": restore_link_a, "b": restore_link_b}[side]
+    model = build_suitable_model(hook=cli._band_hook(LinkGeometry(), side, 1e-3))
+    _, trace = restore(model.F, model)
+    monkeypatch.setattr(links, "RESTORE_MAX_ITER", len(trace) - 1)
+    with pytest.raises(RuntimeError, match="iterations"):
+        restore(model.F, model)
 
 
 def test_restore_link_b_aborts_on_broken_a_link():

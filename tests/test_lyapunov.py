@@ -78,8 +78,7 @@ def test_degenerate_cocycle_raises():
         keep = (p[..., 0] <= 0.5)[..., None, None]
         return np.where(keep, np.eye(2), 0.0)
 
-    collapse = MapDescriptor("collapse", lambda p: np.array(p, copy=True),
-                             jac, symplectic=False)
+    collapse = MapDescriptor("collapse", lambda p: np.array(p, copy=True), jac)
     assert max_lyapunov(collapse, np.array([0.1, 0.2]), n=5).estimate == 0.0
     with pytest.raises(RuntimeError, match="degenerate"):
         max_lyapunov(collapse, np.array([0.7, 0.4]), n=5)

@@ -17,7 +17,6 @@ from islab.rescaling import (
     corollary_composition,
     desk_model,
     r_sequence,
-    saddle_normal_form,
     verify_rescaling,
     xi_eta,
 )
@@ -73,14 +72,14 @@ def test_r_sequence_wrap_property(bvals):
 
 
 def test_linear_normal_form_is_exact():
-    T0 = saddle_normal_form(0.4)
+    T0 = SaddleNormalForm(0.4)
     out = T0.iterate(np.array([0.7, -0.3]))
     assert out[0] == 0.4 * 0.7
     assert out[1] == -0.3 / 0.4
 
 
 def test_normal_form_conserves_xy():
-    T0 = saddle_normal_form(0.4, 0.1)
+    T0 = SaddleNormalForm(0.4, 0.1)
     p = np.array([[0.5, 0.2], [0.9, -0.4], [1.2, 0.05]])
     orb = p.copy()
     for _ in range(100):
@@ -89,7 +88,7 @@ def test_normal_form_conserves_xy():
 
 
 def test_normal_form_axes_and_determinant():
-    T0 = saddle_normal_form(0.4, 0.1)
+    T0 = SaddleNormalForm(0.4, 0.1)
     ys = np.stack([np.zeros(9), np.linspace(-1, 1, 9)], axis=-1)
     xs = np.stack([np.linspace(-1, 1, 9), np.zeros(9)], axis=-1)
     # p(0, y) = 0 and q(x, 0) = 0: the axes map exactly linearly
@@ -102,7 +101,7 @@ def test_normal_form_axes_and_determinant():
 
 
 def test_normal_form_closed_form_iterate():
-    T0 = saddle_normal_form(0.4, 0.1)
+    T0 = SaddleNormalForm(0.4, 0.1)
     p = np.array([[0.5, 0.2], [0.9, -0.4]])
     step = p.copy()
     for _ in range(7):
@@ -123,17 +122,17 @@ def test_normal_form_rejects_bad_multiplier():
 
 
 def test_xi_eta_residual_and_linear_case():
-    T0 = saddle_normal_form(0.4, 0.1)
+    T0 = SaddleNormalForm(0.4, 0.1)
     xi, eta, info = xi_eta(T0, 8, ((0.8, 3.4), (0.25, 0.40)))
     assert info["residual"] <= 1e-12
-    lin = saddle_normal_form(0.4)
+    lin = SaddleNormalForm(0.4)
     _, _, info_lin = xi_eta(lin, 8, ((0.8, 3.4), (0.25, 0.40)))
     assert info_lin["sup_xi"] == 0.0
     assert info_lin["sup_eta"] == 0.0
 
 
 def test_xi_eta_reconstructs_the_passage():
-    T0 = saddle_normal_form(0.4, 0.1)
+    T0 = SaddleNormalForm(0.4, 0.1)
     k, xbar, y = 9, 2.3, 0.31
     xv, ev, _ = T0.xi_eta(k, xbar, y)
     entry = np.array([xbar, 0.4 ** k * y + ev])
@@ -145,7 +144,7 @@ def test_xi_eta_reconstructs_the_passage():
 
 
 def test_xi_eta_scaled_sup_decreases():
-    T0 = saddle_normal_form(0.4, 0.1)
+    T0 = SaddleNormalForm(0.4, 0.1)
     sups = []
     for k in (6, 8, 10, 12):
         _, _, info = xi_eta(T0, k, ((0.8, 3.4), (0.25, 0.40)))
@@ -154,13 +153,13 @@ def test_xi_eta_scaled_sup_decreases():
 
 
 def test_xi_eta_rejects_oversized_window():
-    T0 = saddle_normal_form(0.4, 0.1)
+    T0 = SaddleNormalForm(0.4, 0.1)
     with pytest.raises(ValueError, match="window too large"):
         xi_eta(T0, 2, ((0.0, 80.0), (0.0, 40.0)))
 
 
 def test_passage_invariant_overflow_guard():
-    T0 = saddle_normal_form(0.4, 0.1)
+    T0 = SaddleNormalForm(0.4, 0.1)
     with pytest.raises(ValueError, match="overflow-safe"):
         T0.passage_invariant(1.0, 0.3, 800)
 
