@@ -603,14 +603,17 @@ def regime_consistency(island):
     rng = np.random.default_rng(7)
     th = rng.uniform(0, 2 * np.pi, 64)
     rho = prof.rho_lo + zeta * rng.uniform(0.05, 1.0, 64)
-    w = from_polar(np.stack([rho, th], axis=-1))
+    state = np.stack([rho, th], axis=-1)
+    w = from_polar(state)
+    # the flow runs in the centre's own polar frame, so one integration
+    # serves all four centres
+    s_end, _ = _midpoint_steps(island.system, state, island.sigma, 32768, 1e-15, False)
+    dw = from_polar(s_end) - w
     worst = 0.0
     for c in island.centers:
         p = wrap_torus(c + w @ island.R.T)
         surg = island(p)                       # rho > rho_lo: surgery branch
-        state = np.stack([rho, th], axis=-1)
-        s_end, _ = _midpoint_steps(island.system, state, island.sigma, 32768, 1e-15, False)
-        flow = wrap_torus(p + (from_polar(s_end) - w) @ island.R.T)
+        flow = wrap_torus(p + dw @ island.R.T)
         worst = max(worst, float(np.max(np.abs(torus_diff(surg, flow)))))
     return worst
 

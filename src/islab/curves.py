@@ -7,11 +7,16 @@ The graph transform re-parameterizes the image of a curve under a planar
 map as a new graph over the image interval.
 """
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import PPoly
+from scipy.linalg import solve_banded
 
 DENSITY = 256  # graph-curve samples per unit of x-extent (257 per unit interval)
 PERIODIC_SAMPLES = 128
+# graph_transform's general path: iteration cap of its safeguarded Newton
+TRANSFORM_CAP = 64
 
 
 class TransversalityError(ValueError):
@@ -125,7 +130,9 @@ class PeriodicFn:
     """tau-periodic function from uniform samples, trigonometric interpolation.
 
     Samples sit at origin + j tau / n, j = 0..n-1.  Evaluation reduces the
-    argument into one period first, so the function is exactly periodic.
+    argument into one period first, so the function is exactly periodic, and
+    then sums the trigonometric polynomial by Horner's rule in
+    z = exp(2 pi i t / tau) (Berrut & Trefethen, SIAM Rev. 46 (2004)).
     The mean is the exact quadrature of the samples (the c_0 coefficient).
     """
 
@@ -142,6 +149,13 @@ class PeriodicFn:
         self.samples = samples
         self.n = samples.size
         self._coef = np.fft.rfft(samples) / self.n
+        # f(t) = Re sum_k w_k c_k z^k: w_k = 2 but for the mean and, at even
+        # n, the Nyquist mode, which are their own conjugates
+        weights = np.full(self._coef.size, 2.0)
+        weights[0] = 1.0
+        if self.n % 2 == 0:
+            weights[-1] = 1.0
+        self._wcoef = weights * self._coef
 
     @classmethod
     def from_function(cls, fn, tau, n=PERIODIC_SAMPLES, origin=0.0):
@@ -157,40 +171,49 @@ class PeriodicFn:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        t = x - self.origin
+        # a 1-d working copy, and Horner steps that are not in place, keep
+        # every point's value independent of the batch it comes in: numpy
+        # rounds 0-d, numpy-scalar and in-place one-element products differently
+        t = x.ravel() - self.origin
         t = t - self.tau * np.floor(t / self.tau)
-        k = np.arange(self._coef.size)
-        phase = np.exp(2j * np.pi * np.multiply.outer(t / self.tau, k))
-        weights = np.full(self._coef.size, 2.0)
-        weights[0] = 1.0
-        if self.n % 2 == 0:
-            weights[-1] = 1.0
-        vals = np.real(phase @ (weights * self._coef))
+        z = np.exp(2j * np.pi * (t / self.tau))
+        acc = np.full(z.shape, self._wcoef[-1])
+        for c in self._wcoef[-2::-1]:
+            acc = acc * z + c
+        vals = acc.real.reshape(x.shape)
         return vals if vals.shape else float(vals)
+
+    def _deriv_coef(self, order):
+        """Coefficients of the order-th spectral derivative (Nyquist zeroed)."""
+        k = np.arange(self._coef.size)
+        coef = self._coef * (2j * np.pi * k / self.tau) ** order
+        if self.n % 2 == 0:
+            coef[-1] = 0.0
+        return coef
 
     def derivative(self, order=1):
         """Spectral derivative as a new PeriodicFn (Nyquist mode zeroed)."""
-        k = np.arange(self._coef.size)
-        factor = (2j * np.pi * k / self.tau) ** order
-        coef = self._coef * factor
-        if self.n % 2 == 0:
-            coef[-1] = 0.0
-        samples = np.fft.irfft(coef * self.n, n=self.n)
+        samples = np.fft.irfft(self._deriv_coef(order) * self.n, n=self.n)
         return PeriodicFn(self.tau, samples, self.origin)
 
-    def _fine_grid(self):
-        """The sample grid refined 8 times, where sup norms are taken."""
-        return self.origin + np.arange(self.n * 8) * (self.tau / (self.n * 8))
+    def _fine_sup(self, coef):
+        """max |sum| of the trigonometric sum with coefficients coef on the
+        sample grid refined 8 times, by a zero-padded inverse FFT."""
+        spec = np.zeros(4 * self.n + 1, dtype=complex)
+        spec[:coef.size] = coef
+        if self.n % 2 == 0:
+            spec[coef.size - 1] *= 0.5   # irfft doubles every mode below its own Nyquist
+        return float(np.max(np.abs(np.fft.irfft(spec, n=8 * self.n, norm="forward"))))
 
     def deriv_sup(self, order):
-        return float(np.max(np.abs(self.derivative(order)(self._fine_grid()))))
+        return self._fine_sup(self._deriv_coef(order))
 
     def norm0(self):
         """max(sup |f'|, sup |f''|)."""
         return max(self.deriv_sup(1), self.deriv_sup(2))
 
     def sup(self):
-        return float(np.max(np.abs(self(self._fine_grid()))))
+        return self._fine_sup(self._coef)
 
     def zero_mean(self):
         return PeriodicFn(self.tau, self.samples - np.mean(self.samples), self.origin)
@@ -234,26 +257,33 @@ def random_trig_poly(tau, harmonics=8, amplitude=1e-2, rng=None, zero_mean=False
 
 class MaskedPeriodic:
     """Compactly supported product rho(x) * psi(x) of a bump and a periodic
-    function; evaluable on the whole line, with first derivative."""
+    function; evaluable on the whole line, with first derivative.
+
+    psi and its derivative are evaluated only strictly inside rho's support;
+    everywhere else both the product and its derivative are exactly zero.
+    """
 
     def __init__(self, rho, psi):
         self.rho = rho
         self.psi = psi
         self.support = rho.support
-        self._dpsi = psi.derivative() if hasattr(psi, "derivative") else None
+        self._dpsi = psi.derivative()
+
+    def _split(self, x):
+        x = np.asarray(x, dtype=float)
+        lo, hi = self.support
+        inside = (x > lo) & (x < hi)
+        return np.zeros(x.shape), inside, x[inside]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.rho(x) * self.psi(x)
+        out, inside, xi = self._split(x)
+        out[inside] = self.rho(xi) * self.psi(xi)
+        return out
 
     def d1(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._dpsi is None:
-            h = 1e-6 * (1.0 + np.abs(x))
-            dpsi = (self.psi(x + h) - self.psi(x - h)) / (2.0 * h)
-        else:
-            dpsi = self._dpsi(x)
-        return self.rho.d1(x) * self.psi(x) + self.rho(x) * dpsi
+        out, inside, xi = self._split(x)
+        out[inside] = self.rho.d1(xi) * self.psi(xi) + self.rho(xi) * self._dpsi(xi)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +294,30 @@ def _sample_count(x0, x1):
     return max(int(round(DENSITY * (x1 - x0))), 8) + 1
 
 
+@lru_cache(maxsize=16)
+def _not_a_knot_band(n):
+    """(1, 1) band of the not-a-knot slope system on n uniform knots.
+
+    The unknowns are m_j = h w'(x_j).  Interior rows read
+    m_{j-1} + 4 m_j + m_{j+1}; the end rows, from a continuous third
+    derivative across the second and the second-to-last knot, read
+    m_0 + 2 m_1 and 2 m_{n-2} + m_{n-1}.
+    """
+    ab = np.ones((3, n))
+    ab[1, 1:-1] = 4.0
+    ab[0, :2] = (0.0, 2.0)
+    ab[2, -2:] = (2.0, 0.0)
+    ab.flags.writeable = False
+    return ab
+
+
 class GraphCurve:
     """A plane curve y = w(x) over [x0, x1]: uniform samples, cubic interpolant.
 
-    The interpolation-error estimate (h^4 |w''''| / 384 scale, from fourth
-    differences) is recorded on construction.
+    The interpolant is the not-a-knot cubic spline on the uniform grid, the
+    one scipy's CubicSpline builds, and it extrapolates the end cubics
+    outside [x0, x1].  The interpolation-error estimate (h^4 |w''''| / 384
+    scale, from fourth differences) is recorded on construction.
     """
 
     def __init__(self, x0, x1, samples):
@@ -285,8 +334,19 @@ class GraphCurve:
         self.samples = samples
         self.n = samples.size
         self.grid = np.linspace(x0, x1, self.n)
-        self._spline = CubicSpline(self.grid, samples)
-        self._dspline = self._spline.derivative()
+        h = (x1 - x0) / (self.n - 1)
+        d = np.diff(samples)
+        rhs = np.empty(self.n)
+        rhs[1:-1] = 3.0 * (d[:-1] + d[1:])
+        rhs[0] = 0.5 * (5.0 * d[0] + d[1])
+        rhs[-1] = 0.5 * (d[-2] + 5.0 * d[-1])
+        m = solve_banded((1, 1), _not_a_knot_band(self.n), rhs, check_finite=False)
+        # the cubic on [x_j, x_j+1] in powers 3, 2, 1, 0 of (x - x_j)
+        c3 = (m[:-1] + m[1:] - 2.0 * d) / h**3
+        c2 = (3.0 * d - 2.0 * m[:-1] - m[1:]) / h**2
+        c1 = m[:-1] / h
+        self._spline = PPoly.construct_fast(np.stack([c3, c2, c1, samples[:-1]]), self.grid)
+        self._dspline = PPoly.construct_fast(np.stack([3.0 * c3, 2.0 * c2, c1]), self.grid)
         if self.n >= 5:
             self.err_estimate = float(np.max(np.abs(np.diff(samples, 4)))) / 384.0
         else:
@@ -344,18 +404,72 @@ def _transversality(f, curve):
             f"{f.name}: image fails to be a graph (fold) near x = {x}", x=x)
 
 
+def _preimages(f, curve, tx, X):
+    """Source abscissae whose f-images have x-coordinate X, one per target.
+
+    A safeguarded Newton iteration (the rtsafe pattern, as in
+    blowup.SurgeryProfile.psi_inv): each target starts on the secant of the
+    sample pair whose images bracket it, a Newton step that leaves the
+    current bracket is replaced by bisection, and each point is frozen as
+    soon as its residual is within a few ulp of the targets' scale, its
+    Newton step is an ulp or two, or its bracket has shrunk to a few ulp of
+    the curve's x-scale.
+
+    Raises RuntimeError if a residual is not finite or a point is still
+    active after TRANSFORM_CAP iterations.
+    """
+    sign = 1.0 if tx[-1] > tx[0] else -1.0
+    t_sorted = tx if sign > 0 else tx[::-1]
+    g_sorted = curve.grid if sign > 0 else curve.grid[::-1]
+    idx = np.clip(np.searchsorted(t_sorted, X) - 1, 0, curve.n - 2)
+    ta, tb = t_sorted[idx], t_sorted[idx + 1]
+    ga, gb = g_sorted[idx], g_sorted[idx + 1]
+    lo, hi = np.minimum(ga, gb), np.maximum(ga, gb)
+    x = np.clip(ga + (X - ta) * ((gb - ga) / (tb - ta)), lo, hi)
+    r_floor = 8 * np.spacing(np.max(np.abs(X)))
+    x_floor = 2 * np.spacing(max(abs(curve.x0), abs(curve.x1)))
+    act = np.arange(X.size)
+    for _ in range(TRANSFORM_CAP):
+        xa, la, ha = x[act], lo[act], hi[act]
+        p = curve.points(xa)
+        r = np.asarray(f(p), dtype=float)[..., 0] - X[act]
+        if not np.all(np.isfinite(r)):
+            raise RuntimeError(f"graph_transform: {f.name} gives a non-finite residual")
+        J = f.jacobian(p)
+        done = np.abs(r) <= r_floor
+        la = np.where(sign * r < 0, xa, la)
+        ha = np.where(sign * r > 0, xa, ha)
+        xn = xa - r / (J[..., 0, 0] + J[..., 0, 1] * curve.deriv(xa))
+        xn = np.where((xn > la) & (xn < ha), xn, 0.5 * (la + ha))
+        tiny = (np.abs(xn - xa) <= x_floor) | (ha - la <= 2 * x_floor)
+        x[act] = np.where(done, xa, xn)
+        lo[act], hi[act] = la, ha
+        act = act[~(done | tiny)]
+        if act.size == 0:
+            return x
+    raise RuntimeError(f"graph_transform: {f.name}: {act.size} points unconverged "
+                       f"after {TRANSFORM_CAP} iterations")
+
+
 def graph_transform(f, curve):
     """Image of a graph curve under the planar map f, as a graph curve.
 
     The image is re-parameterized over x.  When the x-rule is the identity
     on the samples the grid is reused unchanged; when it is affine the image
     samples are kept (contractions) or pulled back through the exact affine
-    inverse onto a standard grid (expansions); otherwise each target x is
-    solved by bisection bracketed by sample pairs plus two Newton steps.
+    inverse onto a standard grid (expansions); otherwise the preimage of
+    each target x is solved by a safeguarded Newton iteration started on
+    the secant of its bracketing sample pair (see _preimages).
+
+    Raises TransversalityError when the image is not a graph over x, and
+    RuntimeError when the x-image is not finite or the general-path solver
+    fails to converge.
     """
     _transversality(f, curve)
     img = np.asarray(f(curve.points()), dtype=float)
     tx, ty = img[..., 0], img[..., 1]
+    if not np.all(np.isfinite(tx)):
+        raise RuntimeError(f"graph_transform: {f.name} gives a non-finite x-image")
 
     d = np.diff(tx)
     if np.all(d == 0.0):
@@ -380,31 +494,7 @@ def graph_transform(f, curve):
     if affine:
         x_src = curve.grid[0] + (X - tx[0]) / alpha
         x_src = np.clip(x_src, curve.x0, curve.x1)
-        out = np.asarray(f(curve.points(x_src)), dtype=float)
-        return GraphCurve(lo, hi, out[..., 1])
-
-    # general path: monotone bracket + bisection + two Newton polishing steps
-    t_sorted = tx if span > 0 else tx[::-1]
-    g_sorted = curve.grid if span > 0 else curve.grid[::-1]
-    idx = np.clip(np.searchsorted(t_sorted, X) - 1, 0, curve.n - 2)
-    a = np.minimum(g_sorted[idx], g_sorted[idx + 1])
-    b = np.maximum(g_sorted[idx], g_sorted[idx + 1])
-    sign = 1.0 if span > 0 else -1.0
-
-    def img_x(x):
-        return np.asarray(f(curve.points(x)), dtype=float)[..., 0]
-
-    for _ in range(30):
-        m = 0.5 * (a + b)
-        below = sign * (img_x(m) - X) < 0
-        a = np.where(below, m, a)
-        b = np.where(below, b, m)
-    x = 0.5 * (a + b)
-    for _ in range(2):
-        p = curve.points(x)
-        J = f.jacobian(p)
-        slope = J[..., 0, 0] + J[..., 0, 1] * curve.deriv(x)
-        x = x - (np.asarray(f(p), dtype=float)[..., 0] - X) / slope
-        x = np.clip(x, curve.x0, curve.x1)
-    out = np.asarray(f(curve.points(x)), dtype=float)
+    else:
+        x_src = _preimages(f, curve, tx, X)
+    out = np.asarray(f(curve.points(x_src)), dtype=float)
     return GraphCurve(lo, hi, out[..., 1])

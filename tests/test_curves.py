@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
+import islab.curves as curves
 from islab.curves import (
     BumpFn,
     GraphCurve,
@@ -149,6 +151,85 @@ def test_periodic_from_function_roundtrip():
     assert np.max(np.abs(f(x) - np.sin(2 * np.pi * (x - 0.25)))) < 1e-12
 
 
+def _dense_eval(f, x, coef=None):
+    """The trigonometric sum with f's weights, one exp per point and mode;
+    coef defaults to f's own interpolation coefficients."""
+    if coef is None:
+        coef = np.fft.rfft(f.samples) / f.n
+    t = np.asarray(x, dtype=float) - f.origin
+    t = t - f.tau * np.floor(t / f.tau)
+    k = np.arange(coef.size)
+    w = np.full(coef.size, 2.0)
+    w[0] = 1.0
+    if f.n % 2 == 0:
+        w[-1] = 1.0                            # the Nyquist mode is its own conjugate
+    return np.real(np.exp(2j * np.pi * np.multiply.outer(t / f.tau, k)) @ (w * coef))
+
+
+def _nyquist_wave(n, tau=0.8, origin=-0.35):
+    # amplitude 1e-2 (the links suite's shears are 1e-3) keeps the rounding
+    # of the argument, |f'| ulp(t) ~ 1e-17, far below the 1e-15 tolerances;
+    # at even n a Nyquist mode makes the weight of the last coefficient visible
+    x = np.arange(n) * (tau / n)
+    s = 1e-2 * (np.sin(2 * np.pi * x / tau) + 0.3 * np.cos(6 * np.pi * x / tau))
+    if n % 2 == 0:
+        s = s + 1e-3 * (-1.0) ** np.arange(n)
+    return PeriodicFn(tau, s, origin)
+
+
+@pytest.mark.parametrize("n", [128, 127, 16, 9])
+def test_periodic_eval_matches_dense_formula(n):
+    f = _nyquist_wave(n)
+    rng = np.random.default_rng(n)
+    x = np.concatenate([rng.uniform(-2.0, 2.0, 400), [-0.35, 0.45, -1e-3, 1e3 + 0.123, -7.5e3]])
+    assert np.max(np.abs(f(x) - _dense_eval(f, x))) <= 1e-15
+    y = f(-0.6)
+    assert isinstance(y, float)
+    assert abs(y - _dense_eval(f, -0.6)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [128, 127, 16, 9])
+def test_periodic_sup_matches_dense_fine_grid(n):
+    f = _nyquist_wave(n)
+    fine = f.origin + np.arange(8 * n) * (f.tau / (8 * n))
+    c = np.fft.rfft(f.samples) / n
+    k = np.arange(c.size)
+    for order in (0, 1, 2):
+        coef = c * (2j * np.pi * k / f.tau) ** order
+        if order and n % 2 == 0:
+            coef[-1] = 0.0
+        ref = np.max(np.abs(_dense_eval(f, fine, coef)))
+        got = f.sup() if order == 0 else f.deriv_sup(order)
+        assert abs(got - ref) <= 1e-15 * max(1.0, ref), order
+
+
+def test_periodic_and_masked_eval_batch_independent():
+    psi = _nyquist_wave(128)
+    rho = PartitionBump(-0.2, 0.6, psi.tau)
+    m = MaskedPeriodic(rho, psi)
+    x = np.random.default_rng(4).uniform(-0.5, 1.5, 301)
+    for fn in (psi, m, m.d1):
+        one_by_one = np.array([fn(np.array([xi]))[0] for xi in x])
+        assert np.array_equal(fn(x), one_by_one)
+    assert np.array_equal(psi(x), np.array([psi(xi) for xi in x]))
+
+
+def test_masked_periodic_exact_zero_outside_support():
+    psi = _nyquist_wave(128)
+    rho = PartitionBump(-0.2, 0.6, psi.tau)
+    m = MaskedPeriodic(rho, psi)
+    lo, hi = m.support
+    x = np.concatenate([np.linspace(lo - 1.0, hi + 1.0, 1001), [lo, hi]])
+    inside = (x > lo) & (x < hi)
+    assert np.count_nonzero(~inside) > 100
+    for vals in (m(x), m.d1(x)):
+        assert np.all(vals[~inside] == 0.0)
+    xi = x[inside]
+    assert np.array_equal(m(x)[inside], rho(xi) * psi(xi))
+    dpsi = psi.derivative()
+    assert np.array_equal(m.d1(x)[inside], rho.d1(xi) * psi(xi) + rho(xi) * dpsi(xi))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_random_trig_poly_zero_mean_property(seed):
@@ -184,6 +265,19 @@ def test_graph_curve_basics():
     assert c.err_estimate < 1e-8
     pts = c.points()
     assert pts.shape == (c.n, 2)
+
+
+@pytest.mark.parametrize("n", [4, 5, 142, 257, 283])
+def test_graph_curve_matches_cubic_spline(n):
+    x0, x1 = -0.3, 1.7
+    grid = np.linspace(x0, x1, n)
+    w = np.sin(3.0 * grid) + 1e-3 * np.random.default_rng(n).standard_normal(n)
+    c = GraphCurve(x0, x1, w)
+    ref = CubicSpline(grid, w)
+    x = np.linspace(x0, x1, 2001)
+    assert np.max(np.abs(c(x) - ref(x))) <= 1e-14
+    dref = ref(x, 1)
+    assert np.max(np.abs(c.deriv(x) - dref)) <= 1e-12 * (1.0 + np.max(np.abs(dref)))
 
 
 def test_graph_curve_rejects_bad_input():
@@ -261,6 +355,44 @@ def test_transform_general_path():
     img = fwd(c.points())
     inside = (img[:, 0] >= out.x0) & (img[:, 0] <= out.x1)
     assert np.max(np.abs(out(img[inside, 0]) - img[inside, 1])) < 1e-9
+
+
+def _bendy_map(nan_where=None):
+    """The general-path map of test_transform_general_path; its x-image is
+    NaN wherever nan_where(x) holds."""
+    def fwd(p):
+        x = p[..., 0] + 0.1 * np.sin(p[..., 1])
+        if nan_where is not None:
+            x = np.where(nan_where(p[..., 0]), np.nan, x)
+        return np.stack([x, p[..., 1] + 0.05 * p[..., 0]], axis=-1)
+
+    def jac(p):
+        o = np.ones(np.shape(p)[:-1])
+        return np.stack([np.stack([o, 0.1 * np.cos(p[..., 1])], axis=-1),
+                         np.stack([0.05 * o, o], axis=-1)], axis=-2)
+
+    return MapDescriptor("bendy", fwd, jac)
+
+
+@pytest.mark.parametrize("nan_where", [
+    lambda x: x > 0.95,                                     # at the last samples
+    lambda x: np.abs(x * 256 - np.round(x * 256)) > 1e-9,   # between every sample pair
+], ids=["end-samples", "between-samples"])
+def test_transform_nonfinite_x_image_raises(nan_where):
+    with pytest.raises(RuntimeError, match="non-finite"):
+        graph_transform(_bendy_map(nan_where), _wave_curve())
+
+
+def test_transform_general_path_raises_at_cap(monkeypatch):
+    f, c = _bendy_map(), _wave_curve()
+    ref = graph_transform(f, c)
+    # the solver settles well inside the cap, so a larger one changes nothing
+    monkeypatch.setattr(curves, "TRANSFORM_CAP", 4 * curves.TRANSFORM_CAP)
+    assert np.array_equal(graph_transform(f, c).samples, ref.samples)
+    # one iteration leaves the secant guesses unconfirmed
+    monkeypatch.setattr(curves, "TRANSFORM_CAP", 1)
+    with pytest.raises(RuntimeError, match="unconverged"):
+        graph_transform(f, c)
 
 
 def test_transform_composition_property():
