@@ -240,7 +240,7 @@ class IslandMap:
         # its batch
         self.RT = np.ascontiguousarray(self.R.T)
         self.centers = CENTERS.copy()
-        self.sigma = float(np.log(np.max(np.linalg.eigvalsh(self.A))))
+        self.sigma = float(SIGMA)
         self.system = island_hamiltonian(self.profile)
         # regime split with float slack: points near the boundary circle
         # belong to the flow branch (the surgery formula degenerates on the

@@ -187,8 +187,8 @@ def _run_links(cfg, rng, threads):
     metrics = {}
 
     # closed-form splitting identities on the unperturbed model
-    chart_a = TimeEnergyChart(base.F, "a", base)
-    chart_b = TimeEnergyChart(base.F, "b", base)
+    chart_a = TimeEnergyChart("a", base)
+    chart_b = TimeEnergyChart("b", base)
     xa = np.linspace(g.x_a - g.tau, g.x_a, 401)
     xb = np.linspace(g.x_b, g.x_b + g.tau, 401)
     worst_a = worst_b = worst_mean = 0.0
@@ -197,14 +197,14 @@ def _run_links(cfg, rng, threads):
                                 amplitude=1e-2, rng=rng,
                                 origin=g.x_a - 2 * g.tau)
         psi = MaskedPeriodic(base.partition_bump("a"), psit)
-        M = splitting_a(base.F, psi, base, chart=chart_a)
+        M = splitting_a(psi, base, chart=chart_a)
         ref = splitting_a_reference(psi, base)
         worst_a = max(worst_a, float(np.max(np.abs(M(xa) - ref(xa)))))
 
         psit = random_trig_poly(g.tau, harmonics=p["harmonics"],
                                 amplitude=1e-2, rng=rng, origin=g.x_b)
         psi = MaskedPeriodic(base.partition_bump("b"), psit)
-        M = splitting_b(base.F, psi, base, chart=chart_b, check_link_a=False)
+        M = splitting_b(psi, base, chart=chart_b, check_link_a=False)
         ref = splitting_b_reference(psi, base)
         worst_b = max(worst_b, float(np.max(np.abs(M(xb) - ref(xb)))))
     checks.append(_check("splitting-a-closed-form", worst_a, 1e-6))
@@ -214,7 +214,7 @@ def _run_links(cfg, rng, threads):
         psit = random_trig_poly(g.tau, harmonics=p["harmonics"],
                                 amplitude=p["size"], rng=rng, origin=g.x_b)
         psi = MaskedPeriodic(base.partition_bump("b"), psit)
-        M = splitting_b(base.F, psi, base, chart=chart_b, check_link_a=False)
+        M = splitting_b(psi, base, chart=chart_b, check_link_a=False)
         worst_mean = max(worst_mean, abs(M.mean()))
     checks.append(_check("splitting-b-zero-mean", worst_mean, 1e-8))
 
@@ -238,12 +238,12 @@ def _run_links(cfg, rng, threads):
         for run_idx in range(n_each):
             h = p["size"] * (0.5 + 0.5 * rng.random())
             model = build_suitable_model(hook=_band_hook(g, side, h))
-            psi, trace = restore(model.F, model)
+            psi, trace = restore(model)
             max_iters = max(max_iters, len(trace))
             max_final = max(max_final, trace[-1][1])
-            chart = TimeEnergyChart(model.F, side, model)
-            w_u = unstable_curve(model.F, model, side, chart=chart)
-            w_s = stable_curve(model.F, model, side, psi=psi, chart=chart)
+            chart = TimeEnergyChart(side, model)
+            w_u = unstable_curve(model, side, chart=chart)
+            w_s = stable_curve(model, side, psi=psi, chart=chart)
             max_coincide = max(max_coincide, curve_sup_diff(
                 w_u, w_s, *model.fundamental_interval(side)))
             if run_idx == 0:

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import PPoly
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 DENSITY = 256  # graph-curve samples per unit of x-extent (257 per unit interval)
 PERIODIC_SAMPLES = 128
@@ -296,19 +296,20 @@ def _sample_count(x0, x1):
 
 @lru_cache(maxsize=16)
 def _not_a_knot_band(n):
-    """(1, 1) band of the not-a-knot slope system on n uniform knots.
+    """Sub-, main and super-diagonal of the not-a-knot slope system on n
+    uniform knots, read-only.
 
     The unknowns are m_j = h w'(x_j).  Interior rows read
     m_{j-1} + 4 m_j + m_{j+1}; the end rows, from a continuous third
     derivative across the second and the second-to-last knot, read
     m_0 + 2 m_1 and 2 m_{n-2} + m_{n-1}.
     """
-    ab = np.ones((3, n))
-    ab[1, 1:-1] = 4.0
-    ab[0, :2] = (0.0, 2.0)
-    ab[2, -2:] = (2.0, 0.0)
-    ab.flags.writeable = False
-    return ab
+    lower, main, upper = np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)
+    lower[-1] = upper[0] = 2.0
+    main[[0, -1]] = 1.0
+    for diag in (lower, main, upper):
+        diag.flags.writeable = False
+    return lower, main, upper
 
 
 class GraphCurve:
@@ -340,7 +341,11 @@ class GraphCurve:
         rhs[1:-1] = 3.0 * (d[:-1] + d[1:])
         rhs[0] = 0.5 * (5.0 * d[0] + d[1])
         rhs[-1] = 0.5 * (d[-2] + 5.0 * d[-1])
-        m = solve_banded((1, 1), _not_a_knot_band(self.n), rhs, check_finite=False)
+        # dgtsv overwrites the diagonals it factors; with their overwrite
+        # flags left off it factors copies, so the cached ones stay intact
+        *_, m, info = dgtsv(*_not_a_knot_band(self.n), rhs, overwrite_b=True)
+        if info != 0:
+            raise RuntimeError(f"not-a-knot slope system is singular (LAPACK info {info})")
         # the cubic on [x_j, x_j+1] in powers 3, 2, 1, 0 of (x - x_j)
         c3 = (m[:-1] + m[1:] - 2.0 * d) / h**3
         c2 = (3.0 * d - 2.0 * m[:-1] - m[1:]) / h**2

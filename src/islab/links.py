@@ -155,47 +155,34 @@ class SuitableModel:
 
         pieces = (self.trans_a, self.trans_b, self.fold, self.crawl)
 
-        def fwd(p):
-            p = np.asarray(p, dtype=float)
-            masks = classify(p)
-            covered = np.zeros(p.shape[:-1], dtype=bool)
-            out = np.full_like(p, np.nan)
-            for m, piece in zip(masks, pieces):
-                out = np.where(m[..., None], piece.fwd(p), out)
+        def piecewise(masks, images, what):
+            """Each point's image under the piece whose mask holds it."""
+            out = np.full(images[0].shape, np.nan)
+            covered = np.zeros(masks[0].shape, dtype=bool)
+            for m, img in zip(masks, images):
+                out = np.where(m.reshape(m.shape + (1,) * (img.ndim - m.ndim)), img, out)
                 covered |= m
             if not np.all(covered):
-                raise ValueError("point outside the model region")
+                raise ValueError(f"point outside the model {what}")
             return out
+
+        def fwd(p):
+            p = np.asarray(p, dtype=float)
+            return piecewise(classify(p), [piece.fwd(p) for piece in pieces], "region")
 
         def jac(p):
             p = np.asarray(p, dtype=float)
-            masks = classify(p)
-            out = np.full(p.shape[:-1] + (2, 2), np.nan)
-            covered = np.zeros(p.shape[:-1], dtype=bool)
-            for m, piece in zip(masks, pieces):
-                out = np.where(m[..., None, None], piece.jac(p), out)
-                covered |= m
-            if not np.all(covered):
-                raise ValueError("point outside the model region")
-            return out
+            return piecewise(classify(p), [piece.jac(p) for piece in pieces], "region")
 
         def inv(q):
             q = np.asarray(q, dtype=float)
             x = q[..., 0]
             up, low = self._level(q)
-            in_a = up & (x <= g.x_a + 3 * d)
-            in_bt = up & (x >= g.x_b - 2 * tau - 3 * d + tau)
-            in_j = low & (x >= g.x_b + 3 * tau / 2)
-            in_c = low & (x < g.x_b + 3 * tau / 2)
-            out = np.full_like(q, np.nan)
-            covered = np.zeros(q.shape[:-1], dtype=bool)
-            for m, piece in zip((in_a, in_bt, in_j, in_c),
-                                (self.trans_a, self.trans_b, self.fold, self.crawl)):
-                out = np.where(m[..., None], piece.inv(q), out)
-                covered |= m
-            if not np.all(covered):
-                raise ValueError("point outside the model image region")
-            return out
+            masks = (up & (x <= g.x_a + 3 * d),
+                     up & (x >= g.x_b - 2 * tau - 3 * d + tau),
+                     low & (x >= g.x_b + 3 * tau / 2),
+                     low & (x < g.x_b + 3 * tau / 2))
+            return piecewise(masks, [piece.inv(q) for piece in pieces], "image region")
 
         def domain(p):
             masks = classify(np.asarray(p, dtype=float))
@@ -224,27 +211,6 @@ class SuitableModel:
         det = np.linalg.det(J)
         if np.max(np.abs(det - 1.0)) > 1e-9:
             raise ValueError("perturbation hook is not area-preserving")
-
-    def resolve_map(self, F):
-        """Accept F for the pipeline only when it agrees with the model's
-        assembled map on strip samples (the itinerary is the model's)."""
-        if F is None or F is self.F:
-            return self.F
-        g = self.geometry
-        tau, d = g.tau, g.delta
-        frame = []
-        for lo, hi, level in ((g.x_a - 3 * tau - 2 * d, g.x_a + tau + 2 * d, g.y1),
-                              (g.x_b - 2 * tau - 2 * d, g.x_b + 5 * tau - d, g.y1),
-                              (g.x_b - 3 * tau, g.x_b + 2 * tau - d, g.y2)):
-            xs = np.linspace(lo, hi, 40)
-            frame.append(np.stack([xs, np.full_like(xs, level)], axis=-1))
-        frame = np.concatenate(frame)
-        gap = np.max(np.abs(np.asarray(F(frame)) - self.F(frame)))
-        if gap > 1e-12:
-            raise ValueError(
-                f"map disagrees with the model's assembled map (sup gap {gap:.3e}); "
-                "rebuild the model with the matching hook")
-        return self.F
 
     # -- itineraries and steps ------------------------------------------------
 
@@ -314,7 +280,8 @@ def build_suitable_model(hook=None):
 
 
 class TimeEnergyChart:
-    """Area-preserving chart straightening F to the strip translation.
+    """Area-preserving chart straightening the model's F to the strip
+    translation.
 
     Built as the bump blend phi0 = (1 - rho) id + rho (Fstar o F^-1) on the
     fundamental strip, with the y-fiber corrected so det D phi = 1, and
@@ -322,12 +289,12 @@ class TimeEnergyChart:
     Identity when F = Fstar.
     """
 
-    def __init__(self, F, side, model):
+    def __init__(self, side, model):
         if side not in ("a", "b"):
             raise ValueError("side must be 'a' or 'b'")
         self.side = side
         self.model = model
-        self.F = F
+        self.F = model.F
         self.name = f"phi^{side}"
         g = model.geometry
         tau, d = g.tau, g.delta
@@ -580,23 +547,11 @@ class PsiChart:
 # splitting functions
 
 
-def _neg(fn):
-    class _N:
-        def __call__(self, x):
-            return -fn(x)
-
-        def d1(self, x):
-            return -fn.d1(x)
-
-    return _N()
-
-
 def _shear_steps(psi):
     """The (S_{-psi})^# transform as a map descriptor, or None for psi = 0."""
     if psi is None:
         return None
-    m = _neg(psi)
-    return shear_map(m, m.d1, name="S_-psi")
+    return shear_map(lambda x: -psi(x), lambda x: -psi.d1(x), name="S_-psi")
 
 
 def _check_support(psi, band, what):
@@ -609,32 +564,27 @@ def _check_support(psi, band, what):
                          f"[{band[0]}, {band[1]}]")
 
 
-def unstable_curve(F, model, side, psi=None, chart=None):
+def unstable_curve(model, side, psi=None, chart=None):
     """The unstable graph curve over the fundamental interval.
 
     With psi given, the shear and its inverse are both applied literally
     (they cancel analytically; running them measures pipeline fidelity and
     exhibits the independence of the unstable side from psi).
     """
-    F = model.resolve_map(F)
-    chart = chart or TimeEnergyChart(F, side, model)
+    chart = chart or TimeEnergyChart(side, model)
     piece = model.trans_a if side == "a" else model.trans_b
-    c = model.seed_unstable(side)
-    if psi is None:
-        c = graph_transform(model.forward_step(piece), c)
-        return graph_transform(chart, c)
-    s_plus = shear_map(psi, psi.d1, name="S_psi")
-    c = graph_transform(model.forward_step(piece), c)
-    c = graph_transform(s_plus, c)           # last factor of S_psi o F
-    c = graph_transform(_shear_steps(psi), c)  # chart prefix phi o S_{-psi}
+    c = graph_transform(model.forward_step(piece), model.seed_unstable(side))
+    if psi is not None:
+        s_plus = shear_map(psi, psi.d1, name="S_psi")
+        c = graph_transform(s_plus, c)           # last factor of S_psi o F
+        c = graph_transform(_shear_steps(psi), c)  # chart prefix phi o S_{-psi}
     return graph_transform(chart, c)
 
 
-def stable_curve(F, model, side, psi=None, chart=None):
+def stable_curve(model, side, psi=None, chart=None):
     """The stable graph curve over the fundamental interval, via the
     forward push + shear-interleaved backward chain."""
-    F = model.resolve_map(F)
-    chart = chart or TimeEnergyChart(F, side, model)
+    chart = chart or TimeEnergyChart(side, model)
     sneg = _shear_steps(psi)
     c = model.stable_inflow(side)
     fwd = model.forward_itinerary(side)
@@ -649,37 +599,33 @@ def stable_curve(F, model, side, psi=None, chart=None):
     return graph_transform(chart, c)
 
 
-def _periodic_from_curves(w_u, w_s, interval, tau):
-    grid = interval[0] + np.arange(PERIODIC_SAMPLES) * (tau / PERIODIC_SAMPLES)
-    return PeriodicFn(tau, w_u(grid) - w_s(grid), origin=interval[0])
+def _splitting(side, psi, model, chart):
+    """w_u - w_s for S_psi o F, sampled over the fundamental interval."""
+    chart = chart or TimeEnergyChart(side, model)
+    w_u = unstable_curve(model, side, chart=chart)
+    w_s = stable_curve(model, side, psi=psi, chart=chart)
+    lo, _ = model.fundamental_interval(side)
+    tau = model.geometry.tau
+    grid = lo + np.arange(PERIODIC_SAMPLES) * (tau / PERIODIC_SAMPLES)
+    return PeriodicFn(tau, w_u(grid) - w_s(grid), origin=lo)
 
 
-def splitting_a(F, psi, model, chart=None):
+def splitting_a(psi, model, chart=None):
     """Splitting function of the a-link for S_psi o F, over [x_a - tau, x_a]."""
     _check_support(psi, model.shear_band("a"), "splitting_a")
-    F = model.resolve_map(F)
-    chart = chart or TimeEnergyChart(F, "a", model)
-    w_u = unstable_curve(F, model, "a", psi=None, chart=chart)
-    w_s = stable_curve(F, model, "a", psi=psi, chart=chart)
-    return _periodic_from_curves(w_u, w_s, model.fundamental_interval("a"),
-                                 model.geometry.tau)
+    return _splitting("a", psi, model, chart)
 
 
-def splitting_b(F, psi, model, chart=None, check_link_a=True):
+def splitting_b(psi, model, chart=None, check_link_a=True):
     """Splitting function of the b-link for S_psi o F, over [x_b, x_b + tau].
 
     Requires the a-link to be intact (checked unless check_link_a=False)."""
     _check_support(psi, model.shear_band("b"), "splitting_b")
-    F = model.resolve_map(F)
     if check_link_a:
-        gap = splitting_a(F, None, model).sup()
+        gap = splitting_a(None, model).sup()
         if gap > LINK_A_TOL:
             raise ValueError(f"splitting_b: the a-link is broken (sup gap {gap:.3e})")
-    chart = chart or TimeEnergyChart(F, "b", model)
-    w_u = unstable_curve(F, model, "b", psi=None, chart=chart)
-    w_s = stable_curve(F, model, "b", psi=psi, chart=chart)
-    return _periodic_from_curves(w_u, w_s, model.fundamental_interval("b"),
-                                 model.geometry.tau)
+    return _splitting("b", psi, model, chart)
 
 
 def splitting_a_reference(psi, model):
@@ -722,8 +668,8 @@ def restoration_b_reference(model):
 # restoration solvers
 
 
-def restore_link_a(F, model):
-    """Solve for the masked shear that closes the a-link of F.
+def restore_link_a(model):
+    """Solve for the masked shear that closes the a-link of the model's F.
 
     Iterates psit -> psit - M^a(rho psit) until the sup residual is at most
     RESTORE_TOL; returns (psi_a, trace) with trace rows (iteration, sup
@@ -733,13 +679,12 @@ def restore_link_a(F, model):
     rho = model.partition_bump("a")
     lo, _ = model.fundamental_interval("a")
     tau = model.geometry.tau
-    F = model.resolve_map(F)
-    chart = TimeEnergyChart(F, "a", model)
+    chart = TimeEnergyChart("a", model)
     psit = PeriodicFn(tau, np.zeros(PERIODIC_SAMPLES), origin=lo)
     trace = []
     prev = None
     for it in range(RESTORE_MAX_ITER):
-        m = splitting_a(F, MaskedPeriodic(rho, psit), model, chart=chart)
+        m = splitting_a(MaskedPeriodic(rho, psit), model, chart=chart)
         res_sup, res_norm0 = m.sup(), m.norm0()
         trace.append((it, res_sup, res_norm0))
         if res_sup <= RESTORE_TOL:
@@ -755,8 +700,9 @@ def restore_link_a(F, model):
     return MaskedPeriodic(rho, psit), trace
 
 
-def restore_link_b(F, model):
-    """Solve for the zero-mean masked shear that closes the b-link of F.
+def restore_link_b(model):
+    """Solve for the zero-mean masked shear that closes the b-link of the
+    model's F.
 
     Residuals are measured in the derivative-only norm, against RESTORE_TOL;
     a splitting mean above RESTORE_MEAN_TOL signals a broken a-link and
@@ -766,14 +712,13 @@ def restore_link_b(F, model):
     rho = model.partition_bump("b")
     lo, _ = model.fundamental_interval("b")
     tau = model.geometry.tau
-    F = model.resolve_map(F)
-    chart = TimeEnergyChart(F, "b", model)
+    chart = TimeEnergyChart("b", model)
     psit = PeriodicFn(tau, np.zeros(PERIODIC_SAMPLES), origin=lo)
     trace = []
     prev = None
     first = True
     for it in range(RESTORE_MAX_ITER):
-        m = splitting_b(F, MaskedPeriodic(rho, psit), model, chart=chart,
+        m = splitting_b(MaskedPeriodic(rho, psit), model, chart=chart,
                         check_link_a=first)
         first = False
         if abs(m.mean()) > RESTORE_MEAN_TOL:

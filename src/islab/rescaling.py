@@ -650,25 +650,20 @@ def verify_rescaling(model, k, psi_list=None):
         q = g(q)
         probe = q
 
-    # full composition vs the Henon product
+    # full composition vs the Henon product; each leg on the fresh disc
+    # grid against its Henon factor H_i and as Phi_i = H_i^{-1} o leg
     cur = pts
     hen = pts
     leg_defects = []
-    for i in range(N):
-        cur = run_leg(i, cur)
-        hen = _henon(psi_list[i])(hen)
-        fresh = run_leg(i, pts)
-        target = _henon(psi_list[i])(pts)
-        leg_defects.append(float(np.max(np.abs(fresh - target))))
-    E = float(np.max(np.abs(cur - hen)))
-
-    # empirical Phi_i = H^{-1} o leg on a fresh disc grid
     phi_defects = []
     for i in range(N):
+        henon = _henon(psi_list[i])
+        cur = run_leg(i, cur)
+        hen = henon(hen)
         fresh = run_leg(i, pts)
-        hinv = _henon(psi_list[i]).inv
-        phi = hinv(fresh)
-        phi_defects.append(float(np.max(np.abs(phi - pts))))
+        leg_defects.append(float(np.max(np.abs(fresh - henon(pts)))))
+        phi_defects.append(float(np.max(np.abs(henon.inv(fresh) - pts))))
+    E = float(np.max(np.abs(cur - hen)))
 
     norms = []
     for ph in psihats:

@@ -121,8 +121,12 @@ def test_base_map_symplectic_and_domain():
     J = model.fstar.jacobian(p)
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     assert np.max(np.abs(det - 1.0)) == 0.0
-    with pytest.raises(ValueError):
-        model.fstar(np.array([0.0, 0.0]))  # between the strips
+    # between the strips: outside the region of every piece and of every
+    # piece's image
+    gap = np.array([0.0, 0.0])
+    for fn in (model.fstar, model.fstar.jacobian, model.fstar.inv):
+        with pytest.raises(ValueError):
+            fn(gap)
 
 
 def test_hook_validation():
@@ -143,13 +147,6 @@ def test_hook_validation():
         build_suitable_model(hook=bad)
 
 
-def test_resolve_map_rejects_foreign_map():
-    model = _model()
-    other = build_suitable_model(hook=_a_band_hook(model.geometry))
-    with pytest.raises(ValueError):
-        splitting_a(other.F, None, model)
-
-
 # ---------------------------------------------------------------------------
 # time-energy charts
 
@@ -157,7 +154,7 @@ def test_resolve_map_rejects_foreign_map():
 def test_chart_identity_at_base_map():
     model = _model()
     for side in ("a", "b"):
-        ch = TimeEnergyChart(model.F, side, model)
+        ch = TimeEnergyChart(side, model)
         assert ch.identity_defect() <= 1e-13
         assert ch.area_defect() <= 1e-9
         assert ch.conjugacy_defect() <= 1e-8
@@ -165,7 +162,7 @@ def test_chart_identity_at_base_map():
 
 def test_chart_shear_hook_exact():
     model = build_suitable_model(hook=_a_band_hook(LinkGeometry(), height=2e-3))
-    ch = TimeEnergyChart(model.F, "a", model)
+    ch = TimeEnergyChart("a", model)
     assert ch.area_defect() <= 1e-9
     assert ch.conjugacy_defect() <= 1e-8
     assert ch.identity_defect() > 1e-5  # genuinely non-trivial chart
@@ -175,7 +172,7 @@ def test_chart_general_hook_fiber_ode():
     g = LinkGeometry()
     model = build_suitable_model(hook=_general_hook(g))
     for side in ("a", "b"):
-        ch = TimeEnergyChart(model.F, side, model)
+        ch = TimeEnergyChart(side, model)
         assert not ch._unit_det0  # fiber ODE path engaged
         assert ch.area_defect(120) <= 1e-9
         assert ch.conjugacy_defect(120) <= 1e-8
@@ -183,7 +180,7 @@ def test_chart_general_hook_fiber_ode():
 
 def test_chart_fiber_ode_raises_at_cap(monkeypatch):
     model = build_suitable_model(hook=_general_hook(LinkGeometry()))
-    ch = TimeEnergyChart(model.F, "a", model)
+    ch = TimeEnergyChart("a", model)
     assert not ch._unit_det0
     pts = ch._strip_frame(12)
     ref = ch(pts)
@@ -204,7 +201,7 @@ def test_psi_chart_conjugates_sheared_map():
     for side, origin in (("a", g.x_a - 2 * g.tau), ("b", g.x_b)):
         psit = random_trig_poly(g.tau, harmonics=4, amplitude=1e-3, rng=rng, origin=origin)
         psi = MaskedPeriodic(model.partition_bump(side), psit)
-        chart = TimeEnergyChart(model.F, side, model)
+        chart = TimeEnergyChart(side, model)
         pc = PsiChart(chart, psi)
         assert pc.conjugacy_defect() <= 1e-8
 
@@ -220,12 +217,12 @@ def test_splitting_a_closed_form():
     psit = random_trig_poly(g.tau, harmonics=5, amplitude=2e-3, rng=rng,
                             origin=g.x_a - 2 * g.tau)
     psi = MaskedPeriodic(model.partition_bump("a"), psit)
-    M = splitting_a(model.F, psi, model)
+    M = splitting_a(psi, model)
     ref = splitting_a_reference(psi, model)
     xs = np.linspace(g.x_a - g.tau, g.x_a, 401)
     assert np.max(np.abs(M(xs) - ref(xs))) <= 1e-6
     # unperturbed link is closed
-    assert splitting_a(model.F, None, model).sup() <= 1e-9
+    assert splitting_a(None, model).sup() <= 1e-9
 
 
 def test_splitting_b_closed_form_and_zero_mean():
@@ -234,7 +231,7 @@ def test_splitting_b_closed_form_and_zero_mean():
     rng = np.random.default_rng(11)
     psit = random_trig_poly(g.tau, harmonics=5, amplitude=2e-3, rng=rng, origin=g.x_b)
     psi = MaskedPeriodic(model.partition_bump("b"), psit)
-    M = splitting_b(model.F, psi, model)
+    M = splitting_b(psi, model)
     ref = splitting_b_reference(psi, model)
     xs = np.linspace(g.x_b, g.x_b + g.tau, 401)
     assert np.max(np.abs(M(xs) - ref(xs))) <= 1e-6
@@ -247,7 +244,7 @@ def test_splitting_b_reduces_to_two_term_average():
     psit = random_trig_poly(g.tau, harmonics=5, amplitude=2e-3,
                             rng=np.random.default_rng(13), origin=g.x_b)
     psi = MaskedPeriodic(model.partition_bump("b"), psit)
-    M = splitting_b(model.F, psi, model)
+    M = splitting_b(psi, model)
     pred = psit - restoration_b_reference(model)(psit)
     xs = np.linspace(g.x_b, g.x_b + g.tau, 401)
     assert np.max(np.abs(M(xs) - pred(xs))) <= 1e-6
@@ -259,27 +256,27 @@ def test_splitting_support_enforced():
     psit = random_trig_poly(g.tau, amplitude=1e-3, rng=np.random.default_rng(0),
                             origin=g.x_b)
     with pytest.raises(ValueError):
-        splitting_a(model.F, MaskedPeriodic(model.partition_bump("b"), psit), model)
+        splitting_a(MaskedPeriodic(model.partition_bump("b"), psit), model)
     with pytest.raises(ValueError):
-        splitting_b(model.F, psit, model)  # no compact support at all
+        splitting_b(psit, model)  # no compact support at all
 
 
 def test_splitting_b_detects_broken_a_link():
     model = build_suitable_model(hook=_a_band_hook(LinkGeometry()))
     with pytest.raises(ValueError):
-        splitting_b(model.F, None, model)
+        splitting_b(None, model)
 
 
 def test_unstable_curve_psi_independent():
     model = _model()
     g = model.geometry
     rng = np.random.default_rng(21)
-    base = unstable_curve(model.F, model, "a")
+    base = unstable_curve(model, "a")
     xs = np.linspace(g.x_a - g.tau, g.x_a, 301)
     for _ in range(5):
         psit = random_trig_poly(g.tau, harmonics=4, amplitude=5e-3, rng=rng,
                                 origin=g.x_a - 2 * g.tau)
-        w = unstable_curve(model.F, model, "a",
+        w = unstable_curve(model, "a",
                            psi=MaskedPeriodic(model.partition_bump("a"), psit))
         assert np.max(np.abs(base(xs) - w(xs))) <= 1e-10
 
@@ -301,7 +298,7 @@ def test_restoration_reference_operator_contracts():
 
 def test_restore_link_a():
     model = build_suitable_model(hook=_a_band_hook(LinkGeometry()))
-    psi_a, trace = restore_link_a(model.F, model)
+    psi_a, trace = restore_link_a(model)
     assert len(trace) <= 30
     sups = [row[1] for row in trace]
     assert sups[-1] <= 1e-8
@@ -309,21 +306,21 @@ def test_restore_link_a():
         assert r1 <= 0.5 * r0
     # the restored link is closed: stable and unstable curves coincide
     g = model.geometry
-    chart = TimeEnergyChart(model.F, "a", model)
-    w_u = unstable_curve(model.F, model, "a", chart=chart)
-    w_s = stable_curve(model.F, model, "a", psi=psi_a, chart=chart)
+    chart = TimeEnergyChart("a", model)
+    w_u = unstable_curve(model, "a", chart=chart)
+    w_s = stable_curve(model, "a", psi=psi_a, chart=chart)
     assert curve_sup_diff(w_u, w_s, g.x_a - g.tau, g.x_a) <= 1e-7
 
 
 def test_restore_link_b():
     model = build_suitable_model(hook=_b_band_hook(LinkGeometry()))
-    psi_b, trace = restore_link_b(model.F, model)
+    psi_b, trace = restore_link_b(model)
     assert len(trace) <= 50
     norms = [row[2] for row in trace]
     assert norms[-1] <= 1e-10
     for r0, r1 in zip(norms, norms[1:]):
         assert r1 <= 0.6 * r0
-    resid = splitting_b(model.F, psi_b, model, check_link_a=False)
+    resid = splitting_b(psi_b, model, check_link_a=False)
     assert resid.sup() <= 1e-8
     assert abs(psi_b.psi.mean()) <= 1e-12
 
@@ -334,13 +331,13 @@ def test_restore_raises_when_the_cap_runs_out(monkeypatch, side):
     # of what it needs, the solver must raise, not return an unconverged shear
     restore = {"a": restore_link_a, "b": restore_link_b}[side]
     model = build_suitable_model(hook=cli._band_hook(LinkGeometry(), side, 1e-3))
-    _, trace = restore(model.F, model)
+    _, trace = restore(model)
     monkeypatch.setattr(links, "RESTORE_MAX_ITER", len(trace) - 1)
     with pytest.raises(RuntimeError, match="iterations"):
-        restore(model.F, model)
+        restore(model)
 
 
 def test_restore_link_b_aborts_on_broken_a_link():
     model = build_suitable_model(hook=_a_band_hook(LinkGeometry()))
     with pytest.raises(ValueError):
-        restore_link_b(model.F, model)
+        restore_link_b(model)
