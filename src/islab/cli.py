@@ -11,6 +11,7 @@ clock goes to the console only.
 
 import argparse
 import json
+import operator
 import os
 import sys
 import time
@@ -31,8 +32,11 @@ from .maps import anosov_map, chirikov_map, compose, henon_like, shear_map
 from .rescaling import corollary_composition, desk_model, verify_rescaling
 
 
+_COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
+
+
 def _check(name, value, tolerance, comparison="<="):
-    ok = value <= tolerance if comparison == "<=" else value >= tolerance
+    ok = _COMPARE[comparison](value, tolerance)
     return {"name": name, "passed": bool(ok), "value": float(value),
             "tolerance": float(tolerance), "comparison": comparison}
 
@@ -249,9 +253,7 @@ def _run_links(cfg, rng, threads):
             if run_idx == 0:
                 base_i = len(residual_rows)
                 residual_rows += [(base_i + i, s, n0) for i, s, n0 in trace]
-    checks.append({"name": "restoration-iterations", "passed": max_iters <= 30,
-                   "value": float(max_iters), "tolerance": 30.0,
-                   "comparison": "<="})
+    checks.append(_check("restoration-iterations", max_iters, 30))
     checks.append(_check("restoration-final-residual", max_final, 1e-8))
     checks.append(_check("restored-curves-coincide", max_coincide, 1e-7))
     metrics.update({"worst_closed_form_a": worst_a,
@@ -294,10 +296,8 @@ def _run_rescaling(cfg, rng, threads):
         reports = [cell(k) for k in klist]
     errs = [rep["error"] for rep in reports]
     ratios = [b / a for a, b in zip(errs, errs[1:])]
-    checks.append({"name": "error-strictly-decreasing-in-k",
-                   "passed": bool(all(q < 1.0 for q in ratios)),
-                   "value": float(max(ratios)) if ratios else 0.0,
-                   "tolerance": 1.0, "comparison": "<"})
+    checks.append(_check("error-strictly-decreasing-in-k",
+                         float(np.max(ratios)) if ratios else 0.0, 1.0, "<"))
     checks.append(_check("error-at-largest-k", errs[-1], 0.05))
 
     k_probe = klist[-2] if len(klist) > 1 else klist[0]

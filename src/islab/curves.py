@@ -277,12 +277,14 @@ class MaskedPeriodic:
 
     def __call__(self, x):
         out, inside, xi = self._split(x)
-        out[inside] = self.rho(xi) * self.psi(xi)
+        if xi.size:
+            out[inside] = self.rho(xi) * self.psi(xi)
         return out
 
     def d1(self, x):
         out, inside, xi = self._split(x)
-        out[inside] = self.rho.d1(xi) * self.psi(xi) + self.rho(xi) * self._dpsi(xi)
+        if xi.size:
+            out[inside] = self.rho.d1(xi) * self.psi(xi) + self.rho(xi) * self._dpsi(xi)
         return out
 
 
@@ -395,8 +397,9 @@ def curve_sup_diff(c1, c2, a=None, b=None):
 # graph transform
 
 
-def _transversality(f, curve):
-    J = f.jacobian(curve.points())
+def _transversality(f, curve, J):
+    """Raise unless f, with Jacobian J on the curve's samples, maps the
+    curve to a graph over x."""
     s = J[..., 0, 0] + J[..., 0, 1] * curve.deriv(curve.grid)
     bad = np.abs(s) < 1e-10
     if np.any(bad):
@@ -436,11 +439,10 @@ def _preimages(f, curve, tx, X):
     act = np.arange(X.size)
     for _ in range(TRANSFORM_CAP):
         xa, la, ha = x[act], lo[act], hi[act]
-        p = curve.points(xa)
-        r = np.asarray(f(p), dtype=float)[..., 0] - X[act]
+        img, J = f.value_and_jacobian(curve.points(xa))
+        r = np.asarray(img, dtype=float)[..., 0] - X[act]
         if not np.all(np.isfinite(r)):
             raise RuntimeError(f"graph_transform: {f.name} gives a non-finite residual")
-        J = f.jacobian(p)
         done = np.abs(r) <= r_floor
         la = np.where(sign * r < 0, xa, la)
         ha = np.where(sign * r > 0, xa, ha)
@@ -470,8 +472,9 @@ def graph_transform(f, curve):
     RuntimeError when the x-image is not finite or the general-path solver
     fails to converge.
     """
-    _transversality(f, curve)
-    img = np.asarray(f(curve.points()), dtype=float)
+    img, J = f.value_and_jacobian(curve.points())
+    _transversality(f, curve, J)
+    img = np.asarray(img, dtype=float)
     tx, ty = img[..., 0], img[..., 1]
     if not np.all(np.isfinite(tx)):
         raise RuntimeError(f"graph_transform: {f.name} gives a non-finite x-image")

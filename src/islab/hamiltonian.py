@@ -107,7 +107,8 @@ def hamiltonian_time_map(sys, t, steps):
     MIDPOINT_TOL, Newton fallback); the Jacobian is the product of the
     per-step Cayley transforms, which is exactly symplectic.
 
-    The step Jacobian needs sys.hess; without it the descriptor falls back
+    The step Jacobian needs sys.hess; with it one integration gives image
+    and Jacobian together (`fwd_jac`), without it the descriptor falls back
     to finite differences.
     """
     t = float(t)
@@ -117,17 +118,20 @@ def hamiltonian_time_map(sys, t, steps):
         z, _ = _midpoint_steps(sys, p, t, steps, MIDPOINT_TOL, with_jac=False)
         return z
 
-    jac = None
+    jac = fwd_jac = None
     if has_hess:
+        def fwd_jac(p):
+            return _midpoint_steps(sys, p, t, steps, MIDPOINT_TOL, with_jac=True)
+
         def jac(p):
-            _, M = _midpoint_steps(sys, p, t, steps, MIDPOINT_TOL, with_jac=True)
-            return M
+            return fwd_jac(p)[1]
 
     def inv(q):
         z, _ = _midpoint_steps(sys, q, -t, steps, MIDPOINT_TOL, with_jac=False)
         return z
 
-    return MapDescriptor(f"flow[{sys.name}, t={t:g}]", fwd, jac, inv)
+    return MapDescriptor(f"flow[{sys.name}, t={t:g}]", fwd, jac, inv,
+                         fwd_jac=fwd_jac)
 
 
 def energy_drift(sys, mapping, pts):

@@ -89,7 +89,6 @@ def _affine_piece(name, ax, bx, ay, by):
     """Plane map (x, y) -> (ax * x + bx, ay * y + by) with exact inverse."""
     A = np.array([[ax, 0.0], [0.0, ay]])
     shift = np.array([bx, by])
-    Ainv = np.array([[1.0 / ax, 0.0], [0.0, 1.0 / ay]])
 
     def fwd(p):
         return p * np.array([ax, ay]) + shift
@@ -100,12 +99,7 @@ def _affine_piece(name, ax, bx, ay, by):
     def inv(q):
         return (q - shift) * np.array([1.0 / ax, 1.0 / ay])
 
-    def jac_inv(q):
-        return np.broadcast_to(Ainv, np.shape(q)[:-1] + (2, 2)).copy()
-
-    m = MapDescriptor(name, fwd, jac, inv)
-    m.jac_inv = jac_inv
-    return m
+    return MapDescriptor(name, fwd, jac, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +273,14 @@ def build_suitable_model(hook=None):
 # time-energy charts
 
 
+def _advance(m, q, J):
+    """m(q), and Dm(q) J when a Jacobian J is carried (None: values only)."""
+    if J is None:
+        return m(q), None
+    q, Jm = m.value_and_jacobian(q)
+    return q, Jm @ J
+
+
 class TimeEnergyChart:
     """Area-preserving chart straightening the model's F to the strip
     translation.
@@ -351,23 +353,25 @@ class TimeEnergyChart:
 
     # -- phi0 and its determinant ----------------------------------------------
 
-    def _phi0(self, p):
-        r = self._rho(p[..., 0])[..., None]
-        return (1.0 - r) * p + r * self._target(p)
-
-    def _dphi0(self, p):
+    def _phi0(self, p, with_jac):
+        """phi0(p), and D phi0(p) when with_jac (else None)."""
         r = self._rho(p[..., 0])
+        if with_jac:
+            B, JB = self._target.value_and_jacobian(p)
+        else:
+            B = self._target(p)
+        val = (1.0 - r[..., None]) * p + r[..., None] * B
+        if not with_jac:
+            return val, None
         dr = self._rho_d1(p[..., 0])
-        J = self._target.jacobian(p)
-        B = self._target(p)
-        out = (1.0 - r)[..., None, None] * np.broadcast_to(np.eye(2), J.shape) \
-            + r[..., None, None] * J
-        out[..., 0, 0] += dr * (B[..., 0] - p[..., 0])
-        out[..., 1, 0] += dr * (B[..., 1] - p[..., 1])
-        return out
+        J = (1.0 - r)[..., None, None] * np.broadcast_to(np.eye(2), JB.shape) \
+            + r[..., None, None] * JB
+        J[..., 0, 0] += dr * (B[..., 0] - p[..., 0])
+        J[..., 1, 0] += dr * (B[..., 1] - p[..., 1])
+        return val, J
 
     def _det_phi0(self, p):
-        J = self._dphi0(p)
+        _, J = self._phi0(p, True)
         return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
 
     # -- the y-fiber correction sigma -------------------------------------------
@@ -402,18 +406,15 @@ class TimeEnergyChart:
 
     # -- evaluation --------------------------------------------------------------
 
-    def _base(self, p):
+    def _base(self, p, with_jac):
+        """The chart on the base strip, phi0(x, sigma(x, y)), and its
+        Jacobian when with_jac (else None)."""
         if self._unit_det0:
-            return self._phi0(p)
+            return self._phi0(p, with_jac)
         q = np.stack([p[..., 0], self._sigma(p)], axis=-1)
-        return self._phi0(q)
-
-    def _base_jacobian(self, p):
-        if self._unit_det0:
-            return self._dphi0(p)
-        s = self._sigma(p)
-        q = np.stack([p[..., 0], s], axis=-1)
-        J0 = self._dphi0(q)
+        val, J0 = self._phi0(q, with_jac)
+        if not with_jac:
+            return val, None
         det0 = J0[..., 0, 0] * J0[..., 1, 1] - J0[..., 0, 1] * J0[..., 1, 0]
         h = 1e-6 * (1.0 + np.abs(p[..., 0]))
         pp = np.array(p, copy=True)
@@ -425,7 +426,7 @@ class TimeEnergyChart:
         C[..., 0, 0] = 1.0
         C[..., 1, 0] = sx
         C[..., 1, 1] = 1.0 / det0
-        return J0 @ C
+        return val, J0 @ C
 
     def _ext_count(self, x):
         """Number of extension steps for each x (0 on the base strip)."""
@@ -436,42 +437,38 @@ class TimeEnergyChart:
             t = np.floor((x - self._hi) / tau) + 1.0
         return np.clip(t, 0, 2).astype(int)
 
-    def __call__(self, p):
+    def _eval(self, p, with_jac):
+        """phi(p) = Fstar^j o base o F^-j (p) on the j-th extension band, and
+        D phi(p) when with_jac (else None)."""
         p = np.asarray(p, dtype=float)
         flat = p.reshape(-1, 2)
         j = self._ext_count(flat[..., 0])
         out = np.empty_like(flat)
+        Jout = np.empty(flat.shape + (2,)) if with_jac else None
         for jv in np.unique(j):
             m = j == jv
             q = flat[m]
+            J = np.broadcast_to(np.eye(2), q.shape + (2,)).copy() if with_jac else None
             for _ in range(jv):
-                q = self._Finv(q)
-            q = self._base(q)
+                q, J = _advance(self._Finv, q, J)
+            q, Jb = self._base(q, with_jac)
+            if with_jac:
+                J = Jb @ J
             for _ in range(jv):
-                q = self.model.fstar(q)
+                q, J = _advance(self.model.fstar, q, J)
             out[m] = q
-        return out.reshape(p.shape)
+            if with_jac:
+                Jout[m] = J
+        return out.reshape(p.shape), (Jout.reshape(p.shape + (2,)) if with_jac else None)
+
+    def __call__(self, p):
+        return self._eval(p, False)[0]
 
     def jacobian(self, p):
-        p = np.asarray(p, dtype=float)
-        flat = p.reshape(-1, 2)
-        j = self._ext_count(flat[..., 0])
-        out = np.empty(flat.shape[:-1] + (2, 2))
-        for jv in np.unique(j):
-            m = j == jv
-            q = flat[m]
-            J = np.broadcast_to(np.eye(2), q.shape + (2,)).copy()
-            for _ in range(jv):
-                Ji = self._Finv.jacobian(q)
-                q = self._Finv(q)
-                J = Ji @ J
-            J = self._base_jacobian(q) @ J
-            q = self._base(q)
-            for _ in range(jv):
-                J = self.model.fstar.jacobian(q) @ J
-                q = self.model.fstar(q)
-            out[m] = J
-        return out.reshape(p.shape[:-1] + (2, 2))
+        return self._eval(p, True)[1]
+
+    def value_and_jacobian(self, p):
+        return self._eval(p, True)
 
     # -- diagnostics ---------------------------------------------------------------
 

@@ -130,7 +130,8 @@ class MapDescriptor:
 def compose(*maps, name=None):
     """Composition m_1 o m_2 o ... o m_k (rightmost applied first).
 
-    The Jacobian is assembled by the chain rule; the inverse exists when
+    Image and Jacobian come from one pass along the chain, each factor's
+    `value_and_jacobian` feeding the chain rule; the inverse exists when
     every factor carries one.  The composite inherits `wrap` from the
     leftmost factor and `domain` from the rightmost.
     """
@@ -144,13 +145,12 @@ def compose(*maps, name=None):
             p = m.fwd(p)
         return p
 
-    def jac(p):
+    def fwd_jac(p):
         J = None
         for m in reversed(maps):
-            Jm = m.jacobian(p)
+            p, Jm = m.value_and_jacobian(p)
             J = Jm if J is None else Jm @ J
-            p = m.fwd(p)
-        return J
+        return p, J
 
     inv = None
     if all(m.inv is not None for m in maps):
@@ -162,10 +162,11 @@ def compose(*maps, name=None):
     return MapDescriptor(
         name=name or "(" + "∘".join(m.name for m in maps) + ")",
         fwd=fwd,
-        jac=jac,
+        jac=lambda p: fwd_jac(p)[1],
         inv=inv,
         wrap=maps[0].wrap,
         domain=maps[-1].domain,
+        fwd_jac=fwd_jac,
     )
 
 
@@ -181,19 +182,14 @@ def inv2(J):
 
 
 def inverse_descriptor(m):
-    """Descriptor for m^-1 from m's exact inverse.
-
-    The Jacobian is m's own `jac_inv` when it has one, else the inverse of
-    Dm at the preimage.
-    """
+    """Descriptor for m^-1 from m's exact inverse; its Jacobian is the
+    inverse of Dm at the preimage."""
     if m.inv is None:
         raise ValueError(f"{m.name}: no closed-form inverse")
 
     def jac(q):
         return inv2(m.jacobian(m.inv(q)))
 
-    if hasattr(m, "jac_inv"):
-        jac = m.jac_inv
     return MapDescriptor(m.name + "^-1", m.inv, jac, m.fwd, wrap=m.wrap)
 
 

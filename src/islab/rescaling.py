@@ -148,12 +148,14 @@ class TransitionMap:
 
     The nonlinear tails this generates vanish at the anchor with the
     required derivatives; the xy-cross coefficient of the second tail is
-    d = 2a exactly.
+    d = 2a exactly.  The tail coefficients u2, u3, a are bounded by 0.2.
     """
 
     def __init__(self, x_plus, y_minus, b, c, u2=0.0, u3=0.0, a=0.0):
         if abs(b * c + 1.0) > 1e-12:
             raise ValueError("transition constants must satisfy b*c = -1")
+        if max(abs(u2), abs(u3), abs(a)) > 0.2:
+            raise ValueError("tail coefficients exceed the working bound 0.2")
         self.x_plus = float(x_plus)
         self.y_minus = float(y_minus)
         self.b = float(b)
@@ -223,14 +225,6 @@ class TransitionMap:
         aff_x = self.x_plus + self.b * (p[..., 1] - self.y_minus)
         aff_y = self.c * p[..., 0]
         return out[..., 0] - aff_x, out[..., 1] - aff_y
-
-
-def build_transition(x_plus, y_minus, b, c, u2=0.0, u3=0.0, a=0.0):
-    """Transition map with validated constants and structurally-admissible
-    polynomial tails (degree <= 3, vanishing value and slope at 0)."""
-    if max(abs(u2), abs(u3), abs(a)) > 0.2:
-        raise ValueError("tail coefficients exceed the working bound 0.2")
-    return TransitionMap(x_plus, y_minus, b, c, u2=u2, u3=u3, a=a)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +298,7 @@ def desk_model(nonlinearity=0.1, tails=True, lam=0.4, mu=0.8, r=2):
     u2, u3, a = (0.15, 0.05, 0.1) if tails else (0.0, 0.0, 0.0)
     xp = (0.9, 1.62, 3.24)
     ym = (0.30, 0.32, 0.34)
-    T1 = [build_transition(xp[i], ym[i], 0.5, -2.0, u2=u2, u3=u3, a=a)
+    T1 = [TransitionMap(xp[i], ym[i], 0.5, -2.0, u2=u2, u3=u3, a=a)
           for i in range(3)]
     return RescalingModel(T0, T1, mu=mu, r=r)
 
@@ -508,9 +502,11 @@ def build_perturbation(model, k, psi_list):
         P = ph.integ()
         Psis.append(P - P(model.x_plus[i]))
     dpsihats = [ph.deriv() for ph in psihats]
-    flows = [hamiltonian_time_map(
-        _collar_system(bumps[i], Psis[i], psihats[i], dpsihats[i]), 1.0,
-        steps=64) for i in range(N)]
+    systems = [_collar_system(bumps[i], Psis[i], psihats[i], dpsihats[i])
+               for i in range(N)]
+    # the collar flows of g (sign +1) and of g^-1 (sign -1)
+    flows = {sign: [hamiltonian_time_map(sys, sign, steps=64) for sys in systems]
+             for sign in (1.0, -1.0)}
 
     def classify(p):
         reg = np.zeros(np.shape(p)[:-1], dtype=int)
@@ -532,54 +528,34 @@ def build_perturbation(model, k, psi_list):
         y1 = y0 + sign * psihats[i](p[..., 0])
         return (np.abs(x) <= ix) & (np.abs(y0) <= iy) & (np.abs(y1) <= iy)
 
-    def fwd(p):
+    def apply(p, sign, with_jac):
+        """g (sign +1) or g^-1 (sign -1) of points p, and its Jacobian when
+        with_jac (else None)."""
         p = np.asarray(p, dtype=float)
         flat = p.reshape(-1, 2)
         reg, box = classify(flat)
         out = flat.copy()
+        J = np.broadcast_to(np.eye(2), flat.shape + (2,)).copy() if with_jac else None
         for i in range(N):
             inbox = (reg > 0) & (box == i)
-            safe = inbox & _safe_shear(flat, i, +1.0)
+            safe = inbox & _safe_shear(flat, i, sign)
             if np.any(safe):
-                out[safe, 1] = flat[safe, 1] + psihats[i](flat[safe, 0])
+                out[safe, 1] = flat[safe, 1] + sign * psihats[i](flat[safe, 0])
+                if with_jac:
+                    J[safe, 1, 0] = sign * dpsihats[i](flat[safe, 0])
             mc = inbox & ~safe
             if np.any(mc):
-                out[mc] = flows[i].fwd(flat[mc])
-        return out.reshape(p.shape)
+                flow = flows[sign][i]
+                if with_jac:
+                    out[mc], J[mc] = flow.fwd_jac(flat[mc])
+                else:
+                    out[mc] = flow.fwd(flat[mc])
+        return out.reshape(p.shape), (J.reshape(p.shape + (2,)) if with_jac else None)
 
-    def jac(p):
-        p = np.asarray(p, dtype=float)
-        flat = p.reshape(-1, 2)
-        reg, box = classify(flat)
-        J = np.broadcast_to(np.eye(2), flat.shape + (2,)).copy()
-        for i in range(N):
-            inbox = (reg > 0) & (box == i)
-            safe = inbox & _safe_shear(flat, i, +1.0)
-            if np.any(safe):
-                J[safe, 1, 0] = dpsihats[i](flat[safe, 0])
-            mc = inbox & ~safe
-            if np.any(mc):
-                J[mc] = flows[i].jacobian(flat[mc])
-        return J.reshape(p.shape[:-1] + (2, 2))
-
-    def inv(q):
-        q = np.asarray(q, dtype=float)
-        flat = q.reshape(-1, 2)
-        out = flat.copy()
-        reg, box = classify(flat)
-        for i in range(N):
-            inbox = (reg > 0) & (box == i)
-            # mirror of the forward branch rule: un-shear exactly when the
-            # backward vertical segment stays in the inner box
-            safe = inbox & _safe_shear(flat, i, -1.0)
-            if np.any(safe):
-                out[safe, 1] = flat[safe, 1] - psihats[i](flat[safe, 0])
-            mc = inbox & ~safe
-            if np.any(mc):
-                out[mc] = flows[i].inv(flat[mc])
-        return out.reshape(q.shape)
-
-    g = MapDescriptor(f"g[k={k}]", fwd, jac, inv)
+    g = MapDescriptor(f"g[k={k}]", lambda p: apply(p, 1.0, False)[0],
+                      lambda p: apply(p, 1.0, True)[1],
+                      lambda q: apply(q, -1.0, False)[0],
+                      fwd_jac=lambda p: apply(p, 1.0, True))
     return g, psihats, bumps
 
 

@@ -25,7 +25,7 @@ from islab.lyapunov import (LN4, cone_certificate, entropy_estimate,
 from islab.maps import (anosov_map, chirikov_map, compose, henon_like,
                         quarter_turn, rotation_map, shear_map)
 from islab.rescaling import (build_perturbation, corollary_composition,
-                             desk_model, SaddleNormalForm, build_transition,
+                             desk_model, SaddleNormalForm, TransitionMap,
                              verify_rescaling)
 
 SIGMA = float(np.log(9.0 + 4.0 * np.sqrt(5.0)))
@@ -87,7 +87,7 @@ def test_criterion_01_symplecticity_of_all_maps():
     nf = SaddleNormalForm(0.4, c2=0.1)
     record("T_0", nf.descriptor(), rng.uniform(0.05, 1.5, (npts, 2)))
     record("T_0^8", nf.descriptor(8), rng.uniform(0.05, 1.5, (npts, 2)))
-    t1 = build_transition(0.9, 0.30, 0.5, -2.0, u2=0.15, u3=0.05, a=0.1)
+    t1 = TransitionMap(0.9, 0.30, 0.5, -2.0, u2=0.15, u3=0.05, a=0.1)
     box = np.stack([rng.uniform(0.6, 1.2, npts),
                     rng.uniform(0.0, 0.6, npts)], axis=-1)
     record("T_1", t1.descriptor(), box)

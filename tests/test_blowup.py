@@ -387,6 +387,8 @@ def test_surgery_jacobian_density_and_inverse(island):
     J = Psi.jacobian(p)
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     assert np.max(np.abs(det - prof.psi_d1(rho))) <= 1e-10
+    img, J2 = Psi.value_and_jacobian(p)
+    assert np.array_equal(img, Psi(p)) and np.array_equal(J2, J)
     back = Psi.inverse(Psi(p))
     assert np.max(np.abs(torus_diff(back, p))) <= 1e-10
 

@@ -134,6 +134,13 @@ def test_links_suite(tmp_path):
 # ---------------------------------------------------------------------------
 # report structure
 
+def test_check_comparisons():
+    passed = [cli._check("c", 1.0, 1.0, op)["passed"] for op in ("<=", "<", ">=")]
+    assert passed == [True, False, True]
+    assert cli._check("c", 0.5, 1.0, "<") == {
+        "name": "c", "passed": True, "value": 0.5, "tolerance": 1.0, "comparison": "<"}
+
+
 def test_failed_check_carries_value_and_tolerance(tmp_path, monkeypatch):
     def failing(cfg, rng, threads):
         return ([{"name": "synthetic", "passed": False, "value": 2.5,

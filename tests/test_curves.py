@@ -230,6 +230,26 @@ def test_masked_periodic_exact_zero_outside_support():
     assert np.array_equal(m.d1(x)[inside], rho.d1(xi) * psi(xi) + rho(xi) * dpsi(xi))
 
 
+def test_masked_periodic_skips_psi_outside_support():
+    psi = _nyquist_wave(128)
+    m = MaskedPeriodic(PartitionBump(-0.2, 0.6, psi.tau), psi)
+    sizes = []
+
+    def spy(fn):
+        def wrapped(x):
+            sizes.append(np.size(x))
+            return fn(x)
+        return wrapped
+
+    m.psi, m._dpsi = spy(m.psi), spy(m._dpsi)
+    lo, hi = m.support
+    outside = np.array([lo - 1.0, lo, hi, hi + 0.5])
+    assert np.all(m(outside) == 0.0) and np.all(m.d1(outside) == 0.0)
+    assert sizes == []
+    m(np.array([lo, 0.5 * (lo + hi)]))
+    assert sizes == [1]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_random_trig_poly_zero_mean_property(seed):
@@ -402,6 +422,23 @@ def test_transform_composition_property():
     lhs = graph_transform(compose(f, g), c)
     rhs = graph_transform(f, graph_transform(g, c))
     assert curve_sup_diff(lhs, rhs) < 1e-8
+
+
+def test_transform_evaluates_each_factor_once():
+    # image and Jacobian come from one pass along the composite's chain
+    calls = {}
+
+    def counted(m):
+        def fwd(p):
+            calls[m.name] = calls.get(m.name, 0) + 1
+            return m.fwd(p)
+        return MapDescriptor(m.name, fwd, m.jac, m.inv)
+
+    f = compose(counted(shear_map(lambda x: 0.05 * np.sin(3 * x),
+                                  lambda x: 0.15 * np.cos(3 * x))),
+                counted(_affine("squeeze", -0.5, 0.7, -2.0, 0.2)))
+    graph_transform(f, _wave_curve())        # contraction: no resampling pass
+    assert calls == {"S_psi": 1, "squeeze": 1}
 
 
 def test_transform_vertical_tangency_raises():

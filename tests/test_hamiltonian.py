@@ -57,6 +57,14 @@ def test_flow_roundtrip_is_identity():
     assert np.max(np.abs(back - pts)) < 1e-9
 
 
+def test_time_map_value_and_jacobian_is_one_integration():
+    f = hamiltonian_time_map(pendulum(), 0.7, steps=32)
+    p = np.random.default_rng(9).uniform(-0.5, 0.5, (50, 2))
+    img, J = f.value_and_jacobian(p)
+    assert np.array_equal(img, f(p))
+    assert np.array_equal(J, f.jacobian(p))
+
+
 def test_pendulum_variational_jacobian_vs_fd():
     sys = pendulum()
     flow = hamiltonian_time_map(sys, 0.5, steps=50)

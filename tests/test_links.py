@@ -178,6 +178,22 @@ def test_chart_general_hook_fiber_ode():
         assert ch.conjugacy_defect(120) <= 1e-8
 
 
+@pytest.mark.parametrize("hook, unit_det", [(_a_band_hook, True), (_general_hook, False)],
+                         ids=["unit-determinant", "fiber-ode"])
+def test_chart_value_and_jacobian_matches_separate_calls(hook, unit_det):
+    g = LinkGeometry()
+    ch = TimeEnergyChart("a", build_suitable_model(hook=hook(g)))
+    assert ch._unit_det0 == unit_det
+    frame = ch._strip_frame(4)
+    # 0, 1 and 2 extension steps; the fiber ODE integrates once per step
+    # count, so its path is checked on the base strip alone
+    pts = np.concatenate([frame, frame - [g.tau, 0.0]]) if unit_det \
+        else frame[frame[:, 0] >= ch._lo]
+    img, J = ch.value_and_jacobian(pts)
+    assert np.array_equal(img, ch(pts))
+    assert np.array_equal(J, ch.jacobian(pts))
+
+
 def test_chart_fiber_ode_raises_at_cap(monkeypatch):
     model = build_suitable_model(hook=_general_hook(LinkGeometry()))
     ch = TimeEnergyChart("a", model)

@@ -155,6 +155,16 @@ def test_compose_chain_rule_and_det():
     assert np.all((out >= 0) & (out < 1))
 
 
+def test_compose_value_and_jacobian_matches_separate_calls():
+    # one pass along the chain gives the same bits as f(p) and Df(p)
+    psi, dpsi = trig_psi([5e-3, 1e-3])
+    C = compose(henon_like(psi, dpsi), compose(shear_map(psi, dpsi), chirikov_map(0.3)))
+    p = np.random.default_rng(8).random((200, 2))
+    img, J = C.value_and_jacobian(p)
+    assert np.array_equal(img, C(p))
+    assert np.array_equal(J, C.jacobian(p))
+
+
 def test_compose_inverse_available_when_factors_have_it():
     psi, dpsi = trig_psi([2e-3])
     C = compose(shear_map(psi, dpsi), henon_like(psi, dpsi))

@@ -12,8 +12,8 @@ from islab.rescaling import (
     RescalingCharts,
     RescalingModel,
     SaddleNormalForm,
+    TransitionMap,
     build_perturbation,
-    build_transition,
     corollary_composition,
     desk_model,
     r_sequence,
@@ -169,7 +169,7 @@ def test_passage_invariant_overflow_guard():
 
 
 def test_transition_endpoint_and_cross_coefficient():
-    T1 = build_transition(1.62, 0.32, 0.5, -2.0, u2=0.15, u3=0.05, a=0.1)
+    T1 = TransitionMap(1.62, 0.32, 0.5, -2.0, u2=0.15, u3=0.05, a=0.1)
     out = T1(np.array([0.0, 0.32]))
     assert abs(out[0] - 1.62) <= 1e-14
     assert abs(out[1]) <= 1e-14
@@ -179,7 +179,7 @@ def test_transition_endpoint_and_cross_coefficient():
 
 
 def test_transition_symplectic_and_invertible_on_box():
-    T1 = build_transition(1.62, 0.32, 0.5, -2.0, u2=0.15, u3=0.05, a=0.1)
+    T1 = TransitionMap(1.62, 0.32, 0.5, -2.0, u2=0.15, u3=0.05, a=0.1)
     rng = np.random.default_rng(1)
     pts = np.stack([rng.uniform(-0.05, 0.05, 400),
                     rng.uniform(0.27, 0.37, 400)], axis=-1)
@@ -189,7 +189,7 @@ def test_transition_symplectic_and_invertible_on_box():
 
 
 def test_transition_zero_tails_affine():
-    T1 = build_transition(1.62, 0.32, 0.5, -2.0)
+    T1 = TransitionMap(1.62, 0.32, 0.5, -2.0)
     rng = np.random.default_rng(2)
     pts = np.stack([rng.uniform(-0.05, 0.05, 100),
                     rng.uniform(0.27, 0.37, 100)], axis=-1)
@@ -198,7 +198,7 @@ def test_transition_zero_tails_affine():
 
 
 def test_transition_second_tail_vanishes_on_entry_axis():
-    T1 = build_transition(1.62, 0.32, 0.5, -2.0, u2=0.15, u3=0.05, a=0.1)
+    T1 = TransitionMap(1.62, 0.32, 0.5, -2.0, u2=0.15, u3=0.05, a=0.1)
     pts = np.stack([np.zeros(7), np.linspace(0.27, 0.37, 7)], axis=-1)
     _, phi2 = T1.tails(pts)
     assert np.max(np.abs(phi2)) == 0.0
@@ -206,9 +206,9 @@ def test_transition_second_tail_vanishes_on_entry_axis():
 
 def test_transition_rejects_bad_constants():
     with pytest.raises(ValueError, match="b\\*c"):
-        build_transition(1.0, 0.3, 0.5, -1.9)
+        TransitionMap(1.0, 0.3, 0.5, -1.9)
     with pytest.raises(ValueError, match="0.2"):
-        build_transition(1.0, 0.3, 0.5, -2.0, u2=0.3)
+        TransitionMap(1.0, 0.3, 0.5, -2.0, u2=0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_transition_rejects_bad_constants():
 
 
 def test_model_scale_and_parity_validation():
-    mk_t1 = lambda xy: [build_transition(x, y, 0.5, -2.0) for x, y in xy]
+    mk_t1 = lambda xy: [TransitionMap(x, y, 0.5, -2.0) for x, y in xy]
     with pytest.raises(ValueError, match="mu\\^r"):
         RescalingModel(SaddleNormalForm(0.7), mk_t1(
             [(0.9, 0.30), (1.62, 0.32), (3.24, 0.34)]), mu=0.8, r=2)
@@ -298,10 +298,22 @@ def test_perturbation_collar_jacobian_matches_finite_differences():
     assert np.max(np.abs(J - finite_difference_jacobian(g, collar))) <= 1e-5
 
 
+def test_perturbation_value_and_jacobian_matches_separate_calls():
+    m = desk_model()
+    g, _, bumps = build_perturbation(m, 10, QUAD_KICKS)
+    rng = np.random.default_rng(12)
+    pts = np.stack([rng.uniform(0.5, 3.6, 3000), rng.uniform(-0.1, 0.1, 3000)], axis=-1)
+    region = sum(b.region(pts) for b in bumps)
+    assert all(np.count_nonzero(region == r) > 50 for r in (0, 1, 2))
+    img, J = g.value_and_jacobian(pts)
+    assert np.array_equal(img, g(pts))
+    assert np.array_equal(J, g.jacobian(pts))
+
+
 def test_perturbation_rejects_overlapping_boxes():
     bad = RescalingModel(
         SaddleNormalForm(0.4, 0.1),
-        [build_transition(x, y, 0.5, -2.0) for x, y in
+        [TransitionMap(x, y, 0.5, -2.0) for x, y in
          [(0.9, 0.30), (1.05, 0.32), (3.24, 0.34)]], mu=0.8)
     with pytest.raises(ValueError, match="overlap"):
         build_perturbation(bad, 10, QUAD_KICKS)
