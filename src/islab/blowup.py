@@ -240,7 +240,6 @@ class IslandMap:
         # its batch
         self.RT = np.ascontiguousarray(self.R.T)
         self.centers = CENTERS.copy()
-        self.sigma = float(SIGMA)
         self.system = island_hamiltonian(self.profile)
         # regime split with float slack: points near the boundary circle
         # belong to the flow branch (the surgery formula degenerates on the
@@ -349,7 +348,7 @@ class IslandMap:
         p = wrap_torus(p.reshape(-1, 2))
         steps = FLOW_STEPS if steps is None else int(steps)
         mat = self.A if direction > 0 else self.Ainv
-        t = self.sigma * (1 if direction > 0 else -1)
+        t = SIGMA * (1 if direction > 0 else -1)
 
         out = np.empty_like(p)
         J = np.empty(p.shape + (2,), dtype=float) if with_jac else None
@@ -417,7 +416,7 @@ class IslandMap:
     def descriptor(self):
         return MapDescriptor(
             "Fhat", lambda p: self(p), lambda p: self.jacobian(p),
-            lambda q: self.inverse(q), wrap=True,
+            lambda q: self.inverse(q),
             area_density=lambda p: self.area_density(p),
             fwd_jac=lambda p: self._eval(p, 1, None, with_jac=True),
         )
@@ -458,7 +457,7 @@ class IslandMap:
 
         return MapDescriptor("Psi", lambda p: apply(p, False, False)[0],
                              lambda p: apply(p, False, True)[1],
-                             lambda q: apply(q, True, False)[0], wrap=True,
+                             lambda q: apply(q, True, False)[0],
                              fwd_jac=lambda p: apply(p, False, True))
 
 
@@ -544,7 +543,7 @@ def regime_consistency(island):
     the linear zone of psi); the residual measures the refined integrator.
     """
     prof = island.profile
-    zeta = (prof.r1 - prof.rho_lo) * np.exp(-2 * island.sigma)
+    zeta = (prof.r1 - prof.rho_lo) * np.exp(-2 * SIGMA)
     rng = np.random.default_rng(7)
     th = rng.uniform(0, 2 * np.pi, 64)
     rho = prof.rho_lo + zeta * rng.uniform(0.05, 1.0, 64)
@@ -552,7 +551,7 @@ def regime_consistency(island):
     w = from_polar(state)
     # the flow runs in the centre's own polar frame, so one integration
     # serves all four centres
-    s_end, _ = _midpoint_steps(island.system, state, island.sigma, 32768, 1e-15, False)
+    s_end, _ = _midpoint_steps(island.system, state, SIGMA, 32768, 1e-15, False)
     dw = from_polar(s_end) - w
     worst = 0.0
     for c in island.centers:
@@ -635,6 +634,6 @@ def flow_matches_linear_map(island):
         return H
 
     sys0 = HamiltonianSystem("rho sin 2 theta", grad, hess)
-    s_end, _ = _midpoint_steps(sys0, to_polar(w), island.sigma, 65536, 1e-15, False)
-    D = np.diag([np.exp(island.sigma), np.exp(-island.sigma)])
+    s_end, _ = _midpoint_steps(sys0, to_polar(w), SIGMA, 65536, 1e-15, False)
+    D = np.diag([np.exp(SIGMA), np.exp(-SIGMA)])
     return float(np.max(np.abs(from_polar(s_end) - w @ D.T)))

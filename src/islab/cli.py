@@ -317,9 +317,8 @@ def _run_rescaling(cfg, rng, threads):
     cube = Polynomial(rng.uniform(-0.3, 0.3, 4))
     target, pair = corollary_composition(quad, cube)
     pts = _disc_points(rng, 1000)
-    H = [henon_like(lambda y, _q=q: _q(y)) for q in (cube, Polynomial([0.0]),
-                                                     Polynomial([0.0]),
-                                                     quad[1], quad[0])]
+    H = [henon_like(q, q.deriv()) for q in (cube, Polynomial([0.0]),
+                                            Polynomial([0.0]), quad[1], quad[0])]
     gap = float(np.max(np.abs(compose(*H)(pts) - pair(pts))))
     checks.append(_check("corollary-composition-identity", gap, 1e-10))
 

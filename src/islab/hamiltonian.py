@@ -24,7 +24,7 @@ MIDPOINT_TOL = 1e-13
 
 @dataclass
 class HamiltonianSystem:
-    """Hamiltonian with analytic gradient (and optionally Hessian / value).
+    """Hamiltonian with analytic gradient and Hessian (and optionally value).
 
     grad(p) returns (dH/dx, dH/dy) with shape (..., 2); hess(p) returns the
     symmetric second-derivative matrix with shape (..., 2, 2); value(p) is H
@@ -33,7 +33,7 @@ class HamiltonianSystem:
 
     name: str
     grad: Callable
-    hess: Optional[Callable] = None
+    hess: Callable
     value: Optional[Callable] = None
 
     def field(self, p):
@@ -41,8 +41,6 @@ class HamiltonianSystem:
         return np.stack([g[..., 1], -g[..., 0]], axis=-1)
 
     def field_jacobian(self, p):
-        if self.hess is None:
-            raise ValueError(f"{self.name}: no Hessian available")
         return _J @ self.hess(p)
 
 
@@ -105,26 +103,20 @@ def hamiltonian_time_map(sys, t, steps):
 
     Implicit midpoint with a fixed-point inner solve (tolerance
     MIDPOINT_TOL, Newton fallback); the Jacobian is the product of the
-    per-step Cayley transforms, which is exactly symplectic.
-
-    The step Jacobian needs sys.hess; with it one integration gives image
-    and Jacobian together (`fwd_jac`), without it the descriptor falls back
-    to finite differences.
+    per-step Cayley transforms, which is exactly symplectic, and one
+    integration gives image and Jacobian together (`fwd_jac`).
     """
     t = float(t)
-    has_hess = sys.hess is not None
 
     def fwd(p):
         z, _ = _midpoint_steps(sys, p, t, steps, MIDPOINT_TOL, with_jac=False)
         return z
 
-    jac = fwd_jac = None
-    if has_hess:
-        def fwd_jac(p):
-            return _midpoint_steps(sys, p, t, steps, MIDPOINT_TOL, with_jac=True)
+    def fwd_jac(p):
+        return _midpoint_steps(sys, p, t, steps, MIDPOINT_TOL, with_jac=True)
 
-        def jac(p):
-            return fwd_jac(p)[1]
+    def jac(p):
+        return fwd_jac(p)[1]
 
     def inv(q):
         z, _ = _midpoint_steps(sys, q, -t, steps, MIDPOINT_TOL, with_jac=False)

@@ -273,12 +273,14 @@ def build_suitable_model(hook=None):
 # time-energy charts
 
 
-def _advance(m, q, J):
-    """m(q), and Dm(q) J when a Jacobian J is carried (None: values only)."""
+def _advance(m, q, J, rows):
+    """Apply m in place to q[rows], and carry J[rows] to Dm J[rows] when a
+    Jacobian J is carried (None: values only)."""
     if J is None:
-        return m(q), None
-    q, Jm = m.value_and_jacobian(q)
-    return q, Jm @ J
+        q[rows] = m(q[rows])
+    else:
+        q[rows], Jm = m.value_and_jacobian(q[rows])
+        J[rows] = Jm @ J[rows]
 
 
 class TimeEnergyChart:
@@ -443,23 +445,19 @@ class TimeEnergyChart:
         p = np.asarray(p, dtype=float)
         flat = p.reshape(-1, 2)
         j = self._ext_count(flat[..., 0])
-        out = np.empty_like(flat)
-        Jout = np.empty(flat.shape + (2,)) if with_jac else None
-        for jv in np.unique(j):
-            m = j == jv
-            q = flat[m]
-            J = np.broadcast_to(np.eye(2), q.shape + (2,)).copy() if with_jac else None
-            for _ in range(jv):
-                q, J = _advance(self._Finv, q, J)
-            q, Jb = self._base(q, with_jac)
-            if with_jac:
-                J = Jb @ J
-            for _ in range(jv):
-                q, J = _advance(self.model.fstar, q, J)
-            out[m] = q
-            if with_jac:
-                Jout[m] = J
-        return out.reshape(p.shape), (Jout.reshape(p.shape + (2,)) if with_jac else None)
+        bands = [j >= k for k in range(1, j.max(initial=0) + 1)]
+        q = flat.copy()
+        J = np.broadcast_to(np.eye(2), q.shape + (2,)).copy() if with_jac else None
+        for rows in bands:
+            _advance(self._Finv, q, J, rows)
+        # one base evaluation for all points, so the fiber-ODE correction
+        # is solved once per call rather than once per band
+        q, Jb = self._base(q, with_jac)
+        if with_jac:
+            J = Jb @ J
+        for rows in bands:
+            _advance(self.model.fstar, q, J, rows)
+        return q.reshape(p.shape), (J.reshape(p.shape + (2,)) if with_jac else None)
 
     def __call__(self, p):
         return self._eval(p, False)[0]

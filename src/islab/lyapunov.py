@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blowup import SIGMA
 from .maps import inv2, inverse_descriptor
 
 LN4 = float(np.log(4.0))
@@ -237,8 +238,8 @@ def conjugacy_exponent_bound(island, p, n=100):
     c_up = norms[1][0] * norms[0][1]
     c_dn = norms[1][1] * norms[0][0]
     bound = float(np.log(max(c_up, c_dn)) / n)
-    defect = abs(sample.estimate - island.sigma)
-    return dict(exponent=sample.estimate, sigma=island.sigma,
+    defect = abs(sample.estimate - SIGMA)
+    return dict(exponent=sample.estimate, sigma=SIGMA,
                 defect=defect, bound=bound, constants=(c_up, c_dn))
 
 

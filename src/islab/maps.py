@@ -26,7 +26,8 @@ def torus_diff(p, q):
 
 
 def finite_difference_jacobian(f, p, h=None, wrap_output=False):
-    """Central finite-difference Jacobian of f at p.
+    """Central finite-difference Jacobian of f at p: the reference that
+    tests hold the analytic Jacobians against.
 
     Parameters
     ----------
@@ -63,20 +64,17 @@ def finite_difference_jacobian(f, p, h=None, wrap_output=False):
 
 @dataclass
 class MapDescriptor:
-    """A(n invertible) planar or toral map with optional analytic extras.
+    """A(n invertible) planar or toral map with its analytic Jacobian.
 
     Attributes
     ----------
     name : str
     fwd : callable
         Evaluation, (..., 2) -> (..., 2).  Torus maps return wrapped output.
-    jac : callable or None
+    jac : callable
         Analytic Jacobian, (..., 2) -> (..., 2, 2), on the plane lift.
-        When None, `jacobian` falls back to central finite differences.
     inv : callable or None
         Exact inverse evaluation, if one is known in closed form.
-    wrap : bool
-        True for torus maps (outputs in [0,1)^2, FD differences unwrapped).
     domain : callable or None
         Boolean containment mask for points where the map is defined.
     area_density : callable or None
@@ -90,9 +88,8 @@ class MapDescriptor:
 
     name: str
     fwd: Callable
-    jac: Optional[Callable] = None
+    jac: Callable
     inv: Optional[Callable] = None
-    wrap: bool = False
     domain: Optional[Callable] = None
     area_density: Optional[Callable] = None
     fwd_jac: Optional[Callable] = None
@@ -108,10 +105,7 @@ class MapDescriptor:
         return self(p), self.jacobian(p)
 
     def jacobian(self, p):
-        p = np.asarray(p, dtype=float)
-        if self.jac is not None:
-            return self.jac(p)
-        return finite_difference_jacobian(self.fwd, p, wrap_output=self.wrap)
+        return self.jac(np.asarray(p, dtype=float))
 
     def inverse(self, q):
         if self.inv is None:
@@ -132,8 +126,8 @@ def compose(*maps, name=None):
 
     Image and Jacobian come from one pass along the chain, each factor's
     `value_and_jacobian` feeding the chain rule; the inverse exists when
-    every factor carries one.  The composite inherits `wrap` from the
-    leftmost factor and `domain` from the rightmost.
+    every factor carries one.  The composite inherits `domain` from the
+    rightmost factor.
     """
     if not maps:
         raise ValueError("compose() needs at least one map")
@@ -164,7 +158,6 @@ def compose(*maps, name=None):
         fwd=fwd,
         jac=lambda p: fwd_jac(p)[1],
         inv=inv,
-        wrap=maps[0].wrap,
         domain=maps[-1].domain,
         fwd_jac=fwd_jac,
     )
@@ -190,7 +183,7 @@ def inverse_descriptor(m):
     def jac(q):
         return inv2(m.jacobian(m.inv(q)))
 
-    return MapDescriptor(m.name + "^-1", m.inv, jac, m.fwd, wrap=m.wrap)
+    return MapDescriptor(m.name + "^-1", m.inv, jac, m.fwd)
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +208,7 @@ def anosov_map():
     def inv(q):
         return wrap_torus(q @ Ainv.T)
 
-    return MapDescriptor("F_A", fwd, jac, inv, wrap=True)
+    return MapDescriptor("F_A", fwd, jac, inv)
 
 
 def chirikov_map(a):
@@ -249,20 +242,14 @@ def chirikov_map(a):
         X, Y = q[..., 0], q[..., 1]
         return wrap_torus(np.stack([Y, 2.0 * Y + a * np.sin(2 * np.pi * Y) - X], axis=-1))
 
-    return MapDescriptor(name, fwd, jac, inv, wrap=True)
+    return MapDescriptor(name, fwd, jac, inv)
 
 
-def shear_map(psi, dpsi=None, name="S_psi"):
+def shear_map(psi, dpsi, name="S_psi"):
     """Vertical shear S_psi(x, y) = (x, y + psi(x)).
 
-    `psi` maps x-arrays to arrays; `dpsi` is its derivative (finite
-    differenced on psi when omitted).
+    `psi` maps x-arrays to arrays; `dpsi` is its derivative.
     """
-    if dpsi is None:
-        def dpsi(x, _p=psi):
-            h = 1e-6 * (1.0 + np.abs(x))
-            return (_p(x + h) - _p(x - h)) / (2.0 * h)
-
     def fwd(p):
         out = np.array(p, dtype=float, copy=True)
         out[..., 1] += psi(p[..., 0])
@@ -283,17 +270,13 @@ def shear_map(psi, dpsi=None, name="S_psi"):
     return MapDescriptor(name, fwd, jac, inv)
 
 
-def henon_like(psi, dpsi=None, name="H_psi"):
-    """Henon-form plane map H_psi(x, y) = (y, -x + psi(y)).
+def henon_like(psi, dpsi, name="H_psi"):
+    """Henon-form plane map H_psi(x, y) = (y, -x + psi(y)); `dpsi` is the
+    derivative of psi.
 
     Exact inverse (xb, yb) -> (psi(xb) - yb, xb).  With psi = 0 this is the
     clockwise quarter turn H_0, and H_0^4 = id.
     """
-    if dpsi is None:
-        def dpsi(x, _p=psi):
-            h = 1e-6 * (1.0 + np.abs(x))
-            return (_p(x + h) - _p(x - h)) / (2.0 * h)
-
     def fwd(p):
         x, y = p[..., 0], p[..., 1]
         return np.stack([y, -x + psi(y)], axis=-1)

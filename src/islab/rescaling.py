@@ -18,7 +18,8 @@ from numpy.polynomial import Polynomial
 
 from .curves import StepFn
 from .hamiltonian import HamiltonianSystem, hamiltonian_time_map
-from .maps import MapDescriptor, compose, henon_like, inverse_descriptor, shear_map
+from .maps import (MapDescriptor, compose, henon_like, inverse_descriptor, quarter_turn,
+                   shear_map)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +322,7 @@ class AffineChart:
 
 
 class RescalingCharts:
-    """Entry/exit charts of the k-passage cycle, with the correction
+    """Exit charts `qbar` of the k-passage cycle, with the correction
     offsets beta/gamma absorbing the normal-form nonlinearity at the
     anchor points (zero for the linear normal form)."""
 
@@ -351,16 +352,6 @@ class RescalingCharts:
             self.lamk * (m.y_minus[(i + 1) % m.N] + self.gamma[i]),
             m.b[i] * m.R[(i - 1) % m.N] * self.muk,
             self.lamk * m.R[i] * self.muk,
-        )
-
-    def q(self, i):
-        m = self.model
-        i = i % m.N
-        return AffineChart(
-            self.lamk * (m.x_plus[(i - 1) % m.N] + self.beta[i]),
-            m.y_minus[i],
-            self.lamk * m.b[(i - 1) % m.N] * m.R[(i - 2) % m.N] * self.muk,
-            m.R[(i - 1) % m.N] * self.muk,
         )
 
     def c_offset(self, i):
@@ -571,12 +562,7 @@ def _disc_grid(n):
 
 
 def _henon(psi):
-    if psi is None:
-        return henon_like(lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-                          lambda y: np.zeros_like(np.asarray(y, dtype=float)))
-    dpsi = psi.deriv()
-    return henon_like(lambda y: psi(np.asarray(y, dtype=float)),
-                      lambda y: dpsi(np.asarray(y, dtype=float)))
+    return quarter_turn() if psi is None else henon_like(psi, psi.deriv())
 
 
 def verify_rescaling(model, k, psi_list=None):
@@ -688,10 +674,7 @@ def corollary_composition(psi_list, psi):
 
     if psi is None:
         psi = Polynomial([0.0])
-    dpoly = psi.deriv()
-    s_psi = shear_map(lambda x: psi(np.asarray(x, dtype=float)),
-                      lambda x: dpoly(np.asarray(x, dtype=float)),
-                      name="S_psi")
+    s_psi = shear_map(psi, psi.deriv(), name="S_psi")
     h_psi = _henon(psi)
 
     full = compose(h_psi, h0, h0, *reversed(chain), name="H-product")

@@ -368,7 +368,7 @@ def test_criterion_09_corollary_composition():
     assert len(pts) == 1000
 
     h0 = quarter_turn()
-    hs = [henon_like(lambda y, q=q: q(y)) for q in
+    hs = [henon_like(q, q.deriv()) for q in
           (cubic, Polynomial([0.0]), Polynomial([0.0]), quads[1], quads[0])]
     product = compose(*hs)
     gap = float(np.max(np.abs(product(pts) - pair(pts))))
@@ -376,7 +376,7 @@ def test_criterion_09_corollary_composition():
     dcubic = cubic.deriv()
     s_psi = shear_map(lambda x: cubic(np.asarray(x, float)),
                       lambda x: dcubic(np.asarray(x, float)))
-    h_psi = henon_like(lambda y: cubic(np.asarray(y, float)))
+    h_psi = henon_like(cubic, dcubic)
     shear_gap = float(np.max(np.abs(s_psi(pts)
                                     - h_psi(h0.inverse(pts)))))
     factor_gap = float(np.max(np.abs(pair(pts) - s_psi(target(pts)))))

@@ -247,7 +247,7 @@ def test_mixed_disc_batch_matches_per_disc(island):
         # flow points against the island flow in their own disc's chart
         d = torus_diff(per_disc[i], c)
         fl = np.sum(d * d, axis=-1) <= prof.delta**2
-        ref, J_ref = island._flow(per_disc[i][fl], d[fl], island.sigma,
+        ref, J_ref = island._flow(per_disc[i][fl], d[fl], SIGMA,
                                   FLOW_STEPS, True)
         assert np.max(np.abs(torus_diff(img[i][fl], ref))) <= 1e-12
         assert np.max(np.abs(J[i][fl] - J_ref)) <= 1e-12

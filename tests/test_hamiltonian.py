@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from islab.hamiltonian import (
     HamiltonianSystem,
@@ -112,16 +111,6 @@ def test_midpoint_newton_fallback_matches_fixed_point():
     z, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False)
     zn, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False, fp_cap=1)
     assert np.max(np.abs(zn - z)) < 1e-12
-
-
-def test_field_jacobian_requires_hessian():
-    sys = HamiltonianSystem("bare", lambda p: np.zeros_like(p))
-    with pytest.raises(ValueError):
-        sys.field_jacobian(np.zeros(2))
-    flow = hamiltonian_time_map(sys, 1.0, steps=2)
-    # falls back to finite differences (identity map here)
-    J = flow.jacobian(np.array([0.1, 0.2]))
-    assert np.max(np.abs(J - np.eye(2))) < 1e-9
 
 
 def test_zero_time_map_is_identity():

@@ -1,15 +1,21 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and no map Jacobian falls back to finite differences.
 
-pyflakes would catch this too; the check here needs only the standard
+pyflakes would catch the first too; the checks here need only the standard
 library's `ast`.
 """
 
 import ast
 import pathlib
 
+import numpy as np
 import pytest
 
+from islab.hamiltonian import HamiltonianSystem
+from islab.maps import MapDescriptor
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "islab"
+FD = "finite_difference_jacobian"
 
 
 def unused_imports(source):
@@ -40,3 +46,41 @@ def test_detector_flags_unused_and_passes_used_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def fd_references(source):
+    """Lines of `source` that name the finite-difference Jacobian (as a
+    name, an attribute or an import) other than its own `def`."""
+    lines = []
+    for n in ast.walk(ast.parse(source)):
+        if (isinstance(n, ast.Name) and n.id == FD
+                or isinstance(n, ast.Attribute) and n.attr == FD
+                or isinstance(n, ast.ImportFrom) and any(a.name == FD for a in n.names)):
+            lines.append(n.lineno)
+    return sorted(lines)
+
+
+def test_fd_scan_flags_a_readded_fallback():
+    source = ("from .maps import finite_difference_jacobian\n"
+              "from . import maps\n"
+              "def finite_difference_jacobian(f, p):\n"
+              "    return p\n"
+              "def jacobian(self, p):\n"
+              "    if self.jac is None:\n"
+              "        return finite_difference_jacobian(self.fwd, p)\n"
+              "    return maps.finite_difference_jacobian(self.jac, p)\n")
+    assert fd_references(source) == [1, 7, 8]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_finite_difference_jacobian_in_package(path):
+    # the analytic Jacobians are the program; finite differences are only
+    # the reference that tests compare them against
+    assert fd_references(path.read_text(encoding="utf-8")) == []
+
+
+def test_jacobian_and_hessian_are_required():
+    with pytest.raises(TypeError):
+        MapDescriptor("f", lambda p: np.asarray(p))
+    with pytest.raises(TypeError):
+        HamiltonianSystem("H", lambda p: np.zeros_like(p))

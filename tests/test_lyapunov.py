@@ -119,9 +119,9 @@ def test_entropy_resolution_guard():
 def _translation_pair(shift):
     eye = lambda p: np.broadcast_to(np.eye(2), np.shape(p) + (2,)).copy()
     tau = MapDescriptor("tau", lambda p: wrap_torus(p + shift), eye,
-                        lambda q: wrap_torus(q - shift), wrap=True)
+                        lambda q: wrap_torus(q - shift))
     tau_inv = MapDescriptor("tau^-1", lambda p: wrap_torus(p - shift), eye,
-                            lambda q: wrap_torus(q + shift), wrap=True)
+                            lambda q: wrap_torus(q + shift))
     return tau, tau_inv
 
 

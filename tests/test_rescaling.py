@@ -421,7 +421,7 @@ def test_corollary_identity_at_thousand_points():
     cube = Polynomial(rng.uniform(-0.3, 0.3, 4))
     tgt, pair = corollary_composition([p1, p2], cube)
     pts = rng.uniform(-1, 1, (1000, 2))
-    H = lambda q: henon_like(lambda y, _q=q: _q(y))
+    H = lambda q: henon_like(q, q.deriv())
     full = compose(H(cube), H(Polynomial([0.0])), H(Polynomial([0.0])),
                    H(p2), H(p1))
     assert np.max(np.abs(full(pts) - pair(pts))) <= 1e-10
