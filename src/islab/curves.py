@@ -10,8 +10,6 @@ map as a new graph over the image interval.
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PPoly
-from scipy.linalg.lapack import dgtsv
 
 DENSITY = 256  # graph-curve samples per unit of x-extent (257 per unit interval)
 PERIODIC_SAMPLES = 128
@@ -297,30 +295,29 @@ def _sample_count(x0, x1):
 
 
 @lru_cache(maxsize=16)
-def _not_a_knot_band(n):
-    """Sub-, main and super-diagonal of the not-a-knot slope system on n
-    uniform knots, read-only.
+def _not_a_knot_inverse(n):
+    """Inverse of the not-a-knot slope system on n uniform knots, read-only.
 
     The unknowns are m_j = h w'(x_j).  Interior rows read
     m_{j-1} + 4 m_j + m_{j+1}; the end rows, from a continuous third
     derivative across the second and the second-to-last knot, read
     m_0 + 2 m_1 and 2 m_{n-2} + m_{n-1}.
     """
-    lower, main, upper = np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)
-    lower[-1] = upper[0] = 2.0
-    main[[0, -1]] = 1.0
-    for diag in (lower, main, upper):
-        diag.flags.writeable = False
-    return lower, main, upper
+    a = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    a[0, 0] = a[-1, -1] = 1.0
+    a[0, 1] = a[-1, -2] = 2.0
+    inv = np.linalg.inv(a)
+    inv.flags.writeable = False
+    return inv
 
 
 class GraphCurve:
     """A plane curve y = w(x) over [x0, x1]: uniform samples, cubic interpolant.
 
-    The interpolant is the not-a-knot cubic spline on the uniform grid, the
-    one scipy's CubicSpline builds, and it extrapolates the end cubics
-    outside [x0, x1].  The interpolation-error estimate (h^4 |w''''| / 384
-    scale, from fourth differences) is recorded on construction.
+    The interpolant is the not-a-knot cubic spline on the uniform grid (de
+    Boor, A Practical Guide to Splines, ch. IV), and it extrapolates the end
+    cubics outside [x0, x1].  The interpolation-error estimate (h^4 |w''''|
+    / 384 scale, from fourth differences) is recorded on construction.
     """
 
     def __init__(self, x0, x1, samples):
@@ -343,17 +340,13 @@ class GraphCurve:
         rhs[1:-1] = 3.0 * (d[:-1] + d[1:])
         rhs[0] = 0.5 * (5.0 * d[0] + d[1])
         rhs[-1] = 0.5 * (d[-2] + 5.0 * d[-1])
-        # dgtsv overwrites the diagonals it factors; with their overwrite
-        # flags left off it factors copies, so the cached ones stay intact
-        *_, m, info = dgtsv(*_not_a_knot_band(self.n), rhs, overwrite_b=True)
-        if info != 0:
-            raise RuntimeError(f"not-a-knot slope system is singular (LAPACK info {info})")
-        # the cubic on [x_j, x_j+1] in powers 3, 2, 1, 0 of (x - x_j)
+        m = _not_a_knot_inverse(self.n) @ rhs
+        # row j: the cubic on [x_j, x_j+1] in powers 3, 2, 1, 0 of (x - x_j),
+        # then its derivative in powers 2, 1, 0
         c3 = (m[:-1] + m[1:] - 2.0 * d) / h**3
         c2 = (3.0 * d - 2.0 * m[:-1] - m[1:]) / h**2
         c1 = m[:-1] / h
-        self._spline = PPoly.construct_fast(np.stack([c3, c2, c1, samples[:-1]]), self.grid)
-        self._dspline = PPoly.construct_fast(np.stack([3.0 * c3, 2.0 * c2, c1]), self.grid)
+        self._coef = np.stack([c3, c2, c1, samples[:-1], 3.0 * c3, 2.0 * c2, c1], axis=-1)
         if self.n >= 5:
             self.err_estimate = float(np.max(np.abs(np.diff(samples, 4)))) / 384.0
         else:
@@ -364,18 +357,33 @@ class GraphCurve:
         grid = np.linspace(x0, x1, _sample_count(x0, x1))
         return cls(x0, x1, np.asarray(fn(grid), dtype=float))
 
+    def _horner(self, x, first, last):
+        """Horner's rule on coefficient columns first..last of each point's
+        interval.  Points below grid[1] take the first cubic and points from
+        grid[-2] on the last, so the end cubics extrapolate."""
+        x = np.asarray(x, dtype=float)
+        j = np.searchsorted(self.grid[1:-1], x, side="right")
+        c = self._coef.take(j, axis=0)
+        t = x - self.grid.take(j)
+        y = c[..., first] * t
+        for k in range(first + 1, last):
+            y += c[..., k]
+            y *= t
+        y += c[..., last]
+        return y
+
     def __call__(self, x):
-        return self._spline(x)
+        return self._horner(x, 0, 3)
 
     def deriv(self, x):
-        return self._dspline(x)
+        return self._horner(x, 4, 6)
 
     def points(self, x=None):
         """Curve points (x, w(x)) stacked as (..., 2)."""
         if x is None:
             return np.stack([self.grid, self.samples], axis=-1)
         x = np.asarray(x, dtype=float)
-        return np.stack([x, self._spline(x)], axis=-1)
+        return np.stack([x, self(x)], axis=-1)
 
 
 def straight_curve(x0, x1, level):

@@ -300,6 +300,48 @@ def test_graph_curve_matches_cubic_spline(n):
     assert np.max(np.abs(c.deriv(x) - dref)) <= 1e-12 * (1.0 + np.max(np.abs(dref)))
 
 
+def _noisy_sine_curve(n):
+    x0, x1 = -0.3, 1.7
+    grid = np.linspace(x0, x1, n)
+    w = np.sin(3.0 * grid) + 1e-3 * np.random.default_rng(n).standard_normal(n)
+    return GraphCurve(x0, x1, w), CubicSpline(grid, w)
+
+
+@pytest.mark.parametrize("n", [4, 5, 142, 257, 283])
+def test_graph_curve_extrapolates_end_cubics(n):
+    c, ref = _noisy_sine_curve(n)
+    h = (c.x1 - c.x0) / (n - 1)
+    for x in (np.linspace(c.x0 - h, c.x0, 101), np.linspace(c.x1, c.x1 + h, 101)):
+        assert np.max(np.abs(c(x) - ref(x))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 5, 283])
+def test_graph_curve_reproduces_samples_at_knots(n):
+    # each knot but the last starts its own interval, where the cubic's
+    # constant term is the sample itself
+    c, _ = _noisy_sine_curve(n)
+    assert np.array_equal(c(c.grid[:-1]), c.samples[:-1])
+
+
+def test_graph_curve_points_are_batch_independent():
+    c, _ = _noisy_sine_curve(283)
+    h = (c.x1 - c.x0) / (c.n - 1)
+    x = np.concatenate([c.grid, np.random.default_rng(5).uniform(c.x0 - h, c.x1 + h, 300)])
+    for f in (c, c.deriv):
+        batch = f(x)
+        assert batch.shape == x.shape
+        assert np.array_equal(batch, [f(xi) for xi in x])
+
+
+def test_graph_curve_slope_inverse_is_cached_read_only():
+    inv = curves._not_a_knot_inverse(283)
+    before = inv.copy()
+    _noisy_sine_curve(283)
+    assert curves._not_a_knot_inverse(283) is inv
+    assert not inv.flags.writeable
+    assert np.array_equal(inv, before)
+
+
 def test_graph_curve_rejects_bad_input():
     with pytest.raises(ValueError):
         GraphCurve(1.0, 0.0, np.zeros(257))

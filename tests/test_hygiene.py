@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no map Jacobian falls back to finite differences.
+no map Jacobian falls back to finite differences, and the package runs on
+numpy alone.
 
 pyflakes would catch the first too; the checks here need only the standard
 library's `ast`.
@@ -7,6 +8,8 @@ library's `ast`.
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -84,3 +87,43 @@ def test_jacobian_and_hessian_are_required():
         MapDescriptor("f", lambda p: np.asarray(p))
     with pytest.raises(TypeError):
         HamiltonianSystem("H", lambda p: np.zeros_like(p))
+
+
+def scipy_imports(source):
+    """Lines of `source` that import scipy or one of its submodules."""
+    lines = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            names = [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom) and n.level == 0:
+            names = [n.module]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            lines.append(n.lineno)
+    return sorted(lines)
+
+
+def test_scipy_scan_flags_a_readded_import():
+    source = ("import numpy as np\n"
+              "from scipy.interpolate import PPoly\n"
+              "from .scipyish import f\n"
+              "def solve(a, b):\n"
+              "    import scipy.linalg as la\n"
+              "    return la.solve(a, b)\n")
+    assert scipy_imports(source) == [2, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import_in_package(path):
+    # numpy is the only runtime dependency; scipy is a test reference
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, islab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    # run from src/, so the interpreter imports this tree's islab first
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, check=True, cwd=SRC.parent)
+    assert out.stdout.strip() == "[]"
