@@ -23,10 +23,9 @@ from numpy.polynomial import Polynomial
 from .blowup import SIGMA, IslandMap, link_saddles, symmetry_and_identity_report
 from .config import ConfigError, ExperimentConfig, validate as validate_raw, parse_text
 from .curves import BumpFn, MaskedPeriodic, curve_sup_diff, random_trig_poly
-from .links import (LinkGeometry, TimeEnergyChart, build_suitable_model,
-                    restore_link_a, restore_link_b, restoration_b_reference,
-                    splitting_a, splitting_a_reference, splitting_b,
-                    splitting_b_reference, stable_curve, unstable_curve)
+from .links import (LinkGeometry, build_suitable_model, restore_link_a, restore_link_b,
+                    restoration_b_reference, splitting_a, splitting_a_reference,
+                    splitting_b, splitting_b_reference, stable_curve, unstable_curve)
 from .lyapunov import LN4, entropy_estimate, lambda_field_rows, max_lyapunov
 from .maps import anosov_map, chirikov_map, compose, henon_like, shear_map
 from .rescaling import corollary_composition, desk_model, verify_rescaling
@@ -191,8 +190,6 @@ def _run_links(cfg, rng, threads):
     metrics = {}
 
     # closed-form splitting identities on the unperturbed model
-    chart_a = TimeEnergyChart("a", base)
-    chart_b = TimeEnergyChart("b", base)
     xa = np.linspace(g.x_a - g.tau, g.x_a, 401)
     xb = np.linspace(g.x_b, g.x_b + g.tau, 401)
     worst_a = worst_b = worst_mean = 0.0
@@ -201,14 +198,14 @@ def _run_links(cfg, rng, threads):
                                 amplitude=1e-2, rng=rng,
                                 origin=g.x_a - 2 * g.tau)
         psi = MaskedPeriodic(base.partition_bump("a"), psit)
-        M = splitting_a(psi, base, chart=chart_a)
+        M = splitting_a(psi, base)
         ref = splitting_a_reference(psi, base)
         worst_a = max(worst_a, float(np.max(np.abs(M(xa) - ref(xa)))))
 
         psit = random_trig_poly(g.tau, harmonics=p["harmonics"],
                                 amplitude=1e-2, rng=rng, origin=g.x_b)
         psi = MaskedPeriodic(base.partition_bump("b"), psit)
-        M = splitting_b(psi, base, chart=chart_b, check_link_a=False)
+        M = splitting_b(psi, base)
         ref = splitting_b_reference(psi, base)
         worst_b = max(worst_b, float(np.max(np.abs(M(xb) - ref(xb)))))
     checks.append(_check("splitting-a-closed-form", worst_a, 1e-6))
@@ -218,7 +215,7 @@ def _run_links(cfg, rng, threads):
         psit = random_trig_poly(g.tau, harmonics=p["harmonics"],
                                 amplitude=p["size"], rng=rng, origin=g.x_b)
         psi = MaskedPeriodic(base.partition_bump("b"), psit)
-        M = splitting_b(psi, base, chart=chart_b, check_link_a=False)
+        M = splitting_b(psi, base)
         worst_mean = max(worst_mean, abs(M.mean()))
     checks.append(_check("splitting-b-zero-mean", worst_mean, 1e-8))
 
@@ -245,9 +242,8 @@ def _run_links(cfg, rng, threads):
             psi, trace = restore(model)
             max_iters = max(max_iters, len(trace))
             max_final = max(max_final, trace[-1][1])
-            chart = TimeEnergyChart(side, model)
-            w_u = unstable_curve(model, side, chart=chart)
-            w_s = stable_curve(model, side, psi=psi, chart=chart)
+            w_u = unstable_curve(model, side)
+            w_s = stable_curve(model, side, psi=psi)
             max_coincide = max(max_coincide, curve_sup_diff(
                 w_u, w_s, *model.fundamental_interval(side)))
             if run_idx == 0:

@@ -34,7 +34,7 @@ from .maps import MapDescriptor, compose, identity_map, inverse_descriptor, shea
 # doubling allowed before it gives up
 SIGMA_STEPS_START = 64
 SIGMA_STEPS_CAP = 1024
-# splitting_b: largest a-link gap it accepts as intact
+# side b's link entry: largest a-link gap it accepts as intact
 LINK_A_TOL = 1e-8
 # restoration solvers: residual tolerance and iteration cap; side b also
 # aborts when the splitting mean exceeds RESTORE_MEAN_TOL (a broken a-link)
@@ -125,6 +125,7 @@ class SuitableModel:
         self._validate_hook()
         self.fstar = self._assemble_fstar()
         self.F = compose(self.hook, self.fstar, name="F") if hook is not None else self.fstar
+        self._links = {}  # side -> the psi-independent half of the link (_link)
 
     # -- regions ------------------------------------------------------------
 
@@ -324,7 +325,6 @@ class TimeEnergyChart:
             self._piece = model.trans_b
             self._ext_sign = +1
 
-        self._fstep = model.forward_step(self._piece)
         self._bstep = model.backward_step(self._piece)
         self._Finv = inverse_descriptor(self.F)
 
@@ -559,68 +559,78 @@ def _check_support(psi, band, what):
                          f"[{band[0]}, {band[1]}]")
 
 
-def unstable_curve(model, side, psi=None, chart=None):
+def _link(model, side):
+    """The psi-independent half of a link side, built once per model: (chart,
+    w_u, stable inflow pushed along the forward itinerary).  Side b's build
+    first checks the a-link and raises ValueError, storing nothing, if broken."""
+    if side not in model._links:
+        if side == "b":
+            gap = splitting_a(None, model).sup()
+            if gap > LINK_A_TOL:
+                raise ValueError(f"splitting_b: the a-link is broken (sup gap {gap:.3e})")
+        chart = TimeEnergyChart(side, model)
+        fwd = model.forward_itinerary(side)
+        c = graph_transform(model.forward_step(fwd[0]), model.seed_unstable(side))
+        w_u = graph_transform(chart, c)
+        c = model.stable_inflow(side)
+        for piece in fwd:
+            c = graph_transform(model.forward_step(piece), c)
+        model._links[side] = (chart, w_u, c)
+    return model._links[side]
+
+
+def unstable_curve(model, side, psi=None):
     """The unstable graph curve over the fundamental interval.
 
     With psi given, the shear and its inverse are both applied literally
     (they cancel analytically; running them measures pipeline fidelity and
     exhibits the independence of the unstable side from psi).
     """
-    chart = chart or TimeEnergyChart(side, model)
-    piece = model.trans_a if side == "a" else model.trans_b
-    c = graph_transform(model.forward_step(piece), model.seed_unstable(side))
-    if psi is not None:
-        s_plus = shear_map(psi, psi.d1, name="S_psi")
-        c = graph_transform(s_plus, c)           # last factor of S_psi o F
-        c = graph_transform(_shear_steps(psi), c)  # chart prefix phi o S_{-psi}
+    chart, w_u, _ = _link(model, side)
+    if psi is None:
+        return w_u
+    c = graph_transform(model.forward_step(model.forward_itinerary(side)[0]),
+                        model.seed_unstable(side))
+    c = graph_transform(shear_map(psi, psi.d1, name="S_psi"), c)  # last factor of S_psi o F
+    c = graph_transform(_shear_steps(psi), c)  # chart prefix phi o S_{-psi}
     return graph_transform(chart, c)
 
 
-def stable_curve(model, side, psi=None, chart=None):
-    """The stable graph curve over the fundamental interval, via the
-    forward push + shear-interleaved backward chain."""
-    chart = chart or TimeEnergyChart(side, model)
+def stable_curve(model, side, psi=None):
+    """The stable graph curve over the fundamental interval: the model's
+    forward push, then the shear-interleaved backward chain."""
+    chart, _, c = _link(model, side)
     sneg = _shear_steps(psi)
-    c = model.stable_inflow(side)
-    fwd = model.forward_itinerary(side)
-    for piece in fwd:
-        c = graph_transform(model.forward_step(piece), c)
     if sneg is not None:
         c = graph_transform(sneg, c)
-    for piece in reversed(fwd):
+    for piece in reversed(model.forward_itinerary(side)):
         c = graph_transform(model.backward_step(piece), c)
         if sneg is not None:
             c = graph_transform(sneg, c)
     return graph_transform(chart, c)
 
 
-def _splitting(side, psi, model, chart):
+def _splitting(side, psi, model):
     """w_u - w_s for S_psi o F, sampled over the fundamental interval."""
-    chart = chart or TimeEnergyChart(side, model)
-    w_u = unstable_curve(model, side, chart=chart)
-    w_s = stable_curve(model, side, psi=psi, chart=chart)
+    w_u = unstable_curve(model, side)
+    w_s = stable_curve(model, side, psi=psi)
     lo, _ = model.fundamental_interval(side)
     tau = model.geometry.tau
     grid = lo + np.arange(PERIODIC_SAMPLES) * (tau / PERIODIC_SAMPLES)
     return PeriodicFn(tau, w_u(grid) - w_s(grid), origin=lo)
 
 
-def splitting_a(psi, model, chart=None):
+def splitting_a(psi, model):
     """Splitting function of the a-link for S_psi o F, over [x_a - tau, x_a]."""
     _check_support(psi, model.shear_band("a"), "splitting_a")
-    return _splitting("a", psi, model, chart)
+    return _splitting("a", psi, model)
 
 
-def splitting_b(psi, model, chart=None, check_link_a=True):
-    """Splitting function of the b-link for S_psi o F, over [x_b, x_b + tau].
-
-    Requires the a-link to be intact (checked unless check_link_a=False)."""
+def splitting_b(psi, model):
+    """Splitting function of the b-link for S_psi o F, over [x_b, x_b + tau];
+    the a-link must be intact (checked once per model, by _link)."""
     _check_support(psi, model.shear_band("b"), "splitting_b")
-    if check_link_a:
-        gap = splitting_a(None, model).sup()
-        if gap > LINK_A_TOL:
-            raise ValueError(f"splitting_b: the a-link is broken (sup gap {gap:.3e})")
-    return _splitting("b", psi, model, chart)
+    return _splitting("b", psi, model)
 
 
 def splitting_a_reference(psi, model):
@@ -663,6 +673,36 @@ def restoration_b_reference(model):
 # restoration solvers
 
 
+def _restore(model, side, splitting):
+    """The restoration loop of one link side: psit -> psit - M(rho psit),
+    with residuals in the sup norm on side a and in the derivative-only norm
+    on side b, where every iterate is also made zero-mean."""
+    rho = model.partition_bump(side)
+    lo, _ = model.fundamental_interval(side)
+    psit = PeriodicFn(model.geometry.tau, np.zeros(PERIODIC_SAMPLES), origin=lo)
+    trace = []
+    prev = None
+    for it in range(RESTORE_MAX_ITER):
+        m = splitting(MaskedPeriodic(rho, psit), model)
+        if side == "b" and abs(m.mean()) > RESTORE_MEAN_TOL:
+            raise ValueError(
+                f"restore_link_b: splitting mean {m.mean():.3e} exceeds "
+                f"{RESTORE_MEAN_TOL:.1e}; the a-link appears broken")
+        trace.append((it, m.sup(), m.norm0()))
+        res = trace[-1][1 if side == "a" else 2]
+        if res <= RESTORE_TOL:
+            break
+        if prev is not None and prev > RESTORE_TOL and res >= prev:
+            raise ValueError(f"restore_link_{side}: no contraction "
+                             f"(residual {res:.3e} after {prev:.3e})")
+        prev = res
+        psit = psit - m if side == "a" else (psit - m).zero_mean()
+    else:
+        raise RuntimeError(f"restore_link_{side}: residual {res:.3e} after "
+                           f"{RESTORE_MAX_ITER} iterations")
+    return MaskedPeriodic(rho, psit), trace
+
+
 def restore_link_a(model):
     """Solve for the masked shear that closes the a-link of the model's F.
 
@@ -671,28 +711,7 @@ def restore_link_a(model):
     residual, derivative-norm residual).  Raises RuntimeError when
     RESTORE_MAX_ITER iterations do not reach the tolerance.
     """
-    rho = model.partition_bump("a")
-    lo, _ = model.fundamental_interval("a")
-    tau = model.geometry.tau
-    chart = TimeEnergyChart("a", model)
-    psit = PeriodicFn(tau, np.zeros(PERIODIC_SAMPLES), origin=lo)
-    trace = []
-    prev = None
-    for it in range(RESTORE_MAX_ITER):
-        m = splitting_a(MaskedPeriodic(rho, psit), model, chart=chart)
-        res_sup, res_norm0 = m.sup(), m.norm0()
-        trace.append((it, res_sup, res_norm0))
-        if res_sup <= RESTORE_TOL:
-            break
-        if prev is not None and prev > RESTORE_TOL and res_sup >= prev:
-            raise ValueError(
-                f"restore_link_a: no contraction (residual {res_sup:.3e} after {prev:.3e})")
-        prev = res_sup
-        psit = psit - m
-    else:
-        raise RuntimeError(f"restore_link_a: residual {res_sup:.3e} after "
-                           f"{RESTORE_MAX_ITER} iterations")
-    return MaskedPeriodic(rho, psit), trace
+    return _restore(model, "a", splitting_a)
 
 
 def restore_link_b(model):
@@ -704,32 +723,4 @@ def restore_link_b(model):
     aborts.  Raises RuntimeError when RESTORE_MAX_ITER iterations do not
     reach the tolerance.
     """
-    rho = model.partition_bump("b")
-    lo, _ = model.fundamental_interval("b")
-    tau = model.geometry.tau
-    chart = TimeEnergyChart("b", model)
-    psit = PeriodicFn(tau, np.zeros(PERIODIC_SAMPLES), origin=lo)
-    trace = []
-    prev = None
-    first = True
-    for it in range(RESTORE_MAX_ITER):
-        m = splitting_b(MaskedPeriodic(rho, psit), model, chart=chart,
-                        check_link_a=first)
-        first = False
-        if abs(m.mean()) > RESTORE_MEAN_TOL:
-            raise ValueError(
-                f"restore_link_b: splitting mean {m.mean():.3e} exceeds "
-                f"{RESTORE_MEAN_TOL:.1e}; the a-link appears broken")
-        res_sup, res_norm0 = m.sup(), m.norm0()
-        trace.append((it, res_sup, res_norm0))
-        if res_norm0 <= RESTORE_TOL:
-            break
-        if prev is not None and prev > RESTORE_TOL and res_norm0 >= prev:
-            raise ValueError(
-                f"restore_link_b: no contraction (residual {res_norm0:.3e} after {prev:.3e})")
-        prev = res_norm0
-        psit = (psit - m).zero_mean()
-    else:
-        raise RuntimeError(f"restore_link_b: residual {res_norm0:.3e} after "
-                           f"{RESTORE_MAX_ITER} iterations")
-    return MaskedPeriodic(rho, psit), trace
+    return _restore(model, "b", splitting_b)

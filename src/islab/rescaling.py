@@ -22,6 +22,10 @@ from .maps import (MapDescriptor, compose, henon_like, inverse_descriptor, quart
                    shear_map)
 
 
+# SaddleNormalForm.passage_invariant: fixed-point sweeps allowed before it raises
+PASSAGE_CAP = 80
+
+
 # ---------------------------------------------------------------------------
 # saddle normal form
 
@@ -81,22 +85,25 @@ class SaddleNormalForm:
     # -- boundary-value form ---------------------------------------------------
 
     def passage_invariant(self, xbar, y, k):
-        """Solve u = xbar * y * e^{k h'(u)} (entry-x and exit-y given) by at
-        most 80 fixed-point sweeps, to relative step 1e-15."""
+        """Solve u = xbar * y * e^{k h'(u)} (entry-x and exit-y given) by
+        fixed-point sweeps.  Each point freezes once its step is at most
+        1e-15 (1 + |u|) or it overflows (left to the residual); a finite point
+        still moving after PASSAGE_CAP sweeps raises RuntimeError."""
         if k * abs(self.log_lam) > 500:
             raise ValueError("k outside the overflow-safe range")
-        xbar = np.asarray(xbar, dtype=float)
-        y = np.asarray(y, dtype=float)
-        s = xbar * y * self.lam ** k
-        u = s
-        for _ in range(80):
-            nxt = s * np.exp(2.0 * k * self.c2 * u)
-            if np.max(np.abs(nxt - u)) <= 1e-15 * (1.0 + np.max(np.abs(u))):
-                u = nxt
+        s = np.array(np.asarray(xbar, dtype=float) * np.asarray(y, dtype=float) * self.lam ** k)
+        u, live = s.copy(), np.ones(s.shape, dtype=bool)
+        for _ in range(PASSAGE_CAP):
+            old = u[live]
+            u[live] = nxt = s[live] * np.exp(2.0 * k * self.c2 * old)
+            done = np.abs(nxt - old) <= 1e-15 * (1.0 + np.abs(old))
+            live[live] = ~done & np.isfinite(nxt)
+            if not live.any():
                 break
-            u = nxt
+        else:
+            raise RuntimeError(f"passage_invariant: unconverged after {PASSAGE_CAP} sweeps")
         resid = np.max(np.abs(u - s * np.exp(2.0 * k * self.c2 * u)))
-        return u, float(resid)
+        return u[()], float(resid)
 
     def xi_eta(self, k, xbar, y):
         """Correction terms of the k-step boundary-value relation:

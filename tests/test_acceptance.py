@@ -18,8 +18,7 @@ from islab.curves import BumpFn, MaskedPeriodic, curve_sup_diff, random_trig_pol
 from islab.links import (LinkGeometry, build_suitable_model, restore_link_a,
                          restore_link_b, restoration_b_reference, splitting_a,
                          splitting_a_reference, splitting_b,
-                         splitting_b_reference, stable_curve,
-                         TimeEnergyChart, unstable_curve)
+                         splitting_b_reference, stable_curve, unstable_curve)
 from islab.lyapunov import (LN4, cone_certificate, entropy_estimate,
                             max_lyapunov)
 from islab.maps import (anosov_map, chirikov_map, compose, henon_like,
@@ -214,8 +213,6 @@ def test_criterion_05_splitting_closed_forms():
     rng = np.random.default_rng(RNG_SEED)
     g = LinkGeometry()
     model = build_suitable_model()
-    chart_a = TimeEnergyChart("a", model)
-    chart_b = TimeEnergyChart("b", model)
     xa = np.linspace(g.x_a - g.tau, g.x_a, 401)
     xb = np.linspace(g.x_b, g.x_b + g.tau, 401)
     worst_a = worst_b = 0.0
@@ -223,15 +220,14 @@ def test_criterion_05_splitting_closed_forms():
         psit = random_trig_poly(g.tau, harmonics=8, amplitude=1e-2, rng=rng,
                                 origin=g.x_a - 2 * g.tau)
         psi = MaskedPeriodic(model.partition_bump("a"), psit)
-        M = splitting_a(psi, model, chart=chart_a)
+        M = splitting_a(psi, model)
         ref = splitting_a_reference(psi, model)
         worst_a = max(worst_a, float(np.max(np.abs(M(xa) - ref(xa)))))
 
         psit = random_trig_poly(g.tau, harmonics=8, amplitude=1e-2, rng=rng,
                                 origin=g.x_b)
         psi = MaskedPeriodic(model.partition_bump("b"), psit)
-        M = splitting_b(psi, model, chart=chart_b,
-                        check_link_a=False)
+        M = splitting_b(psi, model)
         ref = splitting_b_reference(psi, model)
         worst_b = max(worst_b, float(np.max(np.abs(M(xb) - ref(xb)))))
     elapsed = time.perf_counter() - t0
@@ -251,13 +247,12 @@ def test_criterion_06_zero_mean():
     rng = np.random.default_rng(RNG_SEED)
     g = LinkGeometry()
     model = build_suitable_model()
-    chart_b = TimeEnergyChart("b", model)
     worst = 0.0
     for _ in range(10):
         psit = random_trig_poly(g.tau, harmonics=8, amplitude=1e-3, rng=rng,
                                 origin=g.x_b)
         psi = MaskedPeriodic(model.partition_bump("b"), psit)
-        M = splitting_b(psi, model, chart=chart_b)
+        M = splitting_b(psi, model)
         worst = max(worst, abs(M.mean()))
     ok = worst <= 1e-8
     _line(6, "zero mean", ok, f"max |mean M^b| = {worst:.2g} <= 1e-8 "
@@ -287,9 +282,8 @@ def test_criterion_07_restoration():
             lo, hi = g.x_b, g.x_b + g.tau
         worst_iters = max(worst_iters, len(trace))
         worst_final = max(worst_final, trace[-1][1])
-        chart = TimeEnergyChart(side, model)
-        w_u = unstable_curve(model, side, chart=chart)
-        w_s = stable_curve(model, side, psi=psi, chart=chart)
+        w_u = unstable_curve(model, side)
+        w_s = stable_curve(model, side, psi=psi)
         worst_gap = max(worst_gap, curve_sup_diff(w_u, w_s, lo, hi))
 
     base = build_suitable_model()

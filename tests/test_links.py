@@ -279,8 +279,11 @@ def test_splitting_support_enforced():
 
 def test_splitting_b_detects_broken_a_link():
     model = build_suitable_model(hook=_a_band_hook(LinkGeometry()))
-    with pytest.raises(ValueError):
-        splitting_b(None, model)
+    # a failed check stores no side-b entry on the model, so a second call
+    # checks again instead of skipping the check
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            splitting_b(None, model)
 
 
 def test_unstable_curve_psi_independent():
@@ -322,9 +325,8 @@ def test_restore_link_a():
         assert r1 <= 0.5 * r0
     # the restored link is closed: stable and unstable curves coincide
     g = model.geometry
-    chart = TimeEnergyChart("a", model)
-    w_u = unstable_curve(model, "a", chart=chart)
-    w_s = stable_curve(model, "a", psi=psi_a, chart=chart)
+    w_u = unstable_curve(model, "a")
+    w_s = stable_curve(model, "a", psi=psi_a)
     assert curve_sup_diff(w_u, w_s, g.x_a - g.tau, g.x_a) <= 1e-7
 
 
@@ -336,7 +338,7 @@ def test_restore_link_b():
     assert norms[-1] <= 1e-10
     for r0, r1 in zip(norms, norms[1:]):
         assert r1 <= 0.6 * r0
-    resid = splitting_b(psi_b, model, check_link_a=False)
+    resid = splitting_b(psi_b, model)
     assert resid.sup() <= 1e-8
     assert abs(psi_b.psi.mean()) <= 1e-12
 
@@ -357,3 +359,29 @@ def test_restore_link_b_aborts_on_broken_a_link():
     model = build_suitable_model(hook=_a_band_hook(LinkGeometry()))
     with pytest.raises(ValueError):
         restore_link_b(model)
+
+
+def test_link_side_built_once_per_model(monkeypatch):
+    # each side's chart, w_u and pushed stable inflow are built on first use
+    # and kept on the model: restoring side b, then drawing both of its
+    # curves, builds one chart for side a (the a-link check) and one for b
+    builds = []
+    init = TimeEnergyChart.__init__
+
+    def counting_init(self, side, model):
+        builds.append(side)
+        init(self, side, model)
+
+    g = LinkGeometry()
+    model = build_suitable_model(hook=_b_band_hook(g))
+    monkeypatch.setattr(TimeEnergyChart, "__init__", counting_init)
+    psi, _ = restore_link_b(model)
+    unstable_curve(model, "b")
+    stable_curve(model, "b", psi)
+    assert sorted(builds) == ["a", "b"]
+    monkeypatch.undo()
+    # the warm model splits exactly as a freshly built one
+    warm = splitting_b(psi, model)
+    fresh = splitting_b(psi, build_suitable_model(hook=_b_band_hook(g)))
+    assert np.array_equal(warm.samples, fresh.samples)
+    assert warm.origin == fresh.origin

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Polynomial
 
+from islab import rescaling
 from islab.maps import compose, finite_difference_jacobian, henon_like
 from islab.rescaling import (
     BoxBump,
@@ -162,6 +163,28 @@ def test_passage_invariant_overflow_guard():
     T0 = SaddleNormalForm(0.4, 0.1)
     with pytest.raises(ValueError, match="overflow-safe"):
         T0.passage_invariant(1.0, 0.3, 800)
+
+
+def test_passage_invariant_raises_at_cap(monkeypatch):
+    # u at (xbar, y, k) = (3.0, 0.9, 1) needs 27 fixed-point sweeps
+    T0 = SaddleNormalForm(0.4, 0.1)
+    ref = T0.passage_invariant(3.0, 0.9, 1)
+    monkeypatch.setattr(rescaling, "PASSAGE_CAP", 27)
+    assert T0.passage_invariant(3.0, 0.9, 1) == ref
+    monkeypatch.setattr(rescaling, "PASSAGE_CAP", 26)
+    with pytest.raises(RuntimeError, match="unconverged"):
+        T0.passage_invariant(3.0, 0.9, 1)
+
+
+def test_passage_invariant_points_do_not_depend_on_their_batch():
+    # each point freezes on its own step, so a batch (9 to 27 sweeps)
+    # returns exactly what each point returns alone
+    T0 = SaddleNormalForm(0.4, 0.1)
+    xbar = np.array([2.3, 1.0, 3.0, 2.0])
+    y = np.array([0.31, 0.3, 0.9, 0.4])
+    u, _ = T0.passage_invariant(xbar, y, 1)
+    alone = [T0.passage_invariant(a, b, 1)[0] for a, b in zip(xbar, y)]
+    assert np.array_equal(u, alone)
 
 
 # ---------------------------------------------------------------------------
