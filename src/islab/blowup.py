@@ -29,10 +29,11 @@ import numpy as np
 
 from .curves import smoothstep, smoothstep_d1, smoothstep_d2
 from .hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
-from .maps import ANOSOV, MapDescriptor, inv2, torus_diff, wrap_torus
+from .maps import (ANOSOV, MapDescriptor, inv2, matmul_left, matmul_right,
+                   torus_diff, wrap_torus)
 
 SIGMA = np.log(9.0 + 4.0 * np.sqrt(5.0))          # expansion exponent
-EXP_2SIGMA = 161.0 + 72.0 * np.sqrt(5.0)          # e^{2 sigma}, saddle multiplier
+# the centres are the lattice (1/2 Z)^2 on the torus
 CENTERS = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
 # psi_inv: residual floor in ulps of the target, and the iteration cap
 _ROOT_ULPS = 8
@@ -53,10 +54,17 @@ def eigen_rotation():
     return R
 
 
+def _norm2(w):
+    """|w|^2 of points (..., 2): the same bits as np.sum(w * w, axis=-1),
+    without paying for a reduction over a length-2 axis."""
+    ww = w * w
+    return ww[..., 0] + ww[..., 1]
+
+
 def to_polar(w):
     """Symplectic polar coordinates (rho, theta) of Cartesian chart points."""
     w = np.asarray(w, dtype=float)
-    rho = 0.5 * np.sum(w * w, axis=-1)
+    rho = 0.5 * _norm2(w)
     theta = np.arctan2(w[..., 1], w[..., 0])
     return np.stack([rho, theta], axis=-1)
 
@@ -65,13 +73,6 @@ def from_polar(s):
     s = np.asarray(s, dtype=float)
     r = np.sqrt(2.0 * s[..., 0])
     return np.stack([r * np.cos(s[..., 1]), r * np.sin(s[..., 1])], axis=-1)
-
-
-def _by_center(mask):
-    """Points inside some disc of a (4, N) membership mask, and the index of
-    that disc (the four discs are disjoint)."""
-    idx = np.nonzero(mask.any(axis=0))[0]
-    return idx, np.argmax(mask[:, idx], axis=0)
 
 
 @dataclass
@@ -262,10 +263,15 @@ class IslandMap:
 
     # --- low-level pieces ---------------------------------------------
 
-    def _charts(self, p):
-        """Per-center nearest-lift offsets d (4, N, 2) and radii^2 (4, N)."""
-        d = torus_diff(p[None, :, :], self.centers[:, None, :])
-        return d, np.sum(d * d, axis=-1)
+    @staticmethod
+    def _chart(p):
+        """Offsets d (N, 2) of wrapped points p from their nearest centre,
+        and radii^2 (N,).  The centres are the lattice (1/2 Z)^2 and
+        eps < 1/4, so no other centre can be in range.  d is bitwise the
+        nearest centre's `torus_diff` offset (ties at 1/4 and 3/4 go to the
+        first centre in CENTERS order, as np.argmin would)."""
+        d = p - np.round(2.0 * p) / 2.0
+        return d, _norm2(d)
 
     def _scale_jac(self, w, s, ds_drho):
         """Jacobian of w -> s(rho) w in chart coordinates: s I + s' w w^T."""
@@ -277,23 +283,23 @@ class IslandMap:
         return J
 
     def _annuli(self, r2, inverse):
-        """Points of a (4, N) radius^2 array inside a surgery annulus (of
-        Psi's domain, or of its image, which reaches down to the centre,
-        when inverse), and the index of that annulus's centre."""
+        """Indices of the points whose radius^2 r2 (N,) lies in a surgery
+        annulus (of Psi's domain, or of its image, which reaches down to the
+        centre, when inverse)."""
         lo2 = 1e-28 if inverse else self._in2
-        return _by_center((r2 > lo2) & (r2 < self.profile.eps**2))
+        return np.nonzero((r2 > lo2) & (r2 < self.profile.eps**2))[0]
 
     def _surgery(self, q, d, r2, inverse, J):
         """Psi, or Psi^{-1} when inverse, of points q with chart offsets d
-        (4, N, 2) and radii^2 r2 (4, N): the radial rescaling on the annuli,
-        the identity elsewhere.  A Jacobian array J (N, 2, 2), when given,
-        is multiplied on the left by that map's Jacobian, in place."""
+        (N, 2) and radii^2 r2 (N,): the radial rescaling on the annuli, the
+        identity elsewhere.  A Jacobian array J (N, 2, 2), when given, is
+        multiplied on the left by that map's Jacobian, in place."""
         out = q.copy()
-        a, ci = self._annuli(r2, inverse)
+        a = self._annuli(r2, inverse)
         if a.size:
-            da = d[ci, a]
+            da = d[a]
             w = da @ self.R
-            rho = 0.5 * np.sum(w * w, axis=-1)
+            rho = 0.5 * _norm2(w)
             new = self.profile.psi_inv(rho) if inverse else self.profile.psi(rho)
             s = np.sqrt(new / rho)
             out[a] = wrap_torus(q[a] + (s[..., None] * w) @ self.RT - da)
@@ -301,7 +307,9 @@ class IslandMap:
                 # 2 s s' = (new' rho - new)/rho^2, with (psi^{-1})' = 1/psi'
                 d1 = 1.0 / self.profile.psi_d1(new) if inverse else self.profile.psi_d1(rho)
                 ds = (d1 * rho - new) / (rho**2 * 2 * s)
-                J[a] = self.R @ self._scale_jac(w, s, ds) @ self.RT @ J[a]
+                # R S = (S R^T)^T bitwise, as S is symmetric
+                RS = np.swapaxes(matmul_right(self._scale_jac(w, s, ds), self.RT), -1, -2)
+                J[a] = matmul_right(RS, self.RT) @ J[a]
         return out
 
     def _flow(self, p, d, t, steps, with_jac):
@@ -353,14 +361,14 @@ class IslandMap:
         out = np.empty_like(p)
         J = np.empty(p.shape + (2,), dtype=float) if with_jac else None
 
-        d, r2 = self._charts(p)
-        inside = r2 <= self._in2    # (4, N): flow regime per center
+        d, r2 = self._chart(p)
+        inside = r2 <= self._in2    # flow regime
 
         # flow regime, all four discs in one integration
-        fl, ci = _by_center(inside)
+        fl = np.nonzero(inside)[0]
         if fl.size:
-            di = d[ci, fl]
-            r2m = r2[ci, fl]
+            di = d[fl]
+            r2m = r2[fl]
             pm = p[fl]
             snap = np.abs(r2m - self._circ2) <= self._circ_band
             if np.any(snap):
@@ -374,16 +382,14 @@ class IslandMap:
                 J[fl] = Jf
 
         # surgery regime: Psi on the annuli, then A, then Psi^{-1}
-        sm = np.nonzero(~inside.any(axis=0))[0]
+        sm = np.nonzero(~inside)[0]
         if sm.size:
             Jp = np.broadcast_to(np.eye(2), (sm.size, 2, 2)).copy() if with_jac else None
-            # np.take: fancy indexing along a middle axis is ten times slower
-            q = self._surgery(p[sm], np.take(d, sm, axis=1), np.take(r2, sm, axis=1),
-                              False, Jp)
+            q = self._surgery(p[sm], d[sm], r2[sm], False, Jp)
             q2 = wrap_torus(q @ np.ascontiguousarray(mat.T))
             if with_jac:
-                Jp = mat @ Jp
-            d2, r2b = self._charts(q2)
+                Jp = matmul_left(mat, Jp)
+            d2, r2b = self._chart(q2)
             out[sm] = self._surgery(q2, d2, r2b, True, Jp)
             if with_jac:
                 J[sm] = Jp
@@ -407,10 +413,10 @@ class IslandMap:
         """Density of the invariant form: psi'(rho) on annuli, 1 elsewhere."""
         p = np.asarray(p, dtype=float)
         flat = wrap_torus(p.reshape(-1, 2))
-        _, r2 = self._charts(flat)
+        _, r2 = self._chart(flat)
         mu = np.ones(flat.shape[0])
-        a, ci = self._annuli(r2, False)
-        mu[a] = self.profile.psi_d1(0.5 * r2[ci, a])
+        a = self._annuli(r2, False)
+        mu[a] = self.profile.psi_d1(0.5 * r2[a])
         return mu.reshape(p.shape[:-1])
 
     def descriptor(self):
@@ -425,8 +431,8 @@ class IslandMap:
         """True for points outside every open disc V_i."""
         p = np.asarray(p, dtype=float)
         flat = wrap_torus(p.reshape(-1, 2))
-        _, r2 = self._charts(flat)
-        return (r2 >= self.profile.delta**2).all(axis=0).reshape(p.shape[:-1])
+        _, r2 = self._chart(flat)
+        return (r2 >= self.profile.delta**2).reshape(p.shape[:-1])
 
     def island_area(self):
         return 1.0 - 4.0 * np.pi * self.profile.delta**2
@@ -443,7 +449,7 @@ class IslandMap:
         def apply(p, inverse, with_jac):
             p = np.asarray(p, dtype=float)
             flat = wrap_torus(p.reshape(-1, 2))
-            d, r2 = self._charts(flat)
+            d, r2 = self._chart(flat)
             if with_jac and np.any(r2 <= self._in2):
                 raise ValueError("surgery Jacobian is undefined on or inside a link circle")
             if not inverse and np.any(r2 < self.profile.delta**2 * (1.0 - 1e-12)):
@@ -451,8 +457,8 @@ class IslandMap:
             J = np.broadcast_to(np.eye(2), flat.shape + (2,)).copy() if with_jac else None
             out = self._surgery(flat, d, r2, inverse, J)
             if not inverse:
-                c, ci = _by_center(r2 <= self._in2)
-                out[c] = wrap_torus(flat[c] - d[ci, c])
+                c = r2 <= self._in2
+                out[c] = wrap_torus(flat[c] - d[c])
             return out.reshape(p.shape), (J.reshape(p.shape + (2,)) if with_jac else None)
 
         return MapDescriptor("Psi", lambda p: apply(p, False, False)[0],
@@ -534,34 +540,6 @@ def link_saddles(island):
     return out
 
 
-def regime_consistency(island):
-    """Sup distance between the two defining formulas on the outer collar.
-
-    On rho in (rho_lo, rho_lo + zeta] with zeta = (r1 - rho_lo) e^{-2 sigma}
-    the surgery composite equals the island flow exactly (both are the
-    time-sigma flow of (rho - rho_lo) sin 2 theta while the orbit stays in
-    the linear zone of psi); the residual measures the refined integrator.
-    """
-    prof = island.profile
-    zeta = (prof.r1 - prof.rho_lo) * np.exp(-2 * SIGMA)
-    rng = np.random.default_rng(7)
-    th = rng.uniform(0, 2 * np.pi, 64)
-    rho = prof.rho_lo + zeta * rng.uniform(0.05, 1.0, 64)
-    state = np.stack([rho, th], axis=-1)
-    w = from_polar(state)
-    # the flow runs in the centre's own polar frame, so one integration
-    # serves all four centres
-    s_end, _ = _midpoint_steps(island.system, state, SIGMA, 32768, 1e-15, False)
-    dw = from_polar(s_end) - w
-    worst = 0.0
-    for c in island.centers:
-        p = wrap_torus(c + w @ island.R.T)
-        surg = island(p)                       # rho > rho_lo: surgery branch
-        flow = wrap_torus(p + dw @ island.R.T)
-        worst = max(worst, float(np.max(np.abs(torus_diff(surg, flow)))))
-    return worst
-
-
 def conjugacy_defect(island, n=2000):
     """sup | Psi(Fhat p) - F_A(Psi p) | over island samples."""
     rng = np.random.default_rng(5)
@@ -610,30 +588,3 @@ def symmetry_and_identity_report(island, n=1000):
         conjugacy=conjugacy_defect(island, n=n),
         identity_at_centers=centers_defect,
     )
-
-
-def flow_matches_linear_map(island):
-    """Precondition check: the chart flow of H0 = rho sin 2 theta over time
-    sigma matches the diagonalized automorphism on outer-disc samples."""
-    prof = island.profile
-    rng = np.random.default_rng(9)
-    th = rng.uniform(0, 2 * np.pi, 64)
-    w = from_polar(np.stack([np.full(64, prof.rho_hi), th], axis=-1))
-
-    def grad(s):
-        rho, t_ = s[..., 0], s[..., 1]
-        return np.stack([np.sin(2 * t_), 2 * rho * np.cos(2 * t_)], axis=-1)
-
-    def hess(s):
-        rho, t_ = s[..., 0], s[..., 1]
-        H = np.empty(np.shape(s)[:-1] + (2, 2), dtype=float)
-        H[..., 0, 0] = 0.0
-        H[..., 0, 1] = 2 * np.cos(2 * t_)
-        H[..., 1, 0] = H[..., 0, 1]
-        H[..., 1, 1] = -4 * rho * np.sin(2 * t_)
-        return H
-
-    sys0 = HamiltonianSystem("rho sin 2 theta", grad, hess)
-    s_end, _ = _midpoint_steps(sys0, to_polar(w), SIGMA, 65536, 1e-15, False)
-    D = np.diag([np.exp(SIGMA), np.exp(-SIGMA)])
-    return float(np.max(np.abs(from_polar(s_end) - w @ D.T)))

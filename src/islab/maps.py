@@ -15,8 +15,14 @@ import numpy as np
 
 
 def wrap_torus(p):
-    """Reduce points mod 1 into [0, 1)^2."""
-    return np.mod(p, 1.0)
+    """Reduce points mod 1 into [0, 1)^2 (a coordinate within rounding
+    below 0 lands on 1.0).
+
+    p - floor(p) is bitwise equal to np.mod(p, 1.0), sign bit included
+    (-0.0 -> 0.0, -1e-300 -> 1.0, NaN and +-inf -> NaN), without np.mod's
+    per-element divmod.
+    """
+    return p - np.floor(p)
 
 
 def torus_diff(p, q):
@@ -172,6 +178,24 @@ def inv2(J):
     inv[..., 1, 0] = -J[..., 1, 0]
     inv[..., 1, 1] = J[..., 0, 0]
     return inv / det[..., None, None]
+
+
+def matmul_right(J, B):
+    """J @ B for a stack J (..., 2, 2) and one 2x2 matrix B.
+
+    numpy runs a stacked product as one BLAS call per matrix; stacking the
+    rows of J makes it a single (N, 2) @ (2, 2) gemm, with the same bits.
+    """
+    J = np.ascontiguousarray(J)
+    return (J.reshape(-1, 2) @ np.ascontiguousarray(B)).reshape(J.shape)
+
+
+def matmul_left(A, J):
+    """A @ J for one 2x2 matrix A and a stack J (..., 2, 2), as
+    (J^T A^T)^T through `matmul_right`; bitwise equal to the stacked
+    product."""
+    Jt = np.swapaxes(J, -1, -2)
+    return np.swapaxes(matmul_right(Jt, np.swapaxes(A, -1, -2)), -1, -2)
 
 
 def inverse_descriptor(m):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from islab.blowup import (
-    EXP_2SIGMA,
     FLOW_STEPS,
     SIGMA,
     IslandMap,
@@ -13,16 +12,16 @@ from islab.blowup import (
     eigen_rotation,
     equivariance_defect,
     conjugacy_defect,
-    flow_matches_linear_map,
     from_polar,
     identity_core_defect,
     island_hamiltonian,
     link_saddles,
-    regime_consistency,
     symmetry_and_identity_report,
     to_polar,
 )
 from islab.maps import torus_diff, wrap_torus
+
+from construction_checks import EXP_2SIGMA, flow_matches_linear_map, regime_consistency
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +216,32 @@ def _disc_points(island, rho_lo, rho_hi, m, seed):
     return wrap_torus(island.centers[:, None, :] + w)
 
 
+def test_lattice_chart_matches_nearest_of_four_centres(island):
+    prof = island.profile
+    rng = np.random.default_rng(27)
+    th = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    on_eps = prof.eps * np.stack([np.cos(th), np.sin(th)], axis=-1)
+    edge = np.concatenate([
+        wrap_torus(np.array([[-1e-300, 0.3], [0.3, -1e-300],
+                             [-1e-300, -1e-300]])),  # 1.0 coordinates
+        island.centers,
+        # ties between two or four centres
+        np.array([[0.25, 0.1], [0.75, 0.1], [0.1, 0.25], [0.1, 0.75],
+                  [0.25, 0.25], [0.75, 0.75], [0.25, 0.75], [0.75, 0.25]]),
+        wrap_torus(island.centers[:, None, :] + on_eps).reshape(-1, 2),
+    ])
+    P = np.concatenate([rng.random((5000, 2)), edge])
+    # reference: offsets to all four centres, then the nearest one
+    d4 = torus_diff(P[None, :, :], island.centers[:, None, :])
+    r4 = np.sum(d4 * d4, axis=-1)
+    k = np.argmin(r4, axis=0)
+    cols = np.arange(len(P))
+    d, r2 = island._chart(P)
+    assert d.shape == P.shape and r2.shape == (len(P),)
+    assert np.array_equal(d.view(np.int64), d4[k, cols].view(np.int64))
+    assert np.array_equal(r2.view(np.int64), r4[k, cols].view(np.int64))
+
+
 def test_value_and_jacobian_bitwise_all_regimes(island):
     prof = island.profile
     core = _disc_points(island, 0.0, prof.rho0, 8, 21).reshape(-1, 2)
@@ -225,7 +250,7 @@ def test_value_and_jacobian_bitwise_all_regimes(island):
                        23).reshape(-1, 2)
     rng = np.random.default_rng(24)
     far = rng.random((400, 2))
-    far = far[(island._charts(far)[1] >= prof.eps**2).all(axis=0)][:32]
+    far = far[island._chart(far)[1] >= prof.eps**2][:32]
     P = np.concatenate([core, flow, ann, far])
     f = island.descriptor()
     img, J = f.value_and_jacobian(P)
@@ -293,8 +318,8 @@ def test_island_orbit_invariance(island):
     delta = island.profile.delta
 
     def min_radius(q):
-        d, r2 = island._charts(wrap_torus(q))
-        return np.sqrt(r2.min(axis=0))
+        _, r2 = island._chart(wrap_torus(q))
+        return np.sqrt(r2)
 
     p = pts.copy()
     q = pts.copy()

@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from islab.maps import (
+    ANOSOV,
     anosov_map,
     chirikov_map,
     compose,
     finite_difference_jacobian,
     henon_like,
     identity_map,
+    matmul_left,
+    matmul_right,
     quarter_turn,
     rotation_map,
     shear_map,
@@ -46,6 +49,32 @@ def test_wrap_and_diff():
     assert np.all((w >= 0) & (w < 1))
     d = torus_diff(rng.random((50, 2)), rng.random((50, 2)))
     assert np.all((d >= -0.5) & (d < 0.5))
+
+
+def test_wrap_torus_bitwise_equals_mod():
+    edge = np.array([0.0, -0.0, 5e-324, -5e-324, np.nextafter(1.0, 0.0),
+                     -np.nextafter(1.0, 0.0), -1e-300, 1e6 + 0.3, -1e6 + 0.3,
+                     1e6 - 0.3, -1e6 - 0.3, 1.0, -1.0, np.nan, -np.nan,
+                     np.inf, -np.inf])
+    p = np.concatenate([edge, rng.normal(size=2000) * 10])
+    with np.errstate(invalid="ignore"):
+        w, ref = wrap_torus(p), np.mod(p, 1.0)
+    # the same bits, sign bit and NaNs included
+    assert np.array_equal(w.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(np.signbit(w), np.signbit(ref))
+    assert wrap_torus(-1e-300) == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 572, 7001])
+def test_flat_2x2_products_bitwise_equal_stacked(n):
+    g = np.random.default_rng(n)
+    J = g.normal(size=(n, 2, 2))
+    B = g.normal(size=(2, 2))
+    # contiguous, strided and transposed stacks; a transposed factor
+    for Js in (J, J[::2], np.swapaxes(J, -1, -2)):
+        for M in (B, B.T, ANOSOV):
+            assert np.array_equal(matmul_right(Js, M), Js @ M)
+            assert np.array_equal(matmul_left(M, Js), M @ Js)
 
 
 @pytest.mark.parametrize("f", [anosov_map(), chirikov_map(0.7)],
