@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import smoothstep, smoothstep_d1, smoothstep_d2
+from .curves import rtsafe, smoothstep, smoothstep_d1, smoothstep_d2
 from .hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
 from .maps import (ANOSOV, MapDescriptor, inv2, matmul_left, matmul_right,
                    torus_diff, wrap_torus)
@@ -127,16 +127,14 @@ class SurgeryProfile:
     def psi_inv(self, v):
         """Inverse of psi on [0, rho_hi].
 
-        On the bridge this is a safeguarded Newton iteration (the rtsafe
-        pattern): a Newton step that leaves the current bracket is replaced
-        by bisection, and each point is frozen as soon as its residual is at
-        psi's rounding floor, its Newton step is a few ulp, or its bracket
-        has shrunk to a few ulp.  psi's bridge carries up to ~8 ulp of
-        rounding noise, so a tighter residual test would update brackets
-        from the sign of noise and could cycle.
+        On the bridge this is curves.rtsafe, started on the bridge's chord,
+        with a residual floor of _ROOT_ULPS ulp of the target (psi's bridge
+        carries up to ~8 ulp of rounding noise, so a tighter test would
+        update brackets from the sign of noise and could cycle) and a step
+        floor of 2 ulp.
 
         Raises RuntimeError if a residual is not finite or a point is still
-        active after the iteration cap.
+        active after _ROOT_CAP iterations.
         """
         scalar = np.ndim(v) == 0
         v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -145,33 +143,14 @@ class SurgeryProfile:
         mid = np.nonzero((v > v1) & (v < self.r2))[0]
         if mid.size:
             target = v[mid]
-            lo = np.full(target.shape, self.r1)
-            hi = np.full(target.shape, self.r2)
-            # start on the chord of the bridge
-            x = self.r1 + (target - v1) * (self._dt / (self.r2 - v1))
-            f_floor = _ROOT_ULPS * np.spacing(target)
-            act = np.arange(target.size)
-            for _ in range(_ROOT_CAP):
-                xa, la, ha = x[act], lo[act], hi[act]
-                f = self.psi(xa) - target[act]
-                if not np.all(np.isfinite(f)):
-                    raise RuntimeError("psi_inv: non-finite residual on the bridge")
-                done = np.abs(f) <= f_floor[act]
-                la = np.where(f < 0, xa, la)
-                ha = np.where(f > 0, xa, ha)
-                xn = xa - f / self.psi_d1(xa)
-                xn = np.where((xn > la) & (xn < ha), xn, 0.5 * (la + ha))
-                ulp = np.spacing(xa)
-                tiny = (np.abs(xn - xa) <= 2 * ulp) | (ha - la <= 4 * ulp)
-                x[act] = np.where(done, xa, xn)
-                lo[act], hi[act] = la, ha
-                act = act[~(done | tiny)]
-                if act.size == 0:
-                    break
-            else:
-                raise RuntimeError(
-                    f"psi_inv: {act.size} points unconverged after {_ROOT_CAP} iterations")
-            out[mid] = x
+
+            def resid(x, rows):
+                return self.psi(x) - target[rows], self.psi_d1(x)
+
+            out[mid] = rtsafe(resid, self.r1 + (target - v1) * (self._dt / (self.r2 - v1)),
+                              np.full(target.shape, self.r1), np.full(target.shape, self.r2),
+                              _ROOT_ULPS * np.spacing(target), lambda x: 2 * np.spacing(x),
+                              _ROOT_CAP, "psi_inv")
         return float(out[0]) if scalar else out
 
     # --- xi ----------------------------------------------------------
@@ -212,11 +191,7 @@ def island_hamiltonian(profile):
         H[..., 1, 1] = -4.0 * u * np.sin(2 * th) * xi
         return H
 
-    def value(s):
-        rho, th = s[..., 0], s[..., 1]
-        return (rho - lo) * np.sin(2 * th) * profile.xi(rho)
-
-    return HamiltonianSystem("island H", grad, hess, value)
+    return HamiltonianSystem("island H", grad, hess)
 
 
 class IslandMap:

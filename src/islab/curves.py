@@ -4,7 +4,8 @@ Two function objects back the manifold pipelines: curves given as graphs
 y = w(x) over a closed interval (cubic interpolation on a uniform grid)
 and tau-periodic functions (trigonometric interpolation on one period).
 The graph transform re-parameterizes the image of a curve under a planar
-map as a new graph over the image interval.
+map as a new graph over the image interval; its preimage solve is rtsafe,
+the package's one safeguarded Newton, which blowup's psi_inv shares.
 """
 
 from functools import lru_cache
@@ -13,7 +14,7 @@ import numpy as np
 
 DENSITY = 256  # graph-curve samples per unit of x-extent (257 per unit interval)
 PERIODIC_SAMPLES = 128
-# graph_transform's general path: iteration cap of its safeguarded Newton
+# graph_transform's general path: iteration cap of its rtsafe preimage solve
 TRANSFORM_CAP = 64
 
 
@@ -420,16 +421,50 @@ def _transversality(f, curve, J):
             f"{f.name}: image fails to be a graph (fold) near x = {x}", x=x)
 
 
+def rtsafe(resid, x, lo, hi, r_floor, x_floor, cap, name):
+    """Roots of a batch of increasing 1-d functions by safeguarded Newton
+    (rtsafe, Numerical Recipes section 9.4).
+
+    resid(x, rows) returns the residuals of entries `rows` at x, increasing
+    in x, and their slopes.  x (the start) and the bracket [lo, hi] are 1-d
+    arrays, updated in place; x is returned.  A Newton step that leaves the
+    current bracket is replaced by bisection, and an entry freezes once
+    |r| <= r_floor (a scalar or one value per entry), its step is at most
+    x_floor(x), or its bracket has shrunk to 2 x_floor(x).
+
+    Raises RuntimeError, naming `name`, if a residual is not finite or an
+    entry is still active after `cap` iterations.
+    """
+    r_floor = np.broadcast_to(r_floor, x.shape)
+    act = np.arange(x.size)
+    for _ in range(cap):
+        xa, la, ha = x[act], lo[act], hi[act]
+        r, slope = resid(xa, act)
+        if not np.all(np.isfinite(r)):
+            raise RuntimeError(f"{name}: non-finite residual")
+        done = np.abs(r) <= r_floor[act]
+        la = np.where(r < 0, xa, la)
+        ha = np.where(r > 0, xa, ha)
+        xn = xa - r / slope
+        xn = np.where((xn > la) & (xn < ha), xn, 0.5 * (la + ha))
+        floor = x_floor(xa)
+        tiny = (np.abs(xn - xa) <= floor) | (ha - la <= 2 * floor)
+        x[act] = np.where(done, xa, xn)
+        lo[act], hi[act] = la, ha
+        act = act[~(done | tiny)]
+        if act.size == 0:
+            return x
+    raise RuntimeError(f"{name}: {act.size} points unconverged after {cap} iterations")
+
+
 def _preimages(f, curve, tx, X):
     """Source abscissae whose f-images have x-coordinate X, one per target.
 
-    A safeguarded Newton iteration (the rtsafe pattern, as in
-    blowup.SurgeryProfile.psi_inv): each target starts on the secant of the
-    sample pair whose images bracket it, a Newton step that leaves the
-    current bracket is replaced by bisection, and each point is frozen as
-    soon as its residual is within a few ulp of the targets' scale, its
-    Newton step is an ulp or two, or its bracket has shrunk to a few ulp of
-    the curve's x-scale.
+    Solved by rtsafe: each target starts on the secant of the sample pair
+    whose images bracket it, and freezes once its residual is within a few
+    ulp of the targets' scale, or its step or bracket is an ulp or two of
+    the curve's x-scale.  The residual is negated when f reverses x, so that
+    it increases.
 
     Raises RuntimeError if a residual is not finite or a point is still
     active after TRANSFORM_CAP iterations.
@@ -442,28 +477,15 @@ def _preimages(f, curve, tx, X):
     ga, gb = g_sorted[idx], g_sorted[idx + 1]
     lo, hi = np.minimum(ga, gb), np.maximum(ga, gb)
     x = np.clip(ga + (X - ta) * ((gb - ga) / (tb - ta)), lo, hi)
-    r_floor = 8 * np.spacing(np.max(np.abs(X)))
     x_floor = 2 * np.spacing(max(abs(curve.x0), abs(curve.x1)))
-    act = np.arange(X.size)
-    for _ in range(TRANSFORM_CAP):
-        xa, la, ha = x[act], lo[act], hi[act]
+
+    def resid(xa, rows):
         img, J = f.value_and_jacobian(curve.points(xa))
-        r = np.asarray(img, dtype=float)[..., 0] - X[act]
-        if not np.all(np.isfinite(r)):
-            raise RuntimeError(f"graph_transform: {f.name} gives a non-finite residual")
-        done = np.abs(r) <= r_floor
-        la = np.where(sign * r < 0, xa, la)
-        ha = np.where(sign * r > 0, xa, ha)
-        xn = xa - r / (J[..., 0, 0] + J[..., 0, 1] * curve.deriv(xa))
-        xn = np.where((xn > la) & (xn < ha), xn, 0.5 * (la + ha))
-        tiny = (np.abs(xn - xa) <= x_floor) | (ha - la <= 2 * x_floor)
-        x[act] = np.where(done, xa, xn)
-        lo[act], hi[act] = la, ha
-        act = act[~(done | tiny)]
-        if act.size == 0:
-            return x
-    raise RuntimeError(f"graph_transform: {f.name}: {act.size} points unconverged "
-                       f"after {TRANSFORM_CAP} iterations")
+        r = np.asarray(img, dtype=float)[..., 0] - X[rows]
+        return sign * r, sign * (J[..., 0, 0] + J[..., 0, 1] * curve.deriv(xa))
+
+    return rtsafe(resid, x, lo, hi, 8 * np.spacing(np.max(np.abs(X))),
+                  lambda xa: x_floor, TRANSFORM_CAP, f"graph_transform: {f.name}")
 
 
 def graph_transform(f, curve):

@@ -11,7 +11,7 @@ used for a polar pair (rho, theta) carrying the area form d rho ^ d theta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,17 +24,15 @@ MIDPOINT_TOL = 1e-13
 
 @dataclass
 class HamiltonianSystem:
-    """Hamiltonian with analytic gradient and Hessian (and optionally value).
+    """Hamiltonian with analytic gradient and Hessian.
 
     grad(p) returns (dH/dx, dH/dy) with shape (..., 2); hess(p) returns the
-    symmetric second-derivative matrix with shape (..., 2, 2); value(p) is H
-    itself, used only for energy-drift diagnostics.
+    symmetric second-derivative matrix with shape (..., 2, 2).
     """
 
     name: str
     grad: Callable
     hess: Callable
-    value: Optional[Callable] = None
 
     def field(self, p):
         g = self.grad(p)
@@ -125,29 +123,3 @@ def hamiltonian_time_map(sys, t, steps):
     return MapDescriptor(f"flow[{sys.name}, t={t:g}]", fwd, jac, inv,
                          fwd_jac=fwd_jac)
 
-
-def energy_drift(sys, mapping, pts):
-    """max |H(f(p)) - H(p)| over pts; requires sys.value."""
-    if sys.value is None:
-        raise ValueError("energy_drift needs sys.value")
-    pts = np.asarray(pts, dtype=float)
-    return float(np.max(np.abs(sys.value(mapping(pts)) - sys.value(pts))))
-
-
-def saddle_system(sigma):
-    """H = sigma * x * y: linear saddle flow (x, y) -> (e^{st} x, e^{-st} y)."""
-    s = float(sigma)
-
-    def grad(p):
-        return np.stack([s * p[..., 1], s * p[..., 0]], axis=-1)
-
-    def hess(p):
-        H = np.zeros(np.shape(p)[:-1] + (2, 2), dtype=float)
-        H[..., 0, 1] = s
-        H[..., 1, 0] = s
-        return H
-
-    def value(p):
-        return s * p[..., 0] * p[..., 1]
-
-    return HamiltonianSystem(f"sigma*x*y (sigma={s:g})", grad, hess, value)

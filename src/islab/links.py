@@ -78,12 +78,6 @@ class LinkGeometry:
         """Offset of the folding piece: fold(x, y) = theta - (x/2, 2y)."""
         return ((3 * self.x_b + 7 * self.tau) / 2, 2 * self.y1 + self.y2)
 
-    @property
-    def fold4_theta(self):
-        """Offset of the four-step composite from the upper fundamental
-        segment onto the lower level: theta4 - (x/2, 2y)."""
-        return ((3 * self.x_b + 4 * self.tau) / 2, 2 * self.y1 + self.y2)
-
 
 def _affine_piece(name, ax, bx, ay, by):
     """Plane map (x, y) -> (ax * x + bx, ay * y + by) with exact inverse."""
@@ -486,56 +480,6 @@ class TimeEnergyChart:
     def identity_defect(self):
         frame = self._strip_frame()
         return float(np.max(np.abs(self(frame) - frame)))
-
-
-class PsiChart:
-    """Chart for the sheared map S_psi o F, assembled from the chart of F.
-
-    On the fundamental side of the strip it is phi o S_{-psi}; on the image
-    side it is phi o F^2 o (S_psi o F)^-2, which glues continuously because
-    psi vanishes at the strip edges.  Conjugates S_psi o F to the base
-    translation on the strip.
-    """
-
-    def __init__(self, chart, psi):
-        self.chart = chart
-        self.psi = psi
-        self.model = chart.model
-        self.side = chart.side
-        self.name = f"phi_psi^{self.side}"
-        self._sneg = _shear_steps(psi)
-        self.fbar = compose(shear_map(psi, psi.d1, name="S_psi"), chart.F,
-                            name="Fbar")
-        self._fbar_inv = inverse_descriptor(self.fbar)
-        g = self.model.geometry
-        self._seam = g.x_a - g.tau if self.side == "a" else g.x_b + g.tau
-
-    def _branch1(self, p):
-        return self.chart(self._sneg(p))
-
-    def _branch2(self, p):
-        q = self._fbar_inv(self._fbar_inv(p))
-        return self.chart(self.chart.F(self.chart.F(q)))
-
-    def __call__(self, p):
-        p = np.asarray(p, dtype=float)
-        x = p[..., 0]
-        base = x >= self._seam if self.side == "a" else x <= self._seam
-        flat = p.reshape(-1, 2)
-        bflat = base.reshape(-1)
-        out = np.empty_like(flat)
-        if np.any(bflat):
-            out[bflat] = self._branch1(flat[bflat])
-        if np.any(~bflat):
-            out[~bflat] = self._branch2(flat[~bflat])
-        return out.reshape(p.shape)
-
-    def conjugacy_defect(self, n=400):
-        """sup |phi_psi(Fbar p) - Fstar(phi_psi p)| over the fundamental strip."""
-        frame = self.chart._strip_frame(n)
-        lhs = self(self.fbar(frame))
-        rhs = self.model.fstar(self(frame))
-        return float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blowup import SIGMA
-from .maps import inv2, inverse_descriptor
+from .maps import inv2
 
 LN4 = float(np.log(4.0))
 
@@ -195,52 +194,6 @@ def cone_certificate(f, p, n, conjugator=None):
     return ConeCertificate(passed=passed, n=n,
                            min_ratio=float(ratios.min()),
                            first_failure=first_failure, ratios=ratios)
-
-
-# ----------------------------------------------------------------------
-# symmetry / conjugacy diagnostics
-# ----------------------------------------------------------------------
-
-def exponent_symmetry_defect(f, p, n=100):
-    """|lambda_n(f, p) - lambda_n(f^{-1}, f^n p)|.
-
-    For det-1 cocycles ||(Df^n)^{-1}|| = ||Df^n||, so the two exponents at
-    matched points coincide up to rounding.
-    """
-    fwd = max_lyapunov(f, p, n)
-    x = np.asarray(p, dtype=float)
-    for _ in range(n):
-        x = f(x)
-    bwd = max_lyapunov(inverse_descriptor(f), x, n)
-    return abs(fwd.estimate - bwd.estimate)
-
-
-def conjugacy_exponent_bound(island, p, n=100):
-    """Exponent invariance under the surgery conjugacy, with measured bound.
-
-    Returns dict with the island-map exponent at p, the automorphism
-    exponent sigma, their difference, and the bound (log C)/n where
-    C = ||DPsi(f^n p)|| ||DPsi(p)^{-1}|| (and the transposed pairing),
-    measured along the orbit endpoints.
-    """
-    Psi = island.surgery_descriptor()
-    sample = max_lyapunov(island.descriptor(), p, n)
-    x = np.asarray(p, dtype=float)
-    for _ in range(n):
-        x = island(x)
-    norms = []
-    for q in (np.asarray(p, dtype=float), x):
-        J = Psi.jacobian(q)
-        norms.append((float(spectral_norm(J)),
-                      float(spectral_norm(inv2(J)))))
-    # ||A^n|| <= ||DPsi(end)|| ||DFhat^n|| ||DPsi(start)^{-1}|| and the
-    # reverse factorization give the two one-sided constants.
-    c_up = norms[1][0] * norms[0][1]
-    c_dn = norms[1][1] * norms[0][0]
-    bound = float(np.log(max(c_up, c_dn)) / n)
-    defect = abs(sample.estimate - SIGMA)
-    return dict(exponent=sample.estimate, sigma=SIGMA,
-                defect=defect, bound=bound, constants=(c_up, c_dn))
 
 
 def lambda_field_rows(report):

@@ -22,8 +22,10 @@ from .maps import (MapDescriptor, compose, henon_like, inverse_descriptor, quart
                    shear_map)
 
 
-# SaddleNormalForm.passage_invariant: fixed-point sweeps allowed before it raises
+# SaddleNormalForm.passage_invariant: fixed-point sweeps allowed before it
+# raises, and the largest residual a boundary-value solution may keep
 PASSAGE_CAP = 80
+PASSAGE_RESID_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -113,33 +115,6 @@ class SaddleNormalForm:
         lamk = self.lam ** k
         return lamk * scaled * np.asarray(xbar, dtype=float), \
             lamk * scaled * np.asarray(y, dtype=float), resid
-
-
-def xi_eta(T0, k, window):
-    """Sampled correction functions over window = ((x0,x1),(y0,y1)).
-
-    Returns (xi, eta, info): callables of (xbar, y) plus the fixed-point
-    residual measured on a 33 x 33 sample grid."""
-    (x0, x1), (y0, y1) = window
-    xs = np.linspace(x0, x1, 33)
-    ys = np.linspace(y0, y1, 33)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, _, resid = T0.xi_eta(k, X, Y)
-    if not resid <= 1e-12:
-        raise ValueError(f"boundary-value fixed point residual {resid:.3e} "
-                         "(window too large)")
-
-    def xi(xbar, y):
-        return T0.xi_eta(k, xbar, y)[0]
-
-    def eta(xbar, y):
-        return T0.xi_eta(k, xbar, y)[1]
-
-    grid_xi, grid_eta, _ = T0.xi_eta(k, X, Y)
-    info = {"residual": resid, "sup_xi": float(np.max(np.abs(grid_xi))),
-            "sup_eta": float(np.max(np.abs(grid_eta)))}
-    return xi, eta, info
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +321,14 @@ class RescalingCharts:
         for i in range(N):
             # beta_i pairs the previous exit anchor x+_{i-1} with y-_i;
             # gamma_i pairs x+_i with the next entry level y-_{i+1}
-            xi, _, _ = model.T0.xi_eta(self.k, xp[(i - 1) % N], ym[i])
-            _, eta, _ = model.T0.xi_eta(self.k, xp[i], ym[(i + 1) % N])
+            with np.errstate(over="ignore", invalid="ignore"):
+                xi, _, r_beta = model.T0.xi_eta(self.k, xp[(i - 1) % N], ym[i])
+                _, eta, r_gamma = model.T0.xi_eta(self.k, xp[i], ym[(i + 1) % N])
+            for resid in (r_beta, r_gamma):
+                if not resid <= PASSAGE_RESID_TOL:
+                    raise ValueError(
+                        f"boundary-value fixed point u = s exp(2 k c2 u) diverges at "
+                        f"k = {self.k}: residual {resid:.3e} > {PASSAGE_RESID_TOL:g}")
             self.beta[i] = xi / self.lamk
             self.gamma[i] = eta / self.lamk
 

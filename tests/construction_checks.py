@@ -8,9 +8,17 @@ import numpy as np
 
 from islab.blowup import SIGMA, from_polar, to_polar
 from islab.hamiltonian import HamiltonianSystem, _midpoint_steps
-from islab.maps import torus_diff, wrap_torus
+from islab.links import _shear_steps
+from islab.lyapunov import max_lyapunov, spectral_norm
+from islab.maps import (compose, inv2, inverse_descriptor, shear_map, torus_diff,
+                        wrap_torus)
+from islab.rescaling import PASSAGE_RESID_TOL
 
 EXP_2SIGMA = 161.0 + 72.0 * np.sqrt(5.0)          # e^{2 sigma}, saddle multiplier
+
+
+# ---------------------------------------------------------------------------
+# island map
 
 
 def regime_consistency(island):
@@ -66,3 +74,160 @@ def flow_matches_linear_map(island):
     s_end, _ = _midpoint_steps(sys0, to_polar(w), SIGMA, 65536, 1e-15, False)
     D = np.diag([np.exp(SIGMA), np.exp(-SIGMA)])
     return float(np.max(np.abs(from_polar(s_end) - w @ D.T)))
+
+
+# ---------------------------------------------------------------------------
+# Hamiltonian flows
+
+
+def saddle_system(sigma):
+    """H = sigma * x * y: linear saddle flow (x, y) -> (e^{st} x, e^{-st} y)."""
+    s = float(sigma)
+
+    def grad(p):
+        return np.stack([s * p[..., 1], s * p[..., 0]], axis=-1)
+
+    def hess(p):
+        H = np.zeros(np.shape(p)[:-1] + (2, 2), dtype=float)
+        H[..., 0, 1] = s
+        H[..., 1, 0] = s
+        return H
+
+    return HamiltonianSystem(f"sigma*x*y (sigma={s:g})", grad, hess)
+
+
+def energy_drift(H, mapping, pts):
+    """max |H(f(p)) - H(p)| over pts, for the Hamiltonian's value H."""
+    pts = np.asarray(pts, dtype=float)
+    return float(np.max(np.abs(H(mapping(pts)) - H(pts))))
+
+
+# ---------------------------------------------------------------------------
+# exponents
+
+
+def exponent_symmetry_defect(f, p, n=100):
+    """|lambda_n(f, p) - lambda_n(f^{-1}, f^n p)|.
+
+    For det-1 cocycles ||(Df^n)^{-1}|| = ||Df^n||, so the two exponents at
+    matched points coincide up to rounding.
+    """
+    fwd = max_lyapunov(f, p, n)
+    x = np.asarray(p, dtype=float)
+    for _ in range(n):
+        x = f(x)
+    bwd = max_lyapunov(inverse_descriptor(f), x, n)
+    return abs(fwd.estimate - bwd.estimate)
+
+
+def conjugacy_exponent_bound(island, p, n=100):
+    """Exponent invariance under the surgery conjugacy, with measured bound.
+
+    Returns dict with the island-map exponent at p, the automorphism
+    exponent sigma, their difference, and the bound (log C)/n where
+    C = ||DPsi(f^n p)|| ||DPsi(p)^{-1}|| (and the transposed pairing),
+    measured along the orbit endpoints.
+    """
+    Psi = island.surgery_descriptor()
+    sample = max_lyapunov(island.descriptor(), p, n)
+    x = np.asarray(p, dtype=float)
+    for _ in range(n):
+        x = island(x)
+    norms = []
+    for q in (np.asarray(p, dtype=float), x):
+        J = Psi.jacobian(q)
+        norms.append((float(spectral_norm(J)),
+                      float(spectral_norm(inv2(J)))))
+    # ||A^n|| <= ||DPsi(end)|| ||DFhat^n|| ||DPsi(start)^{-1}|| and the
+    # reverse factorization give the two one-sided constants.
+    c_up = norms[1][0] * norms[0][1]
+    c_dn = norms[1][1] * norms[0][0]
+    bound = float(np.log(max(c_up, c_dn)) / n)
+    defect = abs(sample.estimate - SIGMA)
+    return dict(exponent=sample.estimate, sigma=SIGMA,
+                defect=defect, bound=bound, constants=(c_up, c_dn))
+
+
+# ---------------------------------------------------------------------------
+# links
+
+
+class PsiChart:
+    """Chart for the sheared map S_psi o F, assembled from the chart of F.
+
+    On the fundamental side of the strip it is phi o S_{-psi}; on the image
+    side it is phi o F^2 o (S_psi o F)^-2, which glues continuously because
+    psi vanishes at the strip edges.  Conjugates S_psi o F to the base
+    translation on the strip.
+    """
+
+    def __init__(self, chart, psi):
+        self.chart = chart
+        self.psi = psi
+        self.model = chart.model
+        self.side = chart.side
+        self.name = f"phi_psi^{self.side}"
+        self._sneg = _shear_steps(psi)
+        self.fbar = compose(shear_map(psi, psi.d1, name="S_psi"), chart.F,
+                            name="Fbar")
+        self._fbar_inv = inverse_descriptor(self.fbar)
+        g = self.model.geometry
+        self._seam = g.x_a - g.tau if self.side == "a" else g.x_b + g.tau
+
+    def _branch1(self, p):
+        return self.chart(self._sneg(p))
+
+    def _branch2(self, p):
+        q = self._fbar_inv(self._fbar_inv(p))
+        return self.chart(self.chart.F(self.chart.F(q)))
+
+    def __call__(self, p):
+        p = np.asarray(p, dtype=float)
+        x = p[..., 0]
+        base = x >= self._seam if self.side == "a" else x <= self._seam
+        flat = p.reshape(-1, 2)
+        bflat = base.reshape(-1)
+        out = np.empty_like(flat)
+        if np.any(bflat):
+            out[bflat] = self._branch1(flat[bflat])
+        if np.any(~bflat):
+            out[~bflat] = self._branch2(flat[~bflat])
+        return out.reshape(p.shape)
+
+    def conjugacy_defect(self, n=400):
+        """sup |phi_psi(Fbar p) - Fstar(phi_psi p)| over the fundamental strip."""
+        frame = self.chart._strip_frame(n)
+        lhs = self(self.fbar(frame))
+        rhs = self.model.fstar(self(frame))
+        return float(np.max(np.abs(lhs - rhs)))
+
+
+# ---------------------------------------------------------------------------
+# rescaling
+
+
+def xi_eta(T0, k, window):
+    """Sampled correction functions over window = ((x0,x1),(y0,y1)).
+
+    Returns (xi, eta, info): callables of (xbar, y) plus the fixed-point
+    residual measured on a 33 x 33 sample grid."""
+    (x0, x1), (y0, y1) = window
+    xs = np.linspace(x0, x1, 33)
+    ys = np.linspace(y0, y1, 33)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, resid = T0.xi_eta(k, X, Y)
+    if not resid <= PASSAGE_RESID_TOL:
+        raise ValueError(f"boundary-value fixed point residual {resid:.3e} "
+                         "(window too large)")
+
+    def xi(xbar, y):
+        return T0.xi_eta(k, xbar, y)[0]
+
+    def eta(xbar, y):
+        return T0.xi_eta(k, xbar, y)[1]
+
+    grid_xi, grid_eta, _ = T0.xi_eta(k, X, Y)
+    info = {"residual": resid, "sup_xi": float(np.max(np.abs(grid_xi))),
+            "sup_eta": float(np.max(np.abs(grid_eta)))}
+    return xi, eta, info

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no map Jacobian falls back to finite differences, and the package runs on
-numpy alone.
+no map Jacobian falls back to finite differences, the package runs on
+numpy alone, and every top-level name of the package is reached by the
+package itself or by the acceptance tests.
 
 pyflakes would catch the first too; the checks here need only the standard
 library's `ast`.
@@ -127,3 +128,119 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120, check=True, cwd=SRC.parent)
     assert out.stdout.strip() == "[]"
+
+
+ACCEPTANCE = pathlib.Path(__file__).resolve().parent / "test_acceptance.py"
+# the package's version string, and the finite-difference reference that
+# the tests compare Jacobians against
+REACH_EXEMPT = {"islab.__version__", f"islab.maps.{FD}"}
+
+
+def _top_level(tree):
+    """{name: defining statement} of a module's top-level defs, classes
+    and assigned constants."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                out.update((n.id, node) for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+def _dotted(node):
+    """['a', 'b', 'c'] for the attribute chain a.b.c, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id] + parts[::-1] if isinstance(node, ast.Name) else None
+
+
+def references(source, module):
+    """(module, name) pairs that `source`, the text of `module`, reads by
+    Name or Attribute node: its own top-level names outside their own
+    definitions, names imported from islab modules, and attributes of
+    imported islab modules.  String literals and attributes of other
+    objects (a method that shares a function's name) are not references."""
+    tree = ast.parse(source)
+    names, modules = {}, {"islab": "islab"}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom):
+            base = n.module or ""
+            if n.level:
+                base = ".".join(module.split(".")[:-n.level] + ([base] if base else []))
+            for a in n.names:
+                local = a.asname or a.name
+                if base == "islab":
+                    modules[local] = f"islab.{a.name}"
+                elif base.startswith("islab."):
+                    names[local] = (base, a.name)
+        elif isinstance(n, ast.Import):
+            for a in n.names:
+                if a.name.startswith("islab.") and a.asname:
+                    modules[a.asname] = a.name
+    own = _top_level(tree)
+    refs = set()
+    for stmt in tree.body:
+        defined = getattr(stmt, "name", None)
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id != defined:
+                if n.id in own:
+                    refs.add((module, n.id))
+                elif n.id in names:
+                    refs.add(names[n.id])
+            elif isinstance(n, ast.Attribute):
+                chain = _dotted(n)
+                if chain and chain[0] in modules:
+                    refs.add((".".join([modules[chain[0]]] + chain[1:-1]), chain[-1]))
+    return refs
+
+
+def unreached(package, acceptance):
+    """Top-level names of the package modules (a {module: source} map) that
+    no package module other than their own definitions, and no acceptance
+    source, reads; exempt names aside."""
+    refs = set()
+    for module, source in {**package, **acceptance}.items():
+        refs |= references(source, module)
+    return sorted(f"{module}.{name}" for module, source in package.items()
+                  for name in _top_level(ast.parse(source))
+                  if (module, name) not in refs and f"{module}.{name}" not in REACH_EXEMPT)
+
+
+def test_reachability_scan_flags_unreached_names():
+    package = {
+        "islab.a": ("TOL = 1e-12\n"
+                    "def used():\n"
+                    "    return TOL\n"
+                    "def dead():\n"
+                    "    raise ValueError('dead is named only in a string')\n"
+                    "def recurse(n):\n"
+                    "    return recurse(n - 1)\n"
+                    "def xi_eta(T0):\n"
+                    "    return T0.xi_eta(1)\n"
+                    "class C:\n"
+                    "    def xi_eta(self):\n"
+                    "        return 0\n"),
+        "islab.b": ("from .a import used\n"
+                    "from . import a\n"
+                    "def run():\n"
+                    "    return used() + a.C().xi_eta()\n"),
+    }
+    acceptance = {"tests.test_acceptance": "import islab.b as b\nb.run()\n"}
+    assert unreached(package, acceptance) == ["islab.a.dead", "islab.a.recurse",
+                                              "islab.a.xi_eta"]
+    # an acceptance test reaching a name directly keeps it
+    acceptance["tests.test_acceptance"] += "from islab.a import dead\ndead()\n"
+    assert unreached(package, acceptance) == ["islab.a.recurse", "islab.a.xi_eta"]
+
+
+def test_every_package_name_is_reached():
+    # what only the tests reach belongs beside them (construction_checks)
+    package = {"islab" if p.stem == "__init__" else f"islab.{p.stem}":
+               p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    acceptance = {"tests.test_acceptance": ACCEPTANCE.read_text(encoding="utf-8")}
+    assert unreached(package, acceptance) == []

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from construction_checks import PsiChart
 from islab import cli, links
 from islab.curves import BumpFn, MaskedPeriodic, PeriodicFn, curve_sup_diff, random_trig_poly
 from islab.links import (
     LinkGeometry,
-    PsiChart,
     build_suitable_model,
     restoration_b_reference,
     restore_link_a,
@@ -63,7 +63,6 @@ def test_geometry_defaults_and_offsets():
     g = LinkGeometry()
     assert (g.tau, g.x_a, g.x_b, g.y1, g.y2, g.delta) == (1.0, -3.0, 2.0, 1.0, -1.0, 0.1)
     assert g.theta == ((3 * 2.0 + 7.0) / 2, 2 * 1.0 + (-1.0))
-    assert g.fold4_theta == ((3 * 2.0 + 4.0) / 2, 1.0)
 
 
 def test_geometry_rejects_bad_input():
@@ -102,13 +101,13 @@ def test_base_map_piece_formulas():
     tx, ty = g.theta
     assert np.max(np.abs(out[:, 0] - (tx - x / 2))) < 1e-12
     assert np.max(np.abs(out[:, 1] - (ty - 2 * (g.y1 + 0.1)))) < 1e-12
-    # four-step composite from the fundamental segment: fold4_theta - (x/2, 2y)
+    # four-step composite from the fundamental segment: theta4 - (x/2, 2y)
     x4 = np.linspace(g.x_b + 0.01, g.x_b + g.tau - 0.01, 17)
     p4 = np.stack([x4, np.full_like(x4, g.y1 - 0.05)], axis=-1)
     q4 = p4.copy()
     for _ in range(4):
         q4 = model.fstar(q4)
-    t4x, t4y = g.fold4_theta
+    t4x, t4y = (3 * g.x_b + 4 * g.tau) / 2, 2 * g.y1 + g.y2
     assert np.max(np.abs(q4[:, 0] - (t4x - x4 / 2))) < 1e-12
     assert np.max(np.abs(q4[:, 1] - (t4y - 2 * (g.y1 - 0.05)))) < 1e-12
 

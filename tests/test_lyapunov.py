@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from construction_checks import conjugacy_exponent_bound, exponent_symmetry_defect
 from islab.blowup import IslandMap, SIGMA
 from islab.lyapunov import (
     LN4,
     cone_certificate,
-    conjugacy_exponent_bound,
     entropy_estimate,
-    exponent_symmetry_defect,
     lambda_field_rows,
     max_lyapunov,
     spectral_norm,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Polynomial
 
+from construction_checks import xi_eta
 from islab import rescaling
 from islab.maps import compose, finite_difference_jacobian, henon_like
 from islab.rescaling import (
@@ -19,7 +20,6 @@ from islab.rescaling import (
     desk_model,
     r_sequence,
     verify_rescaling,
-    xi_eta,
 )
 
 QUAD_KICKS = [Polynomial([0.0, 0.0, 0.03]), Polynomial([0.01, 0.0, -0.02]),
@@ -263,6 +263,16 @@ def test_charts_reduce_to_linear_offsets():
     XY = np.array([[0.3, -0.7], [-0.1, 0.4]])
     q = ch.qbar(1)
     assert np.max(np.abs(q.from_plane(q.to_plane(XY)) - XY)) <= 1e-12
+
+
+def test_charts_raise_when_the_boundary_value_fixed_point_diverges():
+    # at k = 8, u = s exp(2 k c2 u) has no fixed point for this model, which
+    # a config (lambda 0.99, mu 0.999, r 1, nonlinearity 0.2) can ask for;
+    # the offsets beta/gamma would be inf
+    m = desk_model(nonlinearity=0.2, lam=0.99, mu=0.999, r=1)
+    for build in (RescalingCharts, verify_rescaling):
+        with pytest.raises(ValueError, match="boundary-value fixed point .* diverges at k = 8"):
+            build(m, 8)
 
 
 # ---------------------------------------------------------------------------
