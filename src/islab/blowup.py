@@ -29,8 +29,7 @@ import numpy as np
 
 from .curves import rtsafe, smoothstep, smoothstep_d1, smoothstep_d2
 from .hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
-from .maps import (ANOSOV, MapDescriptor, inv2, matmul_left, matmul_right,
-                   torus_diff, wrap_torus)
+from .maps import ANOSOV, MapDescriptor, inv2, mul2, torus_diff, wrap_torus
 
 SIGMA = np.log(9.0 + 4.0 * np.sqrt(5.0))          # expansion exponent
 # the centres are the lattice (1/2 Z)^2 on the torus
@@ -112,16 +111,26 @@ class SurgeryProfile:
 
     # --- psi ---------------------------------------------------------
 
+    # the bridge polynomial and its slope, for rho in [r1, r2]; psi_inv's
+    # Newton loop, whose bracket stays there, calls them without psi's
+    # clip and branch selection
+
+    def _bridge(self, rho):
+        t = (rho - self.r1) / self._dt
+        return (self.r1 - self.rho_lo) + self._dt * t + self._D * t**3 * (10 - 15 * t + 6 * t**2)
+
+    def _bridge_d1(self, rho):
+        t = (rho - self.r1) / self._dt
+        return 1.0 + 30.0 * (self._D / self._dt) * t**2 * (1 - t) ** 2
+
     def psi(self, rho):
         rho = np.asarray(rho, dtype=float)
-        t = np.clip((rho - self.r1) / self._dt, 0.0, 1.0)
-        bridge = (self.r1 - self.rho_lo) + self._dt * t + self._D * t**3 * (10 - 15 * t + 6 * t**2)
+        bridge = self._bridge(np.clip(rho, self.r1, self.r2))
         return np.where(rho <= self.r1, rho - self.rho_lo, np.where(rho >= self.r2, rho, bridge))
 
     def psi_d1(self, rho):
         rho = np.asarray(rho, dtype=float)
-        t = np.clip((rho - self.r1) / self._dt, 0.0, 1.0)
-        bridge = 1.0 + 30.0 * (self._D / self._dt) * t**2 * (1 - t) ** 2
+        bridge = self._bridge_d1(np.clip(rho, self.r1, self.r2))
         return np.where((rho <= self.r1) | (rho >= self.r2), 1.0, bridge)
 
     def psi_inv(self, v):
@@ -145,7 +154,7 @@ class SurgeryProfile:
             target = v[mid]
 
             def resid(x, rows):
-                return self.psi(x) - target[rows], self.psi_d1(x)
+                return self._bridge(x) - target[rows], self._bridge_d1(x)
 
             out[mid] = rtsafe(resid, self.r1 + (target - v1) * (self._dt / (self.r2 - v1)),
                               np.full(target.shape, self.r1), np.full(target.shape, self.r2),
@@ -248,15 +257,6 @@ class IslandMap:
         d = p - np.round(2.0 * p) / 2.0
         return d, _norm2(d)
 
-    def _scale_jac(self, w, s, ds_drho):
-        """Jacobian of w -> s(rho) w in chart coordinates: s I + s' w w^T."""
-        J = np.zeros(w.shape + (2,), dtype=float)
-        J[..., 0, 0] = s + ds_drho * w[..., 0] * w[..., 0]
-        J[..., 0, 1] = ds_drho * w[..., 0] * w[..., 1]
-        J[..., 1, 0] = J[..., 0, 1]
-        J[..., 1, 1] = s + ds_drho * w[..., 1] * w[..., 1]
-        return J
-
     def _annuli(self, r2, inverse):
         """Indices of the points whose radius^2 r2 (N,) lies in a surgery
         annulus (of Psi's domain, or of its image, which reaches down to the
@@ -264,12 +264,16 @@ class IslandMap:
         lo2 = 1e-28 if inverse else self._in2
         return np.nonzero((r2 > lo2) & (r2 < self.profile.eps**2))[0]
 
-    def _surgery(self, q, d, r2, inverse, J):
+    def _surgery(self, q, d, r2, inverse, with_jac):
         """Psi, or Psi^{-1} when inverse, of points q with chart offsets d
         (N, 2) and radii^2 r2 (N,): the radial rescaling on the annuli, the
-        identity elsewhere.  A Jacobian array J (N, 2, 2), when given, is
-        multiplied on the left by that map's Jacobian, in place."""
+        identity elsewhere.  Returns the images and, when with_jac, that
+        map's Jacobian K (N, 2, 2) (else None)."""
         out = q.copy()
+        K = None
+        if with_jac:
+            K = np.zeros(q.shape + (2,))
+            K[:, 0, 0] = K[:, 1, 1] = 1.0
         a = self._annuli(r2, inverse)
         if a.size:
             da = d[a]
@@ -278,14 +282,17 @@ class IslandMap:
             new = self.profile.psi_inv(rho) if inverse else self.profile.psi(rho)
             s = np.sqrt(new / rho)
             out[a] = wrap_torus(q[a] + (s[..., None] * w) @ self.RT - da)
-            if J is not None:
+            if with_jac:
                 # 2 s s' = (new' rho - new)/rho^2, with (psi^{-1})' = 1/psi'
                 d1 = 1.0 / self.profile.psi_d1(new) if inverse else self.profile.psi_d1(rho)
                 ds = (d1 * rho - new) / (rho**2 * 2 * s)
-                # R S = (S R^T)^T bitwise, as S is symmetric
-                RS = np.swapaxes(matmul_right(self._scale_jac(w, s, ds), self.RT), -1, -2)
-                J[a] = matmul_right(RS, self.RT) @ J[a]
-        return out
+                # w -> s(rho) w has Jacobian s I + s' w w^T in the chart;
+                # conjugated back by R, as R w = d, it is s I + s' d d^T
+                x, y = da[:, 0], da[:, 1]
+                K[a, 0, 0] = s + ds * x * x
+                K[a, 0, 1] = K[a, 1, 0] = ds * x * y
+                K[a, 1, 1] = s + ds * y * y
+        return out, K
 
     def _flow(self, p, d, t, steps, with_jac):
         """Island flow applied to points with offsets d (rho <= rho_lo)."""
@@ -359,15 +366,12 @@ class IslandMap:
         # surgery regime: Psi on the annuli, then A, then Psi^{-1}
         sm = np.nonzero(~inside)[0]
         if sm.size:
-            Jp = np.broadcast_to(np.eye(2), (sm.size, 2, 2)).copy() if with_jac else None
-            q = self._surgery(p[sm], d[sm], r2[sm], False, Jp)
+            q, K1 = self._surgery(p[sm], d[sm], r2[sm], False, with_jac)
             q2 = wrap_torus(q @ np.ascontiguousarray(mat.T))
-            if with_jac:
-                Jp = matmul_left(mat, Jp)
             d2, r2b = self._chart(q2)
-            out[sm] = self._surgery(q2, d2, r2b, True, Jp)
+            out[sm], K2 = self._surgery(q2, d2, r2b, True, with_jac)
             if with_jac:
-                J[sm] = Jp
+                J[sm] = mul2(K2, mul2(mat, K1))    # DFhat = K2 A K1
 
         out = out.reshape(shape)
         if with_jac:
@@ -429,8 +433,7 @@ class IslandMap:
                 raise ValueError("surgery Jacobian is undefined on or inside a link circle")
             if not inverse and np.any(r2 < self.profile.delta**2 * (1.0 - 1e-12)):
                 raise ValueError("surgery map is undefined strictly inside a link disc")
-            J = np.broadcast_to(np.eye(2), flat.shape + (2,)).copy() if with_jac else None
-            out = self._surgery(flat, d, r2, inverse, J)
+            out, J = self._surgery(flat, d, r2, inverse, with_jac)
             if not inverse:
                 c = r2 <= self._in2
                 out[c] = wrap_torus(flat[c] - d[c])

@@ -20,18 +20,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import inv2
+from .maps import inv2, mul2
 
 LN4 = float(np.log(4.0))
 
 
 def spectral_norm(M):
-    """Exact 2-norm of 2x2 matrices, batch-aware (shape (..., 2, 2))."""
-    G = np.swapaxes(M, -1, -2) @ M
-    a, b, c = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
-    half = 0.5 * (a + c)
-    disc = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
-    return np.sqrt(np.maximum(half + disc, 0.0))
+    """Exact 2-norm of 2x2 matrices, batch-aware (shape (..., 2, 2)).
+
+    The Gram matrix M^T M = [[a, b], [b, c]] is formed from the entries, so
+    each row's norm depends on that row alone; its top eigenvalue is
+    (a + c)/2 + sqrt((a - c)^2/4 + b^2), a sum of non-negative terms.
+    """
+    p, q, r, s = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    a = p * p + r * r
+    b = p * q + r * s
+    c = q * q + s * s
+    return np.sqrt(0.5 * (a + c) + np.sqrt(0.25 * (a - c) ** 2 + b * b))
 
 
 def _cocycle_logs(f, pts, n, exclude=None):
@@ -42,31 +47,37 @@ def _cocycle_logs(f, pts, n, exclude=None):
     accumulating, at the first step whose product norm or image is not
     finite (or whose norm is 0), or whose image satisfies the vectorized
     predicate `exclude`; the start point is tested against `exclude` too.
+
+    Only the active rows are carried: `rows` indexes them in pts, and x, M
+    and acc (their running logs) are compacted when a row turns invalid.
+    Every step is row-wise (`mul2`, `spectral_norm`), so a row's logs do
+    not depend on which other rows share its batch.
     """
-    m = pts.shape[0]
-    valid = np.ones(m, dtype=bool)
+    valid = np.ones(pts.shape[0], dtype=bool)
     if exclude is not None:
         valid &= ~np.asarray(exclude(pts))
-    logs = np.zeros(m)
-    M = np.broadcast_to(np.eye(2), (m, 2, 2)).copy()
-    x = pts.copy()
+    logs = np.zeros(pts.shape[0])
+    rows = np.nonzero(valid)[0]
+    x, M, acc = pts[rows], None, logs[rows]
     for _ in range(n):
-        idx = np.nonzero(valid)[0]
-        if idx.size == 0:
+        if rows.size == 0:
             break
-        # one name for Df and Df M keeps a single (m, 2, 2) temporary alive
-        xi, Mi = f.value_and_jacobian(x[idx])
-        Mi = Mi @ M[idx]
-        s = spectral_norm(Mi)
+        x, J = f.value_and_jacobian(x)
+        M = J if M is None else mul2(J, M)
+        s = spectral_norm(M)
         ok = np.isfinite(s) & (s > 0.0)
-        s_safe = np.where(ok, s, 1.0)
-        logs[idx] += np.where(ok, np.log(s_safe), 0.0)
-        M[idx] = Mi / s_safe[..., None, None]
-        ok &= np.all(np.isfinite(xi), axis=-1)
+        s = np.where(ok, s, 1.0)        # log 1 = 0: a failed row adds nothing
+        acc += np.log(s)
+        M = M / s[:, None, None]
+        ok &= np.isfinite(x[:, 0]) & np.isfinite(x[:, 1])   # no length-2 reduction
         if exclude is not None:
-            ok &= ~np.asarray(exclude(xi))
-        x[idx] = np.where(np.isfinite(xi), xi, x[idx])
-        valid[idx] = ok
+            ok &= ~np.asarray(exclude(x))
+        if not ok.all():
+            out = rows[~ok]
+            logs[out] = acc[~ok]
+            valid[out] = False
+            rows, x, M, acc = rows[ok], x[ok], M[ok], acc[ok]
+    logs[rows] = acc
     return logs, valid
 
 
@@ -161,13 +172,6 @@ class ConeCertificate:
     ratios: np.ndarray         # per-step min edge-generator growth
 
 
-def _conjugated_step(f, conjugator, x, fx):
-    J = f.jacobian(x)
-    if conjugator is None:
-        return J
-    return conjugator.jacobian(fx) @ J @ inv2(conjugator.jacobian(x))
-
-
 def cone_certificate(f, p, n, conjugator=None):
     """Check that each step maps the closed positive quadrant into itself
     and expands both edge generators by at least 4 in norm.
@@ -182,7 +186,9 @@ def cone_certificate(f, p, n, conjugator=None):
     first_failure = None
     for k in range(n):
         fx = f(x)
-        M = _conjugated_step(f, conjugator, x, fx)
+        M = f.jacobian(x)
+        if conjugator is not None:
+            M = conjugator.jacobian(fx) @ M @ inv2(conjugator.jacobian(x))
         cols_ok = np.all(M >= 0.0)
         growth = min(float(np.hypot(M[0, 0], M[1, 0])),
                      float(np.hypot(M[0, 1], M[1, 1])))

@@ -111,13 +111,8 @@ def test_psi_inv_roundtrip_dense_grid():
 
 def test_psi_inv_raises_on_nonfinite_residual(monkeypatch):
     prof = SurgeryProfile()
-    psi = prof.psi
-
-    def broken(rho):
-        rho = np.asarray(rho, dtype=float)
-        return np.where((rho > prof.r1) & (rho < prof.r2), np.nan, psi(rho))
-
-    monkeypatch.setattr(prof, "psi", broken)
+    # psi_inv's residual evaluates the bridge polynomial alone
+    monkeypatch.setattr(prof, "_bridge", lambda rho: np.full_like(rho, np.nan))
     v = 0.5 * (prof.r1 - prof.rho_lo)            # below the bridge
     assert prof.psi_inv(v) == v + prof.rho_lo
     with pytest.raises(RuntimeError):

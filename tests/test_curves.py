@@ -283,7 +283,9 @@ def test_graph_curve_basics():
     x = np.linspace(0.0, 2.0, 313)
     assert np.max(np.abs(c(x) - np.sin(x))) < 1e-9
     assert np.max(np.abs(c.deriv(x) - np.cos(x))) < 1e-6
-    assert c.err_estimate < 1e-8
+    # the interpolation error has the scale h^4 |w''''| / 384, and the
+    # samples' fourth differences estimate h^4 w''''
+    assert float(np.max(np.abs(np.diff(c.samples, 4)))) / 384.0 < 1e-8
     pts = c.points()
     assert pts.shape == (c.n, 2)
 
@@ -332,6 +334,17 @@ def test_graph_curve_points_are_batch_independent():
         batch = f(x)
         assert batch.shape == x.shape
         assert np.array_equal(batch, [f(xi) for xi in x])
+
+
+@pytest.mark.parametrize("n", [4, 5, 142, 283])
+def test_graph_curve_slope_inverse_inverts_the_system(n):
+    a = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    a[0, 0] = a[-1, -1] = 1.0
+    a[0, 1] = a[-1, -2] = 2.0
+    inv = curves._not_a_knot_inverse(n)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(inv @ a - np.eye(n))) <= 4 * eps
+    assert np.max(np.abs(a @ inv - np.eye(n))) <= 4 * eps
 
 
 def test_graph_curve_slope_inverse_is_cached_read_only():

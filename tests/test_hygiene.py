@@ -244,3 +244,46 @@ def test_every_package_name_is_reached():
                p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     acceptance = {"tests.test_acceptance": ACCEPTANCE.read_text(encoding="utf-8")}
     assert unreached(package, acceptance) == []
+
+
+# lyapunov's one place for a matmul: the certificate's single 2x2 matrices
+MATMUL_HOME = "cone_certificate"
+
+
+def stacked_products(source, home=MATMUL_HOME):
+    """Lines of `source` outside the function `home` with a `@` product,
+    or a `matmul` or `swapaxes` by name or attribute.  In lyapunov.py every
+    other matrix is a stack, and the cocycle kernel multiplies stacks by
+    components (maps.mul2, spectral_norm's Gram entries)."""
+    tree = ast.parse(source)
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == home:
+            skip |= {id(n) for n in ast.walk(node)}
+    lines = []
+    for n in ast.walk(tree):
+        if id(n) in skip:
+            continue
+        if (isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult)
+                or isinstance(n, ast.Name) and n.id in ("matmul", "swapaxes")
+                or isinstance(n, ast.Attribute) and n.attr in ("matmul", "swapaxes")):
+            lines.append(n.lineno)
+    return sorted(lines)
+
+
+def test_stacked_product_scan_flags_a_readded_matmul():
+    source = ("import numpy as np\n"
+              "from numpy import swapaxes\n"
+              "def spectral_norm(M):\n"
+              "    G = np.swapaxes(M, -1, -2) @ M\n"
+              "    return G\n"
+              "def step(J, M):\n"
+              "    M @= J\n"
+              "    return np.matmul(J, M), swapaxes(M, 0, 1)\n"
+              "def cone_certificate(A, B):\n"
+              "    return A @ B @ np.swapaxes(A, 0, 1)\n")
+    assert stacked_products(source) == [4, 4, 7, 8, 8]
+
+
+def test_no_stacked_product_in_lyapunov():
+    assert stacked_products((SRC / "lyapunov.py").read_text(encoding="utf-8")) == []

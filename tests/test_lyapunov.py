@@ -8,6 +8,7 @@ from construction_checks import conjugacy_exponent_bound, exponent_symmetry_defe
 from islab.blowup import IslandMap, SIGMA
 from islab.lyapunov import (
     LN4,
+    _cocycle_logs,
     cone_certificate,
     entropy_estimate,
     lambda_field_rows,
@@ -36,6 +37,74 @@ def test_spectral_norm_matches_svd(entries):
     M = np.array(entries).reshape(2, 2)
     want = np.linalg.norm(M, 2)
     assert abs(spectral_norm(M) - want) <= 1e-12 * max(1.0, want)
+
+
+def test_spectral_norm_exact_cases():
+    assert spectral_norm(np.zeros((2, 2))) == 0.0
+    # rank 1, u v^T with |u| |v| = 5 * 13, and diagonals: exact
+    assert spectral_norm(np.outer([3.0, 4.0], [5.0, 12.0])) == 65.0
+    assert spectral_norm(np.outer([-0.75, 1.0], [0.0, -2.0])) == 2.5
+    assert spectral_norm(np.diag([3.0, -4.0])) == 4.0
+    assert spectral_norm(np.diag([-0.1, 0.0])) == 0.1
+    assert spectral_norm(np.diag([1e-3, 7.0])) == 7.0
+    # random ones: within the rounding of the squares and the square roots
+    g = np.random.default_rng(4)
+    d = g.normal(size=(2000, 2)) * np.exp(g.uniform(-20, 20, size=(2000, 2)))
+    want = np.max(np.abs(d), axis=-1)
+    got = spectral_norm(d[:, :, None] * np.eye(2))
+    assert np.all(np.abs(got - want) <= np.spacing(want))
+    u, v = g.normal(size=(2, 2000, 2))
+    want = np.hypot(u[:, 0], u[:, 1]) * np.hypot(v[:, 0], v[:, 1])
+    got = spectral_norm(u[:, :, None] * v[:, None, :])
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+
+def _leaky_standard_map():
+    """The standard map at a = 1.5, whose Jacobian is not finite on the
+    strip x < 0.02: orbits leave through the strip or through the disc
+    `_near_centre`, at different steps."""
+    f = chirikov_map(1.5)
+
+    def jac(p):
+        J = f.jacobian(p)
+        J[p[..., 0] < 0.02] = np.inf
+        return J
+
+    return MapDescriptor("leaky", f.fwd, jac)
+
+
+def _near_centre(q):
+    d = q - 0.5
+    return d[..., 0] ** 2 + d[..., 1] ** 2 < 0.01
+
+
+def test_cocycle_rows_do_not_depend_on_their_batch():
+    f = _leaky_standard_map()
+    pts = np.random.default_rng(11).random((64, 2))
+    with np.errstate(invalid="ignore"):         # inf - inf in the leaky rows
+        logs, valid = _cocycle_logs(f, pts, 40, _near_centre)
+        rows = [_cocycle_logs(f, p[None], 40, _near_centre) for p in pts]
+    assert 10 <= np.count_nonzero(valid) <= 54      # many leave mid-run
+    assert np.array_equal(valid, [v[0] for _, v in rows])
+    assert np.array_equal(logs, [lg[0] for lg, _ in rows])
+
+
+def test_cocycle_row_excluded_at_step_k_keeps_its_first_k_logs():
+    f = chirikov_map(1.5)
+    pts = np.random.default_rng(11).random((64, 2))
+    n = 40
+    logs, valid = _cocycle_logs(f, pts, n, _near_centre)
+    first = np.full(len(pts), -1)           # the first k with f^k(p) excluded
+    x = pts
+    for k in range(n + 1):
+        first[_near_centre(x) & (first < 0)] = k
+        x = f(x)
+    assert np.array_equal(valid, first < 0)
+    assert 0 in first and np.count_nonzero(first > 0) >= 20
+    full, _ = _cocycle_logs(f, pts, n)
+    for i, k in enumerate(first):
+        want = full[i] if k < 0 else _cocycle_logs(f, pts[i:i + 1], k)[0][0]
+        assert logs[i] == want
 
 
 def test_identity_exponent_exact_zero():

@@ -11,8 +11,7 @@ from islab.maps import (
     finite_difference_jacobian,
     henon_like,
     identity_map,
-    matmul_left,
-    matmul_right,
+    mul2,
     quarter_turn,
     rotation_map,
     shear_map,
@@ -65,16 +64,24 @@ def test_wrap_torus_bitwise_equals_mod():
     assert wrap_torus(-1e-300) == 1.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 572, 7001])
-def test_flat_2x2_products_bitwise_equal_stacked(n):
+@pytest.mark.parametrize("n", [1, 2, 7, 572, 7001, 7136])
+def test_mul2_matches_stacked_matmul(n):
     g = np.random.default_rng(n)
-    J = g.normal(size=(n, 2, 2))
-    B = g.normal(size=(2, 2))
-    # contiguous, strided and transposed stacks; a transposed factor
-    for Js in (J, J[::2], np.swapaxes(J, -1, -2)):
-        for M in (B, B.T, ANOSOV):
-            assert np.array_equal(matmul_right(Js, M), Js @ M)
-            assert np.array_equal(matmul_left(M, Js), M @ Js)
+    A = g.normal(size=(n, 2, 2))
+    B = g.normal(size=(n, 2, 2))
+    eps = np.finfo(float).eps
+    # contiguous, strided and transposed stacks; one broadcast matrix
+    pairs = [(A, B), (A[::2], B[::2]), (np.swapaxes(A, -1, -2), B),
+             (A, np.swapaxes(B, -1, -2)), (ANOSOV, B), (A, B[0].T)]
+    for As, Bs in pairs:
+        C = mul2(As, Bs)
+        assert C.shape == np.broadcast_shapes(np.shape(As), np.shape(Bs))
+        # within 4 ulp of each entry's scale sum_k |a_ik| |b_kj|
+        assert np.all(np.abs(C - As @ Bs) <= 4 * eps * (np.abs(As) @ np.abs(Bs)))
+    # a row's bits do not depend on its batch
+    C = mul2(A, B)
+    for i in {0, n // 2, n - 1}:
+        assert np.array_equal(C[i], mul2(A[i:i + 1], B[i:i + 1])[0])
 
 
 @pytest.mark.parametrize("f", [anosov_map(), chirikov_map(0.7)],
