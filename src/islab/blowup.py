@@ -37,10 +37,15 @@ CENTERS = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
 # psi_inv: residual floor in ulps of the target, and the iteration cap
 _ROOT_ULPS = 8
 _ROOT_CAP = 80
-# implicit-midpoint steps of the island flow: the evaluation default, and the
-# refined count of the saddle-multiplier verification
+# island flow integration: the evaluation default is FLOW_STEPS implicit-
+# midpoint (order 2) steps at MIDPOINT_TOL; the saddle-multiplier
+# verification takes SADDLE_STEPS fourth-order triple-jump steps whose
+# substeps converge to SADDLE_TOL, tight enough that the solver's stopping
+# noise stays out of the finite-difference multipliers
 FLOW_STEPS = 64
-SADDLE_STEPS = 2048
+SADDLE_STEPS = 128
+SADDLE_ORDER = 4
+SADDLE_TOL = 1e-14
 
 
 def eigen_rotation():
@@ -211,8 +216,10 @@ class IslandMap:
     delta, eps : see SurgeryProfile.  eps defaults to 0.24 so the four
         outer discs around the half-integer centers stay disjoint.
 
-    The island flow is integrated in FLOW_STEPS implicit-midpoint steps;
-    `link_saddles` evaluates through `_eval` with a refined count.
+    The island flow is integrated in FLOW_STEPS implicit-midpoint steps at
+    MIDPOINT_TOL.  `_eval` takes the step count, the order (2, or 4 for the
+    triple-jump composition) and the stage tolerance of the flow branch;
+    `link_saddles` evaluates at SADDLE_STEPS, SADDLE_ORDER and SADDLE_TOL.
     """
 
     def __init__(self, delta=0.15, eps=0.24):
@@ -294,8 +301,10 @@ class IslandMap:
                 K[a, 1, 1] = s + ds * y * y
         return out, K
 
-    def _flow(self, p, d, t, steps, with_jac):
-        """Island flow applied to points with offsets d (rho <= rho_lo)."""
+    def _flow(self, p, d, t, steps, with_jac, order=2, tol=MIDPOINT_TOL):
+        """Island flow applied to points with offsets d (rho <= rho_lo), in
+        `steps` steps of the order-`order` midpoint rule at stage tolerance
+        `tol`."""
         prof = self.profile
         w = d @ self.R
         state = to_polar(w)
@@ -309,7 +318,7 @@ class IslandMap:
         act = ~core
         if np.any(act):
             s_end, M = _midpoint_steps(self.system, state[act], t, steps,
-                                       MIDPOINT_TOL, with_jac)
+                                       tol, with_jac, order=order)
             w_end = from_polar(s_end)
             out[act] = wrap_torus(p[act] + (w_end - w[act]) @ self.RT)
             if with_jac:
@@ -332,7 +341,8 @@ class IslandMap:
 
     # --- evaluation ----------------------------------------------------
 
-    def _eval(self, p, direction=1, steps=None, with_jac=False):
+    def _eval(self, p, direction=1, steps=None, with_jac=False, order=2,
+              tol=MIDPOINT_TOL):
         p = np.asarray(p, dtype=float)
         shape = p.shape
         p = wrap_torus(p.reshape(-1, 2))
@@ -358,7 +368,7 @@ class IslandMap:
                 shift = di[snap] * (scale - 1.0)
                 di[snap] += shift
                 pm[snap] = wrap_torus(pm[snap] + shift)
-            o, Jf = self._flow(pm, di, t, steps, with_jac)
+            o, Jf = self._flow(pm, di, t, steps, with_jac, order, tol)
             out[fl] = o
             if with_jac:
                 J[fl] = Jf
@@ -455,14 +465,17 @@ def link_saddles(island):
     Four saddles sit on each circle rho = delta^2/2 at chart angles
     0, pi/2, pi, 3pi/2; the island field vanishes there, so they are exact
     fixed points at any step count.  The flow linearization has rates +-2,
-    hence map multipliers e^{+-2 sigma}.  The multiplier verification
-    integrates in SADDLE_STEPS steps (the FLOW_STEPS evaluation default
-    carries a second-order midpoint bias ~4e-3, above the 1e-4 gate) and
-    is cross-checked against finite differences taken along the saddle
-    frame (radial/tangent in the chart), where the true Jacobian is
-    exactly diagonal; eigenvalues of a raw finite-difference matrix would
-    amplify entry noise by the e^{2 sigma} expansion when recovering the
-    contracting multiplier.
+    hence map multipliers e^{+-2 sigma}.  The saddles and their probes are
+    integrated once, in SADDLE_STEPS fourth-order triple-jump steps
+    (SADDLE_ORDER), which puts the multipliers about 1.6e-6 from
+    e^{+-2 sigma}, against a 1e-4 gate.  The multipliers are
+    cross-checked against finite differences taken along the saddle frame
+    (radial/tangent in the chart), where the true Jacobian is exactly
+    diagonal; eigenvalues of a raw finite-difference matrix would amplify
+    entry noise by the e^{2 sigma} expansion when recovering the
+    contracting multiplier.  The quotient divides the solver's stopping
+    error by h e^{-2 sigma}, so each substep converges to SADDLE_TOL,
+    below the flows' MIDPOINT_TOL.
 
     Returns a list of dicts with keys center, theta, point, multipliers,
     fd_multipliers, fixed_defect.
@@ -499,7 +512,7 @@ def link_saddles(island):
               for direction, h in frames for sign in (1.0, -1.0)]
     # one refined integration for the saddles and all their probes
     images, Jall = island._eval(np.concatenate([P] + probes), 1, SADDLE_STEPS,
-                                with_jac=True)
+                                with_jac=True, order=SADDLE_ORDER, tol=SADDLE_TOL)
     Jv = Jall[:len(P)]
     images = images[len(P):].reshape(len(frames), 2, len(P), 2)
     fd = np.empty((len(meta), 2))

@@ -133,9 +133,10 @@ def _run_island(cfg, rng, threads):
                    "value": float(max(per_circle.values())),
                    "tolerance": 4.0, "comparison": "=="})
     target = np.array([np.exp(-2.0 * SIGMA), np.exp(2.0 * SIGMA)])
-    rel = max(float(np.max(np.abs(s["multipliers"] / target - 1.0)))
-              for s in saddles)
-    checks.append(_check("saddle-multipliers-exp(+-2sigma)", rel, 1e-4))
+    rel_err = lambda key: max(float(np.max(np.abs(s[key] / target - 1.0)))
+                              for s in saddles)
+    checks.append(_check("saddle-multipliers-exp(+-2sigma)",
+                         rel_err("multipliers"), 1e-4))
     checks.append(_check("saddle-fixed-point-defect",
                          max(s["fixed_defect"] for s in saddles), 1e-9))
 
@@ -155,7 +156,9 @@ def _run_island(cfg, rng, threads):
     metrics = {"island_area": island.island_area(),
                "grid_estimate": rep.estimate,
                "island_fraction_above_ln4": frac,
-               "pesin_lower_bound": bound}
+               "pesin_lower_bound": bound,
+               # the finite-difference cross-check of the saddle multipliers
+               "saddle_fd_multiplier_error": rel_err("fd_multipliers")}
     metrics.update({f"symmetry_{k}": v for k, v in sym.items()})
     tables = {
         "lambda_field.csv": (("x", "y", "lambda", "valid"), field_rows),

@@ -39,7 +39,7 @@ def spectral_norm(M):
     return np.sqrt(0.5 * (a + c) + np.sqrt(0.25 * (a - c) ** 2 + b * b))
 
 
-def _cocycle_logs(f, pts, n, exclude=None):
+def _cocycle_logs(f, pts, n, exclude=None, stop_on_invalid=False):
     """Renormalized derivative product along the orbits of pts, shape (m, 2).
 
     Returns (logs, valid): logs[i] telescopes to log ||Df^k(pts[i])|| up to
@@ -51,7 +51,10 @@ def _cocycle_logs(f, pts, n, exclude=None):
     Only the active rows are carried: `rows` indexes them in pts, and x, M
     and acc (their running logs) are compacted when a row turns invalid.
     Every step is row-wise (`mul2`, `spectral_norm`), so a row's logs do
-    not depend on which other rows share its batch.
+    not depend on which other rows share its batch.  With stop_on_invalid
+    the product instead stops at the first step that invalidates a row, and
+    the logs of every row cover only the steps taken; the batch is never
+    compacted, so f may carry one parameter per row of pts.
     """
     valid = np.ones(pts.shape[0], dtype=bool)
     if exclude is not None:
@@ -76,6 +79,8 @@ def _cocycle_logs(f, pts, n, exclude=None):
             out = rows[~ok]
             logs[out] = acc[~ok]
             valid[out] = False
+            if stop_on_invalid:
+                break
             rows, x, M, acc = rows[ok], x[ok], M[ok], acc[ok]
     logs[rows] = acc
     return logs, valid
@@ -95,12 +100,13 @@ def max_lyapunov(f, p, n=200):
     p is one point, shape (2,), or a batch, shape (m, 2); a batch gives
     per-row `log_norm` and `estimate` arrays.  Raises RuntimeError when the
     cocycle of any row degenerates (a non-finite or zero norm, or a
-    non-finite image).
+    non-finite image); the product stops at that step, so f may carry one
+    parameter per row.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
     p = np.asarray(p, dtype=float)
-    logs, valid = _cocycle_logs(f, np.atleast_2d(p), n)
+    logs, valid = _cocycle_logs(f, np.atleast_2d(p), n, stop_on_invalid=True)
     if not valid.all():
         raise RuntimeError(f"cocycle degenerate at {np.count_nonzero(~valid)} "
                            f"of {valid.size} points")

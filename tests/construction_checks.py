@@ -27,7 +27,8 @@ def regime_consistency(island):
     On rho in (rho_lo, rho_lo + zeta] with zeta = (r1 - rho_lo) e^{-2 sigma}
     the surgery composite equals the island flow exactly (both are the
     time-sigma flow of (rho - rho_lo) sin 2 theta while the orbit stays in
-    the linear zone of psi); the residual measures the refined integrator.
+    the linear zone of psi); the residual measures the refined (fourth-order)
+    integrator.
     """
     prof = island.profile
     zeta = (prof.r1 - prof.rho_lo) * np.exp(-2 * SIGMA)
@@ -38,7 +39,8 @@ def regime_consistency(island):
     w = from_polar(state)
     # the flow runs in the centre's own polar frame, so one integration
     # serves all four centres
-    s_end, _ = _midpoint_steps(island.system, state, SIGMA, 32768, 1e-15, False)
+    s_end, _ = _midpoint_steps(island.system, state, SIGMA, 1024, 1e-15, False,
+                               order=4)
     dw = from_polar(s_end) - w
     worst = 0.0
     for c in island.centers:

@@ -118,6 +118,9 @@ def test_island_suite(tmp_path):
     assert lines[0] == ("center,theta,x,y,mult_stable,mult_unstable,"
                         "fixed_defect")
     assert len(lines) == 1 + 16  # four saddles on each of the four circles
+    # the finite-difference cross-check is reported, as a metric
+    assert 0.0 < report["metrics"]["saddle_fd_multiplier_error"] <= 1e-4
+    assert "saddle_fd_multiplier_error" not in {c["name"] for c in report["checks"]}
 
 
 def test_links_suite(tmp_path):

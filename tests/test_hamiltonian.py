@@ -1,8 +1,12 @@
+from collections import Counter
+
 import numpy as np
 
 from construction_checks import energy_drift, saddle_system
-from islab.hamiltonian import HamiltonianSystem, _midpoint_steps, hamiltonian_time_map
-from islab.maps import finite_difference_jacobian
+from islab import hamiltonian
+from islab.hamiltonian import (MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps,
+                               hamiltonian_time_map)
+from islab.maps import finite_difference_jacobian, inv2
 
 SIGMA = np.log(9 + 4 * np.sqrt(5))
 
@@ -28,12 +32,13 @@ def pendulum():
 def test_saddle_flow_matches_exact_multipliers():
     # Time-1 flow of H = sigma*x*y is diag(e^sigma, e^-sigma).  Implicit
     # midpoint is second order (Cayley bias ~ sigma^3 h^2 / 12), so hitting
-    # 1e-10 on a small box needs h ~ 6e-6.
+    # 1e-10 on a small box would need h ~ 6e-6; the fourth-order triple
+    # jump gets there at h ~ 1e-3.
     sys = saddle_system(SIGMA)
-    flow = hamiltonian_time_map(sys, 1.0, steps=160000)
     pts = np.array([[0.05, 0.03], [-0.02, 0.05], [0.01, -0.01]])
+    z, _ = _midpoint_steps(sys, pts, 1.0, 1024, MIDPOINT_TOL, False, order=4)
     exact = np.stack([np.exp(SIGMA) * pts[:, 0], np.exp(-SIGMA) * pts[:, 1]], axis=-1)
-    assert np.max(np.abs(flow(pts) - exact)) < 1e-10
+    assert np.max(np.abs(z - exact)) < 1e-10
 
 
 def test_saddle_flow_jacobian_det_one():
@@ -88,16 +93,49 @@ def test_midpoint_second_order_convergence():
     assert 3.0 < e1 / e2 < 5.0
 
 
+def test_midpoint_fourth_order_convergence():
+    sys = pendulum()
+    p = np.array([0.3, 0.2])
+
+    def flow(steps):
+        return _midpoint_steps(sys, p, 1.0, steps, MIDPOINT_TOL, False, order=4)[0]
+
+    ref = flow(4096)
+    e1 = np.max(np.abs(flow(64) - ref))
+    e2 = np.max(np.abs(flow(128) - ref))
+    assert 12.0 < e1 / e2 < 20.0    # 16x expected at 4th order
+
+
+def test_midpoint_fourth_order_jacobian_det_one():
+    sys = pendulum()
+    pts = np.random.default_rng(5).normal(size=(200, 2)) * 0.5
+    _, J = _midpoint_steps(sys, pts, 0.7, 64, MIDPOINT_TOL, True, order=4)
+    assert np.max(np.abs(np.linalg.det(J) - 1.0)) < 1e-12
+
+
+def test_midpoint_fourth_order_jacobian_vs_fd():
+    sys = pendulum()
+    p = np.array([0.21, -0.33])
+
+    def flow(q):
+        return _midpoint_steps(sys, q, 0.5, 50, MIDPOINT_TOL, False, order=4)[0]
+
+    _, J = _midpoint_steps(sys, p, 0.5, 50, MIDPOINT_TOL, True, order=4)
+    assert np.max(np.abs(J - finite_difference_jacobian(flow, p))) < 5e-7
+
+
 def test_midpoint_result_independent_of_batch():
     # each point stops its fixed-point solve at its own convergence, so
-    # integrating it alone or inside a batch gives the same bits
+    # integrating it alone or inside a batch gives the same bits, at either
+    # order
     sys = pendulum()
     pts = np.random.default_rng(3).normal(size=(40, 2)) * 0.6
-    z, M = _midpoint_steps(sys, pts, 0.8, 32, 1e-13, True)
-    for i in (0, 17, 39):
-        zi, Mi = _midpoint_steps(sys, pts[i], 0.8, 32, 1e-13, True)
-        assert np.array_equal(z[i], zi)
-        assert np.array_equal(M[i], Mi)
+    for order in (2, 4):
+        z, M = _midpoint_steps(sys, pts, 0.8, 32, 1e-13, True, order=order)
+        for i in (0, 17, 39):
+            zi, Mi = _midpoint_steps(sys, pts[i], 0.8, 32, 1e-13, True, order=order)
+            assert np.array_equal(z[i], zi)
+            assert np.array_equal(M[i], Mi)
 
 
 def test_midpoint_newton_fallback_matches_fixed_point():
@@ -106,6 +144,28 @@ def test_midpoint_newton_fallback_matches_fixed_point():
     pts = np.random.default_rng(4).normal(size=(40, 2)) * 0.6
     z, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False)
     zn, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False, fp_cap=1)
+    assert np.max(np.abs(zn - z)) < 1e-12
+
+
+def test_midpoint_fourth_order_newton_fallback_matches_fixed_point(monkeypatch):
+    # with a single fixed-point sweep every substep, the backward middle one
+    # included, goes to the Newton solve
+    sys = pendulum()
+    pts = np.random.default_rng(7).normal(size=(40, 2)) * 0.6
+    z, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False, order=4)
+    seen = Counter()
+
+    def spy(A):
+        # the pendulum's Newton matrix I - (h/2) Df has (0, 1) entry -h/2
+        seen[float(-2.0 * A[0, 0, 1])] += 1
+        return inv2(A)
+
+    monkeypatch.setattr(hamiltonian, "inv2", spy)
+    zn, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False, fp_cap=1, order=4)
+    stages = [g * (0.8 / 32) for g in hamiltonian._STAGES[4]]
+    assert min(stages) < 0.0
+    assert set(seen) == set(stages)
+    assert all(seen[h] >= 32 for h in stages)
     assert np.max(np.abs(zn - z)) < 1e-12
 
 

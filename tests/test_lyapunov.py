@@ -155,6 +155,15 @@ def test_degenerate_cocycle_raises():
         max_lyapunov(collapse, np.array([[0.1, 0.2], [0.7, 0.4]]), n=5)
 
 
+def test_degenerate_row_of_a_per_row_map_raises():
+    # one parameter per row: a row turning invalid must not leave the batch
+    # and the parameters at different lengths
+    f = chirikov_map(np.array([0.5, 0.7, 0.9]))
+    pts = np.array([[0.1, 0.2], [np.nan, 0.3], [0.4, 0.5]])
+    with pytest.raises(RuntimeError, match="degenerate at 1 of 3"):
+        max_lyapunov(f, pts, n=5)
+
+
 def test_island_exponent_at_least_ln4(island):
     rng = np.random.default_rng(21)
     pts = rng.random((50, 2))
