@@ -133,28 +133,32 @@ class PeriodicFn:
     then sums the trigonometric polynomial by Horner's rule in
     z = exp(2 pi i t / tau) (Berrut & Trefethen, SIAM Rev. 46 (2004)).
     The mean is the exact quadrature of the samples (the c_0 coefficient).
+    Samples (K, n) hold K functions on one grid: evaluation, mean, derivative
+    and zero_mean work row by row, evaluation at x returning (K,) + x.shape.
     """
 
     def __init__(self, tau, samples, origin=0.0):
         if tau <= 0:
             raise ValueError("period must be positive")
         samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 4:
-            raise ValueError("need a 1-d array of at least 4 samples")
+        if samples.ndim not in (1, 2) or samples.shape[-1] < 4:
+            raise ValueError("need 1-d or (K, n) samples, at least 4 per row")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         self.tau = float(tau)
         self.origin = float(origin)
         self.samples = samples
-        self.n = samples.size
+        self.n = samples.shape[-1]
         self._coef = np.fft.rfft(samples) / self.n
         # f(t) = Re sum_k w_k c_k z^k: w_k = 2 but for the mean and, at even
         # n, the Nyquist mode, which are their own conjugates
-        weights = np.full(self._coef.size, 2.0)
+        weights = np.full(self._coef.shape[-1], 2.0)
         weights[0] = 1.0
         if self.n % 2 == 0:
             weights[-1] = 1.0
-        self._wcoef = weights * self._coef
+        # mode first: Horner's rule steps through scalars, or (K, 1) columns
+        w = weights * self._coef
+        self._wcoef = w.T.reshape(w.shape[::-1] + (1,) * (w.ndim - 1))
 
     @classmethod
     def from_function(cls, fn, tau, n=PERIODIC_SAMPLES, origin=0.0):
@@ -166,7 +170,8 @@ class PeriodicFn:
         return self.origin + np.arange(self.n) * (self.tau / self.n)
 
     def mean(self):
-        return float(np.mean(self.samples))
+        m = np.mean(self.samples, axis=-1)
+        return m if m.shape else float(m)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -176,18 +181,19 @@ class PeriodicFn:
         t = x.ravel() - self.origin
         t = t - self.tau * np.floor(t / self.tau)
         z = np.exp(2j * np.pi * (t / self.tau))
-        acc = np.full(z.shape, self._wcoef[-1])
+        stack = self.samples.shape[:-1]
+        acc = np.full(stack + z.shape, self._wcoef[-1])
         for c in self._wcoef[-2::-1]:
             acc = acc * z + c
-        vals = acc.real.reshape(x.shape)
+        vals = acc.real.reshape(stack + x.shape)
         return vals if vals.shape else float(vals)
 
     def _deriv_coef(self, order):
         """Coefficients of the order-th spectral derivative (Nyquist zeroed)."""
-        k = np.arange(self._coef.size)
+        k = np.arange(self._coef.shape[-1])
         coef = self._coef * (2j * np.pi * k / self.tau) ** order
         if self.n % 2 == 0:
-            coef[-1] = 0.0
+            coef[..., -1] = 0.0
         return coef
 
     def derivative(self, order=1):
@@ -215,7 +221,8 @@ class PeriodicFn:
         return self._fine_sup(self._coef)
 
     def zero_mean(self):
-        return PeriodicFn(self.tau, self.samples - np.mean(self.samples), self.origin)
+        mean = np.mean(self.samples, axis=-1, keepdims=True)
+        return PeriodicFn(self.tau, self.samples - mean, self.origin)
 
     def _check_compatible(self, other):
         if not (self.tau == other.tau and self.n == other.n and self.origin == other.origin):
@@ -260,6 +267,7 @@ class MaskedPeriodic:
 
     psi and its derivative are evaluated only strictly inside rho's support;
     everywhere else both the product and its derivative are exactly zero.
+    A stacked psi (K rows) gives shape (K,) + x.shape.
     """
 
     def __init__(self, rho, psi):
@@ -267,23 +275,24 @@ class MaskedPeriodic:
         self.psi = psi
         self.support = rho.support
         self._dpsi = psi.derivative()
+        self._stack = psi.samples.shape[:-1]
 
     def _split(self, x):
         x = np.asarray(x, dtype=float)
         lo, hi = self.support
         inside = (x > lo) & (x < hi)
-        return np.zeros(x.shape), inside, x[inside]
+        return np.zeros(self._stack + x.shape), inside, x[inside]
 
     def __call__(self, x):
         out, inside, xi = self._split(x)
         if xi.size:
-            out[inside] = self.rho(xi) * self.psi(xi)
+            out[..., inside] = self.rho(xi) * self.psi(xi)
         return out
 
     def d1(self, x):
         out, inside, xi = self._split(x)
         if xi.size:
-            out[inside] = self.rho.d1(xi) * self.psi(xi) + self.rho(xi) * self._dpsi(xi)
+            out[..., inside] = self.rho.d1(xi) * self.psi(xi) + self.rho(xi) * self._dpsi(xi)
         return out
 
 
@@ -330,7 +339,8 @@ class GraphCurve:
 
     The interpolant is the not-a-knot cubic spline on the uniform grid (de
     Boor, A Practical Guide to Splines, ch. IV), and it extrapolates the end
-    cubics outside [x0, x1].
+    cubics outside [x0, x1].  Samples (K, n) hold K curves on one grid:
+    evaluation at x then returns shape (K,) + x.shape.
     """
 
     def __init__(self, x0, x1, samples):
@@ -338,28 +348,30 @@ class GraphCurve:
         if not x0 < x1:
             raise ValueError("curve interval must satisfy x0 < x1")
         samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 4:
-            raise ValueError("need a 1-d array of at least 4 samples")
+        if samples.ndim not in (1, 2) or samples.shape[-1] < 4:
+            raise ValueError("need 1-d or (K, n) samples, at least 4 per row")
         if not np.all(np.isfinite(samples)):
             raise ValueError("curve samples must be finite")
         self.x0 = x0
         self.x1 = x1
         self.samples = samples
-        self.n = samples.size
+        self.n = samples.shape[-1]
         self.grid = np.linspace(x0, x1, self.n)
         h = (x1 - x0) / (self.n - 1)
         d = np.diff(samples)
-        rhs = np.empty(self.n)
-        rhs[1:-1] = 3.0 * (d[:-1] + d[1:])
-        rhs[0] = 0.5 * (5.0 * d[0] + d[1])
-        rhs[-1] = 0.5 * (d[-2] + 5.0 * d[-1])
-        m = _not_a_knot_inverse(self.n) @ rhs
+        dT = d.T  # sample axis first: the end rows are scalar arithmetic for one curve
+        rhs = np.empty(samples.shape[::-1])
+        rhs[1:-1] = 3.0 * (dT[:-1] + dT[1:])
+        rhs[0] = 0.5 * (5.0 * dT[0] + dT[1])
+        rhs[-1] = 0.5 * (dT[-2] + 5.0 * dT[-1])
+        # a gemv per row, so each row of a stack keeps its own curve's bits
+        m = (_not_a_knot_inverse(self.n) @ rhs.T[..., None])[..., 0]
         # row j: the cubic on [x_j, x_j+1] in powers 3, 2, 1, 0 of (x - x_j),
         # then its derivative in powers 2, 1, 0
-        c3 = (m[:-1] + m[1:] - 2.0 * d) / h**3
-        c2 = (3.0 * d - 2.0 * m[:-1] - m[1:]) / h**2
-        c1 = m[:-1] / h
-        self._coef = np.stack([c3, c2, c1, samples[:-1], 3.0 * c3, 2.0 * c2, c1], axis=-1)
+        c3 = (m[..., :-1] + m[..., 1:] - 2.0 * d) / h**3
+        c2 = (3.0 * d - 2.0 * m[..., :-1] - m[..., 1:]) / h**2
+        c1 = m[..., :-1] / h
+        self._coef = np.stack([c3, c2, c1, samples[..., :-1], 3 * c3, 2 * c2, c1], axis=-1)
 
     @classmethod
     def from_function(cls, fn, x0, x1):
@@ -372,7 +384,7 @@ class GraphCurve:
         grid[-2] on the last, so the end cubics extrapolate."""
         x = np.asarray(x, dtype=float)
         j = np.searchsorted(self.grid[1:-1], x, side="right")
-        c = self._coef.take(j, axis=0)
+        c = self._coef.take(j, axis=-2)
         t = x - self.grid.take(j)
         y = c[..., first] * t
         for k in range(first + 1, last):
@@ -388,11 +400,16 @@ class GraphCurve:
         return self._horner(x, 4, 6)
 
     def points(self, x=None):
-        """Curve points (x, w(x)) stacked as (..., 2)."""
+        """Curve points (x, w(x)) as (..., 2), at the samples by default; a
+        stack shares the x column across its rows."""
         if x is None:
-            return np.stack([self.grid, self.samples], axis=-1)
-        x = np.asarray(x, dtype=float)
-        return np.stack([x, self(x)], axis=-1)
+            x, y = self.grid, self.samples
+        else:
+            x = np.asarray(x, dtype=float)
+            y = self(x)
+        p = np.empty(y.shape + (2,))
+        p[..., 0], p[..., 1] = x, y
+        return p
 
 
 def straight_curve(x0, x1, level):
@@ -416,15 +433,17 @@ def curve_sup_diff(c1, c2, a=None, b=None):
 
 def _transversality(f, curve, J):
     """Raise unless f, with Jacobian J on the curve's samples, maps the
-    curve to a graph over x."""
+    curve (each row of a stack) to a graph over x.  The error reports the
+    x of the first grid column where some row fails."""
     s = J[..., 0, 0] + J[..., 0, 1] * curve.deriv(curve.grid)
     bad = np.abs(s) < 1e-10
     if np.any(bad):
-        x = float(curve.grid[np.argmax(bad)])
+        x = float(curve.grid[np.argmax(np.any(bad.reshape(-1, curve.n), axis=0))])
         raise TransversalityError(
             f"{f.name}: vertical tangency along the transformed curve near x = {x}", x=x)
-    if np.any(s > 0) and np.any(s < 0):
-        x = float(curve.grid[np.argmax(s < 0) if s[0] > 0 else np.argmax(s > 0)])
+    flip = s * s[..., :1] < 0  # the image turns back against its start
+    if np.any(flip):
+        x = float(curve.grid[np.argmax(np.any(flip.reshape(-1, curve.n), axis=0))])
         raise TransversalityError(
             f"{f.name}: image fails to be a graph (fold) near x = {x}", x=x)
 
@@ -506,16 +525,23 @@ def graph_transform(f, curve):
     each target x is solved by a safeguarded Newton iteration started on
     the secant of its bracketing sample pair (see _preimages).
 
+    A stack of curves is mapped by one evaluation of f on all its points.
+
     Raises TransversalityError when the image is not a graph over x, and
     RuntimeError when the x-image is not finite or the general-path solver
-    fails to converge.
+    fails to converge.  Raises ValueError when a stack's rows do not share
+    row 0's x-image, or would need the general path.
     """
     img, J = f.value_and_jacobian(curve.points())
     _transversality(f, curve, J)
     img = np.asarray(img, dtype=float)
-    tx, ty = img[..., 0], img[..., 1]
-    if not np.all(np.isfinite(tx)):
+    rows, ty = img[..., 0].reshape(-1, curve.n), img[..., 1]
+    if not np.all(np.isfinite(rows)):
         raise RuntimeError(f"graph_transform: {f.name} gives a non-finite x-image")
+    tx = rows[0]
+    if np.any(rows != tx):
+        raise ValueError(f"graph_transform: {f.name} gives the rows of a stack "
+                         "different x-images")
 
     d = np.diff(tx)
     if np.all(d == 0.0):
@@ -532,7 +558,7 @@ def graph_transform(f, curve):
     if affine and abs(alpha) <= 1.0 + 1e-12:
         if alpha > 0:
             return GraphCurve(tx[0], tx[-1], ty)
-        return GraphCurve(tx[-1], tx[0], ty[::-1])
+        return GraphCurve(tx[-1], tx[0], ty[..., ::-1])
 
     lo, hi = (tx[0], tx[-1]) if span > 0 else (tx[-1], tx[0])
     X = np.linspace(lo, hi, _sample_count(lo, hi))
@@ -540,6 +566,8 @@ def graph_transform(f, curve):
     if affine:
         x_src = curve.grid[0] + (X - tx[0]) / alpha
         x_src = np.clip(x_src, curve.x0, curve.x1)
+    elif ty.ndim > 1:
+        raise ValueError(f"graph_transform: a stack needs the general path for {f.name}")
     else:
         x_src = _preimages(f, curve, tx, X)
     out = np.asarray(f(curve.points(x_src)), dtype=float)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .curves import (
     PERIODIC_SAMPLES,
+    GraphCurve,
     MaskedPeriodic,
     PartitionBump,
     PeriodicFn,
@@ -542,20 +543,21 @@ def unstable_curve(model, side, psi=None):
 
 def stable_curve(model, side, psi=None):
     """The stable graph curve over the fundamental interval: the model's
-    forward push, then the shear-interleaved backward chain."""
+    forward push, then the backward chain with S_{-psi} around each step.
+    S_{-psi} keeps x, so it shears the samples alone, w -> w - psi(x), bitwise
+    as its graph transform would; a stacked psi gives a stack of curves."""
     chart, _, c = _link(model, side)
-    sneg = _shear_steps(psi)
-    if sneg is not None:
-        c = graph_transform(sneg, c)
-    for piece in reversed(model.forward_itinerary(side)):
-        c = graph_transform(model.backward_step(piece), c)
-        if sneg is not None:
-            c = graph_transform(sneg, c)
+    for piece in [None] + model.forward_itinerary(side)[::-1]:
+        if piece is not None:
+            c = graph_transform(model.backward_step(piece), c)
+        if psi is not None:
+            c = GraphCurve(c.x0, c.x1, c.samples - psi(c.grid))
     return graph_transform(chart, c)
 
 
 def _splitting(side, psi, model):
-    """w_u - w_s for S_psi o F, sampled over the fundamental interval."""
+    """w_u - w_s for S_psi o F, sampled over the fundamental interval; one
+    row per row of a stacked psi."""
     w_u = unstable_curve(model, side)
     w_s = stable_curve(model, side, psi=psi)
     lo, _ = model.fundamental_interval(side)

@@ -73,7 +73,8 @@ def flow_matches_linear_map(island):
         return H
 
     sys0 = HamiltonianSystem("rho sin 2 theta", grad, hess)
-    s_end, _ = _midpoint_steps(sys0, to_polar(w), SIGMA, 65536, 1e-15, False)
+    s_end, _ = _midpoint_steps(sys0, to_polar(w), SIGMA, 1024, 1e-15, False,
+                               order=4)
     D = np.diag([np.exp(SIGMA), np.exp(-SIGMA)])
     return float(np.max(np.abs(from_polar(s_end) - w @ D.T)))
 

@@ -581,3 +581,140 @@ def test_transform_translation_property(shift):
     out = graph_transform(_affine("shift", 1.0, shift, 1.0, 0.0), c)
     x = np.linspace(out.x0 + 1e-9, out.x1 - 1e-9, 65)
     assert np.max(np.abs(out(x) - c(np.clip(x - shift, 0.0, 1.0)))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stacks: K functions or curves on one grid
+
+
+def _assert_rows_match(stacked, singles):
+    """Each row of a stacked result within 4 ulp of its row's scale."""
+    singles = np.asarray(singles)
+    assert stacked.shape == singles.shape
+    scale = np.max(np.abs(singles.reshape(len(singles), -1)), axis=-1)
+    tol = 4 * np.spacing(scale).reshape((-1,) + (1,) * (singles.ndim - 1))
+    assert np.all(np.abs(stacked - singles) <= tol)
+
+
+def _periodic_rows(n, k=5, seed=11):
+    return 1e-2 * np.random.default_rng(seed).standard_normal((k, n))
+
+
+@pytest.mark.parametrize("n", [128, 127])
+def test_periodic_stack_matches_its_rows(n):
+    rows = _periodic_rows(n)
+    stack = PeriodicFn(0.8, rows, -0.35)
+    singles = [PeriodicFn(0.8, r, -0.35) for r in rows]
+    x = np.random.default_rng(n).uniform(-2.0, 2.0, 301)
+    _assert_rows_match(stack(x), [f(x) for f in singles])
+    _assert_rows_match(stack(x.reshape(7, 43)), [f(x.reshape(7, 43)) for f in singles])
+    _assert_rows_match(stack(0.3), [f(0.3) for f in singles])
+    _assert_rows_match(stack.mean(), [f.mean() for f in singles])
+    _assert_rows_match(stack.derivative()(x), [f.derivative()(x) for f in singles])
+    _assert_rows_match(stack.zero_mean().samples, [f.zero_mean().samples for f in singles])
+
+
+def test_masked_periodic_stack_matches_its_rows():
+    rows = _periodic_rows(128)
+    rho = PartitionBump(-0.2, 0.6, 0.8)
+    stack = MaskedPeriodic(rho, PeriodicFn(0.8, rows, -0.35))
+    singles = [MaskedPeriodic(rho, PeriodicFn(0.8, r, -0.35)) for r in rows]
+    lo, hi = stack.support
+    x = np.concatenate([np.linspace(lo - 0.5, hi + 0.5, 301), [lo, hi]])
+    for vals, ref in ((stack(x), [m(x) for m in singles]),
+                      (stack.d1(x), [m.d1(x) for m in singles])):
+        _assert_rows_match(vals, ref)
+        assert np.all(vals[:, (x <= lo) | (x >= hi)] == 0.0)
+
+
+def _curve_rows(n=283, k=4, seed=3):
+    grid = np.linspace(-0.3, 1.7, n)
+    noise = 1e-3 * np.random.default_rng(seed).standard_normal((k, n))
+    return np.sin(3.0 * grid) * np.linspace(0.5, 2.0, k)[:, None] + noise
+
+
+def test_graph_curve_stack_matches_its_rows():
+    rows = _curve_rows()
+    stack = GraphCurve(-0.3, 1.7, rows)
+    singles = [GraphCurve(-0.3, 1.7, r) for r in rows]
+    h = (stack.x1 - stack.x0) / (stack.n - 1)
+    x = np.concatenate([stack.grid, np.random.default_rng(5).uniform(-0.3 - h, 1.7 + h, 300)])
+    _assert_rows_match(stack(x), [c(x) for c in singles])
+    _assert_rows_match(stack.deriv(x), [c.deriv(x) for c in singles])
+    pts = stack.points()
+    assert pts.shape == (4, stack.n, 2)
+    assert np.all(pts[..., 0] == stack.grid) and np.array_equal(pts[..., 1], rows)
+    assert stack.points(x).shape == (4, x.size, 2)
+
+
+@pytest.mark.parametrize("f", [
+    shear_map(lambda x: 0.1 * np.cos(2 * np.pi * x),
+              lambda x: -0.2 * np.pi * np.sin(2 * np.pi * x)),   # identity x-rule
+    _affine("fold-like", -0.5, 1.25, -2.0, 0.4),                # affine contraction
+    _affine("double", 2.0, 0.0, 1.0, 0.1),                      # affine expansion
+], ids=["identity", "contraction", "expansion"])
+def test_transform_stack_matches_its_rows(f):
+    rows = 0.5 + 0.2 * np.sin(2 * np.pi * np.linspace(0.0, 1.0, 257)) * np.array([[1.0], [-0.5], [2.0]])
+    out = graph_transform(f, GraphCurve(0.0, 1.0, rows))
+    singles = [graph_transform(f, GraphCurve(0.0, 1.0, r)) for r in rows]
+    assert all((out.x0, out.x1, out.n) == (c.x0, c.x1, c.n) for c in singles)
+    _assert_rows_match(out.samples, [c.samples for c in singles])
+
+
+def test_transform_stack_rows_with_different_x_images_raise():
+    # the bendy map's x-rule reads y, so rows at different heights part in x
+    rows = np.stack([_wave_curve().samples, _wave_curve().samples + 0.1])
+    with pytest.raises(ValueError, match="different x-images"):
+        graph_transform(_bendy_map(), GraphCurve(0.0, 1.0, rows))
+
+
+def test_transform_stack_on_the_general_path_raises():
+    # a nonlinear x-rule that ignores y: every row shares its x-image, but a
+    # stack cannot take the general path
+    def fwd(p):
+        return np.stack([p[..., 0] + 0.1 * np.sin(3 * p[..., 0]), p[..., 1]], axis=-1)
+
+    def jac(p):
+        J = np.zeros(np.shape(p)[:-1] + (2, 2))
+        J[..., 0, 0] = 1.0 + 0.3 * np.cos(3 * p[..., 0])
+        J[..., 1, 1] = 1.0
+        return J
+
+    f = MapDescriptor("wavy-x", fwd, jac)
+    c = _wave_curve()
+    assert graph_transform(f, c).n == curves._sample_count(0.0, fwd(c.points())[-1, 0])
+    with pytest.raises(ValueError, match="general path"):
+        graph_transform(f, GraphCurve(0.0, 1.0, np.stack([c.samples, c.samples + 0.1])))
+
+
+def _swap():
+    """(x, y) -> (y, x): the image is a graph over x where w' keeps a sign."""
+    def jac(p):
+        J = np.zeros(np.shape(p)[:-1] + (2, 2))
+        J[..., 0, 1] = J[..., 1, 0] = 1.0
+        return J
+
+    return MapDescriptor("swap", lambda p: p[..., ::-1].copy(), jac)
+
+
+def test_transform_stack_reports_first_tangent_column():
+    # w' vanishes at a knot: row 1 at x = 0.5, row 2 at 0.75; row 0 never
+    grid = np.linspace(0.0, 1.0, 257)
+    rows = np.stack([grid + 1.0, (grid - 0.5) ** 2, (grid - 0.75) ** 2])
+    for stack in (rows, rows[[0, 2, 1]]):
+        with pytest.raises(TransversalityError, match="tangency") as err:
+            graph_transform(_swap(), GraphCurve(0.0, 1.0, stack))
+        assert err.value.x == 0.5
+
+
+def test_transform_stack_reports_first_fold_column():
+    # w' changes sign between knots: row 2 first at x = 0.3, row 0 at 0.6;
+    # each row reports the first knot past its turn, and the stack the first
+    grid = np.linspace(0.0, 1.0, 257)
+    rows = np.stack([(grid - 0.6) ** 2, grid + 1.0, (grid - 0.3) ** 2])
+    with pytest.raises(TransversalityError, match="fold") as err:
+        graph_transform(_swap(), GraphCurve(0.0, 1.0, rows))
+    assert err.value.x == grid[77]
+    with pytest.raises(TransversalityError, match="fold") as err:
+        graph_transform(_swap(), GraphCurve(0.0, 1.0, rows[0]))
+    assert err.value.x == grid[154]

@@ -3,7 +3,8 @@ import pytest
 
 from construction_checks import PsiChart
 from islab import cli, links
-from islab.curves import BumpFn, MaskedPeriodic, PeriodicFn, curve_sup_diff, random_trig_poly
+from islab.curves import (PERIODIC_SAMPLES, BumpFn, MaskedPeriodic, PeriodicFn, curve_sup_diff,
+                          graph_transform, random_trig_poly)
 from islab.links import (
     LinkGeometry,
     build_suitable_model,
@@ -283,6 +284,55 @@ def test_splitting_b_detects_broken_a_link():
     for _ in range(2):
         with pytest.raises(ValueError):
             splitting_b(None, model)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_splitting_stack_matches_its_rows(side):
+    model = _model()
+    g = model.geometry
+    split, reference = {"a": (splitting_a, splitting_a_reference),
+                        "b": (splitting_b, splitting_b_reference)}[side]
+    origin = g.x_a - 2 * g.tau if side == "a" else g.x_b
+    rng = np.random.default_rng(17)
+    rows = np.stack([random_trig_poly(g.tau, harmonics=5, amplitude=2e-3, rng=rng,
+                                      origin=origin).samples for _ in range(4)])
+    rho = model.partition_bump(side)
+    psi = MaskedPeriodic(rho, PeriodicFn(g.tau, rows, origin))
+    singles = [MaskedPeriodic(rho, PeriodicFn(g.tau, r, origin)) for r in rows]
+    M = split(psi, model)
+    Ms = [split(one, model) for one in singles]
+    assert M.samples.shape == (4, PERIODIC_SAMPLES) and M.origin == Ms[0].origin
+    # each row is w_u - w_s for curves at height |y1| = 1, whose rounding
+    # sets the row's scale
+    assert np.max(np.abs(M.samples - [m.samples for m in Ms])) <= 4 * np.spacing(g.y1)
+    lo, _ = model.fundamental_interval(side)
+    xs = np.linspace(lo, lo + g.tau, 401)
+    ref = reference(psi, model)(xs)
+    singles_ref = np.array([reference(one, model)(xs) for one in singles])
+    assert np.all(np.abs(ref - singles_ref)
+                  <= 4 * np.spacing(np.max(np.abs(singles_ref), axis=1, keepdims=True)))
+    assert np.max(np.abs(M(xs) - ref)) <= 1e-6
+    if side == "b":
+        assert M.mean().shape == (4,)
+        assert np.max(np.abs(M.mean() - [m.mean() for m in Ms])) <= 4 * np.spacing(g.y1)
+        assert np.max(np.abs(M.mean())) <= 1e-8
+
+
+def test_stable_curve_shears_its_samples_as_the_shear_map_would():
+    # S_{-psi} keeps x, so shearing the samples is bitwise the identity path
+    # of the shear's graph transform, also on a hooked model
+    g = LinkGeometry()
+    model = build_suitable_model(hook=_b_band_hook(g))
+    psit = random_trig_poly(g.tau, harmonics=5, amplitude=2e-3,
+                            rng=np.random.default_rng(19), origin=g.x_b)
+    psi = MaskedPeriodic(model.partition_bump("b"), psit)
+    chart, _, c = links._link(model, "b")
+    sneg = links._shear_steps(psi)
+    c = graph_transform(sneg, c)
+    for piece in reversed(model.forward_itinerary("b")):
+        c = graph_transform(sneg, graph_transform(model.backward_step(piece), c))
+    literal = graph_transform(chart, c)
+    assert np.array_equal(stable_curve(model, "b", psi).samples, literal.samples)
 
 
 def test_unstable_curve_psi_independent():
