@@ -29,12 +29,8 @@ from .curves import (
     graph_transform,
     straight_curve,
 )
-from .maps import MapDescriptor, compose, identity_map, inverse_descriptor, shear_map
+from .maps import MapDescriptor, compose, inverse_descriptor, shear_map
 
-# TimeEnergyChart._sigma: RK4 step counts of the first pass and of the last
-# doubling allowed before it gives up
-SIGMA_STEPS_START = 64
-SIGMA_STEPS_CAP = 1024
 # side b's link entry: largest a-link gap it accepts as intact
 LINK_A_TOL = 1e-8
 # restoration solvers: residual tolerance and iteration cap; side b also
@@ -103,7 +99,7 @@ def _affine_piece(name, ax, bx, ay, by):
 
 class SuitableModel:
     """Two-strip model with an optional symplectic perturbation hook G,
-    composed as F = G o Fstar."""
+    composed as F = G o Fstar (F = Fstar when there is no hook)."""
 
     def __init__(self, hook=None):
         self.geometry = LinkGeometry()
@@ -114,12 +110,13 @@ class SuitableModel:
         self.trans_b = _affine_piece("level-b translation", 1.0, tau, 1.0, 0.0)
         self.fold = _affine_piece("fold", -0.5, jx, -2.0, jy)
         self.crawl = _affine_piece("lower crawl", 1.0, -tau / 2, 1.0, 0.0)
-        self.hook = hook or identity_map()
-        self._hook_inv = inverse_descriptor(self.hook)
+        self.hook = hook
         self.band = abs(g.y1 - g.y2) / 2 * 0.8
-        self._validate_hook()
+        if hook is not None:
+            self._hook_inv = inverse_descriptor(hook)
+            self._validate_hook()
         self.fstar = self._assemble_fstar()
-        self.F = compose(self.hook, self.fstar, name="F") if hook is not None else self.fstar
+        self.F = compose(hook, self.fstar, name="F") if hook is not None else self.fstar
         self._links = {}  # side -> the psi-independent half of the link (_link)
 
     # -- regions ------------------------------------------------------------
@@ -205,9 +202,13 @@ class SuitableModel:
     # -- itineraries and steps ------------------------------------------------
 
     def forward_step(self, piece):
+        if self.hook is None:
+            return piece
         return compose(self.hook, piece, name=f"F|{piece.name}")
 
     def backward_step(self, piece):
+        if self.hook is None:
+            return inverse_descriptor(piece)
         return compose(inverse_descriptor(piece), self._hook_inv,
                        name=f"F^-1|{piece.name}")
 
@@ -284,9 +285,10 @@ class TimeEnergyChart:
     translation.
 
     Built as the bump blend phi0 = (1 - rho) id + rho (Fstar o F^-1) on the
-    fundamental strip, with the y-fiber corrected so det D phi = 1, and
-    extended to the neighbouring tau-bands by phi -> Fstar^j o phi o F^-j.
-    Identity when F = Fstar.
+    fundamental strip, and extended to the neighbouring tau-bands by
+    phi -> Fstar^j o phi0 o F^-j.  Identity when F = Fstar.  There is no
+    y-fiber correction: the chart requires det D phi0 = 1 on the strip (as
+    it is for a vertical-shear hook), and raises ValueError when it is not.
     """
 
     def __init__(self, side, model):
@@ -330,7 +332,7 @@ class TimeEnergyChart:
 
     # -- construction checks ---------------------------------------------------
 
-    def _strip_frame(self, n=400):
+    def _strip_frame(self, n):
         g = self.model.geometry
         xs = np.linspace(self._lo - g.delta, self._hi + g.delta, n)
         ys = g.y1 + np.linspace(-self.model.band / 2, self.model.band / 2, 7)
@@ -343,12 +345,14 @@ class TimeEnergyChart:
         fv = self.F(frame)
         if np.max(np.abs(fv - fs)) > 0.1:
             raise ValueError("F exceeds C^1 distance 0.1 from the base map on the strip")
-        det0 = self._det_phi0(frame)
-        if np.any(det0 <= 0.0):
-            raise ValueError("blend map is not invertible on the strip")
-        self._unit_det0 = bool(np.max(np.abs(det0 - 1.0)) < 1e-14)
+        _, J = self._phi0(frame, True)
+        dev = np.max(np.abs(J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0] - 1.0))
+        if not dev < 1e-14:
+            raise ValueError(f"{self.name}: det D phi0 departs from 1 by {dev:.3e} on the "
+                             "strip; this hook needs a fiber correction, which islab "
+                             "does not build")
 
-    # -- phi0 and its determinant ----------------------------------------------
+    # -- evaluation --------------------------------------------------------------
 
     def _phi0(self, p, with_jac):
         """phi0(p), and D phi0(p) when with_jac (else None)."""
@@ -367,64 +371,6 @@ class TimeEnergyChart:
         J[..., 1, 0] += dr * (B[..., 1] - p[..., 1])
         return val, J
 
-    def _det_phi0(self, p):
-        _, J = self._phi0(p, True)
-        return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-
-    # -- the y-fiber correction sigma -------------------------------------------
-
-    def _sigma(self, p):
-        """sigma(x, y): d sigma / dy = 1 / det D phi0(x, sigma), sigma(x, y1) = y1."""
-        y1 = self.model.geometry.y1
-        x = p[..., 0]
-        y = p[..., 1]
-
-        def rhs(sv):
-            return 1.0 / self._det_phi0(np.stack([x, sv], axis=-1))
-
-        n = SIGMA_STEPS_START
-        prev = None
-        while True:
-            h = (y - y1) / n
-            s = np.full_like(y, y1)
-            for _ in range(n):
-                k1 = rhs(s)
-                k2 = rhs(s + 0.5 * h * k1)
-                k3 = rhs(s + 0.5 * h * k2)
-                k4 = rhs(s + h * k3)
-                s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if prev is not None and np.max(np.abs(s - prev)) < 1e-12:
-                return s
-            if n >= SIGMA_STEPS_CAP:
-                raise RuntimeError(
-                    f"{self.name}: fiber correction unconverged at {n} RK4 steps")
-            prev = s
-            n *= 2
-
-    # -- evaluation --------------------------------------------------------------
-
-    def _base(self, p, with_jac):
-        """The chart on the base strip, phi0(x, sigma(x, y)), and its
-        Jacobian when with_jac (else None)."""
-        if self._unit_det0:
-            return self._phi0(p, with_jac)
-        q = np.stack([p[..., 0], self._sigma(p)], axis=-1)
-        val, J0 = self._phi0(q, with_jac)
-        if not with_jac:
-            return val, None
-        det0 = J0[..., 0, 0] * J0[..., 1, 1] - J0[..., 0, 1] * J0[..., 1, 0]
-        h = 1e-6 * (1.0 + np.abs(p[..., 0]))
-        pp = np.array(p, copy=True)
-        pp[..., 0] += h
-        pm = np.array(p, copy=True)
-        pm[..., 0] -= h
-        sx = (self._sigma(pp) - self._sigma(pm)) / (2.0 * h)
-        C = np.zeros_like(J0)
-        C[..., 0, 0] = 1.0
-        C[..., 1, 0] = sx
-        C[..., 1, 1] = 1.0 / det0
-        return val, J0 @ C
-
     def _ext_count(self, x):
         """Number of extension steps for each x (0 on the base strip)."""
         tau = self.model.geometry.tau
@@ -435,7 +381,7 @@ class TimeEnergyChart:
         return np.clip(t, 0, 2).astype(int)
 
     def _eval(self, p, with_jac):
-        """phi(p) = Fstar^j o base o F^-j (p) on the j-th extension band, and
+        """phi(p) = Fstar^j o phi0 o F^-j (p) on the j-th extension band, and
         D phi(p) when with_jac (else None)."""
         p = np.asarray(p, dtype=float)
         flat = p.reshape(-1, 2)
@@ -445,9 +391,7 @@ class TimeEnergyChart:
         J = np.broadcast_to(np.eye(2), q.shape + (2,)).copy() if with_jac else None
         for rows in bands:
             _advance(self._Finv, q, J, rows)
-        # one base evaluation for all points, so the fiber-ODE correction
-        # is solved once per call rather than once per band
-        q, Jb = self._base(q, with_jac)
+        q, Jb = self._phi0(q, with_jac)
         if with_jac:
             J = Jb @ J
         for rows in bands:
@@ -462,25 +406,6 @@ class TimeEnergyChart:
 
     def value_and_jacobian(self, p):
         return self._eval(p, True)
-
-    # -- diagnostics ---------------------------------------------------------------
-
-    def area_defect(self, n=400):
-        frame = self._strip_frame(n)
-        J = self.jacobian(frame)
-        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-        return float(np.max(np.abs(det - 1.0)))
-
-    def conjugacy_defect(self, n=400):
-        """sup |phi(F p) - Fstar(phi p)| over the fundamental strip."""
-        frame = self._strip_frame(n)
-        lhs = self(self.F(frame))
-        rhs = self.model.fstar(self(frame))
-        return float(np.max(np.abs(lhs - rhs)))
-
-    def identity_defect(self):
-        frame = self._strip_frame()
-        return float(np.max(np.abs(self(frame) - frame)))
 
 
 # ---------------------------------------------------------------------------

@@ -342,15 +342,3 @@ def rotation_map(angle):
 
     return MapDescriptor(f"R({angle:g})", fwd, jac, inv)
 
-
-def identity_map():
-    def fwd(p):
-        return np.array(p, dtype=float, copy=True)
-
-    def jac(p):
-        J = np.zeros(np.shape(p)[:-1] + (2, 2), dtype=float)
-        J[..., 0, 0] = 1.0
-        J[..., 1, 1] = 1.0
-        return J
-
-    return MapDescriptor("id", fwd, jac, fwd)

@@ -200,15 +200,6 @@ class TransitionMap:
     def descriptor(self, name="T1"):
         return MapDescriptor(name, self.__call__, self.jacobian, self.inverse)
 
-    def tails(self, p):
-        """The nonlinear remainders (phi1, phi2) relative to the affine part
-        xbar = x+ + b (y - y-), ybar = c x."""
-        p = np.asarray(p, dtype=float)
-        out = self(p)
-        aff_x = self.x_plus + self.b * (p[..., 1] - self.y_minus)
-        aff_y = self.c * p[..., 0]
-        return out[..., 0] - aff_x, out[..., 1] - aff_y
-
 
 # ---------------------------------------------------------------------------
 # the R recursion

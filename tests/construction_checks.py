@@ -1,4 +1,5 @@
-"""Checks of the paper's construction that only the tests run.
+"""Checks of the paper's construction, and the maps they need, that only
+the tests run.
 
 No suite or acceptance criterion calls these, so they live beside the tests
 rather than in the package.
@@ -10,11 +11,28 @@ from islab.blowup import SIGMA, from_polar, to_polar
 from islab.hamiltonian import HamiltonianSystem, _midpoint_steps
 from islab.links import _shear_steps
 from islab.lyapunov import max_lyapunov, spectral_norm
-from islab.maps import (compose, inv2, inverse_descriptor, shear_map, torus_diff,
-                        wrap_torus)
+from islab.maps import (MapDescriptor, compose, inv2, inverse_descriptor, shear_map,
+                        torus_diff, wrap_torus)
 from islab.rescaling import PASSAGE_RESID_TOL
 
 EXP_2SIGMA = 161.0 + 72.0 * np.sqrt(5.0)          # e^{2 sigma}, saddle multiplier
+
+
+# ---------------------------------------------------------------------------
+# maps
+
+
+def identity_map():
+    def fwd(p):
+        return np.array(p, dtype=float, copy=True)
+
+    def jac(p):
+        J = np.zeros(np.shape(p)[:-1] + (2, 2), dtype=float)
+        J[..., 0, 0] = 1.0
+        J[..., 1, 1] = 1.0
+        return J
+
+    return MapDescriptor("id", fwd, jac, fwd)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +173,27 @@ def conjugacy_exponent_bound(island, p, n=100):
 # links
 
 
+def chart_area_defect(chart, n=400):
+    """sup |det D phi - 1| over the chart's fundamental strip."""
+    J = chart.jacobian(chart._strip_frame(n))
+    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    return float(np.max(np.abs(det - 1.0)))
+
+
+def chart_conjugacy_defect(chart, n=400):
+    """sup |phi(F p) - Fstar(phi p)| over the fundamental strip."""
+    frame = chart._strip_frame(n)
+    lhs = chart(chart.F(frame))
+    rhs = chart.model.fstar(chart(frame))
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def chart_identity_defect(chart):
+    """sup |phi(p) - p| over the fundamental strip."""
+    frame = chart._strip_frame(400)
+    return float(np.max(np.abs(chart(frame) - frame)))
+
+
 class PsiChart:
     """Chart for the sheared map S_psi o F, assembled from the chart of F.
 
@@ -207,6 +246,16 @@ class PsiChart:
 
 # ---------------------------------------------------------------------------
 # rescaling
+
+
+def transition_tails(T1, p):
+    """The nonlinear remainders (phi1, phi2) of the transition map T1
+    relative to its affine part xbar = x+ + b (y - y-), ybar = c x."""
+    p = np.asarray(p, dtype=float)
+    out = T1(p)
+    aff_x = T1.x_plus + T1.b * (p[..., 1] - T1.y_minus)
+    aff_y = T1.c * p[..., 0]
+    return out[..., 0] - aff_x, out[..., 1] - aff_y
 
 
 def xi_eta(T0, k, window):

@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no map Jacobian falls back to finite differences, the package runs on
-numpy alone, and every top-level name of the package is reached by the
-package itself or by the acceptance tests.
+numpy alone, and every top-level name and every method of the package is
+reached by the package itself or by the acceptance tests.
 
 pyflakes would catch the first too; the checks here need only the standard
 library's `ast`.
@@ -238,12 +238,81 @@ def test_reachability_scan_flags_unreached_names():
     assert unreached(package, acceptance) == ["islab.a.recurse", "islab.a.xi_eta"]
 
 
-def test_every_package_name_is_reached():
-    # what only the tests reach belongs beside them (construction_checks)
+def _package_and_acceptance():
     package = {"islab" if p.stem == "__init__" else f"islab.{p.stem}":
                p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    acceptance = {"tests.test_acceptance": ACCEPTANCE.read_text(encoding="utf-8")}
-    assert unreached(package, acceptance) == []
+    return package, {"tests.test_acceptance": ACCEPTANCE.read_text(encoding="utf-8")}
+
+
+def test_every_package_name_is_reached():
+    # what only the tests reach belongs beside them (construction_checks)
+    assert unreached(*_package_and_acceptance()) == []
+
+
+def unreached_methods(package, acceptance):
+    """Methods of the package's top-level classes (a {module: source} map)
+    whose name no attribute read outside the method's own body names, in
+    the package or the acceptance sources.  Only `ast.Attribute` nodes
+    count: a function of the same name, a keyword argument or a string
+    does not reach a method.  Dunder methods are called by the language
+    and are left out."""
+    trees = {module: ast.parse(source) for module, source in {**package, **acceptance}.items()}
+    methods = {}  # key -> (name, ids of the nodes of its own definition)
+    for module in package:
+        for cls in trees[module].body:
+            if isinstance(cls, ast.ClassDef):
+                methods.update((f"{module}.{cls.name}.{f.name}",
+                                (f.name, {id(n) for n in ast.walk(f)}))
+                               for f in cls.body if isinstance(f, ast.FunctionDef)
+                               and not (f.name.startswith("__") and f.name.endswith("__")))
+    reads = {}  # attribute name -> ids of the Attribute nodes naming it
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute):
+                reads.setdefault(n.attr, []).append(id(n))
+    return sorted(key for key, (name, body) in methods.items()
+                  if all(i in body for i in reads.get(name, ())))
+
+
+def test_method_scan_flags_a_readded_method():
+    package = {
+        "islab.blowup": ("def conjugacy_defect(island):\n"
+                         "    return island.conjugacy\n"),
+        "islab.links": ("class TimeEnergyChart:\n"
+                        "    def __call__(self, p):\n"
+                        "        return self._eval(p)\n"
+                        "    def _eval(self, p):\n"
+                        "        return p\n"
+                        "    def conjugacy_defect(self, n=400):\n"
+                        "        return self.conjugacy_defect(n - 1)\n"
+                        "    def area_defect(self, n=400):\n"
+                        "        return 'area_defect'\n"
+                        "    def identity_defect(self):\n"
+                        "        return 0\n"),
+        "islab.rescaling": ("from .blowup import conjugacy_defect\n"
+                            "class TransitionMap:\n"
+                            "    def tails(self, p):\n"
+                            "        return p\n"
+                            "def desk_model(tails=True):\n"
+                            "    return conjugacy_defect(tails)\n"),
+    }
+    acceptance = {"tests.test_acceptance": "from islab.rescaling import desk_model\n"
+                                           "desk_model(tails=False)\n"}
+    # a same-named function, a keyword, a string and a self-call reach nothing
+    assert unreached_methods(package, acceptance) == [
+        "islab.links.TimeEnergyChart.area_defect",
+        "islab.links.TimeEnergyChart.conjugacy_defect",
+        "islab.links.TimeEnergyChart.identity_defect",
+        "islab.rescaling.TransitionMap.tails"]
+    # an attribute read in the acceptance tests reaches a method
+    acceptance["tests.test_acceptance"] += "def check(ch):\n    return ch.area_defect()\n"
+    assert "islab.links.TimeEnergyChart.area_defect" not in unreached_methods(package,
+                                                                             acceptance)
+
+
+def test_every_package_method_is_reached():
+    # MapDescriptor.symplectic_defect stays: acceptance criterion 1 reads it
+    assert unreached_methods(*_package_and_acceptance()) == []
 
 
 # lyapunov's one place for a matmul: the certificate's single 2x2 matrices

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from construction_checks import PsiChart
+from construction_checks import (PsiChart, chart_area_defect, chart_conjugacy_defect,
+                                 chart_identity_defect)
 from islab import cli, links
 from islab.curves import (PERIODIC_SAMPLES, BumpFn, MaskedPeriodic, PeriodicFn, curve_sup_diff,
                           graph_transform, random_trig_poly)
@@ -37,8 +38,9 @@ def _b_band_hook(g, height=1.5e-3):
 
 
 def _general_hook(g):
-    # horizontal shear composed with a vertical bump shear: area-preserving,
-    # exactly invertible, and not x-trivial (exercises the fiber ODE)
+    # horizontal shear composed with a vertical bump shear: area-preserving
+    # and exactly invertible, but its chart blend has det D phi0 != 1, so it
+    # would need a fiber correction
     c = 5e-3
 
     def fwd(p):
@@ -155,59 +157,38 @@ def test_chart_identity_at_base_map():
     model = _model()
     for side in ("a", "b"):
         ch = TimeEnergyChart(side, model)
-        assert ch.identity_defect() <= 1e-13
-        assert ch.area_defect() <= 1e-9
-        assert ch.conjugacy_defect() <= 1e-8
+        assert chart_identity_defect(ch) <= 1e-13
+        assert chart_area_defect(ch) <= 1e-9
+        assert chart_conjugacy_defect(ch) <= 1e-8
 
 
 def test_chart_shear_hook_exact():
     model = build_suitable_model(hook=_a_band_hook(LinkGeometry(), height=2e-3))
     ch = TimeEnergyChart("a", model)
-    assert ch.area_defect() <= 1e-9
-    assert ch.conjugacy_defect() <= 1e-8
-    assert ch.identity_defect() > 1e-5  # genuinely non-trivial chart
+    assert chart_area_defect(ch) <= 1e-9
+    assert chart_conjugacy_defect(ch) <= 1e-8
+    assert chart_identity_defect(ch) > 1e-5  # genuinely non-trivial chart
 
 
-def test_chart_general_hook_fiber_ode():
-    g = LinkGeometry()
-    model = build_suitable_model(hook=_general_hook(g))
+def test_chart_raises_for_a_hook_that_needs_a_fiber_correction():
+    model = build_suitable_model(hook=_general_hook(LinkGeometry()))
     for side in ("a", "b"):
-        ch = TimeEnergyChart(side, model)
-        assert not ch._unit_det0  # fiber ODE path engaged
-        assert ch.area_defect(120) <= 1e-9
-        assert ch.conjugacy_defect(120) <= 1e-8
+        with pytest.raises(ValueError, match="needs a fiber correction"):
+            TimeEnergyChart(side, model)
 
 
-@pytest.mark.parametrize("hook, unit_det", [(_a_band_hook, True), (_general_hook, False)],
-                         ids=["unit-determinant", "fiber-ode"])
-def test_chart_value_and_jacobian_matches_separate_calls(hook, unit_det):
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_chart_value_and_jacobian_matches_separate_calls(side):
     g = LinkGeometry()
-    ch = TimeEnergyChart("a", build_suitable_model(hook=hook(g)))
-    assert ch._unit_det0 == unit_det
+    hook = {"a": _a_band_hook, "b": _b_band_hook}[side]
+    ch = TimeEnergyChart(side, build_suitable_model(hook=hook(g)))
     frame = ch._strip_frame(4)
-    # 0, 1 and 2 extension steps; the fiber ODE integrates once per step
-    # count, so its path is checked on the base strip alone
-    pts = np.concatenate([frame, frame - [g.tau, 0.0]]) if unit_det \
-        else frame[frame[:, 0] >= ch._lo]
+    # the strip frame and its shift one tau outward: 0, 1 and 2 extension steps
+    pts = np.concatenate([frame, frame + [ch._ext_sign * g.tau, 0.0]])
+    assert set(ch._ext_count(pts[:, 0])) == {0, 1, 2}
     img, J = ch.value_and_jacobian(pts)
     assert np.array_equal(img, ch(pts))
     assert np.array_equal(J, ch.jacobian(pts))
-
-
-def test_chart_fiber_ode_raises_at_cap(monkeypatch):
-    model = build_suitable_model(hook=_general_hook(LinkGeometry()))
-    ch = TimeEnergyChart("a", model)
-    assert not ch._unit_det0
-    pts = ch._strip_frame(12)
-    ref = ch(pts)
-    # the fiber ODE agrees with itself at 128 steps, so a cap there leaves
-    # every value as it was
-    monkeypatch.setattr(links, "SIGMA_STEPS_CAP", 128)
-    assert np.array_equal(ch(pts), ref)
-    # with no doubling allowed it cannot confirm convergence and must raise
-    monkeypatch.setattr(links, "SIGMA_STEPS_CAP", links.SIGMA_STEPS_START)
-    with pytest.raises(RuntimeError, match="unconverged"):
-        ch(pts)
 
 
 def test_psi_chart_conjugates_sheared_map():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from construction_checks import conjugacy_exponent_bound, exponent_symmetry_defect
+from construction_checks import (conjugacy_exponent_bound, exponent_symmetry_defect,
+                                 identity_map)
 from islab.blowup import IslandMap, SIGMA
 from islab.lyapunov import (
     LN4,
@@ -20,7 +21,6 @@ from islab.maps import (
     anosov_map,
     chirikov_map,
     compose,
-    identity_map,
     rotation_map,
     wrap_torus,
 )

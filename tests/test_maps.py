@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from construction_checks import identity_map
 from islab.maps import (
     ANOSOV,
     anosov_map,
@@ -10,7 +11,6 @@ from islab.maps import (
     compose,
     finite_difference_jacobian,
     henon_like,
-    identity_map,
     mul2,
     quarter_turn,
     rotation_map,
