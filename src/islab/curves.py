@@ -4,8 +4,9 @@ Two function objects back the manifold pipelines: curves given as graphs
 y = w(x) over a closed interval (cubic interpolation on a uniform grid)
 and tau-periodic functions (trigonometric interpolation on one period).
 The graph transform re-parameterizes the image of a curve under a planar
-map as a new graph over the image interval; its preimage solve is rtsafe,
-the package's one safeguarded Newton, which blowup's psi_inv shares.
+map with an affine x-rule as a new graph over the image interval.  rtsafe,
+the package's one safeguarded Newton, lives here too; its caller is
+blowup's psi_inv.
 """
 
 from functools import lru_cache
@@ -14,8 +15,6 @@ import numpy as np
 
 DENSITY = 256  # graph-curve samples per unit of x-extent (257 per unit interval)
 PERIODIC_SAMPLES = 128
-# graph_transform's general path: iteration cap of its rtsafe preimage solve
-TRANSFORM_CAP = 64
 
 
 class TransversalityError(ValueError):
@@ -95,10 +94,6 @@ class PartitionBump:
         x = np.asarray(x, dtype=float)
         return self.step.d1(x) - self.step.d1(x - self.tau)
 
-    def d2(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.step.d2(x) - self.step.d2(x - self.tau)
-
 
 class BumpFn:
     """C^2 bump: 0 outside [lo, hi], 1 on [lo + width, hi - width]."""
@@ -116,9 +111,6 @@ class BumpFn:
 
     def d1(self, x):
         return self.height * (self.up.d1(x) - self.down.d1(x))
-
-    def d2(self, x):
-        return self.height * (self.up.d2(x) - self.down.d2(x))
 
 
 # ---------------------------------------------------------------------------
@@ -224,25 +216,10 @@ class PeriodicFn:
         mean = np.mean(self.samples, axis=-1, keepdims=True)
         return PeriodicFn(self.tau, self.samples - mean, self.origin)
 
-    def _check_compatible(self, other):
+    def __sub__(self, other):
         if not (self.tau == other.tau and self.n == other.n and self.origin == other.origin):
             raise ValueError("periodic functions have mismatched grids")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return PeriodicFn(self.tau, self.samples + other.samples, self.origin)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
         return PeriodicFn(self.tau, self.samples - other.samples, self.origin)
-
-    def __mul__(self, scalar):
-        return PeriodicFn(self.tau, self.samples * float(scalar), self.origin)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PeriodicFn(self.tau, -self.samples, self.origin)
 
 
 def random_trig_poly(tau, harmonics=8, amplitude=1e-2, rng=None, zero_mean=False,
@@ -267,14 +244,14 @@ class MaskedPeriodic:
 
     psi and its derivative are evaluated only strictly inside rho's support;
     everywhere else both the product and its derivative are exactly zero.
-    A stacked psi (K rows) gives shape (K,) + x.shape.
+    psi is differentiated only when d1 needs it.  A stacked psi (K rows)
+    gives shape (K,) + x.shape.
     """
 
     def __init__(self, rho, psi):
         self.rho = rho
         self.psi = psi
         self.support = rho.support
-        self._dpsi = psi.derivative()
         self._stack = psi.samples.shape[:-1]
 
     def _split(self, x):
@@ -292,7 +269,8 @@ class MaskedPeriodic:
     def d1(self, x):
         out, inside, xi = self._split(x)
         if xi.size:
-            out[..., inside] = self.rho.d1(xi) * self.psi(xi) + self.rho(xi) * self._dpsi(xi)
+            dpsi = self.psi.derivative()
+            out[..., inside] = self.rho.d1(xi) * self.psi(xi) + self.rho(xi) * dpsi(xi)
         return out
 
 
@@ -373,11 +351,6 @@ class GraphCurve:
         c1 = m[..., :-1] / h
         self._coef = np.stack([c3, c2, c1, samples[..., :-1], 3 * c3, 2 * c2, c1], axis=-1)
 
-    @classmethod
-    def from_function(cls, fn, x0, x1):
-        grid = np.linspace(x0, x1, _sample_count(x0, x1))
-        return cls(x0, x1, np.asarray(fn(grid), dtype=float))
-
     def _horner(self, x, first, last):
         """Horner's rule on coefficient columns first..last of each point's
         interval.  Points below grid[1] take the first cubic and points from
@@ -450,7 +423,7 @@ def _transversality(f, curve, J):
 
 def rtsafe(resid, x, lo, hi, r_floor, x_floor, cap, name):
     """Roots of a batch of increasing 1-d functions by safeguarded Newton
-    (rtsafe, Numerical Recipes section 9.4).
+    (rtsafe, Numerical Recipes section 9.4); blowup's psi_inv calls it.
 
     resid(x, rows) returns the residuals of entries `rows` at x, increasing
     in x, and their slopes.  x (the start) and the bracket [lo, hi] are 1-d
@@ -484,53 +457,20 @@ def rtsafe(resid, x, lo, hi, r_floor, x_floor, cap, name):
     raise RuntimeError(f"{name}: {act.size} points unconverged after {cap} iterations")
 
 
-def _preimages(f, curve, tx, X):
-    """Source abscissae whose f-images have x-coordinate X, one per target.
-
-    Solved by rtsafe: each target starts on the secant of the sample pair
-    whose images bracket it, and freezes once its residual is within a few
-    ulp of the targets' scale, or its step or bracket is an ulp or two of
-    the curve's x-scale.  The residual is negated when f reverses x, so that
-    it increases.
-
-    Raises RuntimeError if a residual is not finite or a point is still
-    active after TRANSFORM_CAP iterations.
-    """
-    sign = 1.0 if tx[-1] > tx[0] else -1.0
-    t_sorted = tx if sign > 0 else tx[::-1]
-    g_sorted = curve.grid if sign > 0 else curve.grid[::-1]
-    idx = np.clip(np.searchsorted(t_sorted, X) - 1, 0, curve.n - 2)
-    ta, tb = t_sorted[idx], t_sorted[idx + 1]
-    ga, gb = g_sorted[idx], g_sorted[idx + 1]
-    lo, hi = np.minimum(ga, gb), np.maximum(ga, gb)
-    x = np.clip(ga + (X - ta) * ((gb - ga) / (tb - ta)), lo, hi)
-    x_floor = 2 * np.spacing(max(abs(curve.x0), abs(curve.x1)))
-
-    def resid(xa, rows):
-        img, J = f.value_and_jacobian(curve.points(xa))
-        r = np.asarray(img, dtype=float)[..., 0] - X[rows]
-        return sign * r, sign * (J[..., 0, 0] + J[..., 0, 1] * curve.deriv(xa))
-
-    return rtsafe(resid, x, lo, hi, 8 * np.spacing(np.max(np.abs(X))),
-                  lambda xa: x_floor, TRANSFORM_CAP, f"graph_transform: {f.name}")
-
-
 def graph_transform(f, curve):
     """Image of a graph curve under the planar map f, as a graph curve.
 
-    The image is re-parameterized over x.  When the x-rule is the identity
-    on the samples the grid is reused unchanged; when it is affine the image
-    samples are kept (contractions) or pulled back through the exact affine
-    inverse onto a standard grid (expansions); otherwise the preimage of
-    each target x is solved by a safeguarded Newton iteration started on
-    the secant of its bracketing sample pair (see _preimages).
-
-    A stack of curves is mapped by one evaluation of f on all its points.
+    The image is re-parameterized over x, and f's x-rule must be affine on
+    the curve's samples.  When it is the identity the grid is reused
+    unchanged; otherwise the image samples are kept (contractions) or
+    pulled back through the exact affine inverse onto a standard grid
+    (expansions).  A stack of curves is mapped by one evaluation of f on
+    all its points.
 
     Raises TransversalityError when the image is not a graph over x, and
-    RuntimeError when the x-image is not finite or the general-path solver
-    fails to converge.  Raises ValueError when a stack's rows do not share
-    row 0's x-image, or would need the general path.
+    RuntimeError when the x-image is not finite.  Raises ValueError when
+    the x-rule is not affine, or when a stack's rows do not share row 0's
+    x-image.
     """
     img, J = f.value_and_jacobian(curve.points())
     _transversality(f, curve, J)
@@ -542,9 +482,7 @@ def graph_transform(f, curve):
     if np.any(rows != tx):
         raise ValueError(f"graph_transform: {f.name} gives the rows of a stack "
                          "different x-images")
-
-    d = np.diff(tx)
-    if np.all(d == 0.0):
+    if np.all(np.diff(tx) == 0.0):
         raise TransversalityError(f"{f.name}: image collapses in x", x=float(curve.grid[0]))
 
     if np.array_equal(tx, curve.grid):
@@ -553,22 +491,17 @@ def graph_transform(f, curve):
     span = tx[-1] - tx[0]
     alpha = span / (curve.x1 - curve.x0)
     predicted = tx[0] + (curve.grid - curve.grid[0]) * alpha
-    affine = np.max(np.abs(tx - predicted)) <= 1e-13 * max(abs(span), 1.0)
+    if np.max(np.abs(tx - predicted)) > 1e-13 * max(abs(span), 1.0):
+        raise ValueError(f"graph_transform: {f.name} has an x-rule that is not affine "
+                         "on the curve")
 
-    if affine and abs(alpha) <= 1.0 + 1e-12:
+    if abs(alpha) <= 1.0 + 1e-12:
         if alpha > 0:
             return GraphCurve(tx[0], tx[-1], ty)
         return GraphCurve(tx[-1], tx[0], ty[..., ::-1])
 
     lo, hi = (tx[0], tx[-1]) if span > 0 else (tx[-1], tx[0])
     X = np.linspace(lo, hi, _sample_count(lo, hi))
-
-    if affine:
-        x_src = curve.grid[0] + (X - tx[0]) / alpha
-        x_src = np.clip(x_src, curve.x0, curve.x1)
-    elif ty.ndim > 1:
-        raise ValueError(f"graph_transform: a stack needs the general path for {f.name}")
-    else:
-        x_src = _preimages(f, curve, tx, X)
+    x_src = np.clip(curve.grid[0] + (X - tx[0]) / alpha, curve.x0, curve.x1)
     out = np.asarray(f(curve.points(x_src)), dtype=float)
     return GraphCurve(lo, hi, out[..., 1])

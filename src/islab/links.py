@@ -29,7 +29,7 @@ from .curves import (
     graph_transform,
     straight_curve,
 )
-from .maps import MapDescriptor, compose, inverse_descriptor, shear_map
+from .maps import MapDescriptor, compose, inverse_descriptor
 
 # side b's link entry: largest a-link gap it accepts as intact
 LINK_A_TOL = 1e-8
@@ -412,13 +412,6 @@ class TimeEnergyChart:
 # splitting functions
 
 
-def _shear_steps(psi):
-    """The (S_{-psi})^# transform as a map descriptor, or None for psi = 0."""
-    if psi is None:
-        return None
-    return shear_map(lambda x: -psi(x), lambda x: -psi.d1(x), name="S_-psi")
-
-
 def _check_support(psi, band, what):
     if psi is None:
         return
@@ -449,21 +442,10 @@ def _link(model, side):
     return model._links[side]
 
 
-def unstable_curve(model, side, psi=None):
-    """The unstable graph curve over the fundamental interval.
-
-    With psi given, the shear and its inverse are both applied literally
-    (they cancel analytically; running them measures pipeline fidelity and
-    exhibits the independence of the unstable side from psi).
-    """
-    chart, w_u, _ = _link(model, side)
-    if psi is None:
-        return w_u
-    c = graph_transform(model.forward_step(model.forward_itinerary(side)[0]),
-                        model.seed_unstable(side))
-    c = graph_transform(shear_map(psi, psi.d1, name="S_psi"), c)  # last factor of S_psi o F
-    c = graph_transform(_shear_steps(psi), c)  # chart prefix phi o S_{-psi}
-    return graph_transform(chart, c)
+def unstable_curve(model, side):
+    """The unstable graph curve over the fundamental interval.  It does not
+    depend on the shear: S_psi and the chart prefix S_{-psi} cancel."""
+    return _link(model, side)[1]
 
 
 def stable_curve(model, side, psi=None):

@@ -377,38 +377,31 @@ class BoxBump:
         self._y = StepFn(0.0, hy - iy)
         self.center, self.half, self.inner = (cx, cy), half, inner
 
-    def _profile(self, t, h, step):
-        return step(h - np.abs(t))
-
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
-        return self._profile(p[..., 0] - self.center[0], self.half[0], self._x) * \
-            self._profile(p[..., 1] - self.center[1], self.half[1], self._y)
+        return self._x(self.half[0] - np.abs(p[..., 0] - self.center[0])) * \
+            self._y(self.half[1] - np.abs(p[..., 1] - self.center[1]))
 
-    def grad(self, p):
+    def _factors(self, p):
+        """The x and y profiles, their arguments and their signed first
+        derivatives: (ux, uy, fx, fy, dfx, dfy)."""
         p = np.asarray(p, dtype=float)
         tx = p[..., 0] - self.center[0]
         ty = p[..., 1] - self.center[1]
-        fx = self._profile(tx, self.half[0], self._x)
-        fy = self._profile(ty, self.half[1], self._y)
-        dfx = -np.sign(tx) * self._x.d1(self.half[0] - np.abs(tx))
-        dfy = -np.sign(ty) * self._y.d1(self.half[1] - np.abs(ty))
+        ux, uy = self.half[0] - np.abs(tx), self.half[1] - np.abs(ty)
+        return (ux, uy, self._x(ux), self._y(uy),
+                -np.sign(tx) * self._x.d1(ux), -np.sign(ty) * self._y.d1(uy))
+
+    def grad(self, p):
+        _, _, fx, fy, dfx, dfy = self._factors(p)
         return np.stack([dfx * fy, fx * dfy], axis=-1)
 
     def hess(self, p):
-        p = np.asarray(p, dtype=float)
-        tx = p[..., 0] - self.center[0]
-        ty = p[..., 1] - self.center[1]
-        fx = self._profile(tx, self.half[0], self._x)
-        fy = self._profile(ty, self.half[1], self._y)
-        dfx = -np.sign(tx) * self._x.d1(self.half[0] - np.abs(tx))
-        dfy = -np.sign(ty) * self._y.d1(self.half[1] - np.abs(ty))
-        d2fx = self._x.d2(self.half[0] - np.abs(tx))
-        d2fy = self._y.d2(self.half[1] - np.abs(ty))
-        H = np.empty(p.shape[:-1] + (2, 2))
-        H[..., 0, 0] = d2fx * fy
+        ux, uy, fx, fy, dfx, dfy = self._factors(p)
+        H = np.empty(np.shape(p)[:-1] + (2, 2))
+        H[..., 0, 0] = self._x.d2(ux) * fy
         H[..., 0, 1] = H[..., 1, 0] = dfx * dfy
-        H[..., 1, 1] = fx * d2fy
+        H[..., 1, 1] = fx * self._y.d2(uy)
         return H
 
     def region(self, p):

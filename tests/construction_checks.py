@@ -9,7 +9,6 @@ import numpy as np
 
 from islab.blowup import SIGMA, from_polar, to_polar
 from islab.hamiltonian import HamiltonianSystem, _midpoint_steps
-from islab.links import _shear_steps
 from islab.lyapunov import max_lyapunov, spectral_norm
 from islab.maps import (MapDescriptor, compose, inv2, inverse_descriptor, shear_map,
                         torus_diff, wrap_torus)
@@ -209,7 +208,7 @@ class PsiChart:
         self.model = chart.model
         self.side = chart.side
         self.name = f"phi_psi^{self.side}"
-        self._sneg = _shear_steps(psi)
+        self._sneg = shear_map(lambda x: -psi(x), lambda x: -psi.d1(x), name="S_-psi")
         self.fbar = compose(shear_map(psi, psi.d1, name="S_psi"), chart.F,
                             name="Fbar")
         self._fbar_inv = inverse_descriptor(self.fbar)

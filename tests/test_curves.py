@@ -140,10 +140,8 @@ def test_periodic_zero_mean_and_arithmetic():
     s = g - z
     x = np.linspace(0, 1, 101)
     assert np.max(np.abs(s(x) - 0.4)) < 1e-13
-    tw = 2.0 * z
-    assert np.max(np.abs(tw(x) - 2 * z(x))) < 1e-14
-    with pytest.raises(ValueError):
-        g + PeriodicFn(2.0, np.zeros(128))
+    with pytest.raises(ValueError, match="mismatched grids"):
+        g - PeriodicFn(2.0, np.zeros(128))
 
 
 def test_periodic_from_function_roundtrip():
@@ -236,19 +234,28 @@ def test_masked_periodic_skips_psi_outside_support():
     m = MaskedPeriodic(PartitionBump(-0.2, 0.6, psi.tau), psi)
     sizes = []
 
-    def spy(fn):
-        def wrapped(x):
-            sizes.append(np.size(x))
-            return fn(x)
-        return wrapped
+    class Spy:
+        """psi, logging the size of each evaluation and each derivative taken."""
+        def __init__(self, fn):
+            self.fn = fn
 
-    m.psi, m._dpsi = spy(m.psi), spy(m._dpsi)
+        def __call__(self, x):
+            sizes.append(np.size(x))
+            return self.fn(x)
+
+        def derivative(self):
+            sizes.append("derivative")
+            return Spy(self.fn.derivative())
+
+    m.psi = Spy(m.psi)
     lo, hi = m.support
     outside = np.array([lo - 1.0, lo, hi, hi + 0.5])
     assert np.all(m(outside) == 0.0) and np.all(m.d1(outside) == 0.0)
     assert sizes == []
     m(np.array([lo, 0.5 * (lo + hi)]))
     assert sizes == [1]
+    m.d1(np.array([lo, 0.5 * (lo + hi)]))
+    assert sizes == [1, "derivative", 1, 1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -278,7 +285,7 @@ def test_masked_periodic_product_and_derivative():
 
 
 def test_graph_curve_basics():
-    c = GraphCurve.from_function(lambda x: np.sin(x), 0.0, 2.0)
+    c = GraphCurve(0.0, 2.0, np.sin(np.linspace(0.0, 2.0, curves._sample_count(0.0, 2.0))))
     assert c.n >= 2 * 256 + 1
     x = np.linspace(0.0, 2.0, 313)
     assert np.max(np.abs(c(x) - np.sin(x))) < 1e-9
@@ -373,7 +380,8 @@ def test_straight_curve_is_flat():
 
 
 def _wave_curve(x0=0.0, x1=1.0):
-    return GraphCurve.from_function(lambda x: 0.2 * np.sin(2 * np.pi * x) + 0.5, x0, x1)
+    x = np.linspace(x0, x1, curves._sample_count(x0, x1))
+    return GraphCurve(x0, x1, 0.2 * np.sin(2 * np.pi * x) + 0.5)
 
 
 def test_transform_shear_reuses_grid_exactly():
@@ -412,30 +420,9 @@ def test_transform_expansion_roundtrip():
     assert curve_sup_diff(back, c, 0.0, 1.0) < 1e-12
 
 
-def test_transform_general_path():
-    # x-rule depends on the curve through y: solved by bisection + Newton
-    def fwd(p):
-        return np.stack([p[..., 0] + 0.1 * np.sin(p[..., 1]), p[..., 1] + 0.05 * p[..., 0]],
-                        axis=-1)
-
-    def jac(p):
-        z = np.zeros(np.shape(p)[:-1])
-        o = np.ones_like(z)
-        return np.stack([np.stack([o, 0.1 * np.cos(p[..., 1])], axis=-1),
-                         np.stack([0.05 * o, o], axis=-1)], axis=-2)
-
-    f = MapDescriptor("bendy", fwd, jac)
-    c = _wave_curve()
-    out = graph_transform(f, c)
-    # verify pointwise: for each source sample the image must lie on the curve
-    img = fwd(c.points())
-    inside = (img[:, 0] >= out.x0) & (img[:, 0] <= out.x1)
-    assert np.max(np.abs(out(img[inside, 0]) - img[inside, 1])) < 1e-9
-
-
 def _bendy_map(nan_where=None):
-    """The general-path map of test_transform_general_path; its x-image is
-    NaN wherever nan_where(x) holds."""
+    """A map whose x-rule reads y; its x-image is NaN wherever nan_where(x)
+    holds."""
     def fwd(p):
         x = p[..., 0] + 0.1 * np.sin(p[..., 1])
         if nan_where is not None:
@@ -452,23 +439,10 @@ def _bendy_map(nan_where=None):
 
 @pytest.mark.parametrize("nan_where", [
     lambda x: x > 0.95,                                     # at the last samples
-    lambda x: np.abs(x * 256 - np.round(x * 256)) > 1e-9,   # between every sample pair
-], ids=["end-samples", "between-samples"])
+], ids=["end-samples"])
 def test_transform_nonfinite_x_image_raises(nan_where):
     with pytest.raises(RuntimeError, match="non-finite"):
         graph_transform(_bendy_map(nan_where), _wave_curve())
-
-
-def test_transform_general_path_raises_at_cap(monkeypatch):
-    f, c = _bendy_map(), _wave_curve()
-    ref = graph_transform(f, c)
-    # the solver settles well inside the cap, so a larger one changes nothing
-    monkeypatch.setattr(curves, "TRANSFORM_CAP", 4 * curves.TRANSFORM_CAP)
-    assert np.array_equal(graph_transform(f, c).samples, ref.samples)
-    # one iteration leaves the secant guesses unconfirmed
-    monkeypatch.setattr(curves, "TRANSFORM_CAP", 1)
-    with pytest.raises(RuntimeError, match="unconverged"):
-        graph_transform(f, c)
 
 
 def _rtsafe_cubic(resid, target, cap=64, name="cubic"):
@@ -668,9 +642,9 @@ def test_transform_stack_rows_with_different_x_images_raise():
         graph_transform(_bendy_map(), GraphCurve(0.0, 1.0, rows))
 
 
-def test_transform_stack_on_the_general_path_raises():
-    # a nonlinear x-rule that ignores y: every row shares its x-image, but a
-    # stack cannot take the general path
+def test_transform_non_affine_x_rule_raises():
+    # a nonlinear x-rule that ignores y: every row of a stack shares its
+    # x-image, and curve and stack alike raise, naming the map
     def fwd(p):
         return np.stack([p[..., 0] + 0.1 * np.sin(3 * p[..., 0]), p[..., 1]], axis=-1)
 
@@ -682,9 +656,10 @@ def test_transform_stack_on_the_general_path_raises():
 
     f = MapDescriptor("wavy-x", fwd, jac)
     c = _wave_curve()
-    assert graph_transform(f, c).n == curves._sample_count(0.0, fwd(c.points())[-1, 0])
-    with pytest.raises(ValueError, match="general path"):
-        graph_transform(f, GraphCurve(0.0, 1.0, np.stack([c.samples, c.samples + 0.1])))
+    for curve in (c, GraphCurve(0.0, 1.0, np.stack([c.samples, c.samples + 0.1]))):
+        with pytest.raises(ValueError, match="^graph_transform: wavy-x has an x-rule that "
+                                             "is not affine"):
+            graph_transform(f, curve)
 
 
 def _swap():

@@ -308,26 +308,12 @@ def test_stable_curve_shears_its_samples_as_the_shear_map_would():
                             rng=np.random.default_rng(19), origin=g.x_b)
     psi = MaskedPeriodic(model.partition_bump("b"), psit)
     chart, _, c = links._link(model, "b")
-    sneg = links._shear_steps(psi)
+    sneg = shear_map(lambda x: -psi(x), lambda x: -psi.d1(x), name="S_-psi")
     c = graph_transform(sneg, c)
     for piece in reversed(model.forward_itinerary("b")):
         c = graph_transform(sneg, graph_transform(model.backward_step(piece), c))
     literal = graph_transform(chart, c)
     assert np.array_equal(stable_curve(model, "b", psi).samples, literal.samples)
-
-
-def test_unstable_curve_psi_independent():
-    model = _model()
-    g = model.geometry
-    rng = np.random.default_rng(21)
-    base = unstable_curve(model, "a")
-    xs = np.linspace(g.x_a - g.tau, g.x_a, 301)
-    for _ in range(5):
-        psit = random_trig_poly(g.tau, harmonics=4, amplitude=5e-3, rng=rng,
-                                origin=g.x_a - 2 * g.tau)
-        w = unstable_curve(model, "a",
-                           psi=MaskedPeriodic(model.partition_bump("a"), psit))
-        assert np.max(np.abs(base(xs) - w(xs))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
