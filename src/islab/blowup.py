@@ -10,7 +10,10 @@ of H0 = rho sin(2 theta) in symplectic polar coordinates
 
 The surgery Psi_i rescales radially: rho -> psi(rho) with psi(rho) =
 rho - delta^2/2 near the inner edge and psi(rho) = rho near the outer edge,
-joined by a monotone quintic.  The surgered map is
+joined by a monotone quintic.  Being radial, it is d -> sqrt(psi(rho)/rho) d
+in the chart offset d = p - Omega_i itself; R cancels there, and only the
+island flow, whose angle theta lives in the eigenframe, uses it.  The
+surgered map is
 
     Fhat = Psi^{-1} o F_A o Psi        outside the discs V_i,
     Fhat = time-s flow of Hhat_i       on V_i,
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import rtsafe, smoothstep, smoothstep_d1, smoothstep_d2
+from .curves import rtsafe, smoothstep, smoothstep_and_d1, smoothstep_d1, smoothstep_d2
 from .hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
-from .maps import ANOSOV, MapDescriptor, inv2, mul2, torus_diff, wrap_torus
+from .maps import ANOSOV, MapDescriptor, inv2, torus_diff, wrap_torus
 
 SIGMA = np.log(9.0 + 4.0 * np.sqrt(5.0))          # expansion exponent
 # the centres are the lattice (1/2 Z)^2 on the torus
@@ -188,11 +191,13 @@ def island_hamiltonian(profile):
 
     def grad(s):
         rho, th = s[..., 0], s[..., 1]
-        xi, xi1 = profile.xi(rho), profile.xi_d1(rho)
+        xi, xi1 = smoothstep_and_d1(profile._xi_t(rho))
+        xi1 /= lo - profile.rho0
         u = rho - lo
-        d_rho = np.sin(2 * th) * (xi + u * xi1)
-        d_th = 2.0 * u * np.cos(2 * th) * xi
-        return np.stack([d_rho, d_th], axis=-1)
+        g = np.empty(np.shape(s))
+        g[..., 0] = np.sin(2 * th) * (xi + u * xi1)
+        g[..., 1] = 2.0 * u * np.cos(2 * th) * xi
+        return g
 
     def hess(s):
         rho, th = s[..., 0], s[..., 1]
@@ -264,42 +269,59 @@ class IslandMap:
         d = p - np.round(2.0 * p) / 2.0
         return d, _norm2(d)
 
-    def _annuli(self, r2, inverse):
-        """Indices of the points whose radius^2 r2 (N,) lies in a surgery
-        annulus (of Psi's domain, or of its image, which reaches down to the
-        centre, when inverse)."""
-        lo2 = 1e-28 if inverse else self._in2
-        return np.nonzero((r2 > lo2) & (r2 < self.profile.eps**2))[0]
-
     def _surgery(self, q, d, r2, inverse, with_jac):
         """Psi, or Psi^{-1} when inverse, of points q with chart offsets d
-        (N, 2) and radii^2 r2 (N,): the radial rescaling on the annuli, the
-        identity elsewhere.  Returns the images and, when with_jac, that
-        map's Jacobian K (N, 2, 2) (else None)."""
-        out = q.copy()
-        K = None
-        if with_jac:
-            K = np.zeros(q.shape + (2,))
-            K[:, 0, 0] = K[:, 1, 1] = 1.0
-        a = self._annuli(r2, inverse)
-        if a.size:
-            da = d[a]
-            w = da @ self.R
-            rho = 0.5 * _norm2(w)
-            new = self.profile.psi_inv(rho) if inverse else self.profile.psi(rho)
-            s = np.sqrt(new / rho)
-            out[a] = wrap_torus(q[a] + (s[..., None] * w) @ self.RT - da)
-            if with_jac:
-                # 2 s s' = (new' rho - new)/rho^2, with (psi^{-1})' = 1/psi'
-                d1 = 1.0 / self.profile.psi_d1(new) if inverse else self.profile.psi_d1(rho)
-                ds = (d1 * rho - new) / (rho**2 * 2 * s)
-                # w -> s(rho) w has Jacobian s I + s' w w^T in the chart;
-                # conjugated back by R, as R w = d, it is s I + s' d d^T
-                x, y = da[:, 0], da[:, 1]
-                K[a, 0, 0] = s + ds * x * x
-                K[a, 0, 1] = K[a, 1, 0] = ds * x * y
-                K[a, 1, 1] = s + ds * y * y
-        return out, K
+        (N, 2) and radii^2 r2 (N,).
+
+        Psi is radial in the chart offset: it sends d to s d with
+        s = sqrt(psi(rho) / rho) and rho = r2 / 2.  R is orthogonal and
+        cancels, so only the flow uses it.  Off the annuli psi and psi^{-1}
+        are exactly the identity, so s = 1 and s' = 0 exactly: the image is
+        q bit for bit and K = I, and every point goes through one pass.
+        Returns the images and, when with_jac, the entries (k00, k01, k11)
+        of the symmetric Jacobian K = s I + s' d d^T (else None)."""
+        prof = self.profile
+        if inverse:
+            # psi^{-1} blows a centre up to the link circle; a centre (to
+            # rounding) stays put, with K = I, as eps^2 is in the identity zone
+            r2 = np.where(r2 > 1e-28, r2, prof.eps**2)
+        rho = 0.5 * r2
+        new = prof.psi_inv(rho) if inverse else prof.psi(rho)
+        s = np.sqrt(new / rho)
+        out = wrap_torus(q + (s - 1.0)[:, None] * d)
+        if not with_jac:
+            return out, None
+        # 2 s s' = (new' rho - new)/rho^2, with (psi^{-1})' = 1/psi'
+        d1 = 1.0 / prof.psi_d1(new) if inverse else prof.psi_d1(rho)
+        ds = (d1 * rho - new) / (rho**2 * 2 * s)
+        x, y = d[:, 0], d[:, 1]
+        dx = ds * x
+        return out, (s + dx * x, dx * y, s + ds * y * y)
+
+    def _surgered(self, p, d, r2, mat, with_jac):
+        """Psi^{-1} o mat o Psi of points p with chart offsets d and radii^2
+        r2, and when with_jac its Jacobian K2 mat K1 (N, 2, 2) (else None),
+        written entry by entry from the symmetric K1 and K2."""
+        q, K1 = self._surgery(p, d, r2, False, with_jac)
+        q2 = wrap_torus(q @ np.ascontiguousarray(mat.T))
+        d2, r2b = self._chart(q2)
+        out, K2 = self._surgery(q2, d2, r2b, True, with_jac)
+        if not with_jac:
+            return out, None
+        a1, b1, c1 = K1
+        a2, b2, c2 = K2
+        (m00, m01), (m10, m11) = mat
+        # M = mat K1, then J = K2 M: mul2's products and sums, in its order
+        n00 = m00 * a1 + m01 * b1
+        n01 = m00 * b1 + m01 * c1
+        n10 = m10 * a1 + m11 * b1
+        n11 = m10 * b1 + m11 * c1
+        J = np.empty(p.shape + (2,))
+        J[:, 0, 0] = a2 * n00 + b2 * n10
+        J[:, 0, 1] = a2 * n01 + b2 * n11
+        J[:, 1, 0] = b2 * n00 + c2 * n10
+        J[:, 1, 1] = b2 * n01 + c2 * n11
+        return out, J
 
     def _flow(self, p, d, t, steps, with_jac, order=2, tol=MIDPOINT_TOL):
         """Island flow applied to points with offsets d (rho <= rho_lo), in
@@ -350,15 +372,16 @@ class IslandMap:
         mat = self.A if direction > 0 else self.Ainv
         t = SIGMA * (1 if direction > 0 else -1)
 
-        out = np.empty_like(p)
-        J = np.empty(p.shape + (2,), dtype=float) if with_jac else None
-
         d, r2 = self._chart(p)
         inside = r2 <= self._in2    # flow regime
-
-        # flow regime, all four discs in one integration
         fl = np.nonzero(inside)[0]
-        if fl.size:
+        if fl.size == 0:
+            # surgery regime only (as on the entropy grid): one pass
+            out, J = self._surgered(p, d, r2, mat, with_jac)
+        else:
+            out = np.empty_like(p)
+            J = np.empty(p.shape + (2,), dtype=float) if with_jac else None
+            # flow regime, all four discs in one integration
             di = d[fl]
             r2m = r2[fl]
             pm = p[fl]
@@ -368,20 +391,15 @@ class IslandMap:
                 shift = di[snap] * (scale - 1.0)
                 di[snap] += shift
                 pm[snap] = wrap_torus(pm[snap] + shift)
-            o, Jf = self._flow(pm, di, t, steps, with_jac, order, tol)
-            out[fl] = o
+            out[fl], Jf = self._flow(pm, di, t, steps, with_jac, order, tol)
             if with_jac:
                 J[fl] = Jf
-
-        # surgery regime: Psi on the annuli, then A, then Psi^{-1}
-        sm = np.nonzero(~inside)[0]
-        if sm.size:
-            q, K1 = self._surgery(p[sm], d[sm], r2[sm], False, with_jac)
-            q2 = wrap_torus(q @ np.ascontiguousarray(mat.T))
-            d2, r2b = self._chart(q2)
-            out[sm], K2 = self._surgery(q2, d2, r2b, True, with_jac)
-            if with_jac:
-                J[sm] = mul2(K2, mul2(mat, K1))    # DFhat = K2 A K1
+            # surgery regime: Psi, then A, then Psi^{-1}
+            sm = np.nonzero(~inside)[0]
+            if sm.size:
+                out[sm], Js = self._surgered(p[sm], d[sm], r2[sm], mat, with_jac)
+                if with_jac:
+                    J[sm] = Js
 
         out = out.reshape(shape)
         if with_jac:
@@ -403,10 +421,8 @@ class IslandMap:
         p = np.asarray(p, dtype=float)
         flat = wrap_torus(p.reshape(-1, 2))
         _, r2 = self._chart(flat)
-        mu = np.ones(flat.shape[0])
-        a = self._annuli(r2, False)
-        mu[a] = self.profile.psi_d1(0.5 * r2[a])
-        return mu.reshape(p.shape[:-1])
+        # psi' is exactly 1 off the annuli, inside the discs included
+        return self.profile.psi_d1(0.5 * r2).reshape(p.shape[:-1])
 
     def descriptor(self):
         return MapDescriptor(
@@ -443,11 +459,21 @@ class IslandMap:
                 raise ValueError("surgery Jacobian is undefined on or inside a link circle")
             if not inverse and np.any(r2 < self.profile.delta**2 * (1.0 - 1e-12)):
                 raise ValueError("surgery map is undefined strictly inside a link disc")
-            out, J = self._surgery(flat, d, r2, inverse, with_jac)
-            if not inverse:
+            if inverse:
+                out, K = self._surgery(flat, d, r2, True, with_jac)
+            else:
+                # on-circle points go to the centre; evaluating them at the
+                # slack radius keeps psi(rho) > 0 under the square root
+                out, K = self._surgery(flat, d, np.maximum(r2, self._in2), False, with_jac)
                 c = r2 <= self._in2
                 out[c] = wrap_torus(flat[c] - d[c])
-            return out.reshape(p.shape), (J.reshape(p.shape + (2,)) if with_jac else None)
+            J = None
+            if with_jac:
+                J = np.empty(flat.shape + (2,))
+                J[:, 0, 0], J[:, 0, 1], J[:, 1, 1] = K
+                J[:, 1, 0] = J[:, 0, 1]
+                J = J.reshape(p.shape + (2,))
+            return out.reshape(p.shape), J
 
         return MapDescriptor("Psi", lambda p: apply(p, False, False)[0],
                              lambda p: apply(p, False, True)[1],

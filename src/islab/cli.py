@@ -51,10 +51,16 @@ def _fmt(v):
 
 
 def _write_csv(path, header, rows):
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        # repr of tolist()'s Python floats is _fmt's text, without a call
+        # per value
+        lines = (",".join(map(repr, row)) for row in rows.tolist())
+    else:
+        lines = (",".join(_fmt(v) for v in row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _bump_shear(lo, hi, height):

@@ -43,6 +43,14 @@ def smoothstep_d1(t):
     return np.where(inside, u, 0.0)
 
 
+def smoothstep_and_d1(t):
+    """smoothstep(t) and smoothstep_d1(t) from one clip, bitwise both for
+    finite t: the slope's polynomial is 0 at t = 0 and t = 1, so the clamp
+    alone zeroes it outside (0, 1)."""
+    t = np.clip(t, 0.0, 1.0)
+    return t * t * t * (10.0 + t * (6.0 * t - 15.0)), 30.0 * t * t * (1.0 - t) ** 2
+
+
 def smoothstep_d2(t):
     t = np.asarray(t, dtype=float)
     inside = (t > 0.0) & (t < 1.0)

@@ -36,7 +36,10 @@ class HamiltonianSystem:
 
     def field(self, p):
         g = self.grad(p)
-        return np.stack([g[..., 1], -g[..., 0]], axis=-1)
+        f = np.empty_like(g)
+        f[..., 0] = g[..., 1]
+        np.negative(g[..., 0], out=f[..., 1])
+        return f
 
     def field_jacobian(self, p):
         return _J @ self.hess(p)

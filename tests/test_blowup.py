@@ -19,7 +19,7 @@ from islab.blowup import (
     symmetry_and_identity_report,
     to_polar,
 )
-from islab.maps import torus_diff, wrap_torus
+from islab.maps import finite_difference_jacobian, torus_diff, wrap_torus
 
 from construction_checks import EXP_2SIGMA, flow_matches_linear_map, regime_consistency
 
@@ -283,6 +283,49 @@ def test_value_and_jacobian_batch_independent(island):
         img_k, J_k = f.value_and_jacobian(p[None])
         assert np.array_equal(img_k[0], img[k])
         assert np.array_equal(J_k[0], J[k])
+
+
+def test_jacobian_matches_finite_differences(island):
+    # DFhat = K2 A K1 against central differences of Fhat itself, on the
+    # surgery annuli and outside them.  Entries reach ~150 next to the link
+    # circles, so each point's error is taken relative to its largest
+    # entry (floor 1.6e-7 on the annuli, 4.3e-9 outside).
+    prof = island.profile
+    ann = _disc_points(island, prof.rho_lo * 1.001, prof.rho_hi, 100,
+                       31).reshape(-1, 2)
+    far = np.random.default_rng(32).random((2000, 2))
+    far = far[island._chart(far)[1] >= prof.eps**2][:200]
+    f = island.descriptor()
+    for P in (ann, far):
+        J = f.jacobian(P)
+        J_fd = finite_difference_jacobian(f, P, h=1e-7, wrap_output=True)
+        err = np.max(np.abs(J - J_fd), axis=(-2, -1))
+        assert np.max(err / np.max(np.abs(J), axis=(-2, -1))) <= 1e-5
+
+
+def test_surgery_is_exactly_the_identity_off_the_annuli(island):
+    # off the annuli psi and psi^{-1} are the identity, so s = 1 and s' = 0
+    # exactly: the images are the inputs bit for bit and K = I
+    prof = island.profile
+    th = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    on_eps = prof.eps * np.stack([np.cos(th), np.sin(th)], axis=-1)
+    far = np.concatenate([
+        np.random.default_rng(33).random((2000, 2)),
+        wrap_torus(island.centers[:, None, :] + on_eps).reshape(-1, 2)])
+    # a coordinate of 1.0 wraps to 0.0 first
+    far = wrap_torus(far[island._chart(far)[1] >= prof.eps**2])
+    d, r2 = island._chart(far)
+    Psi = island.surgery_descriptor()
+    assert np.array_equal(Psi(far), far)
+    assert np.array_equal(Psi.inverse(far), far)
+    eye = np.broadcast_to(np.eye(2), far.shape + (2,))
+    assert np.array_equal(Psi.jacobian(far), eye)
+    for inverse in (False, True):
+        img, K = island._surgery(far, d, r2, inverse, True)
+        assert np.array_equal(img, far)
+        assert all(np.all(k == v) for k, v in zip(K, (1.0, 0.0, 1.0)))
+    # psi^{-1} leaves an exact centre where it is, without a warning
+    assert np.array_equal(Psi.inverse(island.centers), island.centers)
 
 
 def test_inverse_roundtrip(island):

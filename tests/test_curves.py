@@ -18,6 +18,7 @@ from islab.curves import (
     random_trig_poly,
     rtsafe,
     smoothstep,
+    smoothstep_and_d1,
     smoothstep_d1,
     straight_curve,
 )
@@ -51,6 +52,10 @@ def test_smoothstep_endpoints_and_monotone():
     assert np.all(np.diff(s) >= 0)
     # flat to second order at the ends
     assert smoothstep_d1(np.array([0.0, 1.0])) == pytest.approx([0.0, 0.0])
+    # the one-clip pair is the two functions bit for bit, clamped ends included
+    t = np.concatenate([t, [0.0, 1.0, -1e-300, 1.0 + 2e-16]])
+    for got, ref in zip(smoothstep_and_d1(t), (smoothstep(t), smoothstep_d1(t))):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_stepfn_clamps_and_derivative():
