@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import rtsafe, smoothstep, smoothstep_and_d1, smoothstep_d1, smoothstep_d2
+from .curves import StepFn, rtsafe
 from .hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
 from .maps import ANOSOV, MapDescriptor, inv2, torus_diff, wrap_torus
 
@@ -84,17 +84,19 @@ def from_polar(s):
 
 @dataclass
 class SurgeryProfile:
-    """Radial profiles of the surgery.
+    """Radial profiles of the surgery, both built on the one quintic step
+    curves.StepFn.
 
-    psi lives on [rho_lo, rho_hi] = [delta^2/2, eps^2/2]: identity-shift
-    (rho - rho_lo) on the first quarter, identity on the last quarter, and a
-    quintic Hermite bridge with zero curvature at both joins in between
-    (its derivative is Delta + 30 D t^2 (1-t)^2, strictly positive whenever
-    the bridged gap D is positive -- checked at construction anyway).
+    psi(rho) = rho - rho_lo (1 - S(rho)), with S the step over [r1, r2] and
+    [rho_lo, rho_hi] = [delta^2/2, eps^2/2]: S is exactly 0 on the first
+    quarter of the annulus, where psi is the identity shift rho - rho_lo,
+    and exactly 1 on the last quarter, where psi is the identity, bit for
+    bit.  Its derivative psi' = 1 + rho_lo S' is >= 1, and exactly 1 off
+    the bridge [r1, r2] (checked at construction anyway).
 
-    xi is the flow cutoff: 0 on [0, rho0], 1 on [rho_lo, inf), quintic
-    smoothstep between, with rho0 = delta^2/4; its first two derivatives
-    vanish at both joins, so the boundary-saddle linearization is untouched.
+    xi is the flow cutoff: 0 on [0, rho0], 1 on [rho_lo, inf), the step
+    between, with rho0 = delta^2/4; its first two derivatives vanish at
+    both joins, so the boundary-saddle linearization is untouched.
     """
 
     delta: float = 0.15
@@ -111,42 +113,27 @@ class SurgeryProfile:
         span = self.rho_hi - self.rho_lo
         self.r1 = self.rho_lo + 0.25 * span   # end of exact-shift zone
         self.r2 = self.rho_hi - 0.25 * span   # start of exact-identity zone
-        self._dt = self.r2 - self.r1
-        self._D = self.r2 - (self.r1 - self.rho_lo) - self._dt  # bridged gap
+        self._step = StepFn(self.r1, self.r2 - self.r1)
+        self.xi = StepFn(self.rho0, self.rho_lo - self.rho0)
         rho = np.linspace(self.rho_lo, self.rho_hi, 4001)
         if np.any(self.psi_d1(rho) <= 0):
             raise ValueError("surgery profile is not strictly increasing")
 
     # --- psi ---------------------------------------------------------
 
-    # the bridge polynomial and its slope, for rho in [r1, r2]; psi_inv's
-    # Newton loop, whose bracket stays there, calls them without psi's
-    # clip and branch selection
-
-    def _bridge(self, rho):
-        t = (rho - self.r1) / self._dt
-        return (self.r1 - self.rho_lo) + self._dt * t + self._D * t**3 * (10 - 15 * t + 6 * t**2)
-
-    def _bridge_d1(self, rho):
-        t = (rho - self.r1) / self._dt
-        return 1.0 + 30.0 * (self._D / self._dt) * t**2 * (1 - t) ** 2
-
     def psi(self, rho):
         rho = np.asarray(rho, dtype=float)
-        bridge = self._bridge(np.clip(rho, self.r1, self.r2))
-        return np.where(rho <= self.r1, rho - self.rho_lo, np.where(rho >= self.r2, rho, bridge))
+        return rho - self.rho_lo * (1.0 - self._step(rho))
 
     def psi_d1(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        bridge = self._bridge_d1(np.clip(rho, self.r1, self.r2))
-        return np.where((rho <= self.r1) | (rho >= self.r2), 1.0, bridge)
+        return 1.0 + self.rho_lo * self._step.d1(rho)
 
     def psi_inv(self, v):
         """Inverse of psi on [0, rho_hi].
 
         On the bridge this is curves.rtsafe, started on the bridge's chord,
         with a residual floor of _ROOT_ULPS ulp of the target (psi's bridge
-        carries up to ~8 ulp of rounding noise, so a tighter test would
+        carries up to ~7 ulp of rounding noise, so a tighter test would
         update brackets from the sign of noise and could cycle) and a step
         floor of 2 ulp.
 
@@ -162,27 +149,13 @@ class SurgeryProfile:
             target = v[mid]
 
             def resid(x, rows):
-                return self._bridge(x) - target[rows], self._bridge_d1(x)
+                return self.psi(x) - target[rows], self.psi_d1(x)
 
-            out[mid] = rtsafe(resid, self.r1 + (target - v1) * (self._dt / (self.r2 - v1)),
+            out[mid] = rtsafe(resid, self.r1 + (target - v1) * (self._step.width / (self.r2 - v1)),
                               np.full(target.shape, self.r1), np.full(target.shape, self.r2),
                               _ROOT_ULPS * np.spacing(target), lambda x: 2 * np.spacing(x),
                               _ROOT_CAP, "psi_inv")
         return float(out[0]) if scalar else out
-
-    # --- xi ----------------------------------------------------------
-
-    def _xi_t(self, rho):
-        return (np.asarray(rho, dtype=float) - self.rho0) / (self.rho_lo - self.rho0)
-
-    def xi(self, rho):
-        return smoothstep(self._xi_t(rho))
-
-    def xi_d1(self, rho):
-        return smoothstep_d1(self._xi_t(rho)) / (self.rho_lo - self.rho0)
-
-    def xi_d2(self, rho):
-        return smoothstep_d2(self._xi_t(rho)) / (self.rho_lo - self.rho0) ** 2
 
 
 def island_hamiltonian(profile):
@@ -191,8 +164,7 @@ def island_hamiltonian(profile):
 
     def grad(s):
         rho, th = s[..., 0], s[..., 1]
-        xi, xi1 = smoothstep_and_d1(profile._xi_t(rho))
-        xi1 /= lo - profile.rho0
+        xi, xi1 = profile.xi.value_and_d1(rho)
         u = rho - lo
         g = np.empty(np.shape(s))
         g[..., 0] = np.sin(2 * th) * (xi + u * xi1)
@@ -201,7 +173,7 @@ def island_hamiltonian(profile):
 
     def hess(s):
         rho, th = s[..., 0], s[..., 1]
-        xi, xi1, xi2 = profile.xi(rho), profile.xi_d1(rho), profile.xi_d2(rho)
+        xi, xi1, xi2 = profile.xi(rho), profile.xi.d1(rho), profile.xi.d2(rho)
         u = rho - lo
         H = np.empty(np.shape(s)[:-1] + (2, 2), dtype=float)
         H[..., 0, 0] = np.sin(2 * th) * (2 * xi1 + u * xi2)

@@ -26,41 +26,14 @@ class TransversalityError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# smoothstep / bumps / partitions
-
-
-def smoothstep(t):
-    """Clamped quintic step: 0 for t <= 0, 1 for t >= 1, C^2 joins."""
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (10.0 + t * (6.0 * t - 15.0))
-
-
-def smoothstep_d1(t):
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    tc = np.clip(t, 0.0, 1.0)
-    u = 30.0 * tc * tc * (1.0 - tc) ** 2
-    return np.where(inside, u, 0.0)
-
-
-def smoothstep_and_d1(t):
-    """smoothstep(t) and smoothstep_d1(t) from one clip, bitwise both for
-    finite t: the slope's polynomial is 0 at t = 0 and t = 1, so the clamp
-    alone zeroes it outside (0, 1)."""
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (10.0 + t * (6.0 * t - 15.0)), 30.0 * t * t * (1.0 - t) ** 2
-
-
-def smoothstep_d2(t):
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    tc = np.clip(t, 0.0, 1.0)
-    u = 60.0 * tc * (1.0 - tc) * (1.0 - 2.0 * tc)
-    return np.where(inside, u, 0.0)
+# the step, bumps and partitions
 
 
 class StepFn:
-    """Smoothstep rising from 0 to 1 over [edge, edge + width]."""
+    """Quintic smoothstep rising from 0 to 1 over [edge, edge + width], with
+    C^2 joins: the package's one smoothstep.  The ramp coordinate is
+    clamped to [0, 1], so outside the ramp the value is exactly 0 or 1 and
+    the slope exactly 0."""
 
     def __init__(self, edge, width):
         if width <= 0:
@@ -68,14 +41,35 @@ class StepFn:
         self.edge = float(edge)
         self.width = float(width)
 
+    def _t(self, x):
+        return (np.asarray(x, dtype=float) - self.edge) / self.width
+
+    @staticmethod
+    def _value(t):
+        return t * t * t * (10.0 + t * (6.0 * t - 15.0))
+
+    @staticmethod
+    def _slope(t):
+        # 0 at t = 0 and t = 1, so the clamp alone zeroes it off the ramp
+        return 30.0 * t * t * (1.0 - t) ** 2
+
     def __call__(self, x):
-        return smoothstep((np.asarray(x, dtype=float) - self.edge) / self.width)
+        return self._value(np.clip(self._t(x), 0.0, 1.0))
 
     def d1(self, x):
-        return smoothstep_d1((np.asarray(x, dtype=float) - self.edge) / self.width) / self.width
+        return self._slope(np.clip(self._t(x), 0.0, 1.0)) / self.width
+
+    def value_and_d1(self, x):
+        """self(x) and self.d1(x) from one clamp, bitwise both."""
+        t = np.clip(self._t(x), 0.0, 1.0)
+        return self._value(t), self._slope(t) / self.width
 
     def d2(self, x):
-        return smoothstep_d2((np.asarray(x, dtype=float) - self.edge) / self.width) / self.width**2
+        # the curvature's polynomial gives -0.0 at t = 1; the mask keeps +0.0
+        t = self._t(x)
+        tc = np.clip(t, 0.0, 1.0)
+        u = 60.0 * tc * (1.0 - tc) * (1.0 - 2.0 * tc)
+        return np.where((t > 0.0) & (t < 1.0), u, 0.0) / self.width**2
 
 
 class PartitionBump:

@@ -109,10 +109,25 @@ def test_psi_inv_roundtrip_dense_grid():
     assert np.max(np.abs(prof.psi(x) - v) / np.spacing(x)) <= 16
 
 
+@pytest.mark.parametrize("delta, eps", [(0.15, 0.24), (0.1, 0.2)])
+def test_psi_is_exact_off_the_bridge(delta, eps):
+    # the surgery's maskless pass relies on psi being the shift and the
+    # identity bit for bit off [r1, r2], with slope exactly 1; just above r1
+    # the step is far below an ulp, so r1's upper neighbour is exact too
+    prof = SurgeryProfile(delta, eps)
+    r1, r2 = prof.r1, prof.r2
+    below = np.concatenate([np.linspace(0.0, r1, 100_001),
+                            [np.nextafter(r1, 0.0), np.nextafter(r1, 1.0)]])
+    above = np.concatenate([np.linspace(r2, 2 * prof.rho_hi, 100_001), [np.nextafter(r2, 1.0)]])
+    assert np.array_equal(prof.psi(below), below - prof.rho_lo)
+    assert np.array_equal(prof.psi(above), above)
+    assert np.all(prof.psi_d1(np.concatenate([below, above])) == 1.0)
+
+
 def test_psi_inv_raises_on_nonfinite_residual(monkeypatch):
     prof = SurgeryProfile()
-    # psi_inv's residual evaluates the bridge polynomial alone
-    monkeypatch.setattr(prof, "_bridge", lambda rho: np.full_like(rho, np.nan))
+    # psi_inv's residual evaluates psi on the bridge only
+    monkeypatch.setattr(prof, "psi", lambda rho: np.full_like(rho, np.nan))
     v = 0.5 * (prof.r1 - prof.rho_lo)            # below the bridge
     assert prof.psi_inv(v) == v + prof.rho_lo
     with pytest.raises(RuntimeError):
@@ -142,10 +157,10 @@ def test_inner_cutoff_endpoints():
     prof = SurgeryProfile()
     assert prof.xi(prof.rho0) == 0.0
     assert prof.xi(prof.rho_lo) == 1.0
-    assert prof.xi_d1(prof.rho0) == 0.0
-    assert prof.xi_d1(prof.rho_lo) == 0.0
-    assert prof.xi_d2(prof.rho0) == 0.0
-    assert prof.xi_d2(prof.rho_lo) == 0.0
+    assert prof.xi.d1(prof.rho0) == 0.0
+    assert prof.xi.d1(prof.rho_lo) == 0.0
+    assert prof.xi.d2(prof.rho0) == 0.0
+    assert prof.xi.d2(prof.rho_lo) == 0.0
     assert prof.xi(prof.rho0 / 2.0) == 0.0
 
 

@@ -17,9 +17,6 @@ from islab.curves import (
     graph_transform,
     random_trig_poly,
     rtsafe,
-    smoothstep,
-    smoothstep_and_d1,
-    smoothstep_d1,
     straight_curve,
 )
 from islab.maps import MapDescriptor, compose, shear_map
@@ -44,18 +41,23 @@ def _affine(name, ax, bx, ay, by):
 # bump calculus
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
 def test_smoothstep_endpoints_and_monotone():
+    step = StepFn(0.0, 1.0)
     t = np.linspace(-0.5, 1.5, 401)
-    s = smoothstep(t)
+    s = step(t)
     assert s[0] == 0.0 and s[-1] == 1.0
-    assert smoothstep(np.array([0.5]))[0] == pytest.approx(0.5, abs=1e-15)
+    assert step(np.array([0.5]))[0] == pytest.approx(0.5, abs=1e-15)
     assert np.all(np.diff(s) >= 0)
     # flat to second order at the ends
-    assert smoothstep_d1(np.array([0.0, 1.0])) == pytest.approx([0.0, 0.0])
-    # the one-clip pair is the two functions bit for bit, clamped ends included
+    assert step.d1(np.array([0.0, 1.0])) == pytest.approx([0.0, 0.0])
+    # the one-clamp pair is the two methods bit for bit, clamped ends included
     t = np.concatenate([t, [0.0, 1.0, -1e-300, 1.0 + 2e-16]])
-    for got, ref in zip(smoothstep_and_d1(t), (smoothstep(t), smoothstep_d1(t))):
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    for got, ref in zip(step.value_and_d1(t), (step(t), step.d1(t))):
+        assert np.array_equal(_bits(got), _bits(ref))
 
 
 def test_stepfn_clamps_and_derivative():
@@ -66,6 +68,16 @@ def test_stepfn_clamps_and_derivative():
     h = 1e-6
     fd = (s(x + h) - s(x - h)) / (2 * h)
     assert np.max(np.abs(fd - s.d1(x))) < 1e-4
+    # the curvature against the slope's differences, across the whole ramp
+    # (|d2| reaches 23), and +0.0 off it, the ends included; at the joins
+    # d2 has a kink, where a difference over +-h is off by about 120 h
+    h = 1e-7
+    fd2 = (s.d1(x + h) - s.d1(x - h)) / (2 * h)
+    assert np.max(np.abs(fd2 - s.d2(x))) < 1e-4
+    assert np.array_equal(_bits(s.d2(np.array([1.0, 2.0, 2.5, 3.0]))), _bits(np.zeros(4)))
+    x = np.concatenate([x, [2.0, 2.5, np.nextafter(2.0, 3.0), np.nextafter(2.5, 2.0)]])
+    for got, ref in zip(s.value_and_d1(x), (s(x), s.d1(x))):
+        assert np.array_equal(_bits(got), _bits(ref))
 
 
 def test_partition_bump_exact_partition():

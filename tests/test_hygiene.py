@@ -356,3 +356,63 @@ def test_stacked_product_scan_flags_a_readded_matmul():
 
 def test_no_stacked_product_in_lyapunov():
     assert stacked_products((SRC / "lyapunov.py").read_text(encoding="utf-8")) == []
+
+
+# the quintic step's value polynomial t^3 (10 - 15 t + 6 t^2); its
+# derivatives' coefficients (30, 60) also occur in unrelated code
+QUINTIC = {10, 15}
+
+
+def quintic_homes(source):
+    """Qualified names of the functions in `source` whose own body, nested
+    functions aside, holds both constants 10 and 15, the coefficients that
+    the quintic step's value polynomial needs."""
+    homes = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                consts, stack = set(), list(ast.iter_child_nodes(child))
+                while stack:
+                    n = stack.pop()
+                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                        continue
+                    if (isinstance(n, ast.Constant) and type(n.value) in (int, float)
+                            and n.value in QUINTIC):
+                        consts.add(n.value)
+                    stack.extend(ast.iter_child_nodes(n))
+                if consts == QUINTIC:
+                    homes.append(name)
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return homes
+
+
+def test_quintic_scan_flags_a_readded_bridge():
+    source = ("class StepFn:\n"
+              "    @staticmethod\n"
+              "    def _value(t):\n"
+              "        return t * t * t * (10.0 + t * (6.0 * t - 15.0))\n"
+              "class SurgeryProfile:\n"
+              "    def _bridge(self, rho):\n"
+              "        t = (rho - self.r1) / self._dt\n"
+              "        return self._D * t**3 * (10 - 15 * t + 6 * t**2)\n"
+              "def outer(x):\n"
+              "    def inner(t):\n"
+              "        return 15 * t\n"
+              "    return inner(x) + 10\n"
+              "def slope(t):\n"
+              "    return 30.0 * t * t * (1.0 - t) ** 2 + 10\n")
+    assert quintic_homes(source) == ["StepFn._value", "SurgeryProfile._bridge"]
+
+
+def test_one_quintic_step_in_package():
+    homes = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
+             for name in quintic_homes(p.read_text(encoding="utf-8"))]
+    assert homes == ["curves.StepFn._value"]
