@@ -8,11 +8,12 @@ of the b-strip a folding piece sends the curve down to the lower level
 (halving x, doubling y, reversing both), where it crawls left by tau/2
 per step.  All pieces are affine with determinant one.
 
-Manifold data is curve-based: the model carries straight inflow segments
+Manifold data is curve-based: the model carries straight seed segments
 at the strip edges, and the stable/unstable curves across the strips are
 grown from them by graph transforms following the known piece itinerary
 (this sidesteps the inverse-branch ambiguity where the fold image and the
-crawl image share the lower level).
+crawl image share the lower level).  The unstable seed is pushed through
+the itinerary's first piece, the stable seed pulled back through its last.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (
+    DENSITY,
     PERIODIC_SAMPLES,
     GraphCurve,
     MaskedPeriodic,
@@ -29,7 +31,7 @@ from .curves import (
     graph_transform,
     straight_curve,
 )
-from .maps import MapDescriptor, compose, inverse_descriptor
+from .maps import MapDescriptor, affine_map, compose, inverse_descriptor
 
 # side b's link entry: largest a-link gap it accepts as intact
 LINK_A_TOL = 1e-8
@@ -76,23 +78,6 @@ class LinkGeometry:
         return ((3 * self.x_b + 7 * self.tau) / 2, 2 * self.y1 + self.y2)
 
 
-def _affine_piece(name, ax, bx, ay, by):
-    """Plane map (x, y) -> (ax * x + bx, ay * y + by) with exact inverse."""
-    A = np.array([[ax, 0.0], [0.0, ay]])
-    shift = np.array([bx, by])
-
-    def fwd(p):
-        return p * np.array([ax, ay]) + shift
-
-    def jac(p):
-        return np.broadcast_to(A, np.shape(p)[:-1] + (2, 2)).copy()
-
-    def inv(q):
-        return (q - shift) * np.array([1.0 / ax, 1.0 / ay])
-
-    return MapDescriptor(name, fwd, jac, inv)
-
-
 # ---------------------------------------------------------------------------
 # the model
 
@@ -106,10 +91,10 @@ class SuitableModel:
         g = self.geometry
         tau = g.tau
         jx, jy = g.theta
-        self.trans_a = _affine_piece("level-a translation", 1.0, -tau, 1.0, 0.0)
-        self.trans_b = _affine_piece("level-b translation", 1.0, tau, 1.0, 0.0)
-        self.fold = _affine_piece("fold", -0.5, jx, -2.0, jy)
-        self.crawl = _affine_piece("lower crawl", 1.0, -tau / 2, 1.0, 0.0)
+        self.trans_a = affine_map("level-a translation", (1.0, 1.0), (-tau, 0.0))
+        self.trans_b = affine_map("level-b translation", (1.0, 1.0), (tau, 0.0))
+        self.fold = affine_map("fold", (-0.5, -2.0), (jx, jy))
+        self.crawl = affine_map("lower crawl", (1.0, 1.0), (-tau / 2, 0.0))
         self.hook = hook
         self.band = abs(g.y1 - g.y2) / 2 * 0.8
         if hook is not None:
@@ -229,19 +214,11 @@ class SuitableModel:
         g, d, tau = self.geometry, self.geometry.delta, self.geometry.tau
         if side == "a":
             return straight_curve(g.x_a - 3 * tau - d / 2, g.x_a - 2 * tau + d / 2, g.y1)
-        return straight_curve(g.x_b - tau / 2 - d / 4, g.x_b + d / 4, g.y2)
-
-    def stable_inflow(self, side):
-        """The stable curve across the measurement strip, pulled back from
-        the far-side straight seed through the model pieces."""
-        if side == "a":
-            steps = [self.trans_a] * 2
-        else:
-            steps = [self.crawl] * 4 + [self.fold] + [self.trans_b] * 3
-        c = self.seed_stable(side)
-        for piece in steps:
-            c = graph_transform(self.backward_step(piece), c)
-        return c
+        # the fold halves x onto the lower level, so the b-curve that the
+        # backward chain pulls up through it is sampled at twice DENSITY per
+        # unit: at DENSITY the b-splitting's spline error grows about 2.6x
+        x0, x1 = g.x_b - tau / 2 - d / 4, g.x_b + d / 4
+        return GraphCurve(x0, x1, np.full(int(round(2 * DENSITY * (x1 - x0))) + 1, g.y2))
 
     def fundamental_interval(self, side):
         g = self.geometry
@@ -424,8 +401,9 @@ def _check_support(psi, band, what):
 
 def _link(model, side):
     """The psi-independent half of a link side, built once per model: (chart,
-    w_u, stable inflow pushed along the forward itinerary).  Side b's build
-    first checks the a-link and raises ValueError, storing nothing, if broken."""
+    w_u, the stable seed pulled back through the itinerary's last piece).
+    Side b's build first checks the a-link and raises ValueError, storing
+    nothing, if broken."""
     if side not in model._links:
         if side == "b":
             gap = splitting_a(None, model).sup()
@@ -435,9 +413,7 @@ def _link(model, side):
         fwd = model.forward_itinerary(side)
         c = graph_transform(model.forward_step(fwd[0]), model.seed_unstable(side))
         w_u = graph_transform(chart, c)
-        c = model.stable_inflow(side)
-        for piece in fwd:
-            c = graph_transform(model.forward_step(piece), c)
+        c = graph_transform(model.backward_step(fwd[-1]), model.seed_stable(side))
         model._links[side] = (chart, w_u, c)
     return model._links[side]
 
@@ -450,7 +426,7 @@ def unstable_curve(model, side):
 
 def stable_curve(model, side, psi=None):
     """The stable graph curve over the fundamental interval: the model's
-    forward push, then the backward chain with S_{-psi} around each step.
+    pulled-back seed, then the backward chain with S_{-psi} around each step.
     S_{-psi} keeps x, so it shears the samples alone, w -> w - psi(x), bitwise
     as its graph transform would; a stacked psi gives a stack of curves."""
     chart, _, c = _link(model, side)

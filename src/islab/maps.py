@@ -326,6 +326,26 @@ def quarter_turn():
     return henon_like(lambda y: np.zeros_like(y), lambda y: np.zeros_like(y), name="H_0")
 
 
+def affine_map(name, scale, shift):
+    """Diagonal affine plane map (x, y) -> (s_x x + c_x, s_y y + c_y) for
+    scale (s_x, s_y) and shift (c_x, c_y); the exact inverse divides by the
+    scale."""
+    scale = np.asarray(scale, dtype=float)
+    shift = np.asarray(shift, dtype=float)
+    A = np.diag(scale)
+
+    def fwd(p):
+        return p * scale + shift
+
+    def jac(p):
+        return np.broadcast_to(A, np.shape(p)[:-1] + (2, 2)).copy()
+
+    def inv(q):
+        return (q - shift) / scale
+
+    return MapDescriptor(name, fwd, jac, inv)
+
+
 def rotation_map(angle):
     """Rigid plane rotation by `angle` (not hyperbolic; cone-test falsifier)."""
     c, s = np.cos(angle), np.sin(angle)

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from islab import cli
+from islab import cli, maps, rescaling
 from islab.cli import _SUITES, emit_plot_data, main, run
 from islab.config import ExperimentConfig
 
@@ -154,6 +154,20 @@ def test_failed_check_carries_value_and_tolerance(tmp_path, monkeypatch):
     assert report["passed"] is False
     bad = report["checks"][0]
     assert bad["value"] == 2.5 and bad["tolerance"] == 1.0
+
+
+def test_broken_corollary_identity_fails_its_check(monkeypatch):
+    # a shear off by 1e-6 breaks the corollary identity: the run reports the
+    # check as failed, with exit code 1, rather than raising
+    def off_shear(psi, dpsi, name="S_psi"):
+        return maps.shear_map(lambda x: psi(x) + 1e-6, dpsi, name=name)
+
+    monkeypatch.setattr(rescaling, "shear_map", off_shear)
+    report, code = run(_cfg(RESC))
+    assert code == 1
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["corollary-composition-identity"]
+    assert abs(failed[0]["value"] - 1e-6) <= 1e-9
 
 
 def test_report_json_echoes_config_and_excludes_wall_clock(tmp_path):

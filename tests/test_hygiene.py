@@ -416,3 +416,69 @@ def test_one_quintic_step_in_package():
     homes = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
              for name in quintic_homes(p.read_text(encoding="utf-8"))]
     assert homes == ["curves.StepFn._value"]
+
+
+# what `islab run` turns into exit code 1 instead of a traceback
+CLI_ERRORS = {"ValueError", "RuntimeError"}
+
+
+def uncaught_raises(package):
+    """(module, line) of each `raise` in the package sources (a {module:
+    source} map) whose exception is neither ValueError, RuntimeError nor a
+    package class derived from them, and of each `assert` statement.  A
+    bare re-raise names no type and is flagged too."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    bases = {n.name: {b.id for b in n.bases if isinstance(b, ast.Name)}
+             for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    caught = set(CLI_ERRORS)
+    while new := {name for name, parents in bases.items() if parents & caught} - caught:
+        caught |= new
+    bad = []
+    for module, tree in trees.items():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Raise):
+                exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                if name not in caught:
+                    bad.append((module, n.lineno))
+            elif isinstance(n, ast.Assert):
+                bad.append((module, n.lineno))
+    return sorted(bad)
+
+
+def test_raise_scan_flags_what_the_cli_does_not_catch():
+    package = {
+        "islab.a": ("class ShapeError(ValueError):\n"
+                    "    pass\n"
+                    "class FoldError(ShapeError):\n"
+                    "    pass\n"
+                    "class Stray(Exception):\n"
+                    "    pass\n"
+                    "def f(x):\n"
+                    "    if x < 0:\n"
+                    "        raise ValueError('negative')\n"
+                    "    if x > 9:\n"
+                    "        raise FoldError\n"
+                    "    assert x != 3, 'three'\n"
+                    "    raise AssertionError(f'gap {x}')\n"),
+        "islab.b": ("from .a import ShapeError\n"
+                    "from . import a\n"
+                    "def g(x):\n"
+                    "    try:\n"
+                    "        return 1 / x\n"
+                    "    except ZeroDivisionError as e:\n"
+                    "        raise RuntimeError('zero') from e\n"
+                    "    except TypeError:\n"
+                    "        raise\n"
+                    "    raise a.Stray(x)\n"
+                    "def h():\n"
+                    "    raise ShapeError('bad')\n"),
+    }
+    # the AssertionError, the assert, the bare re-raise and the Exception subclass
+    assert uncaught_raises(package) == [("islab.a", 12), ("islab.a", 13),
+                                        ("islab.b", 9), ("islab.b", 10)]
+
+
+def test_every_package_raise_is_one_the_cli_reports():
+    package, _ = _package_and_acceptance()
+    assert uncaught_raises(package) == []

@@ -378,7 +378,7 @@ def test_restore_link_b_aborts_on_broken_a_link():
 
 
 def test_link_side_built_once_per_model(monkeypatch):
-    # each side's chart, w_u and pushed stable inflow are built on first use
+    # each side's chart, w_u and pulled-back stable seed are built on first use
     # and kept on the model: restoring side b, then drawing both of its
     # curves, builds one chart for side a (the a-link check) and one for b
     builds = []
@@ -401,3 +401,19 @@ def test_link_side_built_once_per_model(monkeypatch):
     fresh = splitting_b(psi, build_suitable_model(hook=_b_band_hook(g)))
     assert np.array_equal(warm.samples, fresh.samples)
     assert warm.origin == fresh.origin
+
+
+@pytest.mark.parametrize("hook_side,height,side",
+                         [(None, None, "a"), (None, None, "b"),
+                          ("a", 1e-3, "a"), ("a", 5e-3, "a"),
+                          ("b", 1e-3, "a"), ("b", 1e-3, "b"),
+                          ("b", 5e-3, "a"), ("b", 5e-3, "b")])
+def test_cached_stable_curve_is_its_straight_level(hook_side, height, side):
+    # each stable seed lies outside its hook's support, so its one pull-back
+    # keeps the level bitwise; side b refuses a broken a-link, so an a-hook
+    # is checked on side a only.  Both sides carry the seed's 283 samples
+    g = LinkGeometry()
+    hook = None if hook_side is None else cli._band_hook(g, hook_side, height)
+    c = links._link(build_suitable_model(hook=hook), side)[2]
+    assert np.all(c.samples == (g.y1 if side == "a" else g.y2))
+    assert c.n == 283
