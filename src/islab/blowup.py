@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import StepFn, rtsafe
+from .curves import StepFn
 from .hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
 from .maps import ANOSOV, MapDescriptor, inv2, torus_diff, wrap_torus
 
@@ -131,11 +131,17 @@ class SurgeryProfile:
     def psi_inv(self, v):
         """Inverse of psi on [0, rho_hi].
 
-        On the bridge this is curves.rtsafe, started on the bridge's chord,
-        with a residual floor of _ROOT_ULPS ulp of the target (psi's bridge
-        carries up to ~7 ulp of rounding noise, so a tighter test would
-        update brackets from the sign of noise and could cycle) and a step
-        floor of 2 ulp.
+        Off the bridge this is the exact shift or the identity.  On it, each
+        point runs safeguarded Newton (rtsafe, Numerical Recipes section
+        9.4) from the bridge's chord: a Newton step that leaves the point's
+        bracket, which starts as [r1, r2], is replaced by bisection.  One
+        evaluation of the step gives the residual psi(x) - v and its slope
+        psi'(x), bitwise psi and psi_d1.  A point stops once its residual is
+        at most _ROOT_ULPS ulp of the target (psi's bridge carries up to ~7
+        ulp of rounding noise, so a tighter test would update brackets from
+        the sign of noise and could cycle), its step is at most 2 ulp, or
+        its bracket has shrunk to 4 ulp; each sweep visits only the points
+        still active.
 
         Raises RuntimeError if a residual is not finite or a point is still
         active after _ROOT_CAP iterations.
@@ -145,16 +151,33 @@ class SurgeryProfile:
         v1 = self.r1 - self.rho_lo                    # psi(r1)
         out = np.where(v <= v1, v + self.rho_lo, v)
         mid = np.nonzero((v > v1) & (v < self.r2))[0]
-        if mid.size:
-            target = v[mid]
-
-            def resid(x, rows):
-                return self.psi(x) - target[rows], self.psi_d1(x)
-
-            out[mid] = rtsafe(resid, self.r1 + (target - v1) * (self._step.width / (self.r2 - v1)),
-                              np.full(target.shape, self.r1), np.full(target.shape, self.r2),
-                              _ROOT_ULPS * np.spacing(target), lambda x: 2 * np.spacing(x),
-                              _ROOT_CAP, "psi_inv")
+        target = v[mid]
+        x = self.r1 + (target - v1) * (self._step.width / (self.r2 - v1))
+        lo, hi = np.full(x.shape, self.r1), np.full(x.shape, self.r2)
+        r_floor = _ROOT_ULPS * np.spacing(target)
+        act = np.arange(x.size)
+        for _ in range(_ROOT_CAP):
+            if act.size == 0:
+                break
+            xa, la, ha = x[act], lo[act], hi[act]
+            s, s1 = self._step.value_and_d1(xa)
+            r = xa - self.rho_lo * (1.0 - s) - target[act]
+            if not np.all(np.isfinite(r)):
+                raise RuntimeError("psi_inv: non-finite residual")
+            done = np.abs(r) <= r_floor[act]
+            la = np.where(r < 0, xa, la)
+            ha = np.where(r > 0, xa, ha)
+            xn = xa - r / (1.0 + self.rho_lo * s1)
+            xn = np.where((xn > la) & (xn < ha), xn, 0.5 * (la + ha))
+            floor = 2 * np.spacing(xa)
+            tiny = (np.abs(xn - xa) <= floor) | (ha - la <= 2 * floor)
+            x[act] = np.where(done, xa, xn)
+            lo[act], hi[act] = la, ha
+            act = act[~(done | tiny)]
+        if act.size:
+            raise RuntimeError(f"psi_inv: {act.size} points unconverged after "
+                               f"{_ROOT_CAP} iterations")
+        out[mid] = x
         return float(out[0]) if scalar else out
 
 

@@ -25,7 +25,7 @@ from .config import ConfigError, ExperimentConfig, validate as validate_raw, par
 from .curves import BumpFn, MaskedPeriodic, PeriodicFn, curve_sup_diff, random_trig_poly
 from .links import (LinkGeometry, build_suitable_model, restore_link_a, restore_link_b,
                     restoration_b_reference, splitting_a, splitting_a_reference,
-                    splitting_b, splitting_b_reference, stable_curve, unstable_curve)
+                    splitting_b, splitting_b_reference, unstable_curve)
 from .lyapunov import LN4, entropy_estimate, lambda_field_rows, max_lyapunov
 from .maps import anosov_map, chirikov_map, compose, henon_like, shear_map
 from .rescaling import corollary_composition, desk_model, verify_rescaling
@@ -252,11 +252,10 @@ def _run_links(cfg, rng, threads):
         for run_idx in range(n_each):
             h = p["size"] * (0.5 + 0.5 * rng.random())
             model = build_suitable_model(hook=_band_hook(g, side, h))
-            psi, trace = restore(model)
+            _, trace, w_s = restore(model)
             max_iters = max(max_iters, len(trace))
             max_final = max(max_final, trace[-1][1])
             w_u = unstable_curve(model, side)
-            w_s = stable_curve(model, side, psi=psi)
             max_coincide = max(max_coincide, curve_sup_diff(
                 w_u, w_s, *model.fundamental_interval(side)))
             if run_idx == 0:
@@ -373,10 +372,12 @@ def run(cfg, threads=1):
 
 
 def emit_plot_data(report, outdir):
-    """Write the report's grid tables as CSV plus the JSON summary."""
-    os.makedirs(outdir, exist_ok=True)
+    """Write the report's grid tables as CSV plus the JSON summary; returns
+    the paths written.  Raises RuntimeError when outdir or a file in it
+    cannot be written."""
     paths = []
     try:
+        os.makedirs(outdir, exist_ok=True)
         for name, (header, rows) in sorted(report["_tables"].items()):
             path = os.path.join(outdir, name)
             _write_csv(path, header, rows)
@@ -405,10 +406,10 @@ def _cmd_run(args):
         cfg.seed = args.seed
     try:
         report, code = run(cfg, threads=args.threads)
+        paths = emit_plot_data(report, cfg.out)
     except (ValueError, RuntimeError) as e:
         print(f"run failed: {e}", file=sys.stderr)
         return 1
-    paths = emit_plot_data(report, cfg.out)
     for c in report["checks"]:
         mark = "PASS" if c["passed"] else "FAIL"
         print(f"{mark} {c['name']}: value={c['value']:.6g} "

@@ -4,9 +4,7 @@ Two function objects back the manifold pipelines: curves given as graphs
 y = w(x) over a closed interval (cubic interpolation on a uniform grid)
 and tau-periodic functions (trigonometric interpolation on one period).
 The graph transform re-parameterizes the image of a curve under a planar
-map with an affine x-rule as a new graph over the image interval.  rtsafe,
-the package's one safeguarded Newton, lives here too; its caller is
-blowup's psi_inv.
+map with an affine x-rule as a new graph over the image interval.
 """
 
 from functools import lru_cache
@@ -421,42 +419,6 @@ def _transversality(f, curve, J):
         x = float(curve.grid[np.argmax(np.any(flip.reshape(-1, curve.n), axis=0))])
         raise TransversalityError(
             f"{f.name}: image fails to be a graph (fold) near x = {x}", x=x)
-
-
-def rtsafe(resid, x, lo, hi, r_floor, x_floor, cap, name):
-    """Roots of a batch of increasing 1-d functions by safeguarded Newton
-    (rtsafe, Numerical Recipes section 9.4); blowup's psi_inv calls it.
-
-    resid(x, rows) returns the residuals of entries `rows` at x, increasing
-    in x, and their slopes.  x (the start) and the bracket [lo, hi] are 1-d
-    arrays, updated in place; x is returned.  A Newton step that leaves the
-    current bracket is replaced by bisection, and an entry freezes once
-    |r| <= r_floor (a scalar or one value per entry), its step is at most
-    x_floor(x), or its bracket has shrunk to 2 x_floor(x).
-
-    Raises RuntimeError, naming `name`, if a residual is not finite or an
-    entry is still active after `cap` iterations.
-    """
-    r_floor = np.broadcast_to(r_floor, x.shape)
-    act = np.arange(x.size)
-    for _ in range(cap):
-        xa, la, ha = x[act], lo[act], hi[act]
-        r, slope = resid(xa, act)
-        if not np.all(np.isfinite(r)):
-            raise RuntimeError(f"{name}: non-finite residual")
-        done = np.abs(r) <= r_floor[act]
-        la = np.where(r < 0, xa, la)
-        ha = np.where(r > 0, xa, ha)
-        xn = xa - r / slope
-        xn = np.where((xn > la) & (xn < ha), xn, 0.5 * (la + ha))
-        floor = x_floor(xa)
-        tiny = (np.abs(xn - xa) <= floor) | (ha - la <= 2 * floor)
-        x[act] = np.where(done, xa, xn)
-        lo[act], hi[act] = la, ha
-        act = act[~(done | tiny)]
-        if act.size == 0:
-            return x
-    raise RuntimeError(f"{name}: {act.size} points unconverged after {cap} iterations")
 
 
 def graph_transform(f, curve):

@@ -439,27 +439,27 @@ def stable_curve(model, side, psi=None):
 
 
 def _splitting(side, psi, model):
-    """w_u - w_s for S_psi o F, sampled over the fundamental interval; one
-    row per row of a stacked psi."""
+    """w_u - w_s for S_psi o F, sampled over the fundamental interval (one
+    row per row of a stacked psi), and w_s."""
     w_u = unstable_curve(model, side)
     w_s = stable_curve(model, side, psi=psi)
     lo, _ = model.fundamental_interval(side)
     tau = model.geometry.tau
     grid = lo + np.arange(PERIODIC_SAMPLES) * (tau / PERIODIC_SAMPLES)
-    return PeriodicFn(tau, w_u(grid) - w_s(grid), origin=lo)
+    return PeriodicFn(tau, w_u(grid) - w_s(grid), origin=lo), w_s
 
 
 def splitting_a(psi, model):
     """Splitting function of the a-link for S_psi o F, over [x_a - tau, x_a]."""
     _check_support(psi, model.shear_band("a"), "splitting_a")
-    return _splitting("a", psi, model)
+    return _splitting("a", psi, model)[0]
 
 
 def splitting_b(psi, model):
     """Splitting function of the b-link for S_psi o F, over [x_b, x_b + tau];
     the a-link must be intact (checked once per model, by _link)."""
     _check_support(psi, model.shear_band("b"), "splitting_b")
-    return _splitting("b", psi, model)
+    return _splitting("b", psi, model)[0]
 
 
 def splitting_a_reference(psi, model):
@@ -502,17 +502,19 @@ def restoration_b_reference(model):
 # restoration solvers
 
 
-def _restore(model, side, splitting):
+def _restore(model, side):
     """The restoration loop of one link side: psit -> psit - M(rho psit),
     with residuals in the sup norm on side a and in the derivative-only norm
-    on side b, where every iterate is also made zero-mean."""
-    rho = model.partition_bump(side)
+    on side b, where every iterate is also made zero-mean.  Returns (psi,
+    trace, the stable curve of psi), the curve from the last splitting."""
+    rho = model.partition_bump(side)        # its support is the shear band
     lo, _ = model.fundamental_interval(side)
     psit = PeriodicFn(model.geometry.tau, np.zeros(PERIODIC_SAMPLES), origin=lo)
     trace = []
     prev = None
     for it in range(RESTORE_MAX_ITER):
-        m = splitting(MaskedPeriodic(rho, psit), model)
+        psi = MaskedPeriodic(rho, psit)
+        m, w_s = _splitting(side, psi, model)
         if side == "b" and abs(m.mean()) > RESTORE_MEAN_TOL:
             raise ValueError(
                 f"restore_link_b: splitting mean {m.mean():.3e} exceeds "
@@ -529,18 +531,19 @@ def _restore(model, side, splitting):
     else:
         raise RuntimeError(f"restore_link_{side}: residual {res:.3e} after "
                            f"{RESTORE_MAX_ITER} iterations")
-    return MaskedPeriodic(rho, psit), trace
+    return psi, trace, w_s
 
 
 def restore_link_a(model):
     """Solve for the masked shear that closes the a-link of the model's F.
 
     Iterates psit -> psit - M^a(rho psit) until the sup residual is at most
-    RESTORE_TOL; returns (psi_a, trace) with trace rows (iteration, sup
-    residual, derivative-norm residual).  Raises RuntimeError when
-    RESTORE_MAX_ITER iterations do not reach the tolerance.
+    RESTORE_TOL; returns (psi_a, trace, w_s) with trace rows (iteration,
+    sup residual, derivative-norm residual) and w_s the stable curve
+    stable_curve(model, "a", psi=psi_a), bitwise.  Raises RuntimeError
+    when RESTORE_MAX_ITER iterations do not reach the tolerance.
     """
-    return _restore(model, "a", splitting_a)
+    return _restore(model, "a")
 
 
 def restore_link_b(model):
@@ -549,7 +552,8 @@ def restore_link_b(model):
 
     Residuals are measured in the derivative-only norm, against RESTORE_TOL;
     a splitting mean above RESTORE_MEAN_TOL signals a broken a-link and
-    aborts.  Raises RuntimeError when RESTORE_MAX_ITER iterations do not
-    reach the tolerance.
+    aborts.  Returns (psi_b, trace, w_s) as restore_link_a does.  Raises
+    RuntimeError when RESTORE_MAX_ITER iterations do not reach the
+    tolerance.
     """
-    return _restore(model, "b", splitting_b)
+    return _restore(model, "b")

@@ -124,13 +124,27 @@ def test_psi_is_exact_off_the_bridge(delta, eps):
     assert np.all(prof.psi_d1(np.concatenate([below, above])) == 1.0)
 
 
+@pytest.mark.parametrize("delta, eps", [(0.2, 0.2001), (0.05, 0.24), (0.2, 0.21), (0.001, 0.002),
+                                        (0.24, 0.2499), (0.01, 0.24), (0.1, 0.24999)])
+def test_psi_inv_at_edge_profiles(delta, eps):
+    # psi' reaches ~3750 at (0.2, 0.2001), so a root within an ulp of x
+    # leaves a residual of thousands of ulps of x: the residual is measured
+    # in units of psi'(x) ulp(x), the error it makes in x.  Near delta = eps
+    # Newton leaves the bracket, and the points settle by bisection
+    prof = SurgeryProfile(delta, eps)
+    v = np.linspace(0.0, prof.rho_hi, 200_001)
+    x = prof.psi_inv(v)
+    assert np.max(np.abs(prof.psi(x) - v) / (prof.psi_d1(x) * np.spacing(x))) <= 16
+
+
 def test_psi_inv_raises_on_nonfinite_residual(monkeypatch):
     prof = SurgeryProfile()
-    # psi_inv's residual evaluates psi on the bridge only
-    monkeypatch.setattr(prof, "psi", lambda rho: np.full_like(rho, np.nan))
+    # psi_inv's residual evaluates the step on the bridge only
+    monkeypatch.setattr(prof._step, "value_and_d1",
+                        lambda x: (np.full_like(x, np.nan), np.ones_like(x)))
     v = 0.5 * (prof.r1 - prof.rho_lo)            # below the bridge
     assert prof.psi_inv(v) == v + prof.rho_lo
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="^psi_inv: non-finite residual"):
         prof.psi_inv(np.linspace(prof.r1, prof.r2, 9))
 
 
@@ -138,7 +152,7 @@ def test_psi_inv_raises_at_iteration_cap(monkeypatch):
     import islab.blowup as blowup
     prof = SurgeryProfile()
     monkeypatch.setattr(blowup, "_ROOT_CAP", 2)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=r"^psi_inv: \d+ points unconverged after 2 iterations"):
         prof.psi_inv(np.linspace(prof.r1, prof.r2, 9))
 
 

@@ -6,10 +6,11 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from islab import cli, maps, rescaling
 from islab.cli import _SUITES, emit_plot_data, main, run
-from islab.config import ExperimentConfig
+from islab.config import ExperimentConfig, parse_text, validate
 
 
 def _cfg(text):
@@ -121,6 +122,16 @@ def test_island_suite(tmp_path):
     # the finite-difference cross-check is reported, as a metric
     assert 0.0 < report["metrics"]["saddle_fd_multiplier_error"] <= 1e-4
     assert "saddle_fd_multiplier_error" not in {c["name"] for c in report["checks"]}
+
+
+@pytest.mark.parametrize("delta, eps", [(0.2, 0.2001), (0.01, 0.24), (0.24, 0.2499),
+                                        (0.001, 0.002), (0.1, 0.24999)])
+def test_island_suite_at_edge_profiles(delta, eps):
+    text = (f"suite = island\nisland.delta = {delta}\nisland.eps = {eps}\n"
+            "island.grid = 16\nisland.n = 50\n")
+    assert validate(parse_text(text)) == []
+    report, code = run(_cfg(text))
+    assert code == 0, [c["name"] for c in report["checks"] if not c["passed"]]
 
 
 def test_links_suite(tmp_path):
@@ -264,6 +275,16 @@ def test_main_numeric_abort_exit_1(tmp_path, capsys):
     path = _write_cfg(tmp_path, "suite = rescaling\nrescaling.k_list = 6\n")
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 1
     assert "run failed" in capsys.readouterr().err
+
+
+def test_main_unwritable_out_exit_1(tmp_path, capsys):
+    # --out below a regular file: the directory cannot be made
+    path = _write_cfg(tmp_path, SCAN)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", path, "--out", str(blocker / "sub")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ") and err.count("\n") == 1
 
 
 def test_main_seed_override(tmp_path):

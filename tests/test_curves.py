@@ -16,7 +16,6 @@ from islab.curves import (
     curve_sup_diff,
     graph_transform,
     random_trig_poly,
-    rtsafe,
     straight_curve,
 )
 from islab.maps import MapDescriptor, compose, shear_map
@@ -460,59 +459,6 @@ def _bendy_map(nan_where=None):
 def test_transform_nonfinite_x_image_raises(nan_where):
     with pytest.raises(RuntimeError, match="non-finite"):
         graph_transform(_bendy_map(nan_where), _wave_curve())
-
-
-def _rtsafe_cubic(resid, target, cap=64, name="cubic"):
-    """Roots of x^3 + x = target in [-3, 3], from x = 0."""
-    return rtsafe(resid, np.zeros(target.shape), np.full(target.shape, -3.0),
-                  np.full(target.shape, 3.0), 8 * np.spacing(np.max(np.abs(target))),
-                  lambda x: 2 * np.spacing(x), cap, name)
-
-
-def _cubic(target):
-    def resid(x, rows):
-        return x ** 3 + x - target[rows], 3.0 * x * x + 1.0
-    return resid
-
-
-def test_rtsafe_solves_both_orientations():
-    # a decreasing function enters negated, as graph_transform's does when
-    # the map reverses x; a - b is exactly -(b - a), so both give the same bits
-    target = np.linspace(-20.0, 20.0, 41)
-
-    def negated(x, rows):
-        return -(target[rows] - (x ** 3 + x)), -(-(3.0 * x * x + 1.0))
-
-    up = _rtsafe_cubic(_cubic(target), target)
-    assert np.array_equal(up, _rtsafe_cubic(negated, target))
-    assert np.max(np.abs(up ** 3 + up - target)) <= 32 * np.spacing(20.0)
-
-
-def test_rtsafe_bisects_when_newton_leaves_the_bracket():
-    seen = []
-
-    def resid(x, rows):
-        seen.append(x.copy())
-        return np.arctan(x), 1.0 / (1.0 + x * x)
-
-    # from x = 10 the Newton step lands near -138, outside [-1, 10]
-    x = rtsafe(resid, np.array([10.0]), np.array([-1.0]), np.array([20.0]),
-               1e-15, lambda x: 1e-15, 64, "arctan")
-    assert seen[1][0] == 4.5
-    assert abs(x[0]) <= 1e-15
-
-
-def test_rtsafe_names_its_caller_when_it_raises():
-    target = np.linspace(-20.0, 20.0, 41)
-    with pytest.raises(RuntimeError, match=r"^cubic: \d+ points unconverged after 2 iterations"):
-        _rtsafe_cubic(_cubic(target), target, cap=2)
-
-    def nan_resid(x, rows):
-        return np.where(rows == 3, np.nan, x), np.ones_like(x)
-
-    with pytest.raises(RuntimeError, match="^broken: non-finite residual"):
-        rtsafe(nan_resid, np.full(5, 0.5), np.full(5, -1.0), np.ones(5), 1e-15,
-               lambda x: 1e-15, 64, "broken")
 
 
 def test_transform_composition_property():

@@ -333,7 +333,7 @@ def test_restoration_reference_operator_contracts():
 
 def test_restore_link_a():
     model = build_suitable_model(hook=_a_band_hook(LinkGeometry()))
-    psi_a, trace = restore_link_a(model)
+    psi_a, trace, w_s = restore_link_a(model)
     assert len(trace) <= 30
     sups = [row[1] for row in trace]
     assert sups[-1] <= 1e-8
@@ -342,13 +342,12 @@ def test_restore_link_a():
     # the restored link is closed: stable and unstable curves coincide
     g = model.geometry
     w_u = unstable_curve(model, "a")
-    w_s = stable_curve(model, "a", psi=psi_a)
     assert curve_sup_diff(w_u, w_s, g.x_a - g.tau, g.x_a) <= 1e-7
 
 
 def test_restore_link_b():
     model = build_suitable_model(hook=_b_band_hook(LinkGeometry()))
-    psi_b, trace = restore_link_b(model)
+    psi_b, trace, _ = restore_link_b(model)
     assert len(trace) <= 50
     norms = [row[2] for row in trace]
     assert norms[-1] <= 1e-10
@@ -365,10 +364,22 @@ def test_restore_raises_when_the_cap_runs_out(monkeypatch, side):
     # of what it needs, the solver must raise, not return an unconverged shear
     restore = {"a": restore_link_a, "b": restore_link_b}[side]
     model = build_suitable_model(hook=cli._band_hook(LinkGeometry(), side, 1e-3))
-    _, trace = restore(model)
+    _, trace, _ = restore(model)
     monkeypatch.setattr(links, "RESTORE_MAX_ITER", len(trace) - 1)
     with pytest.raises(RuntimeError, match="iterations"):
         restore(model)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_restore_hands_back_the_stable_curve_of_its_shear(side):
+    # the last splitting of the restoration built the stable curve of the
+    # shear it returns; a fresh build from that shear has the same bits
+    restore = {"a": restore_link_a, "b": restore_link_b}[side]
+    model = build_suitable_model(hook=cli._band_hook(LinkGeometry(), side, 1e-3))
+    psi, _, w_s = restore(model)
+    fresh = stable_curve(model, side, psi=psi)
+    assert (w_s.x0, w_s.x1) == (fresh.x0, fresh.x1)
+    assert np.array_equal(w_s.samples, fresh.samples)
 
 
 def test_restore_link_b_aborts_on_broken_a_link():
@@ -391,7 +402,7 @@ def test_link_side_built_once_per_model(monkeypatch):
     g = LinkGeometry()
     model = build_suitable_model(hook=_b_band_hook(g))
     monkeypatch.setattr(TimeEnergyChart, "__init__", counting_init)
-    psi, _ = restore_link_b(model)
+    psi, _, _ = restore_link_b(model)
     unstable_curve(model, "b")
     stable_curve(model, "b", psi)
     assert sorted(builds) == ["a", "b"]
