@@ -425,11 +425,10 @@ def graph_transform(f, curve):
     """Image of a graph curve under the planar map f, as a graph curve.
 
     The image is re-parameterized over x, and f's x-rule must be affine on
-    the curve's samples.  When it is the identity the grid is reused
-    unchanged; otherwise the image samples are kept (contractions) or
-    pulled back through the exact affine inverse onto a standard grid
-    (expansions).  A stack of curves is mapped by one evaluation of f on
-    all its points.
+    the curve's samples.  The image samples are kept (contractions, the
+    identity included: its image grid is the curve's own) or pulled back
+    through the exact affine inverse onto a standard grid (expansions).  A
+    stack of curves is mapped by one evaluation of f on all its points.
 
     Raises TransversalityError when the image is not a graph over x, and
     RuntimeError when the x-image is not finite.  Raises ValueError when
@@ -448,9 +447,6 @@ def graph_transform(f, curve):
                          "different x-images")
     if np.all(np.diff(tx) == 0.0):
         raise TransversalityError(f"{f.name}: image collapses in x", x=float(curve.grid[0]))
-
-    if np.array_equal(tx, curve.grid):
-        return GraphCurve(curve.x0, curve.x1, ty)
 
     span = tx[-1] - tx[0]
     alpha = span / (curve.x1 - curve.x0)

@@ -1,4 +1,5 @@
-"""Hamiltonian systems on the plane and their implicit-midpoint time maps.
+"""Hamiltonian systems on the plane and their one integrator, the batched
+implicit midpoint rule (`_midpoint_steps`) and its triple jump.
 
 Convention: for a canonical pair written (x, y) the flow is
 
@@ -15,11 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .maps import MapDescriptor, inv2
+from .maps import inv2
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-# fixed-point tolerance of the midpoint solve in the flow maps
+# fixed-point tolerance of the midpoint solve
 MIDPOINT_TOL = 1e-13
+# fixed-point sweeps per substep before the Newton fallback takes over
+FP_CAP = 30
 
 
 @dataclass
@@ -53,14 +56,15 @@ _STAGES = {2: (1.0,),
            4: (1.0 / (2.0 - _CBRT2), -_CBRT2 / (2.0 - _CBRT2), 1.0 / (2.0 - _CBRT2))}
 
 
-def _midpoint_steps(sys, p, t, steps, tol, with_jac, fp_cap=30, order=2):
+def _midpoint_steps(sys, p, t, steps, tol, with_jac, order=2):
     """Integrate `steps` steps of size h = t/steps of an order-`order` rule.
 
     Order 2 is the implicit midpoint rule.  Order 4 composes each step from
     three midpoint substeps of sizes gamma_i h, gamma = (1, -2^{1/3}, 1) /
     (2 - 2^{1/3}); every substep, the negative middle one included, stops
     each point at its own fixed-point convergence to `tol`, falls back to
-    Newton for the points left unconverged, and raises if Newton fails.
+    Newton for the points left unconverged after FP_CAP sweeps, and raises
+    if Newton fails.
 
     Returns (z, M) where M is the exact variational Jacobian of the discrete
     flow, the product of the per-substep Cayley factors (so exactly
@@ -82,7 +86,7 @@ def _midpoint_steps(sys, p, t, steps, tol, with_jac, fp_cap=30, order=2):
             # its result does not depend on the other points of the batch
             w = z + h * sys.field(z)
             act = None
-            for _ in range(fp_cap):
+            for _ in range(FP_CAP):
                 w_new = z + h * sys.field(0.5 * (z + w))
                 more = np.max(np.abs(w_new - w), axis=-1) > tol
                 if act is not None:
@@ -114,32 +118,3 @@ def _midpoint_steps(sys, p, t, steps, tol, with_jac, fp_cap=30, order=2):
                 M = inv2(A) @ (B @ M)
             z = w
     return z, M
-
-
-def hamiltonian_time_map(sys, t, steps):
-    """Time-t flow map of `sys` as a MapDescriptor, in `steps` steps.
-
-    Implicit midpoint with a fixed-point inner solve (tolerance
-    MIDPOINT_TOL, Newton fallback); the Jacobian is the product of the
-    per-step Cayley transforms, which is exactly symplectic, and one
-    integration gives image and Jacobian together (`fwd_jac`).
-    """
-    t = float(t)
-
-    def fwd(p):
-        z, _ = _midpoint_steps(sys, p, t, steps, MIDPOINT_TOL, with_jac=False)
-        return z
-
-    def fwd_jac(p):
-        return _midpoint_steps(sys, p, t, steps, MIDPOINT_TOL, with_jac=True)
-
-    def jac(p):
-        return fwd_jac(p)[1]
-
-    def inv(q):
-        z, _ = _midpoint_steps(sys, q, -t, steps, MIDPOINT_TOL, with_jac=False)
-        return z
-
-    return MapDescriptor(f"flow[{sys.name}, t={t:g}]", fwd, jac, inv,
-                         fwd_jac=fwd_jac)
-

@@ -121,7 +121,7 @@ def max_lyapunov(f, p, n=200):
 
 @dataclass
 class EntropyReport:
-    resolution: tuple
+    resolution: int            # r: the grid has r x r cells
     n: int
     field: np.ndarray          # per-cell exponent (NaN where invalid)
     valid: np.ndarray          # per-cell validity mask
@@ -130,37 +130,35 @@ class EntropyReport:
     invalid_cells: int = 0
 
 
-def _cell_centers(rx, ry):
-    """Midpoints of the rx x ry cells of the unit square, shape (rx ry, 2)."""
-    xs = (np.arange(rx) + 0.5) / rx
-    ys = (np.arange(ry) + 0.5) / ry
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+def _cell_centers(r):
+    """Midpoints of the r x r cells of the unit square, shape (r^2, 2)."""
+    xs = (np.arange(r) + 0.5) / r
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
     return np.stack([X.ravel(), Y.ravel()], axis=-1)
 
 
 def entropy_estimate(f, resolution=100, n=200, exclude=None):
     """Midpoint-rule entropy integral of the clamped exponent field over the
-    unit square, with the fraction of cells whose exponent clears ln 4.
+    unit square, on a resolution x resolution grid, with the fraction of
+    cells whose exponent clears ln 4.
 
     exclude: optional vectorized predicate; cells whose orbit (including the
     start) ever satisfies it are marked invalid and contribute zero.
     """
-    if np.isscalar(resolution):
-        resolution = (int(resolution), int(resolution))
-    rx, ry = resolution
-    if rx < 8 or ry < 8:
-        raise ValueError("resolution must be >= 8 per axis")
-    pts = _cell_centers(rx, ry)
+    r = int(resolution)
+    if r < 8:
+        raise ValueError("resolution must be >= 8")
+    pts = _cell_centers(r)
     m = pts.shape[0]
 
     logs, valid = _cocycle_logs(f, pts, n, exclude)
     lam = logs / n
-    field_2d = np.where(valid, lam, np.nan).reshape(rx, ry)
+    field_2d = np.where(valid, lam, np.nan).reshape(r, r)
     clamped = np.where(valid, np.maximum(lam, 0.0), 0.0)
     estimate = float(np.sum(clamped) / m)
     fraction = float(np.count_nonzero(valid & (lam >= LN4)) / m)
     return EntropyReport(
-        resolution=(rx, ry), n=n, field=field_2d, valid=valid.reshape(rx, ry),
+        resolution=r, n=n, field=field_2d, valid=valid.reshape(r, r),
         estimate=estimate, fraction_above=fraction,
         invalid_cells=int(m - valid.sum()))
 
@@ -211,5 +209,5 @@ def cone_certificate(f, p, n, conjugator=None):
 def lambda_field_rows(report):
     """Flatten an EntropyReport into (x, y, lambda, valid) rows for CSV."""
     lam = np.where(report.valid, report.field, 0.0)
-    return np.column_stack([_cell_centers(*report.resolution), lam.ravel(),
+    return np.column_stack([_cell_centers(report.resolution), lam.ravel(),
                             report.valid.ravel().astype(float)])

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .curves import StepFn
-from .hamiltonian import HamiltonianSystem, hamiltonian_time_map
+from .hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
 from .maps import (MapDescriptor, affine_map, compose, henon_like, inverse_descriptor,
                    quarter_turn, shear_map)
 
@@ -450,9 +450,6 @@ def build_perturbation(model, k, psi_list):
     dpsihats = [ph.deriv() for ph in psihats]
     systems = [_collar_system(bumps[i], Psis[i], psihats[i], dpsihats[i])
                for i in range(N)]
-    # the collar flows of g (sign +1) and of g^-1 (sign -1)
-    flows = {sign: [hamiltonian_time_map(sys, sign, steps=64) for sys in systems]
-             for sign in (1.0, -1.0)}
 
     def classify(p):
         reg = np.zeros(np.shape(p)[:-1], dtype=int)
@@ -491,11 +488,11 @@ def build_perturbation(model, k, psi_list):
                     J[safe, 1, 0] = sign * dpsihats[i](flat[safe, 0])
             mc = inbox & ~safe
             if np.any(mc):
-                flow = flows[sign][i]
+                # the collar: time-sign flow of box i, g (+1) or g^-1 (-1)
+                out[mc], Jm = _midpoint_steps(systems[i], flat[mc], sign, 64,
+                                              MIDPOINT_TOL, with_jac)
                 if with_jac:
-                    out[mc], J[mc] = flow.fwd_jac(flat[mc])
-                else:
-                    out[mc] = flow.fwd(flat[mc])
+                    J[mc] = Jm
         return out.reshape(p.shape), (J.reshape(p.shape + (2,)) if with_jac else None)
 
     g = MapDescriptor(f"g[k={k}]", lambda p: apply(p, 1.0, False)[0],

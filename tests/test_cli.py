@@ -114,6 +114,9 @@ def test_island_suite(tmp_path):
     report, code = run(_cfg(ISLAND))
     assert code == 0
     assert all(c["passed"] for c in report["checks"])
+    # every check's verdict is its comparison of value against tolerance
+    for c in report["checks"]:
+        assert c["passed"] == cli._COMPARE[c["comparison"]](c["value"], c["tolerance"])
     emit_plot_data(report, tmp_path)
     lines = _read(os.path.join(tmp_path, "saddles.csv")).decode().splitlines()
     assert lines[0] == ("center,theta,x,y,mult_stable,mult_unstable,"
@@ -149,8 +152,8 @@ def test_links_suite(tmp_path):
 # report structure
 
 def test_check_comparisons():
-    passed = [cli._check("c", 1.0, 1.0, op)["passed"] for op in ("<=", "<", ">=")]
-    assert passed == [True, False, True]
+    passed = [cli._check("c", 1.0, 1.0, op)["passed"] for op in ("<=", "<", ">=", "==")]
+    assert passed == [True, False, True, True]
     assert cli._check("c", 0.5, 1.0, "<") == {
         "name": "c", "passed": True, "value": 0.5, "tolerance": 1.0, "comparison": "<"}
 

@@ -4,8 +4,7 @@ import numpy as np
 
 from construction_checks import energy_drift, saddle_system
 from islab import hamiltonian
-from islab.hamiltonian import (MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps,
-                               hamiltonian_time_map)
+from islab.hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
 from islab.maps import finite_difference_jacobian, inv2
 
 SIGMA = np.log(9 + 4 * np.sqrt(5))
@@ -29,6 +28,11 @@ def pendulum():
     return HamiltonianSystem("pendulum", grad, hess)
 
 
+def midpoint_flow(sys, p, t, steps):
+    """Image of p under the time-t midpoint flow of sys, in `steps` steps."""
+    return _midpoint_steps(sys, p, t, steps, MIDPOINT_TOL, False)[0]
+
+
 def test_saddle_flow_matches_exact_multipliers():
     # Time-1 flow of H = sigma*x*y is diag(e^sigma, e^-sigma).  Implicit
     # midpoint is second order (Cayley bias ~ sigma^3 h^2 / 12), so hitting
@@ -43,34 +47,32 @@ def test_saddle_flow_matches_exact_multipliers():
 
 def test_saddle_flow_jacobian_det_one():
     sys = saddle_system(SIGMA)
-    flow = hamiltonian_time_map(sys, 0.7, steps=64)
     pts = np.random.default_rng(0).normal(size=(200, 2))
-    J = flow.jacobian(pts)
+    _, J = _midpoint_steps(sys, pts, 0.7, 64, MIDPOINT_TOL, True)
     assert np.max(np.abs(np.linalg.det(J) - 1.0)) < 1e-12
 
 
 def test_flow_roundtrip_is_identity():
     sys = pendulum()
-    fwd = hamiltonian_time_map(sys, 0.9, steps=64)
     pts = np.random.default_rng(1).normal(size=(100, 2)) * 0.5
-    back = fwd.inverse(fwd(pts))
+    back = midpoint_flow(sys, midpoint_flow(sys, pts, 0.9, 64), -0.9, 64)
     assert np.max(np.abs(back - pts)) < 1e-9
 
 
-def test_time_map_value_and_jacobian_is_one_integration():
-    f = hamiltonian_time_map(pendulum(), 0.7, steps=32)
+def test_midpoint_jacobian_leaves_the_image_unchanged():
+    # the variational product rides along: the image carries the same bits
+    # with and without it
     p = np.random.default_rng(9).uniform(-0.5, 0.5, (50, 2))
-    img, J = f.value_and_jacobian(p)
-    assert np.array_equal(img, f(p))
-    assert np.array_equal(J, f.jacobian(p))
+    img, J = _midpoint_steps(pendulum(), p, 0.7, 32, MIDPOINT_TOL, True)
+    assert J.shape == (50, 2, 2)
+    assert np.array_equal(img, midpoint_flow(pendulum(), p, 0.7, 32))
 
 
 def test_pendulum_variational_jacobian_vs_fd():
     sys = pendulum()
-    flow = hamiltonian_time_map(sys, 0.5, steps=50)
     p = np.array([0.21, -0.33])
-    J = flow.jacobian(p)
-    J_fd = finite_difference_jacobian(flow.fwd, p)
+    _, J = _midpoint_steps(sys, p, 0.5, 50, MIDPOINT_TOL, True)
+    J_fd = finite_difference_jacobian(lambda q: midpoint_flow(sys, q, 0.5, 50), p)
     assert np.max(np.abs(J - J_fd)) < 5e-7
     assert abs(np.linalg.det(J) - 1.0) < 1e-13
 
@@ -78,8 +80,8 @@ def test_pendulum_variational_jacobian_vs_fd():
 def test_pendulum_energy_drift_second_order():
     sys = pendulum()
     pts = np.random.default_rng(2).normal(size=(50, 2)) * 0.4
-    d1 = energy_drift(pendulum_energy, hamiltonian_time_map(sys, 1.0, steps=50), pts)
-    d2 = energy_drift(pendulum_energy, hamiltonian_time_map(sys, 1.0, steps=100), pts)
+    d1 = energy_drift(pendulum_energy, lambda q: midpoint_flow(sys, q, 1.0, 50), pts)
+    d2 = energy_drift(pendulum_energy, lambda q: midpoint_flow(sys, q, 1.0, 100), pts)
     assert d1 < 2e-4
     assert d2 < d1 / 2.5  # ~4x reduction expected at 2nd order
 
@@ -87,9 +89,9 @@ def test_pendulum_energy_drift_second_order():
 def test_midpoint_second_order_convergence():
     sys = pendulum()
     p = np.array([0.3, 0.2])
-    ref = hamiltonian_time_map(sys, 1.0, steps=4096)(p)
-    e1 = np.max(np.abs(hamiltonian_time_map(sys, 1.0, steps=64)(p) - ref))
-    e2 = np.max(np.abs(hamiltonian_time_map(sys, 1.0, steps=128)(p) - ref))
+    ref = midpoint_flow(sys, p, 1.0, 4096)
+    e1 = np.max(np.abs(midpoint_flow(sys, p, 1.0, 64) - ref))
+    e2 = np.max(np.abs(midpoint_flow(sys, p, 1.0, 128) - ref))
     assert 3.0 < e1 / e2 < 5.0
 
 
@@ -138,12 +140,13 @@ def test_midpoint_result_independent_of_batch():
             assert np.array_equal(M[i], Mi)
 
 
-def test_midpoint_newton_fallback_matches_fixed_point():
+def test_midpoint_newton_fallback_matches_fixed_point(monkeypatch):
     # with a single fixed-point sweep every point goes to the Newton solve
     sys = pendulum()
     pts = np.random.default_rng(4).normal(size=(40, 2)) * 0.6
     z, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False)
-    zn, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False, fp_cap=1)
+    monkeypatch.setattr(hamiltonian, "FP_CAP", 1)
+    zn, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False)
     assert np.max(np.abs(zn - z)) < 1e-12
 
 
@@ -161,7 +164,8 @@ def test_midpoint_fourth_order_newton_fallback_matches_fixed_point(monkeypatch):
         return inv2(A)
 
     monkeypatch.setattr(hamiltonian, "inv2", spy)
-    zn, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False, fp_cap=1, order=4)
+    monkeypatch.setattr(hamiltonian, "FP_CAP", 1)
+    zn, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False, order=4)
     stages = [g * (0.8 / 32) for g in hamiltonian._STAGES[4]]
     assert min(stages) < 0.0
     assert set(seen) == set(stages)
@@ -171,6 +175,5 @@ def test_midpoint_fourth_order_newton_fallback_matches_fixed_point(monkeypatch):
 
 def test_zero_time_map_is_identity():
     sys = pendulum()
-    flow = hamiltonian_time_map(sys, 0.0, steps=1)
     p = np.array([[0.4, 0.1]])
-    assert np.max(np.abs(flow(p) - p)) < 1e-15
+    assert np.max(np.abs(midpoint_flow(sys, p, 0.0, 1) - p)) < 1e-15

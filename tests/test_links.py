@@ -300,8 +300,8 @@ def test_splitting_stack_matches_its_rows(side):
 
 
 def test_stable_curve_shears_its_samples_as_the_shear_map_would():
-    # S_{-psi} keeps x, so shearing the samples is bitwise the identity path
-    # of the shear's graph transform, also on a hooked model
+    # S_{-psi} keeps x, so shearing the samples is bitwise the shear's graph
+    # transform, an alpha = 1 contraction, also on a hooked model
     g = LinkGeometry()
     model = build_suitable_model(hook=_b_band_hook(g))
     psit = random_trig_poly(g.tau, harmonics=5, amplitude=2e-3,
