@@ -140,8 +140,8 @@ class SurgeryProfile:
         at most _ROOT_ULPS ulp of the target (psi's bridge carries up to ~7
         ulp of rounding noise, so a tighter test would update brackets from
         the sign of noise and could cycle), its step is at most 2 ulp, or
-        its bracket has shrunk to 4 ulp; each sweep visits only the points
-        still active.
+        its bracket has shrunk to 4 ulp.  Every sweep runs over all bridge
+        points, and a stopped point keeps its value.
 
         Raises RuntimeError if a residual is not finite or a point is still
         active after _ROOT_CAP iterations.
@@ -153,30 +153,28 @@ class SurgeryProfile:
         mid = np.nonzero((v > v1) & (v < self.r2))[0]
         target = v[mid]
         x = self.r1 + (target - v1) * (self._step.width / (self.r2 - v1))
-        lo, hi = np.full(x.shape, self.r1), np.full(x.shape, self.r2)
+        lo, hi = self.r1, self.r2
         r_floor = _ROOT_ULPS * np.spacing(target)
-        act = np.arange(x.size)
+        live = np.ones(x.shape, dtype=bool)
         for _ in range(_ROOT_CAP):
-            if act.size == 0:
+            if not live.any():
                 break
-            xa, la, ha = x[act], lo[act], hi[act]
-            s, s1 = self._step.value_and_d1(xa)
-            r = xa - self.rho_lo * (1.0 - s) - target[act]
+            s, s1 = self._step.value_and_d1(x)
+            r = x - self.rho_lo * (1.0 - s) - target
             if not np.all(np.isfinite(r)):
                 raise RuntimeError("psi_inv: non-finite residual")
-            done = np.abs(r) <= r_floor[act]
-            la = np.where(r < 0, xa, la)
-            ha = np.where(r > 0, xa, ha)
-            xn = xa - r / (1.0 + self.rho_lo * s1)
-            xn = np.where((xn > la) & (xn < ha), xn, 0.5 * (la + ha))
-            floor = 2 * np.spacing(xa)
-            tiny = (np.abs(xn - xa) <= floor) | (ha - la <= 2 * floor)
-            x[act] = np.where(done, xa, xn)
-            lo[act], hi[act] = la, ha
-            act = act[~(done | tiny)]
-        if act.size:
-            raise RuntimeError(f"psi_inv: {act.size} points unconverged after "
-                               f"{_ROOT_CAP} iterations")
+            done = np.abs(r) <= r_floor
+            lo = np.where(r < 0, x, lo)
+            hi = np.where(r > 0, x, hi)
+            xn = x - r / (1.0 + self.rho_lo * s1)
+            xn = np.where((xn > lo) & (xn < hi), xn, 0.5 * (lo + hi))
+            floor = 2 * np.spacing(x)
+            tiny = (np.abs(xn - x) <= floor) | (hi - lo <= 2 * floor)
+            x = np.where(live & ~done, xn, x)
+            live &= ~(done | tiny)
+        if live.any():
+            raise RuntimeError(f"psi_inv: {np.count_nonzero(live)} points unconverged "
+                               f"after {_ROOT_CAP} iterations")
         out[mid] = x
         return float(out[0]) if scalar else out
 
@@ -368,48 +366,30 @@ class IslandMap:
         t = SIGMA * (1 if direction > 0 else -1)
 
         d, r2 = self._chart(p)
-        inside = r2 <= self._in2    # flow regime
-        fl = np.nonzero(inside)[0]
-        if fl.size == 0:
-            # surgery regime only (as on the entropy grid): one pass
-            out, J = self._surgered(p, d, r2, mat, with_jac)
-        else:
-            out = np.empty_like(p)
-            J = np.empty(p.shape + (2,), dtype=float) if with_jac else None
-            # flow regime, all four discs in one integration
-            di = d[fl]
-            r2m = r2[fl]
-            pm = p[fl]
-            snap = np.abs(r2m - self._circ2) <= self._circ_band
-            if np.any(snap):
-                scale = (self.profile.delta / np.sqrt(r2m[snap]))[:, None]
-                shift = di[snap] * (scale - 1.0)
-                di[snap] += shift
-                pm[snap] = wrap_torus(pm[snap] + shift)
-            out[fl], Jf = self._flow(pm, di, t, steps, with_jac, order, tol)
-            if with_jac:
-                J[fl] = Jf
-            # surgery regime: Psi, then A, then Psi^{-1}
-            sm = np.nonzero(~inside)[0]
-            if sm.size:
-                out[sm], Js = self._surgered(p[sm], d[sm], r2[sm], mat, with_jac)
-                if with_jac:
-                    J[sm] = Js
-
-        out = out.reshape(shape)
+        # every point through the surgery regime, Psi, then A, then Psi^{-1};
+        # flow points go at the slack radius, which keeps psi(rho) > 0 under
+        # the square root, and the flow then overwrites them
+        out, J = self._surgered(p, d, np.maximum(r2, self._in2), mat, with_jac)
+        # flow regime, all four discs in one integration
+        fl = np.nonzero(r2 <= self._in2)[0]
+        di, r2m, pm = d[fl], r2[fl], p[fl]
+        snap = np.abs(r2m - self._circ2) <= self._circ_band
+        if np.any(snap):
+            scale = (self.profile.delta / np.sqrt(r2m[snap]))[:, None]
+            shift = di[snap] * (scale - 1.0)
+            di[snap] += shift
+            pm[snap] = wrap_torus(pm[snap] + shift)
+        out[fl], Jf = self._flow(pm, di, t, steps, with_jac, order, tol)
         if with_jac:
-            return out, J.reshape(shape + (2,))
-        return out
+            J[fl] = Jf
+            J = J.reshape(shape + (2,))
+        return out.reshape(shape), J
 
     def __call__(self, p):
-        return self._eval(p, 1, with_jac=False)
-
-    def jacobian(self, p):
-        _, J = self._eval(p, 1, with_jac=True)
-        return J
+        return self._eval(p)[0]
 
     def inverse(self, q):
-        return self._eval(q, -1, with_jac=False)
+        return self._eval(q, -1)[0]
 
     def area_density(self, p):
         """Density of the invariant form: psi'(rho) on annuli, 1 elsewhere."""
@@ -420,12 +400,8 @@ class IslandMap:
         return self.profile.psi_d1(0.5 * r2).reshape(p.shape[:-1])
 
     def descriptor(self):
-        return MapDescriptor(
-            "Fhat", lambda p: self(p), lambda p: self.jacobian(p),
-            lambda q: self.inverse(q),
-            area_density=lambda p: self.area_density(p),
-            fwd_jac=lambda p: self._eval(p, 1, None, with_jac=True),
-        )
+        return MapDescriptor("Fhat", lambda p, with_jac: self._eval(p, with_jac=with_jac),
+                             self.inverse, area_density=self.area_density)
 
     def island_mask(self, p):
         """True for points outside every open disc V_i."""
@@ -446,7 +422,7 @@ class IslandMap:
         inside the circle are outside the domain and rejected.  The
         Jacobian is undefined on and inside the circle."""
 
-        def apply(p, inverse, with_jac):
+        def apply(p, with_jac, inverse=False):
             p = np.asarray(p, dtype=float)
             flat = wrap_torus(p.reshape(-1, 2))
             d, r2 = self._chart(flat)
@@ -470,10 +446,7 @@ class IslandMap:
                 J = J.reshape(p.shape + (2,))
             return out.reshape(p.shape), J
 
-        return MapDescriptor("Psi", lambda p: apply(p, False, False)[0],
-                             lambda p: apply(p, False, True)[1],
-                             lambda q: apply(q, True, False)[0],
-                             fwd_jac=lambda p: apply(p, False, True))
+        return MapDescriptor("Psi", apply, lambda q: apply(q, False, True)[0])
 
 
 # ----------------------------------------------------------------------

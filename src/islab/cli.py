@@ -21,7 +21,8 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .blowup import SIGMA, IslandMap, link_saddles, symmetry_and_identity_report
-from .config import ConfigError, ExperimentConfig, validate as validate_raw, parse_text
+from .config import (COMMON_SCHEMA, ConfigError, ExperimentConfig, validate as validate_raw,
+                     parse_text)
 from .curves import BumpFn, MaskedPeriodic, PeriodicFn, curve_sup_diff, random_trig_poly
 from .links import (LinkGeometry, build_suitable_model, restore_link_a, restore_link_b,
                     restoration_b_reference, splitting_a, splitting_a_reference,
@@ -402,7 +403,11 @@ def _cmd_run(args):
     if args.out is not None:
         cfg.out = args.out
     if args.seed is not None:
-        cfg.seed = args.seed
+        try:
+            cfg.seed = COMMON_SCHEMA["seed"].parse(args.seed)
+        except ValueError as e:
+            print(f"config error: seed: {e}", file=sys.stderr)
+            return 2
     try:
         report, code = run(cfg, threads=args.threads)
         paths = emit_plot_data(report, cfg.out)

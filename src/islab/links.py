@@ -138,13 +138,11 @@ class SuitableModel:
                 raise ValueError(f"point outside the model {what}")
             return out
 
-        def fwd(p):
-            p = np.asarray(p, dtype=float)
-            return piecewise(classify(p), [piece.fwd(p) for piece in pieces], "region")
-
-        def jac(p):
-            p = np.asarray(p, dtype=float)
-            return piecewise(classify(p), [piece.jac(p) for piece in pieces], "region")
+        def ev(p, with_jac):
+            masks = classify(p)
+            vals, jacs = zip(*(piece.ev(p, with_jac) for piece in pieces))
+            return (piecewise(masks, vals, "region"),
+                    piecewise(masks, jacs, "region") if with_jac else None)
 
         def inv(q):
             q = np.asarray(q, dtype=float)
@@ -163,7 +161,7 @@ class SuitableModel:
                 cov = cov | m
             return cov
 
-        return MapDescriptor("Fstar", fwd, jac, inv, domain=domain)
+        return MapDescriptor("Fstar", ev, inv, domain=domain)
 
     def _validate_hook(self):
         """The hook must be symplectic and C^1-close to the identity on the
@@ -175,8 +173,8 @@ class SuitableModel:
             for dy in (-self.band / 2, 0.0, self.band / 2):
                 frame.append(np.stack([xs, np.full_like(xs, level + dy)], axis=-1))
         frame = np.concatenate(frame)
-        disp = np.max(np.abs(self.hook(frame) - frame))
-        J = self.hook.jacobian(frame)
+        img, J = self.hook.value_and_jacobian(frame)
+        disp = np.max(np.abs(img - frame))
         jdisp = np.max(np.abs(J - np.eye(2)))
         if max(disp, jdisp) > 0.1:
             raise ValueError("perturbation hook exceeds C^1 distance 0.1 from the identity")

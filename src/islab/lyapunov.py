@@ -189,8 +189,7 @@ def cone_certificate(f, p, n, conjugator=None):
     ratios = np.empty(n)
     first_failure = None
     for k in range(n):
-        fx = f(x)
-        M = f.jacobian(x)
+        fx, M = f.value_and_jacobian(x)
         if conjugator is not None:
             M = conjugator.jacobian(fx) @ M @ inv2(conjugator.jacobian(x))
         cols_ok = np.all(M >= 0.0)

@@ -31,43 +31,6 @@ def torus_diff(p, q):
     return d - np.round(d)
 
 
-def finite_difference_jacobian(f, p, h=None, wrap_output=False):
-    """Central finite-difference Jacobian of f at p: the reference that
-    tests hold the analytic Jacobians against.
-
-    Parameters
-    ----------
-    f : callable
-        Map taking (..., 2) arrays to (..., 2) arrays.
-    p : array, shape (..., 2)
-    h : float or None
-        Step size.  Default is componentwise 1e-6 * (1 + |p_i|).
-    wrap_output : bool
-        If True, image differences are reduced to the shortest torus
-        representative before dividing (use for maps that wrap mod 1).
-
-    Returns
-    -------
-    J : array, shape (..., 2, 2)
-    """
-    p = np.asarray(p, dtype=float)
-    if h is None:
-        step = 1e-6 * (1.0 + np.abs(p))
-    else:
-        step = np.broadcast_to(float(h), p.shape).copy()
-    J = np.empty(p.shape + (2,), dtype=float)
-    for j in range(2):
-        dp = np.zeros_like(p)
-        dp[..., j] = step[..., j]
-        fp = np.asarray(f(p + dp), dtype=float)
-        fm = np.asarray(f(p - dp), dtype=float)
-        diff = fp - fm
-        if wrap_output:
-            diff = diff - np.round(diff)
-        J[..., :, j] = diff / (2.0 * step[..., j])[..., None]
-    return J
-
-
 @dataclass
 class MapDescriptor:
     """A(n invertible) planar or toral map with its analytic Jacobian.
@@ -75,10 +38,11 @@ class MapDescriptor:
     Attributes
     ----------
     name : str
-    fwd : callable
-        Evaluation, (..., 2) -> (..., 2).  Torus maps return wrapped output.
-    jac : callable
-        Analytic Jacobian, (..., 2) -> (..., 2, 2), on the plane lift.
+    ev : callable
+        Evaluation (p, with_jac) -> (f(p), Df(p) or None): the image, shape
+        (..., 2), and when with_jac the analytic Jacobian on the plane
+        lift, shape (..., 2, 2), from one pass.  Torus maps return wrapped
+        images.
     inv : callable or None
         Exact inverse evaluation, if one is known in closed form.
     domain : callable or None
@@ -87,31 +51,22 @@ class MapDescriptor:
         Density mu(p) > 0 when the map preserves mu * dx dy rather than
         dx dy.  Symplecticity checks then weigh the determinant as
         mu(f(p)) det Df(p) / mu(p).
-    fwd_jac : callable or None
-        Fused evaluation p -> (fwd(p), jacobian(p)) for maps whose image
-        and Jacobian share most of their work.
     """
 
     name: str
-    fwd: Callable
-    jac: Callable
+    ev: Callable
     inv: Optional[Callable] = None
     domain: Optional[Callable] = None
     area_density: Optional[Callable] = None
-    fwd_jac: Optional[Callable] = None
 
     def __call__(self, p):
-        return self.fwd(np.asarray(p, dtype=float))
+        return self.ev(np.asarray(p, dtype=float), False)[0]
 
     def value_and_jacobian(self, p):
-        """(f(p), Df(p)) in one evaluation when `fwd_jac` is set."""
-        p = np.asarray(p, dtype=float)
-        if self.fwd_jac is not None:
-            return self.fwd_jac(p)
-        return self(p), self.jacobian(p)
+        return self.ev(np.asarray(p, dtype=float), True)
 
     def jacobian(self, p):
-        return self.jac(np.asarray(p, dtype=float))
+        return self.ev(np.asarray(p, dtype=float), True)[1]
 
     def inverse(self, q):
         if self.inv is None:
@@ -121,9 +76,10 @@ class MapDescriptor:
     def symplectic_defect(self, p):
         """|mu(f p) det Df(p) / mu(p) - 1| (mu = 1 when no density is set)."""
         p = np.asarray(p, dtype=float)
-        det = np.linalg.det(self.jacobian(p))
+        fp, J = self.ev(p, True)
+        det = np.linalg.det(J)
         if self.area_density is not None:
-            det = det * self.area_density(self.fwd(p)) / self.area_density(p)
+            det = det * self.area_density(fp) / self.area_density(p)
         return np.abs(det - 1.0)
 
 
@@ -131,24 +87,19 @@ def compose(*maps, name=None):
     """Composition m_1 o m_2 o ... o m_k (rightmost applied first).
 
     Image and Jacobian come from one pass along the chain, each factor's
-    `value_and_jacobian` feeding the chain rule; the inverse exists when
-    every factor carries one.  The composite inherits `domain` from the
-    rightmost factor.
+    `ev` feeding the chain rule; the inverse exists when every factor
+    carries one.  The composite inherits `domain` from the rightmost
+    factor.
     """
     if not maps:
         raise ValueError("compose() needs at least one map")
     if len(maps) == 1:
         return maps[0]
 
-    def fwd(p):
+    def ev(p, with_jac):
+        J = None    # stays None without with_jac: every factor's Jm is None
         for m in reversed(maps):
-            p = m.fwd(p)
-        return p
-
-    def fwd_jac(p):
-        J = None
-        for m in reversed(maps):
-            p, Jm = m.value_and_jacobian(p)
+            p, Jm = m.ev(p, with_jac)
             J = Jm if J is None else Jm @ J
         return p, J
 
@@ -159,14 +110,8 @@ def compose(*maps, name=None):
                 q = m.inv(q)
             return q
 
-    return MapDescriptor(
-        name=name or "(" + "∘".join(m.name for m in maps) + ")",
-        fwd=fwd,
-        jac=lambda p: fwd_jac(p)[1],
-        inv=inv,
-        domain=maps[-1].domain,
-        fwd_jac=fwd_jac,
-    )
+    return MapDescriptor(name or "(" + "∘".join(m.name for m in maps) + ")",
+                         ev, inv, domain=maps[-1].domain)
 
 
 def inv2(J):
@@ -202,14 +147,15 @@ def mul2(A, B):
 
 def inverse_descriptor(m):
     """Descriptor for m^-1 from m's exact inverse; its Jacobian is the
-    inverse of Dm at the preimage."""
+    inverse of Dm at the preimage, which is evaluated once for both."""
     if m.inv is None:
         raise ValueError(f"{m.name}: no closed-form inverse")
 
-    def jac(q):
-        return inv2(m.jacobian(m.inv(q)))
+    def ev(q, with_jac):
+        p = m.inv(q)
+        return p, (inv2(m.jacobian(p)) if with_jac else None)
 
-    return MapDescriptor(m.name + "^-1", m.inv, jac, m.fwd)
+    return MapDescriptor(m.name + "^-1", ev, m)
 
 
 # ----------------------------------------------------------------------
@@ -225,16 +171,14 @@ def anosov_map():
     """Linear hyperbolic torus automorphism p -> A p (mod 1), A = ANOSOV."""
     Ainv = inv2(ANOSOV)
 
-    def fwd(p):
-        return wrap_torus(p @ ANOSOV.T)
-
-    def jac(p):
-        return np.broadcast_to(ANOSOV, np.shape(p)[:-1] + (2, 2)).copy()
+    def ev(p, with_jac):
+        J = np.broadcast_to(ANOSOV, p.shape[:-1] + (2, 2)).copy() if with_jac else None
+        return wrap_torus(p @ ANOSOV.T), J
 
     def inv(q):
         return wrap_torus(q @ Ainv.T)
 
-    return MapDescriptor("F_A", fwd, jac, inv)
+    return MapDescriptor("F_A", ev, inv)
 
 
 def chirikov_map(a):
@@ -251,24 +195,23 @@ def chirikov_map(a):
         a = np.asarray(a, dtype=float)
         name = f"T_a(a=[{a.size} values])"
 
-    def fwd(p):
+    def ev(p, with_jac):
         x, y = p[..., 0], p[..., 1]
-        return wrap_torus(np.stack([2.0 * x - y + a * np.sin(2 * np.pi * x), x], axis=-1))
-
-    def jac(p):
-        x = p[..., 0]
-        J = np.empty(np.shape(p)[:-1] + (2, 2), dtype=float)
+        out = wrap_torus(np.stack([2.0 * x - y + a * np.sin(2 * np.pi * x), x], axis=-1))
+        if not with_jac:
+            return out, None
+        J = np.empty(p.shape[:-1] + (2, 2), dtype=float)
         J[..., 0, 0] = 2.0 + 2 * np.pi * a * np.cos(2 * np.pi * x)
         J[..., 0, 1] = -1.0
         J[..., 1, 0] = 1.0
         J[..., 1, 1] = 0.0
-        return J
+        return out, J
 
     def inv(q):
         X, Y = q[..., 0], q[..., 1]
         return wrap_torus(np.stack([Y, 2.0 * Y + a * np.sin(2 * np.pi * Y) - X], axis=-1))
 
-    return MapDescriptor(name, fwd, jac, inv)
+    return MapDescriptor(name, ev, inv)
 
 
 def shear_map(psi, dpsi, name="S_psi"):
@@ -276,24 +219,23 @@ def shear_map(psi, dpsi, name="S_psi"):
 
     `psi` maps x-arrays to arrays; `dpsi` is its derivative.
     """
-    def fwd(p):
+    def ev(p, with_jac):
         out = np.array(p, dtype=float, copy=True)
         out[..., 1] += psi(p[..., 0])
-        return out
-
-    def jac(p):
-        J = np.zeros(np.shape(p)[:-1] + (2, 2), dtype=float)
+        if not with_jac:
+            return out, None
+        J = np.zeros(p.shape[:-1] + (2, 2), dtype=float)
         J[..., 0, 0] = 1.0
         J[..., 1, 1] = 1.0
         J[..., 1, 0] = dpsi(p[..., 0])
-        return J
+        return out, J
 
     def inv(q):
         out = np.array(q, dtype=float, copy=True)
         out[..., 1] -= psi(q[..., 0])
         return out
 
-    return MapDescriptor(name, fwd, jac, inv)
+    return MapDescriptor(name, ev, inv)
 
 
 def henon_like(psi, dpsi, name="H_psi"):
@@ -303,22 +245,22 @@ def henon_like(psi, dpsi, name="H_psi"):
     Exact inverse (xb, yb) -> (psi(xb) - yb, xb).  With psi = 0 this is the
     clockwise quarter turn H_0, and H_0^4 = id.
     """
-    def fwd(p):
+    def ev(p, with_jac):
         x, y = p[..., 0], p[..., 1]
-        return np.stack([y, -x + psi(y)], axis=-1)
-
-    def jac(p):
-        J = np.zeros(np.shape(p)[:-1] + (2, 2), dtype=float)
+        out = np.stack([y, -x + psi(y)], axis=-1)
+        if not with_jac:
+            return out, None
+        J = np.zeros(p.shape[:-1] + (2, 2), dtype=float)
         J[..., 0, 1] = 1.0
         J[..., 1, 0] = -1.0
-        J[..., 1, 1] = dpsi(p[..., 1])
-        return J
+        J[..., 1, 1] = dpsi(y)
+        return out, J
 
     def inv(q):
         xb, yb = q[..., 0], q[..., 1]
         return np.stack([psi(xb) - yb, xb], axis=-1)
 
-    return MapDescriptor(name, fwd, jac, inv)
+    return MapDescriptor(name, ev, inv)
 
 
 def quarter_turn():
@@ -334,16 +276,14 @@ def affine_map(name, scale, shift):
     shift = np.asarray(shift, dtype=float)
     A = np.diag(scale)
 
-    def fwd(p):
-        return p * scale + shift
-
-    def jac(p):
-        return np.broadcast_to(A, np.shape(p)[:-1] + (2, 2)).copy()
+    def ev(p, with_jac):
+        J = np.broadcast_to(A, p.shape[:-1] + (2, 2)).copy() if with_jac else None
+        return p * scale + shift, J
 
     def inv(q):
         return (q - shift) / scale
 
-    return MapDescriptor(name, fwd, jac, inv)
+    return MapDescriptor(name, ev, inv)
 
 
 def rotation_map(angle):
@@ -351,14 +291,12 @@ def rotation_map(angle):
     c, s = np.cos(angle), np.sin(angle)
     R = np.array([[c, -s], [s, c]])
 
-    def fwd(p):
-        return p @ R.T
-
-    def jac(p):
-        return np.broadcast_to(R, np.shape(p)[:-1] + (2, 2)).copy()
+    def ev(p, with_jac):
+        J = np.broadcast_to(R, p.shape[:-1] + (2, 2)).copy() if with_jac else None
+        return p @ R.T, J
 
     def inv(q):
         return q @ R
 
-    return MapDescriptor(f"R({angle:g})", fwd, jac, inv)
+    return MapDescriptor(f"R({angle:g})", ev, inv)
 

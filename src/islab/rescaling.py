@@ -50,39 +50,35 @@ class SaddleNormalForm:
     def _factor(self, u, k):
         return np.exp(k * self.hprime(u))
 
-    def iterate(self, p, k=1):
-        p = np.asarray(p, dtype=float)
-        u = p[..., 0] * p[..., 1]
-        f = self._factor(u, k)
-        return np.stack([f * p[..., 0], p[..., 1] / f], axis=-1)
-
-    def jacobian_k(self, p, k=1):
+    def _ev(self, p, with_jac, k):
+        """k-fold iterate of points p, and its Jacobian when with_jac (else
+        None)."""
         p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
         u = x * y
         f = self._factor(u, k)
+        out = np.stack([f * x, y / f], axis=-1)
+        if not with_jac:
+            return out, None
         a = 2.0 * k * self.c2
         J = np.empty(p.shape[:-1] + (2, 2))
         J[..., 0, 0] = f * (1.0 + a * u)
         J[..., 0, 1] = f * a * x * x
         J[..., 1, 0] = -(a * y * y) / f
         J[..., 1, 1] = (1.0 - a * u) / f
-        return J
+        return out, J
+
+    def iterate(self, p, k=1):
+        return self._ev(p, False, k)[0]
 
     def descriptor(self, k=1):
-        def fwd(p):
-            return self.iterate(p, k)
-
-        def jac(p):
-            return self.jacobian_k(p, k)
-
         def inv(q):
             q = np.asarray(q, dtype=float)
             u = q[..., 0] * q[..., 1]  # conserved, so usable from the image
             f = self._factor(u, k)
             return np.stack([q[..., 0] / f, f * q[..., 1]], axis=-1)
 
-        return MapDescriptor(f"T0^{k}", fwd, jac, inv)
+        return MapDescriptor(f"T0^{k}", lambda p, with_jac: self._ev(p, with_jac, k), inv)
 
     # -- boundary-value form ---------------------------------------------------
 
@@ -158,21 +154,17 @@ class TransitionMap:
     def _Xp(self, w):
         return 1.0 + 2.0 * self.a * (w - self.x_plus)
 
-    def __call__(self, p):
-        p = np.asarray(p, dtype=float)
-        x, y = p[..., 0], p[..., 1]
-        v = y - self.y_minus + self.u_poly(x)
-        w = self.x_plus + self.b * v
-        z = self.c * x
-        return np.stack([self._X(w), z / self._Xp(w)], axis=-1)
-
-    def jacobian(self, p):
+    def _ev(self, p, with_jac):
+        """T1(p), and DT1(p) when with_jac (else None)."""
         p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
         v = y - self.y_minus + self.u_poly(x)
         w = self.x_plus + self.b * v
         Xp = self._Xp(w)
         z = self.c * x
+        out = np.stack([self._X(w), z / Xp], axis=-1)
+        if not with_jac:
+            return out, None
         du = self.du_poly(x)
         # chain: dw = b (du dx + dy); dX = X' dw; dz = c dx
         # second row: d(z/X') = dz/X' - z X''/(X'^2) dw
@@ -181,7 +173,10 @@ class TransitionMap:
         J[..., 0, 1] = Xp * self.b
         J[..., 1, 0] = self.c / Xp - z * (2.0 * self.a) / Xp ** 2 * self.b * du
         J[..., 1, 1] = -z * (2.0 * self.a) / Xp ** 2 * self.b
-        return J
+        return out, J
+
+    def __call__(self, p):
+        return self._ev(p, False)[0]
 
     def inverse(self, q):
         q = np.asarray(q, dtype=float)
@@ -198,7 +193,7 @@ class TransitionMap:
         return np.stack([x, y], axis=-1)
 
     def descriptor(self, name="T1"):
-        return MapDescriptor(name, self.__call__, self.jacobian, self.inverse)
+        return MapDescriptor(name, self._ev, self.inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +466,7 @@ def build_perturbation(model, k, psi_list):
         y1 = y0 + sign * psihats[i](p[..., 0])
         return (np.abs(x) <= ix) & (np.abs(y0) <= iy) & (np.abs(y1) <= iy)
 
-    def apply(p, sign, with_jac):
+    def apply(p, with_jac, sign=1.0):
         """g (sign +1) or g^-1 (sign -1) of points p, and its Jacobian when
         with_jac (else None)."""
         p = np.asarray(p, dtype=float)
@@ -495,10 +490,7 @@ def build_perturbation(model, k, psi_list):
                     J[mc] = Jm
         return out.reshape(p.shape), (J.reshape(p.shape + (2,)) if with_jac else None)
 
-    g = MapDescriptor(f"g[k={k}]", lambda p: apply(p, 1.0, False)[0],
-                      lambda p: apply(p, 1.0, True)[1],
-                      lambda q: apply(q, -1.0, False)[0],
-                      fwd_jac=lambda p: apply(p, 1.0, True))
+    g = MapDescriptor(f"g[k={k}]", apply, lambda q: apply(q, False, -1.0)[0])
     return g, psihats, bumps
 
 

@@ -19,9 +19,10 @@ from islab.blowup import (
     symmetry_and_identity_report,
     to_polar,
 )
-from islab.maps import finite_difference_jacobian, torus_diff, wrap_torus
+from islab.maps import torus_diff, wrap_torus
 
-from construction_checks import EXP_2SIGMA, flow_matches_linear_map, regime_consistency
+from construction_checks import (EXP_2SIGMA, finite_difference_jacobian, flow_matches_linear_map,
+                                 regime_consistency)
 
 
 @pytest.fixture(scope="module")

@@ -301,6 +301,16 @@ def test_main_seed_override(tmp_path):
     assert payload["config"]["seed"] == 99
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_main_seed_override_outside_the_schema_exit_2(tmp_path, capsys, seed):
+    # the override is held to the schema's seed range, as a config's seed is
+    path = _write_cfg(tmp_path, SCAN)
+    out = tmp_path / "o"
+    assert main(["run", path, "--out", str(out), "--seed", seed]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed: ")
+    assert not out.exists()
+
+
 def test_console_script_end_to_end(tmp_path):
     path = _write_cfg(tmp_path, RESC)
     out = str(tmp_path / "cli_out")

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
+from construction_checks import separate_map
 import islab.curves as curves
 from islab.curves import (
     BumpFn,
@@ -33,7 +34,7 @@ def _affine(name, ax, bx, ay, by):
     def inv(q):
         return (q - np.array([bx, by])) / np.array([ax, ay])
 
-    return MapDescriptor(name, fwd, jac, inv)
+    return separate_map(name, fwd, jac, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +451,7 @@ def _bendy_map(nan_where=None):
         return np.stack([np.stack([o, 0.1 * np.cos(p[..., 1])], axis=-1),
                          np.stack([0.05 * o, o], axis=-1)], axis=-2)
 
-    return MapDescriptor("bendy", fwd, jac)
+    return separate_map("bendy", fwd, jac)
 
 
 @pytest.mark.parametrize("nan_where", [
@@ -475,10 +476,10 @@ def test_transform_evaluates_each_factor_once():
     calls = {}
 
     def counted(m):
-        def fwd(p):
+        def ev(p, with_jac):
             calls[m.name] = calls.get(m.name, 0) + 1
-            return m.fwd(p)
-        return MapDescriptor(m.name, fwd, m.jac, m.inv)
+            return m.ev(p, with_jac)
+        return MapDescriptor(m.name, ev, m.inv)
 
     f = compose(counted(shear_map(lambda x: 0.05 * np.sin(3 * x),
                                   lambda x: 0.15 * np.cos(3 * x))),
@@ -504,7 +505,7 @@ def test_transform_fold_raises_with_location():
         return np.stack([np.stack([2 * (p[..., 0] - 0.5), z], axis=-1),
                          np.stack([z, o], axis=-1)], axis=-2)
 
-    f = MapDescriptor("parabola", fwd, jac)
+    f = separate_map("parabola", fwd, jac)
     c = _wave_curve()
     with pytest.raises(TransversalityError) as err:
         graph_transform(f, c)
@@ -617,7 +618,7 @@ def test_transform_non_affine_x_rule_raises():
         J[..., 1, 1] = 1.0
         return J
 
-    f = MapDescriptor("wavy-x", fwd, jac)
+    f = separate_map("wavy-x", fwd, jac)
     c = _wave_curve()
     for curve in (c, GraphCurve(0.0, 1.0, np.stack([c.samples, c.samples + 0.1]))):
         with pytest.raises(ValueError, match="^graph_transform: wavy-x has an x-rule that "
@@ -632,7 +633,7 @@ def _swap():
         J[..., 0, 1] = J[..., 1, 0] = 1.0
         return J
 
-    return MapDescriptor("swap", lambda p: p[..., ::-1].copy(), jac)
+    return separate_map("swap", lambda p: p[..., ::-1].copy(), jac)
 
 
 def test_transform_stack_reports_first_tangent_column():

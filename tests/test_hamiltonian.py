@@ -2,10 +2,10 @@ from collections import Counter
 
 import numpy as np
 
-from construction_checks import energy_drift, saddle_system
+from construction_checks import energy_drift, finite_difference_jacobian, saddle_system
 from islab import hamiltonian
 from islab.hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
-from islab.maps import finite_difference_jacobian, inv2
+from islab.maps import inv2
 
 SIGMA = np.log(9 + 4 * np.sqrt(5))
 

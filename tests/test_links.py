@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from construction_checks import (PsiChart, chart_area_defect, chart_conjugacy_defect,
-                                 chart_identity_defect)
+                                 chart_identity_defect, separate_map)
 from islab import cli, links
 from islab.curves import (PERIODIC_SAMPLES, BumpFn, MaskedPeriodic, PeriodicFn, curve_sup_diff,
                           graph_transform, random_trig_poly)
@@ -20,7 +20,7 @@ from islab.links import (
     stable_curve,
     unstable_curve,
 )
-from islab.maps import MapDescriptor, compose, shear_map
+from islab.maps import compose, shear_map
 
 
 def _model():
@@ -53,7 +53,7 @@ def _general_hook(g):
     def inv(q):
         return np.stack([q[..., 0] - c * (q[..., 1] - g.y1), q[..., 1]], axis=-1)
 
-    H = MapDescriptor("H", fwd, jac, inv)
+    H = separate_map("H", fwd, jac, inv)
     eta = BumpFn(g.x_a - 2 * g.tau + 2 * g.delta, g.x_a - 2 * g.delta, 0.25, height=1e-3)
     return compose(shear_map(eta, eta.d1, name="S_eta"), H, name="G")
 
@@ -143,8 +143,8 @@ def test_hook_validation():
     def jac(p):
         return np.broadcast_to(np.diag([1.0, 1.001]), np.shape(p)[:-1] + (2, 2)).copy()
 
-    bad = MapDescriptor("stretch", stretch, jac,
-                        lambda q: np.stack([q[..., 0], q[..., 1] / 1.001], axis=-1))
+    bad = separate_map("stretch", stretch, jac,
+                       lambda q: np.stack([q[..., 0], q[..., 1] / 1.001], axis=-1))
     with pytest.raises(ValueError):
         build_suitable_model(hook=bad)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from construction_checks import (conjugacy_exponent_bound, exponent_symmetry_defect,
-                                 identity_map)
+                                 identity_map, separate_map)
 from islab.blowup import IslandMap, SIGMA
 from islab.lyapunov import (
     LN4,
@@ -17,7 +17,6 @@ from islab.lyapunov import (
     spectral_norm,
 )
 from islab.maps import (
-    MapDescriptor,
     anosov_map,
     chirikov_map,
     compose,
@@ -70,7 +69,7 @@ def _leaky_standard_map():
         J[p[..., 0] < 0.02] = np.inf
         return J
 
-    return MapDescriptor("leaky", f.fwd, jac)
+    return separate_map("leaky", f, jac)
 
 
 def _near_centre(q):
@@ -146,7 +145,7 @@ def test_degenerate_cocycle_raises():
         keep = (p[..., 0] <= 0.5)[..., None, None]
         return np.where(keep, np.eye(2), 0.0)
 
-    collapse = MapDescriptor("collapse", lambda p: np.array(p, copy=True), jac)
+    collapse = separate_map("collapse", lambda p: np.array(p, copy=True), jac)
     assert max_lyapunov(collapse, np.array([0.1, 0.2]), n=5).estimate == 0.0
     with pytest.raises(RuntimeError, match="degenerate"):
         max_lyapunov(collapse, np.array([0.7, 0.4]), n=5)
@@ -195,10 +194,10 @@ def test_entropy_resolution_guard():
 
 def _translation_pair(shift):
     eye = lambda p: np.broadcast_to(np.eye(2), np.shape(p) + (2,)).copy()
-    tau = MapDescriptor("tau", lambda p: wrap_torus(p + shift), eye,
-                        lambda q: wrap_torus(q - shift))
-    tau_inv = MapDescriptor("tau^-1", lambda p: wrap_torus(p - shift), eye,
-                            lambda q: wrap_torus(q + shift))
+    tau = separate_map("tau", lambda p: wrap_torus(p + shift), eye,
+                       lambda q: wrap_torus(q - shift))
+    tau_inv = separate_map("tau^-1", lambda p: wrap_torus(p - shift), eye,
+                           lambda q: wrap_torus(q + shift))
     return tau, tau_inv
 
 

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from construction_checks import identity_map
+from construction_checks import finite_difference_jacobian, identity_map
 from islab.maps import (
     ANOSOV,
     anosov_map,
     chirikov_map,
     compose,
-    finite_difference_jacobian,
     henon_like,
+    inv2,
+    inverse_descriptor,
     mul2,
     quarter_turn,
     rotation_map,
@@ -87,11 +88,27 @@ def test_mul2_matches_stacked_matmul(n):
 @pytest.mark.parametrize("f", [anosov_map(), chirikov_map(0.7)],
                          ids=["anosov", "chirikov"])
 def test_value_and_jacobian_fallback(f):
-    assert f.fwd_jac is None
     p = np.random.default_rng(7).random((100, 2))
     img, J = f.value_and_jacobian(p)
     assert np.array_equal(img, f(p))
     assert np.array_equal(J, f.jacobian(p))
+
+
+def test_inverse_descriptor_evaluates_the_inverse_once():
+    psi, dpsi = trig_psi([1e-2, -3e-3])
+    H = henon_like(psi, dpsi)
+    exact, calls = H.inv, []
+
+    def spy(q):
+        calls.append(len(q))
+        return exact(q)
+
+    H.inv = spy
+    q = rng.normal(size=(50, 2))
+    img, J = inverse_descriptor(H).value_and_jacobian(q)
+    assert calls == [50]
+    assert np.array_equal(img, exact(q))
+    assert np.array_equal(J, inv2(H.jacobian(img)))
 
 
 def test_chirikov_array_parameter_matches_scalar_maps():
@@ -139,7 +156,7 @@ def test_fd_jacobian_matches_chirikov_analytic():
     # Richardson-style sanity: h = 1e-5 central differences at a generic point
     T = chirikov_map(0.8)
     p = np.array([0.3, 0.7])
-    J_fd = finite_difference_jacobian(T.fwd, p, h=1e-5, wrap_output=True)
+    J_fd = finite_difference_jacobian(T, p, h=1e-5, wrap_output=True)
     assert np.max(np.abs(J_fd - T.jacobian(p))) < 1e-8
 
 
@@ -178,7 +195,7 @@ def test_compose_chain_rule_and_det():
     # determinant multiplicativity
     assert np.max(np.abs(np.linalg.det(C.jacobian(p)) - 1)) < 1e-12
     # chain rule against finite differences
-    J_fd = finite_difference_jacobian(C.fwd, p[:5])
+    J_fd = finite_difference_jacobian(C, p[:5])
     assert np.max(np.abs(J_fd - C.jacobian(p[:5]))) < 1e-6
     # associativity
     left = compose(compose(S, H), S)
