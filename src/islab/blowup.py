@@ -32,7 +32,7 @@ import numpy as np
 
 from .curves import StepFn
 from .hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
-from .maps import ANOSOV, MapDescriptor, inv2, torus_diff, wrap_torus
+from .maps import ANOSOV, MapDescriptor, anosov_map, inv2, torus_diff, wrap_torus
 
 SIGMA = np.log(9.0 + 4.0 * np.sqrt(5.0))          # expansion exponent
 # the centres are the lattice (1/2 Z)^2 on the torus
@@ -491,8 +491,8 @@ def link_saddles(island):
     # eigenvalues of a raw FD matrix would amplify entry noise by the
     # e^{2 sigma} expansion when recovering the contracting multiplier.
     th_arr = np.array([m[1] for m in meta])
-    rad = np.stack([np.cos(th_arr), np.sin(th_arr)], axis=-1) @ island.R.T
-    tan = np.stack([-np.sin(th_arr), np.cos(th_arr)], axis=-1) @ island.R.T
+    rad = np.stack([np.cos(th_arr), np.sin(th_arr)], axis=-1) @ island.RT
+    tan = np.stack([-np.sin(th_arr), np.cos(th_arr)], axis=-1) @ island.RT
     # Along-circle displacements land only h^2/2 past the boundary, where
     # the surgery profile is evaluated through a cancellation (|w|^2 -
     # delta^2); when that direction is the contracting one the resulting
@@ -532,7 +532,7 @@ def conjugacy_defect(island, n=2000):
     pts = pts[island.island_mask(pts)][:n]
     Psi = island.surgery_descriptor()
     lhs = Psi(island(pts))
-    rhs = wrap_torus(Psi(pts) @ np.ascontiguousarray(island.A.T))
+    rhs = anosov_map()(Psi(pts))
     return float(np.max(np.abs(torus_diff(lhs, rhs))))
 
 
@@ -553,7 +553,7 @@ def identity_core_defect(island, n=500):
     w = from_polar(np.stack([rho, th], axis=-1))
     worst = 0.0
     for c in island.centers:
-        p = wrap_torus(c + w @ island.R.T)
+        p = wrap_torus(c + w @ island.RT)
         worst = max(worst, float(np.max(np.abs(torus_diff(island(p), p)))))
     return worst
 

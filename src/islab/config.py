@@ -129,20 +129,17 @@ def parse_text(text):
     return raw
 
 
-def validate(raw):
-    """List of violations; empty iff `run` would accept the config."""
-    violations = []
+def _resolve(raw):
+    """(values, violations) of a raw config: every schema key of its suite
+    that parses or takes its default, in schema order, and the violations,
+    each key parsed once."""
     suite = raw.get("suite")
     if suite is None:
-        violations.append("missing required key 'suite'")
-        return violations
+        return {}, ["missing required key 'suite'"]
     if suite not in SUITES:
-        violations.append(
-            f"suite: must be one of {', '.join(SUITES)} (got '{suite}')")
-        return violations
-    schema = dict(COMMON_SCHEMA)
-    schema.update(SUITE_SCHEMA[suite])
-    values = {}
+        return {}, [f"suite: must be one of {', '.join(SUITES)} (got '{suite}')"]
+    schema = {**COMMON_SCHEMA, **SUITE_SCHEMA[suite]}
+    values, violations = {}, []
     for key, rawval in raw.items():
         spec = schema.get(key)
         if spec is None:
@@ -152,9 +149,8 @@ def validate(raw):
             values[key] = spec.parse(rawval)
         except ValueError as e:
             violations.append(f"{key}: {e}")
-    for key, spec in schema.items():
-        if key not in values and key not in raw:
-            values[key] = spec.default
+    values = {key: values.get(key, spec.default) for key, spec in schema.items()
+              if key in values or key not in raw}
 
     # cross-field constraints
     if suite == "island" and "island.delta" in values and "island.eps" in values:
@@ -177,7 +173,12 @@ def validate(raw):
         if None not in (lam, mu, r) and not abs(lam) < mu ** r < 1.0:
             violations.append(
                 "rescaling.lambda: scales must satisfy |lambda| < mu^r < 1")
-    return violations
+    return values, violations
+
+
+def validate(raw):
+    """List of violations; empty iff `run` would accept the config."""
+    return _resolve(raw)[1]
 
 
 @dataclass
@@ -189,16 +190,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_raw(cls, raw):
-        violations = validate(raw)
+        values, violations = _resolve(raw)
         if violations:
             raise ConfigError(violations)
-        suite = raw["suite"]
-        schema = dict(COMMON_SCHEMA)
-        schema.update(SUITE_SCHEMA[suite])
-        values = {k: spec.parse(raw[k]) if k in raw else spec.default
-                  for k, spec in schema.items()}
         params = {k.split(".", 1)[1]: v for k, v in values.items() if "." in k}
-        return cls(suite=suite, seed=values["seed"], out=values["out"],
+        return cls(suite=values["suite"], seed=values["seed"], out=values["out"],
                    params=params)
 
     @classmethod

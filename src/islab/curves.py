@@ -112,6 +112,9 @@ class BumpFn:
     def d1(self, x):
         return self.height * (self.up.d1(x) - self.down.d1(x))
 
+    def d2(self, x):
+        return self.height * (self.up.d2(x) - self.down.d2(x))
+
 
 # ---------------------------------------------------------------------------
 # periodic functions
@@ -156,10 +159,6 @@ class PeriodicFn:
     def from_function(cls, fn, tau, n=PERIODIC_SAMPLES, origin=0.0):
         grid = origin + np.arange(n) * (tau / n)
         return cls(tau, np.asarray(fn(grid), dtype=float), origin)
-
-    @property
-    def grid(self):
-        return self.origin + np.arange(self.n) * (self.tau / self.n)
 
     def mean(self):
         m = np.mean(self.samples, axis=-1)
@@ -226,16 +225,18 @@ def random_trig_poly(tau, harmonics=8, amplitude=1e-2, rng=None, zero_mean=False
                      origin=0.0):
     """Random band-limited periodic function with coefficients <= amplitude."""
     rng = np.random.default_rng(rng)
-    n = PERIODIC_SAMPLES
-    grid = origin + np.arange(n) * (tau / n)
-    samples = np.zeros(n)
-    if not zero_mean:
-        samples += amplitude * rng.uniform(-1.0, 1.0)
-    for k in range(1, harmonics + 1):
-        a, b = amplitude * rng.uniform(-1.0, 1.0, size=2) / k
-        samples += a * np.cos(2 * np.pi * k * (grid - origin) / tau)
-        samples += b * np.sin(2 * np.pi * k * (grid - origin) / tau)
-    return PeriodicFn(tau, samples, origin)
+
+    def samples(grid):
+        out = np.zeros(grid.shape)
+        if not zero_mean:
+            out += amplitude * rng.uniform(-1.0, 1.0)
+        for k in range(1, harmonics + 1):
+            a, b = amplitude * rng.uniform(-1.0, 1.0, size=2) / k
+            out += a * np.cos(2 * np.pi * k * (grid - origin) / tau)
+            out += b * np.sin(2 * np.pi * k * (grid - origin) / tau)
+        return out
+
+    return PeriodicFn.from_function(samples, tau, origin=origin)
 
 
 class MaskedPeriodic:

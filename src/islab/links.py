@@ -442,9 +442,8 @@ def _splitting(side, psi, model):
     w_u = unstable_curve(model, side)
     w_s = stable_curve(model, side, psi=psi)
     lo, _ = model.fundamental_interval(side)
-    tau = model.geometry.tau
-    grid = lo + np.arange(PERIODIC_SAMPLES) * (tau / PERIODIC_SAMPLES)
-    return PeriodicFn(tau, w_u(grid) - w_s(grid), origin=lo), w_s
+    return PeriodicFn.from_function(lambda x: w_u(x) - w_s(x), model.geometry.tau,
+                                    origin=lo), w_s
 
 
 def splitting_a(psi, model):

@@ -169,14 +169,17 @@ ANOSOV = np.array([[13.0, 8.0], [8.0, 5.0]])
 
 def anosov_map():
     """Linear hyperbolic torus automorphism p -> A p (mod 1), A = ANOSOV."""
-    Ainv = inv2(ANOSOV)
+    # (N, 2) @ M.T with a transposed view rounds differently depending on
+    # N; contiguous transposes keep every point's image independent of its
+    # batch
+    AT, AinvT = (np.ascontiguousarray(M.T) for M in (ANOSOV, inv2(ANOSOV)))
 
     def ev(p, with_jac):
         J = np.broadcast_to(ANOSOV, p.shape[:-1] + (2, 2)).copy() if with_jac else None
-        return wrap_torus(p @ ANOSOV.T), J
+        return wrap_torus(p @ AT), J
 
     def inv(q):
-        return wrap_torus(q @ Ainv.T)
+        return wrap_torus(q @ AinvT)
 
     return MapDescriptor("F_A", ev, inv)
 
@@ -290,10 +293,11 @@ def rotation_map(angle):
     """Rigid plane rotation by `angle` (not hyperbolic; cone-test falsifier)."""
     c, s = np.cos(angle), np.sin(angle)
     R = np.array([[c, -s], [s, c]])
+    RT = np.ascontiguousarray(R.T)  # batch-independent rows, as in anosov_map
 
     def ev(p, with_jac):
         J = np.broadcast_to(R, p.shape[:-1] + (2, 2)).copy() if with_jac else None
-        return p @ R.T, J
+        return p @ RT, J
 
     def inv(q):
         return q @ R

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .curves import StepFn
+from .curves import BumpFn
 from .hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
 from .maps import (MapDescriptor, affine_map, compose, henon_like, inverse_descriptor,
                    quarter_turn, shear_map)
@@ -44,11 +44,8 @@ class SaddleNormalForm:
         self.c2 = float(c2)
         self.log_lam = np.log(lam)
 
-    def hprime(self, u):
-        return self.log_lam + 2.0 * self.c2 * u
-
     def _factor(self, u, k):
-        return np.exp(k * self.hprime(u))
+        return np.exp(k * (self.log_lam + 2.0 * self.c2 * u))
 
     def _ev(self, p, with_jac, k):
         """k-fold iterate of points p, and its Jacobian when with_jac (else
@@ -67,9 +64,6 @@ class SaddleNormalForm:
         J[..., 1, 0] = -(a * y * y) / f
         J[..., 1, 1] = (1.0 - a * u) / f
         return out, J
-
-    def iterate(self, p, k=1):
-        return self._ev(p, False, k)[0]
 
     def descriptor(self, k=1):
         def inv(q):
@@ -233,7 +227,8 @@ def r_sequence(b, c, wrap_tol=1e-12):
 
 @dataclass
 class RescalingModel:
-    """Saddle normal form + transition cycle + scale constants."""
+    """Saddle normal form + transition cycle + scale constants, and the
+    perturbation boxes `bumps`, one around each landing point (x+_i, 0)."""
 
     T0: SaddleNormalForm
     T1: list
@@ -256,9 +251,22 @@ class RescalingModel:
         self.x_plus = np.array([t.x_plus for t in self.T1])
         self.y_minus = np.array([t.y_minus for t in self.T1])
         self.R = r_sequence(self.b, self.c)
+        self.bumps = [BoxBump((x, 0.0), self.box_half, self.box_inner) for x in self.x_plus]
+        for i in range(self.N):
+            for j in range(i + 1, self.N):
+                if abs(self.x_plus[i] - self.x_plus[j]) < 2 * self.box_half[0]:
+                    raise ValueError("perturbation boxes overlap")
 
-    def box_center(self, i):
-        return np.array([self.x_plus[i], 0.0])
+    def box_region(self, p):
+        """(region, box) of points p: region 2 on the inner plateau of box
+        `box`, 1 in its collar, and 0 outside every box (box -1 there)."""
+        reg = np.zeros(np.shape(p)[:-1], dtype=int)
+        box = np.full(np.shape(p)[:-1], -1, dtype=int)
+        for i, bmp in enumerate(self.bumps):
+            r = bmp.region(p)
+            reg = np.where(r > 0, r, reg)
+            box = np.where(r > 0, i, box)
+        return reg, box
 
 
 def desk_model(nonlinearity=0.1, tails=True, lam=0.4, mu=0.8, r=2):
@@ -344,42 +352,29 @@ class RescalingCharts:
 
 
 class BoxBump:
-    """C^2 plateau bump over a rectangle: 1 on the inner box, 0 outside."""
+    """C^2 plateau bump over a rectangle: 1 on the inner box, 0 outside; the
+    product of one `BumpFn` per axis."""
 
     def __init__(self, center, half, inner):
-        cx, cy = center
-        (hx, hy), (ix, iy) = half, inner
-        if not (0 < ix < hx and 0 < iy < hy):
+        if not all(0 < i < h for h, i in zip(half, inner)):
             raise ValueError("inner box must sit strictly inside the outer box")
-        self._x = StepFn(0.0, hx - ix)
-        self._y = StepFn(0.0, hy - iy)
-        self.center, self.half, self.inner = (cx, cy), half, inner
+        self._x, self._y = (BumpFn(c - h, c + h, h - i) for c, h, i in zip(center, half, inner))
+        self.center, self.half, self.inner = tuple(center), half, inner
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
-        return self._x(self.half[0] - np.abs(p[..., 0] - self.center[0])) * \
-            self._y(self.half[1] - np.abs(p[..., 1] - self.center[1]))
-
-    def _factors(self, p):
-        """The x and y profiles, their arguments and their signed first
-        derivatives: (ux, uy, fx, fy, dfx, dfy)."""
-        p = np.asarray(p, dtype=float)
-        tx = p[..., 0] - self.center[0]
-        ty = p[..., 1] - self.center[1]
-        ux, uy = self.half[0] - np.abs(tx), self.half[1] - np.abs(ty)
-        return (ux, uy, self._x(ux), self._y(uy),
-                -np.sign(tx) * self._x.d1(ux), -np.sign(ty) * self._y.d1(uy))
+        return self._x(p[..., 0]) * self._y(p[..., 1])
 
     def grad(self, p):
-        _, _, fx, fy, dfx, dfy = self._factors(p)
-        return np.stack([dfx * fy, fx * dfy], axis=-1)
+        x, y = p[..., 0], p[..., 1]
+        return np.stack([self._x.d1(x) * self._y(y), self._x(x) * self._y.d1(y)], axis=-1)
 
     def hess(self, p):
-        ux, uy, fx, fy, dfx, dfy = self._factors(p)
+        x, y = p[..., 0], p[..., 1]
         H = np.empty(np.shape(p)[:-1] + (2, 2))
-        H[..., 0, 0] = self._x.d2(ux) * fy
-        H[..., 0, 1] = H[..., 1, 0] = dfx * dfy
-        H[..., 1, 1] = fx * self._y.d2(uy)
+        H[..., 0, 0] = self._x.d2(x) * self._y(y)
+        H[..., 0, 1] = H[..., 1, 0] = self._x.d1(x) * self._y.d1(y)
+        H[..., 1, 1] = self._x(x) * self._y.d2(y)
         return H
 
     def region(self, p):
@@ -416,26 +411,20 @@ def _collar_system(bmp, Psi, psihat, dpsihat):
     return HamiltonianSystem("-Psi rho", grad, hess)
 
 
-def build_perturbation(model, k, psi_list):
-    """Map descriptor of the k-dependent box perturbation g.
+def build_perturbation(charts, psi_list):
+    """Map descriptor of the box perturbation g of the charts' passage
+    length k.
 
-    g is the time-1 flow of H = -Psi(x) * rho_box; on each inner box it
-    acts as the exact vertical shear by psihat_i, outside all boxes it is
-    the identity, and the collar is integrated by implicit midpoint.
-    Returns (g, psihat list, bump list).
+    g is the time-1 flow of H = -Psi(x) * rho_box over the model's bumps;
+    on each inner box it acts as the exact vertical shear by psihat_i,
+    outside all boxes it is the identity, and the collar is integrated by
+    implicit midpoint.  Returns (g, psihat list).
     """
-    charts = RescalingCharts(model, k)
+    model = charts.model
     N = model.N
     psihats = [None] * N
     for leg in range(N):
         psihats[(leg + 1) % N] = charts.psihat(leg, psi_list[leg])
-    bumps = [BoxBump(model.box_center(i), model.box_half, model.box_inner)
-             for i in range(N)]
-    for i in range(N):
-        for j in range(i + 1, N):
-            gap = abs(model.x_plus[i] - model.x_plus[j])
-            if gap < 2 * model.box_half[0]:
-                raise ValueError("perturbation boxes overlap")
     # anchor the antiderivatives at the box centers so the collar
     # Hamiltonian is as small as the shear itself
     Psis = []
@@ -443,46 +432,30 @@ def build_perturbation(model, k, psi_list):
         P = ph.integ()
         Psis.append(P - P(model.x_plus[i]))
     dpsihats = [ph.deriv() for ph in psihats]
-    systems = [_collar_system(bumps[i], Psis[i], psihats[i], dpsihats[i])
+    systems = [_collar_system(model.bumps[i], Psis[i], psihats[i], dpsihats[i])
                for i in range(N)]
-
-    def classify(p):
-        reg = np.zeros(np.shape(p)[:-1], dtype=int)
-        box = np.full(np.shape(p)[:-1], -1, dtype=int)
-        for i, bmp in enumerate(bumps):
-            r = bmp.region(p)
-            take = r > 0
-            reg = np.where(take, r, reg)
-            box = np.where(take, i, box)
-        return reg, box
-
-    ix, iy = model.box_inner
-
-    def _safe_shear(p, i, sign):
-        # the vertical segment from y to y + sign*psihat stays in the inner
-        # box, where the flow is exactly the shear
-        x = p[..., 0] - model.x_plus[i]
-        y0 = p[..., 1]
-        y1 = y0 + sign * psihats[i](p[..., 0])
-        return (np.abs(x) <= ix) & (np.abs(y0) <= iy) & (np.abs(y1) <= iy)
+    iy = model.box_inner[1]
 
     def apply(p, with_jac, sign=1.0):
         """g (sign +1) or g^-1 (sign -1) of points p, and its Jacobian when
         with_jac (else None)."""
         p = np.asarray(p, dtype=float)
         flat = p.reshape(-1, 2)
-        reg, box = classify(flat)
+        reg, box = model.box_region(flat)
         out = flat.copy()
         J = np.broadcast_to(np.eye(2), flat.shape + (2,)).copy() if with_jac else None
         for i in range(N):
-            inbox = (reg > 0) & (box == i)
-            safe = inbox & _safe_shear(flat, i, sign)
-            if np.any(safe):
-                out[safe, 1] = flat[safe, 1] + sign * psihats[i](flat[safe, 0])
-                if with_jac:
-                    J[safe, 1, 0] = sign * dpsihats[i](flat[safe, 0])
-            mc = inbox & ~safe
-            if np.any(mc):
+            idx = np.flatnonzero(box == i)
+            x = flat[idx, 0]
+            y1 = flat[idx, 1] + sign * psihats[i](x)
+            # the vertical segment from y to y1 stays in the inner box,
+            # where the flow is exactly the shear
+            sh = (reg[idx] == 2) & (np.abs(y1) <= iy)
+            out[idx[sh], 1] = y1[sh]
+            if with_jac:
+                J[idx[sh], 1, 0] = sign * dpsihats[i](x[sh])
+            mc = idx[~sh]
+            if mc.size:
                 # the collar: time-sign flow of box i, g (+1) or g^-1 (-1)
                 out[mc], Jm = _midpoint_steps(systems[i], flat[mc], sign, 64,
                                               MIDPOINT_TOL, with_jac)
@@ -490,8 +463,8 @@ def build_perturbation(model, k, psi_list):
                     J[mc] = Jm
         return out.reshape(p.shape), (J.reshape(p.shape + (2,)) if with_jac else None)
 
-    g = MapDescriptor(f"g[k={k}]", apply, lambda q: apply(q, False, -1.0)[0])
-    return g, psihats, bumps
+    g = MapDescriptor(f"g[k={charts.k}]", apply, lambda q: apply(q, False, -1.0)[0])
+    return g, psihats
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +497,7 @@ def verify_rescaling(model, k, psi_list=None):
     if len(psi_list) != N:
         raise ValueError("need one kick function per leg")
     charts = RescalingCharts(model, k)
-    g, psihats, bumps = build_perturbation(model, k, psi_list)
+    g, psihats = build_perturbation(charts, psi_list)
     pts = _disc_grid(24)
     T0k = model.T0.descriptor(k)
 
@@ -532,10 +505,9 @@ def verify_rescaling(model, k, psi_list=None):
         p = charts.qbar(i)(XY)
         p = T0k(p)
         p = model.T1[(i + 1) % N](p)
-        reg = bumps[(i + 1) % N].region(p)
-        for j in range(N):
-            if j != (i + 1) % N and np.any(bumps[j].region(p) > 0):
-                raise ValueError("orbit enters a foreign perturbation box")
+        reg, box = model.box_region(p)
+        if np.any((reg > 0) & (box != (i + 1) % N)):
+            raise ValueError("orbit enters a foreign perturbation box")
         if np.any(reg != 2):
             raise ValueError("leg lands outside the inner perturbation box")
         p = g(p)
@@ -543,15 +515,14 @@ def verify_rescaling(model, k, psi_list=None):
 
     # intermediate-orbit avoidance: saddle-passage iterates must stay
     # outside every box
+    T0 = model.T0.descriptor(1)
     probe = charts.qbar(0)(_disc_grid(8))
     for i in range(N):
         q = probe
         for j in range(k):
-            q = model.T0.iterate(q)
-            if j < k - 1:
-                for bmp in bumps:
-                    if np.any(bmp.region(q) > 0):
-                        raise ValueError("saddle-passage orbit grazes a box")
+            q = T0(q)
+            if j < k - 1 and np.any(model.box_region(q)[0] > 0):
+                raise ValueError("saddle-passage orbit grazes a box")
         q = model.T1[(i + 1) % N](q)
         q = g(q)
         probe = q

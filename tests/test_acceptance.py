@@ -23,7 +23,7 @@ from islab.lyapunov import (LN4, cone_certificate, entropy_estimate,
                             max_lyapunov)
 from islab.maps import (anosov_map, chirikov_map, compose, henon_like,
                         quarter_turn, rotation_map, shear_map)
-from islab.rescaling import (build_perturbation, corollary_composition,
+from islab.rescaling import (RescalingCharts, build_perturbation, corollary_composition,
                              desk_model, SaddleNormalForm, TransitionMap,
                              verify_rescaling)
 
@@ -94,11 +94,11 @@ def test_criterion_01_symplecticity_of_all_maps():
     desk = desk_model(nonlinearity=0.1)
     kicks = [Polynomial([0.0, 0.0, 0.03]), Polynomial([0.01, 0.0, -0.02]),
              Polynomial([0.0, 0.02, 0.04])]
-    gmap, _, _ = build_perturbation(desk, 10, kicks)
+    gmap, _ = build_perturbation(RescalingCharts(desk, 10), kicks)
     per_box = npts // desk.N
     gpts = np.concatenate([
-        desk.box_center(i) + rng.uniform(-1.0, 1.0, (per_box, 2))
-        * np.array(desk.box_half) for i in range(desk.N)])
+        np.array(b.center) + rng.uniform(-1.0, 1.0, (per_box, 2))
+        * np.array(desk.box_half) for b in desk.bumps])
     record("g", gmap, gpts)
 
     elapsed = time.perf_counter() - t0

@@ -108,6 +108,15 @@ def test_bumpfn_plateau_and_support():
         BumpFn(0.0, 0.5, 0.3)
 
 
+def test_bumpfn_curvature_matches_slope_differences():
+    b = BumpFn(0.0, 2.0, 0.3, height=0.7)
+    x = np.linspace(-0.5, 2.5, 601)
+    h = 1e-7
+    fd2 = (b.d1(x + h) - b.d1(x - h)) / (2 * h)
+    assert np.max(np.abs(fd2 - b.d2(x))) < 1e-4
+    assert np.all(b.d2(np.array([-0.1, 1.0, 2.1])) == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # periodic functions
 

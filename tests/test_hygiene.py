@@ -357,6 +357,34 @@ def test_no_stacked_product_in_lyapunov():
     assert stacked_products((SRC / "lyapunov.py").read_text(encoding="utf-8")) == []
 
 
+def transposed_right_operands(source):
+    """Lines of `source` with a `@` product whose right operand is a `.T`
+    attribute.  A product with a transposed view rounds a row differently
+    with the size of its batch; a contiguous transpose built once does not."""
+    lines = []
+    for n in ast.walk(ast.parse(source)):
+        right = n.right if isinstance(n, ast.BinOp) else getattr(n, "value", None)
+        if (isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult)
+                and isinstance(right, ast.Attribute) and right.attr == "T"):
+            lines.append(n.lineno)
+    return sorted(lines)
+
+
+def test_transpose_scan_flags_a_readded_view():
+    source = ("import numpy as np\n"
+              "def ev(p, A, R):\n"
+              "    q = p @ A.T\n"
+              "    q @= R.T\n"
+              "    r = p @ np.ascontiguousarray(R.T) + A.T @ p\n"
+              "    return q @ self.R.T, r @ R\n")
+    assert transposed_right_operands(source) == [3, 4, 6]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_product_with_a_transposed_view(path):
+    assert transposed_right_operands(path.read_text(encoding="utf-8")) == []
+
+
 # the quintic step's value polynomial t^3 (10 - 15 t + 6 t^2); its
 # derivatives' coefficients (30, 60) also occur in unrelated code
 QUINTIC = {10, 15}

@@ -141,6 +141,21 @@ def test_anosov_basics():
     assert abs(np.log(lam) - SIGMA) < 1e-14
 
 
+BATCH_MAPS = {"anosov": anosov_map(), "rotation": rotation_map(0.7),
+              "chirikov": chirikov_map(0.35)}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_MAPS))
+@pytest.mark.parametrize("way", ["ev", "inv"])
+def test_each_row_of_a_batch_is_its_one_row_result(name, way):
+    # a product with a transposed view rounds a row differently with the
+    # size of its batch
+    f = BATCH_MAPS[name] if way == "ev" else BATCH_MAPS[name].inverse
+    pts = np.random.default_rng(21).uniform(-3.0, 3.0, (4000, 2))
+    batch = f(pts)
+    assert all(np.array_equal(f(pts[i:i + 1]), batch[i:i + 1]) for i in range(len(pts)))
+
+
 def test_chirikov_inverse_and_trace():
     T = chirikov_map(0.35)
     p = rng.random((300, 2))

@@ -74,7 +74,7 @@ def test_r_sequence_wrap_property(bvals):
 
 def test_linear_normal_form_is_exact():
     T0 = SaddleNormalForm(0.4)
-    out = T0.iterate(np.array([0.7, -0.3]))
+    out = T0.descriptor(1)(np.array([0.7, -0.3]))
     assert out[0] == 0.4 * 0.7
     assert out[1] == -0.3 / 0.4
 
@@ -84,7 +84,7 @@ def test_normal_form_conserves_xy():
     p = np.array([[0.5, 0.2], [0.9, -0.4], [1.2, 0.05]])
     orb = p.copy()
     for _ in range(100):
-        orb = T0.iterate(orb)
+        orb = T0.descriptor(1)(orb)
     assert np.max(np.abs(orb[:, 0] * orb[:, 1] - p[:, 0] * p[:, 1])) <= 1e-12
 
 
@@ -93,9 +93,9 @@ def test_normal_form_axes_and_determinant():
     ys = np.stack([np.zeros(9), np.linspace(-1, 1, 9)], axis=-1)
     xs = np.stack([np.linspace(-1, 1, 9), np.zeros(9)], axis=-1)
     # p(0, y) = 0 and q(x, 0) = 0: the axes map exactly linearly
-    assert np.max(np.abs(T0.iterate(ys)[:, 0])) == 0.0
-    assert np.max(np.abs(T0.iterate(xs)[:, 1])) == 0.0
-    assert np.max(np.abs(T0.iterate(xs)[:, 0] - 0.4 * xs[:, 0])) == 0.0
+    assert np.max(np.abs(T0.descriptor(1)(ys)[:, 0])) == 0.0
+    assert np.max(np.abs(T0.descriptor(1)(xs)[:, 1])) == 0.0
+    assert np.max(np.abs(T0.descriptor(1)(xs)[:, 0] - 0.4 * xs[:, 0])) == 0.0
     d = T0.descriptor(1)
     pts = np.stack([np.linspace(-1, 1, 50), np.linspace(1, -1, 50)], axis=-1)
     assert np.max(d.symplectic_defect(pts)) <= 1e-12
@@ -106,8 +106,8 @@ def test_normal_form_closed_form_iterate():
     p = np.array([[0.5, 0.2], [0.9, -0.4]])
     step = p.copy()
     for _ in range(7):
-        step = T0.iterate(step)
-    assert np.max(np.abs(T0.iterate(p, 7) - step)) <= 1e-12
+        step = T0.descriptor(1)(step)
+    assert np.max(np.abs(T0.descriptor(7)(p) - step)) <= 1e-12
     d = T0.descriptor(7)
     assert np.max(np.abs(d.inv(d(p)) - p)) <= 1e-12
 
@@ -139,7 +139,7 @@ def test_xi_eta_reconstructs_the_passage():
     entry = np.array([xbar, 0.4 ** k * y + ev])
     out = entry.copy()
     for _ in range(k):
-        out = T0.iterate(out)
+        out = T0.descriptor(1)(out)
     assert abs(out[0] - (0.4 ** k * xbar + xv)) <= 1e-10
     assert abs(out[1] - y) <= 1e-10
 
@@ -281,11 +281,11 @@ def test_charts_raise_when_the_boundary_value_fixed_point_diverges():
 
 def test_perturbation_identity_outside_boxes():
     m = desk_model()
-    g, _, bumps = build_perturbation(m, 10, QUAD_KICKS)
+    g, _ = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
     rng = np.random.default_rng(3)
     pts = np.stack([rng.uniform(-1, 5, 2000), rng.uniform(-1, 1, 2000)], axis=-1)
     outside = np.ones(len(pts), bool)
-    for b in bumps:
+    for b in m.bumps:
         outside &= b.region(pts) == 0
     assert outside.sum() > 1500
     assert np.max(np.abs(g(pts[outside]) - pts[outside])) == 0.0
@@ -293,7 +293,7 @@ def test_perturbation_identity_outside_boxes():
 
 def test_perturbation_exact_shear_on_inner_box():
     m = desk_model()
-    g, psihats, _ = build_perturbation(m, 10, QUAD_KICKS)
+    g, psihats = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
     rng = np.random.default_rng(4)
     i = 1
     xs = rng.uniform(m.x_plus[i] - 0.115, m.x_plus[i] + 0.115, 300)
@@ -305,7 +305,7 @@ def test_perturbation_exact_shear_on_inner_box():
 
 def test_perturbation_symplectic_and_invertible():
     m = desk_model()
-    g, _, _ = build_perturbation(m, 10, QUAD_KICKS)
+    g, _ = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
     rng = np.random.default_rng(5)
     i = 1
     box = np.stack([rng.uniform(m.x_plus[i] - 0.15, m.x_plus[i] + 0.15, 400),
@@ -319,12 +319,12 @@ def test_perturbation_collar_jacobian_matches_finite_differences():
     # determinant cannot see a sign slip in the collar Hessian (the Cayley
     # transform of any trace-free matrix has determinant 1), differences can
     m = desk_model()
-    g, _, bumps = build_perturbation(m, 10, QUAD_KICKS)
+    g, _ = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
     rng = np.random.default_rng(11)
     i = 1
     box = np.stack([rng.uniform(m.x_plus[i] - 0.15, m.x_plus[i] + 0.15, 2000),
                     rng.uniform(-0.05, 0.05, 2000)], axis=-1)
-    collar = box[bumps[i].region(box) == 1][:200]
+    collar = box[m.bumps[i].region(box) == 1][:200]
     assert len(collar) == 200
     J = g.jacobian(collar)
     assert np.max(np.abs(J - np.eye(2))) > 0.1  # the collar flow is not a shear
@@ -333,10 +333,10 @@ def test_perturbation_collar_jacobian_matches_finite_differences():
 
 def test_perturbation_value_and_jacobian_matches_separate_calls():
     m = desk_model()
-    g, _, bumps = build_perturbation(m, 10, QUAD_KICKS)
+    g, _ = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
     rng = np.random.default_rng(12)
     pts = np.stack([rng.uniform(0.5, 3.6, 3000), rng.uniform(-0.1, 0.1, 3000)], axis=-1)
-    region = sum(b.region(pts) for b in bumps)
+    region = sum(b.region(pts) for b in m.bumps)
     assert all(np.count_nonzero(region == r) > 50 for r in (0, 1, 2))
     img, J = g.value_and_jacobian(pts)
     assert np.array_equal(img, g(pts))
@@ -344,12 +344,11 @@ def test_perturbation_value_and_jacobian_matches_separate_calls():
 
 
 def test_perturbation_rejects_overlapping_boxes():
-    bad = RescalingModel(
-        SaddleNormalForm(0.4, 0.1),
-        [TransitionMap(x, y, 0.5, -2.0) for x, y in
-         [(0.9, 0.30), (1.05, 0.32), (3.24, 0.34)]], mu=0.8)
     with pytest.raises(ValueError, match="overlap"):
-        build_perturbation(bad, 10, QUAD_KICKS)
+        RescalingModel(
+            SaddleNormalForm(0.4, 0.1),
+            [TransitionMap(x, y, 0.5, -2.0) for x, y in
+             [(0.9, 0.30), (1.05, 0.32), (3.24, 0.34)]], mu=0.8)
 
 
 def test_bump_region_classification():
@@ -360,6 +359,32 @@ def test_bump_region_classification():
     assert b(np.array([1.2, 0.0])) == 0.0
     with pytest.raises(ValueError):
         BoxBump((0.0, 0.0), (0.1, 0.05), (0.12, 0.03))
+
+
+def test_box_region_matches_each_bumps_own_region():
+    m = desk_model()
+    rng = np.random.default_rng(13)
+    pts = np.stack([rng.uniform(0.5, 3.6, 6000), rng.uniform(-0.1, 0.1, 6000)], axis=-1)
+    reg, box = m.box_region(pts)
+    own = np.stack([b.region(pts) for b in m.bumps])
+    assert all(np.count_nonzero(reg == r) > 50 for r in (0, 1, 2))
+    assert np.array_equal(box == -1, reg == 0)
+    inside = box >= 0
+    assert np.array_equal(reg[inside], own[box[inside], np.flatnonzero(inside)])
+    assert not np.any(own[:, ~inside])
+
+
+def test_verify_builds_the_charts_once(monkeypatch):
+    builds = []
+    init = RescalingCharts.__init__
+
+    def spy(self, model, k):
+        builds.append(k)
+        init(self, model, k)
+
+    monkeypatch.setattr(RescalingCharts, "__init__", spy)
+    verify_rescaling(desk_model(), 10, QUAD_KICKS)
+    assert builds == [10]
 
 
 def test_psihat_norms_shrink_with_k():
@@ -412,8 +437,8 @@ def test_phi_defects_do_not_depend_on_the_kicks():
 def test_legs_are_symplectic_on_chart_windows():
     m = desk_model()
     k = 10
-    g, _, _ = build_perturbation(m, k, QUAD_KICKS)
     ch = RescalingCharts(m, k)
+    g, _ = build_perturbation(ch, QUAD_KICKS)
     t = np.linspace(-1, 1, 15)
     X, Y = np.meshgrid(t, t, indexing="ij")
     mask = X ** 2 + Y ** 2 <= 1
