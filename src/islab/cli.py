@@ -71,6 +71,8 @@ def _bump_shear(lo, hi, height):
 
 
 def _band_hook(g, side, height):
+    """The bump shear of a link side's band; a (K,) height is a stack of K
+    hooks, one row each."""
     if side == "a":
         return _bump_shear(g.x_a - 2 * g.tau + 2 * g.delta,
                            g.x_a - 2 * g.delta, height)
@@ -232,35 +234,33 @@ def _run_links(cfg, rng, threads):
     checks.append(_check("splitting-b-closed-form", worst_b, 1e-6))
     checks.append(_check("splitting-b-zero-mean", worst_mean, 1e-8))
 
-    # contraction factor of the two-term averaging operator
-    ref_op = restoration_b_reference(base)
-    worst_ratio = 0.0
-    for _ in range(20):
-        z = random_trig_poly(g.tau, harmonics=p["harmonics"], amplitude=1e-2,
-                             rng=rng, origin=g.x_b, zero_mean=True)
-        worst_ratio = max(worst_ratio, ref_op(z).norm0() / z.norm0())
+    # contraction factor of the two-term averaging operator, on one stack
+    # of 20 zero-mean draws
+    z = PeriodicFn(g.tau, [random_trig_poly(g.tau, harmonics=p["harmonics"], amplitude=1e-2,
+                                            rng=rng, origin=g.x_b, zero_mean=True).samples
+                           for _ in range(20)], origin=g.x_b)
+    worst_ratio = float(np.max(restoration_b_reference(base)(z).norm0() / z.norm0()))
     checks.append(_check("restoration-b-contraction-factor", worst_ratio, 0.6))
 
-    # restoration runs on randomly perturbed models, side a then side b;
-    # the first run of each side contributes its trace to residuals.csv
+    # restoration runs on randomly perturbed models, side a then side b: the
+    # n_each heights of a side are drawn first and restored as one stack of
+    # models; the first row of each side contributes its trace to
+    # residuals.csv
     n_each = max(p["count"] // 2, 1)
     max_iters = 0
     max_final = 0.0
     max_coincide = 0.0
     residual_rows = []
     for side, restore in (("a", restore_link_a), ("b", restore_link_b)):
-        for run_idx in range(n_each):
-            h = p["size"] * (0.5 + 0.5 * rng.random())
-            model = build_suitable_model(hook=_band_hook(g, side, h))
-            _, trace, w_s = restore(model)
-            max_iters = max(max_iters, len(trace))
-            max_final = max(max_final, trace[-1][1])
-            w_u = unstable_curve(model, side)
-            max_coincide = max(max_coincide, curve_sup_diff(
-                w_u, w_s, *model.fundamental_interval(side)))
-            if run_idx == 0:
-                base_i = len(residual_rows)
-                residual_rows += [(base_i + i, s, n0) for i, s, n0 in trace]
+        heights = p["size"] * (0.5 + 0.5 * rng.random(n_each))
+        model = build_suitable_model(hook=_band_hook(g, side, heights))
+        _, traces, w_s = restore(model)
+        max_iters = max(max_iters, *(len(t) for t in traces))
+        max_final = max(max_final, *(t[-1][1] for t in traces))
+        max_coincide = max(max_coincide, curve_sup_diff(
+            unstable_curve(model, side), w_s, *model.fundamental_interval(side)))
+        base_i = len(residual_rows)
+        residual_rows += [(base_i + i, s, n0) for i, s, n0 in traces[0]]
     checks.append(_check("restoration-iterations", max_iters, 30))
     checks.append(_check("restoration-final-residual", max_final, 1e-8))
     checks.append(_check("restored-curves-coincide", max_coincide, 1e-7))

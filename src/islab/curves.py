@@ -96,14 +96,22 @@ class PartitionBump:
 
 
 class BumpFn:
-    """C^2 bump: 0 outside [lo, hi], 1 on [lo + width, hi - width]."""
+    """C^2 bump: 0 outside [lo, hi], `height` on [lo + width, hi - width].
+
+    A (K,) height is a stack of K bumps, applied as a (K, 1) column: x of
+    shape (n,) or (1, n) is one row that all K share, and x of shape (K, n)
+    gives row k to bump k; either way the result is (K, n).
+    """
 
     def __init__(self, lo, hi, width, height=1.0):
         if not lo + 2 * width <= hi:
             raise ValueError("bump needs lo + 2 width <= hi")
+        height = np.asarray(height, dtype=float)
+        if height.ndim > 1:
+            raise ValueError("bump height must be a scalar or a (K,) stack")
         self.up = StepFn(lo, width)
         self.down = StepFn(hi - width, width)
-        self.height = float(height)
+        self.height = height[:, None] if height.ndim else float(height)
         self.support = (float(lo), float(hi))
 
     def __call__(self, x):
@@ -128,8 +136,9 @@ class PeriodicFn:
     then sums the trigonometric polynomial by Horner's rule in
     z = exp(2 pi i t / tau) (Berrut & Trefethen, SIAM Rev. 46 (2004)).
     The mean is the exact quadrature of the samples (the c_0 coefficient).
-    Samples (K, n) hold K functions on one grid: evaluation, mean, derivative
-    and zero_mean work row by row, evaluation at x returning (K,) + x.shape.
+    Samples (K, n) hold K functions on one grid: evaluation, mean, derivative,
+    zero_mean and the sup norms work row by row, evaluation at x returning
+    (K,) + x.shape and a norm (K,).
     """
 
     def __init__(self, tau, samples, origin=0.0):
@@ -194,19 +203,23 @@ class PeriodicFn:
 
     def _fine_sup(self, coef):
         """max |sum| of the trigonometric sum with coefficients coef on the
-        sample grid refined 8 times, by a zero-padded inverse FFT."""
-        spec = np.zeros(4 * self.n + 1, dtype=complex)
-        spec[:coef.size] = coef
+        sample grid refined 8 times, by a zero-padded inverse FFT: a float,
+        or (K,) row by row for a stack."""
+        modes = coef.shape[-1]
+        spec = np.zeros(coef.shape[:-1] + (4 * self.n + 1,), dtype=complex)
+        spec[..., :modes] = coef
         if self.n % 2 == 0:
-            spec[coef.size - 1] *= 0.5   # irfft doubles every mode below its own Nyquist
-        return float(np.max(np.abs(np.fft.irfft(spec, n=8 * self.n, norm="forward"))))
+            spec[..., modes - 1] *= 0.5   # irfft doubles every mode below its own Nyquist
+        sup = np.max(np.abs(np.fft.irfft(spec, n=8 * self.n, norm="forward")), axis=-1)
+        return sup if sup.ndim else float(sup)
 
     def deriv_sup(self, order):
         return self._fine_sup(self._deriv_coef(order))
 
     def norm0(self):
-        """max(sup |f'|, sup |f''|)."""
-        return max(self.deriv_sup(1), self.deriv_sup(2))
+        """max(sup |f'|, sup |f''|), row by row for a stack."""
+        n0 = np.maximum(self.deriv_sup(1), self.deriv_sup(2))
+        return n0 if n0.ndim else float(n0)
 
     def sup(self):
         return self._fine_sup(self._coef)

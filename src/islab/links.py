@@ -42,6 +42,12 @@ RESTORE_MAX_ITER = 50
 RESTORE_MEAN_TOL = 1e-6
 
 
+def _first_row(bad):
+    """Index of the first row flagged in `bad`, or None when none is."""
+    bad = np.atleast_1d(bad)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 # ---------------------------------------------------------------------------
 # geometry and pieces
 
@@ -84,7 +90,13 @@ class LinkGeometry:
 
 class SuitableModel:
     """Two-strip model with an optional symplectic perturbation hook G,
-    composed as F = G o Fstar (F = Fstar when there is no hook)."""
+    composed as F = G o Fstar (F = Fstar when there is no hook).
+
+    A hook may be a stack of K maps, one row each: it maps one shared row of
+    points, or K rows (K, n, 2) row by row, to K rows.  The model is then K
+    models in lockstep (`rows` = K; 1 for a single hook or none), and its
+    curves and splittings carry one row per model.
+    """
 
     def __init__(self, hook=None):
         self.geometry = LinkGeometry()
@@ -97,9 +109,10 @@ class SuitableModel:
         self.crawl = affine_map("lower crawl", (1.0, 1.0), (-tau / 2, 0.0))
         self.hook = hook
         self.band = abs(g.y1 - g.y2) / 2 * 0.8
+        self.rows = 1
         if hook is not None:
             self._hook_inv = inverse_descriptor(hook)
-            self._validate_hook()
+            self.rows = self._validate_hook()
         self.fstar = self._assemble_fstar()
         self.F = compose(hook, self.fstar, name="F") if hook is not None else self.fstar
         self._links = {}  # side -> the psi-independent half of the link (_link)
@@ -165,7 +178,9 @@ class SuitableModel:
 
     def _validate_hook(self):
         """The hook must be symplectic and C^1-close to the identity on the
-        strips (distance <= 0.1, measured on samples)."""
+        strips (distance <= 0.1, measured on samples), row by row; the error
+        names the first bad row.  Returns the hook's row count K, read off
+        its image of the sample frame given as one shared row."""
         g = self.geometry
         xs = np.linspace(g.x_a - 3 * g.tau, g.x_b + 5 * g.tau, 160)
         frame = []
@@ -174,13 +189,18 @@ class SuitableModel:
                 frame.append(np.stack([xs, np.full_like(xs, level + dy)], axis=-1))
         frame = np.concatenate(frame)
         img, J = self.hook.value_and_jacobian(frame)
-        disp = np.max(np.abs(img - frame))
-        jdisp = np.max(np.abs(J - np.eye(2)))
-        if max(disp, jdisp) > 0.1:
-            raise ValueError("perturbation hook exceeds C^1 distance 0.1 from the identity")
-        det = np.linalg.det(J)
-        if np.max(np.abs(det - 1.0)) > 1e-9:
-            raise ValueError("perturbation hook is not area-preserving")
+        rows = img.shape[0] if img.ndim == 3 else 1
+        img, J = img.reshape(rows, -1, 2), J.reshape(rows, -1, 2, 2)
+        disp = np.max(np.abs(img - frame), axis=(1, 2))
+        jdisp = np.max(np.abs(J - np.eye(2)), axis=(1, 2, 3))
+        k = _first_row(np.maximum(disp, jdisp) > 0.1)
+        if k is not None:
+            raise ValueError(f"perturbation hook row {k} exceeds C^1 distance 0.1 "
+                             "from the identity")
+        k = _first_row(np.max(np.abs(np.linalg.det(J) - 1.0), axis=1) > 1e-9)
+        if k is not None:
+            raise ValueError(f"perturbation hook row {k} is not area-preserving")
+        return rows
 
     # -- itineraries and steps ------------------------------------------------
 
@@ -245,14 +265,15 @@ def build_suitable_model(hook=None):
 # time-energy charts
 
 
-def _advance(m, q, J, rows):
-    """Apply m in place to q[rows], and carry J[rows] to Dm J[rows] when a
-    Jacobian J is carried (None: values only)."""
+def _advance(m, q, J, cols):
+    """Apply m in place to the columns cols of the row stack q (K, N, 2),
+    and carry J there to Dm J when a Jacobian J is carried (None: values
+    only)."""
     if J is None:
-        q[rows] = m(q[rows])
+        q[:, cols] = m(q[:, cols])
     else:
-        q[rows], Jm = m.value_and_jacobian(q[rows])
-        J[rows] = Jm @ J[rows]
+        q[:, cols], Jm = m.value_and_jacobian(q[:, cols])
+        J[:, cols] = Jm @ J[:, cols]
 
 
 class TimeEnergyChart:
@@ -264,6 +285,8 @@ class TimeEnergyChart:
     phi -> Fstar^j o phi0 o F^-j.  Identity when F = Fstar.  There is no
     y-fiber correction: the chart requires det D phi0 = 1 on the strip (as
     it is for a vertical-shear hook), and raises ValueError when it is not.
+    The chart of a model of K rows is K charts: it takes points (K, ..., 2),
+    row k for model k.
     """
 
     def __init__(self, side, model):
@@ -315,17 +338,24 @@ class TimeEnergyChart:
         return np.stack([X, Y], axis=-1).reshape(-1, 2)
 
     def _check_blend(self):
+        """Both checks run row by row on the strip frame, one row shared by
+        the model's K rows; the error names the first bad row."""
+        rows = self.model.rows
         frame = self._strip_frame(120)
         fs = self.model.fstar(frame)
-        fv = self.F(frame)
-        if np.max(np.abs(fv - fs)) > 0.1:
-            raise ValueError("F exceeds C^1 distance 0.1 from the base map on the strip")
+        fv = self.F(frame).reshape(rows, -1, 2)
+        k = _first_row(np.max(np.abs(fv - fs), axis=(1, 2)) > 0.1)
+        if k is not None:
+            raise ValueError(f"{self.name}: row {k}: F exceeds C^1 distance 0.1 from the "
+                             "base map on the strip")
         _, J = self._phi0(frame, True)
-        dev = np.max(np.abs(J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0] - 1.0))
-        if not dev < 1e-14:
-            raise ValueError(f"{self.name}: det D phi0 departs from 1 by {dev:.3e} on the "
-                             "strip; this hook needs a fiber correction, which islab "
-                             "does not build")
+        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+        dev = np.max(np.abs(det.reshape(rows, -1) - 1.0), axis=1)
+        k = _first_row(~(dev < 1e-14))
+        if k is not None:
+            raise ValueError(f"{self.name}: row {k}: det D phi0 departs from 1 by "
+                             f"{dev[k]:.3e} on the strip; this hook needs a fiber "
+                             "correction, which islab does not build")
 
     # -- evaluation --------------------------------------------------------------
 
@@ -357,20 +387,27 @@ class TimeEnergyChart:
 
     def _eval(self, p, with_jac):
         """phi(p) = Fstar^j o phi0 o F^-j (p) on the j-th extension band, and
-        D phi(p) when with_jac (else None)."""
+        D phi(p) when with_jac (else None).  The K rows of a stack must need
+        the same extension steps at each point, as curves on one x-grid do."""
         p = np.asarray(p, dtype=float)
-        flat = p.reshape(-1, 2)
-        j = self._ext_count(flat[..., 0])
-        bands = [j >= k for k in range(1, j.max(initial=0) + 1)]
-        q = flat.copy()
+        rows = self.model.rows
+        if rows > 1 and p.shape[:1] != (rows,):
+            raise ValueError(f"{self.name}: points of a {rows}-row model need "
+                             f"a leading axis of {rows} rows")
+        q = p.reshape(rows, -1, 2).copy()
+        j = self._ext_count(q[..., 0])
+        if np.any(j != j[0]):
+            raise ValueError(f"{self.name}: the rows of the stack need different "
+                             "extension steps")
+        bands = [j[0] >= k for k in range(1, j.max(initial=0) + 1)]
         J = np.broadcast_to(np.eye(2), q.shape + (2,)).copy() if with_jac else None
-        for rows in bands:
-            _advance(self._Finv, q, J, rows)
+        for cols in bands:
+            _advance(self._Finv, q, J, cols)
         q, Jb = self._phi0(q, with_jac)
         if with_jac:
             J = Jb @ J
-        for rows in bands:
-            _advance(self.model.fstar, q, J, rows)
+        for cols in bands:
+            _advance(self.model.fstar, q, J, cols)
         return q.reshape(p.shape), (J.reshape(p.shape + (2,)) if with_jac else None)
 
     def __call__(self, p):
@@ -404,9 +441,11 @@ def _link(model, side):
     nothing, if broken."""
     if side not in model._links:
         if side == "b":
-            gap = splitting_a(None, model).sup()
-            if gap > LINK_A_TOL:
-                raise ValueError(f"splitting_b: the a-link is broken (sup gap {gap:.3e})")
+            gap = np.atleast_1d(splitting_a(None, model).sup())
+            k = _first_row(gap > LINK_A_TOL)
+            if k is not None:
+                raise ValueError(f"splitting_b: row {k}: the a-link is broken "
+                                 f"(sup gap {gap[k]:.3e})")
         chart = TimeEnergyChart(side, model)
         fwd = model.forward_itinerary(side)
         c = graph_transform(model.forward_step(fwd[0]), model.seed_unstable(side))
@@ -500,45 +539,64 @@ def restoration_b_reference(model):
 
 
 def _restore(model, side):
-    """The restoration loop of one link side: psit -> psit - M(rho psit),
-    with residuals in the sup norm on side a and in the derivative-only norm
-    on side b, where every iterate is also made zero-mean.  Returns (psi,
-    trace, the stable curve of psi), the curve from the last splitting."""
+    """The restoration loop of one link side, for the model's K rows in
+    lockstep: psit -> psit - M(rho psit), with residuals in the sup norm on
+    side a and in the derivative-only norm on side b, where every iterate is
+    also made zero-mean.  A row stops once its residual is within
+    RESTORE_TOL: its psit is kept, so every later pass rebuilds its
+    splitting and stable curve with the same bits, and its trace ends.
+    Returns (psi, traces, the stable curves of psi), each with one row per
+    model row, the curves from the last splitting.  Every error names the
+    first failing row."""
     rho = model.partition_bump(side)        # its support is the shear band
     lo, _ = model.fundamental_interval(side)
-    psit = PeriodicFn(model.geometry.tau, np.zeros(PERIODIC_SAMPLES), origin=lo)
-    trace = []
-    prev = None
+    tau = model.geometry.tau
+    psit = PeriodicFn(tau, np.zeros((model.rows, PERIODIC_SAMPLES)), origin=lo)
+    traces = [[] for _ in range(model.rows)]
+    live = np.ones(model.rows, dtype=bool)
+    prev = np.full(model.rows, np.inf)
     for it in range(RESTORE_MAX_ITER):
         psi = MaskedPeriodic(rho, psit)
         m, w_s = _splitting(side, psi, model)
-        if side == "b" and abs(m.mean()) > RESTORE_MEAN_TOL:
-            raise ValueError(
-                f"restore_link_b: splitting mean {m.mean():.3e} exceeds "
-                f"{RESTORE_MEAN_TOL:.1e}; the a-link appears broken")
-        trace.append((it, m.sup(), m.norm0()))
-        res = trace[-1][1 if side == "a" else 2]
-        if res <= RESTORE_TOL:
+        sup, norm0 = m.sup(), m.norm0()
+        if side == "b":
+            mean = m.mean()
+            k = _first_row(live & (np.abs(mean) > RESTORE_MEAN_TOL))
+            if k is not None:
+                raise ValueError(
+                    f"restore_link_b: row {k}: splitting mean {mean[k]:.3e} exceeds "
+                    f"{RESTORE_MEAN_TOL:.1e}; the a-link appears broken")
+        for k in np.flatnonzero(live):
+            traces[k].append((it, float(sup[k]), float(norm0[k])))
+        res = sup if side == "a" else norm0
+        live &= ~(res <= RESTORE_TOL)
+        if not live.any():
             break
-        if prev is not None and prev > RESTORE_TOL and res >= prev:
-            raise ValueError(f"restore_link_{side}: no contraction "
-                             f"(residual {res:.3e} after {prev:.3e})")
+        k = _first_row(live & (prev > RESTORE_TOL) & (res >= prev))
+        if k is not None:
+            raise ValueError(f"restore_link_{side}: row {k}: no contraction "
+                             f"(residual {res[k]:.3e} after {prev[k]:.3e})")
         prev = res
-        psit = psit - m if side == "a" else (psit - m).zero_mean()
+        step = psit - m if side == "a" else (psit - m).zero_mean()
+        psit = PeriodicFn(tau, np.where(live[:, None], step.samples, psit.samples), origin=lo)
     else:
-        raise RuntimeError(f"restore_link_{side}: residual {res:.3e} after "
+        k = _first_row(live)
+        raise RuntimeError(f"restore_link_{side}: row {k}: residual {res[k]:.3e} after "
                            f"{RESTORE_MAX_ITER} iterations")
-    return psi, trace, w_s
+    return psi, traces, w_s
 
 
 def restore_link_a(model):
     """Solve for the masked shear that closes the a-link of the model's F.
 
     Iterates psit -> psit - M^a(rho psit) until the sup residual is at most
-    RESTORE_TOL; returns (psi_a, trace, w_s) with trace rows (iteration,
-    sup residual, derivative-norm residual) and w_s the stable curve
-    stable_curve(model, "a", psi=psi_a), bitwise.  Raises RuntimeError
-    when RESTORE_MAX_ITER iterations do not reach the tolerance.
+    RESTORE_TOL, for the model's K rows in one lockstep loop; returns
+    (psi_a, traces, w_s): psi_a a MaskedPeriodic over K rows, traces one
+    list per row of (iteration, sup residual, derivative-norm residual),
+    and w_s the stable curves stable_curve(model, "a", psi=psi_a), bitwise.
+    Each row is bitwise the run of its own one-row model.  Raises
+    RuntimeError, naming the row, when RESTORE_MAX_ITER iterations do not
+    reach the tolerance.
     """
     return _restore(model, "a")
 
@@ -549,8 +607,8 @@ def restore_link_b(model):
 
     Residuals are measured in the derivative-only norm, against RESTORE_TOL;
     a splitting mean above RESTORE_MEAN_TOL signals a broken a-link and
-    aborts.  Returns (psi_b, trace, w_s) as restore_link_a does.  Raises
-    RuntimeError when RESTORE_MAX_ITER iterations do not reach the
-    tolerance.
+    aborts.  Returns (psi_b, traces, w_s) as restore_link_a does.  Raises
+    RuntimeError, naming the row, when RESTORE_MAX_ITER iterations do not
+    reach the tolerance.
     """
     return _restore(model, "b")

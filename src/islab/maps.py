@@ -220,23 +220,29 @@ def chirikov_map(a):
 def shear_map(psi, dpsi, name="S_psi"):
     """Vertical shear S_psi(x, y) = (x, y + psi(x)).
 
-    `psi` maps x-arrays to arrays; `dpsi` is its derivative.
+    `psi` maps x-arrays to arrays; `dpsi` is its derivative.  The image
+    takes the broadcast shape of the points and psi(x): a stack of K shears
+    (psi(x) of shape (K, n)) maps one shared row of n points to K rows.
     """
+    def shifted(p, dy):
+        x = p[..., 0]
+        out = np.empty(np.broadcast_shapes(x.shape, np.shape(dy)) + (2,))
+        out[..., 0] = x
+        out[..., 1] = p[..., 1] + dy
+        return out
+
     def ev(p, with_jac):
-        out = np.array(p, dtype=float, copy=True)
-        out[..., 1] += psi(p[..., 0])
+        out = shifted(p, psi(p[..., 0]))
         if not with_jac:
             return out, None
-        J = np.zeros(p.shape[:-1] + (2, 2), dtype=float)
+        J = np.zeros(out.shape + (2,), dtype=float)
         J[..., 0, 0] = 1.0
         J[..., 1, 1] = 1.0
         J[..., 1, 0] = dpsi(p[..., 0])
         return out, J
 
     def inv(q):
-        out = np.array(q, dtype=float, copy=True)
-        out[..., 1] -= psi(q[..., 0])
-        return out
+        return shifted(q, -psi(q[..., 0]))
 
     return MapDescriptor(name, ev, inv)
 

@@ -361,21 +361,21 @@ class BoxBump:
         self._x, self._y = (BumpFn(c - h, c + h, h - i) for c, h, i in zip(center, half, inner))
         self.center, self.half, self.inner = tuple(center), half, inner
 
-    def __call__(self, p):
+    def jet(self, p, with_hess):
+        """(rho, grad rho, Hessian of rho or None) at points p, from one
+        evaluation of each axis's bump and slope, and of its curvature
+        when with_hess."""
         p = np.asarray(p, dtype=float)
-        return self._x(p[..., 0]) * self._y(p[..., 1])
-
-    def grad(self, p):
         x, y = p[..., 0], p[..., 1]
-        return np.stack([self._x.d1(x) * self._y(y), self._x(x) * self._y.d1(y)], axis=-1)
-
-    def hess(self, p):
-        x, y = p[..., 0], p[..., 1]
-        H = np.empty(np.shape(p)[:-1] + (2, 2))
-        H[..., 0, 0] = self._x.d2(x) * self._y(y)
-        H[..., 0, 1] = H[..., 1, 0] = self._x.d1(x) * self._y.d1(y)
-        H[..., 1, 1] = self._x(x) * self._y.d2(y)
-        return H
+        bx, by, sx, sy = self._x(x), self._y(y), self._x.d1(x), self._y.d1(y)
+        grad = np.stack([sx * by, bx * sy], axis=-1)
+        if not with_hess:
+            return bx * by, grad, None
+        H = np.empty(p.shape[:-1] + (2, 2))
+        H[..., 0, 0] = self._x.d2(x) * by
+        H[..., 0, 1] = H[..., 1, 0] = sx * sy
+        H[..., 1, 1] = bx * self._y.d2(y)
+        return bx * by, grad, H
 
     def region(self, p):
         """2 inside the inner box, 1 in the collar, 0 outside."""
@@ -393,14 +393,14 @@ def _collar_system(bmp, Psi, psihat, dpsihat):
 
     def grad(p):
         x = p[..., 0]
-        rho, gr = bmp(p), bmp.grad(p)
+        rho, gr, _ = bmp.jet(p, False)
         P = Psi(x)
         return np.stack([-(psihat(x) * rho + P * gr[..., 0]),
                          -P * gr[..., 1]], axis=-1)
 
     def hess(p):
         x = p[..., 0]
-        rho, gr, hs = bmp(p), bmp.grad(p), bmp.hess(p)
+        rho, gr, hs = bmp.jet(p, True)
         P, p1, p2 = Psi(x), psihat(x), dpsihat(x)
         H = np.empty(p.shape[:-1] + (2, 2))
         H[..., 0, 0] = -(p2 * rho + 2.0 * p1 * gr[..., 0] + P * hs[..., 0, 0])

@@ -275,10 +275,10 @@ def test_criterion_07_restoration():
         h = 1e-3 * (0.5 + 0.5 * rng.random())
         model = build_suitable_model(hook=_band_shear(g, side, h))
         if side == "a":
-            psi, trace, _ = restore_link_a(model)
+            psi, (trace,), _ = restore_link_a(model)
             lo, hi = g.x_a - g.tau, g.x_a
         else:
-            psi, trace, _ = restore_link_b(model)
+            psi, (trace,), _ = restore_link_b(model)
             lo, hi = g.x_b, g.x_b + g.tau
         worst_iters = max(worst_iters, len(trace))
         worst_final = max(worst_final, trace[-1][1])

@@ -561,6 +561,38 @@ def test_periodic_stack_matches_its_rows(n):
     _assert_rows_match(stack.zero_mean().samples, [f.zero_mean().samples for f in singles])
 
 
+@pytest.mark.parametrize("n", [128, 127])
+def test_periodic_stack_sup_norms_are_their_rows(n):
+    # bitwise: the restorations stop each row on these norms, and must stop
+    # it where its one-row run stops
+    rows = _periodic_rows(n)
+    stack = PeriodicFn(0.8, rows, -0.35)
+    singles = [PeriodicFn(0.8, r, -0.35) for r in rows]
+    for norm in (lambda f: f.sup(), lambda f: f.deriv_sup(1), lambda f: f.deriv_sup(2),
+                 lambda f: f.norm0()):
+        got = norm(stack)
+        assert got.shape == (len(rows),)
+        solo = [norm(f) for f in singles]
+        assert all(isinstance(v, float) for v in solo)
+        assert np.array_equal(got, solo)
+
+
+def test_bumpfn_stacked_height_rows_are_their_bumps():
+    heights = np.array([0.7, -1e-3, 0.0])
+    stack = BumpFn(0.0, 2.0, 0.3, height=heights)
+    singles = [BumpFn(0.0, 2.0, 0.3, height=h) for h in heights]
+    x = np.linspace(-0.5, 2.5, 301)
+    xk = x + np.array([[0.0], [0.1], [-0.2]])
+    for fn in ("__call__", "d1", "d2"):
+        # one row shared by all three bumps, as (n,) or (1, n), and a row each
+        for arg, rows in ((x, [x] * 3), (x[None], [x] * 3), (xk, xk)):
+            got = getattr(stack, fn)(arg)
+            assert got.shape == (3, x.size)
+            assert np.array_equal(got, [getattr(b, fn)(r) for b, r in zip(singles, rows)])
+    with pytest.raises(ValueError, match="height"):
+        BumpFn(0.0, 2.0, 0.3, height=np.ones((2, 2)))
+
+
 def test_masked_periodic_stack_matches_its_rows():
     rows = _periodic_rows(128)
     rho = PartitionBump(-0.2, 0.6, 0.8)

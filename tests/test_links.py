@@ -23,6 +23,13 @@ from islab.links import (
 from islab.maps import compose, shear_map
 
 
+# band-hook heights of a stack of three models: the tall middle row needs
+# one more iteration than the others on either side (3 against 2 on side a,
+# 9 against 8 on side b), so the others stop first and must keep their
+# state while it runs on
+STACK_HEIGHTS = np.array([1e-3, 8e-3, 6e-4])
+
+
 def _model():
     return build_suitable_model()
 
@@ -147,6 +154,9 @@ def test_hook_validation():
                        lambda q: np.stack([q[..., 0], q[..., 1] / 1.001], axis=-1))
     with pytest.raises(ValueError):
         build_suitable_model(hook=bad)
+    # one bad height in a stack of hooks: the error names its row
+    with pytest.raises(ValueError, match="row 1 exceeds C\\^1 distance"):
+        build_suitable_model(hook=cli._band_hook(g, "b", np.array([1e-3, 0.5, 2e-3])))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +343,7 @@ def test_restoration_reference_operator_contracts():
 
 def test_restore_link_a():
     model = build_suitable_model(hook=_a_band_hook(LinkGeometry()))
-    psi_a, trace, w_s = restore_link_a(model)
+    psi_a, (trace,), w_s = restore_link_a(model)
     assert len(trace) <= 30
     sups = [row[1] for row in trace]
     assert sups[-1] <= 1e-8
@@ -347,7 +357,7 @@ def test_restore_link_a():
 
 def test_restore_link_b():
     model = build_suitable_model(hook=_b_band_hook(LinkGeometry()))
-    psi_b, trace, _ = restore_link_b(model)
+    psi_b, (trace,), _ = restore_link_b(model)
     assert len(trace) <= 50
     norms = [row[2] for row in trace]
     assert norms[-1] <= 1e-10
@@ -361,13 +371,18 @@ def test_restore_link_b():
 @pytest.mark.parametrize("side", ["a", "b"])
 def test_restore_raises_when_the_cap_runs_out(monkeypatch, side):
     # a perturbed model as the links suite builds it; one iteration short
-    # of what it needs, the solver must raise, not return an unconverged shear
+    # of what it needs, the solver must raise, not return an unconverged
+    # shear.  In a stack the others converge in time, and the error names
+    # the tall row
     restore = {"a": restore_link_a, "b": restore_link_b}[side]
-    model = build_suitable_model(hook=cli._band_hook(LinkGeometry(), side, 1e-3))
-    _, trace, _ = restore(model)
-    monkeypatch.setattr(links, "RESTORE_MAX_ITER", len(trace) - 1)
-    with pytest.raises(RuntimeError, match="iterations"):
-        restore(model)
+    for height in (1e-3, STACK_HEIGHTS):
+        model = build_suitable_model(hook=cli._band_hook(LinkGeometry(), side, height))
+        _, traces, _ = restore(model)
+        need = [len(t) for t in traces]
+        monkeypatch.setattr(links, "RESTORE_MAX_ITER", max(need) - 1)
+        with pytest.raises(RuntimeError, match=f"row {np.argmax(need)}: residual .* iterations"):
+            restore(model)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("side", ["a", "b"])
@@ -386,32 +401,39 @@ def test_restore_link_b_aborts_on_broken_a_link():
     model = build_suitable_model(hook=_a_band_hook(LinkGeometry()))
     with pytest.raises(ValueError):
         restore_link_b(model)
+    # in a stack the error names the row: a zero height leaves the a-link
+    # intact, and the next row breaks it
+    model = build_suitable_model(hook=cli._band_hook(LinkGeometry(), "a", np.array([0.0, 1e-3])))
+    with pytest.raises(ValueError, match="row 1: the a-link is broken"):
+        restore_link_b(model)
 
 
 def test_link_side_built_once_per_model(monkeypatch):
     # each side's chart, w_u and pulled-back stable seed are built on first use
     # and kept on the model: restoring side b, then drawing both of its
-    # curves, builds one chart for side a (the a-link check) and one for b
-    builds = []
+    # curves, builds one chart for side a (the a-link check) and one for b,
+    # for a stack of models as for one
     init = TimeEnergyChart.__init__
-
-    def counting_init(self, side, model):
-        builds.append(side)
-        init(self, side, model)
-
     g = LinkGeometry()
-    model = build_suitable_model(hook=_b_band_hook(g))
-    monkeypatch.setattr(TimeEnergyChart, "__init__", counting_init)
-    psi, _, _ = restore_link_b(model)
-    unstable_curve(model, "b")
-    stable_curve(model, "b", psi)
-    assert sorted(builds) == ["a", "b"]
-    monkeypatch.undo()
-    # the warm model splits exactly as a freshly built one
-    warm = splitting_b(psi, model)
-    fresh = splitting_b(psi, build_suitable_model(hook=_b_band_hook(g)))
-    assert np.array_equal(warm.samples, fresh.samples)
-    assert warm.origin == fresh.origin
+    for height in (1.5e-3, STACK_HEIGHTS):
+        builds = []
+
+        def counting_init(self, side, model):
+            builds.append(side)
+            init(self, side, model)
+
+        model = build_suitable_model(hook=cli._band_hook(g, "b", height))
+        monkeypatch.setattr(TimeEnergyChart, "__init__", counting_init)
+        psi, _, _ = restore_link_b(model)
+        unstable_curve(model, "b")
+        stable_curve(model, "b", psi)
+        assert sorted(builds) == ["a", "b"]
+        monkeypatch.undo()
+        # the warm model splits exactly as a freshly built one
+        warm = splitting_b(psi, model)
+        fresh = splitting_b(psi, build_suitable_model(hook=cli._band_hook(g, "b", height)))
+        assert np.array_equal(warm.samples, fresh.samples)
+        assert warm.origin == fresh.origin
 
 
 @pytest.mark.parametrize("hook_side,height,side",
@@ -428,3 +450,35 @@ def test_cached_stable_curve_is_its_straight_level(hook_side, height, side):
     c = links._link(build_suitable_model(hook=hook), side)[2]
     assert np.all(c.samples == (g.y1 if side == "a" else g.y2))
     assert c.n == 283
+
+
+# ---------------------------------------------------------------------------
+# stacked models: K hooked models restored in lockstep
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_stacked_restoration_rows_are_their_one_row_runs(side):
+    g = LinkGeometry()
+    restore = {"a": restore_link_a, "b": restore_link_b}[side]
+    model = build_suitable_model(hook=cli._band_hook(g, side, STACK_HEIGHTS))
+    assert model.rows == 3
+    psi, traces, w_s = restore(model)
+    w_u = unstable_curve(model, side)
+    assert [len(t) for t in traces] == {"a": [2, 3, 2], "b": [8, 9, 8]}[side]
+    for k, h in enumerate(STACK_HEIGHTS):
+        # a one-row stack, and the single hook of a scalar height
+        for height in (STACK_HEIGHTS[k:k + 1], h):
+            solo = build_suitable_model(hook=cli._band_hook(g, side, height))
+            psi1, (trace1,), w_s1 = restore(solo)
+            w_u1 = unstable_curve(solo, side)
+            assert np.array_equal(psi.psi.samples[k], psi1.psi.samples[0])
+            assert traces[k] == trace1
+            assert (w_s.x0, w_s.x1, w_u.x0, w_u.x1) == (w_s1.x0, w_s1.x1, w_u1.x0, w_u1.x1)
+            assert np.array_equal(w_s.samples[k], w_s1.samples[0])
+            assert np.array_equal(w_u.samples[k], w_u1.samples.reshape(-1, w_u1.n)[0])
+
+
+def test_stacked_chart_wants_one_row_per_model():
+    model = build_suitable_model(hook=cli._band_hook(LinkGeometry(), "b", STACK_HEIGHTS))
+    chart = links._link(model, "b")[0]
+    with pytest.raises(ValueError, match="leading axis of 3 rows"):
+        chart(chart._strip_frame(4))

@@ -193,6 +193,25 @@ def test_shear_and_henon_inverses():
     assert np.max(np.abs(np.linalg.det(H.jacobian(p)) - 1)) < 1e-14
 
 
+def test_stacked_shear_maps_one_row_to_its_rows():
+    # a column of K scales is K shears: one shared row of points goes to K
+    # rows, each bitwise the image under its own shear
+    psi, dpsi = trig_psi([1e-2, -3e-3, 2e-3])
+    scales = np.array([[1.0], [0.5], [-2.0]])
+    stack = shear_map(lambda x: scales * psi(x), lambda x: scales * dpsi(x))
+    singles = [shear_map(lambda x, c=c: c * psi(x), lambda x, c=c: c * dpsi(x))
+               for c in scales[:, 0]]
+    p = rng.normal(size=(50, 2))
+    for rows in (p, p[None], np.stack([p, p + 0.1, p - 0.2])):
+        img, J = stack.value_and_jacobian(rows)
+        assert img.shape == (3, 50, 2) and J.shape == (3, 50, 2, 2)
+        each = np.broadcast_to(rows, (3, 50, 2))
+        for k, S in enumerate(singles):
+            assert np.array_equal(img[k], S(each[k]))
+            assert np.array_equal(J[k], S.jacobian(each[k]))
+            assert np.array_equal(stack.inverse(rows)[k], S.inverse(each[k]))
+
+
 def test_quarter_turn_power_four():
     H0 = quarter_turn()
     p = rng.normal(size=(40, 2))

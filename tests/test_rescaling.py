@@ -355,10 +355,30 @@ def test_bump_region_classification():
     b = BoxBump((1.0, 0.0), (0.15, 0.05), (0.115, 0.035))
     pts = np.array([[1.0, 0.0], [1.13, 0.04], [1.2, 0.0], [1.0, 0.2]])
     assert list(b.region(pts)) == [2, 1, 0, 0]
-    assert b(np.array([1.0, 0.0])) == 1.0
-    assert b(np.array([1.2, 0.0])) == 0.0
+    assert b.jet(np.array([1.0, 0.0]), False)[0] == 1.0
+    assert b.jet(np.array([1.2, 0.0]), False)[0] == 0.0
     with pytest.raises(ValueError):
         BoxBump((0.0, 0.0), (0.1, 0.05), (0.12, 0.03))
+
+
+def test_bump_jet_matches_differences():
+    # the collar Hamiltonian's gradient and Hessian read rho's jet; a slip in
+    # one entry is not seen by the flow's determinant, differences see it
+    b = BoxBump((1.0, 0.0), (0.15, 0.05), (0.115, 0.035))
+    rng = np.random.default_rng(14)
+    p = np.stack([rng.uniform(0.84, 1.16, 400), rng.uniform(-0.06, 0.06, 400)], axis=-1)
+    rho, grad, H = b.jet(p, True)
+    assert np.array_equal(b.jet(p, False)[1], grad) and b.jet(p, False)[2] is None
+    h = 2.5e-7
+    for axis in (0, 1):
+        e = np.zeros(2)
+        e[axis] = h
+        (r1, g1, _), (r0, g0, _) = b.jet(p + e, False), b.jet(p - e, False)
+        # the y-ramp is 0.015 wide, so slopes reach about 1e2 and
+        # curvatures about 2e4; a slipped entry errs by their own size
+        assert np.max(np.abs((r1 - r0) / (2 * h) - grad[:, axis])) <= 1e-7 * np.max(np.abs(grad))
+        assert np.max(np.abs((g1 - g0) / (2 * h) - H[:, axis])) <= 1e-7 * np.max(np.abs(H))
+    assert np.array_equal(H[:, 0, 1], H[:, 1, 0])
 
 
 def test_box_region_matches_each_bumps_own_region():
