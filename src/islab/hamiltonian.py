@@ -88,7 +88,8 @@ def _midpoint_steps(sys, p, t, steps, tol, with_jac, order=2):
             act = None
             for _ in range(FP_CAP):
                 w_new = z + h * sys.field(0.5 * (z + w))
-                more = np.max(np.abs(w_new - w), axis=-1) > tol
+                dw = np.abs(w_new - w)
+                more = np.maximum(dw[..., 0], dw[..., 1]) > tol
                 if act is not None:
                     w_new = np.where(act[..., None], w_new, w)
                     more &= act

@@ -19,6 +19,7 @@ from islab.blowup import (
     symmetry_and_identity_report,
     to_polar,
 )
+from islab.lyapunov import entropy_estimate
 from islab.maps import torus_diff, wrap_torus
 
 from construction_checks import (EXP_2SIGMA, finite_difference_jacobian, flow_matches_linear_map,
@@ -28,6 +29,10 @@ from construction_checks import (EXP_2SIGMA, finite_difference_jacobian, flow_ma
 @pytest.fixture(scope="module")
 def island():
     return IslandMap()
+
+
+EDGE_PROFILES = [(0.2, 0.2001), (0.05, 0.24), (0.2, 0.21), (0.001, 0.002),
+                 (0.24, 0.2499), (0.01, 0.24), (0.1, 0.24999)]
 
 
 # ---------------------------------------------------------------------
@@ -125,8 +130,7 @@ def test_psi_is_exact_off_the_bridge(delta, eps):
     assert np.all(prof.psi_d1(np.concatenate([below, above])) == 1.0)
 
 
-@pytest.mark.parametrize("delta, eps", [(0.2, 0.2001), (0.05, 0.24), (0.2, 0.21), (0.001, 0.002),
-                                        (0.24, 0.2499), (0.01, 0.24), (0.1, 0.24999)])
+@pytest.mark.parametrize("delta, eps", EDGE_PROFILES)
 def test_psi_inv_at_edge_profiles(delta, eps):
     # psi' reaches ~3750 at (0.2, 0.2001), so a root within an ulp of x
     # leaves a residual of thousands of ulps of x: the residual is measured
@@ -136,6 +140,95 @@ def test_psi_inv_at_edge_profiles(delta, eps):
     v = np.linspace(0.0, prof.rho_hi, 200_001)
     x = prof.psi_inv(v)
     assert np.max(np.abs(prof.psi(x) - v) / (prof.psi_d1(x) * np.spacing(x))) <= 16
+
+
+def _sweeps_per_call(delta, eps):
+    # residual evaluations per psi_inv call over the island grid's targets:
+    # a spy on the one step evaluation of each sweep, over 5 steps of the
+    # exponent grid
+    island = IslandMap(delta, eps)
+    prof = island.profile
+    sweeps, calls = [0], [0]
+    evaluate, invert = prof._step.value_and_d1, prof.psi_inv
+
+    def spy_eval(x):
+        sweeps[0] += 1
+        return evaluate(x)
+
+    def spy_inv(v):
+        calls[0] += 1
+        return invert(v)
+
+    prof._step.value_and_d1, prof.psi_inv = spy_eval, spy_inv
+    entropy_estimate(island.descriptor(), resolution=100, n=5,
+                     exclude=lambda q: ~island.island_mask(q))
+    return sweeps[0] / calls[0]
+
+
+def test_psi_inv_sweeps_from_the_fitted_start():
+    # the chord start took ~6 sweeps per call at the default and 45-52 near
+    # delta = eps
+    default = _sweeps_per_call(0.15, 0.24)
+    assert default <= 3
+    for delta, eps in EDGE_PROFILES:
+        assert _sweeps_per_call(delta, eps) <= 2 * default, (delta, eps)
+
+
+@pytest.mark.parametrize("delta, eps, bound", [
+    (0.15, 0.24, 64), (0.05, 0.24, 8), (0.01, 0.24, 8), (0.1, 0.24999, 8),
+    (0.001, 0.002, 32), (0.2, 0.21, 1e5), (0.24, 0.2499, 2e5), (0.2, 0.2001, 2e8)])
+def test_psi_inv_start_error_bound(delta, eps, bound):
+    # the bounds psi_inv's docstring records, in ulps of x
+    prof = SurgeryProfile(delta, eps)
+    x = np.linspace(prof.r1, prof.r2, 200_001)[1:-1]
+    start = prof._fit_start(prof.psi(x))
+    assert np.max(np.abs(start - x) / np.spacing(x)) <= bound
+
+
+@pytest.mark.parametrize("delta, eps", [(0.15, 0.24)] + EDGE_PROFILES)
+def test_psi_inv_piece_lookup_matches_searchsorted(delta, eps):
+    # the uniform table plus edge comparisons against the binary search,
+    # on a dense grid and at every piece edge and table cell boundary with
+    # their float neighbours
+    prof = SurgeryProfile(delta, eps)
+    v1 = prof.r1 - prof.rho_lo
+    edges = prof._fit_edges[:-1]
+    cells = v1 + np.arange(1, 4 * len(prof._fit_x0)) / prof._fit_cell
+    marks = np.concatenate([edges, cells])
+    v = np.concatenate([np.linspace(v1, prof.r2, 400_001)[1:-1], marks,
+                        np.nextafter(marks, 0.0), np.nextafter(marks, 1.0),
+                        [np.nextafter(v1, 1.0), np.nextafter(prof.r2, 0.0)]])
+    assert np.array_equal(prof._fit_piece(v), np.searchsorted(edges, v))
+
+
+def test_psi_inv_sub_ulp_step_onto_a_bracket_end_stops():
+    # psi' ~ 3750 in the middle of this bridge, so a target 10 ulp off
+    # psi(x0) still has its root within an ulp of x0.  The residual at x0
+    # is above the floor and sets a bracket end to x0, and the Newton step
+    # rounds onto x0: the point stops there instead of bisecting away
+    prof = SurgeryProfile(0.2, 0.2001)
+    x0 = prof.r1 + (prof.r2 - prof.r1) * np.linspace(0.4, 0.6, 9)
+    exact = prof.psi(x0)
+    noisy = exact + 10 * np.spacing(exact)
+    s, s1 = prof._step.value_and_d1(x0)
+    r = x0 - prof.rho_lo * (1.0 - s) - noisy
+    assert np.all(np.abs(r) > 8 * np.spacing(noisy))
+    assert np.all(x0 - r / (1.0 + prof.rho_lo * s1) == x0)
+    sweeps = []
+    evaluate = prof._step.value_and_d1
+
+    def spy(x):
+        sweeps[-1] += 1
+        return evaluate(x)
+
+    prof._step.value_and_d1 = spy
+    found = []
+    for v in (exact, noisy):
+        sweeps.append(0)
+        found.append(prof.psi_inv(v))
+    assert np.array_equal(found[0], x0)
+    assert np.all(np.abs(found[1] - x0) <= np.spacing(x0))
+    assert sweeps[1] <= sweeps[0] + 1
 
 
 def test_psi_inv_raises_on_nonfinite_residual(monkeypatch):
@@ -152,8 +245,9 @@ def test_psi_inv_raises_on_nonfinite_residual(monkeypatch):
 def test_psi_inv_raises_at_iteration_cap(monkeypatch):
     import islab.blowup as blowup
     prof = SurgeryProfile()
-    monkeypatch.setattr(blowup, "_ROOT_CAP", 2)
-    with pytest.raises(RuntimeError, match=r"^psi_inv: \d+ points unconverged after 2 iterations"):
+    # from the fitted start no point is still live after 2 sweeps
+    monkeypatch.setattr(blowup, "_ROOT_CAP", 1)
+    with pytest.raises(RuntimeError, match=r"^psi_inv: \d+ points unconverged after 1 iterations"):
         prof.psi_inv(np.linspace(prof.r1, prof.r2, 9))
 
 
@@ -484,6 +578,21 @@ def test_surgery_jacobian_density_and_inverse(island):
     assert np.array_equal(img, Psi(p)) and np.array_equal(J2, J)
     back = Psi.inverse(Psi(p))
     assert np.max(np.abs(torus_diff(back, p))) <= 1e-10
+
+
+def test_surgery_jacobian_matches_finite_differences(island):
+    # K = s I + s' d d^T against central differences of Psi itself on the
+    # annuli, each point's error relative to its largest entry.  These
+    # points read 6.3e-8 at h = 1e-7 (1.1e-7 on another 400 draws), the
+    # truncation next to the link circles; a K without its s' d d^T term
+    # reads 530
+    prof = island.profile
+    P = _disc_points(island, prof.rho_lo * 1.001, prof.rho_hi, 100, 34).reshape(-1, 2)
+    Psi = island.surgery_descriptor()
+    J = Psi.jacobian(P)
+    J_fd = finite_difference_jacobian(Psi, P, h=1e-7, wrap_output=True)
+    err = np.max(np.abs(J - J_fd), axis=(-2, -1))
+    assert np.max(err / np.max(np.abs(J), axis=(-2, -1))) <= 1e-5
 
 
 def test_surgery_rejects_interior(island):
