@@ -32,7 +32,7 @@ import numpy as np
 
 from .curves import StepFn
 from .hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
-from .maps import ANOSOV, MapDescriptor, anosov_map, inv2, torus_diff, wrap_torus
+from .maps import ANOSOV, MapDescriptor, anosov_map, inv2, mul2, torus_diff, wrap_torus
 
 SIGMA = np.log(9.0 + 4.0 * np.sqrt(5.0))          # expansion exponent
 # the centres are the lattice (1/2 Z)^2 on the torus
@@ -216,10 +216,12 @@ class SurgeryProfile:
             test would update brackets from the sign of noise and could
             cycle;
           - or its bracket has shrunk to 4 ulp.
-        Every sweep runs over all bridge points, and a stopped point keeps
-        its value, so a point's root does not depend on its batch.  At the
-        default profile a call takes 2.4 sweeps on the island suite's
-        targets (5.8 from the bridge's chord).
+        After each sweep only the live points are kept (their x, target,
+        bracket, residual floor and index), and each root is written back
+        once, when its point stops.  Every step is elementwise, so a point's
+        root does not depend on its batch.  At the default profile a call
+        takes 2.4 sweeps on the island suite's targets (5.8 from the
+        bridge's chord), and about 81 % of the points stop in the first.
 
         Raises RuntimeError if a residual is not finite or a point is still
         active after _ROOT_CAP iterations.
@@ -228,14 +230,13 @@ class SurgeryProfile:
         v = np.atleast_1d(np.asarray(v, dtype=float))
         v1 = self.r1 - self.rho_lo                    # psi(r1)
         out = np.where(v <= v1, v + self.rho_lo, v)
-        mid = np.nonzero((v > v1) & (v < self.r2))[0]
-        target = v[mid]
+        rows = np.nonzero((v > v1) & (v < self.r2))[0]
+        target = v[rows]
         x = self._fit_start(target)
-        lo, hi = self.r1, self.r2
+        lo, hi = self.r1, self.r2                 # arrays from the first sweep on
         r_floor = _ROOT_ULPS * np.spacing(target)
-        live = np.ones(x.shape, dtype=bool)
         for sweep in range(_ROOT_CAP):
-            if not live.any():
+            if rows.size == 0:
                 break
             s, s1 = self._step.value_and_d1(x)
             r = x - self.rho_lo * (1.0 - s) - target
@@ -249,12 +250,15 @@ class SurgeryProfile:
             floor = 2 * np.spacing(x)
             small = np.abs(dx) <= floor
             xn = np.where(small | ((xn > lo) & (xn < hi)), xn, 0.5 * (lo + hi))
-            x = np.where(live & ~done, xn, x)
-            live &= ~(done | small | (hi - lo <= 2 * floor))
-        if live.any():
-            raise RuntimeError(f"psi_inv: {np.count_nonzero(live)} points unconverged "
+            x = np.where(done, x, xn)
+            stop = done | small | (hi - lo <= 2 * floor)
+            out[rows[stop]] = x[stop]
+            keep = np.nonzero(~stop)[0]
+            rows, x, target, lo, hi, r_floor = (a[keep] for a in
+                                                (rows, x, target, lo, hi, r_floor))
+        if rows.size:
+            raise RuntimeError(f"psi_inv: {rows.size} points unconverged "
                                f"after {_ROOT_CAP} iterations")
-        out[mid] = x
         return float(out[0]) if scalar else out
 
 
@@ -381,19 +385,10 @@ class IslandMap:
         out, K2 = self._surgery(q2, d2, r2b, True, with_jac)
         if not with_jac:
             return out, None
-        a1, b1, c1 = K1
-        a2, b2, c2 = K2
-        (m00, m01), (m10, m11) = mat
-        # M = mat K1, then J = K2 M: mul2's products and sums, in its order
-        n00 = m00 * a1 + m01 * b1
-        n01 = m00 * b1 + m01 * c1
-        n10 = m10 * a1 + m11 * b1
-        n11 = m10 * b1 + m11 * c1
+        (a1, b1, c1), (a2, b2, c2) = K1, K2
         J = np.empty(p.shape + (2,))
-        J[:, 0, 0] = a2 * n00 + b2 * n10
-        J[:, 0, 1] = a2 * n01 + b2 * n11
-        J[:, 1, 0] = b2 * n00 + c2 * n10
-        J[:, 1, 1] = b2 * n01 + c2 * n11
+        J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1] = mul2(
+            (a2, b2, b2, c2), mul2(mat.ravel(), (a1, b1, b1, c1)))
         return out, J
 
     def _flow(self, p, d, t, steps, with_jac, order=2, tol=MIDPOINT_TOL):
@@ -452,6 +447,8 @@ class IslandMap:
         out, J = self._surgered(p, d, np.maximum(r2, self._in2), mat, with_jac)
         # flow regime, all four discs in one integration
         fl = np.nonzero(r2 <= self._in2)[0]
+        if fl.size == 0:
+            return out.reshape(shape), (J.reshape(shape + (2,)) if with_jac else None)
         di, r2m, pm = d[fl], r2[fl], p[fl]
         snap = np.abs(r2m - self._circ2) <= self._circ_band
         if np.any(snap):
@@ -620,8 +617,9 @@ def equivariance_defect(island, n=1000):
     """sup | Fhat(-p) - (-Fhat(p)) | (toral) -- odd symmetry of the surgery."""
     rng = np.random.default_rng(6)
     pts = rng.random((n, 2))
-    lhs = island(wrap_torus(-pts))
-    rhs = wrap_torus(-island(pts))
+    # F(-p) and F(p) in one batch: one flow integration for both
+    img = island(np.concatenate([wrap_torus(-pts), pts]))
+    lhs, rhs = img[:n], wrap_torus(-img[n:])
     return float(np.max(np.abs(torus_diff(lhs, rhs))))
 
 

@@ -25,14 +25,15 @@ from .maps import inv2, mul2
 LN4 = float(np.log(4.0))
 
 
-def spectral_norm(M):
-    """Exact 2-norm of 2x2 matrices, batch-aware (shape (..., 2, 2)).
+def spectral_norm(m):
+    """Exact 2-norm of 2x2 matrices given by their entries m = (p, q, r, s)
+    = (m00, m01, m10, m11), each a scalar or an array.
 
     The Gram matrix M^T M = [[a, b], [b, c]] is formed from the entries, so
     each row's norm depends on that row alone; its top eigenvalue is
     (a + c)/2 + sqrt((a - c)^2/4 + b^2), a sum of non-negative terms.
     """
-    p, q, r, s = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    p, q, r, s = m
     a = p * p + r * r
     b = p * q + r * s
     c = q * q + s * s
@@ -48,13 +49,16 @@ def _cocycle_logs(f, pts, n, exclude=None, stop_on_invalid=False):
     finite (or whose norm is 0), or whose image satisfies the vectorized
     predicate `exclude`; the start point is tested against `exclude` too.
 
-    Only the active rows are carried: `rows` indexes them in pts, and x, M
-    and acc (their running logs) are compacted when a row turns invalid.
-    Every step is row-wise (`mul2`, `spectral_norm`), so a row's logs do
-    not depend on which other rows share its batch.  With stop_on_invalid
-    the product instead stops at the first step that invalidates a row, and
-    the logs of every row cover only the steps taken; the batch is never
-    compacted, so f may carry one parameter per row of pts.
+    Only the active rows are carried: `rows` indexes them in pts, and x,
+    acc (their running logs) and the product M are compacted when a row
+    turns invalid.  M is carried as its four entries, each a contiguous
+    (m,) array, and each step's Jacobian is read as its four entries, so
+    `mul2`, `spectral_norm` and the renormalization run on contiguous
+    entry arrays.  Every step is row-wise, so a row's logs do not depend on
+    which other rows share its batch.  With stop_on_invalid the product
+    instead stops at the first step that invalidates a row, and the logs of
+    every row cover only the steps taken; the batch is never compacted, so
+    f may carry one parameter per row of pts.
     """
     valid = np.ones(pts.shape[0], dtype=bool)
     if exclude is not None:
@@ -66,12 +70,13 @@ def _cocycle_logs(f, pts, n, exclude=None, stop_on_invalid=False):
         if rows.size == 0:
             break
         x, J = f.value_and_jacobian(x)
+        J = J.reshape(-1, 4).T          # the entries (J00, J01, J10, J11)
         M = J if M is None else mul2(J, M)
         s = spectral_norm(M)
         ok = np.isfinite(s) & (s > 0.0)
         s = np.where(ok, s, 1.0)        # log 1 = 0: a failed row adds nothing
         acc += np.log(s)
-        M = M / s[:, None, None]
+        M = [e / s for e in M]
         ok &= np.isfinite(x[:, 0]) & np.isfinite(x[:, 1])   # no length-2 reduction
         if exclude is not None:
             ok &= ~np.asarray(exclude(x))
@@ -81,7 +86,8 @@ def _cocycle_logs(f, pts, n, exclude=None, stop_on_invalid=False):
             valid[out] = False
             if stop_on_invalid:
                 break
-            rows, x, M, acc = rows[ok], x[ok], M[ok], acc[ok]
+            rows, x, acc = rows[ok], x[ok], acc[ok]
+            M = [e[ok] for e in M]
     logs[rows] = acc
     return logs, valid
 

@@ -125,24 +125,22 @@ def inv2(J):
     return inv / det[..., None, None]
 
 
-def mul2(A, B):
-    """Stacked 2x2 product A @ B written out by components, shape (..., 2, 2).
+def mul2(a, b):
+    """The 2x2 product a b from entries: a and b are each (x00, x01, x10,
+    x11), and so is the result.
 
-    Either factor may be one 2x2 matrix broadcast against a stack.  Every
-    entry is two products and one sum of that row's own entries, so a row's
-    bits do not depend on its batch.  numpy's `@` runs one small gemm per
-    matrix of a stack: it is faster below a few hundred rows and about 3x
-    slower at several thousand, where the cocycle and the island Jacobian
-    run.
+    An entry is a scalar or an array, and the entries broadcast, so one
+    matrix given by scalars multiplies a stack.  Every entry of the product
+    is two products and one sum of that row's own entries, so a row's bits
+    do not depend on its batch.  A stack carried as four contiguous entry
+    arrays is read and written contiguously; numpy's `@` runs one small
+    gemm per matrix of a stack, about 3x slower at the several thousand
+    rows where the cocycle and the island Jacobian run.
     """
-    a00, a01, a10, a11 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
-    b00, b01, b10, b11 = B[..., 0, 0], B[..., 0, 1], B[..., 1, 0], B[..., 1, 1]
-    C = np.empty(np.broadcast_shapes(np.shape(A), np.shape(B)))
-    C[..., 0, 0] = a00 * b00 + a01 * b10
-    C[..., 0, 1] = a00 * b01 + a01 * b11
-    C[..., 1, 0] = a10 * b00 + a11 * b10
-    C[..., 1, 1] = a10 * b01 + a11 * b11
-    return C
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
 def inverse_descriptor(m):

@@ -21,6 +21,18 @@ EXP_2SIGMA = 161.0 + 72.0 * np.sqrt(5.0)          # e^{2 sigma}, saddle multipli
 # maps
 
 
+def entries(M):
+    """The entries (M00, M01, M10, M11) of a 2x2 matrix or an (..., 2, 2)
+    stack, the form `maps.mul2` and `lyapunov.spectral_norm` take."""
+    return M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+
+
+def stacked(e):
+    """The (..., 2, 2) stack of the entries e = (M00, M01, M10, M11)."""
+    e = np.broadcast_arrays(*e)
+    return np.stack(e, axis=-1).reshape(e[0].shape + (2, 2))
+
+
 def finite_difference_jacobian(f, p, h=None, wrap_output=False):
     """Central finite-difference Jacobian of f at p: the reference that
     tests hold the analytic Jacobians against.
@@ -170,6 +182,61 @@ def energy_drift(H, mapping, pts):
 # exponents
 
 
+def _stacked_mul2(A, B):
+    """Stacked 2x2 product A @ B written out by components, (..., 2, 2)."""
+    a00, a01, a10, a11 = entries(A)
+    b00, b01, b10, b11 = entries(B)
+    C = np.empty(np.broadcast_shapes(np.shape(A), np.shape(B)))
+    C[..., 0, 0] = a00 * b00 + a01 * b10
+    C[..., 0, 1] = a00 * b01 + a01 * b11
+    C[..., 1, 0] = a10 * b00 + a11 * b10
+    C[..., 1, 1] = a10 * b01 + a11 * b11
+    return C
+
+
+def _stacked_spectral_norm(M):
+    """Exact 2-norm of an (..., 2, 2) stack from its Gram entries."""
+    p, q, r, s = entries(M)
+    a = p * p + r * r
+    b = p * q + r * s
+    c = q * q + s * s
+    return np.sqrt(0.5 * (a + c) + np.sqrt(0.25 * (a - c) ** 2 + b * b))
+
+
+def stacked_cocycle_logs(f, pts, n, exclude=None, stop_on_invalid=False):
+    """`lyapunov._cocycle_logs` with the product M carried as a strided
+    (m, 2, 2) stack: the reference that the entry-array kernel is held to,
+    bit for bit, in logs and valid."""
+    valid = np.ones(pts.shape[0], dtype=bool)
+    if exclude is not None:
+        valid &= ~np.asarray(exclude(pts))
+    logs = np.zeros(pts.shape[0])
+    rows = np.nonzero(valid)[0]
+    x, M, acc = pts[rows], None, logs[rows]
+    for _ in range(n):
+        if rows.size == 0:
+            break
+        x, J = f.value_and_jacobian(x)
+        M = J if M is None else _stacked_mul2(J, M)
+        s = _stacked_spectral_norm(M)
+        ok = np.isfinite(s) & (s > 0.0)
+        s = np.where(ok, s, 1.0)
+        acc += np.log(s)
+        M = M / s[:, None, None]
+        ok &= np.isfinite(x[:, 0]) & np.isfinite(x[:, 1])
+        if exclude is not None:
+            ok &= ~np.asarray(exclude(x))
+        if not ok.all():
+            out = rows[~ok]
+            logs[out] = acc[~ok]
+            valid[out] = False
+            if stop_on_invalid:
+                break
+            rows, x, M, acc = rows[ok], x[ok], M[ok], acc[ok]
+    logs[rows] = acc
+    return logs, valid
+
+
 def exponent_symmetry_defect(f, p, n=100):
     """|lambda_n(f, p) - lambda_n(f^{-1}, f^n p)|.
 
@@ -200,8 +267,8 @@ def conjugacy_exponent_bound(island, p, n=100):
     norms = []
     for q in (np.asarray(p, dtype=float), x):
         J = Psi.jacobian(q)
-        norms.append((float(spectral_norm(J)),
-                      float(spectral_norm(inv2(J)))))
+        norms.append((float(spectral_norm(entries(J))),
+                      float(spectral_norm(entries(inv2(J))))))
     # ||A^n|| <= ||DPsi(end)|| ||DFhat^n|| ||DPsi(start)^{-1}|| and the
     # reverse factorization give the two one-sided constants.
     c_up = norms[1][0] * norms[0][1]

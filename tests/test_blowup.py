@@ -9,6 +9,7 @@ from islab.blowup import (
     SIGMA,
     IslandMap,
     SurgeryProfile,
+    _ROOT_ULPS,
     eigen_rotation,
     equivariance_defect,
     conjugacy_defect,
@@ -231,6 +232,53 @@ def test_psi_inv_sub_ulp_step_onto_a_bracket_end_stops():
     assert sweeps[1] <= sweeps[0] + 1
 
 
+def _stop_kind(prof, evaluate, xs, v):
+    """(sweeps, rule) of a psi_inv call on the one target v that evaluated
+    the step at xs: the stop tests replayed at the last x, 'residual',
+    'step' or, when neither passes, 'bracket'."""
+    x = xs[-1][0]
+    s, s1 = evaluate(x)
+    r = x - prof.rho_lo * (1.0 - s) - v
+    if len(xs) > 1 and abs(r) <= _ROOT_ULPS * np.spacing(v):
+        return len(xs), "residual"
+    if abs(r / (1.0 + prof.rho_lo * s1)) <= 2 * np.spacing(x):
+        return len(xs), "step"
+    return len(xs), "bracket"
+
+
+@pytest.mark.parametrize("delta, eps", [(0.15, 0.24)] + EDGE_PROFILES)
+def test_psi_inv_root_does_not_depend_on_its_batch(delta, eps, monkeypatch):
+    # psi_inv drops each point from its arrays when it stops; a target
+    # solved alone must get the bits of its root in a dense batch
+    prof = SurgeryProfile(delta, eps)
+    v = prof.psi(np.linspace(prof.r1, prof.r2, 20_001)[1:-1])
+    evaluate, xs = prof._step.value_and_d1, []
+
+    def spy(x):
+        xs.append(x.copy())
+        return evaluate(x)
+
+    monkeypatch.setattr(prof._step, "value_and_d1", spy)
+    dense = prof.psi_inv(v)
+    dense_sweeps = len(xs)
+    # every 50th target, and every one on the top 2 % of the bridge, where
+    # points stop on the bracket floor near delta = eps
+    sample = np.unique(np.concatenate([np.arange(0, v.size, 50),
+                                       np.arange(v.size - 400, v.size)]))
+    alone, kinds = np.empty(sample.size), set()
+    for j, i in enumerate(sample):
+        xs.clear()
+        alone[j] = prof.psi_inv(v[i:i + 1])[0]
+        kinds.add(_stop_kind(prof, evaluate, xs, v[i]))
+    assert np.array_equal(alone.view(np.int64), dense[sample].view(np.int64))
+    sweeps = {k for k, _ in kinds}
+    assert 1 in sweeps
+    # the sample has later stops whenever the batch needed a second sweep
+    assert (max(sweeps) >= 2) == (dense_sweeps >= 2)
+    if (delta, eps) == (0.2, 0.2001):
+        assert {k for _, k in kinds} == {"residual", "step", "bracket"}
+
+
 def test_psi_inv_raises_on_nonfinite_residual(monkeypatch):
     prof = SurgeryProfile()
     # psi_inv's residual evaluates the step on the bridge only
@@ -407,6 +455,44 @@ def test_value_and_jacobian_batch_independent(island):
         img_k, J_k = f.value_and_jacobian(p[None])
         assert np.array_equal(img_k[0], img[k])
         assert np.array_equal(J_k[0], J[k])
+
+
+def test_psi_inv_on_empty_and_scalar_targets():
+    prof = SurgeryProfile()
+    out = prof.psi_inv(np.empty(0))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+    v = float(prof.psi(0.5 * (prof.r1 + prof.r2)))
+    root = prof.psi_inv(v)
+    assert isinstance(root, float)
+    assert root == prof.psi_inv(np.array([v]))[0]
+
+
+def test_value_and_jacobian_of_an_empty_batch(island):
+    for direction in (1, -1):
+        img, J = island._eval(np.empty((0, 2)), direction, with_jac=True)
+        assert img.shape == (0, 2) and J.shape == (0, 2, 2)
+        img, J = island._eval(np.empty((0, 2)), direction)
+        assert img.shape == (0, 2) and J is None
+
+
+def test_batch_with_no_point_in_a_disc(island):
+    # such a batch returns before the flow branch; its rows are the bits
+    # they get in a batch that also holds disc points
+    P = np.random.default_rng(27).random((400, 2))
+    r2 = island._chart(P)[1]
+    inside, outside = P[r2 <= island._in2], P[r2 > island._in2]
+    assert len(inside) and len(outside)
+    for direction in (1, -1):
+        img, J = island._eval(outside, direction, with_jac=True)
+        img_all, J_all = island._eval(np.concatenate([outside, inside]), direction,
+                                      with_jac=True)
+        assert np.array_equal(img, img_all[:len(outside)])
+        assert np.array_equal(J, J_all[:len(outside)])
+        assert np.array_equal(island._eval(outside, direction)[0], img)
+        # the shape of the batch is kept
+        img3, J3 = island._eval(outside[:6].reshape(2, 3, 2), direction, with_jac=True)
+        assert img3.shape == (2, 3, 2) and J3.shape == (2, 3, 2, 2)
+        assert np.array_equal(img3.reshape(6, 2), img[:6])
 
 
 def test_jacobian_matches_finite_differences(island):

@@ -321,8 +321,8 @@ MATMUL_HOME = "cone_certificate"
 def stacked_products(source, home=MATMUL_HOME):
     """Lines of `source` outside the function `home` with a `@` product,
     or a `matmul` or `swapaxes` by name or attribute.  In lyapunov.py every
-    other matrix is a stack, and the cocycle kernel multiplies stacks by
-    components (maps.mul2, spectral_norm's Gram entries)."""
+    other matrix is a stack or its entries, and the cocycle kernel
+    multiplies entry arrays (maps.mul2, spectral_norm's Gram entries)."""
     tree = ast.parse(source)
     skip = set()
     for node in ast.walk(tree):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from construction_checks import (conjugacy_exponent_bound, exponent_symmetry_defect,
-                                 identity_map, separate_map)
+from construction_checks import (conjugacy_exponent_bound, entries, exponent_symmetry_defect,
+                                 identity_map, separate_map, stacked_cocycle_logs)
 from islab.blowup import IslandMap, SIGMA
 from islab.lyapunov import (
     LN4,
+    _cell_centers,
     _cocycle_logs,
     cone_certificate,
     entropy_estimate,
@@ -32,29 +33,29 @@ def island():
 
 @given(st.lists(st.floats(-5, 5), min_size=4, max_size=4))
 @settings(deadline=None)
-def test_spectral_norm_matches_svd(entries):
-    M = np.array(entries).reshape(2, 2)
+def test_spectral_norm_matches_svd(values):
+    M = np.array(values).reshape(2, 2)
     want = np.linalg.norm(M, 2)
-    assert abs(spectral_norm(M) - want) <= 1e-12 * max(1.0, want)
+    assert abs(spectral_norm(values) - want) <= 1e-12 * max(1.0, want)
 
 
 def test_spectral_norm_exact_cases():
-    assert spectral_norm(np.zeros((2, 2))) == 0.0
+    assert spectral_norm((0.0, 0.0, 0.0, 0.0)) == 0.0
     # rank 1, u v^T with |u| |v| = 5 * 13, and diagonals: exact
-    assert spectral_norm(np.outer([3.0, 4.0], [5.0, 12.0])) == 65.0
-    assert spectral_norm(np.outer([-0.75, 1.0], [0.0, -2.0])) == 2.5
-    assert spectral_norm(np.diag([3.0, -4.0])) == 4.0
-    assert spectral_norm(np.diag([-0.1, 0.0])) == 0.1
-    assert spectral_norm(np.diag([1e-3, 7.0])) == 7.0
+    assert spectral_norm(entries(np.outer([3.0, 4.0], [5.0, 12.0]))) == 65.0
+    assert spectral_norm(entries(np.outer([-0.75, 1.0], [0.0, -2.0]))) == 2.5
+    assert spectral_norm((3.0, 0.0, 0.0, -4.0)) == 4.0
+    assert spectral_norm((-0.1, 0.0, 0.0, 0.0)) == 0.1
+    assert spectral_norm((1e-3, 0.0, 0.0, 7.0)) == 7.0
     # random ones: within the rounding of the squares and the square roots
     g = np.random.default_rng(4)
     d = g.normal(size=(2000, 2)) * np.exp(g.uniform(-20, 20, size=(2000, 2)))
     want = np.max(np.abs(d), axis=-1)
-    got = spectral_norm(d[:, :, None] * np.eye(2))
+    got = spectral_norm(entries(d[:, :, None] * np.eye(2)))
     assert np.all(np.abs(got - want) <= np.spacing(want))
     u, v = g.normal(size=(2, 2000, 2))
     want = np.hypot(u[:, 0], u[:, 1]) * np.hypot(v[:, 0], v[:, 1])
-    got = spectral_norm(u[:, :, None] * v[:, None, :])
+    got = spectral_norm(entries(u[:, :, None] * v[:, None, :]))
     assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
 
@@ -86,6 +87,33 @@ def test_cocycle_rows_do_not_depend_on_their_batch():
     assert 10 <= np.count_nonzero(valid) <= 54      # many leave mid-run
     assert np.array_equal(valid, [v[0] for _, v in rows])
     assert np.array_equal(logs, [lg[0] for lg, _ in rows])
+
+
+def _island_grid_case():
+    island = IslandMap()
+    return island.descriptor(), _cell_centers(16), 20, lambda q: ~island.island_mask(q), False
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (_leaky_standard_map(), np.random.default_rng(11).random((64, 2)), 40,
+             _near_centre, False),
+    lambda: (_leaky_standard_map(), np.random.default_rng(11).random((64, 2)), 40,
+             _near_centre, True),
+    lambda: (anosov_map(), np.random.default_rng(12).random((64, 2)), 40, None, False),
+    _island_grid_case,
+], ids=["leaky", "leaky-stop", "anosov", "island-grid-16"])
+def test_cocycle_matches_the_stacked_reference(case):
+    # the kernel carries M as four contiguous entry arrays; the reference
+    # carries it as a strided (m, 2, 2) stack, with the same products, sums
+    # and divisions in the same order
+    f, pts, n, exclude, stop = case()
+    with np.errstate(invalid="ignore"):         # inf - inf in the leaky rows
+        got = _cocycle_logs(f, pts, n, exclude, stop_on_invalid=stop)
+        want = stacked_cocycle_logs(f, pts, n, exclude, stop_on_invalid=stop)
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    if f.name == "leaky":
+        assert 0 < np.count_nonzero(got[1]) < len(pts)      # rows leave mid-run
 
 
 def test_cocycle_row_excluded_at_step_k_keeps_its_first_k_logs():
@@ -137,6 +165,11 @@ def test_batched_exponent_equals_per_row_calls(f):
     rows = [max_lyapunov(f, q, n=60) for q in pts]
     assert np.array_equal(batch.log_norm, [r.log_norm for r in rows])
     assert np.array_equal(batch.estimate, [r.estimate for r in rows])
+
+
+def test_max_lyapunov_of_an_empty_batch():
+    s = max_lyapunov(anosov_map(), np.empty((0, 2)), n=10)
+    assert s.log_norm.shape == (0,) and s.estimate.shape == (0,)
 
 
 def test_degenerate_cocycle_raises():
