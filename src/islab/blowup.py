@@ -378,7 +378,8 @@ class IslandMap:
     def _surgered(self, p, d, r2, mat, with_jac):
         """Psi^{-1} o mat o Psi of points p with chart offsets d and radii^2
         r2, and when with_jac its Jacobian K2 mat K1 (N, 2, 2) (else None),
-        written entry by entry from the symmetric K1 and K2."""
+        from the symmetric K1 and K2: the (N, 2, 2) view of one contiguous
+        (4, N) block of entries, so each entry reads back as a contiguous row."""
         q, K1 = self._surgery(p, d, r2, False, with_jac)
         q2 = wrap_torus(q @ np.ascontiguousarray(mat.T))
         d2, r2b = self._chart(q2)
@@ -386,10 +387,9 @@ class IslandMap:
         if not with_jac:
             return out, None
         (a1, b1, c1), (a2, b2, c2) = K1, K2
-        J = np.empty(p.shape + (2,))
-        J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1] = mul2(
-            (a2, b2, b2, c2), mul2(mat.ravel(), (a1, b1, b1, c1)))
-        return out, J
+        E = np.empty((4, p.shape[0]))
+        E[0], E[1], E[2], E[3] = mul2((a2, b2, b2, c2), mul2(mat.ravel(), (a1, b1, b1, c1)))
+        return out, E.T.reshape(-1, 2, 2)
 
     def _flow(self, p, d, t, steps, with_jac, order=2, tol=MIDPOINT_TOL):
         """Island flow applied to points with offsets d (rho <= rho_lo), in

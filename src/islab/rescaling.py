@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .curves import BumpFn
 from .hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
@@ -66,13 +67,17 @@ class SaddleNormalForm:
         return out, J
 
     def descriptor(self, k=1):
+        """T0^k; an integer array k broadcasts against the batch shape, so a
+        (K, 1) column maps points (M, 2) to their K iterates (K, M, 2)."""
+
         def inv(q):
             q = np.asarray(q, dtype=float)
             u = q[..., 0] * q[..., 1]  # conserved, so usable from the image
             f = self._factor(u, k)
             return np.stack([q[..., 0] / f, f * q[..., 1]], axis=-1)
 
-        return MapDescriptor(f"T0^{k}", lambda p, with_jac: self._ev(p, with_jac, k), inv)
+        name = f"T0^{k}" if np.ndim(k) == 0 else "T0^j"
+        return MapDescriptor(name, lambda p, with_jac: self._ev(p, with_jac, k), inv)
 
     # -- boundary-value form ---------------------------------------------------
 
@@ -133,8 +138,8 @@ class TransitionMap:
         self.y_minus = float(y_minus)
         self.b = float(b)
         self.c = float(c)
-        self.u_poly = Polynomial([0.0, 0.0, u2, u3])
-        self.du_poly = self.u_poly.deriv()
+        self.u_coef = np.array([0.0, 0.0, u2, u3])
+        self.du_coef = polyder(self.u_coef)
         self.a = float(a)
 
     @property
@@ -152,14 +157,14 @@ class TransitionMap:
         """T1(p), and DT1(p) when with_jac (else None)."""
         p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
-        v = y - self.y_minus + self.u_poly(x)
+        v = y - self.y_minus + polyval(x, self.u_coef)
         w = self.x_plus + self.b * v
         Xp = self._Xp(w)
         z = self.c * x
         out = np.stack([self._X(w), z / Xp], axis=-1)
         if not with_jac:
             return out, None
-        du = self.du_poly(x)
+        du = polyval(x, self.du_coef)
         # chain: dw = b (du dx + dy); dX = X' dw; dz = c dx
         # second row: d(z/X') = dz/X' - z X''/(X'^2) dw
         J = np.empty(p.shape[:-1] + (2, 2))
@@ -183,7 +188,7 @@ class TransitionMap:
         z = yb * self._Xp(w)
         x = z / self.c
         v = (w - self.x_plus) / self.b
-        y = v + self.y_minus - self.u_poly(x)
+        y = v + self.y_minus - polyval(x, self.u_coef)
         return np.stack([x, y], axis=-1)
 
     def descriptor(self, name="T1"):
@@ -432,6 +437,7 @@ def build_perturbation(charts, psi_list):
         P = ph.integ()
         Psis.append(P - P(model.x_plus[i]))
     dpsihats = [ph.deriv() for ph in psihats]
+    coefs = [(ph.coef, d.coef) for ph, d in zip(psihats, dpsihats)]
     systems = [_collar_system(model.bumps[i], Psis[i], psihats[i], dpsihats[i])
                for i in range(N)]
     iy = model.box_inner[1]
@@ -447,13 +453,13 @@ def build_perturbation(charts, psi_list):
         for i in range(N):
             idx = np.flatnonzero(box == i)
             x = flat[idx, 0]
-            y1 = flat[idx, 1] + sign * psihats[i](x)
+            y1 = flat[idx, 1] + sign * polyval(x, coefs[i][0])
             # the vertical segment from y to y1 stays in the inner box,
             # where the flow is exactly the shear
             sh = (reg[idx] == 2) & (np.abs(y1) <= iy)
             out[idx[sh], 1] = y1[sh]
             if with_jac:
-                J[idx[sh], 1, 0] = sign * dpsihats[i](x[sh])
+                J[idx[sh], 1, 0] = sign * polyval(x[sh], coefs[i][1])
             mc = idx[~sh]
             if mc.size:
                 # the collar: time-sign flow of box i, g (+1) or g^-1 (-1)
@@ -487,7 +493,10 @@ def verify_rescaling(model, k, psi_list=None):
 
     Runs the full N-leg orbit of an exit-chart disc grid, comparing the
     chart-conjugated composition with the Henon-kick product, and each
-    individual leg as Phi_i = H_i^{-1} o leg against the identity.  Returns
+    individual leg as Phi_i = H_i^{-1} o leg against the identity.  First a
+    probe disc follows the cycle: per leg, one T0 evaluation gives all k
+    passage iterates, one `box_region` call raises ValueError if iterates
+    1..k-1 touch a box, and iterate k goes on through T1 and g.  Returns
     a report dict with E(k), the per-leg defects of Phi_i, the psihat
     norms, and the passage count n = N (k + 1).
     """
@@ -502,9 +511,7 @@ def verify_rescaling(model, k, psi_list=None):
     T0k = model.T0.descriptor(k)
 
     def run_leg(i, XY):
-        p = charts.qbar(i)(XY)
-        p = T0k(p)
-        p = model.T1[(i + 1) % N](p)
+        p = model.T1[(i + 1) % N](T0k(charts.qbar(i)(XY)))
         reg, box = model.box_region(p)
         if np.any((reg > 0) & (box != (i + 1) % N)):
             raise ValueError("orbit enters a foreign perturbation box")
@@ -513,24 +520,19 @@ def verify_rescaling(model, k, psi_list=None):
         p = g(p)
         return charts.qbar(i + 1).inverse(p)
 
-    # intermediate-orbit avoidance: saddle-passage iterates must stay
-    # outside every box
-    T0 = model.T0.descriptor(1)
+    # intermediate-orbit avoidance: T0^1..T0^k of the probe in one call (the
+    # iterate count a (k, 1) column); iterates 1..k-1 must miss every box
+    T0j = model.T0.descriptor(np.arange(1, k + 1)[:, None])
     probe = charts.qbar(0)(_disc_grid(8))
     for i in range(N):
-        q = probe
-        for j in range(k):
-            q = T0(q)
-            if j < k - 1 and np.any(model.box_region(q)[0] > 0):
-                raise ValueError("saddle-passage orbit grazes a box")
-        q = model.T1[(i + 1) % N](q)
-        q = g(q)
-        probe = q
+        q = T0j(probe)
+        if np.any(model.box_region(q[:-1])[0] > 0):
+            raise ValueError("saddle-passage orbit grazes a box")
+        probe = g(model.T1[(i + 1) % N](q[-1]))
 
     # full composition vs the Henon product; each leg on the fresh disc
     # grid as Phi_i = H_i^{-1} o leg
-    cur = pts
-    hen = pts
+    cur = hen = pts
     phi_defects = []
     for i in range(N):
         henon = _henon(psi_list[i])
@@ -540,13 +542,10 @@ def verify_rescaling(model, k, psi_list=None):
         phi_defects.append(float(np.max(np.abs(henon.inv(fresh) - pts))))
     E = float(np.max(np.abs(cur - hen)))
 
-    norms = []
-    for ph in psihats:
-        lo = min(model.x_plus) - model.box_half[0]
-        hi = max(model.x_plus) + model.box_half[0]
-        xs = np.linspace(lo, hi, 257)
-        norms.append(max(float(np.max(np.abs(d(xs))))
-                         for d in (ph, ph.deriv(), ph.deriv(2))))
+    xs = np.linspace(min(model.x_plus) - model.box_half[0],
+                     max(model.x_plus) + model.box_half[0], 257)
+    norms = [max(float(np.max(np.abs(d(xs)))) for d in (ph, ph.deriv(), ph.deriv(2)))
+             for ph in psihats]
 
     return {
         "k": k,

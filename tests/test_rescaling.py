@@ -112,6 +112,19 @@ def test_normal_form_closed_form_iterate():
     assert np.max(np.abs(d.inv(d(p)) - p)) <= 1e-12
 
 
+def test_normal_form_iterate_column_matches_each_iterate():
+    # verify_rescaling's passage probe takes T0^1..T0^k in one call with the
+    # iterate count a (k, 1) column; each row must be T0^j's own evaluation
+    T0 = SaddleNormalForm(0.4, 0.1)
+    rng = np.random.default_rng(11)
+    p = rng.uniform(-1.0, 1.0, (37, 2))
+    k = 30
+    col = T0.descriptor(np.arange(1, k + 1)[:, None])(p)
+    assert col.shape == (k, 37, 2)
+    for j in range(1, k + 1):
+        assert col[j - 1].tobytes() == T0.descriptor(j)(p).tobytes()
+
+
 def test_normal_form_rejects_bad_multiplier():
     for lam in (0.0, 1.0, 1.4, -0.4):
         with pytest.raises(ValueError):
@@ -225,6 +238,35 @@ def test_transition_second_tail_vanishes_on_entry_axis():
     pts = np.stack([np.zeros(7), np.linspace(0.27, 0.37, 7)], axis=-1)
     _, phi2 = transition_tails(T1, pts)
     assert np.max(np.abs(phi2)) == 0.0
+
+
+def test_transition_and_shear_polynomials_match_polynomial_objects():
+    # T1's u, u' and g's psihat, psihat' are evaluated from coefficient
+    # arrays; the bits must be those of the Polynomial evaluations
+    T1 = TransitionMap(1.62, 0.32, 0.5, -2.0, u2=0.15, u3=0.05, a=0.1)
+    rng = np.random.default_rng(12)
+    pts = np.stack([rng.uniform(-0.05, 0.05, 200),
+                    rng.uniform(0.27, 0.37, 200)], axis=-1)
+    u = Polynomial([0.0, 0.0, 0.15, 0.05])
+    x, y = pts[:, 0], pts[:, 1]
+    w = 1.62 + 0.5 * (y - 0.32 + u(x))
+    Xp = 1.0 + 2.0 * 0.1 * (w - 1.62)
+    ref = np.stack([w + 0.1 * (w - 1.62) ** 2, -2.0 * x / Xp], axis=-1)
+    out, J = T1.descriptor().value_and_jacobian(pts)
+    assert out.tobytes() == ref.tobytes()
+    assert J[:, 0, 0].tobytes() == (Xp * 0.5 * u.deriv()(x)).tobytes()
+    wb = 1.62 + (np.sqrt(1.0 + 4.0 * 0.1 * (ref[:, 0] - 1.62)) - 1.0) / (2.0 * 0.1)
+    xb = ref[:, 1] * (1.0 + 2.0 * 0.1 * (wb - 1.62)) / -2.0
+    back = (wb - 1.62) / 0.5 + 0.32 - u(xb)
+    assert T1.inverse(ref)[:, 1].tobytes() == back.tobytes()
+    m = desk_model()
+    g, psihats = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
+    i = 1
+    xs = rng.uniform(m.x_plus[i] - 0.115, m.x_plus[i] + 0.115, 300)
+    ys = rng.uniform(-0.035, 0.035, 300)
+    gp, Jg = g.value_and_jacobian(np.stack([xs, ys], axis=-1))
+    assert gp[:, 1].tobytes() == (ys + psihats[i](xs)).tobytes()
+    assert Jg[:, 1, 0].tobytes() == psihats[i].deriv()(xs).tobytes()
 
 
 def test_transition_rejects_bad_constants():
@@ -407,6 +449,25 @@ def test_verify_builds_the_charts_once(monkeypatch):
     assert builds == [10]
 
 
+def test_verify_classifies_a_fixed_number_of_times_in_k(monkeypatch):
+    # the passage probe classifies all k - 1 intermediate iterates of a leg
+    # in one box_region call, so the count does not grow with k
+    calls = []
+    region = RescalingModel.box_region
+
+    def spy(self, p):
+        calls.append(np.shape(p))
+        return region(self, p)
+
+    monkeypatch.setattr(RescalingModel, "box_region", spy)
+    counts = []
+    for k in (8, 14):
+        calls.clear()
+        verify_rescaling(desk_model(), k, QUAD_KICKS)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_psihat_norms_shrink_with_k():
     m = desk_model()
     sups = []
@@ -468,6 +529,15 @@ def test_legs_are_symplectic_on_chart_windows():
         pts = ch.qbar(i)(disc)
         assert np.max(leg.symplectic_defect(pts)) <= 1e-9
         assert np.max(np.abs(leg.inv(leg(pts)) - pts)) <= 1e-10
+
+
+@pytest.mark.parametrize("lam, k", [(0.6, 60), (0.7, 30)])
+def test_verify_rejects_a_passage_that_grazes_a_box(lam, k):
+    # on the second leg the probe's first (lam = 0.6) or second (lam = 0.7)
+    # saddle-passage iterate enters a perturbation box
+    m = desk_model(0.0, tails=False, lam=lam, mu=0.9, r=2)
+    with pytest.raises(ValueError, match="saddle-passage orbit grazes a box"):
+        verify_rescaling(m, k)
 
 
 def test_verify_rejects_small_k_and_bad_kick_count():
