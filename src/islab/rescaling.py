@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polyutils import trimseq
 
 from .curves import BumpFn
 from .hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
@@ -261,16 +262,35 @@ class RescalingModel:
             for j in range(i + 1, self.N):
                 if abs(self.x_plus[i] - self.x_plus[j]) < 2 * self.box_half[0]:
                     raise ValueError("perturbation boxes overlap")
+        # box_region's tables: the box indices in the order of their
+        # centers, and whether the right box of each neighbour pair has the
+        # later index
+        order = sorted(range(self.N), key=self.x_plus.__getitem__)
+        self._order = np.array(order)
+        self._centers = self.x_plus[self._order]
+        self._right_later = np.array([True] + [a < b for a, b in zip(order, order[1:])])
 
     def box_region(self, p):
         """(region, box) of points p: region 2 on the inner plateau of box
-        `box`, 1 in its collar, and 0 outside every box (box -1 there)."""
-        reg = np.zeros(np.shape(p)[:-1], dtype=int)
-        box = np.full(np.shape(p)[:-1], -1, dtype=int)
-        for i, bmp in enumerate(self.bumps):
-            r = bmp.region(p)
-            reg = np.where(r > 0, r, reg)
-            box = np.where(r > 0, i, box)
+        `box`, 1 in its collar, and 0 outside every box (box -1 there).
+
+        The boxes are disjoint intervals of x over one y interval, so only
+        the two boxes whose centers bracket x can hold a point.  Boxes may
+        touch, and a point within an ulp of where they meet can then pass
+        the strict test |x - center| < half of both; the later box index
+        takes it."""
+        p = np.asarray(p, dtype=float)
+        x, ay = p[..., 0], np.abs(p[..., 1])
+        (hx, hy), (ix, iy) = self.box_half, self.box_inner
+        hi = np.minimum(np.searchsorted(self._centers, x), self.N - 1)
+        lo = np.maximum(hi - 1, 0)
+        ax_lo = np.abs(x - self._centers[lo])
+        ax_hi = np.abs(x - self._centers[hi])
+        take_hi = (ax_hi < hx) & ((ax_lo >= hx) | self._right_later[hi])
+        ax = np.where(take_hi, ax_hi, ax_lo)
+        outer = (ax < hx) & (ay < hy)
+        reg = outer + ((ax <= ix) & (ay <= iy)).astype(int)
+        box = np.where(outer, self._order[np.where(take_hi, hi, lo)], -1)
         return reg, box
 
 
@@ -339,17 +359,56 @@ class RescalingCharts:
         return m.T1[j].d * m.x_plus[i] * m.R[i] / m.R[j]
 
     def psihat(self, i, psi):
-        """The box shear on V_{i+1} that cancels leg i's landing defects
-        and injects the Henon kick psi (a polynomial in the chart X)."""
+        """Coefficients of the box shear on V_{i+1} that cancels leg i's
+        landing defects and injects the Henon kick psi (a `Polynomial` in
+        the chart X, or None).
+
+        With s = xbar - x+_{i+1}, the shear is A - B s + K psi(s / scale),
+        formed as `Polynomial` arithmetic forms it, bit for bit: products
+        by `np.convolve`, a sum as the shorter operand added into the
+        longer, trailing zeros trimmed after each operation."""
         m = self.model
         j = (i + 1) % m.N
+        s = np.array([-m.x_plus[j], 1.0])
+        lin = trimseq(np.convolve(
+            [self.lamk * self.a_cross(i) * m.R[j] / (m.b[j] * m.R[i])], s))
+        out = -lin
+        out[0] += -self.lamk * self.c_offset(i) * m.R[j]
+        out = trimseq(out)
+        if psi is None:
+            return out
         scale = m.b[j] * m.R[i] * self.muk
-        s = Polynomial([-m.x_plus[j], 1.0])  # xbar - x+_{j}
-        out = Polynomial([-self.lamk * self.c_offset(i) * m.R[j]])
-        out = out - (self.lamk * self.a_cross(i) * m.R[j] / (m.b[j] * m.R[i])) * s
-        if psi is not None:
-            out = out + (self.lamk * self.muk * m.R[j]) * psi(s / scale)
-        return out
+        kick = trimseq(np.convolve([self.lamk * self.muk * m.R[j]],
+                                   _compose_linear(psi.coef, s / scale)))
+        if len(out) > len(kick):
+            out, kick = kick, out
+        kick[:len(out)] += out
+        return trimseq(kick)
+
+
+def _compose_linear(c, t):
+    """Coefficients of c(t(x)) for the linear t = t[0] + t[1] x, by
+    Horner's rule on coefficient arrays as `Polynomial.__call__` runs it on
+    a `Polynomial` argument (its start c[-1] + t * 0 is the first pass
+    from the zero polynomial)."""
+    out = np.zeros(1)
+    for a in c[::-1]:
+        out = trimseq(np.convolve(out, t))
+        out[0] += a
+    return out
+
+
+def _deriv(c):
+    """`polyder(c)`: the derivative's coefficients, bit for bit."""
+    return c[1:] * np.arange(1, len(c)) if len(c) > 1 else c[:1] * 0.0
+
+
+def _antideriv_at(c, x0):
+    """Coefficients of the antiderivative of c that vanishes at x0, as
+    `Polynomial.integ()` followed by P - P(x0) forms them."""
+    P = trimseq(np.concatenate(([0.0], c / np.arange(1, len(c) + 1))))
+    P[0] -= polyval(x0, P)
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -382,31 +441,22 @@ class BoxBump:
         H[..., 1, 1] = bx * self._y.d2(y)
         return bx * by, grad, H
 
-    def region(self, p):
-        """2 inside the inner box, 1 in the collar, 0 outside."""
-        p = np.asarray(p, dtype=float)
-        ax = np.abs(p[..., 0] - self.center[0])
-        ay = np.abs(p[..., 1] - self.center[1])
-        inner = (ax <= self.inner[0]) & (ay <= self.inner[1])
-        outer = (ax < self.half[0]) & (ay < self.half[1])
-        return np.where(inner, 2, np.where(outer, 1, 0))
-
 
 def _collar_system(bmp, Psi, psihat, dpsihat):
-    """H = -Psi(x) rho(x, y) for one box, with psihat = Psi' and
-    dpsihat = psihat'."""
+    """H = -Psi(x) rho(x, y) for one box, from the coefficient arrays of
+    Psi, psihat = Psi' and dpsihat = psihat'."""
 
     def grad(p):
         x = p[..., 0]
         rho, gr, _ = bmp.jet(p, False)
-        P = Psi(x)
-        return np.stack([-(psihat(x) * rho + P * gr[..., 0]),
+        P = polyval(x, Psi)
+        return np.stack([-(polyval(x, psihat) * rho + P * gr[..., 0]),
                          -P * gr[..., 1]], axis=-1)
 
     def hess(p):
         x = p[..., 0]
         rho, gr, hs = bmp.jet(p, True)
-        P, p1, p2 = Psi(x), psihat(x), dpsihat(x)
+        P, p1, p2 = polyval(x, Psi), polyval(x, psihat), polyval(x, dpsihat)
         H = np.empty(p.shape[:-1] + (2, 2))
         H[..., 0, 0] = -(p2 * rho + 2.0 * p1 * gr[..., 0] + P * hs[..., 0, 0])
         H[..., 0, 1] = H[..., 1, 0] = -(p1 * gr[..., 1] + P * hs[..., 0, 1])
@@ -423,22 +473,22 @@ def build_perturbation(charts, psi_list):
     g is the time-1 flow of H = -Psi(x) * rho_box over the model's bumps;
     on each inner box it acts as the exact vertical shear by psihat_i,
     outside all boxes it is the identity, and the collar is integrated by
-    implicit midpoint.  Returns (g, psihat list).
+    implicit midpoint.  Returns (g, psihat list): the shears as
+    `Polynomial`s, each built once from the coefficient array that g
+    evaluates.  The shears, their derivatives and the collar's Psi_i are
+    coefficient arrays throughout, bitwise what `Polynomial` arithmetic
+    (`deriv`, `integ`, P - P(x+_i)) gives.
     """
     model = charts.model
     N = model.N
-    psihats = [None] * N
+    coefs = [None] * N
     for leg in range(N):
-        psihats[(leg + 1) % N] = charts.psihat(leg, psi_list[leg])
+        coefs[(leg + 1) % N] = charts.psihat(leg, psi_list[leg])
+    dcoefs = [_deriv(c) for c in coefs]
     # anchor the antiderivatives at the box centers so the collar
     # Hamiltonian is as small as the shear itself
-    Psis = []
-    for i, ph in enumerate(psihats):
-        P = ph.integ()
-        Psis.append(P - P(model.x_plus[i]))
-    dpsihats = [ph.deriv() for ph in psihats]
-    coefs = [(ph.coef, d.coef) for ph, d in zip(psihats, dpsihats)]
-    systems = [_collar_system(model.bumps[i], Psis[i], psihats[i], dpsihats[i])
+    systems = [_collar_system(model.bumps[i], _antideriv_at(coefs[i], model.x_plus[i]),
+                              coefs[i], dcoefs[i])
                for i in range(N)]
     iy = model.box_inner[1]
 
@@ -453,13 +503,13 @@ def build_perturbation(charts, psi_list):
         for i in range(N):
             idx = np.flatnonzero(box == i)
             x = flat[idx, 0]
-            y1 = flat[idx, 1] + sign * polyval(x, coefs[i][0])
+            y1 = flat[idx, 1] + sign * polyval(x, coefs[i])
             # the vertical segment from y to y1 stays in the inner box,
             # where the flow is exactly the shear
             sh = (reg[idx] == 2) & (np.abs(y1) <= iy)
             out[idx[sh], 1] = y1[sh]
             if with_jac:
-                J[idx[sh], 1, 0] = sign * polyval(x[sh], coefs[i][1])
+                J[idx[sh], 1, 0] = sign * polyval(x[sh], dcoefs[i])
             mc = idx[~sh]
             if mc.size:
                 # the collar: time-sign flow of box i, g (+1) or g^-1 (-1)
@@ -470,7 +520,7 @@ def build_perturbation(charts, psi_list):
         return out.reshape(p.shape), (J.reshape(p.shape + (2,)) if with_jac else None)
 
     g = MapDescriptor(f"g[k={charts.k}]", apply, lambda q: apply(q, False, -1.0)[0])
-    return g, psihats
+    return g, [Polynomial(c) for c in coefs]
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +547,9 @@ def verify_rescaling(model, k, psi_list=None):
     probe disc follows the cycle: per leg, one T0 evaluation gives all k
     passage iterates, one `box_region` call raises ValueError if iterates
     1..k-1 touch a box, and iterate k goes on through T1 and g.  Returns
-    a report dict with E(k), the per-leg defects of Phi_i, the psihat
-    norms, and the passage count n = N (k + 1).
+    a report dict with E(k), the per-leg defects of Phi_i, the passage
+    count n = N (k + 1), and each psihat_i's sup and C^2 norm over its own
+    box (the only place g uses it), from its coefficient array.
     """
     N = model.N
     if psi_list is None:
@@ -542,10 +593,15 @@ def verify_rescaling(model, k, psi_list=None):
         phi_defects.append(float(np.max(np.abs(henon.inv(fresh) - pts))))
     E = float(np.max(np.abs(cur - hen)))
 
-    xs = np.linspace(min(model.x_plus) - model.box_half[0],
-                     max(model.x_plus) + model.box_half[0], 257)
-    norms = [max(float(np.max(np.abs(d(xs)))) for d in (ph, ph.deriv(), ph.deriv(2)))
-             for ph in psihats]
+    # sup and C^2 norm of each psihat_i over its own box, where g uses it
+    sups, norms = [], []
+    for i, ph in enumerate(psihats):
+        xs = np.linspace(model.x_plus[i] - model.box_half[0],
+                         model.x_plus[i] + model.box_half[0], 257)
+        dph = _deriv(ph.coef)
+        vals = [float(np.max(np.abs(polyval(xs, c)))) for c in (ph.coef, dph, _deriv(dph))]
+        sups.append(vals[0])
+        norms.append(max(vals))
 
     return {
         "k": k,
@@ -554,10 +610,7 @@ def verify_rescaling(model, k, psi_list=None):
         "phi_defects": phi_defects,
         "phi_defect_max": max(phi_defects),
         "psihat_norms": norms,
-        "psihat_sup": max(float(np.max(np.abs(ph(np.linspace(
-            model.x_plus[i] - model.box_half[0],
-            model.x_plus[i] + model.box_half[0], 257)))))
-            for i, ph in enumerate(psihats)),
+        "psihat_sup": max(sups),
     }
 
 

@@ -6,6 +6,7 @@ rather than in the package.
 """
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from islab.blowup import SIGMA, from_polar, to_polar
 from islab.hamiltonian import HamiltonianSystem, _midpoint_steps
@@ -393,3 +394,55 @@ def xi_eta(T0, k, window):
     info = {"residual": resid, "sup_xi": float(np.max(np.abs(grid_xi))),
             "sup_eta": float(np.max(np.abs(grid_eta)))}
     return xi, eta, info
+
+
+def bump_region(bump, p):
+    """Region of points p in one `BoxBump`: 2 inside the inner box, 1 in
+    the collar, 0 outside.  The per-box reference for `box_region`."""
+    p = np.asarray(p, dtype=float)
+    ax = np.abs(p[..., 0] - bump.center[0])
+    ay = np.abs(p[..., 1] - bump.center[1])
+    inner = (ax <= bump.inner[0]) & (ay <= bump.inner[1])
+    outer = (ax < bump.half[0]) & (ay < bump.half[1])
+    return np.where(inner, 2, np.where(outer, 1, 0))
+
+
+def box_region_by_bump(model, p):
+    """`model.box_region` as one pass per box: each box whose region holds a
+    point overwrites the point's (region, box), so of two boxes the later
+    index wins."""
+    reg = np.zeros(np.shape(p)[:-1], dtype=int)
+    box = np.full(np.shape(p)[:-1], -1, dtype=int)
+    for i, bmp in enumerate(model.bumps):
+        r = bump_region(bmp, p)
+        reg = np.where(r > 0, r, reg)
+        box = np.where(r > 0, i, box)
+    return reg, box
+
+
+def psihat_polynomial(charts, i, psi):
+    """psihat of leg i by `Polynomial` arithmetic: the reference for
+    `RescalingCharts.psihat`'s coefficient array."""
+    m = charts.model
+    j = (i + 1) % m.N
+    scale = m.b[j] * m.R[i] * charts.muk
+    s = Polynomial([-m.x_plus[j], 1.0])  # xbar - x+_{j}
+    out = Polynomial([-charts.lamk * charts.c_offset(i) * m.R[j]])
+    out = out - (charts.lamk * charts.a_cross(i) * m.R[j] / (m.b[j] * m.R[i])) * s
+    if psi is not None:
+        out = out + (charts.lamk * charts.muk * m.R[j]) * psi(s / scale)
+    return out
+
+
+def perturbation_polynomials(charts, psi_list):
+    """(psihat, psihat', Psi) of each box by `Polynomial` arithmetic, with
+    Psi the antiderivative of psihat that vanishes at the box center: the
+    reference for the coefficient arrays `build_perturbation` builds."""
+    m = charts.model
+    out = [None] * m.N
+    for leg in range(m.N):
+        i = (leg + 1) % m.N
+        ph = psihat_polynomial(charts, leg, psi_list[leg])
+        P = ph.integ()
+        out[i] = (ph, ph.deriv(), P - P(m.x_plus[i]))
+    return out

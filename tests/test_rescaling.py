@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Polynomial
 
-from construction_checks import finite_difference_jacobian, transition_tails, xi_eta
+from construction_checks import (box_region_by_bump, bump_region, finite_difference_jacobian,
+                                 perturbation_polynomials, transition_tails, xi_eta)
 from islab import rescaling
 from islab.maps import compose, henon_like
 from islab.rescaling import (
@@ -328,7 +329,7 @@ def test_perturbation_identity_outside_boxes():
     pts = np.stack([rng.uniform(-1, 5, 2000), rng.uniform(-1, 1, 2000)], axis=-1)
     outside = np.ones(len(pts), bool)
     for b in m.bumps:
-        outside &= b.region(pts) == 0
+        outside &= bump_region(b, pts) == 0
     assert outside.sum() > 1500
     assert np.max(np.abs(g(pts[outside]) - pts[outside])) == 0.0
 
@@ -343,6 +344,28 @@ def test_perturbation_exact_shear_on_inner_box():
     inner = np.stack([xs, ys], axis=-1)
     sheared = np.stack([xs, ys + psihats[i](xs)], axis=-1)
     assert np.max(np.abs(g(inner) - sheared)) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [8, 14, 30])
+def test_shear_coefficients_match_the_polynomial_construction(k):
+    # psihat_i, psihat_i' and Psi_i are built on coefficient arrays; their
+    # bytes must be those of the Polynomial arithmetic they replace.  The
+    # last kick list has trailing zeros and a zero kick, which that
+    # arithmetic trims after each operation
+    edge = [Polynomial([0.0]), Polynomial([0.02, 0.0, 0.0]), Polynomial([0.0, -0.01])]
+    for m in (desk_model(), desk_model(nonlinearity=0.0, tails=False)):
+        for kicks in (QUAD_KICKS, [None] * 3, edge):
+            charts = RescalingCharts(m, k)
+            ref = perturbation_polynomials(charts, kicks)
+            _, psihats = build_perturbation(charts, kicks)
+            for leg in range(m.N):
+                i = (leg + 1) % m.N
+                ph, dph, Psi = ref[i]
+                c = charts.psihat(leg, kicks[leg])
+                assert c.tobytes() == ph.coef.tobytes()
+                assert psihats[i].coef.tobytes() == ph.coef.tobytes()
+                assert rescaling._deriv(c).tobytes() == dph.coef.tobytes()
+                assert rescaling._antideriv_at(c, m.x_plus[i]).tobytes() == Psi.coef.tobytes()
 
 
 def test_perturbation_symplectic_and_invertible():
@@ -366,7 +389,7 @@ def test_perturbation_collar_jacobian_matches_finite_differences():
     i = 1
     box = np.stack([rng.uniform(m.x_plus[i] - 0.15, m.x_plus[i] + 0.15, 2000),
                     rng.uniform(-0.05, 0.05, 2000)], axis=-1)
-    collar = box[m.bumps[i].region(box) == 1][:200]
+    collar = box[bump_region(m.bumps[i], box) == 1][:200]
     assert len(collar) == 200
     J = g.jacobian(collar)
     assert np.max(np.abs(J - np.eye(2))) > 0.1  # the collar flow is not a shear
@@ -378,7 +401,7 @@ def test_perturbation_value_and_jacobian_matches_separate_calls():
     g, _ = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
     rng = np.random.default_rng(12)
     pts = np.stack([rng.uniform(0.5, 3.6, 3000), rng.uniform(-0.1, 0.1, 3000)], axis=-1)
-    region = sum(b.region(pts) for b in m.bumps)
+    region = sum(bump_region(b, pts) for b in m.bumps)
     assert all(np.count_nonzero(region == r) > 50 for r in (0, 1, 2))
     img, J = g.value_and_jacobian(pts)
     assert np.array_equal(img, g(pts))
@@ -396,7 +419,7 @@ def test_perturbation_rejects_overlapping_boxes():
 def test_bump_region_classification():
     b = BoxBump((1.0, 0.0), (0.15, 0.05), (0.115, 0.035))
     pts = np.array([[1.0, 0.0], [1.13, 0.04], [1.2, 0.0], [1.0, 0.2]])
-    assert list(b.region(pts)) == [2, 1, 0, 0]
+    assert list(bump_region(b, pts)) == [2, 1, 0, 0]
     assert b.jet(np.array([1.0, 0.0]), False)[0] == 1.0
     assert b.jet(np.array([1.2, 0.0]), False)[0] == 0.0
     with pytest.raises(ValueError):
@@ -428,12 +451,78 @@ def test_box_region_matches_each_bumps_own_region():
     rng = np.random.default_rng(13)
     pts = np.stack([rng.uniform(0.5, 3.6, 6000), rng.uniform(-0.1, 0.1, 6000)], axis=-1)
     reg, box = m.box_region(pts)
-    own = np.stack([b.region(pts) for b in m.bumps])
+    own = np.stack([bump_region(b, pts) for b in m.bumps])
     assert all(np.count_nonzero(reg == r) > 50 for r in (0, 1, 2))
     assert np.array_equal(box == -1, reg == 0)
     inside = box >= 0
     assert np.array_equal(reg[inside], own[box[inside], np.flatnonzero(inside)])
     assert not np.any(own[:, ~inside])
+
+
+def _touching_model(rng, n):
+    # landing points in shuffled order; most neighbour pairs touch, their
+    # centers exactly 2 * half apart in floating point, the least gap
+    # __post_init__ accepts
+    xs = [rng.uniform(0.5, 2.0)]
+    for _ in range(n - 1):
+        if rng.random() < 0.3:
+            xs.append(xs[-1] + 0.3 + rng.uniform(0.001, 0.2))
+            continue
+        x = xs[-1] + 0.3
+        while x - xs[-1] < 0.3:
+            x = np.nextafter(x, np.inf)
+        while np.nextafter(x, -np.inf) - xs[-1] >= 0.3:
+            x = np.nextafter(x, -np.inf)
+        xs.append(x)
+    return RescalingModel(SaddleNormalForm(0.4, 0.1),
+                          [TransitionMap(x, 0.3, 0.5, -2.0) for x in rng.permutation(xs)],
+                          mu=0.8)
+
+
+def _edge_points(m):
+    # every box edge, inner edge and center in x, and every midpoint between
+    # neighbouring centers, against every edge level in y, each within 4 ulp
+    (hx, hy), (ix, iy) = m.box_half, m.box_inner
+    c = np.sort(m.x_plus)
+    xs = np.concatenate([c - hx, c + hx, c - ix, c + ix, c, (c[1:] + c[:-1]) / 2])
+    ys = np.array([0.0, hy, -hy, iy, -iy, 0.01])
+    ulps = np.arange(-4, 5)
+    x = (xs[:, None] + ulps * np.spacing(xs)[:, None]).ravel()
+    y = (ys[:, None] + ulps * np.spacing(np.abs(ys))[:, None]).ravel()
+    X, Y = np.meshgrid(x, y)
+    return np.stack([X, Y], axis=-1)
+
+
+def _nearest_midpoint_region(m, p):
+    # the one-candidate classifier: a box per point by the midpoints between
+    # neighbouring centers.  Near where two boxes touch, the strict test
+    # passes for both, and the per-box loop takes the later index
+    order = np.argsort(m.x_plus)
+    c = m.x_plus[order]
+    x, ay = p[..., 0], np.abs(p[..., 1])
+    i = np.searchsorted((c[1:] + c[:-1]) / 2, x)
+    ax = np.abs(x - c[i])
+    outer = (ax < m.box_half[0]) & (ay < m.box_half[1])
+    inner = (ax <= m.box_inner[0]) & (ay <= m.box_inner[1])
+    return np.where(inner, 2, outer.astype(int)), np.where(outer, order[i], -1)
+
+
+def test_box_region_matches_the_per_box_loop_where_boxes_touch():
+    rng = np.random.default_rng(15)
+    naive_misses = 0
+    for _ in range(60):
+        m = _touching_model(rng, rng.choice([3, 5]))
+        pts = _edge_points(m)
+        reg, box = m.box_region(pts)
+        ref_reg, ref_box = box_region_by_bump(m, pts)
+        assert reg.dtype == ref_reg.dtype and box.dtype == ref_box.dtype
+        assert np.array_equal(reg, ref_reg) and np.array_equal(box, ref_box)
+        assert all(np.count_nonzero(ref_reg == r) > 0 for r in (0, 1, 2))
+        naive = _nearest_midpoint_region(m, pts)
+        naive_misses += not (np.array_equal(naive[0], ref_reg)
+                             and np.array_equal(naive[1], ref_box))
+    # the points reach the touching boxes' shared edge
+    assert naive_misses > 0
 
 
 def test_verify_builds_the_charts_once(monkeypatch):
@@ -466,6 +555,45 @@ def test_verify_classifies_a_fixed_number_of_times_in_k(monkeypatch):
         verify_rescaling(desk_model(), k, QUAD_KICKS)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_verify_constructs_a_fixed_number_of_polynomials_in_k(monkeypatch):
+    # psihat_i, psihat_i', Psi_i and the norms' derivatives are coefficient
+    # arrays; what is left is each psihat_i built once for the caller and
+    # each kick's derivative for its Henon map
+    built = []
+    init = Polynomial.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", spy)
+    counts = []
+    for k in (8, 14):
+        built.clear()
+        verify_rescaling(desk_model(), k, QUAD_KICKS)
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 6
+
+
+def test_psihat_norms_are_taken_on_each_box():
+    # g uses psihat_i only on box i, so its sup and C^2 norm are measured on
+    # that box's grid; one grid over all boxes overstates box 0's norm at
+    # k = 8 by about 1.37x
+    m = desk_model()
+    rep = verify_rescaling(m, 8, QUAD_KICKS)
+    _, psihats = build_perturbation(RescalingCharts(m, 8), QUAD_KICKS)
+    h = m.box_half[0]
+
+    def sups(ph, xs):
+        return [float(np.max(np.abs(d(xs)))) for d in (ph, ph.deriv(), ph.deriv(2))]
+
+    own = [sups(ph, np.linspace(x - h, x + h, 257)) for ph, x in zip(psihats, m.x_plus)]
+    assert rep["psihat_norms"] == [max(s) for s in own]
+    assert rep["psihat_sup"] == max(s[0] for s in own)
+    wide = np.linspace(min(m.x_plus) - h, max(m.x_plus) + h, 257)
+    assert max(sups(psihats[0], wide)) > 1.3 * rep["psihat_norms"][0]
 
 
 def test_psihat_norms_shrink_with_k():
