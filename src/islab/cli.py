@@ -2,7 +2,13 @@
 numerical suites and writes CSV/JSON artifacts; `islab validate <config>`
 lints a config without running.
 
-Exit codes: 0 all checks passed, 1 a numeric check failed, 2 bad config.
+Exit codes: 0 all checks passed, 1 a numeric check failed, 2 bad config
+(a config file that is missing, unreadable or not UTF-8 included).
+
+Only the rescaling suite uses `islab.rescaling` and `numpy.polynomial`,
+and only its --threads pool `concurrent.futures`; each is imported where it
+is used, so no other run pays for loading it.
+
 Artifacts are bitwise-deterministic for a given (config, seed): all
 randomness flows through one seeded generator, rows are assembled in index
 order regardless of --threads, floats are serialized with repr, and wall
@@ -15,21 +21,18 @@ import operator
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .blowup import SIGMA, IslandMap, link_saddles, symmetry_and_identity_report
 from .config import (COMMON_SCHEMA, ConfigError, ExperimentConfig, validate as validate_raw,
-                     parse_text)
+                     parse_text, read_config)
 from .curves import BumpFn, MaskedPeriodic, PeriodicFn, curve_sup_diff, random_trig_poly
 from .links import (LinkGeometry, build_suitable_model, restore_link_a, restore_link_b,
                     restoration_b_reference, splitting_a, splitting_a_reference,
                     splitting_b, splitting_b_reference, unstable_curve)
 from .lyapunov import LN4, entropy_estimate, lambda_field_rows, max_lyapunov
 from .maps import anosov_map, chirikov_map, compose, henon_like, shear_map
-from .rescaling import corollary_composition, desk_model, verify_rescaling
 
 
 _COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
@@ -281,6 +284,11 @@ def _disc_points(rng, n):
 
 
 def _run_rescaling(cfg, rng, threads):
+    # imported here, not at start-up (see the module docstring)
+    from numpy.polynomial import Polynomial
+
+    from .rescaling import corollary_composition, desk_model, verify_rescaling
+
     p = cfg.params
     lam, mu, r = p["lambda"], p["mu"], p["r"]
     klist = list(p["k_list"])
@@ -298,6 +306,7 @@ def _run_rescaling(cfg, rng, threads):
         return verify_rescaling(model, k, kicks)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(cell, klist))
     else:
@@ -425,11 +434,7 @@ def _cmd_run(args):
 
 def _cmd_validate(args):
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = parse_text(fh.read())
-    except FileNotFoundError:
-        print(f"config error: file not found: {args.config}", file=sys.stderr)
-        return 2
+        raw = parse_text(read_config(args.config))
     except ConfigError as e:
         for v in e.violations:
             print(f"config error: {v}", file=sys.stderr)

@@ -9,11 +9,12 @@ Example::
     island.eps = 0.24   # outer profile radius
 
 Unknown keys, keys from a different suite's block, type mismatches, and
-out-of-range values are all reported by `validate`; `load_config` raises
-`ConfigError` listing every violation at once.
+out-of-range values are all reported by `validate`; `ExperimentConfig`
+raises `ConfigError` listing every violation at once.  `read_config` is
+the one reader of a config file: a file that is missing, cannot be read or
+is not UTF-8 text is a `ConfigError` too.
 """
 
-import os
 from dataclasses import dataclass, field
 
 SUITES = ("island", "lyapunov", "stdmap-scan", "links", "rescaling")
@@ -129,6 +130,22 @@ def parse_text(text):
     return raw
 
 
+def read_config(path):
+    """The text of the config file at path.  A file that cannot be read
+    (missing, a directory, no permission) or is not UTF-8 raises
+    ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ConfigError([f"config file not found: {path}"]) from None
+    except OSError as e:
+        raise ConfigError([f"cannot read config file {path}: {e.strerror}"]) from None
+    except UnicodeDecodeError as e:
+        raise ConfigError([f"config file {path} is not UTF-8 text: byte "
+                           f"{e.object[e.start]:#04x}, {e.reason}"]) from None
+
+
 def _resolve(raw):
     """(values, violations) of a raw config: every schema key of its suite
     that parses or takes its default, in schema order, and the violations,
@@ -203,10 +220,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        if not os.path.exists(path):
-            raise ConfigError([f"config file not found: {path}"])
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return cls.from_text(read_config(path))
 
     def resolved(self):
         """Full key = value echo (defaults included), for reports."""

@@ -272,6 +272,20 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_main_unreadable_config_exit_2(tmp_path, capsys, command):
+    # a directory and a file that is not UTF-8 are config errors, reported
+    # on one line each, not tracebacks
+    folder = tmp_path / "dir.cfg"
+    folder.mkdir()
+    binary = tmp_path / "bad.cfg"
+    binary.write_bytes(b"suite = island\n# caf\xff\n")
+    for path, text in ((folder, "cannot read config file"), (binary, "not UTF-8")):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and text in err and err.count("\n") == 1
+
+
 def test_main_numeric_abort_exit_1(tmp_path, capsys):
     # k = 6 is too short a saddle passage for the built-in nonlinearity:
     # a leg orbit exits its perturbation box and the run aborts numerically

@@ -129,3 +129,12 @@ def test_missing_file():
     with pytest.raises(ConfigError) as e:
         ExperimentConfig.from_file("/nonexistent/path.cfg")
     assert any("not found" in v for v in e.value.violations)
+
+
+def test_unreadable_file(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        ExperimentConfig.from_file(str(tmp_path))
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("suite = island\n# caf\xe9\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="not UTF-8 text: byte 0xe9"):
+        ExperimentConfig.from_file(str(path))

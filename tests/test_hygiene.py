@@ -130,6 +130,33 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+# modules that only the rescaling suite, or only --threads above 1, uses
+DEFERRED = ("islab.rescaling", "numpy.polynomial", "concurrent.futures")
+
+
+def test_cli_start_up_defers_what_most_runs_never_use():
+    # one process: after the import, after an island run, after a rescaling run
+    code = f"""
+import sys
+import islab.cli
+from islab.config import ExperimentConfig
+
+def loaded():
+    print([m for m in {DEFERRED!r} if m in sys.modules])
+
+loaded()
+islab.cli.run(ExperimentConfig.from_text("suite = island\\nisland.grid = 16\\nisland.n = 20\\n"))
+loaded()
+islab.cli.run(ExperimentConfig.from_text("suite = rescaling\\nrescaling.k_list = 8\\n"))
+loaded()
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, check=True, cwd=SRC.parent)
+    after_import, after_island, after_rescaling = out.stdout.splitlines()
+    assert after_import == after_island == "[]"
+    assert "'islab.rescaling'" in after_rescaling
+
+
 ACCEPTANCE = pathlib.Path(__file__).resolve().parent / "test_acceptance.py"
 # the package's version string
 REACH_EXEMPT = {"islab.__version__"}
