@@ -32,7 +32,8 @@ import numpy as np
 
 from .curves import StepFn
 from .hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
-from .maps import ANOSOV, MapDescriptor, anosov_map, inv2, mul2, torus_diff, wrap_torus
+from .maps import (ANOSOV, ANOSOV_INV, MapDescriptor, anosov_map, mul2, torus_diff,
+                   wrap_torus)
 
 SIGMA = np.log(9.0 + 4.0 * np.sqrt(5.0))          # expansion exponent
 # the centres are the lattice (1/2 Z)^2 on the torus
@@ -280,12 +281,8 @@ def island_hamiltonian(profile):
         xi, xi1 = profile.xi.value_and_d1(rho)
         xi2 = profile.xi.d2(rho)
         u = rho - lo
-        H = np.empty(np.shape(s)[:-1] + (2, 2), dtype=float)
-        H[..., 0, 0] = np.sin(2 * th) * (2 * xi1 + u * xi2)
-        H[..., 0, 1] = 2 * np.cos(2 * th) * (xi + u * xi1)
-        H[..., 1, 0] = H[..., 0, 1]
-        H[..., 1, 1] = -4.0 * u * np.sin(2 * th) * xi
-        return H
+        return (np.sin(2 * th) * (2 * xi1 + u * xi2), 2 * np.cos(2 * th) * (xi + u * xi1),
+                -4.0 * u * np.sin(2 * th) * xi)
 
     return HamiltonianSystem("island H", grad, hess)
 
@@ -307,7 +304,7 @@ class IslandMap:
     def __init__(self, delta=0.15, eps=0.24):
         self.profile = SurgeryProfile(delta, eps)
         self.A = ANOSOV
-        self.Ainv = inv2(self.A)
+        self.Ainv = ANOSOV_INV
         self.R = eigen_rotation()
         # (N, 2) @ M.T with a transposed view rounds differently depending
         # on N; a contiguous copy keeps every point's result independent of
@@ -377,9 +374,8 @@ class IslandMap:
 
     def _surgered(self, p, d, r2, mat, with_jac):
         """Psi^{-1} o mat o Psi of points p with chart offsets d and radii^2
-        r2, and when with_jac its Jacobian K2 mat K1 (N, 2, 2) (else None),
-        from the symmetric K1 and K2: the (N, 2, 2) view of one contiguous
-        (4, N) block of entries, so each entry reads back as a contiguous row."""
+        r2, and when with_jac the entries of its Jacobian K2 mat K1 (else
+        None), four contiguous (N,) arrays from the symmetric K1 and K2."""
         q, K1 = self._surgery(p, d, r2, False, with_jac)
         q2 = wrap_torus(q @ np.ascontiguousarray(mat.T))
         d2, r2b = self._chart(q2)
@@ -387,23 +383,20 @@ class IslandMap:
         if not with_jac:
             return out, None
         (a1, b1, c1), (a2, b2, c2) = K1, K2
-        E = np.empty((4, p.shape[0]))
-        E[0], E[1], E[2], E[3] = mul2((a2, b2, b2, c2), mul2(mat.ravel(), (a1, b1, b1, c1)))
-        return out, E.T.reshape(-1, 2, 2)
+        return out, mul2((a2, b2, b2, c2), mul2(mat.ravel(), (a1, b1, b1, c1)))
 
     def _flow(self, p, d, t, steps, with_jac, order=2, tol=MIDPOINT_TOL):
         """Island flow applied to points with offsets d (rho <= rho_lo), in
         `steps` steps of the order-`order` midpoint rule at stage tolerance
-        `tol`."""
+        `tol`; with_jac adds the entries of its Jacobian, R (Dout M Din) R^T
+        with M the integrator's, the identity at core points."""
         prof = self.profile
         w = d @ self.R
         state = to_polar(w)
         out = np.array(p, copy=True)
         J = None
         if with_jac:
-            J = np.zeros(p.shape + (2,), dtype=float)
-            J[..., 0, 0] = 1.0
-            J[..., 1, 1] = 1.0
+            J = [np.full(len(p), e) for e in (1.0, 0.0, 0.0, 1.0)]
         core = state[..., 0] <= prof.rho0
         act = ~core
         if np.any(act):
@@ -413,20 +406,13 @@ class IslandMap:
             out[act] = wrap_torus(p[act] + (w_end - w[act]) @ self.RT)
             if with_jac:
                 # d(rho,theta)/dw has unit determinant; conjugate M back
-                wa, we = w[act], w_end
-                rho_a = state[act][..., 0]
-                rho_e = s_end[..., 0]
-                Din = np.empty(wa.shape + (2,), dtype=float)
-                Din[..., 0, 0] = wa[..., 0]
-                Din[..., 0, 1] = wa[..., 1]
-                Din[..., 1, 0] = -wa[..., 1] / (2 * rho_a)
-                Din[..., 1, 1] = wa[..., 0] / (2 * rho_a)
-                Dout = np.empty(we.shape + (2,), dtype=float)
-                Dout[..., 0, 0] = we[..., 0] / (2 * rho_e)
-                Dout[..., 0, 1] = -we[..., 1]
-                Dout[..., 1, 0] = we[..., 1] / (2 * rho_e)
-                Dout[..., 1, 1] = we[..., 0]
-                J[act] = self.R @ (Dout @ M @ Din) @ self.RT
+                (a0, a1), (e0, e1) = w[act].T, w_end.T
+                rho_a, rho_e = state[act][..., 0], s_end[..., 0]
+                Din = (a0, a1, -a1 / (2 * rho_a), a0 / (2 * rho_a))
+                Dout = (e0 / (2 * rho_e), -e1, e1 / (2 * rho_e), e0)
+                Ja = mul2(mul2(self.R.ravel(), mul2(mul2(Dout, M), Din)), self.RT.ravel())
+                for e, v in zip(J, Ja):
+                    e[act] = v
         return out, J
 
     # --- evaluation ----------------------------------------------------
@@ -448,7 +434,8 @@ class IslandMap:
         # flow regime, all four discs in one integration
         fl = np.nonzero(r2 <= self._in2)[0]
         if fl.size == 0:
-            return out.reshape(shape), (J.reshape(shape + (2,)) if with_jac else None)
+            return out.reshape(shape), (tuple(e.reshape(shape[:-1]) for e in J)
+                                        if with_jac else None)
         di, r2m, pm = d[fl], r2[fl], p[fl]
         snap = np.abs(r2m - self._circ2) <= self._circ_band
         if np.any(snap):
@@ -458,8 +445,9 @@ class IslandMap:
             pm[snap] = wrap_torus(pm[snap] + shift)
         out[fl], Jf = self._flow(pm, di, t, steps, with_jac, order, tol)
         if with_jac:
-            J[fl] = Jf
-            J = J.reshape(shape + (2,))
+            for e, v in zip(J, Jf):
+                e[fl] = v
+            J = tuple(e.reshape(shape[:-1]) for e in J)
         return out.reshape(shape), J
 
     def __call__(self, p):
@@ -517,10 +505,7 @@ class IslandMap:
                 out[c] = wrap_torus(flat[c] - d[c])
             J = None
             if with_jac:
-                J = np.empty(flat.shape + (2,))
-                J[:, 0, 0], J[:, 0, 1], J[:, 1, 1] = K
-                J[:, 1, 0] = J[:, 0, 1]
-                J = J.reshape(p.shape + (2,))
+                J = tuple(e.reshape(p.shape[:-1]) for e in (K[0], K[1], K[1], K[2]))
             return out.reshape(p.shape), J
 
         return MapDescriptor("Psi", apply, lambda q: apply(q, False, True)[0])
@@ -529,6 +514,17 @@ class IslandMap:
 # ----------------------------------------------------------------------
 # Verification helpers
 # ----------------------------------------------------------------------
+
+def _saddle_multipliers(J):
+    """Sorted |eigenvalues| (m, 2) of real-saddle 2x2 matrices given by
+    their entries, in closed form: the expanding one is t/2 + sign(t)
+    sqrt(t^2/4 - det) with t the trace, and the contracting one det over
+    it, which avoids the cancellation of t/2 - sign(t) sqrt(...)."""
+    a, b, c, d = J
+    t, det = a + d, a * d - b * c
+    big = 0.5 * t + np.copysign(np.sqrt(0.25 * t * t - det), t)
+    return np.sort(np.abs(np.stack([big, det / big], axis=-1)), axis=-1)
+
 
 def link_saddles(island):
     """The boundary fixed points of Fhat and their multipliers.
@@ -584,7 +580,7 @@ def link_saddles(island):
     # one refined integration for the saddles and all their probes
     images, Jall = island._eval(np.concatenate([P] + probes), 1, SADDLE_STEPS,
                                 with_jac=True, order=SADDLE_ORDER, tol=SADDLE_TOL)
-    Jv = Jall[:len(P)]
+    mult = _saddle_multipliers([e[:len(P)] for e in Jall])
     images = images[len(P):].reshape(len(frames), 2, len(P), 2)
     fd = np.empty((len(meta), 2))
     for j, (direction, h) in enumerate(frames):
@@ -595,7 +591,7 @@ def link_saddles(island):
     for i, (ic, th) in enumerate(meta):
         out.append(dict(
             center=ic, theta=th, point=P[i],
-            multipliers=np.sort(np.abs(np.linalg.eigvals(Jv[i]))),
+            multipliers=mult[i],
             fd_multipliers=np.sort(fd[i]),
             fixed_defect=float(defects[i]),
         ))

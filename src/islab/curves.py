@@ -425,10 +425,10 @@ def curve_sup_diff(c1, c2, a=None, b=None):
 
 
 def _transversality(f, curve, J):
-    """Raise unless f, with Jacobian J on the curve's samples, maps the
-    curve (each row of a stack) to a graph over x.  The error reports the
-    x of the first grid column where some row fails."""
-    s = J[..., 0, 0] + J[..., 0, 1] * curve.deriv(curve.grid)
+    """Raise unless f, with Jacobian entries J on the curve's samples, maps
+    the curve (each row of a stack) to a graph over x.  The error reports
+    the x of the first grid column where some row fails."""
+    s = J[0] + J[1] * curve.deriv(curve.grid)
     bad = np.abs(s) < 1e-10
     if np.any(bad):
         x = float(curve.grid[np.argmax(np.any(bad.reshape(-1, curve.n), axis=0))])
@@ -455,7 +455,7 @@ def graph_transform(f, curve):
     the x-rule is not affine, or when a stack's rows do not share row 0's
     x-image.
     """
-    img, J = f.value_and_jacobian(curve.points())
+    img, J = f.ev(curve.points(), True)
     _transversality(f, curve, J)
     img = np.asarray(img, dtype=float)
     rows, ty = img[..., 0].reshape(-1, curve.n), img[..., 1]

@@ -16,9 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .maps import inv2
+from .maps import inv2, mul2
 
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # fixed-point tolerance of the midpoint solve
 MIDPOINT_TOL = 1e-13
 # fixed-point sweeps per substep before the Newton fallback takes over
@@ -30,7 +29,7 @@ class HamiltonianSystem:
     """Hamiltonian with analytic gradient and Hessian.
 
     grad(p) returns (dH/dx, dH/dy) with shape (..., 2); hess(p) returns the
-    symmetric second-derivative matrix with shape (..., 2, 2).
+    entries (H_xx, H_xy, H_yy) of the symmetric second-derivative matrix.
     """
 
     name: str
@@ -45,7 +44,9 @@ class HamiltonianSystem:
         return f
 
     def field_jacobian(self, p):
-        return _J @ self.hess(p)
+        """Entries of D(J grad H) = J Hess H, J = [[0, 1], [-1, 0]]."""
+        hxx, hxy, hyy = self.hess(p)
+        return hxy, hyy, -hxx, -hxy
 
 
 # substep fractions of one step of each order: the midpoint rule itself, and
@@ -54,6 +55,12 @@ class HamiltonianSystem:
 _CBRT2 = 2.0 ** (1.0 / 3.0)
 _STAGES = {2: (1.0,),
            4: (1.0 / (2.0 - _CBRT2), -_CBRT2 / (2.0 - _CBRT2), 1.0 / (2.0 - _CBRT2))}
+
+
+def _identity_plus(c, Df):
+    """Entries of I + c Df, from the entries of Df."""
+    f00, f01, f10, f11 = Df
+    return 1.0 + c * f00, c * f01, c * f10, 1.0 + c * f11
 
 
 def _midpoint_steps(sys, p, t, steps, tol, with_jac, order=2):
@@ -67,17 +74,13 @@ def _midpoint_steps(sys, p, t, steps, tol, with_jac, order=2):
     if Newton fails.
 
     Returns (z, M) where M is the exact variational Jacobian of the discrete
-    flow, the product of the per-substep Cayley factors (so exactly
-    symplectic), or None when with_jac is False.
+    flow as its entries (M00, M01, M10, M11), the product of the
+    per-substep Cayley factors (so exactly symplectic), or None when
+    with_jac is False.
     """
     h_sub = [g * (t / steps) for g in _STAGES[order]]
     z = np.array(p, dtype=float, copy=True)
-    M = None
-    if with_jac:
-        M = np.zeros(z.shape + (2,), dtype=float)
-        M[..., 0, 0] = 1.0
-        M[..., 1, 1] = 1.0
-    eye = np.zeros((2, 2)) + np.eye(2)
+    M = (1.0, 0.0, 0.0, 1.0) if with_jac else None
 
     for _ in range(steps):
         for h in h_sub:
@@ -105,8 +108,9 @@ def _midpoint_steps(sys, p, t, steps, tol, with_jac, order=2):
                     act &= np.max(np.abs(G), axis=-1) > tol
                     if not act.any():
                         break
-                    JG = eye - (0.5 * h) * sys.field_jacobian(mid)
-                    step = (inv2(JG) @ G[..., None])[..., 0]
+                    a, b, c, d = inv2(_identity_plus(-0.5 * h, sys.field_jacobian(mid)))
+                    g0, g1 = G[..., 0], G[..., 1]
+                    step = np.stack([a * g0 + b * g1, c * g0 + d * g1], axis=-1)
                     w = np.where(act[..., None], w - step, w)
                 else:
                     raise RuntimeError(f"{sys.name}: midpoint solver failed at h={h:g}")
@@ -114,8 +118,6 @@ def _midpoint_steps(sys, p, t, steps, tol, with_jac, order=2):
                 # exact substep Jacobian: (I - h/2 Df)^{-1} (I + h/2 Df) at
                 # the midpoint
                 Df = sys.field_jacobian(0.5 * (z + w))
-                A = eye - (0.5 * h) * Df
-                B = eye + (0.5 * h) * Df
-                M = inv2(A) @ (B @ M)
+                M = mul2(inv2(_identity_plus(-0.5 * h, Df)), mul2(_identity_plus(0.5 * h, Df), M))
             z = w
     return z, M

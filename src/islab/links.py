@@ -31,7 +31,7 @@ from .curves import (
     graph_transform,
     straight_curve,
 )
-from .maps import MapDescriptor, affine_map, compose, inverse_descriptor
+from .maps import MapDescriptor, affine_map, compose, inverse_descriptor, jac_stack, mul2
 
 # side b's link entry: largest a-link gap it accepts as intact
 LINK_A_TOL = 1e-8
@@ -119,19 +119,20 @@ class SuitableModel:
 
     # -- regions ------------------------------------------------------------
 
-    def _level(self, p):
-        y = p[..., 1]
-        up = np.abs(y - self.geometry.y1) <= self.band
-        low = np.abs(y - self.geometry.y2) <= self.band
-        return up, low
-
     def _assemble_fstar(self):
-        g = self.geometry
+        # the closures hold the geometry, not the model: a model whose F*
+        # referred back to it would be a reference cycle, freed only by a
+        # full garbage collection
+        g, band = self.geometry, self.band
         tau, d = g.tau, g.delta
+
+        def level(p):
+            y = p[..., 1]
+            return np.abs(y - g.y1) <= band, np.abs(y - g.y2) <= band
 
         def classify(p):
             x = p[..., 0]
-            up, low = self._level(p)
+            up, low = level(p)
             in_a = up & (x >= g.x_a - 3 * tau - 3 * d) & (x <= g.x_a + tau + 3 * d)
             in_bt = up & (x >= g.x_b - 2 * tau - 3 * d) & (x < g.x_b + 3 * tau)
             in_j = up & (x >= g.x_b + 3 * tau) & (x < g.x_b + 5 * tau)
@@ -154,13 +155,17 @@ class SuitableModel:
         def ev(p, with_jac):
             masks = classify(p)
             vals, jacs = zip(*(piece.ev(p, with_jac) for piece in pieces))
-            return (piecewise(masks, vals, "region"),
-                    piecewise(masks, jacs, "region") if with_jac else None)
+            out = piecewise(masks, vals, "region")
+            if not with_jac:
+                return out, None
+            # every point is covered (piecewise checked), so each Jacobian
+            # entry is its piece's
+            return out, tuple(np.select(masks, entry) for entry in zip(*jacs))
 
         def inv(q):
             q = np.asarray(q, dtype=float)
             x = q[..., 0]
-            up, low = self._level(q)
+            up, low = level(q)
             masks = (up & (x <= g.x_a + 3 * d),
                      up & (x >= g.x_b - 2 * tau - 3 * d + tau),
                      low & (x >= g.x_b + 3 * tau / 2),
@@ -188,16 +193,18 @@ class SuitableModel:
             for dy in (-self.band / 2, 0.0, self.band / 2):
                 frame.append(np.stack([xs, np.full_like(xs, level + dy)], axis=-1))
         frame = np.concatenate(frame)
-        img, J = self.hook.value_and_jacobian(frame)
+        img, J = self.hook.ev(frame, True)
         rows = img.shape[0] if img.ndim == 3 else 1
-        img, J = img.reshape(rows, -1, 2), J.reshape(rows, -1, 2, 2)
+        a, b, c, d = (np.broadcast_to(e, img.shape[:-1]).reshape(rows, -1) for e in J)
+        img = img.reshape(rows, -1, 2)
         disp = np.max(np.abs(img - frame), axis=(1, 2))
-        jdisp = np.max(np.abs(J - np.eye(2)), axis=(1, 2, 3))
-        k = _first_row(np.maximum(disp, jdisp) > 0.1)
+        jdev = np.maximum(np.maximum(np.abs(a - 1.0), np.abs(b)),
+                          np.maximum(np.abs(c), np.abs(d - 1.0)))
+        k = _first_row(np.maximum(disp, np.max(jdev, axis=1)) > 0.1)
         if k is not None:
             raise ValueError(f"perturbation hook row {k} exceeds C^1 distance 0.1 "
                              "from the identity")
-        k = _first_row(np.max(np.abs(np.linalg.det(J) - 1.0), axis=1) > 1e-9)
+        k = _first_row(np.max(np.abs(a * d - b * c - 1.0), axis=1) > 1e-9)
         if k is not None:
             raise ValueError(f"perturbation hook row {k} is not area-preserving")
         return rows
@@ -267,13 +274,14 @@ def build_suitable_model(hook=None):
 
 def _advance(m, q, J, cols):
     """Apply m in place to the columns cols of the row stack q (K, N, 2),
-    and carry J there to Dm J when a Jacobian J is carried (None: values
-    only)."""
+    and carry J there to Dm J when a Jacobian J, four (K, N) entry arrays,
+    is carried (None: values only)."""
     if J is None:
         q[:, cols] = m(q[:, cols])
     else:
-        q[:, cols], Jm = m.value_and_jacobian(q[:, cols])
-        J[:, cols] = Jm @ J[:, cols]
+        q[:, cols], Jm = m.ev(q[:, cols], True)
+        for e, v in zip(J, mul2(Jm, [e[:, cols] for e in J])):
+            e[:, cols] = v
 
 
 class TimeEnergyChart:
@@ -286,15 +294,16 @@ class TimeEnergyChart:
     y-fiber correction: the chart requires det D phi0 = 1 on the strip (as
     it is for a vertical-shear hook), and raises ValueError when it is not.
     The chart of a model of K rows is K charts: it takes points (K, ..., 2),
-    row k for model k.
+    row k for model k.  It keeps the model's geometry, row count, F and F*,
+    not the model, which caches its charts.
     """
 
     def __init__(self, side, model):
         if side not in ("a", "b"):
             raise ValueError("side must be 'a' or 'b'")
         self.side = side
-        self.model = model
-        self.F = model.F
+        self.geometry, self.rows, self._band = model.geometry, model.rows, model.band
+        self.F, self.fstar = model.F, model.fstar
         self.name = f"phi^{side}"
         g = model.geometry
         tau, d = g.tau, g.delta
@@ -331,26 +340,26 @@ class TimeEnergyChart:
     # -- construction checks ---------------------------------------------------
 
     def _strip_frame(self, n):
-        g = self.model.geometry
+        g = self.geometry
         xs = np.linspace(self._lo - g.delta, self._hi + g.delta, n)
-        ys = g.y1 + np.linspace(-self.model.band / 2, self.model.band / 2, 7)
+        ys = g.y1 + np.linspace(-self._band / 2, self._band / 2, 7)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         return np.stack([X, Y], axis=-1).reshape(-1, 2)
 
     def _check_blend(self):
         """Both checks run row by row on the strip frame, one row shared by
         the model's K rows; the error names the first bad row."""
-        rows = self.model.rows
+        rows = self.rows
         frame = self._strip_frame(120)
-        fs = self.model.fstar(frame)
+        fs = self.fstar(frame)
         fv = self.F(frame).reshape(rows, -1, 2)
         k = _first_row(np.max(np.abs(fv - fs), axis=(1, 2)) > 0.1)
         if k is not None:
             raise ValueError(f"{self.name}: row {k}: F exceeds C^1 distance 0.1 from the "
                              "base map on the strip")
-        _, J = self._phi0(frame, True)
-        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-        dev = np.max(np.abs(det.reshape(rows, -1) - 1.0), axis=1)
+        _, (a, b, c, d) = self._phi0(frame, True)
+        det = np.broadcast_to(a * d - b * c, (rows, len(frame)))
+        dev = np.max(np.abs(det - 1.0), axis=1)
         k = _first_row(~(dev < 1e-14))
         if k is not None:
             raise ValueError(f"{self.name}: row {k}: det D phi0 departs from 1 by "
@@ -360,37 +369,37 @@ class TimeEnergyChart:
     # -- evaluation --------------------------------------------------------------
 
     def _phi0(self, p, with_jac):
-        """phi0(p), and D phi0(p) when with_jac (else None)."""
+        """phi0(p), and the entries of D phi0(p) when with_jac (else None):
+        (1 - rho) I + rho DB, plus the blend weight's slope times B - p in
+        the first column."""
         r = self._rho(p[..., 0])
         if with_jac:
-            B, JB = self._target.value_and_jacobian(p)
+            B, (b00, b01, b10, b11) = self._target.ev(p, True)
         else:
             B = self._target(p)
         val = (1.0 - r[..., None]) * p + r[..., None] * B
         if not with_jac:
             return val, None
         dr = self._rho_d1(p[..., 0])
-        J = (1.0 - r)[..., None, None] * np.broadcast_to(np.eye(2), JB.shape) \
-            + r[..., None, None] * JB
-        J[..., 0, 0] += dr * (B[..., 0] - p[..., 0])
-        J[..., 1, 0] += dr * (B[..., 1] - p[..., 1])
-        return val, J
+        return val, ((1.0 - r) + r * b00 + dr * (B[..., 0] - p[..., 0]), r * b01,
+                     r * b10 + dr * (B[..., 1] - p[..., 1]), (1.0 - r) + r * b11)
 
     def _ext_count(self, x):
         """Number of extension steps for each x (0 on the base strip)."""
-        tau = self.model.geometry.tau
+        tau = self.geometry.tau
         if self._ext_sign < 0:
             t = np.floor((self._lo - x) / tau) + 1.0
         else:
             t = np.floor((x - self._hi) / tau) + 1.0
         return np.clip(t, 0, 2).astype(int)
 
-    def _eval(self, p, with_jac):
+    def ev(self, p, with_jac):
         """phi(p) = Fstar^j o phi0 o F^-j (p) on the j-th extension band, and
-        D phi(p) when with_jac (else None).  The K rows of a stack must need
-        the same extension steps at each point, as curves on one x-grid do."""
+        the entries of D phi(p) when with_jac (else None), as
+        `MapDescriptor.ev` gives them.  The K rows of a stack must need the
+        same extension steps at each point, as curves on one x-grid do."""
         p = np.asarray(p, dtype=float)
-        rows = self.model.rows
+        rows = self.rows
         if rows > 1 and p.shape[:1] != (rows,):
             raise ValueError(f"{self.name}: points of a {rows}-row model need "
                              f"a leading axis of {rows} rows")
@@ -400,24 +409,28 @@ class TimeEnergyChart:
             raise ValueError(f"{self.name}: the rows of the stack need different "
                              "extension steps")
         bands = [j[0] >= k for k in range(1, j.max(initial=0) + 1)]
-        J = np.broadcast_to(np.eye(2), q.shape + (2,)).copy() if with_jac else None
+        J = None
+        if with_jac:
+            J = [np.full(q.shape[:-1], e) for e in (1.0, 0.0, 0.0, 1.0)]
         for cols in bands:
             _advance(self._Finv, q, J, cols)
         q, Jb = self._phi0(q, with_jac)
         if with_jac:
-            J = Jb @ J
+            J = mul2(Jb, J)
         for cols in bands:
-            _advance(self.model.fstar, q, J, cols)
-        return q.reshape(p.shape), (J.reshape(p.shape + (2,)) if with_jac else None)
+            _advance(self.fstar, q, J, cols)
+        return q.reshape(p.shape), (tuple(e.reshape(p.shape[:-1]) for e in J)
+                                    if with_jac else None)
 
     def __call__(self, p):
-        return self._eval(p, False)[0]
+        return self.ev(p, False)[0]
 
     def jacobian(self, p):
-        return self._eval(p, True)[1]
+        return self.value_and_jacobian(p)[1]
 
     def value_and_jacobian(self, p):
-        return self._eval(p, True)
+        q, J = self.ev(p, True)
+        return q, jac_stack(J, q.shape[:-1])
 
 
 # ---------------------------------------------------------------------------

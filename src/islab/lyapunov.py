@@ -51,9 +51,10 @@ def _cocycle_logs(f, pts, n, exclude=None, stop_on_invalid=False):
 
     Only the active rows are carried: `rows` indexes them in pts, and x,
     acc (their running logs) and the product M are compacted when a row
-    turns invalid.  M is carried as its four entries, each a contiguous
-    (m,) array, and each step's Jacobian is read as its four entries, so
-    `mul2`, `spectral_norm` and the renormalization run on contiguous
+    turns invalid.  Each step's Jacobian comes as its four entries from
+    f.ev, and M is carried as four contiguous (m,) arrays (the first
+    Jacobian broadcast to the active rows, as a constant one is scalars),
+    so `mul2`, `spectral_norm` and the renormalization run on contiguous
     entry arrays.  Every step is row-wise, so a row's logs do not depend on
     which other rows share its batch.  With stop_on_invalid the product
     instead stops at the first step that invalidates a row, and the logs of
@@ -69,9 +70,8 @@ def _cocycle_logs(f, pts, n, exclude=None, stop_on_invalid=False):
     for _ in range(n):
         if rows.size == 0:
             break
-        x, J = f.value_and_jacobian(x)
-        J = J.reshape(-1, 4).T          # the entries (J00, J01, J10, J11)
-        M = J if M is None else mul2(J, M)
+        x, J = f.ev(x, True)
+        M = [np.broadcast_to(e, acc.shape) for e in J] if M is None else mul2(J, M)
         s = spectral_norm(M)
         ok = np.isfinite(s) & (s > 0.0)
         s = np.where(ok, s, 1.0)        # log 1 = 0: a failed row adds nothing
@@ -197,7 +197,8 @@ def cone_certificate(f, p, n, conjugator=None):
     for k in range(n):
         fx, M = f.value_and_jacobian(x)
         if conjugator is not None:
-            M = conjugator.jacobian(fx) @ M @ inv2(conjugator.jacobian(x))
+            Kinv = np.reshape(inv2(conjugator.jacobian(x).ravel()), (2, 2))
+            M = conjugator.jacobian(fx) @ M @ Kinv
         cols_ok = np.all(M >= 0.0)
         growth = min(float(np.hypot(M[0, 0], M[1, 0])),
                      float(np.hypot(M[0, 1], M[1, 1])))

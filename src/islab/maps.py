@@ -2,8 +2,11 @@
 
 Points are numpy arrays of shape (..., 2); the last axis is (x, y).  Torus
 points live in the fundamental square [0,1)^2 and are reduced there by
-`wrap_torus`.  Jacobians are always computed on the plane lift and returned
-with shape (..., 2, 2).
+`wrap_torus`.  Jacobians are always computed on the plane lift.  Inside the
+package a 2x2 matrix travels as its four entries (m00, m01, m10, m11), each
+a scalar or an array that broadcasts against the batch: `mul2` multiplies
+them and `inv2` inverts them.  Only the public `jacobian` and
+`value_and_jacobian` assemble (..., 2, 2) stacks, through `jac_stack`.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ class MapDescriptor:
     ev : callable
         Evaluation (p, with_jac) -> (f(p), Df(p) or None): the image, shape
         (..., 2), and when with_jac the analytic Jacobian on the plane
-        lift, shape (..., 2, 2), from one pass.  Torus maps return wrapped
-        images.
+        lift as its entries (J00, J01, J10, J11), from one pass.  Each
+        entry broadcasts against the image's batch shape, and is a scalar
+        where it is constant.  Torus maps return wrapped images.
     inv : callable or None
         Exact inverse evaluation, if one is known in closed form.
     domain : callable or None
@@ -63,10 +67,11 @@ class MapDescriptor:
         return self.ev(np.asarray(p, dtype=float), False)[0]
 
     def value_and_jacobian(self, p):
-        return self.ev(np.asarray(p, dtype=float), True)
+        fp, J = self.ev(np.asarray(p, dtype=float), True)
+        return fp, jac_stack(J, fp.shape[:-1])
 
     def jacobian(self, p):
-        return self.ev(np.asarray(p, dtype=float), True)[1]
+        return self.value_and_jacobian(p)[1]
 
     def inverse(self, q):
         if self.inv is None:
@@ -76,8 +81,8 @@ class MapDescriptor:
     def symplectic_defect(self, p):
         """|mu(f p) det Df(p) / mu(p) - 1| (mu = 1 when no density is set)."""
         p = np.asarray(p, dtype=float)
-        fp, J = self.ev(p, True)
-        det = np.linalg.det(J)
+        fp, (a, b, c, d) = self.ev(p, True)
+        det = np.broadcast_to(a * d - b * c, fp.shape[:-1])
         if self.area_density is not None:
             det = det * self.area_density(fp) / self.area_density(p)
         return np.abs(det - 1.0)
@@ -100,7 +105,7 @@ def compose(*maps, name=None):
         J = None    # stays None without with_jac: every factor's Jm is None
         for m in reversed(maps):
             p, Jm = m.ev(p, with_jac)
-            J = Jm if J is None else Jm @ J
+            J = Jm if J is None else mul2(Jm, J)
         return p, J
 
     inv = None
@@ -114,15 +119,20 @@ def compose(*maps, name=None):
                          ev, inv, domain=maps[-1].domain)
 
 
-def inv2(J):
-    """Batched closed-form inverse of 2x2 matrices (shape (..., 2, 2))."""
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    inv = np.empty_like(J)
-    inv[..., 0, 0] = J[..., 1, 1]
-    inv[..., 0, 1] = -J[..., 0, 1]
-    inv[..., 1, 0] = -J[..., 1, 0]
-    inv[..., 1, 1] = J[..., 0, 0]
-    return inv / det[..., None, None]
+def jac_stack(J, shape):
+    """The (*shape, 2, 2) stack of the entries J = (J00, J01, J10, J11),
+    each broadcast to the batch shape `shape`."""
+    out = np.empty(shape + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = J
+    return out
+
+
+def inv2(m):
+    """The inverse of 2x2 matrices from entries: m is (m00, m01, m10, m11),
+    and so is the result, the adjugate divided by the determinant."""
+    a, b, c, d = m
+    det = a * d - b * c
+    return d / det, -b / det, -c / det, a / det
 
 
 def mul2(a, b):
@@ -151,7 +161,7 @@ def inverse_descriptor(m):
 
     def ev(q, with_jac):
         p = m.inv(q)
-        return p, (inv2(m.jacobian(p)) if with_jac else None)
+        return p, (inv2(m.ev(p, True)[1]) if with_jac else None)
 
     return MapDescriptor(m.name + "^-1", ev, m)
 
@@ -161,8 +171,9 @@ def inverse_descriptor(m):
 # ----------------------------------------------------------------------
 
 # The automorphism: symmetric, determinant 1, top eigenvalue 9 + 4 sqrt(5),
-# whose log is the expansion rate sigma.
+# whose log is the expansion rate sigma; its inverse is exact in floats.
 ANOSOV = np.array([[13.0, 8.0], [8.0, 5.0]])
+ANOSOV_INV = np.reshape(inv2(ANOSOV.ravel()), (2, 2))
 
 
 def anosov_map():
@@ -170,11 +181,11 @@ def anosov_map():
     # (N, 2) @ M.T with a transposed view rounds differently depending on
     # N; contiguous transposes keep every point's image independent of its
     # batch
-    AT, AinvT = (np.ascontiguousarray(M.T) for M in (ANOSOV, inv2(ANOSOV)))
+    AT, AinvT = (np.ascontiguousarray(M.T) for M in (ANOSOV, ANOSOV_INV))
+    JA = tuple(ANOSOV.ravel())
 
     def ev(p, with_jac):
-        J = np.broadcast_to(ANOSOV, p.shape[:-1] + (2, 2)).copy() if with_jac else None
-        return wrap_torus(p @ AT), J
+        return wrap_torus(p @ AT), (JA if with_jac else None)
 
     def inv(q):
         return wrap_torus(q @ AinvT)
@@ -201,12 +212,7 @@ def chirikov_map(a):
         out = wrap_torus(np.stack([2.0 * x - y + a * np.sin(2 * np.pi * x), x], axis=-1))
         if not with_jac:
             return out, None
-        J = np.empty(p.shape[:-1] + (2, 2), dtype=float)
-        J[..., 0, 0] = 2.0 + 2 * np.pi * a * np.cos(2 * np.pi * x)
-        J[..., 0, 1] = -1.0
-        J[..., 1, 0] = 1.0
-        J[..., 1, 1] = 0.0
-        return out, J
+        return out, (2.0 + 2 * np.pi * a * np.cos(2 * np.pi * x), -1.0, 1.0, 0.0)
 
     def inv(q):
         X, Y = q[..., 0], q[..., 1]
@@ -231,13 +237,7 @@ def shear_map(psi, dpsi, name="S_psi"):
 
     def ev(p, with_jac):
         out = shifted(p, psi(p[..., 0]))
-        if not with_jac:
-            return out, None
-        J = np.zeros(out.shape + (2,), dtype=float)
-        J[..., 0, 0] = 1.0
-        J[..., 1, 1] = 1.0
-        J[..., 1, 0] = dpsi(p[..., 0])
-        return out, J
+        return out, ((1.0, 0.0, dpsi(p[..., 0]), 1.0) if with_jac else None)
 
     def inv(q):
         return shifted(q, -psi(q[..., 0]))
@@ -255,13 +255,7 @@ def henon_like(psi, dpsi, name="H_psi"):
     def ev(p, with_jac):
         x, y = p[..., 0], p[..., 1]
         out = np.stack([y, -x + psi(y)], axis=-1)
-        if not with_jac:
-            return out, None
-        J = np.zeros(p.shape[:-1] + (2, 2), dtype=float)
-        J[..., 0, 1] = 1.0
-        J[..., 1, 0] = -1.0
-        J[..., 1, 1] = dpsi(y)
-        return out, J
+        return out, ((0.0, 1.0, -1.0, dpsi(y)) if with_jac else None)
 
     def inv(q):
         xb, yb = q[..., 0], q[..., 1]
@@ -281,11 +275,10 @@ def affine_map(name, scale, shift):
     scale."""
     scale = np.asarray(scale, dtype=float)
     shift = np.asarray(shift, dtype=float)
-    A = np.diag(scale)
+    J = (scale[0], 0.0, 0.0, scale[1])
 
     def ev(p, with_jac):
-        J = np.broadcast_to(A, p.shape[:-1] + (2, 2)).copy() if with_jac else None
-        return p * scale + shift, J
+        return p * scale + shift, (J if with_jac else None)
 
     def inv(q):
         return (q - shift) / scale
@@ -298,10 +291,10 @@ def rotation_map(angle):
     c, s = np.cos(angle), np.sin(angle)
     R = np.array([[c, -s], [s, c]])
     RT = np.ascontiguousarray(R.T)  # batch-independent rows, as in anosov_map
+    J = (c, -s, s, c)
 
     def ev(p, with_jac):
-        J = np.broadcast_to(R, p.shape[:-1] + (2, 2)).copy() if with_jac else None
-        return p @ RT, J
+        return p @ RT, (J if with_jac else None)
 
     def inv(q):
         return q @ R

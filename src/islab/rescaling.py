@@ -60,12 +60,7 @@ class SaddleNormalForm:
         if not with_jac:
             return out, None
         a = 2.0 * k * self.c2
-        J = np.empty(p.shape[:-1] + (2, 2))
-        J[..., 0, 0] = f * (1.0 + a * u)
-        J[..., 0, 1] = f * a * x * x
-        J[..., 1, 0] = -(a * y * y) / f
-        J[..., 1, 1] = (1.0 - a * u) / f
-        return out, J
+        return out, (f * (1.0 + a * u), f * a * x * x, -(a * y * y) / f, (1.0 - a * u) / f)
 
     def descriptor(self, k=1):
         """T0^k; an integer array k broadcasts against the batch shape, so a
@@ -168,12 +163,9 @@ class TransitionMap:
         du = polyval(x, self.du_coef)
         # chain: dw = b (du dx + dy); dX = X' dw; dz = c dx
         # second row: d(z/X') = dz/X' - z X''/(X'^2) dw
-        J = np.empty(p.shape[:-1] + (2, 2))
-        J[..., 0, 0] = Xp * self.b * du
-        J[..., 0, 1] = Xp * self.b
-        J[..., 1, 0] = self.c / Xp - z * (2.0 * self.a) / Xp ** 2 * self.b * du
-        J[..., 1, 1] = -z * (2.0 * self.a) / Xp ** 2 * self.b
-        return out, J
+        return out, (Xp * self.b * du, Xp * self.b,
+                     self.c / Xp - z * (2.0 * self.a) / Xp ** 2 * self.b * du,
+                     -z * (2.0 * self.a) / Xp ** 2 * self.b)
 
     def __call__(self, p):
         return self._ev(p, False)[0]
@@ -318,21 +310,18 @@ class RescalingCharts:
         self.lamk = lam ** self.k
         self.muk = model.mu ** self.k
         xp, ym, b, R = model.x_plus, model.y_minus, model.b, model.R
-        self.beta = np.empty(N)
-        self.gamma = np.empty(N)
-        for i in range(N):
-            # beta_i pairs the previous exit anchor x+_{i-1} with y-_i;
-            # gamma_i pairs x+_i with the next entry level y-_{i+1}
-            with np.errstate(over="ignore", invalid="ignore"):
-                xi, _, r_beta = model.T0.xi_eta(self.k, xp[(i - 1) % N], ym[i])
-                _, eta, r_gamma = model.T0.xi_eta(self.k, xp[i], ym[(i + 1) % N])
-            for resid in (r_beta, r_gamma):
-                if not resid <= PASSAGE_RESID_TOL:
-                    raise ValueError(
-                        f"boundary-value fixed point u = s exp(2 k c2 u) diverges at "
-                        f"k = {self.k}: residual {resid:.3e} > {PASSAGE_RESID_TOL:g}")
-            self.beta[i] = xi / self.lamk
-            self.gamma[i] = eta / self.lamk
+        # the 2N boundary-value anchor pairs in one solve: beta_i pairs the
+        # previous exit anchor x+_{i-1} with y-_i, gamma_i pairs x+_i with
+        # the next entry level y-_{i+1}; each point freezes on its own sweep
+        with np.errstate(over="ignore", invalid="ignore"):
+            xi, eta, resid = model.T0.xi_eta(self.k, np.concatenate([np.roll(xp, 1), xp]),
+                                             np.concatenate([ym, np.roll(ym, -1)]))
+        if not resid <= PASSAGE_RESID_TOL:
+            raise ValueError(
+                f"boundary-value fixed point u = s exp(2 k c2 u) diverges at "
+                f"k = {self.k}: residual {resid:.3e} > {PASSAGE_RESID_TOL:g}")
+        self.beta = xi[:N] / self.lamk
+        self.gamma = eta[N:] / self.lamk
 
     def qbar(self, i):
         """Exit chart i, chart (X, Y) -> plane; its inverse maps back."""
@@ -426,20 +415,16 @@ class BoxBump:
         self.center, self.half, self.inner = tuple(center), half, inner
 
     def jet(self, p, with_hess):
-        """(rho, grad rho, Hessian of rho or None) at points p, from one
-        evaluation of each axis's bump and slope, and of its curvature
-        when with_hess."""
+        """(rho, grad rho, Hessian entries (rho_xx, rho_xy, rho_yy) or None)
+        at points p, from one evaluation of each axis's bump and slope, and
+        of its curvature when with_hess."""
         p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
         bx, by, sx, sy = self._x(x), self._y(y), self._x.d1(x), self._y.d1(y)
         grad = np.stack([sx * by, bx * sy], axis=-1)
         if not with_hess:
             return bx * by, grad, None
-        H = np.empty(p.shape[:-1] + (2, 2))
-        H[..., 0, 0] = self._x.d2(x) * by
-        H[..., 0, 1] = H[..., 1, 0] = sx * sy
-        H[..., 1, 1] = bx * self._y.d2(y)
-        return bx * by, grad, H
+        return bx * by, grad, (self._x.d2(x) * by, sx * sy, bx * self._y.d2(y))
 
 
 def _collar_system(bmp, Psi, psihat, dpsihat):
@@ -455,13 +440,10 @@ def _collar_system(bmp, Psi, psihat, dpsihat):
 
     def hess(p):
         x = p[..., 0]
-        rho, gr, hs = bmp.jet(p, True)
+        rho, gr, (hxx, hxy, hyy) = bmp.jet(p, True)
         P, p1, p2 = polyval(x, Psi), polyval(x, psihat), polyval(x, dpsihat)
-        H = np.empty(p.shape[:-1] + (2, 2))
-        H[..., 0, 0] = -(p2 * rho + 2.0 * p1 * gr[..., 0] + P * hs[..., 0, 0])
-        H[..., 0, 1] = H[..., 1, 0] = -(p1 * gr[..., 1] + P * hs[..., 0, 1])
-        H[..., 1, 1] = -P * hs[..., 1, 1]
-        return H
+        return (-(p2 * rho + 2.0 * p1 * gr[..., 0] + P * hxx),
+                -(p1 * gr[..., 1] + P * hxy), -P * hyy)
 
     return HamiltonianSystem("-Psi rho", grad, hess)
 
@@ -493,13 +475,14 @@ def build_perturbation(charts, psi_list):
     iy = model.box_inner[1]
 
     def apply(p, with_jac, sign=1.0):
-        """g (sign +1) or g^-1 (sign -1) of points p, and its Jacobian when
-        with_jac (else None)."""
+        """g (sign +1) or g^-1 (sign -1) of points p, and the entries of its
+        Jacobian when with_jac (else None): the identity off the boxes, the
+        shear's on the inner boxes, the integrator's on the collars."""
         p = np.asarray(p, dtype=float)
         flat = p.reshape(-1, 2)
         reg, box = model.box_region(flat)
         out = flat.copy()
-        J = np.broadcast_to(np.eye(2), flat.shape + (2,)).copy() if with_jac else None
+        J = [np.full(len(flat), e) for e in (1.0, 0.0, 0.0, 1.0)] if with_jac else None
         for i in range(N):
             idx = np.flatnonzero(box == i)
             x = flat[idx, 0]
@@ -509,15 +492,17 @@ def build_perturbation(charts, psi_list):
             sh = (reg[idx] == 2) & (np.abs(y1) <= iy)
             out[idx[sh], 1] = y1[sh]
             if with_jac:
-                J[idx[sh], 1, 0] = sign * polyval(x[sh], dcoefs[i])
+                J[2][idx[sh]] = sign * polyval(x[sh], dcoefs[i])
             mc = idx[~sh]
             if mc.size:
                 # the collar: time-sign flow of box i, g (+1) or g^-1 (-1)
                 out[mc], Jm = _midpoint_steps(systems[i], flat[mc], sign, 64,
                                               MIDPOINT_TOL, with_jac)
                 if with_jac:
-                    J[mc] = Jm
-        return out.reshape(p.shape), (J.reshape(p.shape + (2,)) if with_jac else None)
+                    for e, v in zip(J, Jm):
+                        e[mc] = v
+        return out.reshape(p.shape), (tuple(e.reshape(p.shape[:-1]) for e in J)
+                                      if with_jac else None)
 
     g = MapDescriptor(f"g[k={charts.k}]", apply, lambda q: apply(q, False, -1.0)[0])
     return g, [Polynomial(c) for c in coefs]

@@ -73,8 +73,9 @@ def finite_difference_jacobian(f, p, h=None, wrap_output=False):
 
 def separate_map(name, fwd, jac, inv=None, **kw):
     """MapDescriptor of a test map written as a separate image function
-    and Jacobian function."""
-    return MapDescriptor(name, lambda p, with_jac: (fwd(p), jac(p) if with_jac else None),
+    and a Jacobian function that returns an (..., 2, 2) stack; its `ev`
+    hands out the stack's entries, as the package's maps do."""
+    return MapDescriptor(name, lambda p, with_jac: (fwd(p), entries(jac(p)) if with_jac else None),
                          inv, **kw)
 
 
@@ -139,12 +140,7 @@ def flow_matches_linear_map(island):
 
     def hess(s):
         rho, t_ = s[..., 0], s[..., 1]
-        H = np.empty(np.shape(s)[:-1] + (2, 2), dtype=float)
-        H[..., 0, 0] = 0.0
-        H[..., 0, 1] = 2 * np.cos(2 * t_)
-        H[..., 1, 0] = H[..., 0, 1]
-        H[..., 1, 1] = -4 * rho * np.sin(2 * t_)
-        return H
+        return 0.0, 2 * np.cos(2 * t_), -4 * rho * np.sin(2 * t_)
 
     sys0 = HamiltonianSystem("rho sin 2 theta", grad, hess)
     s_end, _ = _midpoint_steps(sys0, to_polar(w), SIGMA, 1024, 1e-15, False,
@@ -165,10 +161,7 @@ def saddle_system(sigma):
         return np.stack([s * p[..., 1], s * p[..., 0]], axis=-1)
 
     def hess(p):
-        H = np.zeros(np.shape(p)[:-1] + (2, 2), dtype=float)
-        H[..., 0, 1] = s
-        H[..., 1, 0] = s
-        return H
+        return 0.0, s, 0.0
 
     return HamiltonianSystem(f"sigma*x*y (sigma={s:g})", grad, hess)
 
@@ -269,7 +262,7 @@ def conjugacy_exponent_bound(island, p, n=100):
     for q in (np.asarray(p, dtype=float), x):
         J = Psi.jacobian(q)
         norms.append((float(spectral_norm(entries(J))),
-                      float(spectral_norm(entries(inv2(J))))))
+                      float(spectral_norm(inv2(entries(J))))))
     # ||A^n|| <= ||DPsi(end)|| ||DFhat^n|| ||DPsi(start)^{-1}|| and the
     # reverse factorization give the two one-sided constants.
     c_up = norms[1][0] * norms[0][1]
@@ -295,7 +288,7 @@ def chart_conjugacy_defect(chart, n=400):
     """sup |phi(F p) - Fstar(phi p)| over the fundamental strip."""
     frame = chart._strip_frame(n)
     lhs = chart(chart.F(frame))
-    rhs = chart.model.fstar(chart(frame))
+    rhs = chart.fstar(chart(frame))
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -317,14 +310,13 @@ class PsiChart:
     def __init__(self, chart, psi):
         self.chart = chart
         self.psi = psi
-        self.model = chart.model
         self.side = chart.side
         self.name = f"phi_psi^{self.side}"
         self._sneg = shear_map(lambda x: -psi(x), lambda x: -psi.d1(x), name="S_-psi")
         self.fbar = compose(shear_map(psi, psi.d1, name="S_psi"), chart.F,
                             name="Fbar")
         self._fbar_inv = inverse_descriptor(self.fbar)
-        g = self.model.geometry
+        g = chart.geometry
         self._seam = g.x_a - g.tau if self.side == "a" else g.x_b + g.tau
 
     def _branch1(self, p):
@@ -351,7 +343,7 @@ class PsiChart:
         """sup |phi_psi(Fbar p) - Fstar(phi_psi p)| over the fundamental strip."""
         frame = self.chart._strip_frame(n)
         lhs = self(self.fbar(frame))
-        rhs = self.model.fstar(self(frame))
+        rhs = self.chart.fstar(self(frame))
         return float(np.max(np.abs(lhs - rhs)))
 
 

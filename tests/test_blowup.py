@@ -24,7 +24,7 @@ from islab.lyapunov import entropy_estimate
 from islab.maps import torus_diff, wrap_torus
 
 from construction_checks import (EXP_2SIGMA, finite_difference_jacobian, flow_matches_linear_map,
-                                 regime_consistency)
+                                 regime_consistency, stacked)
 
 
 @pytest.fixture(scope="module")
@@ -324,7 +324,7 @@ def test_inner_cutoff_endpoints():
 def test_flow_linearization_at_saddle():
     prof = SurgeryProfile()
     sys = island_hamiltonian(prof)
-    J = sys.field_jacobian(np.array([prof.rho_lo, 0.0]))
+    J = stacked(sys.field_jacobian(np.array([prof.rho_lo, 0.0])))
     assert np.max(np.abs(J - np.diag([2.0, -2.0]))) <= 1e-12
     lam = np.sort(np.linalg.eigvals(J).real)
     assert abs(lam[0] + 2.0) <= 1e-12 and abs(lam[1] - 2.0) <= 1e-12
@@ -431,9 +431,10 @@ def test_mixed_disc_batch_matches_per_disc(island):
     per_disc = _disc_points(island, prof.rho0, prof.rho_hi, 32, 25)
     img, J = island._eval(per_disc.reshape(-1, 2), 1, None, with_jac=True)
     img = img.reshape(4, -1, 2)
-    J = J.reshape(4, -1, 2, 2)
+    J = stacked(J).reshape(4, -1, 2, 2)
     for i, c in enumerate(island.centers):
         img_i, J_i = island._eval(per_disc[i], 1, None, with_jac=True)
+        J_i = stacked(J_i)
         assert np.max(np.abs(torus_diff(img[i], img_i))) <= 1e-12
         assert np.max(np.abs(J[i] - J_i)) <= 1e-12
         # flow points against the island flow in their own disc's chart
@@ -442,7 +443,7 @@ def test_mixed_disc_batch_matches_per_disc(island):
         ref, J_ref = island._flow(per_disc[i][fl], d[fl], SIGMA,
                                   FLOW_STEPS, True)
         assert np.max(np.abs(torus_diff(img[i][fl], ref))) <= 1e-12
-        assert np.max(np.abs(J[i][fl] - J_ref)) <= 1e-12
+        assert np.max(np.abs(J[i][fl] - stacked(J_ref))) <= 1e-12
 
 
 def test_value_and_jacobian_batch_independent(island):
@@ -470,7 +471,7 @@ def test_psi_inv_on_empty_and_scalar_targets():
 def test_value_and_jacobian_of_an_empty_batch(island):
     for direction in (1, -1):
         img, J = island._eval(np.empty((0, 2)), direction, with_jac=True)
-        assert img.shape == (0, 2) and J.shape == (0, 2, 2)
+        assert img.shape == (0, 2) and stacked(J).shape == (0, 2, 2)
         img, J = island._eval(np.empty((0, 2)), direction)
         assert img.shape == (0, 2) and J is None
 
@@ -486,12 +487,13 @@ def test_batch_with_no_point_in_a_disc(island):
         img, J = island._eval(outside, direction, with_jac=True)
         img_all, J_all = island._eval(np.concatenate([outside, inside]), direction,
                                       with_jac=True)
+        J, J_all = stacked(J), stacked(J_all)
         assert np.array_equal(img, img_all[:len(outside)])
         assert np.array_equal(J, J_all[:len(outside)])
         assert np.array_equal(island._eval(outside, direction)[0], img)
         # the shape of the batch is kept
         img3, J3 = island._eval(outside[:6].reshape(2, 3, 2), direction, with_jac=True)
-        assert img3.shape == (2, 3, 2) and J3.shape == (2, 3, 2, 2)
+        assert img3.shape == (2, 3, 2) and stacked(J3).shape == (2, 3, 2, 2)
         assert np.array_equal(img3.reshape(6, 2), img[:6])
 
 

@@ -341,20 +341,39 @@ def test_every_package_method_is_reached():
     assert unreached_methods(*_package_and_acceptance()) == []
 
 
-# lyapunov's one place for a matmul: the certificate's single 2x2 matrices
-MATMUL_HOME = "cone_certificate"
+# the package's places for a matmul, by module and qualified function name.
+# Every Jacobian and Hessian travels as its entries (maps.mul2, maps.inv2);
+# what is left is the cone certificate's single matrices, products of points
+# by a fixed matrix (a contiguous transpose, or the eigen-rotation), and the
+# two linear solves
+MATMUL_HOMES = {
+    "lyapunov.py": ("cone_certificate",),
+    "maps.py": ("anosov_map", "rotation_map"),
+    "blowup.py": ("IslandMap._surgered", "IslandMap._flow", "link_saddles",
+                  "identity_core_defect", "SurgeryProfile._fit_inverse"),
+    "curves.py": ("GraphCurve.__init__",),
+}
 
 
-def stacked_products(source, home=MATMUL_HOME):
-    """Lines of `source` outside the function `home` with a `@` product,
-    or a `matmul` or `swapaxes` by name or attribute.  In lyapunov.py every
-    other matrix is a stack or its entries, and the cocycle kernel
-    multiplies entry arrays (maps.mul2, spectral_norm's Gram entries)."""
+def stacked_products(source, homes=()):
+    """Lines of `source` outside the functions `homes` (qualified names,
+    Class.method for a method) with a `@` product, or a `matmul` or
+    `swapaxes` by name or attribute."""
     tree = ast.parse(source)
     skip = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == home:
-            skip |= {id(n) for n in ast.walk(node)}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef) and name in homes:
+                    skip.update(id(n) for n in ast.walk(child))
+                else:
+                    visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
     lines = []
     for n in ast.walk(tree):
         if id(n) in skip:
@@ -376,12 +395,33 @@ def test_stacked_product_scan_flags_a_readded_matmul():
               "    M @= J\n"
               "    return np.matmul(J, M), swapaxes(M, 0, 1)\n"
               "def cone_certificate(A, B):\n"
-              "    return A @ B @ np.swapaxes(A, 0, 1)\n")
-    assert stacked_products(source) == [4, 4, 7, 8, 8]
+              "    return A @ B @ np.swapaxes(A, 0, 1)\n"
+              "class Chart:\n"
+              "    def _flow(self, d):\n"
+              "        return d @ self.R\n"
+              "    def cone_certificate(self, A):\n"
+              "        return A @ A\n")
+    # a home is its qualified name: the method of the same name is not one
+    assert stacked_products(source, ("cone_certificate", "Chart._flow")) == [4, 4, 7, 8, 8, 15]
 
 
-def test_no_stacked_product_in_lyapunov():
-    assert stacked_products((SRC / "lyapunov.py").read_text(encoding="utf-8")) == []
+def test_stacked_product_scan_flags_a_readded_jacobian_product():
+    # compose's chain rule as a stacked product again
+    source = (SRC / "maps.py").read_text(encoding="utf-8")
+    assert "mul2(Jm, J)" in source
+    readded = source.replace("mul2(Jm, J)", "Jm @ J")
+    line = next(i for i, text in enumerate(readded.splitlines(), 1) if "Jm @ J" in text)
+    assert stacked_products(readded, MATMUL_HOMES["maps.py"]) == [line]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_stacked_product_in_package(path):
+    source = path.read_text(encoding="utf-8")
+    homes = MATMUL_HOMES.get(path.name, ())
+    assert stacked_products(source, homes) == []
+    # every home still holds a product: a stale one would hide a readded one
+    for home in homes:
+        assert stacked_products(source, tuple(h for h in homes if h != home)), home
 
 
 def transposed_right_operands(source):

@@ -432,7 +432,8 @@ def test_bump_jet_matches_differences():
     b = BoxBump((1.0, 0.0), (0.15, 0.05), (0.115, 0.035))
     rng = np.random.default_rng(14)
     p = np.stack([rng.uniform(0.84, 1.16, 400), rng.uniform(-0.06, 0.06, 400)], axis=-1)
-    rho, grad, H = b.jet(p, True)
+    rho, grad, (hxx, hxy, hyy) = b.jet(p, True)
+    H = np.stack([np.stack([hxx, hxy], axis=-1), np.stack([hxy, hyy], axis=-1)], axis=-2)
     assert np.array_equal(b.jet(p, False)[1], grad) and b.jet(p, False)[2] is None
     h = 2.5e-7
     for axis in (0, 1):
@@ -443,7 +444,6 @@ def test_bump_jet_matches_differences():
         # curvatures about 2e4; a slipped entry errs by their own size
         assert np.max(np.abs((r1 - r0) / (2 * h) - grad[:, axis])) <= 1e-7 * np.max(np.abs(grad))
         assert np.max(np.abs((g1 - g0) / (2 * h) - H[:, axis])) <= 1e-7 * np.max(np.abs(H))
-    assert np.array_equal(H[:, 0, 1], H[:, 1, 0])
 
 
 def test_box_region_matches_each_bumps_own_region():
