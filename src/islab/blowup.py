@@ -45,15 +45,18 @@ _ROOT_CAP = 80
 # psi^{-1} fitted on each by a degree-_FIT_DEG polynomial in v
 _FIT_PIECES = 64
 _FIT_DEG = 7
-# island flow integration: the evaluation default is FLOW_STEPS implicit-
-# midpoint (order 2) steps at MIDPOINT_TOL; the saddle-multiplier
-# verification takes SADDLE_STEPS fourth-order triple-jump steps whose
-# substeps converge to SADDLE_TOL, tight enough that the solver's stopping
-# noise stays out of the finite-difference multipliers
-FLOW_STEPS = 64
-SADDLE_STEPS = 128
-SADDLE_ORDER = 4
-SADDLE_TOL = 1e-14
+# island flow: every evaluation of Fhat, `link_saddles` included, takes
+# FLOW_STEPS fourth-order triple-jump steps at MIDPOINT_TOL.  The boundary
+# saddles' multipliers then sit this far from e^{+-2 sigma} (gate 1e-4):
+#     64 order-2 (midpoint) steps   3.93e-3
+#     48 order-4 steps              8.10e-5
+#     56 order-4 steps              4.36e-5
+#     64 order-4 steps              2.55e-5
+# independently of delta: 56 steps read 4.36e-5 at delta/eps = 0.2/0.2001,
+# 0.24/0.2499, 0.2/0.21, 0.05/0.24, 0.01/0.24 and 0.001/0.002 too.  48 steps
+# leave only 19 % headroom; 64 cost about 8 % more CPU in the symmetry and
+# saddle phases.
+FLOW_STEPS = 56
 
 
 def eigen_rotation():
@@ -295,10 +298,9 @@ class IslandMap:
     delta, eps : see SurgeryProfile.  eps defaults to 0.24 so the four
         outer discs around the half-integer centers stay disjoint.
 
-    The island flow is integrated in FLOW_STEPS implicit-midpoint steps at
-    MIDPOINT_TOL.  `_eval` takes the step count, the order (2, or 4 for the
-    triple-jump composition) and the stage tolerance of the flow branch;
-    `link_saddles` evaluates at SADDLE_STEPS, SADDLE_ORDER and SADDLE_TOL.
+    The island flow has one setting, FLOW_STEPS fourth-order triple-jump
+    steps at MIDPOINT_TOL, and every caller, `link_saddles` included,
+    evaluates that one map.
     """
 
     def __init__(self, delta=0.15, eps=0.24):
@@ -385,11 +387,11 @@ class IslandMap:
         (a1, b1, c1), (a2, b2, c2) = K1, K2
         return out, mul2((a2, b2, b2, c2), mul2(mat.ravel(), (a1, b1, b1, c1)))
 
-    def _flow(self, p, d, t, steps, with_jac, order=2, tol=MIDPOINT_TOL):
+    def _flow(self, p, d, t, with_jac):
         """Island flow applied to points with offsets d (rho <= rho_lo), in
-        `steps` steps of the order-`order` midpoint rule at stage tolerance
-        `tol`; with_jac adds the entries of its Jacobian, R (Dout M Din) R^T
-        with M the integrator's, the identity at core points."""
+        FLOW_STEPS triple-jump steps at MIDPOINT_TOL; with_jac adds the
+        entries of its Jacobian, R (Dout M Din) R^T with M the integrator's,
+        the identity at core points."""
         prof = self.profile
         w = d @ self.R
         state = to_polar(w)
@@ -400,8 +402,8 @@ class IslandMap:
         core = state[..., 0] <= prof.rho0
         act = ~core
         if np.any(act):
-            s_end, M = _midpoint_steps(self.system, state[act], t, steps,
-                                       tol, with_jac, order=order)
+            s_end, M = _midpoint_steps(self.system, state[act], t, FLOW_STEPS,
+                                       MIDPOINT_TOL, with_jac, order=4)
             w_end = from_polar(s_end)
             out[act] = wrap_torus(p[act] + (w_end - w[act]) @ self.RT)
             if with_jac:
@@ -417,12 +419,10 @@ class IslandMap:
 
     # --- evaluation ----------------------------------------------------
 
-    def _eval(self, p, direction=1, steps=None, with_jac=False, order=2,
-              tol=MIDPOINT_TOL):
+    def _eval(self, p, direction=1, with_jac=False):
         p = np.asarray(p, dtype=float)
         shape = p.shape
         p = wrap_torus(p.reshape(-1, 2))
-        steps = FLOW_STEPS if steps is None else int(steps)
         mat = self.A if direction > 0 else self.Ainv
         t = SIGMA * (1 if direction > 0 else -1)
 
@@ -443,7 +443,7 @@ class IslandMap:
             shift = di[snap] * (scale - 1.0)
             di[snap] += shift
             pm[snap] = wrap_torus(pm[snap] + shift)
-        out[fl], Jf = self._flow(pm, di, t, steps, with_jac, order, tol)
+        out[fl], Jf = self._flow(pm, di, t, with_jac)
         if with_jac:
             for e, v in zip(J, Jf):
                 e[fl] = v
@@ -533,16 +533,14 @@ def link_saddles(island):
     0, pi/2, pi, 3pi/2; the island field vanishes there, so they are exact
     fixed points at any step count.  The flow linearization has rates +-2,
     hence map multipliers e^{+-2 sigma}.  The saddles and their probes are
-    integrated once, in SADDLE_STEPS fourth-order triple-jump steps
-    (SADDLE_ORDER), which puts the multipliers about 1.6e-6 from
-    e^{+-2 sigma}, against a 1e-4 gate.  The multipliers are
-    cross-checked against finite differences taken along the saddle frame
-    (radial/tangent in the chart), where the true Jacobian is exactly
-    diagonal; eigenvalues of a raw finite-difference matrix would amplify
-    entry noise by the e^{2 sigma} expansion when recovering the
-    contracting multiplier.  The quotient divides the solver's stopping
-    error by h e^{-2 sigma}, so each substep converges to SADDLE_TOL,
-    below the flows' MIDPOINT_TOL.
+    one batch of Fhat, evaluated as every other caller evaluates it (see
+    FLOW_STEPS); the fixed-point defects, the Jacobians and the probe images
+    all come from that batch, and the multipliers sit about 4.4e-5 from
+    e^{+-2 sigma}, against a 1e-4 gate.  The multipliers are cross-checked
+    against finite differences taken along the saddle frame.  The quotient
+    divides the solver's stopping error by h e^{-2 sigma}; at MIDPOINT_TOL
+    that noise stays below the flow's own truncation error, and the
+    finite-difference multipliers read about 4.6e-5 at the default profile.
 
     Returns a list of dicts with keys center, theta, point, multipliers,
     fd_multipliers, fixed_defect.
@@ -557,7 +555,6 @@ def link_saddles(island):
             pts.append(wrap_torus(c + island.R @ w))
             meta.append((ic, float(th)))
     P = np.array(pts)
-    defects = np.max(np.abs(torus_diff(island(P), P)), axis=-1)
 
     # Finite differences along the saddle frame (radial/tangent in the
     # chart), where the true Jacobian is exactly diagonal.  Extracting
@@ -577,25 +574,20 @@ def link_saddles(island):
     frames = ((rad, h_rad[:, None]), (tan, h_tan[:, None]))
     probes = [wrap_torus(P + sign * h * direction)
               for direction, h in frames for sign in (1.0, -1.0)]
-    # one refined integration for the saddles and all their probes
-    images, Jall = island._eval(np.concatenate([P] + probes), 1, SADDLE_STEPS,
-                                with_jac=True, order=SADDLE_ORDER, tol=SADDLE_TOL)
-    mult = _saddle_multipliers([e[:len(P)] for e in Jall])
-    images = images[len(P):].reshape(len(frames), 2, len(P), 2)
+    # one evaluation of Fhat for the saddles and all their probes
+    n = len(P)
+    images, Jall = island._eval(np.concatenate([P] + probes), with_jac=True)
+    defects = np.max(np.abs(torus_diff(images[:n], P)), axis=-1)
+    mult = _saddle_multipliers([e[:n] for e in Jall])
+    images = images[n:].reshape(len(frames), 2, n, 2)
     fd = np.empty((len(meta), 2))
     for j, (direction, h) in enumerate(frames):
         diff = torus_diff(images[j, 0], images[j, 1]) / (2 * h)
         fd[:, j] = np.abs(np.sum(diff * direction, axis=-1))
 
-    out = []
-    for i, (ic, th) in enumerate(meta):
-        out.append(dict(
-            center=ic, theta=th, point=P[i],
-            multipliers=mult[i],
-            fd_multipliers=np.sort(fd[i]),
-            fixed_defect=float(defects[i]),
-        ))
-    return out
+    return [dict(center=ic, theta=th, point=P[i], multipliers=mult[i],
+                 fd_multipliers=np.sort(fd[i]), fixed_defect=float(defects[i]))
+            for i, (ic, th) in enumerate(meta)]
 
 
 def conjugacy_defect(island, n=2000):
@@ -625,11 +617,9 @@ def identity_core_defect(island, n=500):
     th = rng.uniform(0, 2 * np.pi, n)
     rho = rng.uniform(0, island.profile.rho0 * 0.999, n)
     w = from_polar(np.stack([rho, th], axis=-1))
-    worst = 0.0
-    for c in island.centers:
-        p = wrap_torus(c + w @ island.RT)
-        worst = max(worst, float(np.max(np.abs(torus_diff(island(p), p)))))
-    return worst
+    # the samples around all four centres in one evaluation
+    p = wrap_torus(island.centers[:, None] + w @ island.RT)
+    return float(np.max(np.abs(torus_diff(island(p), p))))
 
 
 def symmetry_and_identity_report(island, n=1000):

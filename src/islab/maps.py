@@ -207,16 +207,24 @@ def chirikov_map(a):
         a = np.asarray(a, dtype=float)
         name = f"T_a(a=[{a.size} values])"
 
+    # an array a may outnumber the points: an image takes the kicked
+    # coordinate's shape, and the unkicked one broadcasts into it
     def ev(p, with_jac):
         x, y = p[..., 0], p[..., 1]
-        out = wrap_torus(np.stack([2.0 * x - y + a * np.sin(2 * np.pi * x), x], axis=-1))
+        kicked = 2.0 * x - y + a * np.sin(2 * np.pi * x)
+        out = np.empty(kicked.shape + (2,))
+        out[..., 0], out[..., 1] = kicked, x
+        out = wrap_torus(out)
         if not with_jac:
             return out, None
         return out, (2.0 + 2 * np.pi * a * np.cos(2 * np.pi * x), -1.0, 1.0, 0.0)
 
     def inv(q):
         X, Y = q[..., 0], q[..., 1]
-        return wrap_torus(np.stack([Y, 2.0 * Y + a * np.sin(2 * np.pi * Y) - X], axis=-1))
+        kicked = 2.0 * Y + a * np.sin(2 * np.pi * Y) - X
+        out = np.empty(kicked.shape + (2,))
+        out[..., 0], out[..., 1] = Y, kicked
+        return wrap_torus(out)
 
     return MapDescriptor(name, ev, inv)
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from islab.blowup import (
-    FLOW_STEPS,
     SIGMA,
     IslandMap,
     SurgeryProfile,
@@ -20,6 +19,7 @@ from islab.blowup import (
     symmetry_and_identity_report,
     to_polar,
 )
+from islab import blowup
 from islab.lyapunov import entropy_estimate
 from islab.maps import torus_diff, wrap_torus
 
@@ -429,19 +429,18 @@ def test_mixed_disc_batch_matches_per_disc(island):
     # flow and annulus points of all four discs in one batch
     prof = island.profile
     per_disc = _disc_points(island, prof.rho0, prof.rho_hi, 32, 25)
-    img, J = island._eval(per_disc.reshape(-1, 2), 1, None, with_jac=True)
+    img, J = island._eval(per_disc.reshape(-1, 2), with_jac=True)
     img = img.reshape(4, -1, 2)
     J = stacked(J).reshape(4, -1, 2, 2)
     for i, c in enumerate(island.centers):
-        img_i, J_i = island._eval(per_disc[i], 1, None, with_jac=True)
+        img_i, J_i = island._eval(per_disc[i], with_jac=True)
         J_i = stacked(J_i)
         assert np.max(np.abs(torus_diff(img[i], img_i))) <= 1e-12
         assert np.max(np.abs(J[i] - J_i)) <= 1e-12
         # flow points against the island flow in their own disc's chart
         d = torus_diff(per_disc[i], c)
         fl = np.sum(d * d, axis=-1) <= prof.delta**2
-        ref, J_ref = island._flow(per_disc[i][fl], d[fl], SIGMA,
-                                  FLOW_STEPS, True)
+        ref, J_ref = island._flow(per_disc[i][fl], d[fl], SIGMA, True)
         assert np.max(np.abs(torus_diff(img[i][fl], ref))) <= 1e-12
         assert np.max(np.abs(J[i][fl] - stacked(J_ref))) <= 1e-12
 
@@ -605,6 +604,21 @@ def test_link_saddles(island):
         assert d["fixed_defect"] <= 1e-9
         assert np.max(np.abs(d["multipliers"] / tgt - 1.0)) <= 1e-4
         assert np.max(np.abs(d["fd_multipliers"] / tgt - 1.0)) <= 1e-4
+
+
+def test_link_saddles_checks_the_map_every_caller_evaluates(island, monkeypatch):
+    # the multipliers come from Fhat's own Jacobian at the saddles, and the
+    # fixed-point defects from Fhat's own images, bit for bit
+    seen = []
+    closed_form = blowup._saddle_multipliers
+    monkeypatch.setattr(blowup, "_saddle_multipliers",
+                        lambda J: seen.append(J) or closed_form(J))
+    data = link_saddles(island)
+    P = np.array([d["point"] for d in data])
+    assert np.array_equal(stacked(seen[0]), island.descriptor().jacobian(P))
+    assert np.array_equal([d["multipliers"] for d in data], closed_form(seen[0]))
+    defect = np.max(np.abs(torus_diff(island(P), P)), axis=-1)
+    assert np.array_equal([d["fixed_defect"] for d in data], defect)
 
 
 def test_regime_consistency(island):

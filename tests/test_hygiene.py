@@ -8,6 +8,7 @@ library's `ast`.
 """
 
 import ast
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from islab.blowup import IslandMap
 from islab.hamiltonian import HamiltonianSystem
 from islab.maps import MapDescriptor
 
@@ -576,3 +578,48 @@ def test_raise_scan_flags_what_the_cli_does_not_catch():
 def test_every_package_raise_is_one_the_cli_reports():
     package, _ = _package_and_acceptance()
     assert uncaught_raises(package) == []
+
+
+# the island map's one flow: a second call of the integrator, or a step,
+# order or tolerance parameter on the evaluation path, would fork Fhat again
+def callers(source, name):
+    """Qualified names (Class.method for a method) of the functions of
+    `source` that call `name`, by name or attribute, each once."""
+    found = set()
+
+    def visit(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                qual = prefix + child.name
+                visit(child, qual + ".", qual if isinstance(child, ast.FunctionDef) else owner)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                    found.add(owner)
+            visit(child, prefix, owner)
+
+    visit(ast.parse(source), "", "<module>")
+    return sorted(found)
+
+
+def test_caller_scan_flags_a_readded_integration():
+    source = ("from .hamiltonian import _midpoint_steps\n"
+              "from . import hamiltonian\n"
+              "class IslandMap:\n"
+              "    def _flow(self, z):\n"
+              "        return _midpoint_steps(self.system, z, 1.0, 56, 1e-13, False, order=4)\n"
+              "def link_saddles(island, P):\n"
+              "    def refined(z):\n"
+              "        return hamiltonian._midpoint_steps(island.system, z, 1.0, 128, 1e-14, True)\n"
+              "    return refined(P)\n")
+    assert callers(source, "_midpoint_steps") == ["IslandMap._flow", "link_saddles.refined"]
+
+
+def test_island_map_has_one_flow():
+    source = (SRC / "blowup.py").read_text(encoding="utf-8")
+    assert callers(source, "_midpoint_steps") == ["IslandMap._flow"]
+    for method in (IslandMap._eval, IslandMap._flow):
+        params = inspect.signature(method).parameters
+        assert not [p for p in params if any(w in p for w in ("step", "order", "tol"))], \
+            method.__name__

@@ -9,8 +9,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from construction_checks import entries, stacked
-from islab.blowup import (SADDLE_ORDER, SADDLE_STEPS, SADDLE_TOL, IslandMap,
-                          _saddle_multipliers, link_saddles)
+from islab.blowup import IslandMap, _saddle_multipliers, link_saddles
 from islab.curves import BumpFn
 from islab.links import TimeEnergyChart, build_suitable_model
 from islab.maps import (affine_map, anosov_map, chirikov_map, compose, henon_like, inv2,
@@ -120,10 +119,8 @@ def _assembled(J, shape):
     return np.stack(e, axis=-1).reshape(shape + (2, 2))
 
 
-# n = None is one point (2,); a per-row parameter needs a batch of rows, as
-# chirikov_map's image of a single point takes a scalar a
-SHAPES = [(name, n) for name in sorted(CASES) for n in (None, 5, 0)
-          if not (name == "chirikov-rows" and n is None)]
+# n = None is one point (2,)
+SHAPES = [(name, n) for name in sorted(CASES) for n in (None, 5, 0)]
 SHAPE_IDS = {None: "point", 5: "batch", 0: "empty"}
 
 
@@ -176,10 +173,8 @@ def test_link_saddles_multipliers_match_eigvals():
     island = IslandMap()
     saddles = link_saddles(island)
     P = np.array([s["point"] for s in saddles])
-    # the saddles' own integration, batch-independent row by row
-    _, J = island._eval(P, 1, SADDLE_STEPS, with_jac=True, order=SADDLE_ORDER,
-                        tol=SADDLE_TOL)
-    J = stacked(J)
+    # Fhat's own Jacobian, batch-independent row by row
+    J = island.descriptor().jacobian(P)
     ref = np.sort(np.abs(np.linalg.eigvals(J)), axis=-1)
     got = np.array([s["multipliers"] for s in saddles])
     # the contracting multiplier e^{-2 sigma} of a matrix whose entries are
