@@ -54,8 +54,8 @@ _FIT_DEG = 7
 #     64 order-4 steps              2.55e-5
 # independently of delta: 56 steps read 4.36e-5 at delta/eps = 0.2/0.2001,
 # 0.24/0.2499, 0.2/0.21, 0.05/0.24, 0.01/0.24 and 0.001/0.002 too.  48 steps
-# leave only 19 % headroom; 64 cost about 8 % more CPU in the symmetry and
-# saddle phases.
+# leave only 19 % headroom; 64 cost about 9 % more CPU in the symmetry and
+# saddle phases (median ratio of 41 alternating pairs on 2 vCPUs).
 FLOW_STEPS = 56
 
 
@@ -537,10 +537,12 @@ def link_saddles(island):
     FLOW_STEPS); the fixed-point defects, the Jacobians and the probe images
     all come from that batch, and the multipliers sit about 4.4e-5 from
     e^{+-2 sigma}, against a 1e-4 gate.  The multipliers are cross-checked
-    against finite differences taken along the saddle frame.  The quotient
-    divides the solver's stopping error by h e^{-2 sigma}; at MIDPOINT_TOL
-    that noise stays below the flow's own truncation error, and the
-    finite-difference multipliers read about 4.6e-5 at the default profile.
+    against finite differences taken along the saddle frame, with steps
+    scaled to min(delta, eps - delta).  The quotient divides the solver's
+    stopping error, a last Newton step of at most MIDPOINT_TOL per substep,
+    by h e^{-2 sigma}; that noise stays below the flow's own truncation
+    error, and the finite-difference multipliers read about 4.5e-5 at the
+    default profile and below 1e-3 at the edge profiles of FLOW_STEPS.
 
     Returns a list of dicts with keys center, theta, point, multipliers,
     fd_multipliers, fixed_defect.
@@ -568,9 +570,12 @@ def link_saddles(island):
     # delta^2); when that direction is the contracting one the resulting
     # noise is comparable to the tiny directional response, so a larger
     # step keeps the displaced points clear of the degeneracy.  Expanding
-    # directions need the smaller step to control truncation instead.
-    h_rad = np.full(len(meta), 1e-6)
-    h_tan = np.where(np.cos(2 * th_arr) > 0, 1e-5, 1e-6)
+    # directions need the smaller step to control truncation instead.  Both
+    # scale with the narrower side of the circle, delta or the annulus
+    # eps - delta, so that the probes stay in the saddle's linear zone.
+    h = 1e-5 * min(delta, island.profile.eps - delta)
+    h_rad = np.full(len(meta), h)
+    h_tan = np.where(np.cos(2 * th_arr) > 0, 10 * h, h)
     frames = ((rad, h_rad[:, None]), (tan, h_tan[:, None]))
     probes = [wrap_torus(P + sign * h * direction)
               for direction, h in frames for sign in (1.0, -1.0)]

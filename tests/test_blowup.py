@@ -606,6 +606,28 @@ def test_link_saddles(island):
         assert np.max(np.abs(d["fd_multipliers"] / tgt - 1.0)) <= 1e-4
 
 
+@pytest.mark.parametrize("delta, eps", [(0.15, 0.24)] + EDGE_PROFILES)
+def test_saddle_fd_multipliers_at_edge_profiles(delta, eps):
+    # the report metric saddle_fd_multiplier_error: the probe steps scale
+    # with min(delta, eps - delta), so narrow annuli and small discs read
+    # about as well as the default (0.455 at (0.2, 0.2001) with fixed steps)
+    tgt = np.array([1.0 / EXP_2SIGMA, EXP_2SIGMA])
+    data = link_saddles(IslandMap(delta, eps))
+    assert max(np.max(np.abs(d["fd_multipliers"] / tgt - 1.0)) for d in data) < 1e-3
+
+
+def test_island_field_call_budget(island, monkeypatch):
+    # simplified Newton takes about 5 field calls per midpoint substep of
+    # the symmetry batch and 3 of the saddle batch; fixed-point sweeps took
+    # 12 and 9, 3517 calls in all
+    calls = []
+    field = island.system.field
+    monkeypatch.setattr(island.system, "field", lambda p: calls.append(1) or field(p))
+    symmetry_and_identity_report(island, n=1000)
+    link_saddles(island)
+    assert len(calls) <= 1600
+
+
 def test_link_saddles_checks_the_map_every_caller_evaluates(island, monkeypatch):
     # the multipliers come from Fhat's own Jacobian at the saddles, and the
     # fixed-point defects from Fhat's own images, bit for bit

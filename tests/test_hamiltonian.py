@@ -1,11 +1,9 @@
-from collections import Counter
-
 import numpy as np
+import pytest
 
 from construction_checks import energy_drift, finite_difference_jacobian, saddle_system, stacked
 from islab import hamiltonian
 from islab.hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
-from islab.maps import inv2
 
 SIGMA = np.log(9 + 4 * np.sqrt(5))
 
@@ -124,7 +122,7 @@ def test_midpoint_fourth_order_jacobian_vs_fd():
 
 
 def test_midpoint_result_independent_of_batch():
-    # each point stops its fixed-point solve at its own convergence, so
+    # each point stops its Newton solve at its own convergence, so
     # integrating it alone or inside a batch gives the same bits, at either
     # order
     sys = pendulum()
@@ -137,37 +135,23 @@ def test_midpoint_result_independent_of_batch():
             assert np.array_equal(stacked(M)[i], stacked(Mi))
 
 
-def test_midpoint_newton_fallback_matches_fixed_point(monkeypatch):
-    # with a single fixed-point sweep every point goes to the Newton solve
+@pytest.mark.parametrize("order", [2, 4])
+def test_midpoint_solve_matches_a_tighter_solve(order):
+    # the simplified-Newton solve stopped at MIDPOINT_TOL against the same
+    # solve run to 1e-15; order 4 includes the backward middle substep
     sys = pendulum()
     pts = np.random.default_rng(4).normal(size=(40, 2)) * 0.6
-    z, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False)
-    monkeypatch.setattr(hamiltonian, "FP_CAP", 1)
-    zn, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False)
-    assert np.max(np.abs(zn - z)) < 1e-12
+    z, _ = _midpoint_steps(sys, pts, 0.8, 32, MIDPOINT_TOL, False, order=order)
+    zt, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-15, False, order=order)
+    assert np.max(np.abs(z - zt)) < 1e-12
 
 
-def test_midpoint_fourth_order_newton_fallback_matches_fixed_point(monkeypatch):
-    # with a single fixed-point sweep every substep, the backward middle one
-    # included, goes to the Newton solve
-    sys = pendulum()
+def test_midpoint_solve_raises_at_its_cap(monkeypatch):
+    # one iteration from the Euler start cannot reach the tolerance
+    monkeypatch.setattr(hamiltonian, "SOLVE_CAP", 1)
     pts = np.random.default_rng(7).normal(size=(40, 2)) * 0.6
-    z, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False, order=4)
-    seen = Counter()
-
-    def spy(A):
-        # the pendulum's Newton matrix I - (h/2) Df has (0, 1) entry -h/2
-        seen[float(-2.0 * np.ravel(A[1])[0])] += 1
-        return inv2(A)
-
-    monkeypatch.setattr(hamiltonian, "inv2", spy)
-    monkeypatch.setattr(hamiltonian, "FP_CAP", 1)
-    zn, _ = _midpoint_steps(sys, pts, 0.8, 32, 1e-14, False, order=4)
-    stages = [g * (0.8 / 32) for g in hamiltonian._STAGES[4]]
-    assert min(stages) < 0.0
-    assert set(seen) == set(stages)
-    assert all(seen[h] >= 32 for h in stages)
-    assert np.max(np.abs(zn - z)) < 1e-12
+    with pytest.raises(RuntimeError, match="pendulum: midpoint solver failed at h="):
+        _midpoint_steps(pendulum(), pts, 0.8, 32, MIDPOINT_TOL, False)
 
 
 def test_zero_time_map_is_identity():
