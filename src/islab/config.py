@@ -82,7 +82,7 @@ SUITE_SCHEMA = {
     },
     "island": {
         "island.delta": _Key("float", 0.15, lo=0.0, hi=0.25, lo_open=True, hi_open=True),
-        "island.eps": _Key("float", 0.24, lo=0.0, hi=0.25, lo_open=True),
+        "island.eps": _Key("float", 0.24, lo=0.0, hi=0.25, lo_open=True, hi_open=True),
         "island.n": _Key("int", 200, lo=1, hi=100000),
         "island.grid": _Key("int", 100, lo=8, hi=512),
         "island.samples": _Key("int", 1000, lo=1, hi=100000),

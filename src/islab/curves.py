@@ -171,7 +171,10 @@ class PeriodicFn:
         self._wcoef = w.T.reshape(w.shape[::-1] + (1,) * (w.ndim - 1))
 
     @classmethod
-    def from_function(cls, fn, tau, n=PERIODIC_SAMPLES, origin=0.0):
+    def from_function(cls, fn, tau, n=None, origin=0.0):
+        """Sample fn at n points of one period from origin; n defaults to
+        PERIODIC_SAMPLES as it reads when called."""
+        n = PERIODIC_SAMPLES if n is None else n
         grid = origin + np.arange(n) * (tau / n)
         return cls(tau, np.asarray(fn(grid), dtype=float), origin)
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import curves
 from .curves import (
     DENSITY,
-    PERIODIC_SAMPLES,
     GraphCurve,
     MaskedPeriodic,
     PartitionBump,
@@ -564,7 +564,7 @@ def _restore(model, side):
     rho = model.partition_bump(side)        # its support is the shear band
     lo, _ = model.fundamental_interval(side)
     tau = model.geometry.tau
-    psit = PeriodicFn(tau, np.zeros((model.rows, PERIODIC_SAMPLES)), origin=lo)
+    psit = PeriodicFn(tau, np.zeros((model.rows, curves.PERIODIC_SAMPLES)), origin=lo)
     traces = [[] for _ in range(model.rows)]
     live = np.ones(model.rows, dtype=bool)
     prev = np.full(model.rows, np.inf)

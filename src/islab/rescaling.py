@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyder, polyval
-from numpy.polynomial.polyutils import trimseq
 
 from .curves import BumpFn
 from .hamiltonian import MIDPOINT_TOL, HamiltonianSystem, _midpoint_steps
@@ -348,56 +347,27 @@ class RescalingCharts:
         return m.T1[j].d * m.x_plus[i] * m.R[i] / m.R[j]
 
     def psihat(self, i, psi):
-        """Coefficients of the box shear on V_{i+1} that cancels leg i's
-        landing defects and injects the Henon kick psi (a `Polynomial` in
-        the chart X, or None).
+        """Coefficients, in powers of the box coordinate s = xbar - x+_{i+1},
+        of the shear on V_{i+1} that cancels leg i's landing defects and
+        injects the Henon kick psi (a `Polynomial` in the chart X, or None).
 
-        With s = xbar - x+_{i+1}, the shear is A - B s + K psi(s / scale),
-        formed as `Polynomial` arithmetic forms it, bit for bit: products
-        by `np.convolve`, a sum as the shorter operand added into the
-        longer, trailing zeros trimmed after each operation."""
+        X = s / scale on the box, so the kick's coefficient c_j enters as
+        lam^k mu^k R_{i+1} c_j / scale^j; the constant and linear defects add
+        to the s^0 and s^1 coefficients."""
         m = self.model
         j = (i + 1) % m.N
-        s = np.array([-m.x_plus[j], 1.0])
-        lin = trimseq(np.convolve(
-            [self.lamk * self.a_cross(i) * m.R[j] / (m.b[j] * m.R[i])], s))
-        out = -lin
-        out[0] += -self.lamk * self.c_offset(i) * m.R[j]
-        out = trimseq(out)
-        if psi is None:
-            return out
+        kick = np.zeros(2) if psi is None else psi.coef
         scale = m.b[j] * m.R[i] * self.muk
-        kick = trimseq(np.convolve([self.lamk * self.muk * m.R[j]],
-                                   _compose_linear(psi.coef, s / scale)))
-        if len(out) > len(kick):
-            out, kick = kick, out
-        kick[:len(out)] += out
-        return trimseq(kick)
-
-
-def _compose_linear(c, t):
-    """Coefficients of c(t(x)) for the linear t = t[0] + t[1] x, by
-    Horner's rule on coefficient arrays as `Polynomial.__call__` runs it on
-    a `Polynomial` argument (its start c[-1] + t * 0 is the first pass
-    from the zero polynomial)."""
-    out = np.zeros(1)
-    for a in c[::-1]:
-        out = trimseq(np.convolve(out, t))
-        out[0] += a
-    return out
+        out = np.zeros(max(len(kick), 2))
+        out[:len(kick)] = self.lamk * self.muk * m.R[j] * kick / scale ** np.arange(len(kick))
+        out[0] -= self.lamk * self.c_offset(i) * m.R[j]
+        out[1] -= self.lamk * self.a_cross(i) * m.R[j] / (m.b[j] * m.R[i])
+        return out
 
 
 def _deriv(c):
-    """`polyder(c)`: the derivative's coefficients, bit for bit."""
+    """The derivative's coefficients; a constant's is [0]."""
     return c[1:] * np.arange(1, len(c)) if len(c) > 1 else c[:1] * 0.0
-
-
-def _antideriv_at(c, x0):
-    """Coefficients of the antiderivative of c that vanishes at x0, as
-    `Polynomial.integ()` followed by P - P(x0) forms them."""
-    P = trimseq(np.concatenate(([0.0], c / np.arange(1, len(c) + 1))))
-    P[0] -= polyval(x0, P)
-    return P
 
 
 # ---------------------------------------------------------------------------
@@ -427,21 +397,26 @@ class BoxBump:
         return bx * by, grad, (self._x.d2(x) * by, sx * sy, bx * self._y.d2(y))
 
 
-def _collar_system(bmp, Psi, psihat, dpsihat):
-    """H = -Psi(x) rho(x, y) for one box, from the coefficient arrays of
-    Psi, psihat = Psi' and dpsihat = psihat'."""
+def _collar_system(bmp, psihat):
+    """H = -Psi(x) rho(x, y) for one box, from psihat's coefficients in the
+    box coordinate s = x - x+_i; Psi is its antiderivative that vanishes at
+    s = 0, the box center, so the collar Hamiltonian is as small as the
+    shear itself."""
+    Psi = np.concatenate(([0.0], psihat / np.arange(1, len(psihat) + 1)))
+    dpsihat = _deriv(psihat)
+    x0 = bmp.center[0]
 
     def grad(p):
-        x = p[..., 0]
+        s = p[..., 0] - x0
         rho, gr, _ = bmp.jet(p, False)
-        P = polyval(x, Psi)
-        return np.stack([-(polyval(x, psihat) * rho + P * gr[..., 0]),
+        P = polyval(s, Psi)
+        return np.stack([-(polyval(s, psihat) * rho + P * gr[..., 0]),
                          -P * gr[..., 1]], axis=-1)
 
     def hess(p):
-        x = p[..., 0]
+        s = p[..., 0] - x0
         rho, gr, (hxx, hxy, hyy) = bmp.jet(p, True)
-        P, p1, p2 = polyval(x, Psi), polyval(x, psihat), polyval(x, dpsihat)
+        P, p1, p2 = polyval(s, Psi), polyval(s, psihat), polyval(s, dpsihat)
         return (-(p2 * rho + 2.0 * p1 * gr[..., 0] + P * hxx),
                 -(p1 * gr[..., 1] + P * hxy), -P * hyy)
 
@@ -455,11 +430,8 @@ def build_perturbation(charts, psi_list):
     g is the time-1 flow of H = -Psi(x) * rho_box over the model's bumps;
     on each inner box it acts as the exact vertical shear by psihat_i,
     outside all boxes it is the identity, and the collar is integrated by
-    implicit midpoint.  Returns (g, psihat list): the shears as
-    `Polynomial`s, each built once from the coefficient array that g
-    evaluates.  The shears, their derivatives and the collar's Psi_i are
-    coefficient arrays throughout, bitwise what `Polynomial` arithmetic
-    (`deriv`, `integ`, P - P(x+_i)) gives.
+    implicit midpoint.  Returns (g, psihat list): each shear's coefficient
+    array, in powers of its box coordinate s = x - x+_i, as g evaluates it.
     """
     model = charts.model
     N = model.N
@@ -467,11 +439,7 @@ def build_perturbation(charts, psi_list):
     for leg in range(N):
         coefs[(leg + 1) % N] = charts.psihat(leg, psi_list[leg])
     dcoefs = [_deriv(c) for c in coefs]
-    # anchor the antiderivatives at the box centers so the collar
-    # Hamiltonian is as small as the shear itself
-    systems = [_collar_system(model.bumps[i], _antideriv_at(coefs[i], model.x_plus[i]),
-                              coefs[i], dcoefs[i])
-               for i in range(N)]
+    systems = [_collar_system(model.bumps[i], coefs[i]) for i in range(N)]
     iy = model.box_inner[1]
 
     def apply(p, with_jac, sign=1.0):
@@ -485,14 +453,14 @@ def build_perturbation(charts, psi_list):
         J = [np.full(len(flat), e) for e in (1.0, 0.0, 0.0, 1.0)] if with_jac else None
         for i in range(N):
             idx = np.flatnonzero(box == i)
-            x = flat[idx, 0]
-            y1 = flat[idx, 1] + sign * polyval(x, coefs[i])
+            s = flat[idx, 0] - model.x_plus[i]
+            y1 = flat[idx, 1] + sign * polyval(s, coefs[i])
             # the vertical segment from y to y1 stays in the inner box,
             # where the flow is exactly the shear
             sh = (reg[idx] == 2) & (np.abs(y1) <= iy)
             out[idx[sh], 1] = y1[sh]
             if with_jac:
-                J[2][idx[sh]] = sign * polyval(x[sh], dcoefs[i])
+                J[2][idx[sh]] = sign * polyval(s[sh], dcoefs[i])
             mc = idx[~sh]
             if mc.size:
                 # the collar: time-sign flow of box i, g (+1) or g^-1 (-1)
@@ -505,7 +473,7 @@ def build_perturbation(charts, psi_list):
                                       if with_jac else None)
 
     g = MapDescriptor(f"g[k={charts.k}]", apply, lambda q: apply(q, False, -1.0)[0])
-    return g, [Polynomial(c) for c in coefs]
+    return g, coefs
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +502,8 @@ def verify_rescaling(model, k, psi_list=None):
     1..k-1 touch a box, and iterate k goes on through T1 and g.  Returns
     a report dict with E(k), the per-leg defects of Phi_i, the passage
     count n = N (k + 1), and each psihat_i's sup and C^2 norm over its own
-    box (the only place g uses it), from its coefficient array.
+    box (the only place g uses it), from its coefficients on the grid
+    s = linspace(-h, h, 257) of the box coordinate.
     """
     N = model.N
     if psi_list is None:
@@ -578,13 +547,14 @@ def verify_rescaling(model, k, psi_list=None):
         phi_defects.append(float(np.max(np.abs(henon.inv(fresh) - pts))))
     E = float(np.max(np.abs(cur - hen)))
 
-    # sup and C^2 norm of each psihat_i over its own box, where g uses it
+    # sup and C^2 norm of each psihat_i over its own box, where g uses it:
+    # one grid in the box coordinate s = x - x+_i serves every box
+    h = model.box_half[0]
+    ss = np.linspace(-h, h, 257)
     sups, norms = [], []
-    for i, ph in enumerate(psihats):
-        xs = np.linspace(model.x_plus[i] - model.box_half[0],
-                         model.x_plus[i] + model.box_half[0], 257)
-        dph = _deriv(ph.coef)
-        vals = [float(np.max(np.abs(polyval(xs, c)))) for c in (ph.coef, dph, _deriv(dph))]
+    for ph in psihats:
+        dph = _deriv(ph)
+        vals = [float(np.max(np.abs(polyval(ss, c)))) for c in (ph, dph, _deriv(dph))]
         sups.append(vals[0])
         norms.append(max(vals))
 

@@ -272,6 +272,16 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_validate_rejects_outer_radius_at_its_bound(tmp_path, capsys):
+    # at eps = 0.25 the outer discs overlap and SurgeryProfile refuses the
+    # run, so the schema's upper bound on island.eps is open
+    path = _write_cfg(tmp_path, "suite = island\nisland.eps = 0.25\n")
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert "island.eps" in captured.out + captured.err
+    assert "ok" not in captured.out
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_main_unreadable_config_exit_2(tmp_path, capsys, command):
     # a directory and a file that is not UTF-8 are config errors, reported

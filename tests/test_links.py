@@ -355,6 +355,19 @@ def test_restore_link_a():
     assert curve_sup_diff(w_u, w_s, g.x_a - g.tau, g.x_a) <= 1e-7
 
 
+def test_periodic_sample_count_is_read_at_call_time(monkeypatch):
+    # the splittings and the restoration's iterate all take their sample
+    # count from curves.PERIODIC_SAMPLES when they run, so one patch of the
+    # constant moves them together
+    from islab import curves
+    monkeypatch.setattr(curves, "PERIODIC_SAMPLES", 256)
+    assert splitting_a(None, _model()).n == 256
+    model = build_suitable_model(hook=_a_band_hook(LinkGeometry()))
+    psi_a, (trace,), _ = restore_link_a(model)
+    assert psi_a.psi.n == 256
+    assert trace[-1][1] <= 1e-8
+
+
 def test_restore_link_b():
     model = build_suitable_model(hook=_b_band_hook(LinkGeometry()))
     psi_b, (trace,), _ = restore_link_b(model)
