@@ -57,6 +57,19 @@ _FIT_DEG = 7
 # leave only 19 % headroom; 64 cost about 9 % more CPU in the symmetry and
 # saddle phases (median ratio of 41 alternating pairs on 2 vCPUs).
 FLOW_STEPS = 56
+# the thinnest annulus a config may ask for, as its largest psi': the
+# conjugacy check's defect grows as about 1.2e-16 max psi' (5.6e-11 at
+# 4.5e5, 5.1e-10 at 3.75e6, 4.8e-9 at 4.5e7, against its 1e-9 gate), and
+# reads 9.7e-11 to 1.2e-10 at this bound (delta = 0.1, 0.2 and 0.24)
+PSI_SLOPE_MAX = 1e6
+
+
+def max_psi_slope(delta, eps):
+    """The largest psi' of the (delta, eps) surgery, at the bridge's middle:
+    1 + rho_lo times the quintic step's peak slope 15/8 over the bridge
+    width (rho_hi - rho_lo)/2; infinite when the annulus has no width."""
+    rho_lo, rho_hi = 0.5 * delta**2, 0.5 * eps**2
+    return 1.0 + 3.75 * rho_lo / (rho_hi - rho_lo) if rho_hi > rho_lo else np.inf
 
 
 def eigen_rotation():

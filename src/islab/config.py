@@ -17,6 +17,8 @@ is not UTF-8 text is a `ConfigError` too.
 
 from dataclasses import dataclass, field
 
+from .blowup import PSI_SLOPE_MAX, max_psi_slope
+
 SUITES = ("island", "lyapunov", "stdmap-scan", "links", "rescaling")
 
 
@@ -171,8 +173,13 @@ def _resolve(raw):
 
     # cross-field constraints
     if suite == "island" and "island.delta" in values and "island.eps" in values:
-        if not values["island.delta"] < values["island.eps"]:
+        delta, eps = values["island.delta"], values["island.eps"]
+        if not delta < eps:
             violations.append("island.delta: inner radius must be < outer")
+        elif (slope := max_psi_slope(delta, eps)) > PSI_SLOPE_MAX:
+            violations.append(
+                f"island.eps: the annulus is too thin: its max psi' = {slope:.4g} exceeds "
+                f"{PSI_SLOPE_MAX:g}, past which the surgery conjugacy check loses precision")
     if suite == "stdmap-scan" and {"stdmap.a_min", "stdmap.a_max"} <= values.keys():
         if not values["stdmap.a_min"] <= values["stdmap.a_max"]:
             violations.append("stdmap.a_min: must not exceed stdmap.a_max")

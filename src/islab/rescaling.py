@@ -365,11 +365,6 @@ class RescalingCharts:
         return out
 
 
-def _deriv(c):
-    """The derivative's coefficients; a constant's is [0]."""
-    return c[1:] * np.arange(1, len(c)) if len(c) > 1 else c[:1] * 0.0
-
-
 # ---------------------------------------------------------------------------
 # the box perturbation
 
@@ -397,13 +392,12 @@ class BoxBump:
         return bx * by, grad, (self._x.d2(x) * by, sx * sy, bx * self._y.d2(y))
 
 
-def _collar_system(bmp, psihat):
-    """H = -Psi(x) rho(x, y) for one box, from psihat's coefficients in the
-    box coordinate s = x - x+_i; Psi is its antiderivative that vanishes at
-    s = 0, the box center, so the collar Hamiltonian is as small as the
-    shear itself."""
+def _collar_system(bmp, psihat, dpsihat):
+    """H = -Psi(x) rho(x, y) for one box, from the coefficients of psihat
+    and its derivative in the box coordinate s = x - x+_i; Psi is psihat's
+    antiderivative that vanishes at s = 0, the box center, so the collar
+    Hamiltonian is as small as the shear itself."""
     Psi = np.concatenate(([0.0], psihat / np.arange(1, len(psihat) + 1)))
-    dpsihat = _deriv(psihat)
     x0 = bmp.center[0]
 
     def grad(p):
@@ -438,17 +432,18 @@ def build_perturbation(charts, psi_list):
     coefs = [None] * N
     for leg in range(N):
         coefs[(leg + 1) % N] = charts.psihat(leg, psi_list[leg])
-    dcoefs = [_deriv(c) for c in coefs]
-    systems = [_collar_system(model.bumps[i], coefs[i]) for i in range(N)]
+    dcoefs = [polyder(c) for c in coefs]
+    systems = [_collar_system(model.bumps[i], coefs[i], dcoefs[i]) for i in range(N)]
     iy = model.box_inner[1]
 
-    def apply(p, with_jac, sign=1.0):
+    def apply(p, with_jac, sign=1.0, classes=None):
         """g (sign +1) or g^-1 (sign -1) of points p, and the entries of its
         Jacobian when with_jac (else None): the identity off the boxes, the
-        shear's on the inner boxes, the integrator's on the collars."""
+        shear's on the inner boxes, the integrator's on the collars.
+        `classes` is box_region's (region, box) of p, if the caller has it."""
         p = np.asarray(p, dtype=float)
         flat = p.reshape(-1, 2)
-        reg, box = model.box_region(flat)
+        reg, box = model.box_region(flat) if classes is None else classes
         out = flat.copy()
         J = [np.full(len(flat), e) for e in (1.0, 0.0, 0.0, 1.0)] if with_jac else None
         for i in range(N):
@@ -496,14 +491,15 @@ def verify_rescaling(model, k, psi_list=None):
 
     Runs the full N-leg orbit of an exit-chart disc grid, comparing the
     chart-conjugated composition with the Henon-kick product, and each
-    individual leg as Phi_i = H_i^{-1} o leg against the identity.  First a
-    probe disc follows the cycle: per leg, one T0 evaluation gives all k
-    passage iterates, one `box_region` call raises ValueError if iterates
-    1..k-1 touch a box, and iterate k goes on through T1 and g.  Returns
-    a report dict with E(k), the per-leg defects of Phi_i, the passage
-    count n = N (k + 1), and each psihat_i's sup and C^2 norm over its own
-    box (the only place g uses it), from its coefficients on the grid
-    s = linspace(-h, h, 257) of the box coordinate.
+    individual leg as Phi_i = H_i^{-1} o leg against the identity.  Each
+    leg maps the composition's points and the fresh grid as one batch: one
+    T0 evaluation gives all k passage iterates, and one `box_region` call
+    over iterates 1..k-1 and the T1 landing raises ValueError if an iterate
+    touches a box or a landing point leaves its own inner box; g reuses the
+    landing's classes.  Returns a report dict with E(k), the per-leg defects
+    of Phi_i, the passage count n = N (k + 1), and each psihat_i's sup and
+    C^2 norm over its own box (the only place g uses it), from its
+    coefficients on the grid s = linspace(-h, h, 257) of the box coordinate.
     """
     N = model.N
     if psi_list is None:
@@ -513,37 +509,32 @@ def verify_rescaling(model, k, psi_list=None):
     charts = RescalingCharts(model, k)
     g, psihats = build_perturbation(charts, psi_list)
     pts = _disc_grid(24)
-    T0k = model.T0.descriptor(k)
-
-    def run_leg(i, XY):
-        p = model.T1[(i + 1) % N](T0k(charts.qbar(i)(XY)))
-        reg, box = model.box_region(p)
-        if np.any((reg > 0) & (box != (i + 1) % N)):
-            raise ValueError("orbit enters a foreign perturbation box")
-        if np.any(reg != 2):
-            raise ValueError("leg lands outside the inner perturbation box")
-        p = g(p)
-        return charts.qbar(i + 1).inverse(p)
-
-    # intermediate-orbit avoidance: T0^1..T0^k of the probe in one call (the
-    # iterate count a (k, 1) column); iterates 1..k-1 must miss every box
+    M = len(pts)
+    # T0^1..T0^k in one call: the iterate count is a (k, 1) column
     T0j = model.T0.descriptor(np.arange(1, k + 1)[:, None])
-    probe = charts.qbar(0)(_disc_grid(8))
-    for i in range(N):
-        q = T0j(probe)
-        if np.any(model.box_region(q[:-1])[0] > 0):
-            raise ValueError("saddle-passage orbit grazes a box")
-        probe = g(model.T1[(i + 1) % N](q[-1]))
 
-    # full composition vs the Henon product; each leg on the fresh disc
-    # grid as Phi_i = H_i^{-1} o leg
+    # each leg maps the composition's points and the fresh disc grid as one
+    # batch: the first half goes on, to be compared with the Henon product,
+    # and the second gives Phi_i = H_i^{-1} o leg
     cur = hen = pts
     phi_defects = []
     for i in range(N):
+        j = (i + 1) % N
+        q = T0j(charts.qbar(i)(np.concatenate([cur, pts])))
+        p = model.T1[j](q[-1])
+        # one classification of passage iterates 1..k-1 and the landing
+        reg, box = model.box_region(np.concatenate([q[:-1].reshape(-1, 2), p]))
+        if np.any(reg[:-len(p)] > 0):
+            raise ValueError("saddle-passage orbit grazes a box")
+        reg, box = reg[-len(p):], box[-len(p):]
+        if np.any((reg > 0) & (box != j)):
+            raise ValueError("orbit enters a foreign perturbation box")
+        if np.any(reg != 2):
+            raise ValueError("leg lands outside the inner perturbation box")
+        out = charts.qbar(j).inverse(g.ev(p, False, classes=(reg, box))[0])
+        cur, fresh = out[:M], out[M:]
         henon = _henon(psi_list[i])
-        cur = run_leg(i, cur)
         hen = henon(hen)
-        fresh = run_leg(i, pts)
         phi_defects.append(float(np.max(np.abs(henon.inv(fresh) - pts))))
     E = float(np.max(np.abs(cur - hen)))
 
@@ -553,8 +544,8 @@ def verify_rescaling(model, k, psi_list=None):
     ss = np.linspace(-h, h, 257)
     sups, norms = [], []
     for ph in psihats:
-        dph = _deriv(ph)
-        vals = [float(np.max(np.abs(polyval(ss, c)))) for c in (ph, dph, _deriv(dph))]
+        dph = polyder(ph)
+        vals = [float(np.max(np.abs(polyval(ss, c)))) for c in (ph, dph, polyder(dph))]
         sups.append(vals[0])
         norms.append(max(vals))
 

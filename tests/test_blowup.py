@@ -131,6 +131,23 @@ def test_psi_is_exact_off_the_bridge(delta, eps):
     assert np.all(prof.psi_d1(np.concatenate([below, above])) == 1.0)
 
 
+@pytest.mark.parametrize("delta, eps", EDGE_PROFILES + [(0.15, 0.24)])
+def test_max_psi_slope_is_the_profiles_own(delta, eps):
+    # the step's peak slope sits at the bridge's middle; no point of the
+    # annulus has a larger psi'
+    prof = SurgeryProfile(delta, eps)
+    slope = blowup.max_psi_slope(delta, eps)
+    rho = np.linspace(prof.rho_lo, prof.rho_hi, 100_001)
+    assert np.max(prof.psi_d1(rho)) <= slope * (1 + 1e-9)
+    assert prof.psi_d1(0.5 * (prof.r1 + prof.r2)) == pytest.approx(slope, rel=1e-9)
+    assert slope <= blowup.PSI_SLOPE_MAX
+
+
+def test_max_psi_slope_of_an_annulus_without_width():
+    # both squares underflow to 0, so the annulus has no width
+    assert blowup.max_psi_slope(1e-200, 2e-200) == np.inf
+
+
 @pytest.mark.parametrize("delta, eps", EDGE_PROFILES)
 def test_psi_inv_at_edge_profiles(delta, eps):
     # psi' reaches ~3750 at (0.2, 0.2001), so a root within an ulp of x

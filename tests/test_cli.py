@@ -282,6 +282,21 @@ def test_validate_rejects_outer_radius_at_its_bound(tmp_path, capsys):
     assert "ok" not in captured.out
 
 
+def test_validate_rejects_an_annulus_past_the_conjugacy_conditioning_limit(tmp_path, capsys):
+    # at delta/eps = 0.24/0.24000001 the surgery's max psi' is 4.5e7, and the
+    # run's conjugacy check would read 4.8e-9 against 1e-9; 0.2/0.2001, the
+    # edge profiles' largest psi' (3750), is accepted
+    thin = _write_cfg(tmp_path, "suite = island\nisland.delta = 0.24\nisland.eps = 0.24000001\n")
+    for command in ("validate", "run"):
+        assert main([command, thin]) == 2
+        captured = capsys.readouterr()
+        assert "island.eps" in captured.out + captured.err
+        assert "psi'" in captured.out + captured.err
+    wide = _write_cfg(tmp_path, "suite = island\nisland.delta = 0.2\nisland.eps = 0.2001\n",
+                      name="wide.cfg")
+    assert main(["validate", wide]) == 0
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_main_unreadable_config_exit_2(tmp_path, capsys, command):
     # a directory and a file that is not UTF-8 are config errors, reported

@@ -67,6 +67,22 @@ def test_inner_outer_radius_ordering():
                          "island.eps": "0.24"})
 
 
+def test_annulus_past_the_conjugacy_conditioning_limit_rejected():
+    # max psi' = 1 + 3.75 rho_lo / (rho_hi - rho_lo): 4.5e7 at 0.24/0.24000001,
+    # where the conjugacy check reads 4.8e-9 against its 1e-9 gate
+    vs = validate({"suite": "island", "island.delta": "0.24",
+                   "island.eps": "0.24000001"})
+    assert len(vs) == 1 and vs[0].startswith("island.eps: ") and "psi' = 4.5e+07" in vs[0]
+    assert not validate({"suite": "island", "island.delta": "0.2",
+                         "island.eps": "0.2001"})
+    # the rule needs both radii, in order
+    assert validate({"suite": "island", "island.delta": "0.24",
+                     "island.eps": "0.2"}) == ["island.delta: inner radius must be < outer"]
+    assert all(v.startswith("island.delta: ")
+               for v in validate({"suite": "island", "island.delta": "x",
+                                  "island.eps": "0.24000001"}))
+
+
 def test_even_alternation_count_rejected():
     vs = validate({"suite": "rescaling", "rescaling.N": "4"})
     assert "rescaling.N: the alternation count N must be odd" in vs

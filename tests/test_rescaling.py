@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Polynomial
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyder, polyval
 
 from construction_checks import (box_region_by_bump, bump_region, finite_difference_jacobian,
                                  perturbation_polynomials, transition_tails, xi_eta)
@@ -121,7 +121,7 @@ def test_normal_form_closed_form_iterate():
 
 
 def test_normal_form_iterate_column_matches_each_iterate():
-    # verify_rescaling's passage probe takes T0^1..T0^k in one call with the
+    # each leg of verify_rescaling takes T0^1..T0^k in one call with the
     # iterate count a (k, 1) column; each row must be T0^j's own evaluation
     T0 = SaddleNormalForm(0.4, 0.1)
     rng = np.random.default_rng(11)
@@ -280,7 +280,7 @@ def test_transition_and_shear_polynomials_match_polynomial_objects():
     s = xs - m.x_plus[i]
     gp, Jg = g.value_and_jacobian(np.stack([xs, ys], axis=-1))
     assert gp[:, 1].tobytes() == (ys + polyval(s, psihats[i])).tobytes()
-    assert Jg[:, 1, 0].tobytes() == polyval(s, rescaling._deriv(psihats[i])).tobytes()
+    assert Jg[:, 1, 0].tobytes() == polyval(s, polyder(psihats[i])).tobytes()
     assert np.max(np.abs(gp[:, 1] - ys - ph(xs))) <= SHEAR_RTOL * np.max(np.abs(ph(xs)))
     assert np.max(np.abs(Jg[:, 1, 0] - dph(xs))) <= SHEAR_RTOL * np.max(np.abs(dph(xs)))
 
@@ -384,7 +384,7 @@ def test_shear_coefficients_match_the_polynomial_construction(k):
                 assert c.tobytes() == psihats[i].tobytes()
                 ours = Polynomial(c)
                 Psi = ours.integ()
-                assert rescaling._deriv(c).tobytes() == ours.deriv().coef.tobytes()
+                assert polyder(c).tobytes() == ours.deriv().coef.tobytes()
                 xs = np.linspace(m.x_plus[i] - h, m.x_plus[i] + h, 257)
                 for mine, theirs in zip((ours, ours.deriv(), Psi), ref[i]):
                     want = theirs(xs)
@@ -395,7 +395,7 @@ def test_shear_coefficients_match_the_polynomial_construction(k):
                 bmp = m.bumps[i]
                 pts = np.stack([m.x_plus[i] + np.linspace(-ih, ih, 9),
                                 np.full(9, (iy + hy) / 2)], axis=-1)
-                gy = rescaling._collar_system(bmp, c).grad(pts)[:, 1]
+                gy = rescaling._collar_system(bmp, c, polyder(c)).grad(pts)[:, 1]
                 rho_y = bmp.jet(pts, False)[1][:, 1]
                 assert np.array_equal(gy, -Psi(pts[:, 0] - m.x_plus[i]) * rho_y)
                 assert gy[4] == 0.0 and rho_y[4] != 0.0
@@ -571,9 +571,10 @@ def test_verify_builds_the_charts_once(monkeypatch):
     assert builds == [10]
 
 
-def test_verify_classifies_a_fixed_number_of_times_in_k(monkeypatch):
-    # the passage probe classifies all k - 1 intermediate iterates of a leg
-    # in one box_region call, so the count does not grow with k
+def test_verify_classifies_each_leg_batch_once(monkeypatch):
+    # each leg maps the composition's points and the fresh disc grid (2M
+    # points) as one batch, and classifies passage iterates 1..k-1 and the
+    # T1 landing, k * 2M points, in one box_region call that g reuses
     calls = []
     region = RescalingModel.box_region
 
@@ -582,12 +583,12 @@ def test_verify_classifies_a_fixed_number_of_times_in_k(monkeypatch):
         return region(self, p)
 
     monkeypatch.setattr(RescalingModel, "box_region", spy)
-    counts = []
+    M = len(rescaling._disc_grid(24))
     for k in (8, 14):
         calls.clear()
-        verify_rescaling(desk_model(), k, QUAD_KICKS)
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        m = desk_model()
+        verify_rescaling(m, k, QUAD_KICKS)
+        assert calls == [(k * 2 * M, 2)] * m.N
 
 
 def test_verify_constructs_a_fixed_number_of_polynomials_in_k(monkeypatch):
@@ -723,11 +724,21 @@ def test_legs_are_symplectic_on_chart_windows():
 
 @pytest.mark.parametrize("lam, k", [(0.6, 60), (0.7, 30)])
 def test_verify_rejects_a_passage_that_grazes_a_box(lam, k):
-    # on the second leg the probe's first (lam = 0.6) or second (lam = 0.7)
-    # saddle-passage iterate enters a perturbation box
+    # on the second leg the first (lam = 0.6) or second (lam = 0.7)
+    # saddle-passage iterate of every point, composition and fresh grid
+    # alike, enters a perturbation box
     m = desk_model(0.0, tails=False, lam=lam, mu=0.9, r=2)
     with pytest.raises(ValueError, match="saddle-passage orbit grazes a box"):
         verify_rescaling(m, k)
+
+
+def test_verify_rejects_a_graze_between_the_disc_grid_points():
+    # at lam = 0.99, 8 of the 408 disc grid points graze a box at passage
+    # iterates 1..7 of the first leg, and no point of an 8 x 8 disc grid
+    # does, so the check must cover every leg point
+    m = desk_model(0.0, tails=False, lam=0.99, mu=0.999, r=1)
+    with pytest.raises(ValueError, match="saddle-passage orbit grazes a box"):
+        verify_rescaling(m, 8)
 
 
 def test_verify_rejects_small_k_and_bad_kick_count():
