@@ -5,7 +5,8 @@ Subpackages/modules:
 - maps: map descriptors, composition/inversion, the linear torus
   automorphism, standard-family kicks, shears and Henon-form maps
 - hamiltonian: Hamiltonian systems and the implicit-midpoint integrator
-  (order 2, or the order-4 triple jump) with exact variational Jacobians
+  (order 2, or Suzuki's order-4 five-stage composition) with exact
+  variational Jacobians
 - blowup: per-center surgery charts, the surgered torus map, boundary saddles
 - lyapunov: exponent estimators, entropy grids, cone certificates
 - curves: graph curves, periodic functions, graph transforms, bump partitions

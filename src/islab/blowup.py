@@ -46,17 +46,25 @@ _ROOT_CAP = 80
 _FIT_PIECES = 64
 _FIT_DEG = 7
 # island flow: every evaluation of Fhat, `link_saddles` included, takes
-# FLOW_STEPS fourth-order triple-jump steps at MIDPOINT_TOL.  The boundary
-# saddles' multipliers then sit this far from e^{+-2 sigma} (gate 1e-4):
-#     64 order-2 (midpoint) steps   3.93e-3
-#     48 order-4 steps              8.10e-5
-#     56 order-4 steps              4.36e-5
-#     64 order-4 steps              2.55e-5
-# independently of delta: 56 steps read 4.36e-5 at delta/eps = 0.2/0.2001,
-# 0.24/0.2499, 0.2/0.21, 0.05/0.24, 0.01/0.24 and 0.001/0.002 too.  48 steps
-# leave only 19 % headroom; 64 cost about 9 % more CPU in the symmetry and
-# saddle phases (median ratio of 41 alternating pairs on 2 vCPUs).
-FLOW_STEPS = 56
+# FLOW_STEPS fourth-order steps of Suzuki's composition, five midpoint
+# substeps each, at MIDPOINT_TOL.  The boundary saddles' multiplier error
+# (gate 1e-4), the flow's relative energy drift (gate 1e-5), and the field
+# calls of the symmetry report and `link_saddles` at the default profile:
+#                            substeps  multipliers  energy drift    calls
+#     20 order-2 steps             20    4.15e-2    9.6e-4-1.2e-3     184
+#     56 triple-jump steps        168    4.36e-5    7.8e-7-1.0e-6    1401
+#     20 Suzuki steps             100    3.76e-5    1.3e-6-2.6e-6     821
+#     22 Suzuki steps             110    2.57e-5    9.1e-7-1.7e-6     902
+#     24 Suzuki steps             120    1.81e-5    6.4e-7-1.2e-6     960
+# The multiplier error is the same at delta/eps = 0.15/0.24, 0.2/0.2001,
+# 0.05/0.24, 0.2/0.21, 0.001/0.002, 0.24/0.2499, 0.01/0.24 and 0.1/0.24999;
+# the drift's range is over those eight profiles.  20 Suzuki steps leave
+# 2.7x headroom on the multipliers (56 triple-jump steps left 2.3x) and
+# 3.9x on the drift, in 59 % of the triple jump's field calls.
+FLOW_STEPS = 20
+# points of each disc's flow annulus that the odd-symmetry and energy-drift
+# batch adds to its torus points
+ANNULUS_SAMPLES = 16
 # the thinnest annulus a config may ask for, as its largest psi': the
 # conjugacy check's defect grows as about 1.2e-16 max psi' (5.6e-11 at
 # 4.5e5, 5.1e-10 at 3.75e6, 4.8e-9 at 4.5e7, against its 1e-9 gate), and
@@ -311,9 +319,9 @@ class IslandMap:
     delta, eps : see SurgeryProfile.  eps defaults to 0.24 so the four
         outer discs around the half-integer centers stay disjoint.
 
-    The island flow has one setting, FLOW_STEPS fourth-order triple-jump
-    steps at MIDPOINT_TOL, and every caller, `link_saddles` included,
-    evaluates that one map.
+    The island flow has one setting, FLOW_STEPS fourth-order steps of
+    Suzuki's composition at MIDPOINT_TOL, and every caller, `link_saddles`
+    included, evaluates that one map.
     """
 
     def __init__(self, delta=0.15, eps=0.24):
@@ -402,7 +410,7 @@ class IslandMap:
 
     def _flow(self, p, d, t, with_jac):
         """Island flow applied to points with offsets d (rho <= rho_lo), in
-        FLOW_STEPS triple-jump steps at MIDPOINT_TOL; with_jac adds the
+        FLOW_STEPS Suzuki steps at MIDPOINT_TOL; with_jac adds the
         entries of its Jacobian, R (Dout M Din) R^T with M the integrator's,
         the identity at core points."""
         prof = self.profile
@@ -548,13 +556,13 @@ def link_saddles(island):
     hence map multipliers e^{+-2 sigma}.  The saddles and their probes are
     one batch of Fhat, evaluated as every other caller evaluates it (see
     FLOW_STEPS); the fixed-point defects, the Jacobians and the probe images
-    all come from that batch, and the multipliers sit about 4.4e-5 from
+    all come from that batch, and the multipliers sit about 3.8e-5 from
     e^{+-2 sigma}, against a 1e-4 gate.  The multipliers are cross-checked
     against finite differences taken along the saddle frame, with steps
     scaled to min(delta, eps - delta).  The quotient divides the solver's
     stopping error, a last Newton step of at most MIDPOINT_TOL per substep,
     by h e^{-2 sigma}; that noise stays below the flow's own truncation
-    error, and the finite-difference multipliers read about 4.5e-5 at the
+    error, and the finite-difference multipliers read about 4.0e-5 at the
     default profile and below 1e-3 at the edge profiles of FLOW_STEPS.
 
     Returns a list of dicts with keys center, theta, point, multipliers,
@@ -619,38 +627,81 @@ def conjugacy_defect(island, n=2000):
     return float(np.max(np.abs(torus_diff(lhs, rhs))))
 
 
-def equivariance_defect(island, n=1000):
-    """sup | Fhat(-p) - (-Fhat(p)) | (toral) -- odd symmetry of the surgery."""
+def _polar_sample(island, seed, n, rho_min, rho_max):
+    """n seeded chart points, uniform in theta and in rho on [rho_min,
+    rho_max) (so uniform in area), around each of the four centres, as one
+    (4 n, 2) batch."""
+    rng = np.random.default_rng(seed)
+    th = rng.uniform(0, 2 * np.pi, n)
+    rho = rng.uniform(rho_min, rho_max, n)
+    w = from_polar(np.stack([rho, th], axis=-1))
+    return wrap_torus(island.centers[:, None] + w @ island.RT).reshape(-1, 2)
+
+
+def _disc_energy(island, p):
+    """Hhat_i of torus points p (N, 2) in their own disc's chart, and which
+    of them are flow rows, in a disc (to the flow branch's slack) and
+    outside its core rho <= rho0."""
+    prof = island.profile
+    d, r2 = island._chart(p)
+    rho, th = to_polar(d @ island.R).T
+    energy = (rho - prof.rho_lo) * np.sin(2 * th) * prof.xi(rho)
+    return energy, (r2 <= island._in2) & (rho > prof.rho0)
+
+
+def equivariance_and_energy_drift(island, n=1000):
+    """The odd symmetry sup | Fhat(-p) - (-Fhat(p)) | (toral) of the surgery,
+    and the island flow's energy drift, from one evaluation of Fhat.
+
+    The batch is n seeded torus points and ANNULUS_SAMPLES seeded points of
+    each disc's flow annulus rho0 < rho < rho_lo, with the negatives of all:
+    at delta = 0.001 none of 2000 torus points lands in a disc.  The exact
+    flow conserves Hhat_i, and a symplectic integrator keeps its energy
+    error bounded at O(h^order) (Hairer, Lubich & Wanner, GNI ch. IX), so
+    the drift, max |Hhat_i(Fhat p) - Hhat_i(p)| over max |Hhat_i(p)| on the
+    batch's flow rows, measures the flow over its whole disc; Hhat_i at an
+    image comes from the image's own chart.  The ratio is scale-free, so one
+    tolerance serves every delta.
+
+    Returns (equivariance, drift, flow rows).
+    """
+    prof = island.profile
     rng = np.random.default_rng(6)
-    pts = rng.random((n, 2))
+    pts = np.concatenate([rng.random((n, 2)),
+                          _polar_sample(island, 9, ANNULUS_SAMPLES, prof.rho0, prof.rho_lo)])
+    k = len(pts)
     # F(-p) and F(p) in one batch: one flow integration for both
-    img = island(np.concatenate([wrap_torus(-pts), pts]))
-    lhs, rhs = img[:n], wrap_torus(-img[n:])
-    return float(np.max(np.abs(torus_diff(lhs, rhs))))
+    batch = np.concatenate([wrap_torus(-pts), pts])
+    img = island(batch)
+    equivariance = float(np.max(np.abs(torus_diff(img[:k], wrap_torus(-img[k:])))))
+    H0, flow = _disc_energy(island, batch)
+    H1 = _disc_energy(island, img[flow])[0]
+    H0 = H0[flow]
+    drift = float(np.max(np.abs(H1 - H0)) / np.max(np.abs(H0)))
+    return equivariance, drift, int(np.count_nonzero(flow))
 
 
 def identity_core_defect(island, n=500):
     """sup |Fhat(p) - p| over points with rho < rho0 (should be exactly 0)."""
-    rng = np.random.default_rng(8)
-    th = rng.uniform(0, 2 * np.pi, n)
-    rho = rng.uniform(0, island.profile.rho0 * 0.999, n)
-    w = from_polar(np.stack([rho, th], axis=-1))
     # the samples around all four centres in one evaluation
-    p = wrap_torus(island.centers[:, None] + w @ island.RT)
+    p = _polar_sample(island, 8, n, 0, island.profile.rho0 * 0.999)
     return float(np.max(np.abs(torus_diff(island(p), p))))
 
 
 def symmetry_and_identity_report(island, n=1000):
     """Deterministic sup-norm defect report for the island map.
 
-    Keys: equivariance (odd symmetry), identity_core (fixed points near the
-    chart centers), conjugacy (surgery intertwines the island map with the
-    torus automorphism), identity_at_centers (exact fixed centers).
+    Keys: equivariance (odd symmetry), energy_drift (the island flow's
+    relative energy error over its discs), identity_core (fixed points near
+    the chart centers), conjugacy (surgery intertwines the island map with
+    the torus automorphism), identity_at_centers (exact fixed centers).
     """
     centers_defect = float(np.max(np.abs(
         torus_diff(island(island.centers), island.centers))))
+    equivariance, drift, _ = equivariance_and_energy_drift(island, n=n)
     return dict(
-        equivariance=equivariance_defect(island, n=n),
+        equivariance=equivariance,
+        energy_drift=drift,
         identity_core=identity_core_defect(island, n=max(n // 2, 1)),
         conjugacy=conjugacy_defect(island, n=n),
         identity_at_centers=centers_defect,

@@ -12,6 +12,7 @@ small vertical shear g supported in boxes around the landing points.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -424,8 +425,9 @@ def build_perturbation(charts, psi_list):
     g is the time-1 flow of H = -Psi(x) * rho_box over the model's bumps;
     on each inner box it acts as the exact vertical shear by psihat_i,
     outside all boxes it is the identity, and the collar is integrated by
-    implicit midpoint.  Returns (g, psihat list): each shear's coefficient
-    array, in powers of its box coordinate s = x - x+_i, as g evaluates it.
+    implicit midpoint.  Returns (g, psihat list, psihat' list): each
+    shear's coefficient array, in powers of its box coordinate
+    s = x - x+_i, and its derivative's, as g evaluates them.
     """
     model = charts.model
     N = model.N
@@ -468,7 +470,7 @@ def build_perturbation(charts, psi_list):
                                       if with_jac else None)
 
     g = MapDescriptor(f"g[k={charts.k}]", apply, lambda q: apply(q, False, -1.0)[0])
-    return g, coefs
+    return g, coefs, dcoefs
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +485,13 @@ def _disc_grid(n):
 
 
 def _henon(psi):
-    return quarter_turn() if psi is None else henon_like(psi, psi.deriv())
+    """H_psi of a kick `Polynomial` (H_0 for None).  Its derivative is built
+    on the map's first Jacobian and kept: `verify_rescaling` and the
+    corollary evaluate only values, so a suite run builds none."""
+    if psi is None:
+        return quarter_turn()
+    deriv = cache(psi.deriv)
+    return henon_like(psi, lambda y: deriv()(y))
 
 
 def verify_rescaling(model, k, psi_list=None):
@@ -507,7 +515,7 @@ def verify_rescaling(model, k, psi_list=None):
     if len(psi_list) != N:
         raise ValueError("need one kick function per leg")
     charts = RescalingCharts(model, k)
-    g, psihats = build_perturbation(charts, psi_list)
+    g, psihats, dpsihats = build_perturbation(charts, psi_list)
     pts = _disc_grid(24)
     M = len(pts)
     # T0^1..T0^k in one call: the iterate count is a (k, 1) column
@@ -543,8 +551,7 @@ def verify_rescaling(model, k, psi_list=None):
     h = model.box_half[0]
     ss = np.linspace(-h, h, 257)
     sups, norms = [], []
-    for ph in psihats:
-        dph = polyder(ph)
+    for ph, dph in zip(psihats, dpsihats):
         vals = [float(np.max(np.abs(polyval(ss, c)))) for c in (ph, dph, polyder(dph))]
         sups.append(vals[0])
         norms.append(max(vals))

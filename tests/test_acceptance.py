@@ -94,7 +94,7 @@ def test_criterion_01_symplecticity_of_all_maps():
     desk = desk_model(nonlinearity=0.1)
     kicks = [Polynomial([0.0, 0.0, 0.03]), Polynomial([0.01, 0.0, -0.02]),
              Polynomial([0.0, 0.02, 0.04])]
-    gmap, _ = build_perturbation(RescalingCharts(desk, 10), kicks)
+    gmap, _, _ = build_perturbation(RescalingCharts(desk, 10), kicks)
     per_box = npts // desk.N
     gpts = np.concatenate([
         np.array(b.center) + rng.uniform(-1.0, 1.0, (per_box, 2))

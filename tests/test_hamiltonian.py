@@ -31,8 +31,8 @@ def midpoint_flow(sys, p, t, steps):
 def test_saddle_flow_matches_exact_multipliers():
     # Time-1 flow of H = sigma*x*y is diag(e^sigma, e^-sigma).  Implicit
     # midpoint is second order (Cayley bias ~ sigma^3 h^2 / 12), so hitting
-    # 1e-10 on a small box would need h ~ 6e-6; the fourth-order triple
-    # jump gets there at h ~ 1e-3.
+    # 1e-10 on a small box would need h ~ 6e-6; Suzuki's fourth-order
+    # composition gets there at h ~ 1e-3.
     sys = saddle_system(SIGMA)
     pts = np.array([[0.05, 0.03], [-0.02, 0.05], [0.01, -0.01]])
     z, _ = _midpoint_steps(sys, pts, 1.0, 1024, MIDPOINT_TOL, False, order=4)
@@ -101,6 +101,17 @@ def test_midpoint_fourth_order_convergence():
     e1 = np.max(np.abs(flow(64) - ref))
     e2 = np.max(np.abs(flow(128) - ref))
     assert 12.0 < e1 / e2 < 20.0    # 16x expected at 4th order
+
+
+def test_fourth_order_stages_are_suzukis():
+    # (p, p, 1 - 4p, p, p), p = 1/(4 - 4^{1/3}): consistent (sum 1),
+    # symmetric, and with no h^3 error term (sum of cubes 0)
+    g = np.array(hamiltonian._STAGES[4])
+    assert len(g) == 5
+    assert abs(np.sum(g) - 1.0) <= 4e-16
+    assert np.array_equal(g, g[::-1])
+    assert abs(np.sum(g ** 3)) <= 4e-16
+    assert g[0] == 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 
 
 def test_midpoint_fourth_order_jacobian_det_one():

@@ -352,7 +352,7 @@ MATMUL_HOMES = {
     "lyapunov.py": ("cone_certificate",),
     "maps.py": ("anosov_map", "rotation_map"),
     "blowup.py": ("IslandMap._surgered", "IslandMap._flow", "link_saddles",
-                  "identity_core_defect", "SurgeryProfile._fit_inverse"),
+                  "_polar_sample", "_disc_energy", "SurgeryProfile._fit_inverse"),
     "curves.py": ("GraphCurve.__init__",),
 }
 

@@ -272,7 +272,7 @@ def test_transition_and_shear_polynomials_match_polynomial_objects():
     # match the x-power Polynomial construction to its rounding
     m = desk_model()
     charts = RescalingCharts(m, 10)
-    g, psihats = build_perturbation(charts, QUAD_KICKS)
+    g, psihats, dpsihats = build_perturbation(charts, QUAD_KICKS)
     i = 1
     ph, dph, _ = perturbation_polynomials(charts, QUAD_KICKS)[i]
     xs = rng.uniform(m.x_plus[i] - 0.115, m.x_plus[i] + 0.115, 300)
@@ -280,7 +280,8 @@ def test_transition_and_shear_polynomials_match_polynomial_objects():
     s = xs - m.x_plus[i]
     gp, Jg = g.value_and_jacobian(np.stack([xs, ys], axis=-1))
     assert gp[:, 1].tobytes() == (ys + polyval(s, psihats[i])).tobytes()
-    assert Jg[:, 1, 0].tobytes() == polyval(s, polyder(psihats[i])).tobytes()
+    assert dpsihats[i].tobytes() == polyder(psihats[i]).tobytes()
+    assert Jg[:, 1, 0].tobytes() == polyval(s, dpsihats[i]).tobytes()
     assert np.max(np.abs(gp[:, 1] - ys - ph(xs))) <= SHEAR_RTOL * np.max(np.abs(ph(xs)))
     assert np.max(np.abs(Jg[:, 1, 0] - dph(xs))) <= SHEAR_RTOL * np.max(np.abs(dph(xs)))
 
@@ -339,7 +340,7 @@ def test_charts_raise_when_the_boundary_value_fixed_point_diverges():
 
 def test_perturbation_identity_outside_boxes():
     m = desk_model()
-    g, _ = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
+    g, _, _ = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
     rng = np.random.default_rng(3)
     pts = np.stack([rng.uniform(-1, 5, 2000), rng.uniform(-1, 1, 2000)], axis=-1)
     outside = np.ones(len(pts), bool)
@@ -352,7 +353,7 @@ def test_perturbation_identity_outside_boxes():
 def test_perturbation_exact_shear_on_inner_box():
     m = desk_model()
     charts = RescalingCharts(m, 10)
-    g, _ = build_perturbation(charts, QUAD_KICKS)
+    g, _, _ = build_perturbation(charts, QUAD_KICKS)
     rng = np.random.default_rng(4)
     i = 1
     ph = perturbation_polynomials(charts, QUAD_KICKS)[i][0]
@@ -377,7 +378,7 @@ def test_shear_coefficients_match_the_polynomial_construction(k):
         for kicks in (QUAD_KICKS, [None] * 3, edge):
             charts = RescalingCharts(m, k)
             ref = perturbation_polynomials(charts, kicks)
-            _, psihats = build_perturbation(charts, kicks)
+            _, psihats, dpsihats = build_perturbation(charts, kicks)
             for leg in range(m.N):
                 i = (leg + 1) % m.N
                 c = charts.psihat(leg, kicks[leg])
@@ -385,6 +386,7 @@ def test_shear_coefficients_match_the_polynomial_construction(k):
                 ours = Polynomial(c)
                 Psi = ours.integ()
                 assert polyder(c).tobytes() == ours.deriv().coef.tobytes()
+                assert dpsihats[i].tobytes() == polyder(c).tobytes()
                 xs = np.linspace(m.x_plus[i] - h, m.x_plus[i] + h, 257)
                 for mine, theirs in zip((ours, ours.deriv(), Psi), ref[i]):
                     want = theirs(xs)
@@ -403,7 +405,7 @@ def test_shear_coefficients_match_the_polynomial_construction(k):
 
 def test_perturbation_symplectic_and_invertible():
     m = desk_model()
-    g, _ = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
+    g, _, _ = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
     rng = np.random.default_rng(5)
     i = 1
     box = np.stack([rng.uniform(m.x_plus[i] - 0.15, m.x_plus[i] + 0.15, 400),
@@ -417,7 +419,7 @@ def test_perturbation_collar_jacobian_matches_finite_differences():
     # determinant cannot see a sign slip in the collar Hessian (the Cayley
     # transform of any trace-free matrix has determinant 1), differences can
     m = desk_model()
-    g, _ = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
+    g, _, _ = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
     rng = np.random.default_rng(11)
     i = 1
     box = np.stack([rng.uniform(m.x_plus[i] - 0.15, m.x_plus[i] + 0.15, 2000),
@@ -431,7 +433,7 @@ def test_perturbation_collar_jacobian_matches_finite_differences():
 
 def test_perturbation_value_and_jacobian_matches_separate_calls():
     m = desk_model()
-    g, _ = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
+    g, _, _ = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
     rng = np.random.default_rng(12)
     pts = np.stack([rng.uniform(0.5, 3.6, 3000), rng.uniform(-0.1, 0.1, 3000)], axis=-1)
     region = sum(bump_region(b, pts) for b in m.bumps)
@@ -593,7 +595,8 @@ def test_verify_classifies_each_leg_batch_once(monkeypatch):
 
 def test_verify_constructs_a_fixed_number_of_polynomials_in_k(monkeypatch):
     # psihat_i, psihat_i', Psi_i and the norms' derivatives are coefficient
-    # arrays; what is left is each kick's derivative for its Henon map
+    # arrays, and the kicks' Henon maps build their derivative only for a
+    # Jacobian, which verify never asks for
     built = []
     init = Polynomial.__init__
 
@@ -607,7 +610,22 @@ def test_verify_constructs_a_fixed_number_of_polynomials_in_k(monkeypatch):
         built.clear()
         verify_rescaling(desk_model(), k, QUAD_KICKS)
         counts.append(len(built))
-    assert counts[0] == counts[1] <= 3
+    assert counts == [0, 0]
+
+
+def test_a_kicks_henon_map_builds_its_derivative_once(monkeypatch):
+    built = []
+    deriv = Polynomial.deriv
+    monkeypatch.setattr(Polynomial, "deriv", lambda self: built.append(1) or deriv(self))
+    psi = QUAD_KICKS[1]
+    h = rescaling._henon(psi)
+    pts = np.random.default_rng(2).uniform(-1.0, 1.0, (50, 2))
+    h(pts)
+    assert built == []
+    J = h.jacobian(pts)
+    assert np.array_equal(h.jacobian(pts), J)
+    assert built == [1]
+    assert np.array_equal(J, henon_like(psi, deriv(psi)).jacobian(pts))
 
 
 def test_psihat_norms_are_taken_on_each_box():
@@ -710,7 +728,7 @@ def test_legs_are_symplectic_on_chart_windows():
     m = desk_model()
     k = 10
     ch = RescalingCharts(m, k)
-    g, _ = build_perturbation(ch, QUAD_KICKS)
+    g, _, _ = build_perturbation(ch, QUAD_KICKS)
     t = np.linspace(-1, 1, 15)
     X, Y = np.meshgrid(t, t, indexing="ij")
     mask = X ** 2 + Y ** 2 <= 1
