@@ -62,8 +62,9 @@ _FIT_DEG = 7
 # 2.7x headroom on the multipliers (56 triple-jump steps left 2.3x) and
 # 3.9x on the drift, in 59 % of the triple jump's field calls.
 FLOW_STEPS = 20
-# points of each disc's flow annulus that the odd-symmetry and energy-drift
-# batch adds to its torus points
+# points of one disc's flow annulus that the symmetry and energy-drift batch
+# adds to its torus points; the half-lattice translations carry them into
+# the other three discs
 ANNULUS_SAMPLES = 16
 # the thinnest annulus a config may ask for, as its largest psi': the
 # conjugacy check's defect grows as about 1.2e-16 max psi' (5.6e-11 at
@@ -486,8 +487,13 @@ class IslandMap:
         return self.profile.psi_d1(0.5 * r2).reshape(p.shape[:-1])
 
     def descriptor(self):
+        """Fhat as a MapDescriptor.  The discs sit at the 2-torsion points,
+        which p -> -p fixes and the half-lattice translations permute, the
+        surgery and the flow are the same in every disc's chart, and A is I
+        mod 2, so the map is torsion-symmetric."""
         return MapDescriptor("Fhat", lambda p, with_jac: self._eval(p, with_jac=with_jac),
-                             self.inverse, area_density=self.area_density)
+                             self.inverse, area_density=self.area_density,
+                             torsion_symmetric=True)
 
     def island_mask(self, p):
         """True for points outside every open disc V_i."""
@@ -617,10 +623,15 @@ def link_saddles(island):
 
 
 def conjugacy_defect(island, n=2000):
-    """sup | Psi(Fhat p) - F_A(Psi p) | over island samples."""
+    """sup | Psi(Fhat p) - F_A(Psi p) | over n island samples, the first n
+    island points of seeded 4 n-point draws (one draw holds enough unless
+    the island's area is below 1/4)."""
     rng = np.random.default_rng(5)
-    pts = rng.random((4 * n, 2))
-    pts = pts[island.island_mask(pts)][:n]
+    pts = np.empty((0, 2))
+    while len(pts) < n:
+        draw = rng.random((4 * n, 2))
+        pts = np.concatenate([pts, draw[island.island_mask(draw)]])
+    pts = pts[:n]
     Psi = island.surgery_descriptor()
     lhs = Psi(island(pts))
     rhs = anosov_map()(Psi(pts))
@@ -650,35 +661,44 @@ def _disc_energy(island, p):
 
 
 def equivariance_and_energy_drift(island, n=1000):
-    """The odd symmetry sup | Fhat(-p) - (-Fhat(p)) | (toral) of the surgery,
-    and the island flow's energy drift, from one evaluation of Fhat.
+    """The odd symmetry sup | Fhat(-p) - (-Fhat(p)) | and the half-lattice
+    translation symmetry sup | Fhat(p + v) - Fhat(p) - v | over v in CENTERS
+    (both toral) of the surgered map, and the island flow's energy drift,
+    from one evaluation of Fhat.
 
-    The batch is n seeded torus points and ANNULUS_SAMPLES seeded points of
-    each disc's flow annulus rho0 < rho < rho_lo, with the negatives of all:
-    at delta = 0.001 none of 2000 torus points lands in a disc.  The exact
-    flow conserves Hhat_i, and a symplectic integrator keeps its energy
-    error bounded at O(h^order) (Hairer, Lubich & Wanner, GNI ch. IX), so
-    the drift, max |Hhat_i(Fhat p) - Hhat_i(p)| over max |Hhat_i(p)| on the
-    batch's flow rows, measures the flow over its whole disc; Hhat_i at an
-    image comes from the image's own chart.  The ratio is scale-free, so one
-    tolerance serves every delta.
+    The batch is made of orbits under the group of eight that p -> -p and
+    the translations by CENTERS generate, the symmetries the entropy grid
+    relies on (`MapDescriptor.torsion_symmetric`): ceil(n/4) seeded torus
+    points and ANNULUS_SAMPLES seeded points of one disc's flow annulus
+    rho0 < rho < rho_lo, each as +-p + v for the four v.  The translations
+    carry the annulus points into every disc: at delta = 0.001 none of 2000
+    torus points lands in one.  The exact flow conserves Hhat_i, and a
+    symplectic integrator keeps its energy error bounded at O(h^order)
+    (Hairer, Lubich & Wanner, GNI ch. IX), so the drift, max |Hhat_i(Fhat
+    p) - Hhat_i(p)| over max |Hhat_i(p)| on the batch's flow rows, measures
+    the flow over its whole disc; Hhat_i at an image comes from the image's
+    own chart.  The ratio is scale-free, so one tolerance serves every
+    delta.
 
-    Returns (equivariance, drift, flow rows).
+    Returns (equivariance, translation, drift, flow rows).
     """
     prof = island.profile
     rng = np.random.default_rng(6)
-    pts = np.concatenate([rng.random((n, 2)),
-                          _polar_sample(island, 9, ANNULUS_SAMPLES, prof.rho0, prof.rho_lo)])
-    k = len(pts)
-    # F(-p) and F(p) in one batch: one flow integration for both
-    batch = np.concatenate([wrap_torus(-pts), pts])
-    img = island(batch)
-    equivariance = float(np.max(np.abs(torus_diff(img[:k], wrap_torus(-img[k:])))))
-    H0, flow = _disc_energy(island, batch)
-    H1 = _disc_energy(island, img[flow])[0]
+    base = np.concatenate([rng.random((-(-n // 4), 2)),
+                           _polar_sample(island, 9, ANNULUS_SAMPLES, prof.rho0,
+                                         prof.rho_lo)[:ANNULUS_SAMPLES]])
+    # rows indexed (sign, translation, base point): p + v, then -p + v
+    shifts = island.centers[:, None, :]
+    batch = wrap_torus(np.array([1.0, -1.0])[:, None, None, None] * base + shifts)
+    img = island(batch.reshape(-1, 2)).reshape(batch.shape)
+    # -p + v is -(p + v) mod 1, as 2 v is a lattice point
+    equivariance = float(np.max(np.abs(torus_diff(img[1], -img[0]))))
+    translation = float(np.max(np.abs(torus_diff(img - shifts, img[:, :1]))))
+    H0, flow = _disc_energy(island, batch.reshape(-1, 2))
+    H1 = _disc_energy(island, img.reshape(-1, 2)[flow])[0]
     H0 = H0[flow]
     drift = float(np.max(np.abs(H1 - H0)) / np.max(np.abs(H0)))
-    return equivariance, drift, int(np.count_nonzero(flow))
+    return equivariance, translation, drift, int(np.count_nonzero(flow))
 
 
 def identity_core_defect(island, n=500):
@@ -691,16 +711,18 @@ def identity_core_defect(island, n=500):
 def symmetry_and_identity_report(island, n=1000):
     """Deterministic sup-norm defect report for the island map.
 
-    Keys: equivariance (odd symmetry), energy_drift (the island flow's
-    relative energy error over its discs), identity_core (fixed points near
-    the chart centers), conjugacy (surgery intertwines the island map with
-    the torus automorphism), identity_at_centers (exact fixed centers).
+    Keys: equivariance (odd symmetry), translation (half-lattice
+    translation symmetry), energy_drift (the island flow's relative energy
+    error over its discs), identity_core (fixed points near the chart
+    centers), conjugacy (surgery intertwines the island map with the torus
+    automorphism), identity_at_centers (exact fixed centers).
     """
     centers_defect = float(np.max(np.abs(
         torus_diff(island(island.centers), island.centers))))
-    equivariance, drift, _ = equivariance_and_energy_drift(island, n=n)
+    equivariance, translation, drift, _ = equivariance_and_energy_drift(island, n=n)
     return dict(
         equivariance=equivariance,
+        translation=translation,
         energy_drift=drift,
         identity_core=identity_core_defect(island, n=max(n // 2, 1)),
         conjugacy=conjugacy_defect(island, n=n),

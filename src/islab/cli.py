@@ -137,6 +137,9 @@ def _run_island(cfg, rng, threads):
     sym = symmetry_and_identity_report(island, n=p["samples"])
     checks = [
         _check("odd-symmetry-equivariance", sym["equivariance"], 1e-9),
+        # the entropy grid integrates one cell per orbit of p -> -p and these
+        # translations, so both symmetries are gated
+        _check("half-lattice-translation-equivariance", sym["translation"], 1e-9),
         # relative energy error of the island flow over its discs: at most
         # 2.6e-6 over the profiles of blowup.FLOW_STEPS's table, 1e-3 at order 2
         _check("island-flow-energy-drift", sym["energy_drift"], 1e-5),

@@ -10,10 +10,13 @@ estimate is exact to rounding at any horizon).  One batched kernel,
 Entropy is the midpoint-rule integral of the clamped-positive exponent field
 over a grid of the unit square: the mean of max(lambda_n, 0) over cells.
 Cells whose orbit leaves the allowed region are marked invalid and contribute
-zero.  The cone certificate checks, step by step, that the derivative maps
-the closed positive quadrant into itself and expands the two edge generators
-by at least 4, which by convexity certifies ||Df^n v|| >= 4^n ||v|| on the
-whole cone.
+zero.  A torsion-symmetric map (`MapDescriptor.torsion_symmetric`) commutes
+with p -> -p and the half-lattice translations, which permute the cell
+midpoints, so the grid integrates one cell per orbit of that group and
+gives its exponent to the whole orbit.  The cone certificate checks, step
+by step, that the derivative maps the closed positive quadrant into itself
+and expands the two edge generators by at least 4, which by convexity
+certifies ||Df^n v|| >= 4^n ||v|| on the whole cone.
 """
 
 from dataclasses import dataclass
@@ -143,6 +146,28 @@ def _cell_centers(r):
     return np.stack([X.ravel(), Y.ravel()], axis=-1)
 
 
+def _grid_orbits(r, symmetric):
+    """The orbits of the r x r cells under the map symmetries, as (reps,
+    owner): reps holds each orbit's smallest flat cell index i r + j
+    (x = (i + 1/2)/r, y = (j + 1/2)/r), ascending, and owner[c] indexes
+    cell c's orbit in reps.
+
+    With `symmetric` the group is p -> -p, which sends i to r - 1 - i, and
+    when r is even the half-lattice translations, which send i to i + r/2
+    mod r, in each coordinate: 8 elements, of which only negation's 2 act
+    at an odd r.  Otherwise it is the trivial group and every cell is its
+    own orbit."""
+    idx = np.arange(r)
+    signs = (idx, r - 1 - idx) if symmetric else (idx,)
+    shifts = (0, r // 2) if symmetric and r % 2 == 0 else (0,)
+    orbit_min = np.min([((s + a) % r)[:, None] * r + (s + b) % r
+                        for s in signs for a in shifts for b in shifts], axis=0).ravel()
+    reps = np.flatnonzero(orbit_min == np.arange(r * r))
+    slot = np.empty(r * r, dtype=np.intp)
+    slot[reps] = np.arange(len(reps))
+    return reps, slot[orbit_min]
+
+
 def entropy_estimate(f, resolution=100, n=200, exclude=None):
     """Midpoint-rule entropy integral of the clamped exponent field over the
     unit square, on a resolution x resolution grid, with the fraction of
@@ -150,14 +175,23 @@ def entropy_estimate(f, resolution=100, n=200, exclude=None):
 
     exclude: optional vectorized predicate; cells whose orbit (including the
     start) ever satisfies it are marked invalid and contribute zero.
+
+    When f is torsion-symmetric the cocycle runs on one cell per orbit of
+    its symmetry group (`_grid_orbits`), and each orbit's logs and validity
+    are scattered back to all its cells, so the field is exactly invariant
+    under the group.  exclude must then be invariant under the same group,
+    as the complement of an island mask around the 2-torsion points is.
+    Any other map takes the same path with the trivial group, every cell
+    its own representative.
     """
     r = int(resolution)
     if r < 8:
         raise ValueError("resolution must be >= 8")
-    pts = _cell_centers(r)
-    m = pts.shape[0]
+    reps, owner = _grid_orbits(r, f.torsion_symmetric)
+    m = r * r
 
-    logs, valid = _cocycle_logs(f, pts, n, exclude)
+    logs, valid = _cocycle_logs(f, _cell_centers(r)[reps], n, exclude)
+    logs, valid = logs[owner], valid[owner]
     lam = logs / n
     field_2d = np.where(valid, lam, np.nan).reshape(r, r)
     clamped = np.where(valid, np.maximum(lam, 0.0), 0.0)

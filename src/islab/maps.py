@@ -55,6 +55,11 @@ class MapDescriptor:
         Density mu(p) > 0 when the map preserves mu * dx dy rather than
         dx dy.  Symplecticity checks then weigh the determinant as
         mu(f(p)) det Df(p) / mu(p).
+    torsion_symmetric : bool
+        True when the torus map commutes with p -> -p and with the
+        translations by the 2-torsion points (1/2 Z)^2: f(-p) = -f(p) and
+        f(p + v) = f(p) + v, mod 1.  `lyapunov.entropy_estimate` then
+        integrates one grid cell per orbit of that group of eight.
     """
 
     name: str
@@ -62,6 +67,7 @@ class MapDescriptor:
     inv: Optional[Callable] = None
     domain: Optional[Callable] = None
     area_density: Optional[Callable] = None
+    torsion_symmetric: bool = False
 
     def __call__(self, p):
         return self.ev(np.asarray(p, dtype=float), False)[0]
@@ -177,7 +183,10 @@ ANOSOV_INV = np.reshape(inv2(ANOSOV.ravel()), (2, 2))
 
 
 def anosov_map():
-    """Linear hyperbolic torus automorphism p -> A p (mod 1), A = ANOSOV."""
+    """Linear hyperbolic torus automorphism p -> A p (mod 1), A = ANOSOV.
+
+    A is congruent to I mod 2, so A v = v mod 1 for every 2-torsion point v
+    and the map is torsion-symmetric."""
     # (N, 2) @ M.T with a transposed view rounds differently depending on
     # N; contiguous transposes keep every point's image independent of its
     # batch
@@ -190,7 +199,7 @@ def anosov_map():
     def inv(q):
         return wrap_torus(q @ AinvT)
 
-    return MapDescriptor("F_A", ev, inv)
+    return MapDescriptor("F_A", ev, inv, torsion_symmetric=True)
 
 
 def chirikov_map(a):

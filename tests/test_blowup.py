@@ -359,22 +359,57 @@ def test_centers_fixed_and_core_identity(island):
 
 
 def test_equivariance(island):
-    assert equivariance_and_energy_drift(island, n=1000)[0] <= 1e-9
+    equivariance, translation, _, _ = equivariance_and_energy_drift(island, n=1000)
+    assert equivariance <= 1e-9
+    assert translation <= 1e-9
+
+
+def test_symmetry_batch_is_made_of_group_orbits(island, monkeypatch):
+    # ceil(n/4) torus points and one disc's annulus sample, each as +-p + v
+    # for the four half-lattice translations v: the batch size of n torus
+    # points and four annulus samples with their negatives
+    seen = []
+    call = IslandMap.__call__
+    monkeypatch.setattr(IslandMap, "__call__", lambda self, p: seen.append(p) or call(self, p))
+    equivariance_and_energy_drift(island, n=1000)
+    (batch,) = seen
+    assert batch.shape == (2 * 4 * (250 + ANNULUS_SAMPLES), 2)
+    orbits = batch.reshape(2, 4, -1, 2)
+    assert np.max(np.abs(torus_diff(orbits[1], -orbits[0]))) <= 1e-15
+    assert np.max(np.abs(torus_diff(orbits - island.centers[:, None],
+                                    orbits[:, :1]))) <= 1e-15
 
 
 @pytest.mark.parametrize("delta, eps", [(0.15, 0.24)] + EDGE_PROFILES)
 def test_island_flow_energy_drift_at_edge_profiles(delta, eps):
-    # every point of each disc's annulus sample, and its negative, is a
-    # flow row, so the drift reads the flow even where no torus point lands
-    # in a disc (none of 2000 at delta = 0.001); it stays under the suite's
-    # 1e-5 gate (2.6e-6 at most over these profiles)
-    _, drift, rows = equivariance_and_energy_drift(IslandMap(delta, eps), n=1000)
+    # the annulus sample, under the signs and the four translations, puts
+    # 8 ANNULUS_SAMPLES flow rows in the discs, so the drift reads the flow
+    # even where no torus point lands in a disc (none of 2000 at delta =
+    # 0.001); it stays under the suite's 1e-5 gate (2.6e-6 at most over
+    # these profiles), and both symmetries read at most 1e-12 (9.4e-14)
+    equivariance, translation, drift, rows = equivariance_and_energy_drift(
+        IslandMap(delta, eps), n=1000)
     assert rows >= 2 * 4 * ANNULUS_SAMPLES
     assert drift < 1e-5
+    assert max(equivariance, translation) <= 1e-12
 
 
 def test_conjugacy_with_automorphism(island):
     assert conjugacy_defect(island, n=1000) <= 1e-8
+
+
+def test_conjugacy_defect_checks_as_many_points_as_asked(monkeypatch):
+    # at delta = 0.249 the island covers 22 % of the torus, so one draw of
+    # 4 n points holds about 878 island points at n = 1000; further draws
+    # from the same generator make up the rest
+    seen = []
+    call = IslandMap.__call__
+    monkeypatch.setattr(IslandMap, "__call__", lambda self, p: seen.append(p) or call(self, p))
+    island = IslandMap(0.249, 0.2499)
+    assert conjugacy_defect(island, n=1000) <= 1e-8
+    (pts,) = seen
+    assert pts.shape == (1000, 2)
+    assert island.island_mask(pts).all()
 
 
 def test_symmetry_report_keys(island):
@@ -382,6 +417,7 @@ def test_symmetry_report_keys(island):
     assert rep["identity_at_centers"] == 0.0
     assert rep["identity_core"] == 0.0
     assert rep["equivariance"] <= 1e-9
+    assert rep["translation"] <= 1e-9
     assert rep["energy_drift"] <= 1e-5
     assert rep["conjugacy"] <= 1e-8
 

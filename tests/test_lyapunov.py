@@ -1,16 +1,19 @@
 """Tests for the exponent / entropy / cone-certificate module."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from construction_checks import (conjugacy_exponent_bound, entries, exponent_symmetry_defect,
                                  identity_map, separate_map, stacked_cocycle_logs)
-from islab.blowup import IslandMap, SIGMA
+from islab.blowup import CENTERS, IslandMap, SIGMA
 from islab.lyapunov import (
     LN4,
     _cell_centers,
     _cocycle_logs,
+    _grid_orbits,
     cone_certificate,
     entropy_estimate,
     lambda_field_rows,
@@ -223,6 +226,101 @@ def test_entropy_anosov_equals_sigma():
 def test_entropy_resolution_guard():
     with pytest.raises(ValueError):
         entropy_estimate(anosov_map(), resolution=7, n=5)
+
+
+def _cell_of(p, r):
+    """Flat index i r + j of the cell holding each point of p (N, 2)."""
+    i = np.floor(wrap_torus(p) * r).astype(int) % r
+    return i[:, 0] * r + i[:, 1]
+
+
+@pytest.mark.parametrize("r", [100, 98, 15, 16])
+def test_grid_orbits_are_the_orbits_of_the_cell_midpoints(r):
+    # each group element sends every cell midpoint to a midpoint of the
+    # same orbit: p -> -p always, the half-lattice translations at even r
+    reps, owner = _grid_orbits(r, True)
+    centres = _cell_centers(r)
+    moves = [-centres] + ([centres + v for v in CENTERS[1:]] if r % 2 == 0 else [])
+    for q in moves:
+        assert np.array_equal(owner[_cell_of(q, r)], owner)
+    # each orbit's representative is its smallest cell
+    assert np.array_equal(owner[reps], np.arange(len(reps)))
+    assert np.all(reps == [np.min(np.nonzero(owner == k)[0]) for k in range(len(reps))])
+
+
+def test_grid_orbit_sizes():
+    reps, owner = _grid_orbits(100, True)
+    assert len(reps) == 1250
+    assert np.all(np.bincount(owner) == 8)
+    # at r = 2 mod 4 the midpoints at 1/4 and 3/4 exist, and p -> v - p
+    # with v = (1/2, 1/2) fixes them: one orbit of 4
+    reps, owner = _grid_orbits(98, True)
+    sizes = np.bincount(owner)
+    assert len(reps) == 1201
+    assert owner[24 * 98 + 24] == owner[73 * 98 + 73]
+    assert sorted(np.nonzero(sizes[owner] == 4)[0]) == [24 * 98 + 24, 24 * 98 + 73,
+                                                       73 * 98 + 24, 73 * 98 + 73]
+    assert np.all(np.delete(sizes, owner[24 * 98 + 24]) == 8)
+    # at odd r only p -> -p acts, and it fixes the centre cell (1/2, 1/2)
+    reps, owner = _grid_orbits(15, True)
+    sizes = np.bincount(owner)
+    assert len(reps) == 113
+    assert np.array_equal(reps[sizes == 1], [7 * 15 + 7])
+    assert np.count_nonzero(sizes == 2) == 112
+    # without the symmetry every cell is its own orbit
+    reps, owner = _grid_orbits(16, False)
+    assert np.array_equal(reps, np.arange(256)) and np.array_equal(owner, np.arange(256))
+
+
+@pytest.mark.parametrize("r", [16, 15])
+def test_reduced_field_is_invariant_under_the_group(island, r):
+    rep = entropy_estimate(island.descriptor(), resolution=r, n=20,
+                           exclude=lambda q: ~island.island_mask(q))
+    F = rep.field
+    images = [F[::-1, ::-1]]
+    if r % 2 == 0:
+        images += [np.roll(F, r // 2, axis=0), np.roll(F, r // 2, axis=1)]
+    for G in images:
+        assert np.array_equal(F, G, equal_nan=True)
+    assert rep.invalid_cells > 0
+
+
+def _full_grid(f):
+    # the same map with the symmetry undeclared: every cell integrated
+    return dataclasses.replace(f, torsion_symmetric=False)
+
+
+def test_reduced_grid_matches_the_full_grid_at_small_discs():
+    # almost every orbit stays off the surgery, where the map is A: the
+    # exponents of a cell and of its images agree to rounding (1.3e-15)
+    island = IslandMap(0.001, 0.002)
+    f, exclude = island.descriptor(), lambda q: ~island.island_mask(q)
+    got = entropy_estimate(f, resolution=100, n=200, exclude=exclude)
+    want = entropy_estimate(_full_grid(f), resolution=100, n=200, exclude=exclude)
+    assert np.array_equal(got.valid, want.valid)
+    assert np.nanmax(np.abs(got.field - want.field)) <= 1e-12
+
+
+def test_reduced_grid_matches_the_full_grid_at_the_default(island):
+    # per cell the finite-time exponents move by up to about 2e-2, the end
+    # point term that any rounding change moves; the integral does not
+    # (2.0610184 reduced, 2.0610180 full)
+    f, exclude = island.descriptor(), lambda q: ~island.island_mask(q)
+    got = entropy_estimate(f, resolution=100, n=200, exclude=exclude)
+    want = entropy_estimate(_full_grid(f), resolution=100, n=200, exclude=exclude)
+    assert np.array_equal(got.valid, want.valid)
+    assert got.fraction_above == want.fraction_above
+    assert abs(got.estimate - want.estimate) <= 1e-6 * want.estimate
+
+
+def test_reduced_grid_is_the_full_grid_for_a_constant_cocycle():
+    f = anosov_map()
+    got = entropy_estimate(f, resolution=48, n=60)
+    want = entropy_estimate(_full_grid(f), resolution=48, n=60)
+    assert np.array_equal(got.field, want.field)
+    assert np.array_equal(got.valid, want.valid)
+    assert (got.estimate, got.fraction_above, got.invalid_cells) == (
+        want.estimate, want.fraction_above, want.invalid_cells)
 
 
 def _translation_pair(shift):

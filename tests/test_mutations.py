@@ -8,11 +8,13 @@ Lipton and Sayward, "Hints on test data selection", IEEE Computer 11(4),
 runs in about a second.
 """
 
+import numpy as np
 import pytest
 
 from islab import blowup
 from islab.cli import run
 from islab.config import ExperimentConfig
+from islab.maps import torus_diff
 
 ISLAND = "suite = island\nisland.grid = 16\nisland.n = 50\n"
 
@@ -26,11 +28,32 @@ def _island_flow_at_order_2(monkeypatch):
                         lambda *args, **kw: steps(*args, **{**kw, "order": 2}))
 
 
+def _island_flow_slower_in_one_disc(monkeypatch):
+    # the flow time in the disc at (1/2, 0) only, scaled by 1 + 1e-6: that
+    # disc's centre is fixed by p -> -p, so the odd symmetry holds, the
+    # flow still conserves its energy and fixes its saddles, and only the
+    # half-lattice translations see the disc differ from the other three
+    flow = blowup.IslandMap._flow
+
+    def mutated(self, p, d, t, with_jac):
+        out, J = flow(self, p, d, t, with_jac)
+        hit = np.all(np.abs(torus_diff(p - d, [0.5, 0.0])) < 0.25, axis=-1)
+        if hit.any():
+            out[hit], Jh = flow(self, p[hit], d[hit], t * (1 + 1e-6), with_jac)
+            for e, v in zip(J or (), Jh or ()):
+                e[hit] = v
+        return out, J
+
+    monkeypatch.setattr(blowup.IslandMap, "_flow", mutated)
+
+
 # row name -> (config, mutation, the checks that must fail)
 MUTATIONS = {
     "island-flow-order-2": (ISLAND, _island_flow_at_order_2,
                             {"saddle-multipliers-exp(+-2sigma)",
                              "island-flow-energy-drift"}),
+    "island-flow-slower-in-one-disc": (ISLAND, _island_flow_slower_in_one_disc,
+                                       {"half-lattice-translation-equivariance"}),
 }
 
 
