@@ -164,11 +164,8 @@ def _run_island(cfg, rng, threads):
     f = island.descriptor()
     exclude = lambda q: ~island.island_mask(q)
     rep = entropy_estimate(f, resolution=p["grid"], n=p["n"], exclude=exclude)
-    field_rows = lambda_field_rows(rep)
-    # fraction of island cells whose exponent clears ln 4
-    started_in = island.island_mask(field_rows[:, :2])
-    good = rep.valid.ravel() & (np.nan_to_num(rep.field.ravel(), nan=-1.0) >= LN4)
-    frac = float(np.count_nonzero(good & started_in) / np.count_nonzero(started_in))
+    # the admitted cells are those that start in the island
+    frac = rep.fraction_above
     checks.append(_check("island-fraction-with-lambda>=ln4", frac, 0.95,
                          comparison=">="))
     bound = LN4 * (1.0 - 4.0 * np.pi * p["delta"] ** 2) - 0.05
@@ -182,7 +179,7 @@ def _run_island(cfg, rng, threads):
                "saddle_fd_multiplier_error": rel_err("fd_multipliers")}
     metrics.update({f"symmetry_{k}": v for k, v in sym.items()})
     tables = {
-        "lambda_field.csv": (("x", "y", "lambda", "valid"), field_rows),
+        "lambda_field.csv": (("x", "y", "lambda", "valid"), lambda_field_rows(rep)),
         "saddles.csv": (("center", "theta", "x", "y", "mult_stable",
                          "mult_unstable", "fixed_defect"),
                         [(s["center"], s["theta"], s["point"][0], s["point"][1],

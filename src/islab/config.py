@@ -15,6 +15,7 @@ the one reader of a config file: a file that is missing, cannot be read or
 is not UTF-8 text is a `ConfigError` too.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .blowup import PSI_SLOPE_MAX, max_psi_slope
@@ -47,6 +48,9 @@ class _Key:
             v = int(raw)
         elif self.kind == "float":
             v = float(raw)
+            # a NaN would pass every range test below, since it compares false
+            if not math.isfinite(v):
+                raise ValueError("must be finite")
         elif self.kind == "int_list":
             v = _int_list(raw)
         elif self.kind == "choice":

@@ -135,7 +135,7 @@ class EntropyReport:
     field: np.ndarray          # per-cell exponent (NaN where invalid)
     valid: np.ndarray          # per-cell validity mask
     estimate: float            # mean of clamped field over all cells
-    fraction_above: float      # fraction of cells with lambda_n >= ln 4
+    fraction_above: float      # fraction of admitted cells with lambda_n >= ln 4
     invalid_cells: int = 0
 
 
@@ -171,10 +171,12 @@ def _grid_orbits(r, symmetric):
 def entropy_estimate(f, resolution=100, n=200, exclude=None):
     """Midpoint-rule entropy integral of the clamped exponent field over the
     unit square, on a resolution x resolution grid, with the fraction of
-    cells whose exponent clears ln 4.
+    admitted cells whose exponent clears ln 4.
 
     exclude: optional vectorized predicate; cells whose orbit (including the
-    start) ever satisfies it are marked invalid and contribute zero.
+    start) ever satisfies it are marked invalid and contribute zero.  The
+    admitted cells are those whose start it does not reject, every cell
+    without it; a valid cell is always admitted.
 
     When f is torsion-symmetric the cocycle runs on one cell per orbit of
     its symmetry group (`_grid_orbits`), and each orbit's logs and validity
@@ -190,13 +192,15 @@ def entropy_estimate(f, resolution=100, n=200, exclude=None):
     reps, owner = _grid_orbits(r, f.torsion_symmetric)
     m = r * r
 
-    logs, valid = _cocycle_logs(f, _cell_centers(r)[reps], n, exclude)
+    starts = _cell_centers(r)[reps]
+    admitted = m if exclude is None else np.count_nonzero(~np.asarray(exclude(starts))[owner])
+    logs, valid = _cocycle_logs(f, starts, n, exclude)
     logs, valid = logs[owner], valid[owner]
     lam = logs / n
     field_2d = np.where(valid, lam, np.nan).reshape(r, r)
     clamped = np.where(valid, np.maximum(lam, 0.0), 0.0)
     estimate = float(np.sum(clamped) / m)
-    fraction = float(np.count_nonzero(valid & (lam >= LN4)) / m)
+    fraction = float(np.count_nonzero(valid & (lam >= LN4)) / admitted)
     return EntropyReport(
         resolution=r, n=n, field=field_2d, valid=valid.reshape(r, r),
         estimate=estimate, fraction_above=fraction,

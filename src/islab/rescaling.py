@@ -226,7 +226,9 @@ def r_sequence(b, c, wrap_tol=1e-12):
 @dataclass
 class RescalingModel:
     """Saddle normal form + transition cycle + scale constants, and the
-    perturbation boxes `bumps`, one around each landing point (x+_i, 0)."""
+    perturbation boxes, one around each landing point (x+_i, 0): `box_region`
+    places them, and the one `bump` is their profile in the box coordinate
+    (x - x+_i, y)."""
 
     T0: SaddleNormalForm
     T1: list
@@ -249,17 +251,16 @@ class RescalingModel:
         self.x_plus = np.array([t.x_plus for t in self.T1])
         self.y_minus = np.array([t.y_minus for t in self.T1])
         self.R = r_sequence(self.b, self.c)
-        self.bumps = [BoxBump((x, 0.0), self.box_half, self.box_inner) for x in self.x_plus]
-        for i in range(self.N):
-            for j in range(i + 1, self.N):
-                if abs(self.x_plus[i] - self.x_plus[j]) < 2 * self.box_half[0]:
-                    raise ValueError("perturbation boxes overlap")
+        self.bump = BoxBump(self.box_half, self.box_inner)
         # box_region's tables: the box indices in the order of their
         # centers, and whether the right box of each neighbour pair has the
         # later index
         order = sorted(range(self.N), key=self.x_plus.__getitem__)
         self._order = np.array(order)
         self._centers = self.x_plus[self._order]
+        # neighbouring centers are the closest pairs
+        if np.any(self._centers[1:] - self._centers[:-1] < 2 * self.box_half[0]):
+            raise ValueError("perturbation boxes overlap")
         self._right_later = np.array([True] + [a < b for a, b in zip(order, order[1:])])
 
     def box_region(self, p):
@@ -371,14 +372,13 @@ class RescalingCharts:
 
 
 class BoxBump:
-    """C^2 plateau bump over a rectangle: 1 on the inner box, 0 outside; the
-    product of one `BumpFn` per axis."""
+    """C^2 plateau bump over a rectangle centred at the origin: 1 on the inner
+    box, 0 outside; the product of one `BumpFn` per axis."""
 
-    def __init__(self, center, half, inner):
+    def __init__(self, half, inner):
         if not all(0 < i < h for h, i in zip(half, inner)):
             raise ValueError("inner box must sit strictly inside the outer box")
-        self._x, self._y = (BumpFn(c - h, c + h, h - i) for c, h, i in zip(center, half, inner))
-        self.center, self.half, self.inner = tuple(center), half, inner
+        self._x, self._y = (BumpFn(-h, h, h - i) for h, i in zip(half, inner))
 
     def jet(self, p, with_hess):
         """(rho, grad rho, Hessian entries (rho_xx, rho_xy, rho_yy) or None)
@@ -393,25 +393,26 @@ class BoxBump:
         return bx * by, grad, (self._x.d2(x) * by, sx * sy, bx * self._y.d2(y))
 
 
-def _collar_system(bmp, psihat, dpsihat):
-    """H = -Psi(x) rho(x, y) for one box, from the coefficients of psihat
-    and its derivative in the box coordinate s = x - x+_i; Psi is psihat's
-    antiderivative that vanishes at s = 0, the box center, so the collar
-    Hamiltonian is as small as the shear itself."""
-    Psi = np.concatenate(([0.0], psihat / np.arange(1, len(psihat) + 1)))
-    x0 = bmp.center[0]
+def _collar_system(bump, psihat, dpsihat):
+    """H = -Psi(s) rho(s, y) in the box coordinate (s, y), s = x - x+_i, for a
+    batch whose row m carries its own box's coefficient column m of psihat
+    and dpsihat (L, M), or one column (L, 1) that all rows share.  Psi is
+    psihat's antiderivative that vanishes at s = 0, the box center, so the
+    collar Hamiltonian is as small as the shear itself."""
+    Psi = np.concatenate((np.zeros_like(psihat[:1]),
+                          psihat / np.arange(1, len(psihat) + 1)[:, None]))
 
     def grad(p):
-        s = p[..., 0] - x0
-        rho, gr, _ = bmp.jet(p, False)
-        P = polyval(s, Psi)
-        return np.stack([-(polyval(s, psihat) * rho + P * gr[..., 0]),
+        s = p[..., 0]
+        rho, gr, _ = bump.jet(p, False)
+        P = polyval(s, Psi, tensor=False)
+        return np.stack([-(polyval(s, psihat, tensor=False) * rho + P * gr[..., 0]),
                          -P * gr[..., 1]], axis=-1)
 
     def hess(p):
-        s = p[..., 0] - x0
-        rho, gr, (hxx, hxy, hyy) = bmp.jet(p, True)
-        P, p1, p2 = polyval(s, Psi), polyval(s, psihat), polyval(s, dpsihat)
+        s = p[..., 0]
+        rho, gr, (hxx, hxy, hyy) = bump.jet(p, True)
+        P, p1, p2 = (polyval(s, c, tensor=False) for c in (Psi, psihat, dpsihat))
         return (-(p2 * rho + 2.0 * p1 * gr[..., 0] + P * hxx),
                 -(p1 * gr[..., 1] + P * hxy), -P * hyy)
 
@@ -422,20 +423,21 @@ def build_perturbation(charts, psi_list):
     """Map descriptor of the box perturbation g of the charts' passage
     length k.
 
-    g is the time-1 flow of H = -Psi(x) * rho_box over the model's bumps;
-    on each inner box it acts as the exact vertical shear by psihat_i,
-    outside all boxes it is the identity, and the collar is integrated by
-    implicit midpoint.  Returns (g, psihat list, psihat' list): each
-    shear's coefficient array, in powers of its box coordinate
-    s = x - x+_i, and its derivative's, as g evaluates them.
+    g is the time-1 flow of H = -Psi_i(s) * rho(s, y) on box i, in its box
+    coordinate s = x - x+_i; on each inner box it acts as the exact vertical
+    shear by psihat_i, outside all boxes it is the identity, and the
+    collars are integrated by implicit midpoint, all boxes in one call.
+    Returns (g, psihats, dpsihats): the shears' and their derivatives'
+    coefficient tables (L, N), column i in powers of box i's s, zero-padded
+    at the high-degree end, as g evaluates them.
     """
     model = charts.model
     N = model.N
-    coefs = [None] * N
-    for leg in range(N):
-        coefs[(leg + 1) % N] = charts.psihat(leg, psi_list[leg])
-    dcoefs = [polyder(c) for c in coefs]
-    systems = [_collar_system(model.bumps[i], coefs[i], dcoefs[i]) for i in range(N)]
+    cols = [charts.psihat((i - 1) % N, psi_list[(i - 1) % N]) for i in range(N)]
+    coefs = np.zeros((max(map(len, cols)), N))
+    for i, c in enumerate(cols):
+        coefs[:len(c), i] = c
+    dcoefs = polyder(coefs)
     iy = model.box_inner[1]
 
     def apply(p, with_jac, sign=1.0, classes=None):
@@ -448,24 +450,26 @@ def build_perturbation(charts, psi_list):
         reg, box = model.box_region(flat) if classes is None else classes
         out = flat.copy()
         J = [np.full(len(flat), e) for e in (1.0, 0.0, 0.0, 1.0)] if with_jac else None
-        for i in range(N):
-            idx = np.flatnonzero(box == i)
-            s = flat[idx, 0] - model.x_plus[i]
-            y1 = flat[idx, 1] + sign * polyval(s, coefs[i])
-            # the vertical segment from y to y1 stays in the inner box,
-            # where the flow is exactly the shear
-            sh = (reg[idx] == 2) & (np.abs(y1) <= iy)
-            out[idx[sh], 1] = y1[sh]
+        idx = np.flatnonzero(box >= 0)
+        b = box[idx]
+        s = flat[idx, 0] - model.x_plus[b]
+        y1 = flat[idx, 1] + sign * polyval(s, coefs[:, b], tensor=False)
+        # the vertical segment from y to y1 stays in the inner box,
+        # where the flow is exactly the shear
+        sh = (reg[idx] == 2) & (np.abs(y1) <= iy)
+        out[idx[sh], 1] = y1[sh]
+        if with_jac:
+            J[2][idx[sh]] = sign * polyval(s[sh], dcoefs[:, b[sh]], tensor=False)
+        mc, bc = idx[~sh], b[~sh]
+        if mc.size:
+            # the collars: the time-sign flow, g (+1) or g^-1 (-1), in (s, y)
+            z, Jm = _midpoint_steps(_collar_system(model.bump, coefs[:, bc], dcoefs[:, bc]),
+                                    np.stack([s[~sh], flat[mc, 1]], axis=-1), sign, 64,
+                                    MIDPOINT_TOL, with_jac)
+            out[mc, 0], out[mc, 1] = z[:, 0] + model.x_plus[bc], z[:, 1]
             if with_jac:
-                J[2][idx[sh]] = sign * polyval(s[sh], dcoefs[i])
-            mc = idx[~sh]
-            if mc.size:
-                # the collar: time-sign flow of box i, g (+1) or g^-1 (-1)
-                out[mc], Jm = _midpoint_steps(systems[i], flat[mc], sign, 64,
-                                              MIDPOINT_TOL, with_jac)
-                if with_jac:
-                    for e, v in zip(J, Jm):
-                        e[mc] = v
+                for e, v in zip(J, Jm):
+                    e[mc] = v
         return out.reshape(p.shape), (tuple(e.reshape(p.shape[:-1]) for e in J)
                                       if with_jac else None)
 
@@ -547,14 +551,11 @@ def verify_rescaling(model, k, psi_list=None):
     E = float(np.max(np.abs(cur - hen)))
 
     # sup and C^2 norm of each psihat_i over its own box, where g uses it:
-    # one grid in the box coordinate s = x - x+_i serves every box
+    # one grid in the box coordinate s = x - x+_i serves every column
     h = model.box_half[0]
     ss = np.linspace(-h, h, 257)
-    sups, norms = [], []
-    for ph, dph in zip(psihats, dpsihats):
-        vals = [float(np.max(np.abs(polyval(ss, c)))) for c in (ph, dph, polyder(dph))]
-        sups.append(vals[0])
-        norms.append(max(vals))
+    sizes = np.max(np.abs([polyval(ss, c) for c in (psihats, dpsihats, polyder(dpsihats))]),
+                   axis=-1)
 
     return {
         "k": k,
@@ -562,8 +563,8 @@ def verify_rescaling(model, k, psi_list=None):
         "error": E,
         "phi_defects": phi_defects,
         "phi_defect_max": max(phi_defects),
-        "psihat_norms": norms,
-        "psihat_sup": max(sups),
+        "psihat_norms": np.max(sizes, axis=0).tolist(),
+        "psihat_sup": float(np.max(sizes[0])),
     }
 
 

@@ -388,14 +388,14 @@ def xi_eta(T0, k, window):
     return xi, eta, info
 
 
-def bump_region(bump, p):
-    """Region of points p in one `BoxBump`: 2 inside the inner box, 1 in
-    the collar, 0 outside.  The per-box reference for `box_region`."""
+def bump_region(model, i, p):
+    """Region of points p in box i of the model: 2 inside the inner box, 1
+    in the collar, 0 outside.  The per-box reference for `box_region`."""
     p = np.asarray(p, dtype=float)
-    ax = np.abs(p[..., 0] - bump.center[0])
-    ay = np.abs(p[..., 1] - bump.center[1])
-    inner = (ax <= bump.inner[0]) & (ay <= bump.inner[1])
-    outer = (ax < bump.half[0]) & (ay < bump.half[1])
+    ax = np.abs(p[..., 0] - model.x_plus[i])
+    ay = np.abs(p[..., 1])
+    inner = (ax <= model.box_inner[0]) & (ay <= model.box_inner[1])
+    outer = (ax < model.box_half[0]) & (ay < model.box_half[1])
     return np.where(inner, 2, np.where(outer, 1, 0))
 
 
@@ -405,8 +405,8 @@ def box_region_by_bump(model, p):
     index wins."""
     reg = np.zeros(np.shape(p)[:-1], dtype=int)
     box = np.full(np.shape(p)[:-1], -1, dtype=int)
-    for i, bmp in enumerate(model.bumps):
-        r = bump_region(bmp, p)
+    for i in range(model.N):
+        r = bump_region(model, i, p)
         reg = np.where(r > 0, r, reg)
         box = np.where(r > 0, i, box)
     return reg, box
@@ -429,7 +429,7 @@ def psihat_polynomial(charts, i, psi):
 def perturbation_polynomials(charts, psi_list):
     """(psihat, psihat', Psi) of each box by `Polynomial` arithmetic, with
     Psi the antiderivative of psihat that vanishes at the box center: the
-    reference for the coefficient arrays `build_perturbation` builds."""
+    reference for the coefficient tables `build_perturbation` builds."""
     m = charts.model
     out = [None] * m.N
     for leg in range(m.N):

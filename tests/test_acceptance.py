@@ -97,8 +97,8 @@ def test_criterion_01_symplecticity_of_all_maps():
     gmap, _, _ = build_perturbation(RescalingCharts(desk, 10), kicks)
     per_box = npts // desk.N
     gpts = np.concatenate([
-        np.array(b.center) + rng.uniform(-1.0, 1.0, (per_box, 2))
-        * np.array(desk.box_half) for b in desk.bumps])
+        np.array([x, 0.0]) + rng.uniform(-1.0, 1.0, (per_box, 2))
+        * np.array(desk.box_half) for x in desk.x_plus])
     record("g", gmap, gpts)
 
     elapsed = time.perf_counter() - t0

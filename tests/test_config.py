@@ -2,8 +2,11 @@
 
 import pytest
 
-from islab.config import (ConfigError, ExperimentConfig, SUITES, parse_text,
+from islab.config import (ConfigError, ExperimentConfig, SUITE_SCHEMA, SUITES, parse_text,
                           validate)
+
+FLOAT_KEYS = [(suite, key) for suite, schema in SUITE_SCHEMA.items()
+              for key, spec in schema.items() if spec.kind == "float"]
 
 
 def test_parse_key_value_with_comments():
@@ -57,6 +60,13 @@ def test_numeric_range_enforced():
     assert vs
     vs = validate({"suite": "lyapunov", "seed": "-1"})
     assert vs
+
+
+@pytest.mark.parametrize("suite, key", FLOAT_KEYS)
+def test_nan_float_rejected_on_its_own_key(suite, key):
+    # a NaN compares false with every range bound, and a cross-field rule
+    # that reads it would blame another key
+    assert validate({"suite": suite, key: "nan"}) == [f"{key}: must be finite"]
 
 
 def test_inner_outer_radius_ordering():

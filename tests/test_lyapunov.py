@@ -285,6 +285,18 @@ def test_reduced_field_is_invariant_under_the_group(island, r):
     assert rep.invalid_cells > 0
 
 
+@pytest.mark.parametrize("r", [16, 15])
+def test_fraction_above_is_over_the_admitted_cells(island, r):
+    # the admitted cells start in the island; the reference is the island
+    # suite's own count over every cell's start
+    rep = entropy_estimate(island.descriptor(), resolution=r, n=20,
+                           exclude=lambda q: ~island.island_mask(q))
+    started_in = island.island_mask(lambda_field_rows(rep)[:, :2])
+    good = rep.valid.ravel() & (np.nan_to_num(rep.field.ravel(), nan=-1.0) >= LN4)
+    assert 0 < np.count_nonzero(started_in) < r * r
+    assert rep.fraction_above == np.count_nonzero(good & started_in) / np.count_nonzero(started_in)
+
+
 def _full_grid(f):
     # the same map with the symmetry undeclared: every cell integrated
     return dataclasses.replace(f, torsion_symmetric=False)

@@ -11,12 +11,13 @@ runs in about a second.
 import numpy as np
 import pytest
 
-from islab import blowup
+from islab import blowup, rescaling
 from islab.cli import run
 from islab.config import ExperimentConfig
 from islab.maps import torus_diff
 
 ISLAND = "suite = island\nisland.grid = 16\nisland.n = 50\n"
+RESCALING = "suite = rescaling\n"
 
 
 def _island_flow_at_order_2(monkeypatch):
@@ -47,6 +48,22 @@ def _island_flow_slower_in_one_disc(monkeypatch):
     monkeypatch.setattr(blowup.IslandMap, "_flow", mutated)
 
 
+def _box_shear_kick_scaled(monkeypatch):
+    # the kick part of each box shear, psihat(i, psi) - psihat(i, None),
+    # scaled by 1 + 1e-3: the legs' Henon kicks no longer cancel under
+    # H_i^{-1}, so the leg defects follow the kicks (a spread of 4.96e-5,
+    # against the 1e-9 gate), while E(k) still falls in k far below its gate
+    psihat = rescaling.RescalingCharts.psihat
+
+    def mutated(self, i, psi):
+        out = psihat(self, i, psi)
+        kick = out.copy()
+        kick[:2] -= psihat(self, i, None)
+        return out + 1e-3 * kick
+
+    monkeypatch.setattr(rescaling.RescalingCharts, "psihat", mutated)
+
+
 # row name -> (config, mutation, the checks that must fail)
 MUTATIONS = {
     "island-flow-order-2": (ISLAND, _island_flow_at_order_2,
@@ -54,6 +71,8 @@ MUTATIONS = {
                              "island-flow-energy-drift"}),
     "island-flow-slower-in-one-disc": (ISLAND, _island_flow_slower_in_one_disc,
                                        {"half-lattice-translation-equivariance"}),
+    "box-shear-kick-scaled": (RESCALING, _box_shear_kick_scaled,
+                              {"phi-defect-kick-independence"}),
 }
 
 

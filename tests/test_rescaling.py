@@ -279,9 +279,9 @@ def test_transition_and_shear_polynomials_match_polynomial_objects():
     ys = rng.uniform(-0.035, 0.035, 300)
     s = xs - m.x_plus[i]
     gp, Jg = g.value_and_jacobian(np.stack([xs, ys], axis=-1))
-    assert gp[:, 1].tobytes() == (ys + polyval(s, psihats[i])).tobytes()
-    assert dpsihats[i].tobytes() == polyder(psihats[i]).tobytes()
-    assert Jg[:, 1, 0].tobytes() == polyval(s, dpsihats[i]).tobytes()
+    assert gp[:, 1].tobytes() == (ys + polyval(s, psihats[:, i])).tobytes()
+    assert dpsihats[:, i].tobytes() == polyder(psihats[:, i]).tobytes()
+    assert Jg[:, 1, 0].tobytes() == polyval(s, dpsihats[:, i]).tobytes()
     assert np.max(np.abs(gp[:, 1] - ys - ph(xs))) <= SHEAR_RTOL * np.max(np.abs(ph(xs)))
     assert np.max(np.abs(Jg[:, 1, 0] - dph(xs))) <= SHEAR_RTOL * np.max(np.abs(dph(xs)))
 
@@ -344,8 +344,8 @@ def test_perturbation_identity_outside_boxes():
     rng = np.random.default_rng(3)
     pts = np.stack([rng.uniform(-1, 5, 2000), rng.uniform(-1, 1, 2000)], axis=-1)
     outside = np.ones(len(pts), bool)
-    for b in m.bumps:
-        outside &= bump_region(b, pts) == 0
+    for i in range(m.N):
+        outside &= bump_region(m, i, pts) == 0
     assert outside.sum() > 1500
     assert np.max(np.abs(g(pts[outside]) - pts[outside])) == 0.0
 
@@ -366,12 +366,13 @@ def test_perturbation_exact_shear_on_inner_box():
 
 @pytest.mark.parametrize("k", [8, 14, 30])
 def test_shear_coefficients_match_the_polynomial_construction(k):
-    # psihat_i is built in its box coordinate s = x - x+_i, and psihat_i' and
-    # the collar's Psi_i derive from its coefficients as Polynomial's deriv
-    # and integ would, bit for bit.  Their values on the box match the
-    # x-power Polynomial construction to SHEAR_RTOL, and Psi_i vanishes at
-    # the box center exactly, where the collar Hamiltonian's y-gradient is
-    # then 0.  The last kick list has a constant kick and trailing zeros
+    # psihat_i is built in its box coordinate s = x - x+_i, and its column of
+    # the tables holds it zero-padded; psihat_i' and the collar's Psi_i
+    # derive from its coefficients as Polynomial's deriv and integ would, bit
+    # for bit.  Their values on the box match the x-power Polynomial
+    # construction to SHEAR_RTOL, and Psi_i vanishes at the box center
+    # exactly, where the collar Hamiltonian's y-gradient is then 0.  The last
+    # kick list has a constant kick and trailing zeros
     edge = [Polynomial([0.0]), Polynomial([0.02, 0.0, 0.0]), Polynomial([0.0, -0.01])]
     (h, hy), (ih, iy) = RescalingModel.box_half, RescalingModel.box_inner
     for m in (desk_model(), desk_model(nonlinearity=0.0, tails=False)):
@@ -382,24 +383,26 @@ def test_shear_coefficients_match_the_polynomial_construction(k):
             for leg in range(m.N):
                 i = (leg + 1) % m.N
                 c = charts.psihat(leg, kicks[leg])
-                assert c.tobytes() == psihats[i].tobytes()
+                assert c.tobytes() == psihats[:len(c), i].tobytes()
+                assert not np.any(psihats[len(c):, i])
                 ours = Polynomial(c)
                 Psi = ours.integ()
                 assert polyder(c).tobytes() == ours.deriv().coef.tobytes()
-                assert dpsihats[i].tobytes() == polyder(c).tobytes()
+                assert dpsihats[:len(c) - 1, i].tobytes() == polyder(c).tobytes()
+                assert not np.any(dpsihats[len(c) - 1:, i])
                 xs = np.linspace(m.x_plus[i] - h, m.x_plus[i] + h, 257)
                 for mine, theirs in zip((ours, ours.deriv(), Psi), ref[i]):
                     want = theirs(xs)
                     assert (np.max(np.abs(mine(xs - m.x_plus[i]) - want))
                             <= SHEAR_RTOL * np.max(np.abs(want)))
-                # the collar system at x on the inner plateau, y in the
-                # collar: rho_x = 0, so dH/dy = -Psi(s) rho_y
-                bmp = m.bumps[i]
-                pts = np.stack([m.x_plus[i] + np.linspace(-ih, ih, 9),
-                                np.full(9, (iy + hy) / 2)], axis=-1)
-                gy = rescaling._collar_system(bmp, c, polyder(c)).grad(pts)[:, 1]
-                rho_y = bmp.jet(pts, False)[1][:, 1]
-                assert np.array_equal(gy, -Psi(pts[:, 0] - m.x_plus[i]) * rho_y)
+                # the collar system, in the box coordinate, at s on the
+                # inner plateau, y in the collar: rho_s = 0, so
+                # dH/dy = -Psi(s) rho_y
+                pts = np.stack([np.linspace(-ih, ih, 9), np.full(9, (iy + hy) / 2)], axis=-1)
+                col = psihats[:, i:i + 1]
+                gy = rescaling._collar_system(m.bump, col, polyder(col)).grad(pts)[:, 1]
+                rho_y = m.bump.jet(pts, False)[1][:, 1]
+                assert np.array_equal(gy, -Psi(pts[:, 0]) * rho_y)
                 assert gy[4] == 0.0 and rho_y[4] != 0.0
 
 
@@ -424,7 +427,7 @@ def test_perturbation_collar_jacobian_matches_finite_differences():
     i = 1
     box = np.stack([rng.uniform(m.x_plus[i] - 0.15, m.x_plus[i] + 0.15, 2000),
                     rng.uniform(-0.05, 0.05, 2000)], axis=-1)
-    collar = box[bump_region(m.bumps[i], box) == 1][:200]
+    collar = box[bump_region(m, i, box) == 1][:200]
     assert len(collar) == 200
     J = g.jacobian(collar)
     assert np.max(np.abs(J - np.eye(2))) > 0.1  # the collar flow is not a shear
@@ -436,11 +439,41 @@ def test_perturbation_value_and_jacobian_matches_separate_calls():
     g, _, _ = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
     rng = np.random.default_rng(12)
     pts = np.stack([rng.uniform(0.5, 3.6, 3000), rng.uniform(-0.1, 0.1, 3000)], axis=-1)
-    region = sum(bump_region(b, pts) for b in m.bumps)
+    region = sum(bump_region(m, i, pts) for i in range(m.N))
     assert all(np.count_nonzero(region == r) > 50 for r in (0, 1, 2))
     img, J = g.value_and_jacobian(pts)
     assert np.array_equal(img, g(pts))
     assert np.array_equal(J, g.jacobian(pts))
+
+
+def _collar_rows(m, per_box, seed):
+    # collar points of every box, in a shuffled order that mixes the boxes
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(m.N):
+        box = np.stack([rng.uniform(m.x_plus[i] - 0.15, m.x_plus[i] + 0.15, 40 * per_box),
+                        rng.uniform(-0.05, 0.05, 40 * per_box)], axis=-1)
+        rows.append(box[bump_region(m, i, box) == 1][:per_box])
+    return rng.permutation(np.concatenate(rows))
+
+
+def test_perturbation_integrates_every_collar_in_one_call(monkeypatch):
+    # all boxes' collar rows go through one integration, each row with its
+    # own box's shear, and a row's result does not depend on its batch
+    m = desk_model()
+    g, _, _ = build_perturbation(RescalingCharts(m, 10), QUAD_KICKS)
+    pts = _collar_rows(m, 5, 16)
+    assert set(m.box_region(pts)[1]) == {0, 1, 2}
+    calls = []
+    steps = rescaling._midpoint_steps
+    monkeypatch.setattr(rescaling, "_midpoint_steps",
+                        lambda sys, p, *args: calls.append(len(p)) or steps(sys, p, *args))
+    img, J = g.ev(pts, True)
+    assert calls == [len(pts)]
+    for row, p in enumerate(pts):
+        one, J1 = g.ev(p[None], True)
+        assert one.tobytes() == img[row:row + 1].tobytes()
+        assert all(a.tobytes() == e[row:row + 1].tobytes() for a, e in zip(J1, J))
 
 
 def test_perturbation_rejects_overlapping_boxes():
@@ -452,21 +485,23 @@ def test_perturbation_rejects_overlapping_boxes():
 
 
 def test_bump_region_classification():
-    b = BoxBump((1.0, 0.0), (0.15, 0.05), (0.115, 0.035))
-    pts = np.array([[1.0, 0.0], [1.13, 0.04], [1.2, 0.0], [1.0, 0.2]])
-    assert list(bump_region(b, pts)) == [2, 1, 0, 0]
-    assert b.jet(np.array([1.0, 0.0]), False)[0] == 1.0
-    assert b.jet(np.array([1.2, 0.0]), False)[0] == 0.0
+    # the box at x+_1 = 1.62, and the one bump in the box coordinate
+    m = desk_model()
+    b = BoxBump((0.15, 0.05), (0.115, 0.035))
+    offsets = np.array([[0.0, 0.0], [0.13, 0.04], [0.2, 0.0], [0.0, 0.2]])
+    assert list(bump_region(m, 1, offsets + [m.x_plus[1], 0.0])) == [2, 1, 0, 0]
+    assert b.jet(np.array([0.0, 0.0]), False)[0] == 1.0
+    assert b.jet(np.array([0.2, 0.0]), False)[0] == 0.0
     with pytest.raises(ValueError):
-        BoxBump((0.0, 0.0), (0.1, 0.05), (0.12, 0.03))
+        BoxBump((0.1, 0.05), (0.12, 0.03))
 
 
 def test_bump_jet_matches_differences():
     # the collar Hamiltonian's gradient and Hessian read rho's jet; a slip in
     # one entry is not seen by the flow's determinant, differences see it
-    b = BoxBump((1.0, 0.0), (0.15, 0.05), (0.115, 0.035))
+    b = BoxBump((0.15, 0.05), (0.115, 0.035))
     rng = np.random.default_rng(14)
-    p = np.stack([rng.uniform(0.84, 1.16, 400), rng.uniform(-0.06, 0.06, 400)], axis=-1)
+    p = np.stack([rng.uniform(-0.16, 0.16, 400), rng.uniform(-0.06, 0.06, 400)], axis=-1)
     rho, grad, (hxx, hxy, hyy) = b.jet(p, True)
     H = np.stack([np.stack([hxx, hxy], axis=-1), np.stack([hxy, hyy], axis=-1)], axis=-2)
     assert np.array_equal(b.jet(p, False)[1], grad) and b.jet(p, False)[2] is None
@@ -486,7 +521,7 @@ def test_box_region_matches_each_bumps_own_region():
     rng = np.random.default_rng(13)
     pts = np.stack([rng.uniform(0.5, 3.6, 6000), rng.uniform(-0.1, 0.1, 6000)], axis=-1)
     reg, box = m.box_region(pts)
-    own = np.stack([bump_region(b, pts) for b in m.bumps])
+    own = np.stack([bump_region(m, i, pts) for i in range(m.N)])
     assert all(np.count_nonzero(reg == r) > 50 for r in (0, 1, 2))
     assert np.array_equal(box == -1, reg == 0)
     inside = box >= 0
