@@ -1,0 +1,185 @@
+"""Benchmark record of a change against its parent, written as one JSON file.
+
+    python bench/record.py --parent REV --pairs 10 --out BENCH_<n>.json
+    python bench/record.py --pairs 0 --out digests.json      # digests only
+
+The change is this checkout's working tree; the parent is REV exported with
+`git archive` into a temporary directory.  Both trees' bytecode is compiled
+before anything runs, so neither side pays for compiling in its first
+timings.
+
+Timing: `perfbench/run.py` runs unchanged, as a subprocess of each tree, for
+every workload, in alternating pairs (the parent first in odd pairs, the
+change first in even ones).  The record holds each pair's end-to-end
+readings (`run_s`, `setup_s`, `peak_rss_mb`, `gate_ratio`, and the
+operations attempted and failed), and per workload and metric both sides'
+medians and quartiles and the number of pairs in which the change read
+lower.  Every end-to-end metric is better lower.
+
+Digests: every artifact of the five suites, run through `islab run` at the
+benchmark's parameters (`perfbench/workloads.py`) at seeds 1 and 7, is
+hashed with sha256, `report.json` after its `config.out`, the output path,
+is dropped.  With --pairs 0 and no --parent the record holds this tree's
+digests alone, and two passes over the same tree must write the same bytes.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS, write_configs  # noqa: E402
+
+METRICS = ("run_s", "setup_s", "peak_rss_mb", "gate_ratio")
+SEEDS = (1, 7)
+
+
+def digest(path):
+    """sha256 of an artifact's bytes; of `report.json` without config.out,
+    which echoes where the run wrote and nothing it computed."""
+    path = Path(path)
+    data = path.read_bytes()
+    if path.name == "report.json":
+        report = json.loads(data)
+        report["config"].pop("out", None)
+        data = json.dumps(report, sort_keys=True, indent=2).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def artifact_digests(tree):
+    """{"<workload>/<suite>/seed<s>/<file>": sha256} for every artifact of
+    the workloads' suite configs at SEEDS, run by `tree`'s islab, with each
+    run's exit code under "<workload>/<suite>/seed<s>/exit"."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"))
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            for workload in WORKLOADS:
+                for cfg in write_configs(workload, seed, os.path.join(tmp, f"{workload}-{seed}")):
+                    key = f"{workload}/{Path(cfg).stem}/seed{seed}"
+                    dest = os.path.join(tmp, key.replace("/", "-"))
+                    run = subprocess.run([sys.executable, "-m", "islab.cli", "run", cfg,
+                                          "--out", dest], env=env, cwd=tmp,
+                                         capture_output=True, text=True, check=False)
+                    if run.returncode not in (0, 1):
+                        raise RuntimeError(f"{key}: islab run exited {run.returncode}\n"
+                                           f"{run.stderr}")
+                    out[f"{key}/exit"] = run.returncode
+                    for name in sorted(os.listdir(dest)):
+                        out[f"{key}/{name}"] = digest(os.path.join(dest, name))
+    return out
+
+
+def perfbench(tree, workload, seed, seconds):
+    """The end-to-end readings of one `perfbench/run.py` run of `tree`."""
+    run = subprocess.run([sys.executable, str(Path(tree) / "perfbench" / "run.py"),
+                          "--workload", workload, "--seed", str(seed),
+                          "--seconds", str(seconds), "--trace", "0"],
+                         capture_output=True, text=True, check=False)
+    lines = run.stdout.strip().splitlines()
+    if run.returncode != 0 or not lines:
+        raise RuntimeError(f"{tree}: perfbench {workload} exited {run.returncode}\n{run.stderr}")
+    result = json.loads(lines[-1])
+    reading = {k: result["metrics"][k]["value"] for k in METRICS}
+    reading.update(attempted=result["attempted"], failed=result["failed"])
+    return reading
+
+
+def spread(values):
+    """Median and quartiles (inclusive method) of a list of readings."""
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3}
+
+
+def summarize(pairs):
+    """Per workload and metric: both sides' spread, and the pairs the change
+    read lower (ties count for neither side)."""
+    out = {}
+    for workload in WORKLOADS:
+        out[workload] = {}
+        for metric in METRICS:
+            p = [pair[workload]["parent"][metric] for pair in pairs]
+            c = [pair[workload]["change"][metric] for pair in pairs]
+            out[workload][metric] = {
+                "parent": spread(p), "change": spread(c),
+                "change_lower": sum(b < a for a, b in zip(p, c)),
+                "change_higher": sum(b > a for a, b in zip(p, c)), "pairs": len(p)}
+    return out
+
+
+def export(rev, dest):
+    """`git archive` of rev, unpacked into dest."""
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {rev} failed")
+
+
+def git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def record(parent, pairs, seed, seconds, tmp):
+    trees = {"change": ROOT}
+    rec = {"change": git("describe", "--always", "--dirty", "--abbrev=12")}
+    if parent is not None:
+        rec["parent"] = git("rev-parse", parent)
+        trees["parent"] = Path(tmp) / "parent"
+        trees["parent"].mkdir()
+        export(parent, trees["parent"])
+    for tree in trees.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src"),
+                        str(tree / "perfbench")], check=True)
+    rec["digests"] = {side: artifact_digests(tree) for side, tree in trees.items()}
+    if parent is not None:
+        a, b = rec["digests"]["parent"], rec["digests"]["change"]
+        rec["digests_differ"] = sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
+    if pairs and parent is not None:
+        rec["timing"] = {"seed": seed, "seconds": seconds, "order": "parent first in odd pairs"}
+        rec["pairs"] = []
+        for i in range(1, pairs + 1):
+            order = ("parent", "change") if i % 2 else ("change", "parent")
+            row = {w: {side: perfbench(trees[side], w, seed, seconds) for side in order}
+                   for w in WORKLOADS}
+            rec["pairs"].append(row)
+            print(f"pair {i}: " + ", ".join(
+                f"{w} {row[w]['parent']['run_s']:.4f}->{row[w]['change']['run_s']:.4f}"
+                for w in WORKLOADS), file=sys.stderr)
+        rec["summary"] = summarize(rec["pairs"])
+    return rec
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(prog="bench/record.py")
+    ap.add_argument("--parent", help="the parent revision to compare with")
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="alternating parent/change pairs (needs --parent)")
+    ap.add_argument("--seed", type=int, default=701)
+    ap.add_argument("--seconds", type=float, default=5.0,
+                    help="perfbench's --seconds per run")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    if args.pairs and args.parent is None:
+        ap.error("--pairs needs --parent; use --pairs 0 for digests alone")
+    with tempfile.TemporaryDirectory() as tmp:
+        rec = record(args.parent, args.pairs, args.seed, args.seconds, tmp)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(rec, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

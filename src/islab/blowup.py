@@ -49,23 +49,27 @@ _FIT_DEG = 7
 # FLOW_STEPS fourth-order steps of Suzuki's composition, five midpoint
 # substeps each, at MIDPOINT_TOL.  The boundary saddles' multiplier error
 # (gate 1e-4), the flow's relative energy drift (gate 1e-5), and the field
-# calls of the symmetry report and `link_saddles` at the default profile:
-#                            substeps  multipliers  energy drift    calls
-#     20 order-2 steps             20    4.15e-2    9.6e-4-1.2e-3     184
-#     56 triple-jump steps        168    4.36e-5    7.8e-7-1.0e-6    1401
-#     20 Suzuki steps             100    3.76e-5    1.3e-6-2.6e-6     821
-#     22 Suzuki steps             110    2.57e-5    9.1e-7-1.7e-6     902
-#     24 Suzuki steps             120    1.81e-5    6.4e-7-1.2e-6     960
+# calls of the island's check batch (`island_check_batch`, one integration)
+# at the default profile, with those of the symmetry rows and the saddle
+# rows integrated apart in brackets:
+#                            substeps  multipliers  energy drift       calls
+#     20 order-2 steps             20    4.15e-2    9.6e-4-1.2e-3   120  (184)
+#     56 triple-jump steps        168    4.36e-5    7.8e-7-1.0e-6     - (1401)
+#     20 Suzuki steps             100    3.76e-5    1.3e-6-2.6e-6   520  (821)
+#     22 Suzuki steps             110    2.57e-5    9.1e-7-1.7e-6   571  (902)
+#     24 Suzuki steps             120    1.81e-5    6.4e-7-1.2e-6   600  (960)
 # The multiplier error is the same at delta/eps = 0.15/0.24, 0.2/0.2001,
 # 0.05/0.24, 0.2/0.21, 0.001/0.002, 0.24/0.2499, 0.01/0.24 and 0.1/0.24999;
 # the drift's range is over those eight profiles.  20 Suzuki steps leave
 # 2.7x headroom on the multipliers (56 triple-jump steps left 2.3x) and
-# 3.9x on the drift, in 59 % of the triple jump's field calls.
+# 3.9x on the drift, in 59 % of the triple jump's field calls (apart).
 FLOW_STEPS = 20
 # points of one disc's flow annulus that the symmetry and energy-drift batch
 # adds to its torus points; the half-lattice translations carry them into
 # the other three discs
 ANNULUS_SAMPLES = 16
+# chart angles of the four boundary saddles on each link circle
+SADDLE_ANGLES = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi])
 # the thinnest annulus a config may ask for, as its largest psi': the
 # conjugacy check's defect grows as about 1.2e-16 max psi' (5.6e-11 at
 # 4.5e5, 5.1e-10 at 3.75e6, 4.8e-9 at 4.5e7, against its 1e-9 gate), and
@@ -303,8 +307,7 @@ def island_hamiltonian(profile):
 
     def hess(s):
         rho, th = s[..., 0], s[..., 1]
-        xi, xi1 = profile.xi.value_and_d1(rho)
-        xi2 = profile.xi.d2(rho)
+        xi, xi1, xi2 = profile.xi.jet(rho)
         u = rho - lo
         return (np.sin(2 * th) * (2 * xi1 + u * xi2), 2 * np.cos(2 * th) * (xi + u * xi1),
                 -4.0 * u * np.sin(2 * th) * xi)
@@ -553,14 +556,49 @@ def _saddle_multipliers(J):
     return np.sort(np.abs(np.stack([big, det / big], axis=-1)), axis=-1)
 
 
-def link_saddles(island):
+def _saddle_rows(island):
+    """The 16 boundary saddles of `link_saddles` and their probes.
+
+    Returns (rows, frames): rows (80, 2) are the saddles, four on each link
+    circle at SADDLE_ANGLES in CENTERS order, then their probes P + h d and
+    P - h d for each frame (d, h) of frames ((rad, h_rad), (tan, h_tan)),
+    unit directions (16, 2) with their steps (16, 1).
+    """
+    delta = island.profile.delta
+    P = np.array([wrap_torus(c + island.R @ (delta * np.array([np.cos(th), np.sin(th)])))
+                  for c in island.centers for th in SADDLE_ANGLES])
+    # Finite differences along the saddle frame (radial/tangent in the
+    # chart), where the true Jacobian is exactly diagonal.  Extracting
+    # eigenvalues of a raw FD matrix would amplify entry noise by the
+    # e^{2 sigma} expansion when recovering the contracting multiplier.
+    th_arr = np.tile(SADDLE_ANGLES, len(island.centers))
+    rad = np.stack([np.cos(th_arr), np.sin(th_arr)], axis=-1) @ island.RT
+    tan = np.stack([-np.sin(th_arr), np.cos(th_arr)], axis=-1) @ island.RT
+    # Along-circle displacements land only h^2/2 past the boundary, where
+    # the surgery profile is evaluated through a cancellation (|w|^2 -
+    # delta^2); when that direction is the contracting one the resulting
+    # noise is comparable to the tiny directional response, so a larger
+    # step keeps the displaced points clear of the degeneracy.  Expanding
+    # directions need the smaller step to control truncation instead.  Both
+    # scale with the narrower side of the circle, delta or the annulus
+    # eps - delta, so that the probes stay in the saddle's linear zone.
+    h = 1e-5 * min(delta, island.profile.eps - delta)
+    h_tan = np.where(np.cos(2 * th_arr) > 0, 10 * h, h)
+    frames = ((rad, np.full((len(P), 1), h)), (tan, h_tan[:, None]))
+    probes = [wrap_torus(P + sign * h * direction)
+              for direction, h in frames for sign in (1.0, -1.0)]
+    return np.concatenate([P] + probes), frames
+
+
+def link_saddles(island, batch=None):
     """The boundary fixed points of Fhat and their multipliers.
 
     Four saddles sit on each circle rho = delta^2/2 at chart angles
-    0, pi/2, pi, 3pi/2; the island field vanishes there, so they are exact
-    fixed points at any step count.  The flow linearization has rates +-2,
-    hence map multipliers e^{+-2 sigma}.  The saddles and their probes are
-    one batch of Fhat, evaluated as every other caller evaluates it (see
+    SADDLE_ANGLES; the island field vanishes there, so they are exact fixed
+    points at any step count.  The flow linearization has rates +-2, hence
+    map multipliers e^{+-2 sigma}.  The saddles and their probes are rows of
+    the island's check batch (`island_check_batch`, built here when none is
+    given), one evaluation of Fhat as every other caller evaluates it (see
     FLOW_STEPS); the fixed-point defects, the Jacobians and the probe images
     all come from that batch, and the multipliers sit about 3.8e-5 from
     e^{+-2 sigma}, against a 1e-4 gate.  The multipliers are cross-checked
@@ -574,52 +612,19 @@ def link_saddles(island):
     Returns a list of dicts with keys center, theta, point, multipliers,
     fd_multipliers, fixed_defect.
     """
-    thetas = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi])
-    pts = []
-    meta = []
-    delta = island.profile.delta
-    for ic, c in enumerate(island.centers):
-        for th in thetas:
-            w = delta * np.array([np.cos(th), np.sin(th)])
-            pts.append(wrap_torus(c + island.R @ w))
-            meta.append((ic, float(th)))
-    P = np.array(pts)
-
-    # Finite differences along the saddle frame (radial/tangent in the
-    # chart), where the true Jacobian is exactly diagonal.  Extracting
-    # eigenvalues of a raw FD matrix would amplify entry noise by the
-    # e^{2 sigma} expansion when recovering the contracting multiplier.
-    th_arr = np.array([m[1] for m in meta])
-    rad = np.stack([np.cos(th_arr), np.sin(th_arr)], axis=-1) @ island.RT
-    tan = np.stack([-np.sin(th_arr), np.cos(th_arr)], axis=-1) @ island.RT
-    # Along-circle displacements land only h^2/2 past the boundary, where
-    # the surgery profile is evaluated through a cancellation (|w|^2 -
-    # delta^2); when that direction is the contracting one the resulting
-    # noise is comparable to the tiny directional response, so a larger
-    # step keeps the displaced points clear of the degeneracy.  Expanding
-    # directions need the smaller step to control truncation instead.  Both
-    # scale with the narrower side of the circle, delta or the annulus
-    # eps - delta, so that the probes stay in the saddle's linear zone.
-    h = 1e-5 * min(delta, island.profile.eps - delta)
-    h_rad = np.full(len(meta), h)
-    h_tan = np.where(np.cos(2 * th_arr) > 0, 10 * h, h)
-    frames = ((rad, h_rad[:, None]), (tan, h_tan[:, None]))
-    probes = [wrap_torus(P + sign * h * direction)
-              for direction, h in frames for sign in (1.0, -1.0)]
-    # one evaluation of Fhat for the saddles and all their probes
-    n = len(P)
-    images, Jall = island._eval(np.concatenate([P] + probes), with_jac=True)
-    defects = np.max(np.abs(torus_diff(images[:n], P)), axis=-1)
-    mult = _saddle_multipliers([e[:n] for e in Jall])
-    images = images[n:].reshape(len(frames), 2, n, 2)
-    fd = np.empty((len(meta), 2))
-    for j, (direction, h) in enumerate(frames):
+    batch = batch or island_check_batch(island)
+    n = len(island.centers) * len(SADDLE_ANGLES)
+    P = batch.saddle_rows[:n]
+    defects = np.max(np.abs(torus_diff(batch.saddle_images[:n], P)), axis=-1)
+    mult = _saddle_multipliers([e[:n] for e in batch.saddle_jac])
+    images = batch.saddle_images[n:].reshape(len(batch.frames), 2, n, 2)
+    fd = np.empty((n, 2))
+    for j, (direction, h) in enumerate(batch.frames):
         diff = torus_diff(images[j, 0], images[j, 1]) / (2 * h)
         fd[:, j] = np.abs(np.sum(diff * direction, axis=-1))
-
-    return [dict(center=ic, theta=th, point=P[i], multipliers=mult[i],
+    return [dict(center=ic, theta=float(SADDLE_ANGLES[a]), point=P[i], multipliers=mult[i],
                  fd_multipliers=np.sort(fd[i]), fixed_defect=float(defects[i]))
-            for i, (ic, th) in enumerate(meta)]
+            for i, (ic, a) in enumerate(np.ndindex(len(island.centers), len(SADDLE_ANGLES)))]
 
 
 def conjugacy_defect(island, n=2000):
@@ -660,27 +665,40 @@ def _disc_energy(island, p):
     return energy, (r2 <= island._in2) & (rho > prof.rho0)
 
 
-def equivariance_and_energy_drift(island, n=1000):
-    """The odd symmetry sup | Fhat(-p) - (-Fhat(p)) | and the half-lattice
-    translation symmetry sup | Fhat(p + v) - Fhat(p) - v | over v in CENTERS
-    (both toral) of the surgered map, and the island flow's energy drift,
-    from one evaluation of Fhat.
+@dataclass
+class CheckBatch:
+    """The island checks' rows that reach the flow, and their images and
+    Jacobians from one evaluation of Fhat (`island_check_batch`).
 
-    The batch is made of orbits under the group of eight that p -> -p and
+    n: the sample count the orbit rows were drawn for; orbits (2, 4, m, 2)
+    and orbit_images: `equivariance_and_energy_drift`'s rows and their
+    images; saddle_rows and frames: `_saddle_rows`'s 16 saddles and 64
+    probes and their frames, and saddle_images and saddle_jac their images
+    and Jacobian entries.
+    """
+
+    n: int
+    orbits: np.ndarray
+    orbit_images: np.ndarray
+    saddle_rows: np.ndarray
+    frames: tuple
+    saddle_images: np.ndarray
+    saddle_jac: tuple
+
+
+def island_check_batch(island, n=1000):
+    """The rows of `equivariance_and_energy_drift` and of `link_saddles`,
+    evaluated by Fhat with its Jacobian in one batch, so that the island
+    checks integrate the flow once.  Every row's image and Jacobian are
+    those of its own evaluation, bit for bit: no step of Fhat mixes rows.
+
+    The orbit rows are the orbits under the group of eight that p -> -p and
     the translations by CENTERS generate, the symmetries the entropy grid
     relies on (`MapDescriptor.torsion_symmetric`): ceil(n/4) seeded torus
     points and ANNULUS_SAMPLES seeded points of one disc's flow annulus
     rho0 < rho < rho_lo, each as +-p + v for the four v.  The translations
     carry the annulus points into every disc: at delta = 0.001 none of 2000
-    torus points lands in one.  The exact flow conserves Hhat_i, and a
-    symplectic integrator keeps its energy error bounded at O(h^order)
-    (Hairer, Lubich & Wanner, GNI ch. IX), so the drift, max |Hhat_i(Fhat
-    p) - Hhat_i(p)| over max |Hhat_i(p)| on the batch's flow rows, measures
-    the flow over its whole disc; Hhat_i at an image comes from the image's
-    own chart.  The ratio is scale-free, so one tolerance serves every
-    delta.
-
-    Returns (equivariance, translation, drift, flow rows).
+    torus points lands in one.
     """
     prof = island.profile
     rng = np.random.default_rng(6)
@@ -688,13 +706,38 @@ def equivariance_and_energy_drift(island, n=1000):
                            _polar_sample(island, 9, ANNULUS_SAMPLES, prof.rho0,
                                          prof.rho_lo)[:ANNULUS_SAMPLES]])
     # rows indexed (sign, translation, base point): p + v, then -p + v
-    shifts = island.centers[:, None, :]
-    batch = wrap_torus(np.array([1.0, -1.0])[:, None, None, None] * base + shifts)
-    img = island(batch.reshape(-1, 2)).reshape(batch.shape)
+    orbits = wrap_torus(np.reshape([1.0, -1.0], (2, 1, 1, 1)) * base + island.centers[:, None])
+    rows, frames = _saddle_rows(island)
+    k = orbits.size // 2
+    images, J = island._eval(np.concatenate([orbits.reshape(-1, 2), rows]), with_jac=True)
+    return CheckBatch(n, orbits, images[:k].reshape(orbits.shape), rows, frames, images[k:],
+                      tuple(e[k:] for e in J))
+
+
+def equivariance_and_energy_drift(island, n=1000, batch=None):
+    """The odd symmetry sup | Fhat(-p) - (-Fhat(p)) | and the half-lattice
+    translation symmetry sup | Fhat(p + v) - Fhat(p) - v | over v in CENTERS
+    (both toral) of the surgered map, and the island flow's energy drift,
+    on the orbit rows of the island's check batch (`island_check_batch(island,
+    n)`, built here when none is given).
+
+    The exact flow conserves Hhat_i, and a symplectic integrator keeps its
+    energy error bounded at O(h^order) (Hairer, Lubich & Wanner, GNI ch.
+    IX), so the drift, max |Hhat_i(Fhat p) - Hhat_i(p)| over max |Hhat_i(p)|
+    on the batch's flow rows, measures the flow over its whole disc; Hhat_i
+    at an image comes from the image's own chart.  The ratio is scale-free,
+    so one tolerance serves every delta.
+
+    Returns (equivariance, translation, drift, flow rows).
+    """
+    batch = batch or island_check_batch(island, n)
+    if batch.n != n:
+        raise ValueError(f"check batch drawn for n = {batch.n}, not {n}")
+    orbits, img = batch.orbits, batch.orbit_images
     # -p + v is -(p + v) mod 1, as 2 v is a lattice point
     equivariance = float(np.max(np.abs(torus_diff(img[1], -img[0]))))
-    translation = float(np.max(np.abs(torus_diff(img - shifts, img[:, :1]))))
-    H0, flow = _disc_energy(island, batch.reshape(-1, 2))
+    translation = float(np.max(np.abs(torus_diff(img - island.centers[:, None], img[:, :1]))))
+    H0, flow = _disc_energy(island, orbits.reshape(-1, 2))
     H1 = _disc_energy(island, img.reshape(-1, 2)[flow])[0]
     H0 = H0[flow]
     drift = float(np.max(np.abs(H1 - H0)) / np.max(np.abs(H0)))
@@ -708,18 +751,20 @@ def identity_core_defect(island, n=500):
     return float(np.max(np.abs(torus_diff(island(p), p))))
 
 
-def symmetry_and_identity_report(island, n=1000):
+def symmetry_and_identity_report(island, n=1000, batch=None):
     """Deterministic sup-norm defect report for the island map.
 
     Keys: equivariance (odd symmetry), translation (half-lattice
     translation symmetry), energy_drift (the island flow's relative energy
     error over its discs), identity_core (fixed points near the chart
     centers), conjugacy (surgery intertwines the island map with the torus
-    automorphism), identity_at_centers (exact fixed centers).
+    automorphism), identity_at_centers (exact fixed centers).  The first
+    three read the orbit rows of `batch`, `island_check_batch(island, n)`,
+    built here when none is given.
     """
     centers_defect = float(np.max(np.abs(
         torus_diff(island(island.centers), island.centers))))
-    equivariance, translation, drift, _ = equivariance_and_energy_drift(island, n=n)
+    equivariance, translation, drift, _ = equivariance_and_energy_drift(island, n, batch)
     return dict(
         equivariance=equivariance,
         translation=translation,

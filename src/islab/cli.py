@@ -24,7 +24,8 @@ import time
 
 import numpy as np
 
-from .blowup import SIGMA, IslandMap, link_saddles, symmetry_and_identity_report
+from .blowup import (SIGMA, IslandMap, island_check_batch, link_saddles,
+                     symmetry_and_identity_report)
 from .config import (COMMON_SCHEMA, ConfigError, ExperimentConfig, validate as validate_raw,
                      parse_text, read_config)
 from .curves import BumpFn, MaskedPeriodic, PeriodicFn, curve_sup_diff, random_trig_poly
@@ -57,9 +58,16 @@ def _fmt(v):
 
 def _write_csv(path, header, rows):
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        # repr of tolist()'s Python floats is _fmt's text, without a call
-        # per value
-        lines = (",".join(map(repr, row)) for row in rows.tolist())
+        # repr of tolist()'s Python floats is _fmt's text.  A grid's columns
+        # repeat few values, so each column's text is made once per value,
+        # keyed by its bit pattern: -0.0 and 0.0 keep their own.  A column's
+        # keys go as soon as its texts are listed, so one column's are held
+        # at a time
+        def column(col):
+            bits = col.view(np.int64).tolist()
+            text = {k: repr(v) for k, v in dict(zip(bits, col.tolist())).items()}
+            return list(map(text.__getitem__, bits))
+        lines = map(",".join, zip(*map(column, rows.astype(float, copy=False).T)))
     else:
         lines = (",".join(_fmt(v) for v in row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -134,7 +142,13 @@ def _run_lyapunov(cfg, rng, threads):
 def _run_island(cfg, rng, threads):
     p = cfg.params
     island = IslandMap(delta=p["delta"], eps=p["eps"])
-    sym = symmetry_and_identity_report(island, n=p["samples"])
+    # the symmetry report and link_saddles read one evaluation of Fhat.  The
+    # batch goes before the entropy grid: held through it, its arrays split
+    # the heap, and the benchmark's peak RSS crept up operation by operation
+    batch = island_check_batch(island, n=p["samples"])
+    sym = symmetry_and_identity_report(island, n=p["samples"], batch=batch)
+    saddles = link_saddles(island, batch)
+    del batch
     checks = [
         _check("odd-symmetry-equivariance", sym["equivariance"], 1e-9),
         # the entropy grid integrates one cell per orbit of p -> -p and these
@@ -146,7 +160,6 @@ def _run_island(cfg, rng, threads):
         _check("identity-inside-the-link-circles", sym["identity_core"], 1e-12),
         _check("surgery-conjugacy-to-the-automorphism", sym["conjugacy"], 1e-9),
     ]
-    saddles = link_saddles(island)
     per_circle = {}
     for s in saddles:
         per_circle[s["center"]] = per_circle.get(s["center"], 0) + 1

@@ -68,12 +68,20 @@ class StepFn:
         t = self._clamp(self._t(x))
         return self._value(t), self._slope(t) / self.width
 
+    @staticmethod
+    def _curvature(t):
+        # the polynomial gives -0.0 at t = 1; the mask keeps +0.0
+        u = 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
+        return np.where((t > 0.0) & (t < 1.0), u, 0.0)
+
     def d2(self, x):
-        # the curvature's polynomial gives -0.0 at t = 1; the mask keeps +0.0
-        t = self._t(x)
-        tc = self._clamp(t)
-        u = 60.0 * tc * (1.0 - tc) * (1.0 - 2.0 * tc)
-        return np.where((t > 0.0) & (t < 1.0), u, 0.0) / self.width**2
+        return self._curvature(self._clamp(self._t(x))) / self.width**2
+
+    def jet(self, x):
+        """self(x), self.d1(x) and self.d2(x) from one clamp, bitwise all
+        three."""
+        t = self._clamp(self._t(x))
+        return self._value(t), self._slope(t) / self.width, self._curvature(t) / self.width**2
 
 
 class PartitionBump:

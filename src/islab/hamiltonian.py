@@ -97,13 +97,16 @@ def _midpoint_steps(sys, p, t, steps, tol, with_jac, order=2):
             for _ in range(SOLVE_CAP):
                 G = w - z - h * sys.field(0.5 * (z + w))
                 g0, g1 = G[..., 0], G[..., 1]
-                step = np.stack([a * g0 + b * g1, c * g0 + d * g1], axis=-1)
-                more = np.max(np.abs(step), axis=-1) > tol
-                w_new = w - step
+                # the step as its two components: a stopped point's is 0, and
+                # w - 0 is w bit for bit
+                s0, s1 = a * g0 + b * g1, c * g0 + d * g1
+                more = np.maximum(np.abs(s0), np.abs(s1)) > tol
                 if act is not None:
-                    w_new = np.where(act[..., None], w_new, w)
+                    s0, s1 = np.where(act, s0, 0.0), np.where(act, s1, 0.0)
                     more &= act
-                w, act = w_new, more
+                w[..., 0] -= s0
+                w[..., 1] -= s1
+                act = more
                 if not act.any():
                     break
             else:

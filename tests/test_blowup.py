@@ -15,6 +15,7 @@ from islab.blowup import (
     conjugacy_defect,
     from_polar,
     identity_core_defect,
+    island_check_batch,
     island_hamiltonian,
     link_saddles,
     symmetry_and_identity_report,
@@ -367,17 +368,58 @@ def test_equivariance(island):
 def test_symmetry_batch_is_made_of_group_orbits(island, monkeypatch):
     # ceil(n/4) torus points and one disc's annulus sample, each as +-p + v
     # for the four half-lattice translations v: the batch size of n torus
-    # points and four annulus samples with their negatives
+    # points and four annulus samples with their negatives.  They are the
+    # orbit slice of the island's check batch, the first rows of its one
+    # evaluation of Fhat
     seen = []
-    call = IslandMap.__call__
-    monkeypatch.setattr(IslandMap, "__call__", lambda self, p: seen.append(p) or call(self, p))
-    equivariance_and_energy_drift(island, n=1000)
-    (batch,) = seen
-    assert batch.shape == (2 * 4 * (250 + ANNULUS_SAMPLES), 2)
-    orbits = batch.reshape(2, 4, -1, 2)
+    ev = IslandMap._eval
+    monkeypatch.setattr(IslandMap, "_eval", lambda self, p, direction=1, with_jac=False:
+                        seen.append(p) or ev(self, p, direction, with_jac))
+    orbits = island_check_batch(island, n=1000).orbits
+    (rows,) = seen
+    assert orbits.shape == (2, 4, 250 + ANNULUS_SAMPLES, 2)
+    assert np.array_equal(rows[:orbits.size // 2], orbits.reshape(-1, 2))
     assert np.max(np.abs(torus_diff(orbits[1], -orbits[0]))) <= 1e-15
     assert np.max(np.abs(torus_diff(orbits - island.centers[:, None],
                                     orbits[:, :1]))) <= 1e-15
+
+
+def test_island_check_batch_integrates_the_flow_once(island, monkeypatch):
+    # the symmetry report and link_saddles read one evaluation of Fhat, so
+    # the island checks make one flow integration where they made two
+    calls = []
+    steps = blowup._midpoint_steps
+    monkeypatch.setattr(blowup, "_midpoint_steps",
+                        lambda *a, **k: calls.append(1) or steps(*a, **k))
+    batch = island_check_batch(island, n=1000)
+    symmetry_and_identity_report(island, n=1000, batch=batch)
+    link_saddles(island, batch)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("delta, eps", [(0.15, 0.24), (0.001, 0.002)])
+def test_check_batch_slices_are_their_separate_evaluations(delta, eps):
+    # the saddle rows converge in fewer Newton iterations than the orbit
+    # rows' flow rows, so sharing one integration relies on each row
+    # stopping on its own: every slice is its separate evaluation, bit for
+    # bit, and so are both reports
+    island = IslandMap(delta, eps)
+    batch = island_check_batch(island, n=1000)
+    orbits = batch.orbits.reshape(-1, 2)
+    alone = island._eval(orbits, with_jac=True)
+    assert batch.orbit_images.tobytes() == island(orbits).tobytes() == alone[0].tobytes()
+    img, J = island._eval(batch.saddle_rows, with_jac=True)
+    assert batch.saddle_images.tobytes() == img.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(batch.saddle_jac, J))
+    shared = symmetry_and_identity_report(island, n=1000, batch=batch)
+    assert shared == symmetry_and_identity_report(island, n=1000)
+    assert [d["fd_multipliers"].tobytes() for d in link_saddles(island, batch)] == \
+        [d["fd_multipliers"].tobytes() for d in link_saddles(island)]
+
+
+def test_check_batch_of_another_sample_count_is_refused(island):
+    with pytest.raises(ValueError, match="n = 1000"):
+        equivariance_and_energy_drift(island, n=400, batch=island_check_batch(island, n=1000))
 
 
 @pytest.mark.parametrize("delta, eps", [(0.15, 0.24)] + EDGE_PROFILES)
@@ -684,15 +726,16 @@ def test_saddle_fd_multipliers_at_edge_profiles(delta, eps):
 
 def test_island_field_call_budget(island, monkeypatch):
     # each evaluation of Fhat integrates FLOW_STEPS = 20 Suzuki steps, 100
-    # midpoint substeps; simplified Newton takes 5.2 field calls per substep
-    # of the symmetry batch (520 calls) and 3.0 of the saddle batch (301),
-    # 821 in all
+    # midpoint substeps; the symmetry report and link_saddles share one
+    # (island_check_batch), where simplified Newton takes 5.2 field calls per
+    # substep, 520 calls in all (821 in two integrations)
     calls = []
     field = island.system.field
     monkeypatch.setattr(island.system, "field", lambda p: calls.append(1) or field(p))
-    symmetry_and_identity_report(island, n=1000)
-    link_saddles(island)
-    assert len(calls) <= 850
+    batch = island_check_batch(island, n=1000)
+    symmetry_and_identity_report(island, n=1000, batch=batch)
+    link_saddles(island, batch)
+    assert len(calls) <= 550
 
 
 def test_link_saddles_checks_the_map_every_caller_evaluates(island, monkeypatch):

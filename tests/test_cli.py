@@ -197,16 +197,19 @@ def test_report_json_echoes_config_and_excludes_wall_clock(tmp_path):
 
 
 def test_csv_float_array_writes_the_bytes_of_its_tuple_rows(tmp_path):
-    # a float array is written through tolist() and repr, tuple rows of the
-    # same values through _fmt: the two files must be the same bytes
-    rows = np.array([[-0.0, 1e-300, 3.0], [0.1, -2.0, 1e16],
-                     [5e-324, -1e300, 2.0 / 3.0]])
-    header = ("x", "y", "z")
+    # a float array is written through repr, once per distinct bit pattern
+    # of a column, tuple rows of the same values through _fmt: the two files
+    # must be the same bytes.  The last column repeats values and holds both
+    # zeros, which compare equal but print apart
+    rows = np.array([[-0.0, 1e-300, 3.0, 0.0], [0.1, -2.0, 1e16, -0.0],
+                     [5e-324, -1e300, 2.0 / 3.0, 0.0], [0.1, -2.0, 1e16, -0.0],
+                     [0.0, np.nan, -np.inf, 2.0 / 3.0]])
+    header = ("x", "y", "z", "w")
     cli._write_csv(tmp_path / "array.csv", header, rows)
     cli._write_csv(tmp_path / "tuples.csv", header, [tuple(r) for r in rows])
     blob = _read(tmp_path / "array.csv")
     assert blob == _read(tmp_path / "tuples.csv")
-    assert blob.decode().splitlines()[1] == "-0.0,1e-300,3.0"
+    assert blob.decode().splitlines()[1:3] == ["-0.0,1e-300,3.0,0.0", "0.1,-2.0,1e+16,-0.0"]
 
 
 # ---------------------------------------------------------------------------

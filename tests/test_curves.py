@@ -54,9 +54,12 @@ def test_smoothstep_endpoints_and_monotone():
     assert np.all(np.diff(s) >= 0)
     # flat to second order at the ends
     assert step.d1(np.array([0.0, 1.0])) == pytest.approx([0.0, 0.0])
-    # the one-clamp pair is the two methods bit for bit, clamped ends included
+    # the one-clamp pair and triple are the methods bit for bit, clamped
+    # ends included
     t = np.concatenate([t, [0.0, 1.0, -1e-300, 1.0 + 2e-16]])
     for got, ref in zip(step.value_and_d1(t), (step(t), step.d1(t))):
+        assert np.array_equal(_bits(got), _bits(ref))
+    for got, ref in zip(step.jet(t), (step(t), step.d1(t), step.d2(t))):
         assert np.array_equal(_bits(got), _bits(ref))
 
 
@@ -77,6 +80,8 @@ def test_stepfn_clamps_and_derivative():
     assert np.array_equal(_bits(s.d2(np.array([1.0, 2.0, 2.5, 3.0]))), _bits(np.zeros(4)))
     x = np.concatenate([x, [2.0, 2.5, np.nextafter(2.0, 3.0), np.nextafter(2.5, 2.0)]])
     for got, ref in zip(s.value_and_d1(x), (s(x), s.d1(x))):
+        assert np.array_equal(_bits(got), _bits(ref))
+    for got, ref in zip(s.jet(x), (s(x), s.d1(x), s.d2(x))):
         assert np.array_equal(_bits(got), _bits(ref))
 
 

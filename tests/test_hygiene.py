@@ -351,7 +351,7 @@ def test_every_package_method_is_reached():
 MATMUL_HOMES = {
     "lyapunov.py": ("cone_certificate",),
     "maps.py": ("anosov_map", "rotation_map"),
-    "blowup.py": ("IslandMap._surgered", "IslandMap._flow", "link_saddles",
+    "blowup.py": ("IslandMap._surgered", "IslandMap._flow", "_saddle_rows",
                   "_polar_sample", "_disc_energy", "SurgeryProfile._fit_inverse"),
     "curves.py": ("GraphCurve.__init__",),
 }
@@ -623,3 +623,44 @@ def test_island_map_has_one_flow():
         params = inspect.signature(method).parameters
         assert not [p for p in params if any(w in p for w in ("step", "order", "tol"))], \
             method.__name__
+
+
+# the per-row loops of the island flow and of the cocycle run on points (N,
+# 2) and on entry arrays (N,): a reduction over the length-2 axis or a stack
+# of two components costs more there than the arithmetic it serves (14 % and
+# 6 % of a 500-row flow with its Jacobian under cProfile), so both keep
+# components apart
+ROW_KERNELS = {"hamiltonian.py": "_midpoint_steps", "lyapunov.py": "_cocycle_logs"}
+
+
+def component_pairings(source, function):
+    """Lines of `function` in `source` with an axis= keyword (a reduction
+    along an axis of a points array) or a call of a stack by name or
+    attribute."""
+    (node,) = [n for n in ast.walk(ast.parse(source))
+               if isinstance(n, ast.FunctionDef) and n.name == function]
+    found = set()
+    for call in ast.walk(node):
+        if not isinstance(call, ast.Call):
+            continue
+        f = call.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+        if "stack" in name or any(k.arg == "axis" for k in call.keywords):
+            found.add(call.lineno)
+    return sorted(found)
+
+
+def test_component_scan_flags_a_readded_stack_and_reduction():
+    source = ("import numpy as np\n"
+              "def _midpoint_steps(a, b):\n"
+              "    step = np.stack([a, b], axis=-1)\n"
+              "    more = np.max(np.abs(step), axis=-1) > 1e-13\n"
+              "    ok = a.all(axis=1)\n"
+              "    return np.maximum(np.abs(a), np.abs(b)) > 1e-13\n")
+    assert component_pairings(source, "_midpoint_steps") == [3, 4, 5]
+
+
+@pytest.mark.parametrize("module", sorted(ROW_KERNELS))
+def test_row_kernels_keep_components_apart(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert component_pairings(source, ROW_KERNELS[module]) == []
