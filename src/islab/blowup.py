@@ -590,18 +590,18 @@ def _saddle_rows(island):
     return np.concatenate([P] + probes), frames
 
 
-def link_saddles(island, batch=None):
+def link_saddles(island, batch):
     """The boundary fixed points of Fhat and their multipliers.
 
     Four saddles sit on each circle rho = delta^2/2 at chart angles
     SADDLE_ANGLES; the island field vanishes there, so they are exact fixed
     points at any step count.  The flow linearization has rates +-2, hence
     map multipliers e^{+-2 sigma}.  The saddles and their probes are rows of
-    the island's check batch (`island_check_batch`, built here when none is
-    given), one evaluation of Fhat as every other caller evaluates it (see
-    FLOW_STEPS); the fixed-point defects, the Jacobians and the probe images
-    all come from that batch, and the multipliers sit about 3.8e-5 from
-    e^{+-2 sigma}, against a 1e-4 gate.  The multipliers are cross-checked
+    the island's check batch `batch` (`island_check_batch`), one evaluation
+    of Fhat as every other caller evaluates it (see FLOW_STEPS); the
+    fixed-point defects, the Jacobians and the probe images all come from
+    that batch, and the multipliers sit about 3.8e-5 from e^{+-2 sigma},
+    against a 1e-4 gate.  The multipliers are cross-checked
     against finite differences taken along the saddle frame, with steps
     scaled to min(delta, eps - delta).  The quotient divides the solver's
     stopping error, a last Newton step of at most MIDPOINT_TOL per substep,
@@ -612,7 +612,6 @@ def link_saddles(island, batch=None):
     Returns a list of dicts with keys center, theta, point, multipliers,
     fd_multipliers, fixed_defect.
     """
-    batch = batch or island_check_batch(island)
     n = len(island.centers) * len(SADDLE_ANGLES)
     P = batch.saddle_rows[:n]
     defects = np.max(np.abs(torus_diff(batch.saddle_images[:n], P)), axis=-1)
@@ -714,12 +713,12 @@ def island_check_batch(island, n=1000):
                       tuple(e[k:] for e in J))
 
 
-def equivariance_and_energy_drift(island, n=1000, batch=None):
+def equivariance_and_energy_drift(island, batch):
     """The odd symmetry sup | Fhat(-p) - (-Fhat(p)) | and the half-lattice
     translation symmetry sup | Fhat(p + v) - Fhat(p) - v | over v in CENTERS
     (both toral) of the surgered map, and the island flow's energy drift,
-    on the orbit rows of the island's check batch (`island_check_batch(island,
-    n)`, built here when none is given).
+    on the orbit rows of the island's check batch `batch`
+    (`island_check_batch`).
 
     The exact flow conserves Hhat_i, and a symplectic integrator keeps its
     energy error bounded at O(h^order) (Hairer, Lubich & Wanner, GNI ch.
@@ -730,9 +729,6 @@ def equivariance_and_energy_drift(island, n=1000, batch=None):
 
     Returns (equivariance, translation, drift, flow rows).
     """
-    batch = batch or island_check_batch(island, n)
-    if batch.n != n:
-        raise ValueError(f"check batch drawn for n = {batch.n}, not {n}")
     orbits, img = batch.orbits, batch.orbit_images
     # -p + v is -(p + v) mod 1, as 2 v is a lattice point
     equivariance = float(np.max(np.abs(torus_diff(img[1], -img[0]))))
@@ -751,7 +747,7 @@ def identity_core_defect(island, n=500):
     return float(np.max(np.abs(torus_diff(island(p), p))))
 
 
-def symmetry_and_identity_report(island, n=1000, batch=None):
+def symmetry_and_identity_report(island, batch):
     """Deterministic sup-norm defect report for the island map.
 
     Keys: equivariance (odd symmetry), translation (half-lattice
@@ -759,17 +755,18 @@ def symmetry_and_identity_report(island, n=1000, batch=None):
     error over its discs), identity_core (fixed points near the chart
     centers), conjugacy (surgery intertwines the island map with the torus
     automorphism), identity_at_centers (exact fixed centers).  The first
-    three read the orbit rows of `batch`, `island_check_batch(island, n)`,
-    built here when none is given.
+    three read the orbit rows of the island's check batch `batch`
+    (`island_check_batch(island, n)`); the core and conjugacy checks size
+    their samples by its n, `batch.n`.
     """
     centers_defect = float(np.max(np.abs(
         torus_diff(island(island.centers), island.centers))))
-    equivariance, translation, drift, _ = equivariance_and_energy_drift(island, n, batch)
+    equivariance, translation, drift, _ = equivariance_and_energy_drift(island, batch)
     return dict(
         equivariance=equivariance,
         translation=translation,
         energy_drift=drift,
-        identity_core=identity_core_defect(island, n=max(n // 2, 1)),
-        conjugacy=conjugacy_defect(island, n=n),
+        identity_core=identity_core_defect(island, n=max(batch.n // 2, 1)),
+        conjugacy=conjugacy_defect(island, n=batch.n),
         identity_at_centers=centers_defect,
     )

@@ -146,7 +146,7 @@ def _run_island(cfg, rng, threads):
     # batch goes before the entropy grid: held through it, its arrays split
     # the heap, and the benchmark's peak RSS crept up operation by operation
     batch = island_check_batch(island, n=p["samples"])
-    sym = symmetry_and_identity_report(island, n=p["samples"], batch=batch)
+    sym = symmetry_and_identity_report(island, batch)
     saddles = link_saddles(island, batch)
     del batch
     checks = [

@@ -30,7 +30,16 @@ class ConfigError(ValueError):
 
 
 def _int_list(text):
-    return [int(tok) for tok in str(text).split(",") if tok.strip()]
+    """Comma-separated ints in strictly increasing order: the rescaling
+    suite gates its error as strictly decreasing in k, so a repeated or
+    falling k would fail that check by construction."""
+    tokens = str(text).split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ValueError("has an empty entry")
+    v = [int(tok) for tok in tokens]
+    if any(a >= b for a, b in zip(v, v[1:])):
+        raise ValueError("must be strictly increasing")
+    return v
 
 
 @dataclass
@@ -66,8 +75,6 @@ class _Key:
                 raise ValueError(f"must be {'>' if self.lo_open else '>='} {self.lo}")
             if self.hi is not None and (x >= self.hi if self.hi_open else x > self.hi):
                 raise ValueError(f"must be {'<' if self.hi_open else '<='} {self.hi}")
-        if self.kind == "int_list" and not vals:
-            raise ValueError("must list at least one value")
         return v
 
 
@@ -109,7 +116,8 @@ SUITE_SCHEMA = {
         "rescaling.lambda": _Key("float", 0.4, lo=0.0, hi=1.0, lo_open=True, hi_open=True),
         "rescaling.mu": _Key("float", 0.8, lo=0.0, hi=1.0, lo_open=True, hi_open=True),
         "rescaling.r": _Key("int", 2, lo=1, hi=8),
-        "rescaling.N": _Key("int", 3, lo=3, hi=99),
+        # the alternation count: only the three-transition model is built
+        "rescaling.N": _Key("int", 3, lo=3, hi=3),
         "rescaling.k_list": _Key("int_list", [8, 10, 12, 14], lo=6, hi=60),
         "rescaling.nonlinearity": _Key("float", 0.1, lo=0.0, hi=0.2),
         "rescaling.kick_amp": _Key("float", 0.03, lo=0.0, hi=0.05),
@@ -188,13 +196,6 @@ def _resolve(raw):
         if not values["stdmap.a_min"] <= values["stdmap.a_max"]:
             violations.append("stdmap.a_min: must not exceed stdmap.a_max")
     if suite == "rescaling":
-        N = values.get("rescaling.N")
-        if N is not None and N % 2 == 0:
-            violations.append(
-                "rescaling.N: the alternation count N must be odd")
-        elif N is not None and N != 3:
-            violations.append(
-                "rescaling.N: only the three-transition configuration is built in")
         lam = values.get("rescaling.lambda")
         mu = values.get("rescaling.mu")
         r = values.get("rescaling.r")

@@ -16,8 +16,6 @@ crawl image share the lower level).  The unstable seed is pushed through
 the itinerary's first piece, the stable seed pulled back through its last.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import curves
@@ -52,36 +50,23 @@ def _first_row(bad):
 # geometry and pieces
 
 
-@dataclass(frozen=True)
 class LinkGeometry:
     """Constants of the two-strip model.
 
     tau: translation length; x_a, x_b: strip anchors; y1: upper level
     (both strips); y2: lower level of the fold; delta: support margin for
-    shears and seeds.
+    shears and seeds; theta: offset of the folding piece, fold(x, y) =
+    theta - (x/2, 2y).  They satisfy x_b - x_a > 3 tau + 6 delta (the
+    transition margins), y2 < y1 and 0 < delta < tau/4.
     """
 
-    tau: float = 1.0
-    x_a: float = -3.0
-    x_b: float = 2.0
-    y1: float = 1.0
-    y2: float = -1.0
-    delta: float = 0.1
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if not self.x_b - self.x_a > 3 * self.tau + 6 * self.delta:
-            raise ValueError("strips too close for the transition margins")
-        if not self.y2 < self.y1:
-            raise ValueError("lower level must satisfy y2 < y1")
-        if not 0 < self.delta < self.tau / 4:
-            raise ValueError("support margin must satisfy 0 < delta < tau/4")
-
-    @property
-    def theta(self):
-        """Offset of the folding piece: fold(x, y) = theta - (x/2, 2y)."""
-        return ((3 * self.x_b + 7 * self.tau) / 2, 2 * self.y1 + self.y2)
+    tau = 1.0
+    x_a = -3.0
+    x_b = 2.0
+    y1 = 1.0
+    y2 = -1.0
+    delta = 0.1
+    theta = ((3 * x_b + 7 * tau) / 2, 2 * y1 + y2)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +299,8 @@ class TimeEnergyChart:
         # mirrored on side b): F maps the strip's right margin back into that
         # window (shifted by up to the validated hook displacement 0.1), and
         # the exact-conjugacy matching there needs phi0 = Fstar o F^-1 with
-        # no transition remainder
+        # no transition remainder; the transition is 0.7 wide
         width = tau - 1.5 * d - 0.15
-        if width <= 0:
-            raise ValueError("strip too short for the chart transition window")
         if side == "a":
             self._rho = lambda x, s=StepFn(0.0, width): s((g.x_a - d / 2) - x)
             self._rho_d1 = lambda x, s=StepFn(0.0, width): -s.d1((g.x_a - d / 2) - x)

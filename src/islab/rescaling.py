@@ -184,8 +184,8 @@ class TransitionMap:
         y = v + self.y_minus - polyval(x, self.u_coef)
         return np.stack([x, y], axis=-1)
 
-    def descriptor(self, name="T1"):
-        return MapDescriptor(name, self._ev, self.inverse)
+    def descriptor(self):
+        return MapDescriptor("T1", self._ev, self.inverse)
 
 
 # ---------------------------------------------------------------------------

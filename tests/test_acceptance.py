@@ -11,7 +11,8 @@ import time
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from islab.blowup import IslandMap, link_saddles, symmetry_and_identity_report
+from islab.blowup import (IslandMap, island_check_batch, link_saddles,
+                          symmetry_and_identity_report)
 from islab.cli import emit_plot_data, run
 from islab.config import ExperimentConfig
 from islab.curves import BumpFn, MaskedPeriodic, curve_sup_diff, random_trig_poly
@@ -139,11 +140,12 @@ def test_criterion_03_island_suite():
     delta = 0.15
     island = IslandMap(delta=delta, eps=0.24)
 
-    sym = symmetry_and_identity_report(island, n=1000)
+    batch = island_check_batch(island, n=1000)
+    sym = symmetry_and_identity_report(island, batch)
     ok_a = sym["equivariance"] <= 1e-9
     ok_b = sym["identity_core"] <= 1e-12
 
-    saddles = link_saddles(island)
+    saddles = link_saddles(island, batch)
     per_circle = {}
     for s in saddles:
         per_circle[s["center"]] = per_circle.get(s["center"], 0) + 1

@@ -360,7 +360,8 @@ def test_centers_fixed_and_core_identity(island):
 
 
 def test_equivariance(island):
-    equivariance, translation, _, _ = equivariance_and_energy_drift(island, n=1000)
+    equivariance, translation, _, _ = equivariance_and_energy_drift(
+        island, island_check_batch(island, n=1000))
     assert equivariance <= 1e-9
     assert translation <= 1e-9
 
@@ -392,7 +393,7 @@ def test_island_check_batch_integrates_the_flow_once(island, monkeypatch):
     monkeypatch.setattr(blowup, "_midpoint_steps",
                         lambda *a, **k: calls.append(1) or steps(*a, **k))
     batch = island_check_batch(island, n=1000)
-    symmetry_and_identity_report(island, n=1000, batch=batch)
+    symmetry_and_identity_report(island, batch)
     link_saddles(island, batch)
     assert len(calls) == 1
 
@@ -411,15 +412,11 @@ def test_check_batch_slices_are_their_separate_evaluations(delta, eps):
     img, J = island._eval(batch.saddle_rows, with_jac=True)
     assert batch.saddle_images.tobytes() == img.tobytes()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(batch.saddle_jac, J))
-    shared = symmetry_and_identity_report(island, n=1000, batch=batch)
-    assert shared == symmetry_and_identity_report(island, n=1000)
+    again = island_check_batch(island, n=1000)
+    shared = symmetry_and_identity_report(island, batch)
+    assert shared == symmetry_and_identity_report(island, again)
     assert [d["fd_multipliers"].tobytes() for d in link_saddles(island, batch)] == \
-        [d["fd_multipliers"].tobytes() for d in link_saddles(island)]
-
-
-def test_check_batch_of_another_sample_count_is_refused(island):
-    with pytest.raises(ValueError, match="n = 1000"):
-        equivariance_and_energy_drift(island, n=400, batch=island_check_batch(island, n=1000))
+        [d["fd_multipliers"].tobytes() for d in link_saddles(island, again)]
 
 
 @pytest.mark.parametrize("delta, eps", [(0.15, 0.24)] + EDGE_PROFILES)
@@ -429,8 +426,9 @@ def test_island_flow_energy_drift_at_edge_profiles(delta, eps):
     # even where no torus point lands in a disc (none of 2000 at delta =
     # 0.001); it stays under the suite's 1e-5 gate (2.6e-6 at most over
     # these profiles), and both symmetries read at most 1e-12 (9.4e-14)
+    island = IslandMap(delta, eps)
     equivariance, translation, drift, rows = equivariance_and_energy_drift(
-        IslandMap(delta, eps), n=1000)
+        island, island_check_batch(island, n=1000))
     assert rows >= 2 * 4 * ANNULUS_SAMPLES
     assert drift < 1e-5
     assert max(equivariance, translation) <= 1e-12
@@ -455,7 +453,7 @@ def test_conjugacy_defect_checks_as_many_points_as_asked(monkeypatch):
 
 
 def test_symmetry_report_keys(island):
-    rep = symmetry_and_identity_report(island, n=400)
+    rep = symmetry_and_identity_report(island, island_check_batch(island, n=400))
     assert rep["identity_at_centers"] == 0.0
     assert rep["identity_core"] == 0.0
     assert rep["equivariance"] <= 1e-9
@@ -699,7 +697,7 @@ def test_island_mask_and_area(island):
 # ---------------------------------------------------------------------
 
 def test_link_saddles(island):
-    data = link_saddles(island)
+    data = link_saddles(island, island_check_batch(island))
     assert len(data) == 16
     for ic in range(4):
         per = [d for d in data if d["center"] == ic]
@@ -720,7 +718,8 @@ def test_saddle_fd_multipliers_at_edge_profiles(delta, eps):
     # with min(delta, eps - delta), so narrow annuli and small discs read
     # about as well as the default (0.455 at (0.2, 0.2001) with fixed steps)
     tgt = np.array([1.0 / EXP_2SIGMA, EXP_2SIGMA])
-    data = link_saddles(IslandMap(delta, eps))
+    island = IslandMap(delta, eps)
+    data = link_saddles(island, island_check_batch(island))
     assert max(np.max(np.abs(d["fd_multipliers"] / tgt - 1.0)) for d in data) < 1e-3
 
 
@@ -733,7 +732,7 @@ def test_island_field_call_budget(island, monkeypatch):
     field = island.system.field
     monkeypatch.setattr(island.system, "field", lambda p: calls.append(1) or field(p))
     batch = island_check_batch(island, n=1000)
-    symmetry_and_identity_report(island, n=1000, batch=batch)
+    symmetry_and_identity_report(island, batch)
     link_saddles(island, batch)
     assert len(calls) <= 550
 
@@ -745,7 +744,7 @@ def test_link_saddles_checks_the_map_every_caller_evaluates(island, monkeypatch)
     closed_form = blowup._saddle_multipliers
     monkeypatch.setattr(blowup, "_saddle_multipliers",
                         lambda J: seen.append(J) or closed_form(J))
-    data = link_saddles(island)
+    data = link_saddles(island, island_check_batch(island))
     P = np.array([d["point"] for d in data])
     assert np.array_equal(stacked(seen[0]), island.descriptor().jacobian(P))
     assert np.array_equal([d["multipliers"] for d in data], closed_form(seen[0]))

@@ -285,6 +285,18 @@ def test_validate_rejects_outer_radius_at_its_bound(tmp_path, capsys):
     assert "ok" not in captured.out
 
 
+@pytest.mark.parametrize("k_list, reason", [("8,8", "must be strictly increasing"),
+                                             ("14,8", "must be strictly increasing"),
+                                             ("8,,10", "has an empty entry")])
+def test_validate_rejects_a_k_list_the_suite_cannot_pass(tmp_path, capsys, k_list, reason):
+    # the suite gates its error as strictly decreasing in k, so a repeated
+    # or falling k fails it by construction (at seed 1, 8,8 reads 1 against
+    # < 1 and 14,8 reads 9.12); an empty entry is not dropped either
+    path = _write_cfg(tmp_path, f"suite = rescaling\nrescaling.k_list = {k_list}\n")
+    assert main(["validate", path]) == 2
+    assert f"rescaling.k_list: {reason}" in capsys.readouterr().out
+
+
 def test_validate_rejects_an_annulus_past_the_conjugacy_conditioning_limit(tmp_path, capsys):
     # at delta/eps = 0.24/0.24000001 the surgery's max psi' is 4.5e7, and the
     # run's conjugacy check would read 4.8e-9 against 1e-9; 0.2/0.2001, the

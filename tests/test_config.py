@@ -95,7 +95,7 @@ def test_annulus_past_the_conjugacy_conditioning_limit_rejected():
 
 def test_even_alternation_count_rejected():
     vs = validate({"suite": "rescaling", "rescaling.N": "4"})
-    assert "rescaling.N: the alternation count N must be odd" in vs
+    assert "rescaling.N: must be <= 3" in vs
 
 
 def test_scale_inequality_rejected():

@@ -16,8 +16,10 @@ import sys
 import numpy as np
 import pytest
 
-from islab.blowup import IslandMap
+from islab.blowup import (IslandMap, equivariance_and_energy_drift, link_saddles,
+                          symmetry_and_identity_report)
 from islab.hamiltonian import HamiltonianSystem
+from islab.links import LinkGeometry
 from islab.maps import MapDescriptor
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "islab"
@@ -664,3 +666,13 @@ def test_component_scan_flags_a_readded_stack_and_reduction():
 def test_row_kernels_keep_components_apart(module):
     source = (SRC / module).read_text(encoding="utf-8")
     assert component_pairings(source, ROW_KERNELS[module]) == []
+
+
+def test_settings_no_caller_sets_are_not_parameters():
+    # the link geometry is constants, and each island check reads the one
+    # check batch its caller builds, with no fallback that builds another
+    with pytest.raises(TypeError):
+        LinkGeometry(tau=2.0)
+    for check in (link_saddles, equivariance_and_energy_drift, symmetry_and_identity_report):
+        batch = inspect.signature(check).parameters["batch"]
+        assert batch.default is inspect.Parameter.empty, check.__name__

@@ -9,7 +9,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from construction_checks import entries, stacked
-from islab.blowup import IslandMap, _saddle_multipliers, link_saddles
+from islab.blowup import IslandMap, _saddle_multipliers, island_check_batch, link_saddles
 from islab.curves import BumpFn
 from islab.links import TimeEnergyChart, build_suitable_model
 from islab.maps import (affine_map, anosov_map, chirikov_map, compose, henon_like, inv2,
@@ -171,7 +171,7 @@ def test_saddle_multipliers_match_eigvals():
 
 def test_link_saddles_multipliers_match_eigvals():
     island = IslandMap()
-    saddles = link_saddles(island)
+    saddles = link_saddles(island, island_check_batch(island))
     P = np.array([s["point"] for s in saddles])
     # Fhat's own Jacobian, batch-independent row by row
     J = island.descriptor().jacobian(P)

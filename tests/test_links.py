@@ -75,13 +75,16 @@ def test_geometry_defaults_and_offsets():
     assert g.theta == ((3 * 2.0 + 7.0) / 2, 2 * 1.0 + (-1.0))
 
 
-def test_geometry_rejects_bad_input():
-    with pytest.raises(ValueError):
-        LinkGeometry(x_a=0.0, x_b=1.0)
-    with pytest.raises(ValueError):
-        LinkGeometry(delta=0.3)
-    with pytest.raises(ValueError):
-        LinkGeometry(y1=-1.0, y2=1.0)
+def test_geometry_constants_satisfy_the_model_conditions():
+    # the strips leave room for the transition margins, the fold goes down,
+    # the support margin fits a quarter translation, and the time-energy
+    # chart's transition has a positive width
+    g = LinkGeometry
+    assert g.tau > 0
+    assert g.x_b - g.x_a > 3 * g.tau + 6 * g.delta
+    assert g.y2 < g.y1
+    assert 0 < g.delta < g.tau / 4
+    assert TimeEnergyChart("b", _model())._rho.width > 0
 
 
 def test_base_map_itinerary_and_inverse():
