@@ -265,7 +265,7 @@ def _run_links(cfg, rng, threads):
     # n_each heights of a side are drawn first and restored as one stack of
     # models; the first row of each side contributes its trace to
     # residuals.csv
-    n_each = max(p["count"] // 2, 1)
+    n_each = p["count"] // 2
     max_iters = 0
     max_final = 0.0
     max_coincide = 0.0

@@ -109,7 +109,8 @@ SUITE_SCHEMA = {
     },
     "links": {
         "links.size": _Key("float", 1e-3, lo=0.0, hi=0.01, lo_open=True),
-        "links.count": _Key("int", 10, lo=1, hi=100),
+        # the models restored, half on each link side
+        "links.count": _Key("int", 10, lo=2, hi=100),
         "links.harmonics": _Key("int", 8, lo=1, hi=16),
     },
     "rescaling": {
@@ -195,6 +196,9 @@ def _resolve(raw):
     if suite == "stdmap-scan" and {"stdmap.a_min", "stdmap.a_max"} <= values.keys():
         if not values["stdmap.a_min"] <= values["stdmap.a_max"]:
             violations.append("stdmap.a_min: must not exceed stdmap.a_max")
+    if suite == "links" and values.get("links.count", 0) % 2:
+        violations.append("links.count: must be even: the suite restores count / 2 "
+                          "models on each link side")
     if suite == "rescaling":
         lam = values.get("rescaling.lambda")
         mu = values.get("rescaling.mu")

@@ -40,10 +40,12 @@ RESTORE_MAX_ITER = 50
 RESTORE_MEAN_TOL = 1e-6
 
 
-def _first_row(bad):
-    """Index of the first row flagged in `bad`, or None when none is."""
+def _refuse(bad, message):
+    """Raise ValueError(message(k)) for the first row k flagged in `bad`;
+    return when no row is."""
     bad = np.atleast_1d(bad)
-    return int(np.argmax(bad)) if bad.any() else None
+    if bad.any():
+        raise ValueError(message(int(np.argmax(bad))))
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +129,11 @@ class SuitableModel:
         pieces = (self.trans_a, self.trans_b, self.fold, self.crawl)
 
         def piecewise(masks, images, what):
-            """Each point's image under the piece whose mask holds it."""
-            out = np.full(images[0].shape, np.nan)
-            covered = np.zeros(masks[0].shape, dtype=bool)
-            for m, img in zip(masks, images):
-                out = np.where(m.reshape(m.shape + (1,) * (img.ndim - m.ndim)), img, out)
-                covered |= m
-            if not np.all(covered):
+            """Each point's image under the piece whose mask holds it (the
+            masks are disjoint)."""
+            if not np.all(np.logical_or.reduce(masks)):
                 raise ValueError(f"point outside the model {what}")
-            return out
+            return np.select([m[..., None] for m in masks], images)
 
         def ev(p, with_jac):
             masks = classify(p)
@@ -158,11 +156,7 @@ class SuitableModel:
             return piecewise(masks, [piece.inv(q) for piece in pieces], "image region")
 
         def domain(p):
-            masks = classify(np.asarray(p, dtype=float))
-            cov = masks[0]
-            for m in masks[1:]:
-                cov = cov | m
-            return cov
+            return np.logical_or.reduce(classify(np.asarray(p, dtype=float)))
 
         return MapDescriptor("Fstar", ev, inv, domain=domain)
 
@@ -185,13 +179,10 @@ class SuitableModel:
         disp = np.max(np.abs(img - frame), axis=(1, 2))
         jdev = np.maximum(np.maximum(np.abs(a - 1.0), np.abs(b)),
                           np.maximum(np.abs(c), np.abs(d - 1.0)))
-        k = _first_row(np.maximum(disp, np.max(jdev, axis=1)) > 0.1)
-        if k is not None:
-            raise ValueError(f"perturbation hook row {k} exceeds C^1 distance 0.1 "
-                             "from the identity")
-        k = _first_row(np.max(np.abs(a * d - b * c - 1.0), axis=1) > 1e-9)
-        if k is not None:
-            raise ValueError(f"perturbation hook row {k} is not area-preserving")
+        _refuse(np.maximum(disp, np.max(jdev, axis=1)) > 0.1,
+                lambda k: f"perturbation hook row {k} exceeds C^1 distance 0.1 from the identity")
+        _refuse(np.max(np.abs(a * d - b * c - 1.0), axis=1) > 1e-9,
+                lambda k: f"perturbation hook row {k} is not area-preserving")
         return rows
 
     # -- itineraries and steps ------------------------------------------------
@@ -259,14 +250,10 @@ def build_suitable_model(hook=None):
 
 def _advance(m, q, J, cols):
     """Apply m in place to the columns cols of the row stack q (K, N, 2),
-    and carry J there to Dm J when a Jacobian J, four (K, N) entry arrays,
-    is carried (None: values only)."""
-    if J is None:
-        q[:, cols] = m(q[:, cols])
-    else:
-        q[:, cols], Jm = m.ev(q[:, cols], True)
-        for e, v in zip(J, mul2(Jm, [e[:, cols] for e in J])):
-            e[:, cols] = v
+    and carry the Jacobian J, four (K, N) entry arrays, there to Dm J."""
+    q[:, cols], Jm = m.ev(q[:, cols], True)
+    for e, v in zip(J, mul2(Jm, [e[:, cols] for e in J])):
+        e[:, cols] = v
 
 
 class TimeEnergyChart:
@@ -274,13 +261,16 @@ class TimeEnergyChart:
     translation.
 
     Built as the bump blend phi0 = (1 - rho) id + rho (Fstar o F^-1) on the
-    fundamental strip, and extended to the neighbouring tau-bands by
-    phi -> Fstar^j o phi0 o F^-j.  Identity when F = Fstar.  There is no
-    y-fiber correction: the chart requires det D phi0 = 1 on the strip (as
-    it is for a vertical-shear hook), and raises ValueError when it is not.
-    The chart of a model of K rows is K charts: it takes points (K, ..., 2),
-    row k for model k.  It keeps the model's geometry, row count, F and F*,
-    not the model, which caches its charts.
+    fundamental strip, and extended to the two neighbouring tau-bands by
+    phi -> Fstar^j o phi0 o F^-j; a point further out raises ValueError.
+    On the strip and its bands Fstar is the strip's translation piece and
+    F^-1 the model's backward step through it, so the chart runs on those
+    alone.  Identity when F = Fstar.  There is no y-fiber correction: the
+    chart requires det D phi0 = 1 on the strip (as it is for a
+    vertical-shear hook), and raises ValueError when it is not.  The chart
+    of a model of K rows is K charts: it takes points (K, ..., 2), row k for
+    model k.  It keeps the model's geometry, row count, piece and backward
+    step, not the model, which caches its charts.
     """
 
     def __init__(self, side, model):
@@ -288,7 +278,6 @@ class TimeEnergyChart:
             raise ValueError("side must be 'a' or 'b'")
         self.side = side
         self.geometry, self.rows, self._band = model.geometry, model.rows, model.band
-        self.F, self.fstar = model.F, model.fstar
         self.name = f"phi^{side}"
         g = model.geometry
         tau, d = g.tau, g.delta
@@ -305,20 +294,18 @@ class TimeEnergyChart:
             self._rho = lambda x, s=StepFn(0.0, width): s((g.x_a - d / 2) - x)
             self._rho_d1 = lambda x, s=StepFn(0.0, width): -s.d1((g.x_a - d / 2) - x)
             self._piece = model.trans_a
-            self._ext_sign = -1
+            self._ext_sign, self._edge = -1, lo
         else:
             self._rho = StepFn(g.x_b + d / 2, width)
             self._rho_d1 = self._rho.d1
             self._piece = model.trans_b
-            self._ext_sign = +1
+            self._ext_sign, self._edge = +1, hi
 
         self._bstep = model.backward_step(self._piece)
-        self._Finv = inverse_descriptor(self.F)
-
         # the blend target Fstar o F^-1 on the fundamental strip: with the
         # model's itinerary decomposition this is piece o (piece^-1 o G^-1)
         self._target = compose(self._piece, self._bstep, name="Fstar.F^-1")
-        self._check_blend()
+        self._check_blend(model.forward_step(self._piece))
 
     # -- construction checks ---------------------------------------------------
 
@@ -329,52 +316,41 @@ class TimeEnergyChart:
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         return np.stack([X, Y], axis=-1).reshape(-1, 2)
 
-    def _check_blend(self):
+    def _check_blend(self, fstep):
         """Both checks run row by row on the strip frame, one row shared by
-        the model's K rows; the error names the first bad row."""
+        the model's K rows; the error names the first bad row.  On the strip
+        Fstar is the piece and F its forward step fstep."""
         rows = self.rows
         frame = self._strip_frame(120)
-        fs = self.fstar(frame)
-        fv = self.F(frame).reshape(rows, -1, 2)
-        k = _first_row(np.max(np.abs(fv - fs), axis=(1, 2)) > 0.1)
-        if k is not None:
-            raise ValueError(f"{self.name}: row {k}: F exceeds C^1 distance 0.1 from the "
-                             "base map on the strip")
-        _, (a, b, c, d) = self._phi0(frame, True)
+        dist = np.abs(fstep(frame).reshape(rows, -1, 2) - self._piece(frame))
+        _refuse(np.max(dist, axis=(1, 2)) > 0.1, lambda k: (
+            f"{self.name}: row {k}: F exceeds C^1 distance 0.1 from the base map on the strip"))
+        _, (a, b, c, d) = self._phi0(frame)
         det = np.broadcast_to(a * d - b * c, (rows, len(frame)))
         dev = np.max(np.abs(det - 1.0), axis=1)
-        k = _first_row(~(dev < 1e-14))
-        if k is not None:
-            raise ValueError(f"{self.name}: row {k}: det D phi0 departs from 1 by "
-                             f"{dev[k]:.3e} on the strip; this hook needs a fiber "
-                             "correction, which islab does not build")
+        _refuse(~(dev < 1e-14), lambda k: (
+            f"{self.name}: row {k}: det D phi0 departs from 1 by {dev[k]:.3e} on the "
+            "strip; this hook needs a fiber correction, which islab does not build"))
 
     # -- evaluation --------------------------------------------------------------
 
-    def _phi0(self, p, with_jac):
-        """phi0(p), and the entries of D phi0(p) when with_jac (else None):
-        (1 - rho) I + rho DB, plus the blend weight's slope times B - p in
-        the first column."""
-        r = self._rho(p[..., 0])
-        if with_jac:
-            B, (b00, b01, b10, b11) = self._target.ev(p, True)
-        else:
-            B = self._target(p)
-        val = (1.0 - r[..., None]) * p + r[..., None] * B
-        if not with_jac:
-            return val, None
-        dr = self._rho_d1(p[..., 0])
-        return val, ((1.0 - r) + r * b00 + dr * (B[..., 0] - p[..., 0]), r * b01,
-                     r * b10 + dr * (B[..., 1] - p[..., 1]), (1.0 - r) + r * b11)
+    def _phi0(self, p):
+        """phi0(p) and the entries of D phi0(p): (1 - rho) I + rho DB, plus
+        the blend weight's slope times B - p in the first column."""
+        r, dr = self._rho(p[..., 0]), self._rho_d1(p[..., 0])
+        B, (b00, b01, b10, b11) = self._target.ev(p, True)
+        return (1.0 - r[..., None]) * p + r[..., None] * B, (
+            (1.0 - r) + r * b00 + dr * (B[..., 0] - p[..., 0]), r * b01,
+            r * b10 + dr * (B[..., 1] - p[..., 1]), (1.0 - r) + r * b11)
 
     def _ext_count(self, x):
-        """Number of extension steps for each x (0 on the base strip)."""
-        tau = self.geometry.tau
-        if self._ext_sign < 0:
-            t = np.floor((self._lo - x) / tau) + 1.0
-        else:
-            t = np.floor((x - self._hi) / tau) + 1.0
-        return np.clip(t, 0, 2).astype(int)
+        """Number of extension steps for each x (0 on the base strip); a
+        point more than two bands out raises ValueError."""
+        t = np.floor(self._ext_sign * (x - self._edge) / self.geometry.tau) + 1.0
+        if np.any(t > 2):
+            raise ValueError(f"{self.name}: a point lies beyond the chart's two "
+                             "extension bands")
+        return np.maximum(t, 0).astype(int)
 
     def ev(self, p, with_jac):
         """phi(p) = Fstar^j o phi0 o F^-j (p) on the j-th extension band, and
@@ -392,16 +368,13 @@ class TimeEnergyChart:
             raise ValueError(f"{self.name}: the rows of the stack need different "
                              "extension steps")
         bands = [j[0] >= k for k in range(1, j.max(initial=0) + 1)]
-        J = None
-        if with_jac:
-            J = [np.full(q.shape[:-1], e) for e in (1.0, 0.0, 0.0, 1.0)]
+        J = [np.full(q.shape[:-1], e) for e in (1.0, 0.0, 0.0, 1.0)]
         for cols in bands:
-            _advance(self._Finv, q, J, cols)
-        q, Jb = self._phi0(q, with_jac)
-        if with_jac:
-            J = mul2(Jb, J)
+            _advance(self._bstep, q, J, cols)
+        q, Jb = self._phi0(q)
+        J = mul2(Jb, J)
         for cols in bands:
-            _advance(self.fstar, q, J, cols)
+            _advance(self._piece, q, J, cols)
         return q.reshape(p.shape), (tuple(e.reshape(p.shape[:-1]) for e in J)
                                     if with_jac else None)
 
@@ -438,10 +411,8 @@ def _link(model, side):
     if side not in model._links:
         if side == "b":
             gap = np.atleast_1d(splitting_a(None, model).sup())
-            k = _first_row(gap > LINK_A_TOL)
-            if k is not None:
-                raise ValueError(f"splitting_b: row {k}: the a-link is broken "
-                                 f"(sup gap {gap[k]:.3e})")
+            _refuse(gap > LINK_A_TOL, lambda k: f"splitting_b: row {k}: the a-link is "
+                    f"broken (sup gap {gap[k]:.3e})")
         chart = TimeEnergyChart(side, model)
         fwd = model.forward_itinerary(side)
         c = graph_transform(model.forward_step(fwd[0]), model.seed_unstable(side))
@@ -557,26 +528,23 @@ def _restore(model, side):
         sup, norm0 = m.sup(), m.norm0()
         if side == "b":
             mean = m.mean()
-            k = _first_row(live & (np.abs(mean) > RESTORE_MEAN_TOL))
-            if k is not None:
-                raise ValueError(
-                    f"restore_link_b: row {k}: splitting mean {mean[k]:.3e} exceeds "
-                    f"{RESTORE_MEAN_TOL:.1e}; the a-link appears broken")
+            _refuse(live & (np.abs(mean) > RESTORE_MEAN_TOL), lambda k: (
+                f"restore_link_b: row {k}: splitting mean {mean[k]:.3e} exceeds "
+                f"{RESTORE_MEAN_TOL:.1e}; the a-link appears broken"))
         for k in np.flatnonzero(live):
             traces[k].append((it, float(sup[k]), float(norm0[k])))
         res = sup if side == "a" else norm0
         live &= ~(res <= RESTORE_TOL)
         if not live.any():
             break
-        k = _first_row(live & (prev > RESTORE_TOL) & (res >= prev))
-        if k is not None:
-            raise ValueError(f"restore_link_{side}: row {k}: no contraction "
-                             f"(residual {res[k]:.3e} after {prev[k]:.3e})")
+        _refuse(live & (prev > RESTORE_TOL) & (res >= prev), lambda k: (
+            f"restore_link_{side}: row {k}: no contraction "
+            f"(residual {res[k]:.3e} after {prev[k]:.3e})"))
         prev = res
         step = psit - m if side == "a" else (psit - m).zero_mean()
         psit = PeriodicFn(tau, np.where(live[:, None], step.samples, psit.samples), origin=lo)
     else:
-        k = _first_row(live)
+        k = int(np.argmax(live))
         raise RuntimeError(f"restore_link_{side}: row {k}: residual {res[k]:.3e} after "
                            f"{RESTORE_MAX_ITER} iterations")
     return psi, traces, w_s

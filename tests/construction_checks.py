@@ -284,11 +284,12 @@ def chart_area_defect(chart, n=400):
     return float(np.max(np.abs(det - 1.0)))
 
 
-def chart_conjugacy_defect(chart, n=400):
-    """sup |phi(F p) - Fstar(phi p)| over the fundamental strip."""
+def chart_conjugacy_defect(chart, model, n=400):
+    """sup |phi(F p) - Fstar(phi p)| over the fundamental strip, F and Fstar
+    the model's."""
     frame = chart._strip_frame(n)
-    lhs = chart(chart.F(frame))
-    rhs = chart.fstar(chart(frame))
+    lhs = chart(model.F(frame))
+    rhs = model.fstar(chart(frame))
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -299,7 +300,8 @@ def chart_identity_defect(chart):
 
 
 class PsiChart:
-    """Chart for the sheared map S_psi o F, assembled from the chart of F.
+    """Chart for the sheared map S_psi o F, assembled from the chart of the
+    model's F.
 
     On the fundamental side of the strip it is phi o S_{-psi}; on the image
     side it is phi o F^2 o (S_psi o F)^-2, which glues continuously because
@@ -307,13 +309,14 @@ class PsiChart:
     translation on the strip.
     """
 
-    def __init__(self, chart, psi):
+    def __init__(self, chart, model, psi):
         self.chart = chart
+        self.F, self.fstar = model.F, model.fstar
         self.psi = psi
         self.side = chart.side
         self.name = f"phi_psi^{self.side}"
         self._sneg = shear_map(lambda x: -psi(x), lambda x: -psi.d1(x), name="S_-psi")
-        self.fbar = compose(shear_map(psi, psi.d1, name="S_psi"), chart.F,
+        self.fbar = compose(shear_map(psi, psi.d1, name="S_psi"), model.F,
                             name="Fbar")
         self._fbar_inv = inverse_descriptor(self.fbar)
         g = chart.geometry
@@ -324,7 +327,7 @@ class PsiChart:
 
     def _branch2(self, p):
         q = self._fbar_inv(self._fbar_inv(p))
-        return self.chart(self.chart.F(self.chart.F(q)))
+        return self.chart(self.F(self.F(q)))
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
@@ -343,7 +346,7 @@ class PsiChart:
         """sup |phi_psi(Fbar p) - Fstar(phi_psi p)| over the fundamental strip."""
         frame = self.chart._strip_frame(n)
         lhs = self(self.fbar(frame))
-        rhs = self.chart.fstar(self(frame))
+        rhs = self.fstar(self(frame))
         return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -297,6 +297,22 @@ def test_validate_rejects_a_k_list_the_suite_cannot_pass(tmp_path, capsys, k_lis
     assert f"rescaling.k_list: {reason}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("count, reason", [("3", "must be even"), ("99", "must be even"),
+                                           ("1", "must be >= 2"), ("0", "must be >= 2")])
+def test_validate_rejects_a_links_count_the_suite_does_not_restore(tmp_path, capsys,
+                                                                   count, reason):
+    # the suite restores count / 2 models on each link side: an odd count
+    # would run as the even count below it (1 as 2) and echo the count it
+    # did not restore
+    path = _write_cfg(tmp_path, f"suite = links\nlinks.count = {count}\n")
+    for command in ("validate", "run"):
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert f"links.count: {reason}" in captured.out + captured.err
+    ok = _write_cfg(tmp_path, "suite = links\nlinks.count = 2\n", name="even.cfg")
+    assert main(["validate", ok]) == 0
+
+
 def test_validate_rejects_an_annulus_past_the_conjugacy_conditioning_limit(tmp_path, capsys):
     # at delta/eps = 0.24/0.24000001 the surgery's max psi' is 4.5e7, and the
     # run's conjugacy check would read 4.8e-9 against 1e-9; 0.2/0.2001, the

@@ -172,14 +172,14 @@ def test_chart_identity_at_base_map():
         ch = TimeEnergyChart(side, model)
         assert chart_identity_defect(ch) <= 1e-13
         assert chart_area_defect(ch) <= 1e-9
-        assert chart_conjugacy_defect(ch) <= 1e-8
+        assert chart_conjugacy_defect(ch, model) <= 1e-8
 
 
 def test_chart_shear_hook_exact():
     model = build_suitable_model(hook=_a_band_hook(LinkGeometry(), height=2e-3))
     ch = TimeEnergyChart("a", model)
     assert chart_area_defect(ch) <= 1e-9
-    assert chart_conjugacy_defect(ch) <= 1e-8
+    assert chart_conjugacy_defect(ch, model) <= 1e-8
     assert chart_identity_defect(ch) > 1e-5  # genuinely non-trivial chart
 
 
@@ -204,6 +204,82 @@ def test_chart_value_and_jacobian_matches_separate_calls(side):
     assert np.array_equal(J, ch.jacobian(pts))
 
 
+def _band_points(model, side, j, n=9):
+    """Points strictly inside the j-th extension band of a side's chart (0:
+    the fundamental strip), at heights within the strip's band."""
+    g = model.geometry
+    lo, hi = model.fundamental_interval(side)
+    u = np.linspace(0.05, 0.95, n)
+    if j == 0:
+        xs = lo + u * g.tau
+    elif side == "a":
+        xs = lo - (j - 1 + u) * g.tau
+    else:
+        xs = hi + (j - 1 + u) * g.tau
+    X, Y = np.meshgrid(xs, g.y1 + np.linspace(-model.band / 2, model.band / 2, 5),
+                       indexing="ij")
+    return np.stack([X, Y], axis=-1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_chart_runs_without_the_models_global_maps(side):
+    # on its strip and its two bands F* is the chart's piece and F^-1 its
+    # backward step, so a chart built and evaluated while F*'s evaluation
+    # and inverse raise gives the bits of a chart of an intact model
+    g = LinkGeometry()
+    intact = build_suitable_model(hook=cli._band_hook(g, side, 1e-3))
+    model = build_suitable_model(hook=cli._band_hook(g, side, 1e-3))
+
+    def refuse(*args):
+        raise AssertionError("the chart evaluated F*")
+
+    model.fstar.ev = model.fstar.inv = refuse
+    for chart_side in ("a", "b"):
+        chart = TimeEnergyChart(chart_side, model)
+        pts = np.concatenate([_band_points(model, chart_side, j) for j in (0, 1, 2)])
+        assert set(chart._ext_count(pts[:, 0])) == {0, 1, 2}
+        img, J = chart.value_and_jacobian(pts)
+        ref, Jref = TimeEnergyChart(chart_side, intact).value_and_jacobian(pts)
+        assert np.array_equal(img, ref) and np.array_equal(J, Jref)
+        if chart_side == side:
+            assert np.max(np.abs(img - pts)) > 1e-5  # the hooked side's chart is not id
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_chart_extension_is_its_definition_through_the_global_maps(side):
+    # phi = Fstar^j o phi0 o F^-j on the j-th band, with F and F* the
+    # model's own maps: the piece and backward step give the same bits
+    model = build_suitable_model(hook=cli._band_hook(LinkGeometry(), side, 1e-3))
+    chart = TimeEnergyChart(side, model)
+    for j in (1, 2):
+        p = _band_points(model, side, j)
+        assert set(chart._ext_count(p[:, 0])) == {j}
+        q = p
+        for _ in range(j):
+            q = model.F.inverse(q)
+        q = chart._phi0(q)[0]
+        for _ in range(j):
+            q = model.fstar(q)
+        assert np.array_equal(chart(p), q)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_chart_refuses_a_point_beyond_its_two_bands(side):
+    # the chart is defined on its strip and two bands only: three bands out,
+    # clipped to two extension steps, it would read y = 1.00900 on side a,
+    # where Fstar^3 o phi0 o F^-3 gives 1.00825
+    g = LinkGeometry()
+    model = build_suitable_model(hook=cli._band_hook(g, side, 1e-3))
+    chart = TimeEnergyChart(side, model)
+    lo, hi = model.fundamental_interval(side)
+    x = lo - 2.5 * g.tau if side == "a" else hi + 2.5 * g.tau
+    with pytest.raises(ValueError, match=f"phi\\^{side}: a point lies beyond the chart's"):
+        chart(np.array([[x, g.y1 + 0.01]]))
+    # the last point of the second band is still charted
+    edge = np.nextafter(lo - 2 * g.tau, 0.0) if side == "a" else np.nextafter(hi + 2 * g.tau, 0.0)
+    assert chart._ext_count(np.array([edge])).tolist() == [2]
+
+
 def test_psi_chart_conjugates_sheared_map():
     model = _model()
     g = model.geometry
@@ -212,7 +288,7 @@ def test_psi_chart_conjugates_sheared_map():
         psit = random_trig_poly(g.tau, harmonics=4, amplitude=1e-3, rng=rng, origin=origin)
         psi = MaskedPeriodic(model.partition_bump(side), psit)
         chart = TimeEnergyChart(side, model)
-        pc = PsiChart(chart, psi)
+        pc = PsiChart(chart, model, psi)
         assert pc.conjugacy_defect() <= 1e-8
 
 
