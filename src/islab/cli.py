@@ -377,7 +377,9 @@ _SUITES = {
 
 
 def run(cfg, threads=1):
-    """Execute the configured suite.  Returns (report, exit_code)."""
+    """Execute the configured suite.  Returns (report, exit_code).  Raises
+    ConfigError, before running, for values `islab validate` refuses."""
+    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     checks, metrics, tables = _SUITES[cfg.suite](cfg, rng, max(int(threads), 1))

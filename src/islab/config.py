@@ -238,6 +238,16 @@ class ExperimentConfig:
     def from_file(cls, path):
         return cls.from_text(read_config(path))
 
+    def validate(self):
+        """Raise ConfigError unless `validate` accepts this config's values,
+        each written back as the text a config file would hold: a config
+        built or edited in code is held to the rules a file is."""
+        raw = {k: ",".join(map(str, v)) if isinstance(v, (list, tuple)) else str(v)
+               for k, v in self.resolved().items()}
+        violations = validate(raw)
+        if violations:
+            raise ConfigError(violations)
+
     def resolved(self):
         """Full key = value echo (defaults included), for reports."""
         prefix = {"stdmap-scan": "stdmap"}.get(self.suite, self.suite)

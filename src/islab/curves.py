@@ -350,23 +350,36 @@ class GraphCurve:
     Boor, A Practical Guide to Splines, ch. IV), and it extrapolates the end
     cubics outside [x0, x1].  Samples (K, n) hold K curves on one grid:
     evaluation at x then returns shape (K,) + x.shape.
+
+    The spline is solved on the first evaluation (`__call__` or `deriv`)
+    and then kept, so a curve that is only read at its samples, or not at
+    all, costs no solve.  The curve holds a read-only copy of its samples,
+    so the spline solved later reads the samples it was built with.
     """
 
     def __init__(self, x0, x1, samples):
         x0, x1 = float(x0), float(x1)
         if not x0 < x1:
             raise ValueError("curve interval must satisfy x0 < x1")
-        samples = np.asarray(samples, dtype=float)
+        samples = np.array(samples, dtype=float)
         if samples.ndim not in (1, 2) or samples.shape[-1] < 4:
             raise ValueError("need 1-d or (K, n) samples, at least 4 per row")
         if not np.all(np.isfinite(samples)):
             raise ValueError("curve samples must be finite")
+        samples.flags.writeable = False
         self.x0 = x0
         self.x1 = x1
         self.samples = samples
         self.n = samples.shape[-1]
         self.grid = np.linspace(x0, x1, self.n)
-        h = (x1 - x0) / (self.n - 1)
+        self._coef = None
+
+    def _solve(self):
+        """The spline's coefficient table, (..., n - 1, 7): row j holds the
+        cubic on [x_j, x_j+1] in powers 3, 2, 1, 0 of (x - x_j), then its
+        derivative in powers 2, 1, 0."""
+        samples = self.samples
+        h = (self.x1 - self.x0) / (self.n - 1)
         d = np.diff(samples)
         dT = d.T  # sample axis first: the end rows are scalar arithmetic for one curve
         rhs = np.empty(samples.shape[::-1])
@@ -375,17 +388,17 @@ class GraphCurve:
         rhs[-1] = 0.5 * (dT[-2] + 5.0 * dT[-1])
         # a gemv per row, so each row of a stack keeps its own curve's bits
         m = (_not_a_knot_inverse(self.n) @ rhs.T[..., None])[..., 0]
-        # row j: the cubic on [x_j, x_j+1] in powers 3, 2, 1, 0 of (x - x_j),
-        # then its derivative in powers 2, 1, 0
         c3 = (m[..., :-1] + m[..., 1:] - 2.0 * d) / h**3
         c2 = (3.0 * d - 2.0 * m[..., :-1] - m[..., 1:]) / h**2
         c1 = m[..., :-1] / h
-        self._coef = np.stack([c3, c2, c1, samples[..., :-1], 3 * c3, 2 * c2, c1], axis=-1)
+        return np.stack([c3, c2, c1, samples[..., :-1], 3 * c3, 2 * c2, c1], axis=-1)
 
     def _horner(self, x, first, last):
         """Horner's rule on coefficient columns first..last of each point's
         interval.  Points below grid[1] take the first cubic and points from
         grid[-2] on the last, so the end cubics extrapolate."""
+        if self._coef is None:
+            self._coef = self._solve()
         x = np.asarray(x, dtype=float)
         j = np.searchsorted(self.grid[1:-1], x, side="right")
         c = self._coef.take(j, axis=-2)
@@ -438,8 +451,16 @@ def curve_sup_diff(c1, c2, a=None, b=None):
 def _transversality(f, curve, J):
     """Raise unless f, with Jacobian entries J on the curve's samples, maps
     the curve (each row of a stack) to a graph over x.  The error reports
-    the x of the first grid column where some row fails."""
-    s = J[0] + J[1] * curve.deriv(curve.grid)
+    the x of the first grid column where some row fails.
+
+    s = J00 + J01 w' is the rate of the image's x along the curve.  Where
+    J01 is zero on every sample, s is J00 and w' is not read, so a curve
+    that is only transformed solves no spline.  The two forms differ only in
+    the sign of a zero, which the tangency test refuses either way."""
+    if np.any(J[1]):
+        s = J[0] + J[1] * curve.deriv(curve.grid)
+    else:
+        s = np.broadcast_to(J[0], np.broadcast_shapes(np.shape(J[0]), curve.samples.shape))
     bad = np.abs(s) < 1e-10
     if np.any(bad):
         x = float(curve.grid[np.argmax(np.any(bad.reshape(-1, curve.n), axis=0))])

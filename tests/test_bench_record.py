@@ -1,19 +1,23 @@
 """The benchmark recorder's artifact digests (bench/record.py): a digest
 reads every byte an artifact computed, and nothing of where it was
-written."""
+written.  The comparer (bench/compare.py) reads two records."""
 
 import importlib.util
 import json
 import pathlib
 
-RECORD = pathlib.Path(__file__).resolve().parents[1] / "bench" / "record.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
-def _record():
-    spec = importlib.util.spec_from_file_location("bench_record", RECORD)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _record():
+    return _load("record")
 
 
 def test_a_changed_csv_byte_changes_the_digest(tmp_path):
@@ -41,3 +45,64 @@ def test_a_changed_out_path_keeps_the_digest(tmp_path):
     report["config"]["seed"] = 7
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     assert digest(path) != digests[1]
+
+
+def _timed_record():
+    """A record as bench/record.py writes it: two workloads' summaries and
+    both trees' digests."""
+    digests = {"links/links/seed1/exit": 0, "links/links/seed1/report.json": "ab" * 32,
+               "island/island/seed1/report.json": "cd" * 32}
+    summary = {w: {m: {"parent": {"median": 2.0, "q1": 1.9, "q3": 2.1},
+                       "change": {"median": 1.5, "q1": 1.4, "q3": 1.6},
+                       "change_lower": 10, "change_higher": 0, "pairs": 10}
+                   for m in ("run_s", "setup_s", "peak_rss_mb", "gate_ratio")}
+               for w in ("island", "links")}
+    return {"change": "abc", "parent": "def", "digests_differ": [],
+            "digests": {"parent": dict(digests), "change": dict(digests)}, "summary": summary}
+
+
+def _write(tmp_path, name, rec):
+    path = tmp_path / name
+    path.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
+    return str(path)
+
+
+def test_compare_a_record_with_itself_reports_everything_identical(tmp_path, capsys):
+    path = _write(tmp_path, "a.json", _timed_record())
+    assert _load("compare").main([path, path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [ln.split() for ln in lines[1:-1]]
+    assert len(rows) == 8 and all(r[-1] == "1.000" for r in rows)
+    assert lines[-1] == "digests: identical (3)"
+
+
+def test_compare_lists_a_changed_digest(tmp_path, capsys):
+    rec = _timed_record()
+    a = _write(tmp_path, "a.json", rec)
+    rec["digests"]["change"]["links/links/seed1/report.json"] = "ef" * 32
+    rec["summary"]["links"]["run_s"]["change"]["median"] = 1.2
+    b = _write(tmp_path, "b.json", rec)
+    assert _load("compare").main([a, b]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("digests: 1 of 3 differ\n  links/links/seed1/report.json\n")
+    assert "links      run_s                 1.5          1.2    0.800" in out
+
+
+def test_compare_reads_digest_only_records(tmp_path, capsys):
+    # bench/record.py --pairs 0 writes this tree's digests alone
+    rec = _timed_record()
+    digests = {"change": rec["digests"]["change"]}
+    a = _write(tmp_path, "a.json", {"change": "abc", "digests": digests})
+    assert _load("compare").main([a, _write(tmp_path, "b.json", rec)]) == 0
+    assert capsys.readouterr().out == "timing: not in both records\ndigests: identical (3)\n"
+
+
+def test_compare_refuses_a_file_that_is_not_a_record(tmp_path, capsys):
+    a = _write(tmp_path, "a.json", _timed_record())
+    for name, text in (("missing.json", None), ("text.json", "not json"),
+                       ("other.json", json.dumps({"digests": []}))):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert _load("compare").main([a, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(str(path))

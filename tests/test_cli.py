@@ -10,7 +10,7 @@ import pytest
 
 from islab import cli, maps, rescaling
 from islab.cli import _SUITES, emit_plot_data, main, run
-from islab.config import ExperimentConfig, parse_text, validate
+from islab.config import ConfigError, ExperimentConfig, parse_text, validate
 
 
 def _cfg(text):
@@ -311,6 +311,44 @@ def test_validate_rejects_a_links_count_the_suite_does_not_restore(tmp_path, cap
         assert f"links.count: {reason}" in captured.out + captured.err
     ok = _write_cfg(tmp_path, "suite = links\nlinks.count = 2\n", name="even.cfg")
     assert main(["validate", ok]) == 0
+
+
+@pytest.mark.parametrize("suite, key, value, reason", [
+    ("links", "count", 1, "links.count: must be >= 2"),
+    ("links", "count", 3, "links.count: must be even"),
+    ("island", "delta", 0.24, "island.delta: inner radius must be < outer"),
+    ("rescaling", "k_list", [10, 8], "rescaling.k_list: must be strictly increasing"),
+])
+def test_run_refuses_params_set_in_code_that_validate_refuses(monkeypatch, suite, key,
+                                                              value, reason):
+    # a config edited past ExperimentConfig.from_raw is held to the rules a
+    # config file is, before its suite runs
+    def never(cfg, rng, threads):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(_SUITES, suite, never)
+    cfg = _cfg(f"suite = {suite}\n")
+    cfg.params[key] = value
+    with pytest.raises(ConfigError, match=reason):
+        run(cfg)
+
+
+def test_run_of_a_valid_config_set_in_code_is_its_file_run(tmp_path):
+    # count 2 set in code runs as the file that states it, byte for byte,
+    # and validating leaves the config's values as they were
+    edited = _cfg(LINKS.replace("links.count = 2", "links.count = 4"))
+    edited.params["count"] = 2
+    params = dict(edited.params)
+    outs = []
+    for cfg in (edited, _cfg(LINKS)):
+        report, code = run(cfg)
+        assert code == 0
+        outs.append(tmp_path / str(len(outs)))
+        emit_plot_data(report, outs[-1])
+    assert edited.params == params
+    assert sorted(os.listdir(outs[0])) == sorted(os.listdir(outs[1]))
+    for name in os.listdir(outs[0]):
+        assert _read(outs[0] / name) == _read(outs[1] / name)
 
 
 def test_validate_rejects_an_annulus_past_the_conjugacy_conditioning_limit(tmp_path, capsys):

@@ -401,6 +401,29 @@ def test_graph_curve_rejects_bad_input():
         GraphCurve(0.0, 1.0, np.array([0.0, np.nan, 0.0, 0.0]))
 
 
+def test_graph_curve_samples_are_read_only():
+    # the spline is solved on first evaluation, from the samples the curve
+    # was built with: neither a write through the curve nor one to the
+    # array it was built from reaches it
+    w = np.sin(np.linspace(0.0, 1.0, 257))
+    c = GraphCurve(0.0, 1.0, w)
+    with pytest.raises(ValueError):
+        c.samples[3] = 0.0
+    w[3] = 5.0
+    assert np.array_equal(c.samples, np.sin(c.grid))
+    assert np.array_equal(c(c.grid[:-1]), c.samples[:-1])
+
+
+def test_graph_curve_first_evaluation_keeps_the_bits():
+    # twins, one first evaluated by deriv and one by __call__, solve one
+    # spline each and agree bit for bit in both
+    x = np.linspace(-0.4, 1.8, 777)
+    (a, _), (b, _) = _noisy_sine_curve(283), _noisy_sine_curve(283)
+    da, vb = a.deriv(x), b(x)
+    assert np.array_equal(a(x), vb)
+    assert np.array_equal(da, b.deriv(x))
+
+
 def test_straight_curve_is_flat():
     c = straight_curve(-2.0, -1.0, 0.75)
     assert np.all(c(np.linspace(-2, -1, 55)) == 0.75)
@@ -507,6 +530,22 @@ def test_transform_vertical_tangency_raises():
     c = _wave_curve()
     with pytest.raises(TransversalityError):
         graph_transform(quarter_turn(), c)
+
+
+def test_transform_through_a_diagonal_contraction_solves_no_spline(monkeypatch):
+    # J01 = 0 on every sample: the transversality test reads J00 alone, so
+    # neither the curve nor its image is solved; a map with J01 != 0 reads w'
+    solves = []
+    solve = GraphCurve._solve
+    monkeypatch.setattr(GraphCurve, "_solve", lambda self: solves.append(self) or solve(self))
+    c = _wave_curve()
+    out = graph_transform(_affine("fold-like", -0.5, 1.25, -2.0, 0.4), c)
+    assert solves == []
+    rising = GraphCurve(0.0, 1.0, c.grid + 1.0)
+    graph_transform(_swap(), rising)
+    assert solves == [rising]
+    out(np.linspace(out.x0, out.x1, 5))
+    assert solves[-1] is out
 
 
 def test_transform_fold_raises_with_location():

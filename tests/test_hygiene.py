@@ -355,7 +355,7 @@ MATMUL_HOMES = {
     "maps.py": ("anosov_map", "rotation_map"),
     "blowup.py": ("IslandMap._surgered", "IslandMap._flow", "_saddle_rows",
                   "_polar_sample", "_disc_energy", "SurgeryProfile._fit_inverse"),
-    "curves.py": ("GraphCurve.__init__",),
+    "curves.py": ("GraphCurve._solve",),
 }
 
 

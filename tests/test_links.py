@@ -4,8 +4,9 @@ import pytest
 from construction_checks import (PsiChart, chart_area_defect, chart_conjugacy_defect,
                                  chart_identity_defect, separate_map)
 from islab import cli, links
-from islab.curves import (PERIODIC_SAMPLES, BumpFn, MaskedPeriodic, PeriodicFn, curve_sup_diff,
-                          graph_transform, random_trig_poly)
+from islab.config import ExperimentConfig
+from islab.curves import (PERIODIC_SAMPLES, BumpFn, GraphCurve, MaskedPeriodic, PeriodicFn,
+                          curve_sup_diff, graph_transform, random_trig_poly)
 from islab.links import (
     LinkGeometry,
     build_suitable_model,
@@ -542,6 +543,21 @@ def test_cached_stable_curve_is_its_straight_level(hook_side, height, side):
     c = links._link(build_suitable_model(hook=hook), side)[2]
     assert np.all(c.samples == (g.y1 if side == "a" else g.y2))
     assert c.n == 283
+
+
+def test_links_suite_spline_budget(monkeypatch):
+    # a links run builds 221 graph curves at the benchmark's parameters, and
+    # solves the spline of only the 33 it evaluates off their samples: the
+    # graph-transform images that the psi shear replaces at once, and the
+    # curves whose transforms read J00 alone, solve none
+    solves = []
+    solve = GraphCurve._solve
+    monkeypatch.setattr(GraphCurve, "_solve", lambda self: solves.append(1) or solve(self))
+    cfg = ExperimentConfig.from_text("suite = links\nseed = 1\nlinks.size = 0.001\n"
+                                     "links.count = 10\nlinks.harmonics = 8\n")
+    report, code = cli.run(cfg)
+    assert code == 0
+    assert 0 < len(solves) <= 40
 
 
 # ---------------------------------------------------------------------------
