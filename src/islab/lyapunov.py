@@ -1,10 +1,13 @@
 """Finite-time Lyapunov exponents, grid entropy estimates, cone certificates.
 
 The maximal exponent of a map f at p over horizon n is (1/n) log ||Df^n(p)||.
-The derivative product is accumulated with per-step renormalization and the
-exact 2x2 spectral norm, so the telescoped log-norm is free of overflow and
-of power-iteration alignment error (for a constant symmetric cocycle the
-estimate is exact to rounding at any horizon).  One batched kernel,
+The derivative product is renormalized each step by an exact power of two,
+whose exponent is summed as an integer, and its log-norm is taken once per
+orbit from the exact 2x2 spectral norm.  So the log-norm is free of
+overflow, of power-iteration alignment error and of any rounding but the
+product's own and one norm's and log's: for a constant symmetric cocycle
+the estimate is exact to rounding at any horizon (the automorphism's reads
+within 2 ulp of sigma from n = 50 to 10000).  One batched kernel,
 `_cocycle_logs`, carries this product for every caller.
 
 Entropy is the midpoint-rule integral of the clamped-positive exponent field
@@ -25,6 +28,7 @@ import numpy as np
 
 from .maps import inv2, mul2
 
+LN2 = float(np.log(2.0))
 LN4 = float(np.log(4.0))
 
 
@@ -43,55 +47,81 @@ def spectral_norm(m):
     return np.sqrt(0.5 * (a + c) + np.sqrt(0.25 * (a - c) ** 2 + b * b))
 
 
+def _log_norm(M, E):
+    """log ||M|| + E ln 2, the log-norm of the rows of a product carried as
+    its scaled entries M and their integer exponents E."""
+    return E * LN2 + np.log(spectral_norm(M))
+
+
 def _cocycle_logs(f, pts, n, exclude=None, stop_on_invalid=False):
     """Renormalized derivative product along the orbits of pts, shape (m, 2).
 
-    Returns (logs, valid): logs[i] telescopes to log ||Df^k(pts[i])|| up to
-    rounding, where k = n for valid rows.  A row turns invalid, and stops
-    accumulating, at the first step whose product norm or image is not
-    finite (or whose norm is 0), or whose image satisfies the vectorized
+    Returns (logs, valid): logs[i] is log ||Df^k(pts[i])|| up to rounding,
+    where k = n for valid rows.  A row turns invalid, and stops
+    accumulating, at the first step whose product or image is not finite
+    (or whose product is 0), or whose image satisfies the vectorized
     predicate `exclude`; the start point is tested against `exclude` too.
+    A row that stops at an image keeps the log-norm of the steps up to and
+    including that one, a row that stops at its product the log-norm of the
+    steps before it.
 
-    Only the active rows are carried: `rows` indexes them in pts, and x,
-    acc (their running logs) and the product M are compacted when a row
-    turns invalid.  Each step's Jacobian comes as its four entries from
-    f.ev, and M is carried as four contiguous (m,) arrays (the first
-    Jacobian broadcast to the active rows, as a constant one is scalars),
-    so `mul2`, `spectral_norm` and the renormalization run on contiguous
-    entry arrays.  Every step is row-wise, so a row's logs do not depend on
-    which other rows share its batch.  With stop_on_invalid the product
-    instead stops at the first step that invalidates a row, and the logs of
-    every row cover only the steps taken; the batch is never compacted, so
-    f may carry one parameter per row of pts.
+    The product is renormalized by an exact power of two: each step scales
+    a row of M by 2^-e, e from `np.frexp` of the row's largest |entry|, so
+    that entry lands in [1, 2), and adds e to the row's integer exponent E.
+    `np.ldexp` rounds nothing (short of the subnormal range), so M 2^E is
+    the product of the Jacobians as rounded by `mul2` alone, and the one
+    spectral norm and log a row needs are taken when it stops or reaches
+    the horizon, by `_log_norm`.
+
+    Only the active rows are carried: `rows` indexes them in pts, and x, E
+    and the product M are compacted when a row turns invalid.  Each step's
+    Jacobian comes as its four entries from f.ev, and M is carried as four
+    contiguous (m,) arrays (the first Jacobian broadcast to the active
+    rows, as a constant one is scalars), so `mul2` and the scaling run on
+    contiguous entry arrays.  Every step is row-wise, so a row's logs do
+    not depend on which other rows share its batch.  With stop_on_invalid
+    the product instead stops at the first step that invalidates a row, and
+    the logs of every row cover only the steps taken; the batch is never
+    compacted, so f may carry one parameter per row of pts.
     """
     valid = np.ones(pts.shape[0], dtype=bool)
     if exclude is not None:
         valid &= ~np.asarray(exclude(pts))
     logs = np.zeros(pts.shape[0])
     rows = np.nonzero(valid)[0]
-    x, M, acc = pts[rows], None, logs[rows]
-    for _ in range(n):
+    x, E = pts[rows], np.zeros(rows.size, dtype=np.int64)
+    M = (1.0, 0.0, 0.0, 1.0)                # the product of no steps
+    for k in range(n):
         if rows.size == 0:
             break
         x, J = f.ev(x, True)
-        M = [np.broadcast_to(e, acc.shape) for e in J] if M is None else mul2(J, M)
-        s = spectral_norm(M)
-        ok = np.isfinite(s) & (s > 0.0)
-        s = np.where(ok, s, 1.0)        # log 1 = 0: a failed row adds nothing
-        acc += np.log(s)
-        M = [e / s for e in M]
+        P = [np.broadcast_to(e, E.shape) for e in J] if k == 0 else mul2(J, M)
+        big = np.abs(P[0])
+        for i in (1, 2, 3):
+            np.maximum(big, np.abs(P[i]), out=big)
+        ok = np.isfinite(big) & (big > 0.0)
+        e = np.frexp(big)[1]
+        e -= 1                              # big 2^-e lies in [1, 2)
+        if not ok.all():                    # a failed product keeps the steps before it
+            P = [np.where(ok, p, m) for p, m in zip(P, M)]
+            e[~ok] = 0
+        E += e
+        # the old M and then P are spent: neither stays alive through the
+        # scaling or the next f.ev
+        del M
+        M = [np.ldexp(p, -e) for p in P]
+        del P
         ok &= np.isfinite(x[:, 0]) & np.isfinite(x[:, 1])   # no length-2 reduction
         if exclude is not None:
             ok &= ~np.asarray(exclude(x))
         if not ok.all():
-            out = rows[~ok]
-            logs[out] = acc[~ok]
-            valid[out] = False
+            valid[rows[~ok]] = False
             if stop_on_invalid:
                 break
-            rows, x, acc = rows[ok], x[ok], acc[ok]
-            M = [e[ok] for e in M]
-    logs[rows] = acc
+            logs[rows[~ok]] = _log_norm([m[~ok] for m in M], E[~ok])
+            rows, x, E = rows[ok], x[ok], E[ok]
+            M = [m[ok] for m in M]
+    logs[rows] = _log_norm(M, E)
     return logs, valid
 
 

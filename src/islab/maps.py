@@ -141,6 +141,31 @@ def inv2(m):
     return d / det, -b / det, -c / det, a / det
 
 
+def _times(c, v):
+    """c v, without the multiply when c is a scalar +-1."""
+    if isinstance(c, float):
+        if c == 1.0:
+            return v
+        if c == -1.0:
+            return -v
+    return c * v
+
+
+def _dot(x, y, u, v):
+    """x y + u v for the entries x, u of a row of a and y, v of a column of
+    b; a term whose factor x or u is a scalar exactly 0 is dropped (unless
+    both are), and so is the multiply by a scalar +-1."""
+    if not (isinstance(x, float) or isinstance(u, float)):
+        return x * y + u * v
+    x0 = isinstance(x, float) and x == 0.0
+    u0 = isinstance(u, float) and u == 0.0
+    if x0 != u0:
+        return _times(u, v) if x0 else _times(x, y)
+    if isinstance(u, float) and u == -1.0:      # x y + (-1) v is x y - v
+        return _times(x, y) - v
+    return _times(x, y) + _times(u, v)
+
+
 def mul2(a, b):
     """The 2x2 product a b from entries: a and b are each (x00, x01, x10,
     x11), and so is the result.
@@ -152,11 +177,22 @@ def mul2(a, b):
     arrays is read and written contiguously; numpy's `@` runs one small
     gemm per matrix of a stack, about 3x slower at the several thousand
     rows where the cocycle and the island Jacobian run.
+
+    A constant entry of a that is a scalar exactly 0 drops its product, and
+    one that is a scalar +-1 its multiply: the standard map's Jacobian
+    (J00, -1, 1, 0) costs two multiplies and two sums instead of eight and
+    four.  1 v is v and x y + (-1) v is x y - v bit for bit, and x y + 0 v
+    is x y except that a zero's sign can change (-0 + 0 is +0) and that
+    0 v is NaN for an infinite v.  So for finite b only the sign of a zero
+    can change; an invertible a keeps a non-finite column of b non-finite
+    in the product, in the other row.  A dropped product can leave an
+    entry a scalar where it was an array of one value, and an entry of the
+    product may be an entry of b itself: write into neither.
     """
     a00, a01, a10, a11 = a
     b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+    return (_dot(a00, b00, a01, b10), _dot(a00, b01, a01, b11),
+            _dot(a10, b00, a11, b10), _dot(a10, b01, a11, b11))
 
 
 def inverse_descriptor(m):
@@ -208,6 +244,11 @@ def chirikov_map(a):
     The fixed point (1/2, 1/2) is elliptic for 0 < a < 2/pi (the trace of
     the Jacobian there is 2 - 2 pi a).  An array `a` gives one parameter
     per point: it broadcasts against the points' leading axes.
+
+    2 pi a is formed once per map and 2 pi x once per evaluation, for the
+    kick and the Jacobian both, with the same bits as forming each where it
+    is used.  The Jacobian (2 + 2 pi a cos 2 pi x, -1, 1, 0) has three
+    constant entries, which `mul2` multiplies without a pass each.
     """
     if np.ndim(a) == 0:
         a = float(a)
@@ -215,18 +256,20 @@ def chirikov_map(a):
     else:
         a = np.asarray(a, dtype=float)
         name = f"T_a(a=[{a.size} values])"
+    two_pi_a = 2 * np.pi * a
 
     # an array a may outnumber the points: an image takes the kicked
     # coordinate's shape, and the unkicked one broadcasts into it
     def ev(p, with_jac):
         x, y = p[..., 0], p[..., 1]
-        kicked = 2.0 * x - y + a * np.sin(2 * np.pi * x)
+        t = 2 * np.pi * x
+        kicked = 2.0 * x - y + a * np.sin(t)
         out = np.empty(kicked.shape + (2,))
         out[..., 0], out[..., 1] = kicked, x
         out = wrap_torus(out)
         if not with_jac:
             return out, None
-        return out, (2.0 + 2 * np.pi * a * np.cos(2 * np.pi * x), -1.0, 1.0, 0.0)
+        return out, (2.0 + two_pi_a * np.cos(t), -1.0, 1.0, 0.0)
 
     def inv(q):
         X, Y = q[..., 0], q[..., 1]

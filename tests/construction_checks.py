@@ -197,37 +197,47 @@ def _stacked_spectral_norm(M):
     return np.sqrt(0.5 * (a + c) + np.sqrt(0.25 * (a - c) ** 2 + b * b))
 
 
+def _stacked_log_norm(M, E):
+    """log ||M|| + E ln 2 for an (m, 2, 2) stack M and integer exponents E."""
+    return E * np.log(2.0) + np.log(_stacked_spectral_norm(M))
+
+
 def stacked_cocycle_logs(f, pts, n, exclude=None, stop_on_invalid=False):
     """`lyapunov._cocycle_logs` with the product M carried as a strided
     (m, 2, 2) stack: the reference that the entry-array kernel is held to,
-    bit for bit, in logs and valid."""
+    bit for bit, in logs and valid.  Each step scales a row by 2^-e so that
+    its largest |entry| lands in [1, 2), and adds e to the row's exponent."""
     valid = np.ones(pts.shape[0], dtype=bool)
     if exclude is not None:
         valid &= ~np.asarray(exclude(pts))
     logs = np.zeros(pts.shape[0])
     rows = np.nonzero(valid)[0]
-    x, M, acc = pts[rows], None, logs[rows]
-    for _ in range(n):
+    x, E = pts[rows], np.zeros(rows.size, dtype=np.int64)
+    M = np.broadcast_to(np.eye(2), (rows.size, 2, 2))
+    for k in range(n):
         if rows.size == 0:
             break
         x, J = f.value_and_jacobian(x)
-        M = J if M is None else _stacked_mul2(J, M)
-        s = _stacked_spectral_norm(M)
-        ok = np.isfinite(s) & (s > 0.0)
-        s = np.where(ok, s, 1.0)
-        acc += np.log(s)
-        M = M / s[:, None, None]
+        P = J if k == 0 else _stacked_mul2(J, M)
+        big = np.max(np.abs(P), axis=(-2, -1))
+        ok = np.isfinite(big) & (big > 0.0)
+        _, e = np.frexp(big)
+        e -= 1
+        if not ok.all():
+            P = np.where(ok[:, None, None], P, M)
+            e[~ok] = 0
+        E += e
+        M = np.ldexp(P, -e[:, None, None])
         ok &= np.isfinite(x[:, 0]) & np.isfinite(x[:, 1])
         if exclude is not None:
             ok &= ~np.asarray(exclude(x))
         if not ok.all():
-            out = rows[~ok]
-            logs[out] = acc[~ok]
-            valid[out] = False
+            valid[rows[~ok]] = False
             if stop_on_invalid:
                 break
-            rows, x, M, acc = rows[ok], x[ok], M[ok], acc[ok]
-    logs[rows] = acc
+            logs[rows[~ok]] = _stacked_log_norm(M[~ok], E[~ok])
+            rows, x, M, E = rows[ok], x[ok], M[ok], E[ok]
+    logs[rows] = _stacked_log_norm(M, E)
     return logs, valid
 
 

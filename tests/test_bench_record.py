@@ -1,6 +1,7 @@
 """The benchmark recorder's artifact digests (bench/record.py): a digest
 reads every byte an artifact computed, and nothing of where it was
-written.  The comparer (bench/compare.py) reads two records."""
+written.  The comparer (bench/compare.py) reads two records, or two
+artifact trees."""
 
 import importlib.util
 import json
@@ -106,3 +107,50 @@ def test_compare_refuses_a_file_that_is_not_a_record(tmp_path, capsys):
             path.write_text(text)
         assert _load("compare").main([a, str(path)]) == 2
         assert capsys.readouterr().err.startswith(str(path))
+
+
+def _tree(root, files):
+    """An artifact tree under root: {relative path: text}."""
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return str(root)
+
+
+_FIELD = "x,y,lambda,valid\n0.25,0.25,2.5,1.0\n0.75,0.25,2.75,1.0\n0.25,0.75,0.0,0.0\n"
+
+
+def test_compare_artifacts_counts_a_changed_cell(tmp_path, capsys):
+    a = _tree(tmp_path / "a", {"island/lambda_field.csv": _FIELD, "island/report.json": "{}\n"})
+    b = _tree(tmp_path / "b", {"island/lambda_field.csv": _FIELD.replace("2.75", "2.7500000000000004"),
+                               "island/report.json": "{}\n"})
+    assert _load("compare").main(["--artifacts", a, b]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "island/lambda_field.csv: 1 of 3 rows differ",
+        "  x                max |diff| 0",
+        "  y                max |diff| 0",
+        "  lambda           max |diff| 4.44e-16",
+        "  valid            max |diff| 0",
+        "island/report.json: identical",
+        "artifacts: 1 of 2 differ"]
+
+
+def test_compare_artifacts_of_identical_trees(tmp_path, capsys):
+    files = {"island/lambda_field.csv": _FIELD, "island/report.json": "{}\n"}
+    a, b = _tree(tmp_path / "a", files), _tree(tmp_path / "b", files)
+    assert _load("compare").main(["--artifacts", a, b]) == 0
+    assert capsys.readouterr().out == ("island/lambda_field.csv: identical\n"
+                                       "island/report.json: identical\n"
+                                       "artifacts: identical (2)\n")
+
+
+def test_compare_artifacts_names_a_file_on_one_side_only(tmp_path, capsys):
+    a = _tree(tmp_path / "a", {"scan.csv": "a,mean_lambda\n0.1,0.0\n"})
+    b = _tree(tmp_path / "b", {"scan.csv": "a,mean_lambda\n0.1,0.0\n", "extra.csv": "a\n1\n"})
+    assert _load("compare").main(["--artifacts", a, b]) == 0
+    assert capsys.readouterr().out == ("extra.csv: only in B\nscan.csv: identical\n"
+                                       "artifacts: 1 of 2 differ\n")
+    # a path that is not a directory is refused
+    assert _load("compare").main(["--artifacts", a, str(tmp_path / "a" / "scan.csv")]) == 2
+    assert capsys.readouterr().err.endswith("scan.csv: not a directory\n")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,23 @@ def test_mul2_matches_stacked_matmul(n):
     for i in {0, n // 2, n - 1}:
         row = stacked(mul2(entries(A[i:i + 1]), entries(B[i:i + 1])))
         assert np.array_equal(C[i], row[0])
+
+
+def test_mul2_with_constant_entries_keeps_the_values_of_every_product():
+    # a scalar 0 drops its product and a scalar +-1 its multiply; against
+    # the two products and one sum of every entry, only a zero's sign may
+    # change, and == does not see that sign
+    g = np.random.default_rng(45)
+    b = [g.normal(size=50) for _ in range(4)]
+    b[1][:10] = 0.0
+    b[2][5:15] = -0.0
+    arr = g.normal(size=50)
+    for a in itertools.product((0.0, 1.0, -1.0, 2.5, arr), repeat=4):
+        a00, a01, a10, a11 = a
+        want = (a00 * b[0] + a01 * b[2], a00 * b[1] + a01 * b[3],
+                a10 * b[0] + a11 * b[2], a10 * b[1] + a11 * b[3])
+        for got_e, want_e in zip(mul2(a, b), want):
+            assert np.array_equal(np.broadcast_to(got_e, (50,)), want_e)
 
 
 @pytest.mark.parametrize("f", [anosov_map(), chirikov_map(0.7)],
