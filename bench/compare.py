@@ -2,6 +2,7 @@
 artifact trees.
 
     python bench/compare.py A.json B.json
+    python bench/compare.py B.json:parent B.json
     python bench/compare.py --artifacts DIR_A DIR_B
 
 For each workload and end-to-end metric that both records timed, prints
@@ -9,7 +10,13 @@ the change side's median in A and in B and their ratio B / A.  Then lists
 every artifact digest that differs between A's and B's change trees (a key
 that only one of them holds differs too), or says that they are identical.
 A digest-only record (`--pairs 0`) has no timing, so only its digests are
-compared.
+compared.  When either record holds a profile (`record.py --profile`), the
+change trees' profiles follow: per workload and table (`tottime`, the top
+functions by own time, and `islab_cumtime`), every function whose share of
+the profile moved by more than SHARE_POINTS, a function absent from one
+side's table reading 0 there.  A record path with the suffix ":parent"
+reads that record's parent tree in place of its change tree, so a record
+can be compared with its own parent.
 
 With --artifacts, A and B are directories, such as two `islab run --out`
 trees, and every file under either is compared by its path relative to
@@ -33,6 +40,8 @@ import sys
 from pathlib import Path
 
 METRICS = ("run_s", "setup_s", "peak_rss_mb", "gate_ratio")
+# a profile share that moves by more than this is printed
+SHARE_POINTS = 0.05
 
 
 class RecordError(ValueError):
@@ -40,16 +49,26 @@ class RecordError(ValueError):
 
 
 def load(path):
-    """The record at path.  Raises RecordError when the file cannot be
-    read, is not JSON, or holds no change-tree digests."""
+    """The record at path; at "<path>:parent", that record with its parent
+    tree's digests, medians and profile read as its change tree's.  Raises
+    RecordError when the file cannot be read, is not JSON, or holds no
+    digests of the tree asked for."""
+    path, side = str(path), "change"
+    if path.endswith(":parent"):
+        path, side = path[:-len(":parent")], "parent"
     try:
         with open(path, encoding="utf-8") as fh:
             rec = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise RecordError(f"{path}: cannot read a record: {e}") from None
     digests = rec.get("digests") if isinstance(rec, dict) else None
-    if not isinstance(digests, dict) or not isinstance(digests.get("change"), dict):
-        raise RecordError(f"{path}: not a benchmark record: no change-tree digests")
+    if not isinstance(digests, dict) or not isinstance(digests.get(side), dict):
+        raise RecordError(f"{path}: not a benchmark record: no {side}-tree digests")
+    if side == "parent":
+        summary = {w: {m: dict(row, change=row["parent"]) for m, row in metrics.items()}
+                   for w, metrics in rec.get("summary", {}).items()}
+        rec = dict(rec, digests={"change": digests["parent"]}, summary=summary,
+                   profile={"change": rec.get("profile", {}).get("parent")})
     return rec
 
 
@@ -85,6 +104,25 @@ def report(a, b):
         lines += [f"  {key}" for key in differ]
     else:
         lines.append(f"digests: identical ({total})")
+    pa, pb = (rec.get("profile", {}).get("change") for rec in (a, b))
+    if pa or pb:
+        lines += profile_lines(pa, pb) if pa and pb else ["profile: not in both records"]
+    return lines
+
+
+def profile_lines(pa, pb):
+    """The lines for two trees' profiles, {workload: {table: {function:
+    share}}}: each function whose share moved by more than SHARE_POINTS."""
+    lines = []
+    for w in (w for w in pa if w in pb):
+        for table in ("tottime", "islab_cumtime"):
+            ta, tb = pa[w].get(table, {}), pb[w].get(table, {})
+            for name in sorted(set(ta) | set(tb)):
+                sa, sb = ta.get(name, 0.0), tb.get(name, 0.0)
+                if abs(sb - sa) > SHARE_POINTS:
+                    lines.append(f"profile {w:<10} {table:<13} {name}: {sa:.3f} -> {sb:.3f}")
+    if not lines:
+        lines.append(f"profile: no share moved by more than {SHARE_POINTS:.2f}")
     return lines
 
 

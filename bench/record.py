@@ -1,6 +1,6 @@
 """Benchmark record of a change against its parent, written as one JSON file.
 
-    python bench/record.py --parent REV --pairs 10 --out BENCH_<n>.json
+    python bench/record.py --parent REV --pairs 10 --profile --out BENCH_<n>.json
     python bench/record.py --pairs 0 --out digests.json      # digests only
 
 The change is this checkout's working tree; the parent is REV exported with
@@ -21,12 +21,27 @@ benchmark's parameters (`perfbench/workloads.py`) at seeds 1 and 7, is
 hashed with sha256, `report.json` after its `config.out`, the output path,
 is dropped.  With --pairs 0 and no --parent the record holds this tree's
 digests alone, and two passes over the same tree must write the same bytes.
+
+Profiles (--profile): each tree runs each workload's configs in a fresh
+process under cProfile, PROFILE_OPERATIONS operations after one warm-up,
+each operation `cli.run` and `cli.emit_plot_data` per config as
+perfbench's.  The record keeps, per tree and workload, the profile's total
+seconds, the PROFILE_TOP functions with the most own time (`tottime`) and
+every islab function whose time including callees (`cumtime`) is at least
+PROFILE_MIN_SHARE of the total, each as a share of the total.  A function
+is named by its file, relative to the tree's `src/` for islab and by its
+last two path parts otherwise, and its name: "islab/links.py:_restore".
+Profiles are telemetry, apart from the digests: they move with the load.
 """
 
 import argparse
+import ast
+import cProfile
+import functools
 import hashlib
 import json
 import os
+import pstats
 import statistics
 import subprocess
 import sys
@@ -39,6 +54,9 @@ from workloads import WORKLOADS, write_configs  # noqa: E402
 
 METRICS = ("run_s", "setup_s", "peak_rss_mb", "gate_ratio")
 SEEDS = (1, 7)
+PROFILE_OPERATIONS = 3
+PROFILE_TOP = 20
+PROFILE_MIN_SHARE = 0.005
 
 
 def digest(path):
@@ -92,6 +110,111 @@ def perfbench(tree, workload, seed, seconds):
     return reading
 
 
+@functools.lru_cache(maxsize=None)
+def qualnames(filename):
+    """{first line: qualified name} of the functions a source file defines,
+    as Python names them ("PeriodicFn.__call__", "f.<locals>.g"); the first
+    line of a decorated function is its first decorator's, as in its code
+    object."""
+    out = {}
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[first] = prefix + child.name
+                walk(child, f"{prefix}{child.name}.<locals>.")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(Path(filename).read_text(encoding="utf-8")), "")
+    return out
+
+
+def function_name(key, src):
+    """"file:function" for a pstats key (file, line, function): for islab,
+    the file relative to src and the function's qualified name; otherwise
+    the file's last two path parts and the bare name; a built-in's name
+    alone."""
+    filename, line, func = key
+    if filename == "~":
+        return func
+    path = Path(filename)
+    try:
+        where = path.relative_to(src).as_posix()
+    except ValueError:
+        return f"{'/'.join(path.parts[-2:])}:{func}"
+    return f"{where}:{qualnames(str(path)).get(line, func)}"
+
+
+def profile_shares(stats, src):
+    """The record's view of a pstats `stats` table ({key: (cc, nc, tt, ct,
+    callers)}): the total seconds, the PROFILE_TOP functions by own time,
+    and the islab functions (files under src/islab) by time with callees,
+    at least PROFILE_MIN_SHARE, as shares of the total.  Functions that
+    share a name add up."""
+    total = sum(row[2] for row in stats.values())
+    own, with_callees = {}, {}
+    for key, (_, _, tt, ct, _) in stats.items():
+        name = function_name(key, src)
+        own[name] = own.get(name, 0.0) + tt
+        if name.startswith("islab/"):
+            with_callees[name] = with_callees.get(name, 0.0) + ct
+    top = sorted(own.items(), key=lambda kv: (-kv[1], kv[0]))[:PROFILE_TOP]
+    share = lambda t: round(t / total, 4) if total else 0.0
+    return {"total_s": round(total, 4),
+            "tottime": {name: share(t) for name, t in top},
+            "islab_cumtime": {name: share(t) for name, t in sorted(with_callees.items())
+                              if t >= PROFILE_MIN_SHARE * total}}
+
+
+def profile_here(workload, seed, operations):
+    """Run in a profiling child: the workload's configs, one warm-up
+    operation and then `operations` under cProfile; prints profile_shares
+    as one JSON line.  islab comes from the child's PYTHONPATH."""
+    import islab.cli as cli
+    from islab.config import ExperimentConfig
+
+    configs = [ExperimentConfig.from_file(path)
+               for path in write_configs(workload, seed, "configs")]
+
+    def operation():
+        for cfg in configs:
+            report, _ = cli.run(cfg)
+            cli.emit_plot_data(report, os.path.join("artifacts", cfg.suite))
+
+    operation()
+    prof = cProfile.Profile()
+    prof.enable()
+    for _ in range(operations):
+        operation()
+    prof.disable()
+    src = Path(cli.__file__).resolve().parents[1]
+    print(json.dumps(profile_shares(pstats.Stats(prof).stats, src)))
+
+
+def profile_tree(tree, seed, operations=PROFILE_OPERATIONS, workloads=tuple(WORKLOADS)):
+    """{workload: profile_shares} of `tree`, each workload in a fresh
+    process with one compute thread, as perfbench runs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import record; "
+            "record.profile_here(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))")
+    out = {}
+    for workload in workloads:
+        with tempfile.TemporaryDirectory() as tmp:
+            run = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parent),
+                                  workload, str(seed), str(operations)],
+                                 env=env, cwd=tmp, capture_output=True, text=True, check=False)
+        if run.returncode != 0:
+            raise RuntimeError(f"{tree}: profile of {workload} exited {run.returncode}\n"
+                               f"{run.stderr}")
+        out[workload] = json.loads(run.stdout.strip().splitlines()[-1])
+    return out
+
+
 def spread(values):
     """Median and quartiles (inclusive method) of a list of readings."""
     if len(values) < 2:
@@ -131,7 +254,7 @@ def git(*args):
                           text=True, check=True).stdout.strip()
 
 
-def record(parent, pairs, seed, seconds, tmp):
+def record(parent, pairs, seed, seconds, tmp, profile=False):
     trees = {"change": ROOT}
     rec = {"change": git("describe", "--always", "--dirty", "--abbrev=12")}
     if parent is not None:
@@ -158,6 +281,9 @@ def record(parent, pairs, seed, seconds, tmp):
                 f"{w} {row[w]['parent']['run_s']:.4f}->{row[w]['change']['run_s']:.4f}"
                 for w in WORKLOADS), file=sys.stderr)
         rec["summary"] = summarize(rec["pairs"])
+    if profile:
+        rec["profile"] = {"seed": seed, "warmup": 1, "operations": PROFILE_OPERATIONS}
+        rec["profile"].update((side, profile_tree(tree, seed)) for side, tree in trees.items())
     return rec
 
 
@@ -169,12 +295,14 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=701)
     ap.add_argument("--seconds", type=float, default=5.0,
                     help="perfbench's --seconds per run")
+    ap.add_argument("--profile", action="store_true",
+                    help="add each tree's cProfile shares per workload")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     if args.pairs and args.parent is None:
         ap.error("--pairs needs --parent; use --pairs 0 for digests alone")
     with tempfile.TemporaryDirectory() as tmp:
-        rec = record(args.parent, args.pairs, args.seed, args.seconds, tmp)
+        rec = record(args.parent, args.pairs, args.seed, args.seconds, tmp, args.profile)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(rec, fh, indent=1, sort_keys=True)
         fh.write("\n")

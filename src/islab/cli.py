@@ -5,14 +5,14 @@ lints a config without running.
 Exit codes: 0 all checks passed, 1 a numeric check failed, 2 bad config
 (a config file that is missing, unreadable or not UTF-8 included).
 
-Only the rescaling suite uses `islab.rescaling` and `numpy.polynomial`,
-and only its --threads pool `concurrent.futures`; each is imported where it
-is used, so no other run pays for loading it.
+Only the rescaling suite uses `islab.rescaling` and `numpy.polynomial`;
+both are imported where they are used, so no other run pays for loading
+them.
 
 Artifacts are bitwise-deterministic for a given (config, seed): all
-randomness flows through one seeded generator, rows are assembled in index
-order regardless of --threads, floats are serialized with repr, and wall
-clock goes to the console only.
+randomness flows through one seeded generator, every suite runs in one
+thread, floats are serialized with repr, and wall clock goes to the
+console only.
 """
 
 import argparse
@@ -115,7 +115,7 @@ def _clamped_mean_exponent(avals, pts, n):
     return np.mean(np.maximum(lam, 0.0).reshape(len(avals), len(pts)), axis=1)
 
 
-def _run_lyapunov(cfg, rng, threads):
+def _run_lyapunov(cfg, rng):
     p = cfg.params
     if p["map"] == "anosov":
         f = anosov_map()
@@ -139,7 +139,7 @@ def _run_lyapunov(cfg, rng, threads):
     return checks, metrics, tables
 
 
-def _run_island(cfg, rng, threads):
+def _run_island(cfg, rng):
     p = cfg.params
     island = IslandMap(delta=p["delta"], eps=p["eps"])
     # the symmetry report and link_saddles read one evaluation of Fhat.  The
@@ -202,7 +202,7 @@ def _run_island(cfg, rng, threads):
     return checks, metrics, tables
 
 
-def _run_stdmap(cfg, rng, threads):
+def _run_stdmap(cfg, rng):
     p = cfg.params
     count = int(np.floor((p["a_max"] - p["a_min"]) / p["a_step"] + 1e-9)) + 1
     avals = p["a_min"] + p["a_step"] * np.arange(count)
@@ -216,7 +216,7 @@ def _run_stdmap(cfg, rng, threads):
                                       rows)}
 
 
-def _run_links(cfg, rng, threads):
+def _run_links(cfg, rng):
     p = cfg.params
     g = LinkGeometry()
     base = build_suitable_model()
@@ -299,7 +299,7 @@ def _disc_points(rng, n):
     return pts[:n]
 
 
-def _run_rescaling(cfg, rng, threads):
+def _run_rescaling(cfg, rng):
     # imported here, not at start-up (see the module docstring)
     from numpy.polynomial import Polynomial
 
@@ -318,15 +318,7 @@ def _run_rescaling(cfg, rng, threads):
     kicks = [Polynomial(rng.uniform(-p["kick_amp"], p["kick_amp"], 3))
              for _ in range(3)]
 
-    def cell(k):
-        return verify_rescaling(model, k, kicks)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(cell, klist))
-    else:
-        reports = [cell(k) for k in klist]
+    reports = [verify_rescaling(model, k, kicks) for k in klist]
     errs = [rep["error"] for rep in reports]
     ratios = [b / a for a, b in zip(errs, errs[1:])]
     checks.append(_check("error-strictly-decreasing-in-k",
@@ -378,11 +370,15 @@ _SUITES = {
 
 def run(cfg, threads=1):
     """Execute the configured suite.  Returns (report, exit_code).  Raises
-    ConfigError, before running, for values `islab validate` refuses."""
+    ConfigError, before running, for values `islab validate` refuses.  Every
+    suite runs in one thread; `threads` is kept for callers that pass 1, and
+    any other value raises ValueError."""
+    if threads != 1:
+        raise ValueError(f"threads must be 1, not {threads!r}: every suite runs in one thread")
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
-    checks, metrics, tables = _SUITES[cfg.suite](cfg, rng, max(int(threads), 1))
+    checks, metrics, tables = _SUITES[cfg.suite](cfg, rng)
     elapsed = time.perf_counter() - t0
     passed = all(c["passed"] for c in checks)
     report = {
@@ -436,7 +432,7 @@ def _cmd_run(args):
             print(f"config error: seed: {e}", file=sys.stderr)
             return 2
     try:
-        report, code = run(cfg, threads=args.threads)
+        report, code = run(cfg)
         paths = emit_plot_data(report, cfg.out)
     except (ValueError, RuntimeError) as e:
         print(f"run failed: {e}", file=sys.stderr)
@@ -474,7 +470,6 @@ def main(argv=None):
     runp.add_argument("config")
     runp.add_argument("--out", default=None, help="output directory override")
     runp.add_argument("--seed", type=int, default=None, help="seed override")
-    runp.add_argument("--threads", type=int, default=1)
     runp.set_defaults(fn=_cmd_run)
     valp = sub.add_parser("validate", help="check a config file")
     valp.add_argument("config")

@@ -154,3 +154,70 @@ def test_compare_artifacts_names_a_file_on_one_side_only(tmp_path, capsys):
     # a path that is not a directory is refused
     assert _load("compare").main(["--artifacts", a, str(tmp_path / "a" / "scan.csv")]) == 2
     assert capsys.readouterr().err.endswith("scan.csv: not a directory\n")
+
+
+# ---------------------------------------------------------------------------
+# profiles (bench/record.py --profile)
+
+
+ROOT = BENCH.parent
+
+
+def test_profile_shares_name_islab_functions_by_qualified_name():
+    record = _record()
+    src = ROOT / "src"
+    curves = str(src / "islab" / "curves.py")
+    line = next(n for n, name in record.qualnames(curves).items()
+                if name == "PeriodicFn.__call__")
+    stats = {(curves, line, "__call__"): (1, 1, 3.0, 6.0, {}),
+             ("~", 0, "<built-in method numpy.zeros>"): (1, 1, 1.0, 1.0, {}),
+             ("/usr/lib/python3/numpy/_core/fromnumeric.py", 10, "sum"): (1, 1, 4.0, 4.0, {})}
+    shares = record.profile_shares(stats, src)
+    assert shares["total_s"] == 8.0
+    assert shares["tottime"] == {"_core/fromnumeric.py:sum": 0.5,
+                                 "islab/curves.py:PeriodicFn.__call__": 0.375,
+                                 "<built-in method numpy.zeros>": 0.125}
+    # only islab functions carry their time with callees
+    assert shares["islab_cumtime"] == {"islab/curves.py:PeriodicFn.__call__": 0.75}
+
+
+def test_a_profiled_record_round_trips_through_the_comparer(tmp_path, capsys):
+    # one real profiling child of this tree, at one operation, written into
+    # a record and read back by the comparer
+    record = _record()
+    prof = record.profile_tree(ROOT, seed=1, operations=1, workloads=("rescaling",))
+    shares = prof["rescaling"]
+    assert len(shares["tottime"]) == record.PROFILE_TOP
+    assert 0.5 < shares["islab_cumtime"]["islab/cli.py:_run_rescaling"] <= 1.0
+    rec = _timed_record()
+    rec["profile"] = {"seed": 1, "warmup": 1, "operations": 1, "change": prof,
+                      "parent": json.loads(json.dumps(prof))}
+    a = _write(tmp_path, "a.json", rec)
+    assert _load("compare").main([a, a]) == 0
+    assert capsys.readouterr().out.endswith(
+        "digests: identical (3)\nprofile: no share moved by more than 0.05\n")
+    # a share that moves by more than 5 points is named, with both shares
+    name = "islab/cli.py:_run_rescaling"
+    rec["profile"]["parent"]["rescaling"]["islab_cumtime"][name] -= 0.25
+    b = _write(tmp_path, "b.json", rec)
+    assert _load("compare").main([b + ":parent", b]) == 0
+    moved = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("profile")]
+    before = rec["profile"]["parent"]["rescaling"]["islab_cumtime"][name]
+    after = prof["rescaling"]["islab_cumtime"][name]
+    assert moved == [f"profile rescaling  islab_cumtime {name}: {before:.3f} -> {after:.3f}"]
+
+
+def test_compare_reads_a_record_without_a_profile_beside_a_profiled_one(tmp_path, capsys):
+    rec = _timed_record()
+    a = _write(tmp_path, "a.json", rec)
+    rec["profile"] = {"change": {"links": {"total_s": 1.0, "tottime": {"f": 1.0},
+                                           "islab_cumtime": {}}}}
+    b = _write(tmp_path, "b.json", rec)
+    assert _load("compare").main([a, b]) == 0
+    assert capsys.readouterr().out.endswith("digests: identical (3)\n"
+                                            "profile: not in both records\n")
+    # a record's parent side reads as a record: its medians and digests
+    assert _load("compare").main([a + ":parent", a]) == 0
+    out = capsys.readouterr().out
+    assert "links      run_s                   2          1.5    0.750" in out
+    assert out.endswith("digests: identical (3)\n")

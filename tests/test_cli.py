@@ -159,7 +159,7 @@ def test_check_comparisons():
 
 
 def test_failed_check_carries_value_and_tolerance(tmp_path, monkeypatch):
-    def failing(cfg, rng, threads):
+    def failing(cfg, rng):
         return ([{"name": "synthetic", "passed": False, "value": 2.5,
                   "tolerance": 1.0, "comparison": "<="}], {}, {})
     monkeypatch.setitem(_SUITES, "lyapunov", failing)
@@ -238,14 +238,16 @@ def test_seed_changes_outputs():
     assert np.any(a != b)
 
 
-def test_threads_do_not_change_outputs():
-    r1, _ = run(_cfg(SCAN), threads=1)
-    r2, _ = run(_cfg(SCAN), threads=4)
-    assert r1["_tables"]["scan.csv"][1] == r2["_tables"]["scan.csv"][1]
-    r1, _ = run(_cfg(RESC), threads=1)
-    r2, _ = run(_cfg(RESC), threads=3)
-    assert json.dumps(r1["metrics"], sort_keys=True) == \
-        json.dumps(r2["metrics"], sort_keys=True)
+@pytest.mark.parametrize("threads", [0, 2, 4])
+def test_run_refuses_more_than_one_thread(monkeypatch, threads):
+    # every suite runs in one thread; run keeps the keyword for callers that
+    # pass 1, and refuses any other count before its suite runs
+    def never(cfg, rng):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(_SUITES, "lyapunov", never)
+    with pytest.raises(ValueError, match="threads must be 1"):
+        run(_cfg("suite = lyapunov\n"), threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +325,7 @@ def test_run_refuses_params_set_in_code_that_validate_refuses(monkeypatch, suite
                                                               value, reason):
     # a config edited past ExperimentConfig.from_raw is held to the rules a
     # config file is, before its suite runs
-    def never(cfg, rng, threads):
+    def never(cfg, rng):
         raise AssertionError("the suite ran")
 
     monkeypatch.setitem(_SUITES, suite, never)

@@ -134,8 +134,8 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-# modules that only the rescaling suite, or only --threads above 1, uses
-DEFERRED = ("islab.rescaling", "numpy.polynomial", "concurrent.futures")
+# modules that only the rescaling suite uses
+DEFERRED = ("islab.rescaling", "numpy.polynomial")
 
 
 def test_cli_start_up_defers_what_most_runs_never_use():

@@ -26,7 +26,7 @@ from islab.maps import compose, shear_map
 
 # band-hook heights of a stack of three models: the tall middle row needs
 # one more iteration than the others on either side (3 against 2 on side a,
-# 9 against 8 on side b), so the others stop first and must keep their
+# 5 against 4 on side b), so the others stop first and must keep their
 # state while it runs on
 STACK_HEIGHTS = np.array([1e-3, 8e-3, 6e-4])
 
@@ -461,6 +461,47 @@ def test_restore_link_b():
     assert abs(psi_b.psi.mean()) <= 1e-12
 
 
+# side b's per-iteration contraction, measured over the steps whose later
+# residual stands clear of the rounding floor near RESTORE_TOL, against
+# |T|^(J+1) + CONTRACTION_C * size, J = NEUMANN_TERMS.  Measured at band-hook
+# heights 1e-3 and 5e-3 (the plain step reads 0.25 at both):
+#   J                    1        2        3        4
+#   worst factor     2.8e-2   6.8e-4   2.3e-3   2.5e-3
+# past J = 2 the factor levels at 2.5e-3 at either height, a floor of the
+# discretized splitting that CONTRACTION_C covers twice over at height 1e-3
+CONTRACTION_FLOOR = 100 * links.RESTORE_TOL
+CONTRACTION_C = 5.0
+
+
+def _worst_side_b_contraction(heights):
+    model = build_suitable_model(hook=cli._band_hook(LinkGeometry(), "b", heights))
+    _, traces, _ = restore_link_b(model)
+    worst = []
+    for trace in traces:
+        norms = [row[2] for row in trace]
+        worst.append(max(r1 / r0 for r0, r1 in zip(norms, norms[1:])
+                         if r1 > CONTRACTION_FLOOR))
+    return np.array(worst)
+
+
+def test_restore_link_b_contracts_at_a_power_of_the_averaging_norm(monkeypatch):
+    # |T| as the links suite measures it: the worst derivative-norm ratio
+    # over zero-mean draws (about 0.22 here, so the bound reads 1.6e-2 and
+    # 3.6e-2 at the two heights)
+    g = LinkGeometry()
+    rng = np.random.default_rng(5)
+    z = PeriodicFn(g.tau, [random_trig_poly(g.tau, harmonics=8, amplitude=1e-2, rng=rng,
+                                            origin=g.x_b, zero_mean=True).samples
+                           for _ in range(20)], origin=g.x_b)
+    norm_t = float(np.max(restoration_b_reference(_model())(z).norm0() / z.norm0()))
+    heights = np.array([1e-3, 5e-3])
+    bound = norm_t ** (links.NEUMANN_TERMS + 1) + CONTRACTION_C * heights
+    assert np.all(_worst_side_b_contraction(heights) <= bound)
+    # the plain step contracts at about |T| and misses the bound at both
+    monkeypatch.setattr(links, "NEUMANN_TERMS", 0)
+    assert np.all(_worst_side_b_contraction(heights) > bound)
+
+
 @pytest.mark.parametrize("side", ["a", "b"])
 def test_restore_raises_when_the_cap_runs_out(monkeypatch, side):
     # a perturbed model as the links suite builds it; one iteration short
@@ -571,7 +612,7 @@ def test_stacked_restoration_rows_are_their_one_row_runs(side):
     assert model.rows == 3
     psi, traces, w_s = restore(model)
     w_u = unstable_curve(model, side)
-    assert [len(t) for t in traces] == {"a": [2, 3, 2], "b": [8, 9, 8]}[side]
+    assert [len(t) for t in traces] == {"a": [2, 3, 2], "b": [4, 5, 4]}[side]
     for k, h in enumerate(STACK_HEIGHTS):
         # a one-row stack, and the single hook of a scalar height
         for height in (STACK_HEIGHTS[k:k + 1], h):
