@@ -116,7 +116,7 @@ def profile_lines(pa, pb):
     lines = []
     for w in (w for w in pa if w in pb):
         for table in ("tottime", "islab_cumtime"):
-            ta, tb = pa[w].get(table, {}), pb[w].get(table, {})
+            ta, tb = pa[w][table], pb[w][table]
             for name in sorted(set(ta) | set(tb)):
                 sa, sb = ta.get(name, 0.0), tb.get(name, 0.0)
                 if abs(sb - sa) > SHARE_POINTS:

@@ -110,7 +110,7 @@ def perfbench(tree, workload, seed, seconds):
     return reading
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def qualnames(filename):
     """{first line: qualified name} of the functions a source file defines,
     as Python names them ("PeriodicFn.__call__", "f.<locals>.g"); the first

@@ -42,13 +42,14 @@ RESTORE_MAX_ITER = 50
 RESTORE_MEAN_TOL = 1e-6
 # side b's step subtracts sum_{j<=J} T^j m for the splitting m, J =
 # NEUMANN_TERMS, T the averaging operator of restoration_b_reference.  Side-b
-# iterations per row, and restore_link_b's CPU time on the links suite's 5
-# rows at seed 701 (2 vCPUs, median of 15 calls):
-#   J             0      1      2      3
-#   size 1e-3     8      5      4      4
-#   size 5e-3     8-9    5-6    5      5
-#   size 1e-2     9      6      5      5
-#   CPU (s)     0.051    -    0.029  0.031
+# iterations per row of 5 band-hook heights drawn at seed 701, and
+# restore_link_b's CPU time on them at size 1e-3 (2 vCPUs, median of 15
+# calls, two processes):
+#   J             0        1        2        3
+#   size 1e-3     8        5        4        4
+#   size 5e-3     8-9      5-6      5        5
+#   size 1e-2     9        6        5        5
+#   CPU (s)     0.048    0.033    0.028    0.030
 # Over seeds 1-100 at size 1e-3, J = 2 takes 5 iterations on 2 of 500 rows
 # and J = 3 on none; J = 3 costs one more T per iteration everywhere else
 NEUMANN_TERMS = 2
