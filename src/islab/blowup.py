@@ -493,7 +493,8 @@ class IslandMap:
         """Fhat as a MapDescriptor.  The discs sit at the 2-torsion points,
         which p -> -p fixes and the half-lattice translations permute, the
         surgery and the flow are the same in every disc's chart, and A is I
-        mod 2, so the map is torsion-symmetric."""
+        mod 2, so the map is torsion-symmetric.  Its inverse carries the
+        paper's claim that Fhat is a diffeomorphism."""
         return MapDescriptor("Fhat", lambda p, with_jac: self._eval(p, with_jac=with_jac),
                              self.inverse, area_density=self.area_density,
                              torsion_symmetric=True)
@@ -538,6 +539,8 @@ class IslandMap:
                 J = tuple(e.reshape(p.shape[:-1]) for e in (K[0], K[1], K[1], K[2]))
             return out.reshape(p.shape), J
 
+        # Psi^-1 carries the paper's claim that the surgery is a diffeomorphism
+        # of the island onto the punctured torus
         return MapDescriptor("Psi", apply, lambda q: apply(q, False, True)[0])
 
 

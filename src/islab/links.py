@@ -160,6 +160,8 @@ class SuitableModel:
             # entry is its piece's
             return out, tuple(np.select(masks, entry) for entry in zip(*jacs))
 
+        # read through F = G o Fstar by the construction check that inverts
+        # compose(S_psi, F) (tests/construction_checks.py: PsiChart)
         def inv(q):
             q = np.asarray(q, dtype=float)
             x = q[..., 0]

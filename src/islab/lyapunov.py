@@ -127,7 +127,6 @@ def _cocycle_logs(f, pts, n, exclude=None, stop_on_invalid=False):
 
 @dataclass
 class ExponentSample:
-    point: np.ndarray
     n: int
     log_norm: float | np.ndarray   # log ||Df^n||, per row for a batch
     estimate: float | np.ndarray   # lambda_n = log_norm / n
@@ -151,7 +150,7 @@ def max_lyapunov(f, p, n=200):
                            f"of {valid.size} points")
     if p.ndim == 1:
         logs = float(logs[0])
-    return ExponentSample(point=p, n=n, log_norm=logs, estimate=logs / n)
+    return ExponentSample(n=n, log_norm=logs, estimate=logs / n)
 
 
 # ----------------------------------------------------------------------

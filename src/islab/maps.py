@@ -48,7 +48,10 @@ class MapDescriptor:
         entry broadcasts against the image's batch shape, and is a scalar
         where it is constant.  Torus maps return wrapped images.
     inv : callable or None
-        Exact inverse evaluation, if one is known in closed form.
+        Exact inverse evaluation q -> f^-1(q), given only where a suite, a
+        construction check or a paper claim reads it (each builder says
+        which); `inverse` and `inverse_descriptor` raise ValueError without
+        it.
     domain : callable or None
         Boolean containment mask for points where the map is defined.
     area_density : callable or None
@@ -114,6 +117,8 @@ def compose(*maps, name=None):
             J = Jm if J is None else mul2(Jm, J)
         return p, J
 
+    # read by the construction check that inverts compose(S_psi, F)
+    # (tests/construction_checks.py: PsiChart)
     inv = None
     if all(m.inv is not None for m in maps):
         def inv(q):
@@ -205,6 +210,8 @@ def inverse_descriptor(m):
         p = m.inv(q)
         return p, (inv2(m.ev(p, True)[1]) if with_jac else None)
 
+    # m^-1's inverse is m itself, so compose's inverse chain runs through
+    # it, as through the corollary's F_target
     return MapDescriptor(m.name + "^-1", ev, m)
 
 
@@ -232,6 +239,8 @@ def anosov_map():
     def ev(p, with_jac):
         return wrap_torus(p @ AT), (JA if with_jac else None)
 
+    # read through inverse_descriptor by the exponent-symmetry construction
+    # check (tests/construction_checks.py: exponent_symmetry_defect)
     def inv(q):
         return wrap_torus(q @ AinvT)
 
@@ -271,6 +280,8 @@ def chirikov_map(a):
             return out, None
         return out, (2.0 + two_pi_a * np.cos(t), -1.0, 1.0, 0.0)
 
+    # read through inverse_descriptor by the exponent-symmetry construction
+    # check (tests/construction_checks.py: exponent_symmetry_defect)
     def inv(q):
         X, Y = q[..., 0], q[..., 1]
         kicked = 2.0 * Y + a * np.sin(2 * np.pi * Y) - X
@@ -299,6 +310,8 @@ def shear_map(psi, dpsi, name="S_psi"):
         out = shifted(p, psi(p[..., 0]))
         return out, ((1.0, 0.0, dpsi(p[..., 0]), 1.0) if with_jac else None)
 
+    # read by the links suite (the hook's inverse, in each backward step) and
+    # by the construction check that inverts compose(S_psi, F)
     def inv(q):
         return shifted(q, -psi(q[..., 0]))
 
@@ -317,6 +330,7 @@ def henon_like(psi, dpsi, name="H_psi"):
         out = np.stack([y, -x + psi(y)], axis=-1)
         return out, ((0.0, 1.0, -1.0, dpsi(y)) if with_jac else None)
 
+    # read by the rescaling suite: the legs' H_i^-1 and the corollary's H_0^-1
     def inv(q):
         xb, yb = q[..., 0], q[..., 1]
         return np.stack([psi(xb) - yb, xb], axis=-1)
@@ -340,6 +354,8 @@ def affine_map(name, scale, shift):
     def ev(p, with_jac):
         return p * scale + shift, (J if with_jac else None)
 
+    # read by the links suite (the backward steps of its pieces) and the
+    # rescaling suite (the exit charts' Qbar^-1)
     def inv(q):
         return (q - shift) / scale
 
@@ -347,17 +363,14 @@ def affine_map(name, scale, shift):
 
 
 def rotation_map(angle):
-    """Rigid plane rotation by `angle` (not hyperbolic; cone-test falsifier)."""
+    """Rigid plane rotation by `angle` (not hyperbolic; cone-test falsifier).
+    It carries no inverse: nothing runs R^-1."""
     c, s = np.cos(angle), np.sin(angle)
-    R = np.array([[c, -s], [s, c]])
-    RT = np.ascontiguousarray(R.T)  # batch-independent rows, as in anosov_map
+    RT = np.array([[c, s], [-s, c]])  # R^T, contiguous: batch-independent rows
     J = (c, -s, s, c)
 
     def ev(p, with_jac):
         return p @ RT, (J if with_jac else None)
 
-    def inv(q):
-        return q @ R
-
-    return MapDescriptor(f"R({angle:g})", ev, inv)
+    return MapDescriptor(f"R({angle:g})", ev)
 

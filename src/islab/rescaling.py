@@ -46,16 +46,13 @@ class SaddleNormalForm:
         self.c2 = float(c2)
         self.log_lam = np.log(lam)
 
-    def _factor(self, u, k):
-        return np.exp(k * (self.log_lam + 2.0 * self.c2 * u))
-
     def _ev(self, p, with_jac, k):
         """k-fold iterate of points p, and its Jacobian when with_jac (else
         None)."""
         p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
         u = x * y
-        f = self._factor(u, k)
+        f = np.exp(k * (self.log_lam + 2.0 * self.c2 * u))
         out = np.stack([f * x, y / f], axis=-1)
         if not with_jac:
             return out, None
@@ -64,16 +61,10 @@ class SaddleNormalForm:
 
     def descriptor(self, k=1):
         """T0^k; an integer array k broadcasts against the batch shape, so a
-        (K, 1) column maps points (M, 2) to their K iterates (K, M, 2)."""
-
-        def inv(q):
-            q = np.asarray(q, dtype=float)
-            u = q[..., 0] * q[..., 1]  # conserved, so usable from the image
-            f = self._factor(u, k)
-            return np.stack([q[..., 0] / f, f * q[..., 1]], axis=-1)
-
+        (K, 1) column maps points (M, 2) to their K iterates (K, M, 2).
+        It carries no inverse: no suite, check or claim runs T0^-k."""
         name = f"T0^{k}" if np.ndim(k) == 0 else "T0^j"
-        return MapDescriptor(name, lambda p, with_jac: self._ev(p, with_jac, k), inv)
+        return MapDescriptor(name, lambda p, with_jac: self._ev(p, with_jac, k))
 
     # -- boundary-value form ---------------------------------------------------
 
@@ -143,21 +134,15 @@ class TransitionMap:
         """d = the xy-cross coefficient of the second nonlinear tail."""
         return 2.0 * self.a
 
-    def _X(self, w):
-        return w + self.a * (w - self.x_plus) ** 2
-
-    def _Xp(self, w):
-        return 1.0 + 2.0 * self.a * (w - self.x_plus)
-
     def _ev(self, p, with_jac):
         """T1(p), and DT1(p) when with_jac (else None)."""
         p = np.asarray(p, dtype=float)
         x, y = p[..., 0], p[..., 1]
         v = y - self.y_minus + polyval(x, self.u_coef)
         w = self.x_plus + self.b * v
-        Xp = self._Xp(w)
+        Xp = 1.0 + 2.0 * self.a * (w - self.x_plus)
         z = self.c * x
-        out = np.stack([self._X(w), z / Xp], axis=-1)
+        out = np.stack([w + self.a * (w - self.x_plus) ** 2, z / Xp], axis=-1)
         if not with_jac:
             return out, None
         du = polyval(x, self.du_coef)
@@ -170,22 +155,10 @@ class TransitionMap:
     def __call__(self, p):
         return self._ev(p, False)[0]
 
-    def inverse(self, q):
-        q = np.asarray(q, dtype=float)
-        xb, yb = q[..., 0], q[..., 1]
-        if self.a == 0.0:
-            w = xb
-        else:
-            disc = 1.0 + 4.0 * self.a * (xb - self.x_plus)
-            w = self.x_plus + (np.sqrt(disc) - 1.0) / (2.0 * self.a)
-        z = yb * self._Xp(w)
-        x = z / self.c
-        v = (w - self.x_plus) / self.b
-        y = v + self.y_minus - polyval(x, self.u_coef)
-        return np.stack([x, y], axis=-1)
-
     def descriptor(self):
-        return MapDescriptor("T1", self._ev, self.inverse)
+        """T1 as a MapDescriptor, with no inverse: no suite, check or claim
+        runs T1^-1."""
+        return MapDescriptor("T1", self._ev)
 
 
 # ---------------------------------------------------------------------------
@@ -252,43 +225,36 @@ class RescalingModel:
         self.y_minus = np.array([t.y_minus for t in self.T1])
         self.R = r_sequence(self.b, self.c)
         self.bump = BoxBump(self.box_half, self.box_inner)
-        # box_region's tables: the box indices in the order of their
-        # centers, and whether the right box of each neighbour pair has the
-        # later index
-        order = sorted(range(self.N), key=self.x_plus.__getitem__)
-        self._order = np.array(order)
-        self._centers = self.x_plus[self._order]
-        # neighbouring centers are the closest pairs
-        if np.any(self._centers[1:] - self._centers[:-1] < 2 * self.box_half[0]):
+        if np.any(np.diff(np.sort(self.x_plus)) < 2 * self.box_half[0]):
             raise ValueError("perturbation boxes overlap")
-        self._right_later = np.array([True] + [a < b for a, b in zip(order, order[1:])])
 
     def box_region(self, p):
         """(region, box) of points p: region 2 on the inner plateau of box
         `box`, 1 in its collar, and 0 outside every box (box -1 there).
 
-        The boxes are disjoint intervals of x over one y interval, so only
-        the two boxes whose centers bracket x can hold a point.  Boxes may
-        touch, and a point within an ulp of where they meet can then pass
-        the strict test |x - center| < half of both; the later box index
-        takes it."""
+        One pass per box, in index order, writes the points that box holds.
+        Boxes may touch, and a point within an ulp of where they meet can
+        then pass the strict test |x - center| < half of both; the later
+        box index, written last, takes it."""
         p = np.asarray(p, dtype=float)
         x, ay = p[..., 0], np.abs(p[..., 1])
         (hx, hy), (ix, iy) = self.box_half, self.box_inner
-        hi = np.minimum(np.searchsorted(self._centers, x), self.N - 1)
-        lo = np.maximum(hi - 1, 0)
-        ax_lo = np.abs(x - self._centers[lo])
-        ax_hi = np.abs(x - self._centers[hi])
-        take_hi = (ax_hi < hx) & ((ax_lo >= hx) | self._right_later[hi])
-        ax = np.where(take_hi, ax_hi, ax_lo)
-        outer = (ax < hx) & (ay < hy)
-        reg = outer + ((ax <= ix) & (ay <= iy)).astype(int)
-        box = np.where(outer, self._order[np.where(take_hi, hi, lo)], -1)
+        reg = np.zeros(x.shape, dtype=int)
+        box = np.full(x.shape, -1, dtype=int)
+        in_y, inner_y = ay < hy, ay <= iy
+        for i, center in enumerate(self.x_plus):
+            ax = np.abs(x - center)
+            hit = (ax < hx) & in_y
+            reg[hit] = 1 + ((ax[hit] <= ix) & inner_y[hit])
+            box[hit] = i
         return reg, box
 
 
 def desk_model(nonlinearity=0.1, tails=True, lam=0.4, mu=0.8, r=2):
-    """The working desk configuration: N = 3, lam = 0.4, mu = 0.8."""
+    """The working desk configuration: N = 3 transition maps with the
+    landing points x+ = (0.9, 1.62, 3.24), at the scales lam and mu (by
+    default 0.4 and 0.8) and r; `nonlinearity` is the normal form's c2, and
+    `tails` switches the transitions' nonlinear tails on."""
     T0 = SaddleNormalForm(lam, nonlinearity)
     u2, u3, a = (0.15, 0.05, 0.1) if tails else (0.0, 0.0, 0.0)
     xp = (0.9, 1.62, 3.24)
@@ -473,6 +439,7 @@ def build_perturbation(charts, psi_list):
         return out.reshape(p.shape), (tuple(e.reshape(p.shape[:-1]) for e in J)
                                       if with_jac else None)
 
+    # g^-1 carries the paper's claim that g is a diffeomorphism: the time -1 flow
     g = MapDescriptor(f"g[k={charts.k}]", apply, lambda q: apply(q, False, -1.0)[0])
     return g, coefs, dcoefs
 

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no map Jacobian falls back to finite differences, the package runs on
-numpy alone, and every top-level name and every method of the package is
-reached by the package itself or by the acceptance tests.
+numpy alone, every top-level name and every method of the package is
+reached by the package itself or by the acceptance tests, and every exact
+inverse a map carries has a named reader.
 
 pyflakes would catch the first too; the checks here need only the standard
 library's `ast`.
@@ -454,6 +455,92 @@ def test_transpose_scan_flags_a_readded_view():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_product_with_a_transposed_view(path):
     assert transposed_right_operands(path.read_text(encoding="utf-8")) == []
+
+
+# every function of the package that builds a MapDescriptor with an inverse,
+# by module and qualified name, and the reader that needs the inverse.  An
+# inverse that nothing reads is code to delete
+INVERSE_HOMES = {
+    "maps.anosov_map": "construction_checks.exponent_symmetry_defect",
+    "maps.chirikov_map": "construction_checks.exponent_symmetry_defect",
+    "maps.affine_map": "the links suite's backward steps and the rescaling exit charts",
+    "maps.shear_map": "the links suite's backward steps and the construction check "
+                      "that inverts compose(S_psi, F)",
+    "maps.henon_like": "the rescaling suite's leg defects and corollary",
+    "maps.inverse_descriptor": "compose's inverse chain, as through the corollary's F_target",
+    "maps.compose": "the construction check that inverts compose(S_psi, F)",
+    "links.SuitableModel._assemble_fstar": "the construction check that inverts "
+                                           "compose(S_psi, F)",
+    "blowup.IslandMap.descriptor": "the paper's diffeomorphism Fhat",
+    "blowup.IslandMap.surgery_descriptor": "the paper's diffeomorphism Psi",
+    "rescaling.build_perturbation": "the paper's diffeomorphism g",
+}
+
+
+def inverse_builders(source):
+    """(qualified name, line) of each `MapDescriptor(...)` call in `source`
+    given an inverse, a third positional argument or an `inv=` keyword that
+    is not None, by the function (Class.method for a method) that holds it."""
+    found = []
+
+    def given(arg):
+        return not (isinstance(arg, ast.Constant) and arg.value is None)
+
+    def visit(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                visit(child, name + ".", name if isinstance(child, ast.FunctionDef) else owner)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (getattr(func, "id", None) == "MapDescriptor"
+                        or getattr(func, "attr", None) == "MapDescriptor"):
+                    if ((len(child.args) > 2 and given(child.args[2]))
+                            or any(k.arg == "inv" and given(k.value) for k in child.keywords)):
+                        found.append((owner, child.lineno))
+            visit(child, prefix, owner)
+
+    visit(ast.parse(source), "", None)
+    return found
+
+
+def test_inverse_scan_flags_a_readded_inverse():
+    source = ("from .maps import MapDescriptor\n"
+              "from . import maps\n"
+              "def rotation_map(angle):\n"
+              "    def inv(q):\n"
+              "        return q\n"
+              "    return MapDescriptor('R', ev, inv)\n"
+              "class T:\n"
+              "    def descriptor(self):\n"
+              "        return maps.MapDescriptor('T1', self._ev, inv=self.inverse)\n"
+              "    def plain(self):\n"
+              "        return MapDescriptor('T0', self._ev), MapDescriptor('T', ev, None)\n"
+              "    def keyword_none(self):\n"
+              "        return MapDescriptor('S', ev, inv=None, domain=d)\n"
+              "def outer():\n"
+              "    def inner():\n"
+              "        return MapDescriptor('g', ev, lambda q: q)\n"
+              "    return inner\n")
+    assert inverse_builders(source) == [("rotation_map", 6), ("T.descriptor", 9),
+                                        ("outer.inner", 16)]
+    # the transition map's inverse, re-added to this tree's rescaling module
+    real = (SRC / "rescaling.py").read_text(encoding="utf-8")
+    assert 'MapDescriptor("T1", self._ev)' in real
+    readded = real.replace('MapDescriptor("T1", self._ev)',
+                           'MapDescriptor("T1", self._ev, self.inverse)')
+    assert "TransitionMap.descriptor" in [name for name, _ in inverse_builders(readded)]
+    assert "TransitionMap.descriptor" not in [name for name, _ in inverse_builders(real)]
+
+
+def test_every_inverse_has_a_reader():
+    built = {f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
+             for name, _ in inverse_builders(p.read_text(encoding="utf-8"))}
+    # an inverse that is not listed has no reader yet; a listed function
+    # that no longer builds one is a stale entry
+    assert sorted(built - INVERSE_HOMES.keys()) == []
+    assert sorted(INVERSE_HOMES.keys() - built) == []
 
 
 # the quintic step's value polynomial t^3 (10 - 15 t + 6 t^2); its

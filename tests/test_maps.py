@@ -165,9 +165,11 @@ BATCH_MAPS = {"anosov": anosov_map(), "rotation": rotation_map(0.7),
               "chirikov": chirikov_map(0.35)}
 
 
-@pytest.mark.parametrize("name", sorted(BATCH_MAPS))
-@pytest.mark.parametrize("way", ["ev", "inv"])
-def test_each_row_of_a_batch_is_its_one_row_result(name, way):
+# the rotation carries no inverse
+@pytest.mark.parametrize("way, name", [(way, name) for way in ("ev", "inv")
+                                       for name in sorted(BATCH_MAPS)
+                                       if way == "ev" or BATCH_MAPS[name].inv is not None])
+def test_each_row_of_a_batch_is_its_one_row_result(way, name):
     # a product with a transposed view rounds a row differently with the
     # size of its batch
     f = BATCH_MAPS[name] if way == "ev" else BATCH_MAPS[name].inverse

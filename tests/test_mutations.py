@@ -64,6 +64,17 @@ def _box_shear_kick_scaled(monkeypatch):
     monkeypatch.setattr(rescaling.RescalingCharts, "psihat", mutated)
 
 
+def _landing_offset_off_by_1e_6(monkeypatch):
+    # each leg's constant landing defect scaled by 1 + 1e-6: the box shear no
+    # longer cancels it, so the kick-free affine legs land 1.06e-4 off the
+    # Henon product, against the 1e-9 gate; the kicked model's E(k) still
+    # falls in k below its gate, and the Phi_i defects move with the offset,
+    # not with the kicks
+    c_offset = rescaling.RescalingCharts.c_offset
+    monkeypatch.setattr(rescaling.RescalingCharts, "c_offset",
+                        lambda self, i: c_offset(self, i) * (1 + 1e-6))
+
+
 # row name -> (config, mutation, the checks that must fail)
 MUTATIONS = {
     "island-flow-order-2": (ISLAND, _island_flow_at_order_2,
@@ -73,6 +84,8 @@ MUTATIONS = {
                                        {"half-lattice-translation-equivariance"}),
     "box-shear-kick-scaled": (RESCALING, _box_shear_kick_scaled,
                               {"phi-defect-kick-independence"}),
+    "landing-offset-off-by-1e-6": (RESCALING, _landing_offset_off_by_1e_6,
+                                   {"affine-configuration-error"}),
 }
 
 

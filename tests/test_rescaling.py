@@ -116,8 +116,6 @@ def test_normal_form_closed_form_iterate():
     for _ in range(7):
         step = T0.descriptor(1)(step)
     assert np.max(np.abs(T0.descriptor(7)(p) - step)) <= 1e-12
-    d = T0.descriptor(7)
-    assert np.max(np.abs(d.inv(d(p)) - p)) <= 1e-12
 
 
 def test_normal_form_iterate_column_matches_each_iterate():
@@ -229,7 +227,6 @@ def test_transition_symplectic_and_invertible_on_box():
                     rng.uniform(0.27, 0.37, 400)], axis=-1)
     d = T1.descriptor()
     assert np.max(d.symplectic_defect(pts)) <= 1e-9
-    assert np.max(np.abs(d.inv(d(pts)) - pts)) <= 1e-12
 
 
 def test_transition_zero_tails_affine():
@@ -263,10 +260,6 @@ def test_transition_and_shear_polynomials_match_polynomial_objects():
     out, J = T1.descriptor().value_and_jacobian(pts)
     assert out.tobytes() == ref.tobytes()
     assert J[:, 0, 0].tobytes() == (Xp * 0.5 * u.deriv()(x)).tobytes()
-    wb = 1.62 + (np.sqrt(1.0 + 4.0 * 0.1 * (ref[:, 0] - 1.62)) - 1.0) / (2.0 * 0.1)
-    xb = ref[:, 1] * (1.0 + 2.0 * 0.1 * (wb - 1.62)) / -2.0
-    back = (wb - 1.62) / 0.5 + 0.32 - u(xb)
-    assert T1.inverse(ref)[:, 1].tobytes() == back.tobytes()
     # g's shear and its psihat' entry evaluate the coefficients that
     # build_perturbation hands back, in the box coordinate s = x - x+_i, and
     # match the x-power Polynomial construction to its rounding
@@ -772,7 +765,6 @@ def test_legs_are_symplectic_on_chart_windows():
         leg = compose(g, m.T1[(i + 1) % 3].descriptor(), m.T0.descriptor(k))
         pts = ch.qbar(i)(disc)
         assert np.max(leg.symplectic_defect(pts)) <= 1e-9
-        assert np.max(np.abs(leg.inv(leg(pts)) - pts)) <= 1e-10
 
 
 @pytest.mark.parametrize("lam, k", [(0.6, 60), (0.7, 30)])
