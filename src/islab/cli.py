@@ -315,9 +315,11 @@ def _run_rescaling(cfg, rng):
     checks.append(_check("affine-configuration-error", worst_affine, 1e-9))
 
     model = desk_model(nonlinearity=p["nonlinearity"], lam=lam, mu=mu, r=r)
-    kicks = [Polynomial(rng.uniform(-p["kick_amp"], p["kick_amp"], 3))
-             for _ in range(3)]
 
+    def draw_kicks():
+        return [Polynomial(rng.uniform(-p["kick_amp"], p["kick_amp"], 3)) for _ in range(3)]
+
+    kicks = draw_kicks()
     reports = [verify_rescaling(model, k, kicks) for k in klist]
     errs = [rep["error"] for rep in reports]
     ratios = [b / a for a, b in zip(errs, errs[1:])]
@@ -326,16 +328,9 @@ def _run_rescaling(cfg, rng):
     checks.append(_check("error-at-largest-k", errs[-1], 0.05))
 
     k_probe = klist[-2] if len(klist) > 1 else klist[0]
-    base_defects = None
-    spread = 0.0
-    for _ in range(5):
-        ks = [Polynomial(rng.uniform(-p["kick_amp"], p["kick_amp"], 3))
-              for _ in range(3)]
-        pd = np.array(verify_rescaling(model, k_probe, ks)["phi_defects"])
-        if base_defects is None:
-            base_defects = pd
-        else:
-            spread = max(spread, float(np.max(np.abs(pd - base_defects))))
+    pd = np.array([verify_rescaling(model, k_probe, draw_kicks())["phi_defects"]
+                   for _ in range(5)])
+    spread = float(np.max(np.abs(pd[1:] - pd[0])))
     checks.append(_check("phi-defect-kick-independence", spread, 1e-9))
 
     quad = [Polynomial(rng.uniform(-0.5, 0.5, 3)) for _ in range(2)]

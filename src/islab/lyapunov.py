@@ -8,7 +8,9 @@ overflow, of power-iteration alignment error and of any rounding but the
 product's own and one norm's and log's: for a constant symmetric cocycle
 the estimate is exact to rounding at any horizon (the automorphism's reads
 within 2 ulp of sigma from n = 50 to 10000).  One batched kernel,
-`_cocycle_logs`, carries this product for every caller.
+`_cocycle_logs`, carries this product for every caller.  It carries every
+admitted row in place to the horizon: a row that stops freezes there, so
+no row leaves its batch.
 
 Entropy is the midpoint-rule integral of the clamped-positive exponent field
 over a grid of the unit square: the mean of max(lambda_n, 0) over cells.
@@ -47,13 +49,7 @@ def spectral_norm(m):
     return np.sqrt(0.5 * (a + c) + np.sqrt(0.25 * (a - c) ** 2 + b * b))
 
 
-def _log_norm(M, E):
-    """log ||M|| + E ln 2, the log-norm of the rows of a product carried as
-    its scaled entries M and their integer exponents E."""
-    return E * LN2 + np.log(spectral_norm(M))
-
-
-def _cocycle_logs(f, pts, n, exclude=None, stop_on_invalid=False):
+def _cocycle_logs(f, pts, n, exclude=None):
     """Renormalized derivative product along the orbits of pts, shape (m, 2).
 
     Returns (logs, valid): logs[i] is log ||Df^k(pts[i])|| up to rounding,
@@ -69,40 +65,42 @@ def _cocycle_logs(f, pts, n, exclude=None, stop_on_invalid=False):
     a row of M by 2^-e, e from `np.frexp` of the row's largest |entry|, so
     that entry lands in [1, 2), and adds e to the row's integer exponent E.
     `np.ldexp` rounds nothing (short of the subnormal range), so M 2^E is
-    the product of the Jacobians as rounded by `mul2` alone, and the one
-    spectral norm and log a row needs are taken when it stops or reaches
-    the horizon, by `_log_norm`.
+    the product of the Jacobians as rounded by `mul2` alone, and each row's
+    one spectral norm and log are taken after the loop.
 
-    Only the active rows are carried: `rows` indexes them in pts, and x, E
-    and the product M are compacted when a row turns invalid.  Each step's
-    Jacobian comes as its four entries from f.ev, and M is carried as four
-    contiguous (m,) arrays (the first Jacobian broadcast to the active
-    rows, as a constant one is scalars), so `mul2` and the scaling run on
-    contiguous entry arrays.  Every step is row-wise, so a row's logs do
-    not depend on which other rows share its batch.  With stop_on_invalid
-    the product instead stops at the first step that invalidates a row, and
-    the logs of every row cover only the steps taken; the batch is never
-    compacted, so f may carry one parameter per row of pts.
+    The rows whose start `exclude` rejects are dropped once, before the
+    first step; every admitted row then stays in place to the horizon.  A
+    row that stops leaves the `live` mask and takes the failed-product path
+    from then on (its step is its old M with e = 0), so its product and E
+    freeze, and its point freezes at its last live image: at the horizon x
+    holds every valid row's f^n(p).  So f may carry one parameter per row
+    of pts, whichever rows stop mid-orbit, but not when `exclude` rejects a
+    start, which shortens the batch.  Each step's Jacobian comes as its
+    four entries from f.ev, and M is carried as four contiguous (m,)
+    arrays (the first Jacobian broadcast to the rows, as a constant one is
+    scalars), so `mul2` and the scaling run on contiguous entry arrays.
+    Every step is row-wise, so a row's logs do not depend on which other
+    rows share its batch.
     """
     valid = np.ones(pts.shape[0], dtype=bool)
     if exclude is not None:
         valid &= ~np.asarray(exclude(pts))
-    logs = np.zeros(pts.shape[0])
     rows = np.nonzero(valid)[0]
     x, E = pts[rows], np.zeros(rows.size, dtype=np.int64)
+    live = np.ones(rows.size, dtype=bool)
     M = (1.0, 0.0, 0.0, 1.0)                # the product of no steps
     for k in range(n):
-        if rows.size == 0:
+        if not live.any():
             break
-        x, J = f.ev(x, True)
+        y, J = f.ev(x, True)
         P = [np.broadcast_to(e, E.shape) for e in J] if k == 0 else mul2(J, M)
         big = np.abs(P[0])
         for i in (1, 2, 3):
             np.maximum(big, np.abs(P[i]), out=big)
-        ok = np.isfinite(big) & (big > 0.0)
+        ok = live & np.isfinite(big) & (big > 0.0)
         e = np.frexp(big)[1]
         e -= 1                              # big 2^-e lies in [1, 2)
-        if not ok.all():                    # a failed product keeps the steps before it
+        if not ok.all():                    # a stopped row keeps the steps before it
             P = [np.where(ok, p, m) for p, m in zip(P, M)]
             e[~ok] = 0
         E += e
@@ -111,17 +109,14 @@ def _cocycle_logs(f, pts, n, exclude=None, stop_on_invalid=False):
         del M
         M = [np.ldexp(p, -e) for p in P]
         del P
-        ok &= np.isfinite(x[:, 0]) & np.isfinite(x[:, 1])   # no length-2 reduction
+        ok &= np.isfinite(y[:, 0]) & np.isfinite(y[:, 1])   # no length-2 reduction
         if exclude is not None:
-            ok &= ~np.asarray(exclude(x))
-        if not ok.all():
-            valid[rows[~ok]] = False
-            if stop_on_invalid:
-                break
-            logs[rows[~ok]] = _log_norm([m[~ok] for m in M], E[~ok])
-            rows, x, E = rows[ok], x[ok], E[ok]
-            M = [m[ok] for m in M]
-    logs[rows] = _log_norm(M, E)
+            ok &= ~np.asarray(exclude(y))
+        x = y if ok.all() else np.where(ok[:, None], y, x)
+        live = ok
+    valid[rows] = live
+    logs = np.zeros(pts.shape[0])
+    logs[rows] = E * LN2 + np.log(spectral_norm(M))
     return logs, valid
 
 
@@ -138,13 +133,13 @@ def max_lyapunov(f, p, n=200):
     p is one point, shape (2,), or a batch, shape (m, 2); a batch gives
     per-row `log_norm` and `estimate` arrays.  Raises RuntimeError when the
     cocycle of any row degenerates (a non-finite or zero norm, or a
-    non-finite image); the product stops at that step, so f may carry one
+    non-finite image).  No row leaves the batch, so f may carry one
     parameter per row.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
     p = np.asarray(p, dtype=float)
-    logs, valid = _cocycle_logs(f, np.atleast_2d(p), n, stop_on_invalid=True)
+    logs, valid = _cocycle_logs(f, np.atleast_2d(p), n)
     if not valid.all():
         raise RuntimeError(f"cocycle degenerate at {np.count_nonzero(~valid)} "
                            f"of {valid.size} points")

@@ -210,9 +210,7 @@ def inverse_descriptor(m):
         p = m.inv(q)
         return p, (inv2(m.ev(p, True)[1]) if with_jac else None)
 
-    # m^-1's inverse is m itself, so compose's inverse chain runs through
-    # it, as through the corollary's F_target
-    return MapDescriptor(m.name + "^-1", ev, m)
+    return MapDescriptor(m.name + "^-1", ev)
 
 
 # ----------------------------------------------------------------------

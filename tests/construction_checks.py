@@ -202,11 +202,13 @@ def _stacked_log_norm(M, E):
     return E * np.log(2.0) + np.log(_stacked_spectral_norm(M))
 
 
-def stacked_cocycle_logs(f, pts, n, exclude=None, stop_on_invalid=False):
+def stacked_cocycle_logs(f, pts, n, exclude=None):
     """`lyapunov._cocycle_logs` with the product M carried as a strided
     (m, 2, 2) stack: the reference that the entry-array kernel is held to,
     bit for bit, in logs and valid.  Each step scales a row by 2^-e so that
-    its largest |entry| lands in [1, 2), and adds e to the row's exponent."""
+    its largest |entry| lands in [1, 2), and adds e to the row's exponent.
+    Where the kernel keeps a stopped row in place, frozen, this reference
+    takes the row's log-norm when it stops and drops it from the batch."""
     valid = np.ones(pts.shape[0], dtype=bool)
     if exclude is not None:
         valid &= ~np.asarray(exclude(pts))
@@ -233,8 +235,6 @@ def stacked_cocycle_logs(f, pts, n, exclude=None, stop_on_invalid=False):
             ok &= ~np.asarray(exclude(x))
         if not ok.all():
             valid[rows[~ok]] = False
-            if stop_on_invalid:
-                break
             logs[rows[~ok]] = _stacked_log_norm(M[~ok], E[~ok])
             rows, x, M, E = rows[ok], x[ok], M[ok], E[ok]
     logs[rows] = _stacked_log_norm(M, E)

@@ -22,7 +22,7 @@ from islab.blowup import (
     to_polar,
 )
 from islab import blowup
-from islab.lyapunov import entropy_estimate
+from islab.lyapunov import _cell_centers, entropy_estimate
 from islab.maps import torus_diff, wrap_torus
 
 from construction_checks import (EXP_2SIGMA, finite_difference_jacobian, flow_matches_linear_map,
@@ -683,6 +683,20 @@ def test_island_orbit_invariance(island):
         q = island.inverse(q)
         assert np.min(min_radius(p)) >= delta - 1e-10
         assert np.min(min_radius(q)) >= delta - 1e-10
+
+
+@pytest.mark.parametrize("delta, eps, grid, n",
+                         [(0.15, 0.24, 100, 200), (0.15, 0.24, 15, 50)]
+                         + [(d, e, 16, 50) for d, e in EDGE_PROFILES])
+def test_no_admitted_island_cell_stops_mid_orbit(delta, eps, grid, n):
+    # the map sends the island into itself, so the exponent grid's cocycle
+    # stops no row after its start: a cell is valid exactly when its start
+    # lies in the island
+    island = IslandMap(delta, eps)
+    rep = entropy_estimate(island.descriptor(), resolution=grid, n=n,
+                           exclude=lambda q: ~island.island_mask(q))
+    admitted = island.island_mask(_cell_centers(grid)).reshape(grid, grid)
+    assert np.array_equal(rep.valid, admitted)
 
 
 def test_island_mask_and_area(island):

@@ -467,7 +467,6 @@ INVERSE_HOMES = {
     "maps.shear_map": "the links suite's backward steps and the construction check "
                       "that inverts compose(S_psi, F)",
     "maps.henon_like": "the rescaling suite's leg defects and corollary",
-    "maps.inverse_descriptor": "compose's inverse chain, as through the corollary's F_target",
     "maps.compose": "the construction check that inverts compose(S_psi, F)",
     "links.SuitableModel._assemble_fstar": "the construction check that inverts "
                                            "compose(S_psi, F)",

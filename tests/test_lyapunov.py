@@ -97,25 +97,24 @@ def test_cocycle_rows_do_not_depend_on_their_batch():
 
 def _island_grid_case():
     island = IslandMap()
-    return island.descriptor(), _cell_centers(16), 20, lambda q: ~island.island_mask(q), False
+    return island.descriptor(), _cell_centers(16), 20, lambda q: ~island.island_mask(q)
 
 
 @pytest.mark.parametrize("case", [
     lambda: (_leaky_standard_map(), np.random.default_rng(11).random((64, 2)), 40,
-             _near_centre, False),
-    lambda: (_leaky_standard_map(), np.random.default_rng(11).random((64, 2)), 40,
-             _near_centre, True),
-    lambda: (anosov_map(), np.random.default_rng(12).random((64, 2)), 40, None, False),
+             _near_centre),
+    lambda: (anosov_map(), np.random.default_rng(12).random((64, 2)), 40, None),
     _island_grid_case,
-], ids=["leaky", "leaky-stop", "anosov", "island-grid-16"])
+], ids=["leaky", "anosov", "island-grid-16"])
 def test_cocycle_matches_the_stacked_reference(case):
-    # the kernel carries M as four contiguous entry arrays; the reference
-    # carries it as a strided (m, 2, 2) stack, with the same products, sums
-    # and divisions in the same order
-    f, pts, n, exclude, stop = case()
+    # the kernel carries M as four contiguous entry arrays, every admitted
+    # row in place; the reference carries it as a strided (m, 2, 2) stack
+    # and drops a row when it stops, with the same products, sums and
+    # divisions in the same order
+    f, pts, n, exclude = case()
     with np.errstate(invalid="ignore"):         # inf - inf in the leaky rows
-        got = _cocycle_logs(f, pts, n, exclude, stop_on_invalid=stop)
-        want = stacked_cocycle_logs(f, pts, n, exclude, stop_on_invalid=stop)
+        got = _cocycle_logs(f, pts, n, exclude)
+        want = stacked_cocycle_logs(f, pts, n, exclude)
     assert np.array_equal(got[1], want[1])
     assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
     if f.name == "leaky":
@@ -138,6 +137,22 @@ def test_cocycle_row_excluded_at_step_k_keeps_its_first_k_logs():
     for i, k in enumerate(first):
         want = full[i] if k < 0 else _cocycle_logs(f, pts[i:i + 1], k)[0][0]
         assert logs[i] == want
+
+
+def test_rows_of_a_per_row_map_stopping_mid_orbit_keep_their_own_logs():
+    # one parameter per row, every start admitted, many rows excluded at
+    # different steps: no row leaves the batch, so each row still meets
+    # its own parameter, and its logs and validity are its one-row run's
+    g = np.random.default_rng(13)
+    pts = g.random((64, 2))
+    pts = pts[~_near_centre(pts)]
+    a = g.uniform(0.5, 2.0, len(pts))
+    logs, valid = _cocycle_logs(chirikov_map(a), pts, 40, _near_centre)
+    rows = [_cocycle_logs(chirikov_map(a[i:i + 1]), pts[i:i + 1], 40, _near_centre)
+            for i in range(len(pts))]
+    assert 10 <= np.count_nonzero(valid) <= len(pts) - 20    # many stop mid-orbit
+    assert np.array_equal(valid, [v[0] for _, v in rows])
+    assert np.array_equal(logs.view(np.int64), np.array([lg[0] for lg, _ in rows]).view(np.int64))
 
 
 # every integer matrix of determinant 1 with entries in [-2, 2]: elliptic,
