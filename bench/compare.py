@@ -10,8 +10,15 @@ the change side's median in A and in B and their ratio B / A.  Then lists
 every artifact digest that differs between A's and B's change trees (a key
 that only one of them holds differs too), or says that they are identical.
 A digest-only record (`--pairs 0`) has no timing, so only its digests are
-compared.  When either record holds a profile (`record.py --profile`), the
-change trees' profiles follow: per workload and table (`tottime`, the top
+compared.  When either record holds checks (every record from
+`record.py` since checks were added), the change trees' checks follow: for
+each run of a suite, each check whose value, tolerance, comparison, pass or
+headroom differs, with both sides' values and headrooms, and each scalar
+metric that differs, with both values and the absolute and relative
+change; then one line that says how many differ, or that they are
+identical.  A is the reference: a check that passes in A and fails in B
+crossed its gate, and is marked so.  When either record holds a profile
+(`record.py --profile`), the change trees' profiles follow: per workload and table (`tottime`, the top
 functions by own time, and `islab_cumtime`), every function whose share of
 the profile moved by more than SHARE_POINTS, a function absent from one
 side's table reading 0 there.  A record path with the suffix ":parent"
@@ -27,8 +34,9 @@ column (over the rows both files hold); any other file that differs is
 named as differing.
 
 Exit codes: 0 when both files read as records, or both paths are
-directories, whatever they hold; 2 when one cannot be read as a record,
-or is not a directory.
+directories, and no check crossed its gate; 1 when a check crossed its gate
+(it passes in A and fails in B); 2 when one cannot be read as a record, or
+is not a directory.
 """
 
 import argparse
@@ -50,7 +58,7 @@ class RecordError(ValueError):
 
 def load(path):
     """The record at path; at "<path>:parent", that record with its parent
-    tree's digests, medians and profile read as its change tree's.  Raises
+    tree's digests, checks, medians and profile read as its change tree's.  Raises
     RecordError when the file cannot be read, is not JSON, or holds no
     digests of the tree asked for."""
     path, side = str(path), "change"
@@ -68,6 +76,7 @@ def load(path):
         summary = {w: {m: dict(row, change=row["parent"]) for m, row in metrics.items()}
                    for w, metrics in rec.get("summary", {}).items()}
         rec = dict(rec, digests={"change": digests["parent"]}, summary=summary,
+                   checks={"change": rec.get("checks", {}).get("parent")},
                    profile={"change": rec.get("profile", {}).get("parent")})
     return rec
 
@@ -86,7 +95,7 @@ def differing_digests(a, b):
 
 
 def report(a, b):
-    """The comparison's lines."""
+    """The comparison's lines, and whether a check crossed its gate."""
     lines = []
     ma, mb = medians(a), medians(b)
     shared = [key for key in ma if key in mb]
@@ -104,10 +113,60 @@ def report(a, b):
         lines += [f"  {key}" for key in differ]
     else:
         lines.append(f"digests: identical ({total})")
+    crossed = False
+    ca, cb = (rec.get("checks", {}).get("change") for rec in (a, b))
+    if ca and cb:
+        more, crossed = check_lines(ca, cb)
+        lines += more
+    elif ca or cb:
+        lines.append("checks: not in both records")
     pa, pb = (rec.get("profile", {}).get("change") for rec in (a, b))
     if pa or pb:
         lines += profile_lines(pa, pb) if pa and pb else ["profile: not in both records"]
-    return lines
+    return lines, crossed
+
+
+def _num(x):
+    return "-" if x is None else f"{x:.6g}"
+
+
+def check_lines(ca, cb):
+    """The lines for two trees' checks, {run: {"checks": {name: entry},
+    "metrics": {name: value}}} as bench/record.py writes them, and whether a
+    check that passes in ca fails in cb.  A check or metric that only one
+    side holds differs."""
+    lines, crossed, counts = [], 0, {"checks": [0, 0], "metrics": [0, 0]}
+    empty = {"checks": {}, "metrics": {}}
+    for run in sorted(set(ca) | set(cb)):
+        ra, rb = ca.get(run, empty), cb.get(run, empty)
+        for kind in ("checks", "metrics"):
+            for name in sorted(set(ra[kind]) | set(rb[kind])):
+                ea, eb = ra[kind].get(name), rb[kind].get(name)
+                counts[kind][1] += 1
+                if ea == eb:
+                    continue
+                counts[kind][0] += 1
+                what = f"{kind[:-1]} {run} {name}"
+                if ea is None or eb is None:
+                    lines.append(f"{what}: only in {'A' if eb is None else 'B'}")
+                elif kind == "metrics":
+                    rel = f"{(eb - ea) / abs(ea):+.3g}" if ea else "-"
+                    lines.append(f"{what}: {ea!r} -> {eb!r} (change {eb - ea:+.3g}, "
+                                 f"relative {rel})")
+                else:
+                    gate = ea["passed"] and not eb["passed"]
+                    crossed += gate
+                    lines.append(f"{what}: value {ea['value']!r} -> {eb['value']!r}, "
+                                 f"headroom {_num(ea['headroom'])} -> {_num(eb['headroom'])}"
+                                 + (f", crossed its gate {eb['comparison']} "
+                                    f"{eb['tolerance']!r}" if gate else ""))
+    (dc, nc), (dm, nm) = counts["checks"], counts["metrics"]
+    if dc or dm:
+        lines.append(f"checks: {dc} of {nc} checks and {dm} of {nm} metrics differ, "
+                     f"{crossed} crossed its gate")
+    else:
+        lines.append(f"checks: identical ({nc} checks, {nm} metrics)")
+    return lines, bool(crossed)
 
 
 def profile_lines(pa, pb):
@@ -199,8 +258,9 @@ def main(argv=None):
     except RecordError as e:
         print(e, file=sys.stderr)
         return 2
-    print("\n".join(report(a, b)))
-    return 0
+    lines, crossed = report(a, b)
+    print("\n".join(lines))
+    return 1 if crossed else 0
 
 
 if __name__ == "__main__":

@@ -19,8 +19,12 @@ lower.  Every end-to-end metric is better lower.
 Digests: every artifact of the five suites, run through `islab run` at the
 benchmark's parameters (`perfbench/workloads.py`) at seeds 1 and 7, is
 hashed with sha256, `report.json` after its `config.out`, the output path,
-is dropped.  With --pairs 0 and no --parent the record holds this tree's
-digests alone, and two passes over the same tree must write the same bytes.
+is dropped.  The same runs give the record's checks: per run, each check of
+`report.json` with its value, tolerance, comparison, pass and headroom
+(`headroom`), and every scalar metric.  Both are deterministic, so they are
+recorded once per tree.  With --pairs 0 and no --parent the record holds
+this tree's digests and checks alone, and two passes over the same tree
+must write the same bytes.
 
 Profiles (--profile): each tree runs each workload's configs in a fresh
 process under cProfile, PROFILE_OPERATIONS operations after one warm-up,
@@ -71,12 +75,36 @@ def digest(path):
     return hashlib.sha256(data).hexdigest()
 
 
+def headroom(check):
+    """How far a check of report.json sits from its gate, as perfbench's
+    gate_ratio reads it: value/tolerance for '<=' and '<', tolerance/value
+    for '>=', 1 at the gate and above 1 past it; None for '==' and for a
+    ratio with a zero denominator."""
+    value, tol, cmp = check["value"], check["tolerance"], check["comparison"]
+    num, den = {"<=": (value, tol), "<": (value, tol), ">=": (tol, value)}.get(cmp, (0, 0))
+    return num / den if den else None
+
+
+def report_checks(report):
+    """The record's view of one report.json: {"checks": {name: {"value",
+    "tolerance", "comparison", "passed", "headroom"}}, "metrics": {name:
+    value}} with every metric that is a number."""
+    checks = {c["name"]: {"value": c["value"], "tolerance": c["tolerance"],
+                          "comparison": c["comparison"], "passed": c["passed"],
+                          "headroom": headroom(c)} for c in report["checks"]}
+    metrics = {k: v for k, v in report["metrics"].items()
+               if isinstance(v, (int, float)) and not isinstance(v, bool)}
+    return {"checks": checks, "metrics": metrics}
+
+
 def artifact_digests(tree):
-    """{"<workload>/<suite>/seed<s>/<file>": sha256} for every artifact of
-    the workloads' suite configs at SEEDS, run by `tree`'s islab, with each
-    run's exit code under "<workload>/<suite>/seed<s>/exit"."""
+    """(digests, checks) of the workloads' suite configs at SEEDS, run by
+    `tree`'s islab.  digests is {"<workload>/<suite>/seed<s>/<file>":
+    sha256} for every artifact, with each run's exit code under
+    "<workload>/<suite>/seed<s>/exit"; checks is {"<workload>/<suite>/
+    seed<s>": report_checks} of each run that wrote a report."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"))
-    out = {}
+    out, checks = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             for workload in WORKLOADS:
@@ -92,7 +120,11 @@ def artifact_digests(tree):
                     out[f"{key}/exit"] = run.returncode
                     for name in sorted(os.listdir(dest)):
                         out[f"{key}/{name}"] = digest(os.path.join(dest, name))
-    return out
+                    report = os.path.join(dest, "report.json")
+                    if os.path.exists(report):
+                        with open(report, encoding="utf-8") as fh:
+                            checks[key] = report_checks(json.load(fh))
+    return out, checks
 
 
 def perfbench(tree, workload, seed, seconds):
@@ -265,7 +297,9 @@ def record(parent, pairs, seed, seconds, tmp, profile=False):
     for tree in trees.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src"),
                         str(tree / "perfbench")], check=True)
-    rec["digests"] = {side: artifact_digests(tree) for side, tree in trees.items()}
+    runs = {side: artifact_digests(tree) for side, tree in trees.items()}
+    rec["digests"] = {side: digests for side, (digests, _) in runs.items()}
+    rec["checks"] = {side: checks for side, (_, checks) in runs.items()}
     if parent is not None:
         a, b = rec["digests"]["parent"], rec["digests"]["change"]
         rec["digests_differ"] = sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))

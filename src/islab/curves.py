@@ -194,12 +194,16 @@ class PeriodicFn:
         x = np.asarray(x, dtype=float)
         # a 1-d working copy, and Horner steps that are not in place, keep
         # every point's value independent of the batch it comes in: numpy
-        # rounds 0-d, numpy-scalar and in-place one-element products differently
+        # rounds 0-d, numpy-scalar and in-place one-element products
+        # differently, and a (1, 1) accumulator times a broadcast (1,) z too,
+        # so a stack's z is copied out to the accumulator's own shape
         t = x.ravel() - self.origin
         t = t - self.tau * np.floor(t / self.tau)
         z = np.exp(2j * np.pi * (t / self.tau))
         stack = self.samples.shape[:-1]
-        acc = np.full(stack + z.shape, self._wcoef[-1])
+        if stack:
+            z = np.broadcast_to(z, stack + z.shape).copy()
+        acc = np.full(z.shape, self._wcoef[-1])
         for c in self._wcoef[-2::-1]:
             acc = acc * z + c
         vals = acc.real.reshape(stack + x.shape)
@@ -253,17 +257,25 @@ class PeriodicFn:
 
 def random_trig_poly(tau, harmonics=8, amplitude=1e-2, rng=None, zero_mean=False,
                      origin=0.0):
-    """Random band-limited periodic function with coefficients <= amplitude."""
+    """Random band-limited periodic function with coefficients <= amplitude.
+
+    One `rng.uniform` call draws the mean (unless zero_mean) and then a_k,
+    b_k for k = 1..harmonics, each scaled by amplitude and a_k, b_k by 1/k;
+    the samples add the mean, then a_k cos and b_k sin of 2 pi k (x -
+    origin)/tau in k order, both taken over one (harmonics, n) array."""
     rng = np.random.default_rng(rng)
 
     def samples(grid):
+        draw = amplitude * rng.uniform(-1.0, 1.0, size=2 * harmonics + (not zero_mean))
+        k = np.arange(1, harmonics + 1)
+        coef = draw[draw.size - 2 * harmonics:].reshape(harmonics, 2) / k[:, None]
+        arg = (2 * np.pi * k)[:, None] * (grid - origin) / tau
         out = np.zeros(grid.shape)
         if not zero_mean:
-            out += amplitude * rng.uniform(-1.0, 1.0)
-        for k in range(1, harmonics + 1):
-            a, b = amplitude * rng.uniform(-1.0, 1.0, size=2) / k
-            out += a * np.cos(2 * np.pi * k * (grid - origin) / tau)
-            out += b * np.sin(2 * np.pi * k * (grid - origin) / tau)
+            out += draw[0]
+        for (a, b), cos, sin in zip(coef, np.cos(arg), np.sin(arg)):
+            out += a * cos
+            out += b * sin
         return out
 
     return PeriodicFn.from_function(samples, tau, origin=origin)

@@ -88,16 +88,19 @@ def _cocycle_logs(f, pts, n, exclude=None):
     rows = np.nonzero(valid)[0]
     x, E = pts[rows], np.zeros(rows.size, dtype=np.int64)
     live = np.ones(rows.size, dtype=bool)
+    every = rows.size > 0                   # every row live: live needs no test
     M = (1.0, 0.0, 0.0, 1.0)                # the product of no steps
     for k in range(n):
-        if not live.any():
+        if not (every or live.any()):
             break
         y, J = f.ev(x, True)
         P = [np.broadcast_to(e, E.shape) for e in J] if k == 0 else mul2(J, M)
         big = np.abs(P[0])
         for i in (1, 2, 3):
             np.maximum(big, np.abs(P[i]), out=big)
-        ok = live & np.isfinite(big) & (big > 0.0)
+        ok = np.isfinite(big) & (big > 0.0)
+        if not every:
+            ok &= live
         e = np.frexp(big)[1]
         e -= 1                              # big 2^-e lies in [1, 2)
         if not ok.all():                    # a stopped row keeps the steps before it
@@ -107,12 +110,14 @@ def _cocycle_logs(f, pts, n, exclude=None):
         # the old M and then P are spent: neither stays alive through the
         # scaling or the next f.ev
         del M
-        M = [np.ldexp(p, -e) for p in P]
+        np.negative(e, out=e)               # once for the four entries' 2^-e
+        M = [np.ldexp(p, e) for p in P]
         del P
         ok &= np.isfinite(y[:, 0]) & np.isfinite(y[:, 1])   # no length-2 reduction
         if exclude is not None:
             ok &= ~np.asarray(exclude(y))
-        x = y if ok.all() else np.where(ok[:, None], y, x)
+        every = bool(ok.all())
+        x = y if every else np.where(ok[:, None], y, x)
         live = ok
     valid[rows] = live
     logs = np.zeros(pts.shape[0])

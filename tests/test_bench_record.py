@@ -221,3 +221,92 @@ def test_compare_reads_a_record_without_a_profile_beside_a_profiled_one(tmp_path
     out = capsys.readouterr().out
     assert "links      run_s                   2          1.5    0.750" in out
     assert out.endswith("digests: identical (3)\n")
+
+
+# ---------------------------------------------------------------------------
+# checks (every check of report.json with its headroom, and the scalar
+# metrics, per run)
+
+
+def _report():
+    """A report.json's checks and metrics, one check per comparison."""
+    check = lambda name, value, tol, cmp, passed: {
+        "name": name, "value": value, "tolerance": tol, "comparison": cmp, "passed": passed}
+    return {"checks": [check("odd-symmetry-equivariance", 2e-14, 1e-9, "<=", True),
+                       check("pesin-grid-estimate", 2.0, 0.5, ">=", True),
+                       check("four-saddles-per-link-circle", 4.0, 4.0, "==", True)],
+            "metrics": {"grid_estimate": 2.0, "n": 200, "shape": [3, 2],
+                        "passed_all": True, "map": "anosov"}}
+
+
+def test_report_checks_keep_headrooms_and_scalar_metrics():
+    checks = _record().report_checks(_report())
+    assert checks["checks"]["odd-symmetry-equivariance"] == {
+        "value": 2e-14, "tolerance": 1e-9, "comparison": "<=", "passed": True,
+        "headroom": 2e-14 / 1e-9}
+    assert checks["checks"]["pesin-grid-estimate"]["headroom"] == 0.25
+    assert checks["checks"]["four-saddles-per-link-circle"]["headroom"] is None
+    assert checks["metrics"] == {"grid_estimate": 2.0, "n": 200}
+
+
+def _checked_record():
+    """_timed_record with both trees' checks of one island run."""
+    rec = _timed_record()
+    run = _record().report_checks(_report())
+    rec["checks"] = {side: {"island/island/seed1": json.loads(json.dumps(run))}
+                     for side in ("parent", "change")}
+    return rec
+
+
+def test_compare_a_record_with_checks_with_itself_reports_them_identical(tmp_path, capsys):
+    path = _write(tmp_path, "a.json", _checked_record())
+    assert _load("compare").main([path, path]) == 0
+    assert capsys.readouterr().out.endswith(
+        "digests: identical (3)\nchecks: identical (3 checks, 2 metrics)\n")
+
+
+def test_compare_reads_a_changed_check_as_changed(tmp_path, capsys):
+    rec = _checked_record()
+    a = _write(tmp_path, "a.json", rec)
+    run = rec["checks"]["change"]["island/island/seed1"]
+    run["checks"]["odd-symmetry-equivariance"].update(value=4e-14, headroom=4e-5)
+    run["metrics"]["grid_estimate"] = 2.5
+    b = _write(tmp_path, "b.json", rec)
+    # still under its gate: the exit stays 0
+    assert _load("compare").main([a, b]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "check island/island/seed1 odd-symmetry-equivariance: value 2e-14 -> 4e-14, "
+        "headroom 2e-05 -> 4e-05",
+        "metric island/island/seed1 grid_estimate: 2.0 -> 2.5 (change +0.5, relative +0.25)",
+        "checks: 1 of 3 checks and 1 of 2 metrics differ, 0 crossed its gate"]
+    # the record's own parent tree is the unchanged side
+    assert _load("compare").main([b + ":parent", a]) == 0
+    assert capsys.readouterr().out.endswith("checks: identical (3 checks, 2 metrics)\n")
+
+
+def test_compare_exits_nonzero_when_a_check_crosses_its_gate(tmp_path, capsys):
+    rec = _checked_record()
+    a = _write(tmp_path, "a.json", rec)
+    rec["checks"]["change"]["island/island/seed1"]["checks"]["pesin-grid-estimate"].update(
+        value=0.4, headroom=1.25, passed=False)
+    b = _write(tmp_path, "b.json", rec)
+    assert _load("compare").main([a, b]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "check island/island/seed1 pesin-grid-estimate: value 2.0 -> 0.4, "
+        "headroom 0.25 -> 1.25, crossed its gate >= 0.5",
+        "checks: 1 of 3 checks and 0 of 2 metrics differ, 1 crossed its gate"]
+    # a check that comes back under its gate reads as changed, and exits 0
+    assert _load("compare").main([b, a]) == 0
+
+
+def test_compare_reads_every_committed_record(tmp_path, capsys):
+    # BENCH_41 onwards hold no checks: each reads against its own parent,
+    # and beside a record with checks
+    new = _write(tmp_path, "new.json", _checked_record())
+    old = sorted(ROOT.glob("BENCH_*.json"))
+    assert len(old) >= 8
+    for path in map(str, old):
+        assert _load("compare").main([path + ":parent", path]) == 0
+        if "checks" not in json.loads(pathlib.Path(path).read_text()):
+            assert _load("compare").main([path, new]) == 0
+            assert "checks: not in both records\n" in capsys.readouterr().out

@@ -234,14 +234,27 @@ def test_periodic_sup_matches_dense_fine_grid(n):
 
 
 def test_periodic_and_masked_eval_batch_independent():
+    # 1-d samples, and stacks of 1 and 3 rows: at batches of 1, 2 and 301
+    # points, and at scalar points, every row of a stack reads bitwise its
+    # own 1-d function on the whole batch, for PeriodicFn, MaskedPeriodic
+    # and its d1
     psi = _nyquist_wave(128)
     rho = PartitionBump(-0.2, 0.6, psi.tau)
-    m = MaskedPeriodic(rho, psi)
     x = np.random.default_rng(4).uniform(-0.5, 1.5, 301)
-    for fn in (psi, m, m.d1):
-        one_by_one = np.array([fn(np.array([xi]))[0] for xi in x])
-        assert np.array_equal(fn(x), one_by_one)
-    assert np.array_equal(psi(x), np.array([psi(xi) for xi in x]))
+    draw = np.random.default_rng(3).standard_normal
+    for samples in (psi.samples, 1e-2 * draw((1, 128)), 1e-2 * draw((3, 128))):
+        stack = PeriodicFn(psi.tau, samples, psi.origin)
+        rows = [PeriodicFn(psi.tau, row, psi.origin) for row in np.atleast_2d(samples)]
+        masked = [MaskedPeriodic(rho, f) for f in rows]
+        m = MaskedPeriodic(rho, stack)
+        for fn, refs in ((stack, rows), (m, masked), (m.d1, [f.d1 for f in masked])):
+            want = np.reshape([ref(x) for ref in refs], np.shape(fn(x)))
+            for size in (1, 2, 301):
+                got = np.concatenate([np.reshape(fn(x[i:i + size]), want.shape[:-1] + (-1,))
+                                      for i in range(0, x.size, size)], axis=-1)
+                assert np.array_equal(got, want), (samples.shape, size)
+            scalar = np.stack([fn(xi) for xi in x], axis=-1)
+            assert np.array_equal(scalar, want), samples.shape
 
 
 def test_masked_periodic_exact_zero_outside_support():
@@ -296,6 +309,36 @@ def test_random_trig_poly_zero_mean_property(seed):
     p = random_trig_poly(1.0, harmonics=6, amplitude=1e-2, rng=rng, zero_mean=True)
     assert abs(p.mean()) < 1e-15
     assert p.sup() < 1.0  # amplitude-controlled
+
+
+def _trig_poly_by_harmonic(tau, harmonics, amplitude, rng, zero_mean, origin):
+    """random_trig_poly's samples drawn and summed one harmonic at a time:
+    the mean, then a_k, b_k from one size-2 draw per k, each sum in place."""
+    grid = origin + np.arange(curves.PERIODIC_SAMPLES) * (tau / curves.PERIODIC_SAMPLES)
+    out = np.zeros(grid.shape)
+    if not zero_mean:
+        out += amplitude * rng.uniform(-1.0, 1.0)
+    for k in range(1, harmonics + 1):
+        a, b = amplitude * rng.uniform(-1.0, 1.0, size=2) / k
+        out += a * np.cos(2 * np.pi * k * (grid - origin) / tau)
+        out += b * np.sin(2 * np.pi * k * (grid - origin) / tau)
+    return out
+
+
+@pytest.mark.parametrize("harmonics", [1, 5, 8])
+@pytest.mark.parametrize("zero_mean", [False, True])
+@pytest.mark.parametrize("origin", [0.0, -0.37])
+def test_random_trig_poly_matches_the_per_harmonic_draw(harmonics, zero_mean, origin):
+    # one uniform call and one (harmonics, n) cos and sin give the bits of
+    # the per-harmonic loop, and leave the generator where the loop leaves it
+    tau, amp = 0.83, 1e-2
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(3):
+        f = random_trig_poly(tau, harmonics=harmonics, amplitude=amp, rng=rng,
+                             zero_mean=zero_mean, origin=origin)
+        ref = _trig_poly_by_harmonic(tau, harmonics, amp, ref_rng, zero_mean, origin)
+        assert np.array_equal(f.samples, ref)
+    assert rng.random() == ref_rng.random()
 
 
 def test_masked_periodic_product_and_derivative():

@@ -259,6 +259,36 @@ def test_max_lyapunov_of_an_empty_batch():
     assert s.log_norm.shape == (0,) and s.estimate.shape == (0,)
 
 
+def _counting(f):
+    """f, and a list that gets the row count of each of its f.ev calls."""
+    calls = []
+
+    def ev(p, with_jac):
+        calls.append(len(p))
+        return f.ev(p, with_jac)
+
+    return dataclasses.replace(f, ev=ev), calls
+
+
+def test_cocycle_with_every_start_excluded_makes_no_step():
+    # exclude rejects every start: no row is live, so the kernel takes no
+    # step and returns zero logs and an all-false mask
+    f, calls = _counting(anosov_map())
+    pts = np.random.default_rng(2).random((7, 2))
+    logs, valid = _cocycle_logs(f, pts, 25, lambda q: np.ones(len(q), dtype=bool))
+    assert calls == []
+    assert np.array_equal(logs, np.zeros(7)) and not valid.any()
+
+
+def test_cocycle_with_every_row_live_steps_to_the_horizon():
+    # no row stops: exactly n steps, each on the whole batch
+    f, calls = _counting(anosov_map())
+    pts = np.random.default_rng(2).random((7, 2))
+    logs, valid = _cocycle_logs(f, pts, 25, lambda q: np.zeros(len(q), dtype=bool))
+    assert calls == [7] * 25
+    assert valid.all() and np.array_equal(logs, _cocycle_logs(anosov_map(), pts, 25)[0])
+
+
 def test_degenerate_cocycle_raises():
     # the Jacobian is zero for x > 1/2 and the identity elsewhere
     def jac(p):
