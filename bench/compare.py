@@ -21,9 +21,11 @@ crossed its gate, and is marked so.  When either record holds a profile
 (`record.py --profile`), the change trees' profiles follow: per workload and table (`tottime`, the top
 functions by own time, and `islab_cumtime`), every function whose share of
 the profile moved by more than SHARE_POINTS, a function absent from one
-side's table reading 0 there.  A record path with the suffix ":parent"
-reads that record's parent tree in place of its change tree, so a record
-can be compared with its own parent.
+side's table reading 0 there.  When either record holds memory readings
+(`record.py --profile` since they were added), each workload's tracemalloc
+peak of one operation follows, in A and in B with their ratio B / A.  A
+record path with the suffix ":parent" reads that record's parent tree in
+place of its change tree, so a record can be compared with its own parent.
 
 With --artifacts, A and B are directories, such as two `islab run --out`
 trees, and every file under either is compared by its path relative to
@@ -58,9 +60,9 @@ class RecordError(ValueError):
 
 def load(path):
     """The record at path; at "<path>:parent", that record with its parent
-    tree's digests, checks, medians and profile read as its change tree's.  Raises
-    RecordError when the file cannot be read, is not JSON, or holds no
-    digests of the tree asked for."""
+    tree's digests, checks, medians, profile and memory read as its change
+    tree's.  Raises RecordError when the file cannot be read, is not JSON,
+    or holds no digests of the tree asked for."""
     path, side = str(path), "change"
     if path.endswith(":parent"):
         path, side = path[:-len(":parent")], "parent"
@@ -77,7 +79,8 @@ def load(path):
                    for w, metrics in rec.get("summary", {}).items()}
         rec = dict(rec, digests={"change": digests["parent"]}, summary=summary,
                    checks={"change": rec.get("checks", {}).get("parent")},
-                   profile={"change": rec.get("profile", {}).get("parent")})
+                   profile={"change": rec.get("profile", {}).get("parent")},
+                   memory={"change": rec.get("memory", {}).get("parent")})
     return rec
 
 
@@ -123,6 +126,9 @@ def report(a, b):
     pa, pb = (rec.get("profile", {}).get("change") for rec in (a, b))
     if pa or pb:
         lines += profile_lines(pa, pb) if pa and pb else ["profile: not in both records"]
+    ma, mb = (rec.get("memory", {}).get("change") for rec in (a, b))
+    if ma or mb:
+        lines += memory_lines(ma, mb) if ma and mb else ["memory: not in both records"]
     return lines, crossed
 
 
@@ -182,6 +188,16 @@ def profile_lines(pa, pb):
                     lines.append(f"profile {w:<10} {table:<13} {name}: {sa:.3f} -> {sb:.3f}")
     if not lines:
         lines.append(f"profile: no share moved by more than {SHARE_POINTS:.2f}")
+    return lines
+
+
+def memory_lines(ma, mb):
+    """The lines for two trees' memory readings, {workload: tracemalloc
+    peak in MB}: both peaks of each workload that both hold, and B / A."""
+    lines = []
+    for w in (w for w in ma if w in mb):
+        ratio = f"{mb[w] / ma[w]:8.3f}" if ma[w] else f"{'-':>8}"
+        lines.append(f"memory {w:<10} tracemalloc peak MB {ma[w]:10.4f} {mb[w]:10.4f} {ratio}")
     return lines
 
 

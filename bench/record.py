@@ -36,6 +36,14 @@ PROFILE_MIN_SHARE of the total, each as a share of the total.  A function
 is named by its file, relative to the tree's `src/` for islab and by its
 last two path parts otherwise, and its name: "islab/links.py:_restore".
 Profiles are telemetry, apart from the digests: they move with the load.
+
+Memory (--profile): each tree also runs each workload's configs in a
+fresh process, one warm-up operation and then one operation under
+tracemalloc, as the profile's operations.  The record keeps, per tree and
+workload, that operation's tracemalloc peak in MB: the most memory that
+Python's allocators held at once for objects made during the operation
+(numpy's arrays included), not the process's resident set, which
+perfbench's `peak_rss_mb` reads.
 """
 
 import argparse
@@ -50,6 +58,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -202,10 +211,10 @@ def profile_shares(stats, src):
                               if t >= PROFILE_MIN_SHARE * total}}
 
 
-def profile_here(workload, seed, operations):
-    """Run in a profiling child: the workload's configs, one warm-up
-    operation and then `operations` under cProfile; prints profile_shares
-    as one JSON line.  islab comes from the child's PYTHONPATH."""
+def _operation(workload, seed):
+    """(one perfbench operation of the workload's configs: `cli.run` and
+    `cli.emit_plot_data` per config, writing under the working directory;
+    islab's src directory).  islab comes from the child's PYTHONPATH."""
     import islab.cli as cli
     from islab.config import ExperimentConfig
 
@@ -217,34 +226,63 @@ def profile_here(workload, seed, operations):
             report, _ = cli.run(cfg)
             cli.emit_plot_data(report, os.path.join("artifacts", cfg.suite))
 
+    return operation, Path(cli.__file__).resolve().parents[1]
+
+
+def profile_here(workload, seed, operations):
+    """Run in a profiling child: one warm-up operation and then
+    `operations` under cProfile; prints profile_shares as one JSON line."""
+    operation, src = _operation(workload, seed)
     operation()
     prof = cProfile.Profile()
     prof.enable()
     for _ in range(operations):
         operation()
     prof.disable()
-    src = Path(cli.__file__).resolve().parents[1]
     print(json.dumps(profile_shares(pstats.Stats(prof).stats, src)))
 
 
-def profile_tree(tree, seed, operations=PROFILE_OPERATIONS, workloads=tuple(WORKLOADS)):
-    """{workload: profile_shares} of `tree`, each workload in a fresh
-    process with one compute thread, as perfbench runs."""
+def memory_here(workload, seed):
+    """Run in a memory child: one warm-up operation, then one under
+    tracemalloc; prints its peak in MB as one JSON line."""
+    operation, _ = _operation(workload, seed)
+    operation()
+    tracemalloc.start()
+    operation()
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    print(json.dumps(round(peak / 2**20, 4)))
+
+
+def _children(tree, call, args, workloads):
+    """{workload: the last stdout line of `record.<call>(workload, *args)`,
+    read as JSON}, each workload in a fresh process of `tree` with one
+    compute thread, as perfbench runs."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import record; "
-            "record.profile_here(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))")
+            f"record.{call}(sys.argv[2], *map(int, sys.argv[3:]))")
     out = {}
     for workload in workloads:
         with tempfile.TemporaryDirectory() as tmp:
             run = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parent),
-                                  workload, str(seed), str(operations)],
+                                  workload, *map(str, args)],
                                  env=env, cwd=tmp, capture_output=True, text=True, check=False)
         if run.returncode != 0:
-            raise RuntimeError(f"{tree}: profile of {workload} exited {run.returncode}\n"
+            raise RuntimeError(f"{tree}: {call} of {workload} exited {run.returncode}\n"
                                f"{run.stderr}")
         out[workload] = json.loads(run.stdout.strip().splitlines()[-1])
     return out
+
+
+def profile_tree(tree, seed, operations=PROFILE_OPERATIONS, workloads=tuple(WORKLOADS)):
+    """{workload: profile_shares} of `tree`."""
+    return _children(tree, "profile_here", (seed, operations), workloads)
+
+
+def memory_tree(tree, seed, workloads=tuple(WORKLOADS)):
+    """{workload: one operation's tracemalloc peak in MB} of `tree`."""
+    return _children(tree, "memory_here", (seed,), workloads)
 
 
 def spread(values):
@@ -318,6 +356,9 @@ def record(parent, pairs, seed, seconds, tmp, profile=False):
     if profile:
         rec["profile"] = {"seed": seed, "warmup": 1, "operations": PROFILE_OPERATIONS}
         rec["profile"].update((side, profile_tree(tree, seed)) for side, tree in trees.items())
+        rec["memory"] = {"seed": seed, "warmup": 1, "operations": 1, "unit": "MB",
+                         "reading": "tracemalloc peak"}
+        rec["memory"].update((side, memory_tree(tree, seed)) for side, tree in trees.items())
     return rec
 
 
@@ -330,7 +371,8 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=5.0,
                     help="perfbench's --seconds per run")
     ap.add_argument("--profile", action="store_true",
-                    help="add each tree's cProfile shares per workload")
+                    help="add each tree's cProfile shares and tracemalloc peak "
+                         "per workload")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     if args.pairs and args.parent is None:

@@ -39,8 +39,10 @@ from .maps import anosov_map, chirikov_map, compose, henon_like, shear_map
 _COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
             "==": operator.eq}
 # links suite: shears per stacked splitting call.  Each stage of a stack of K
-# rows maps K * 283 points at once, so its temporaries grow with K: past 10
-# rows the suite's peak RSS keeps rising while its run time no longer falls
+# rows maps K * 283 points at once, and the largest Horner operand is a
+# coalesced one: K rows of the stable chain's grids joined, about 2200 points
+# inside side b's shear band, so the temporaries grow with K: past 10 rows
+# the suite's peak RSS keeps rising while its run time no longer falls
 SPLIT_ROWS = 10
 
 

@@ -192,11 +192,15 @@ class PeriodicFn:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        # a 1-d working copy, and Horner steps that are not in place, keep
-        # every point's value independent of the batch it comes in: numpy
-        # rounds 0-d, numpy-scalar and in-place one-element products
+        # a 1-d working copy keeps every point's value independent of the
+        # batch it comes in: numpy rounds 0-d and numpy-scalar products
         # differently, and a (1, 1) accumulator times a broadcast (1,) z too,
-        # so a stack's z is copied out to the accumulator's own shape
+        # so a stack's z is copied out to the accumulator's own shape (a
+        # contiguous copy also steps faster than a broadcast view).  The
+        # Horner steps run in place, which rounds as the out-of-place step
+        # does from two elements on; numpy's vectorized loops round an
+        # in-place one-element complex product differently, so a
+        # one-element accumulator steps out of place
         t = x.ravel() - self.origin
         t = t - self.tau * np.floor(t / self.tau)
         z = np.exp(2j * np.pi * (t / self.tau))
@@ -204,8 +208,13 @@ class PeriodicFn:
         if stack:
             z = np.broadcast_to(z, stack + z.shape).copy()
         acc = np.full(z.shape, self._wcoef[-1])
-        for c in self._wcoef[-2::-1]:
-            acc = acc * z + c
+        if acc.size > 1:
+            for c in self._wcoef[-2::-1]:
+                acc *= z
+                acc += c
+        else:
+            for c in self._wcoef[-2::-1]:
+                acc = acc * z + c
         vals = acc.real.reshape(stack + x.shape)
         return vals if vals.shape else float(vals)
 

@@ -118,6 +118,7 @@ class SuitableModel:
         self.fstar = self._assemble_fstar()
         self.F = compose(hook, self.fstar, name="F") if hook is not None else self.fstar
         self._links = {}  # side -> the psi-independent half of the link (_link)
+        self._grids = {}  # side -> the grids of the stable chain's steps (stable_curve)
 
     # -- regions ------------------------------------------------------------
 
@@ -445,17 +446,46 @@ def unstable_curve(model, side):
     return _link(model, side)[1]
 
 
+def _at_each(f, args):
+    """[f(a) for a in args], bitwise, from one evaluation of f on the float
+    arrays args joined; f must give each point the value it gives it in any
+    batch, as PeriodicFn and MaskedPeriodic do.  A stacked f gives each
+    value its leading (K,) axis."""
+    vals = f(np.concatenate([a.ravel() for a in args]))
+    out, start = [], 0
+    for a in args:
+        out.append(vals[..., start:start + a.size].reshape(vals.shape[:-1] + a.shape))
+        start += a.size
+    return out
+
+
 def stable_curve(model, side, psi=None):
     """The stable graph curve over the fundamental interval: the model's
     pulled-back seed, then the backward chain with S_{-psi} around each step.
     S_{-psi} keeps x, so it shears the samples alone, w -> w - psi(x), bitwise
-    as its graph transform would; a stacked psi gives a stack of curves."""
+    as its graph transform would; a stacked psi gives a stack of curves.
+
+    S_{-psi} keeps x, and where the backward steps' x-rule ignores y (the
+    base map's pieces do, and so do vertical-shear hooks) the chain's grids
+    do not depend on psi.  So the model keeps each side's grids from its
+    first call, and a later call evaluates psi once on all of them
+    (_at_each: psi must not round a point by its batch).  A step whose grid
+    is not the kept one, under a hook whose x-rule reads y, evaluates psi
+    on its own grid."""
     chart, _, c = _link(model, side)
-    for piece in [None] + model.forward_itinerary(side)[::-1]:
+    known = model._grids.get(side)
+    shears = _at_each(psi, known) if psi is not None and known else None
+    grids = []
+    for k, piece in enumerate([None] + model.forward_itinerary(side)[::-1]):
         if piece is not None:
             c = graph_transform(model.backward_step(piece), c)
+        grids.append(c.grid)
         if psi is not None:
-            c = GraphCurve(c.x0, c.x1, c.samples - psi(c.grid))
+            # a curve's grid is linspace(x0, x1, n), its ends exact
+            kept = shears is not None and (known[k][0], known[k][-1], known[k].size) == (
+                c.x0, c.x1, c.n)
+            c = GraphCurve(c.x0, c.x1, c.samples - (shears[k] if kept else psi(c.grid)))
+    model._grids.setdefault(side, grids)
     return graph_transform(chart, c)
 
 
@@ -483,21 +513,31 @@ def splitting_b(psi, model):
 
 
 def splitting_a_reference(psi, model):
-    """Closed form of the a-splitting at the base map: psi(x) + psi(x - tau)."""
+    """Closed form of the a-splitting at the base map: psi(x) + psi(x - tau),
+    from one evaluation of psi (_at_each)."""
     tau = model.geometry.tau
-    return lambda x: psi(np.asarray(x, dtype=float)) + psi(np.asarray(x, dtype=float) - tau)
+
+    def ref(x):
+        x = np.asarray(x, dtype=float)
+        at, back = _at_each(psi, (x, x - tau))
+        return at + back
+
+    return ref
 
 
 def splitting_b_reference(psi, model):
-    """Closed form of the b-splitting at the base map."""
+    """Closed form of the b-splitting at the base map, from one evaluation
+    of psi (_at_each)."""
     g = model.geometry
     tau, xb = g.tau, g.x_b
 
     def ref(x):
         x = np.asarray(x, dtype=float)
-        out = psi(x) + psi(x + tau)
-        for j in (1, 2, 3, 4):
-            out = out - 0.5 * psi((3 * xb + j * tau - x) / 2)
+        at, ahead, *folded = _at_each(psi, [x, x + tau] + [(3 * xb + j * tau - x) / 2
+                                                           for j in (1, 2, 3, 4)])
+        out = at + ahead
+        for v in folded:
+            out = out - 0.5 * v
         return out
 
     return ref
@@ -505,14 +545,16 @@ def splitting_b_reference(psi, model):
 
 def restoration_b_reference(model):
     """The two-term averaging operator that id - M^b_rho reduces to at the
-    base map (acting on tau-periodic zero-mean functions)."""
+    base map (acting on tau-periodic zero-mean functions); each average
+    evaluates its function once (_at_each)."""
     g = model.geometry
     tau, xb = g.tau, g.x_b
 
     def op(psit):
         def avg(x):
             x = np.asarray(x, dtype=float)
-            return 0.5 * (psit((3 * xb + tau - x) / 2) + psit((3 * xb + 2 * tau - x) / 2))
+            one, two = _at_each(psit, ((3 * xb + tau - x) / 2, (3 * xb + 2 * tau - x) / 2))
+            return 0.5 * (one + two)
         return PeriodicFn.from_function(avg, tau, n=psit.n, origin=psit.origin)
 
     return op

@@ -223,6 +223,31 @@ def test_compare_reads_a_record_without_a_profile_beside_a_profiled_one(tmp_path
     assert out.endswith("digests: identical (3)\n")
 
 
+def test_a_memory_record_round_trips_through_the_comparer(tmp_path, capsys):
+    # one real memory child of this tree: one operation's tracemalloc peak,
+    # written into a record and read back by the comparer, beside its
+    # parent side and beside a record from before the readings
+    record = _record()
+    peaks = record.memory_tree(ROOT, seed=1, workloads=("rescaling",))
+    assert set(peaks) == {"rescaling"} and 0.0 < peaks["rescaling"] < 100.0
+    rec = _timed_record()
+    old = _write(tmp_path, "old.json", rec)
+    rec["memory"] = {"seed": 1, "warmup": 1, "operations": 1, "unit": "MB",
+                     "reading": "tracemalloc peak", "change": peaks,
+                     "parent": {"rescaling": 2 * peaks["rescaling"]}}
+    new = _write(tmp_path, "new.json", rec)
+    assert _load("compare").main([new + ":parent", new]) == 0
+    parent, change = 2 * peaks["rescaling"], peaks["rescaling"]
+    assert capsys.readouterr().out.endswith(
+        "digests: identical (3)\n"
+        f"memory rescaling  tracemalloc peak MB {parent:10.4f} {change:10.4f}    0.500\n")
+    for a, b in ((old, new), (new, old)):
+        assert _load("compare").main([a, b]) == 0
+        assert capsys.readouterr().out.endswith("memory: not in both records\n")
+    assert _load("compare").main([old, old]) == 0
+    assert "memory" not in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # checks (every check of report.json with its headroom, and the scalar
 # metrics, per run)

@@ -257,6 +257,41 @@ def test_periodic_and_masked_eval_batch_independent():
             assert np.array_equal(scalar, want), samples.shape
 
 
+def _horner_out_of_place(f, x):
+    """f(x) by PeriodicFn's evaluation with every Horner step out of place."""
+    x = np.asarray(x, dtype=float)
+    t = x.ravel() - f.origin
+    t = t - f.tau * np.floor(t / f.tau)
+    z = np.exp(2j * np.pi * (t / f.tau))
+    stack = f.samples.shape[:-1]
+    if stack:
+        z = np.broadcast_to(z, stack + z.shape).copy()
+    acc = np.full(z.shape, f._wcoef[-1])
+    for c in f._wcoef[-2::-1]:
+        acc = acc * z + c
+    vals = acc.real.reshape(stack + x.shape)
+    return vals if vals.shape else float(vals)
+
+
+def test_periodic_in_place_horner_matches_the_out_of_place_steps():
+    # the in-place steps round as the out-of-place ones from two elements
+    # on; numpy's vectorized loops round an in-place one-element complex
+    # product differently, so batches of one point, of a 1-d function or of
+    # a (1, n) stack, fail here when they step in place too
+    draw = np.random.default_rng(8).standard_normal
+    x = np.random.default_rng(9).uniform(-1.5, 2.5, 301)
+    for samples in (_nyquist_wave(128).samples, 1e-2 * draw(127), 1e-2 * draw((1, 128)),
+                    1e-2 * draw((3, 128))):
+        f = PeriodicFn(0.8, samples, -0.35)
+        for size in (1, 2, 3, 301):
+            for i in range(0, x.size, size):
+                got, want = f(x[i:i + size]), _horner_out_of_place(f, x[i:i + size])
+                assert np.array_equal(got, want), (samples.shape, size, i)
+        for xi in x:
+            got, want = f(xi), _horner_out_of_place(f, xi)
+            assert type(got) is type(want) and np.array_equal(got, want), (samples.shape, xi)
+
+
 def test_masked_periodic_exact_zero_outside_support():
     psi = _nyquist_wave(128)
     rho = PartitionBump(-0.2, 0.6, psi.tau)

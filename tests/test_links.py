@@ -6,7 +6,7 @@ from construction_checks import (PsiChart, chart_area_defect, chart_conjugacy_de
 from islab import cli, links
 from islab.config import ExperimentConfig
 from islab.curves import (PERIODIC_SAMPLES, BumpFn, GraphCurve, MaskedPeriodic, PeriodicFn,
-                          curve_sup_diff, graph_transform, random_trig_poly)
+                          StepFn, curve_sup_diff, graph_transform, random_trig_poly)
 from islab.links import (
     LinkGeometry,
     build_suitable_model,
@@ -404,6 +404,123 @@ def test_stable_curve_shears_its_samples_as_the_shear_map_would():
         c = graph_transform(sneg, graph_transform(model.backward_step(piece), c))
     literal = graph_transform(chart, c)
     assert np.array_equal(stable_curve(model, "b", psi).samples, literal.samples)
+
+
+def _stable_curve_per_grid(model, side, psi):
+    """stable_curve with psi evaluated on each step's grid by itself."""
+    chart, _, c = links._link(model, side)
+    for piece in [None] + model.forward_itinerary(side)[::-1]:
+        if piece is not None:
+            c = graph_transform(model.backward_step(piece), c)
+        c = GraphCurve(c.x0, c.x1, c.samples - psi(c.grid))
+    return graph_transform(chart, c)
+
+
+class _CountingShear:
+    """A shear that counts its evaluations; support as its masked psi."""
+
+    def __init__(self, psi):
+        self.psi, self.support, self.calls = psi, psi.support, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.psi(x)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("rows", [1, 3, 10])
+def test_stable_curve_evaluates_psi_once_on_its_kept_grids(side, rows):
+    # a side's first call evaluates psi on each grid of the chain and keeps
+    # the grids; every later call evaluates psi once on all of them.  Both
+    # are bitwise the chain that evaluates psi grid by grid, with or
+    # without a hook
+    g = LinkGeometry()
+    origin = g.x_a - 2 * g.tau if side == "a" else g.x_b
+    rng = np.random.default_rng(23 + rows)
+    for hook in (None, cli._band_hook(g, side, 1e-3)):
+        model = build_suitable_model(hook=hook)
+        rho = model.partition_bump(side)
+        chain = 1 + len(model.forward_itinerary(side))
+        for call in range(3):
+            samples = 2e-3 * rng.standard_normal((rows, PERIODIC_SAMPLES))
+            psi = _CountingShear(MaskedPeriodic(rho, PeriodicFn(g.tau, samples, origin)))
+            assert (side in model._grids) == (call > 0)
+            got = stable_curve(model, side, psi)
+            assert psi.calls == (chain if call == 0 else 1)
+            want = _stable_curve_per_grid(model, side, psi.psi)
+            assert got.samples.shape == (rows, want.n)
+            assert (got.x0, got.x1) == (want.x0, want.x1)
+            assert np.array_equal(got.samples, want.samples), (hook, call)
+
+
+def _lower_level_shear(c=0.01):
+    """x -> x + c y w(y): a horizontal shear of the lower level that is the
+    identity on the upper one (w a step from 1 to 0 over [-0.2, 0.2]), so
+    both charts hold but the backward chain's x-rule reads y."""
+    up = StepFn(-0.2, 0.4)
+
+    def shift(y):
+        return c * y * (1.0 - up(y))
+
+    def jac(p):
+        y = p[..., 1]
+        J = np.zeros(np.shape(p)[:-1] + (2, 2))
+        J[..., 0, 0] = J[..., 1, 1] = 1.0
+        J[..., 0, 1] = c * (1.0 - up(y)) - c * y * up.d1(y)
+        return J
+
+    return separate_map("lower shear",
+                        lambda p: np.stack([p[..., 0] + shift(p[..., 1]), p[..., 1]], axis=-1),
+                        jac, lambda q: np.stack([q[..., 0] - shift(q[..., 1]), q[..., 1]],
+                                                axis=-1))
+
+
+def test_stable_curve_evaluates_psi_on_a_grid_that_is_not_the_kept_one():
+    # where the backward steps' x-rule reads y, a shear moves the chain's
+    # grids (here to 142 samples from 283): the steps whose grid is not the
+    # one kept on the model evaluate psi on their own grid
+    g = LinkGeometry()
+    model = build_suitable_model(hook=_lower_level_shear())
+    stable_curve(model, "b")
+    assert [grid.size for grid in model._grids["b"]] == [283] * 8
+    sizes = []
+
+    def psi(x):
+        sizes.append(np.size(x))
+        return 1e-3 * (np.asarray(x) - g.x_b)
+
+    got = stable_curve(model, "b", psi)
+    assert sizes[0] == 8 * 283 and 142 in sizes[1:]
+    assert np.array_equal(got.samples, _stable_curve_per_grid(model, "b", psi).samples)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_closed_forms_are_their_per_term_sums(rows):
+    # each closed form evaluates psi once on all its arguments; bitwise the
+    # sum of its terms, each evaluated alone, on a batch and at a point
+    model = _model()
+    g = model.geometry
+    tau, xb = g.tau, g.x_b
+    rng = np.random.default_rng(31)
+    shape = (PERIODIC_SAMPLES,) if rows is None else (rows, PERIODIC_SAMPLES)
+    a = MaskedPeriodic(model.partition_bump("a"),
+                       PeriodicFn(tau, 2e-3 * rng.standard_normal(shape), g.x_a - 2 * tau))
+    b = MaskedPeriodic(model.partition_bump("b"),
+                       PeriodicFn(tau, 2e-3 * rng.standard_normal(shape), xb))
+    for x in (np.linspace(g.x_a - tau, g.x_a, 401), g.x_a - 0.3 * tau):
+        assert np.array_equal(splitting_a_reference(a, model)(x), a(x) + a(x - tau))
+    for x in (np.linspace(xb, xb + tau, 401), xb + 0.3 * tau):
+        want = b(x) + b(x + tau)
+        for j in (1, 2, 3, 4):
+            want = want - 0.5 * b((3 * xb + j * tau - x) / 2)
+        assert np.array_equal(splitting_b_reference(b, model)(x), want)
+    z = b.psi.zero_mean()
+    want = PeriodicFn.from_function(
+        lambda x: 0.5 * (z((3 * xb + tau - x) / 2) + z((3 * xb + 2 * tau - x) / 2)),
+        tau, n=z.n, origin=z.origin)
+    got = restoration_b_reference(model)(z)
+    assert (got.tau, got.origin) == (want.tau, want.origin)
+    assert np.array_equal(got.samples, want.samples)
 
 
 # ---------------------------------------------------------------------------
