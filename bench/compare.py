@@ -4,11 +4,18 @@ artifact trees.
     python bench/compare.py A.json B.json
     python bench/compare.py B.json:parent B.json
     python bench/compare.py --artifacts DIR_A DIR_B
+    python bench/compare.py --trend BENCH_*.json
 
 For each workload and end-to-end metric that both records timed, prints
-the change side's median in A and in B and their ratio B / A.  Then lists
-every artifact digest that differs between A's and B's change trees (a key
-that only one of them holds differs too), or says that they are identical.
+the change side's median in A and in B and their ratio B / A.  When either
+record holds its numpy target (`record.py` writes numpy's version, baseline
+and active dispatch targets), both are printed, "not recorded" for a record
+from before them.  Then lists every artifact digest that differs between
+A's and B's change trees (a key that only one of them holds differs too),
+or says that they are identical.  Bytes repeat only for one numpy build on
+one dispatch target, so when both records hold targets and these differ in
+version, baseline or dispatch targets, the digests are labelled "not
+comparable".
 A digest-only record (`--pairs 0`) has no timing, so only its digests are
 compared.  When either record holds checks (every record from
 `record.py` since checks were added), the change trees' checks follow: for
@@ -35,10 +42,15 @@ rows that differ is printed, with the largest absolute difference in each
 column (over the rows both files hold); any other file that differs is
 named as differing.
 
-Exit codes: 0 when both files read as records, or both paths are
-directories, and no check crossed its gate; 1 when a check crossed its gate
-(it passes in A and fails in B); 2 when one cannot be read as a record, or
-is not a directory.
+With --trend, any number of records are read, and each one's change-side
+medians of `run_s`, `setup_s` and `peak_rss_mb` are printed as one table:
+per workload, one row per record in the order given, "-" where a record did
+not time that workload.
+
+Exit codes: 0 when both files (with --trend, all of them) read as records,
+or both paths are directories, and no check crossed its gate; 1 when a
+check crossed its gate (it passes in A and fails in B); 2 when one cannot
+be read as a record, or is not a directory.
 """
 
 import argparse
@@ -50,6 +62,8 @@ import sys
 from pathlib import Path
 
 METRICS = ("run_s", "setup_s", "peak_rss_mb", "gate_ratio")
+# the medians the trend table prints
+TREND_METRICS = ("run_s", "setup_s", "peak_rss_mb")
 # a profile share that moves by more than this is printed
 SHARE_POINTS = 0.05
 
@@ -109,13 +123,19 @@ def report(a, b):
             lines.append(f"{w:<10} {m:<12} {ma[w, m]:12.6g} {mb[w, m]:12.6g} {ratio}")
     else:
         lines.append("timing: not in both records")
+    na, nb = a.get("numpy"), b.get("numpy")
+    if na or nb:
+        lines += [f"numpy {side}: {_target(n)}" for side, n in (("A", na), ("B", nb))]
+    label = "digests:"
+    if na and nb and na != nb:
+        label = "digests: not comparable, numpy targets differ;"
     differ = differing_digests(a, b)
     total = len(set(a["digests"]["change"]) | set(b["digests"]["change"]))
     if differ:
-        lines.append(f"digests: {len(differ)} of {total} differ")
+        lines.append(f"{label} {len(differ)} of {total} differ")
         lines += [f"  {key}" for key in differ]
     else:
-        lines.append(f"digests: identical ({total})")
+        lines.append(f"{label} identical ({total})")
     crossed = False
     ca, cb = (rec.get("checks", {}).get("change") for rec in (a, b))
     if ca and cb:
@@ -130,6 +150,31 @@ def report(a, b):
     if ma or mb:
         lines += memory_lines(ma, mb) if ma and mb else ["memory: not in both records"]
     return lines, crossed
+
+
+def _target(n):
+    """One record's numpy target as a line's tail."""
+    if not n:
+        return "not recorded"
+    return (f"{n['version']}, baseline {' '.join(n['baseline']) or '-'}, "
+            f"dispatch {' '.join(n['dispatch']) or '-'}")
+
+
+def trend_lines(records):
+    """The trend table of records, [(name, record)]: per workload, in the
+    order the records first name it, each record's change-side median of
+    every TREND_METRICS metric."""
+    width = max(len("record"), *(len(name) for name, _ in records))
+    lines = [f"{'workload':<10} {'record':<{width}} "
+             + " ".join(f"{m:>12}" for m in TREND_METRICS)]
+    workloads = dict.fromkeys(w for _, rec in records for w in rec.get("summary", {}))
+    for w in workloads:
+        for name, rec in records:
+            row = medians(rec)
+            lines.append(f"{w:<10} {name:<{width}} " + " ".join(
+                f"{row[w, m]:12.6g}" if (w, m) in row else f"{'-':>12}"
+                for m in TREND_METRICS))
+    return lines
 
 
 def _num(x):
@@ -257,24 +302,33 @@ def artifact_lines(dir_a, dir_b):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="bench/compare.py")
-    ap.add_argument("--artifacts", action="store_true",
-                    help="compare two artifact directories instead of two records")
-    ap.add_argument("a", help="the first record (or directory)")
-    ap.add_argument("b", help="the second record (or directory)")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--artifacts", action="store_true",
+                      help="compare two artifact directories instead of two records")
+    mode.add_argument("--trend", action="store_true",
+                      help="print any number of records' medians as one table")
+    ap.add_argument("paths", nargs="+", metavar="path",
+                    help="two records (or directories); with --trend, any number of records")
     args = ap.parse_args(argv)
+    if not args.trend and len(args.paths) != 2:
+        ap.error("give two records or directories, or --trend")
     if args.artifacts:
-        for path in (args.a, args.b):
+        for path in args.paths:
             if not Path(path).is_dir():
                 print(f"{path}: not a directory", file=sys.stderr)
                 return 2
-        print("\n".join(artifact_lines(args.a, args.b)))
+        print("\n".join(artifact_lines(*args.paths)))
         return 0
     try:
-        a, b = load(args.a), load(args.b)
+        records = [load(path) for path in args.paths]
     except RecordError as e:
         print(e, file=sys.stderr)
         return 2
-    lines, crossed = report(a, b)
+    if args.trend:
+        print("\n".join(trend_lines([(Path(path).name, rec)
+                                     for path, rec in zip(args.paths, records)])))
+        return 0
+    lines, crossed = report(*records)
     print("\n".join(lines))
     return 1 if crossed else 0
 

@@ -37,6 +37,13 @@ is named by its file, relative to the tree's `src/` for islab and by its
 last two path parts otherwise, and its name: "islab/links.py:_restore".
 Profiles are telemetry, apart from the digests: they move with the load.
 
+Target: the record also holds numpy's version, its build's baseline CPU
+targets and the dispatch targets active where it ran (`numpy_target`).  An
+artifact's bytes repeat only for one numpy build on one dispatch target:
+numpy picks its loops by CPU target at run time, and NPY_DISABLE_CPU_FEATURES
+turns targets off.  Both trees run in the same environment, so one reading
+serves both.
+
 Memory (--profile): each tree also runs each workload's configs in a
 fresh process, one warm-up operation and then one operation under
 tracemalloc, as the profile's operations.  The record keeps, per tree and
@@ -134,6 +141,17 @@ def artifact_digests(tree):
                         with open(report, encoding="utf-8") as fh:
                             checks[key] = report_checks(json.load(fh))
     return out, checks
+
+
+def numpy_target():
+    """{"version", "baseline", "dispatch"}: numpy's version, the CPU targets
+    its build requires, and those of its dispatch targets that are active
+    in this process, each in numpy's order."""
+    import numpy as np
+    from numpy._core._multiarray_umath import (__cpu_baseline__, __cpu_dispatch__,
+                                               __cpu_features__)
+    return {"version": np.__version__, "baseline": list(__cpu_baseline__),
+            "dispatch": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]}
 
 
 def perfbench(tree, workload, seed, seconds):
@@ -326,7 +344,8 @@ def git(*args):
 
 def record(parent, pairs, seed, seconds, tmp, profile=False):
     trees = {"change": ROOT}
-    rec = {"change": git("describe", "--always", "--dirty", "--abbrev=12")}
+    rec = {"change": git("describe", "--always", "--dirty", "--abbrev=12"),
+           "numpy": numpy_target()}
     if parent is not None:
         rec["parent"] = git("rev-parse", parent)
         trees["parent"] = Path(tmp) / "parent"

@@ -252,17 +252,15 @@ class SurgeryProfile:
             test would update brackets from the sign of noise and could
             cycle;
           - or its bracket has shrunk to 4 ulp.
-        Sweep 0 and sweep 1's residual test run over every bridge point in
-        place, and each point's iterate is written back after sweep 0: a
-        point that stopped there keeps it and ignores sweep 1's test.  Only
-        the points that neither stopped go on, kept apart (their x, target,
-        bracket, residual floor and index) through the rest of sweep 1 and
-        the sweeps after it, each root written back when its point stops.
-        Every step is elementwise, so a point's root does not depend on its
-        batch.  On the island suite's entropy grid at the default profile,
-        200 calls of 409-479 bridge points, 81 % of the points stop in
-        sweep 0 and all but 17 of the rest in sweep 1's residual test: 184
-        calls take 2 sweeps and 16 take 3.
+        Every sweep runs over every bridge point in place: a stopped point
+        keeps its x, whatever later sweeps compute at it, and the loop ends
+        once every point has stopped, so a batch whose points all stop in
+        sweep 0 makes one evaluation.  The roots are written back once, at
+        the end.  Every step is elementwise, so a point's root does not
+        depend on its batch.  On the island suite's entropy grid at the
+        default profile, 200 calls of 409-479 bridge points, 81 % of the
+        points stop in sweep 0 and all but 17 of the rest in sweep 1's
+        residual test: 184 calls take 2 sweeps and 16 take 3.
 
         Raises RuntimeError if a residual is not finite or a point is still
         active after _ROOT_CAP sweeps.
@@ -277,70 +275,38 @@ class SurgeryProfile:
         return float(out[0]) if scalar else out
 
     def _bridge_roots(self, out, rows, target):
-        """psi_inv's sweeps on the bridge targets `target`, writing each
-        root to out[rows]."""
+        """psi_inv's sweeps on the bridge targets `target`, every point in
+        place to its stop, writing the roots to out[rows]."""
         x = self._fit_start(target)
-        # sweep 0, in place: never a residual stop
-        x, lo, hi, stop = self._newton_step(x, *self._residual(x, target), self.r1, self.r2)
-        out[rows] = x
-        if stop.all():
-            return
-        if _ROOT_CAP > 1:
-            # sweep 1's residual test, in place: a point it stops keeps x,
-            # and one that stopped in sweep 0 ignores it
-            r, s1 = self._residual(x, target)
-            r_floor = _ROOT_ULPS * np.spacing(target)
-            stop |= np.abs(r) <= r_floor
+        lo, hi = self.r1, self.r2
+        stop = np.zeros(x.shape, dtype=bool)
+        r_floor = _ROOT_ULPS * np.spacing(target)
+        for sweep in range(_ROOT_CAP):
+            s, s1 = self._step.value_and_d1(x)
+            r = x - self.rho_lo * (1.0 - s) - target
+            if not np.isfinite(r).all():
+                raise RuntimeError("psi_inv: non-finite residual")
+            if sweep:
+                stop |= np.abs(r) <= r_floor
+                if stop.all():
+                    break
+            lo = np.where(r < 0, x, lo)
+            hi = np.where(r > 0, x, hi)
+            dx = r / (1.0 + self.rho_lo * s1)
+            xn = x - dx
+            floor = 2 * np.spacing(x)
+            small = np.abs(dx) <= floor
+            newton = small | ((xn > lo) & (xn < hi))
+            if not newton.all():            # a step out of its bracket bisects it
+                xn = np.where(newton, xn, 0.5 * (lo + hi))
+            x = np.where(stop, x, xn)       # a stopped point keeps x
+            stop |= small | (hi - lo <= 2 * floor)
             if stop.all():
-                return
-            # the points neither sweep stopped: the rest of sweep 1 (they
-            # all failed its residual test), then whole sweeps, each
-            # followed by dropping the points it stopped
-            keep = np.nonzero(~stop)[0]
-            rows, x, target, lo, hi, r_floor, r, s1 = (
-                a[keep] for a in (rows, x, target, lo, hi, r_floor, r, s1))
-            for sweep in range(1, _ROOT_CAP):
-                if sweep > 1:
-                    r, s1 = self._residual(x, target)
-                x, lo, hi, stop = self._newton_step(x, r, s1, lo, hi, r_floor)
-                out[rows[stop]] = x[stop]
-                keep = np.nonzero(~stop)[0]
-                rows, x, target, lo, hi, r_floor = (a[keep] for a in
-                                                    (rows, x, target, lo, hi, r_floor))
-                if rows.size == 0:
-                    return
-        raise RuntimeError(f"psi_inv: {np.count_nonzero(~stop)} points unconverged "
-                           f"after {_ROOT_CAP} iterations")
-
-    def _residual(self, x, target):
-        """psi(x) - target and the step's slope at x, from the sweep's one
-        step evaluation."""
-        s, s1 = self._step.value_and_d1(x)
-        r = x - self.rho_lo * (1.0 - s) - target
-        if not np.isfinite(r).all():
-            raise RuntimeError("psi_inv: non-finite residual")
-        return r, s1
-
-    def _newton_step(self, x, r, s1, lo, hi, r_floor=None):
-        """psi_inv's safeguarded step from x, whose residual is r and step
-        slope s1: (x, lo, hi, stop), the next iterate, the bracket and the
-        points that stop.  With r_floor, a point whose residual is within it
-        stops and keeps x."""
-        lo = np.where(r < 0, x, lo)
-        hi = np.where(r > 0, x, hi)
-        dx = r / (1.0 + self.rho_lo * s1)
-        xn = x - dx
-        floor = 2 * np.spacing(x)
-        small = np.abs(dx) <= floor
-        newton = small | ((xn > lo) & (xn < hi))
-        if not newton.all():                # a step out of its bracket bisects it
-            xn = np.where(newton, xn, 0.5 * (lo + hi))
-        stop = small | (hi - lo <= 2 * floor)
-        if r_floor is not None:
-            done = np.abs(r) <= r_floor
-            xn = np.where(done, x, xn)
-            stop |= done
-        return xn, lo, hi, stop
+                break
+        else:
+            raise RuntimeError(f"psi_inv: {np.count_nonzero(~stop)} points unconverged "
+                               f"after {_ROOT_CAP} iterations")
+        out[rows] = x
 
 
 def island_hamiltonian(profile):

@@ -105,8 +105,9 @@ def test_compare_refuses_a_file_that_is_not_a_record(tmp_path, capsys):
         path = tmp_path / name
         if text is not None:
             path.write_text(text)
-        assert _load("compare").main([a, str(path)]) == 2
-        assert capsys.readouterr().err.startswith(str(path))
+        for argv in ([a, str(path)], ["--trend", a, str(path)]):
+            assert _load("compare").main(argv) == 2
+            assert capsys.readouterr().err.startswith(str(path))
 
 
 def _tree(root, files):
@@ -335,3 +336,82 @@ def test_compare_reads_every_committed_record(tmp_path, capsys):
         if "checks" not in json.loads(pathlib.Path(path).read_text()):
             assert _load("compare").main([path, new]) == 0
             assert "checks: not in both records\n" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# numpy targets (an artifact's bytes repeat for one numpy build on one
+# dispatch target) and the trend table
+
+
+def test_numpy_target_is_numpys_own():
+    import numpy as np
+    from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__
+
+    target = _record().numpy_target()
+    assert target["version"] == np.__version__
+    assert target["baseline"] == list(__cpu_baseline__)
+    assert set(target["dispatch"]) <= set(__cpu_dispatch__)
+    assert json.loads(json.dumps(target)) == target
+
+
+def _targeted_record(dispatch):
+    rec = _timed_record()
+    rec["numpy"] = {"version": "2.4.6", "baseline": ["X86_V2"], "dispatch": dispatch}
+    return rec
+
+
+def test_compare_labels_the_digests_of_a_cross_target_pair(tmp_path, capsys):
+    compare = _load("compare")
+    a = _write(tmp_path, "a.json", _targeted_record(["X86_V3", "X86_V4"]))
+    rec = _targeted_record([])
+    b = _write(tmp_path, "b.json", rec)
+    assert compare.main([a, b]) == 0
+    assert capsys.readouterr().out.endswith(
+        "numpy A: 2.4.6, baseline X86_V2, dispatch X86_V3 X86_V4\n"
+        "numpy B: 2.4.6, baseline X86_V2, dispatch -\n"
+        "digests: not comparable, numpy targets differ; identical (3)\n")
+    rec["digests"]["change"]["links/links/seed1/report.json"] = "ef" * 32
+    b = _write(tmp_path, "b.json", rec)
+    assert compare.main([a, b]) == 0
+    assert capsys.readouterr().out.endswith(
+        "digests: not comparable, numpy targets differ; 1 of 3 differ\n"
+        "  links/links/seed1/report.json\n")
+    # one target on both sides: the digests compare as before
+    assert compare.main([a, a]) == 0
+    assert capsys.readouterr().out.endswith(
+        "numpy B: 2.4.6, baseline X86_V2, dispatch X86_V3 X86_V4\n"
+        "digests: identical (3)\n")
+
+
+def test_compare_reads_an_old_record_beside_a_targeted_one(tmp_path, capsys):
+    compare = _load("compare")
+    new = _write(tmp_path, "new.json", _targeted_record(["X86_V3"]))
+    old = str(ROOT / "BENCH_50.json")
+    for a, b, side in ((old, new, "A"), (new, old, "B"), (new + ":parent", old, "B")):
+        assert compare.main([a, b]) == 0
+        out = capsys.readouterr().out
+        assert f"numpy {side}: not recorded\n" in out
+        assert "not comparable" not in out
+    assert compare.main([old, old]) == 0
+    assert "numpy" not in capsys.readouterr().out
+
+
+def test_trend_reads_the_committed_records(tmp_path, capsys):
+    paths = [ROOT / f"BENCH_{n}.json" for n in range(41, 51)]
+    digests_only = _write(tmp_path, "digests.json",
+                          {"change": "abc", "digests": {"change": {"k": "ab" * 32}}})
+    assert _load("compare").main(["--trend", *map(str, paths), digests_only]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["workload", "record", "run_s", "setup_s", "peak_rss_mb"]
+    rows = [ln.split() for ln in lines[1:]]
+    workloads = ("cocycle", "island", "links", "rescaling")
+    assert [(r[0], r[1]) for r in rows] == [
+        (w, name) for w in workloads for name in [p.name for p in paths] + ["digests.json"]]
+    for w, name, *cells in rows:
+        if name == "digests.json":
+            assert cells == ["-", "-", "-"]
+            continue
+        summary = json.loads((ROOT / name).read_text())["summary"][w]
+        assert cells == [f"{summary[m]['change']['median']:.6g}"
+                         for m in ("run_s", "setup_s", "peak_rss_mb")]
+

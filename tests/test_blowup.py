@@ -272,8 +272,8 @@ def _stop_kind(prof, evaluate, xs, v):
 
 @pytest.mark.parametrize("delta, eps", [(0.15, 0.24)] + EDGE_PROFILES)
 def test_psi_inv_root_does_not_depend_on_its_batch(delta, eps, monkeypatch):
-    # psi_inv drops each point from its arrays when it stops; a target
-    # solved alone must get the bits of its root in a dense batch
+    # psi_inv carries every point in place until the whole batch stops; a
+    # target solved alone must get the bits of its root in a dense batch
     prof = SurgeryProfile(delta, eps)
     v = prof.psi(np.linspace(prof.r1, prof.r2, 20_001)[1:-1])
     evaluate, xs = prof._step.value_and_d1, []
@@ -301,6 +301,23 @@ def test_psi_inv_root_does_not_depend_on_its_batch(delta, eps, monkeypatch):
     assert (max(sweeps) >= 2) == (dense_sweeps >= 2)
     if (delta, eps) == (0.2, 0.2001):
         assert {k for _, k in kinds} == {"residual", "step", "bracket"}
+
+
+def test_psi_inv_sweeps_see_every_bridge_target(monkeypatch):
+    # one in-place loop: every sweep's step evaluation is over all the
+    # bridge targets, not only the points that have not stopped yet
+    prof = SurgeryProfile(0.2, 0.2001)
+    v = prof.psi(np.linspace(prof.r1, prof.r2, 20_001)[1:-1])
+    evaluate, sizes = prof._step.value_and_d1, []
+
+    def spy(x):
+        sizes.append(x.size)
+        return evaluate(x)
+
+    monkeypatch.setattr(prof._step, "value_and_d1", spy)
+    prof.psi_inv(v)
+    assert len(sizes) >= 3
+    assert sizes == [v.size] * len(sizes)
 
 
 def test_psi_inv_raises_on_nonfinite_residual(monkeypatch):
