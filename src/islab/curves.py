@@ -18,10 +18,6 @@ PERIODIC_SAMPLES = 128
 class TransversalityError(ValueError):
     """A curve developed a vertical tangency under a graph transform."""
 
-    def __init__(self, message, x=None):
-        super().__init__(message)
-        self.x = x
-
 
 # ---------------------------------------------------------------------------
 # the step, bumps and partitions
@@ -486,12 +482,12 @@ def _transversality(f, curve, J):
     if np.any(bad):
         x = float(curve.grid[np.argmax(np.any(bad.reshape(-1, curve.n), axis=0))])
         raise TransversalityError(
-            f"{f.name}: vertical tangency along the transformed curve near x = {x}", x=x)
+            f"{f.name}: vertical tangency along the transformed curve near x = {x}")
     flip = s * s[..., :1] < 0  # the image turns back against its start
     if np.any(flip):
         x = float(curve.grid[np.argmax(np.any(flip.reshape(-1, curve.n), axis=0))])
         raise TransversalityError(
-            f"{f.name}: image fails to be a graph (fold) near x = {x}", x=x)
+            f"{f.name}: image fails to be a graph (fold) near x = {x}")
 
 
 def graph_transform(f, curve):
@@ -519,7 +515,7 @@ def graph_transform(f, curve):
         raise ValueError(f"graph_transform: {f.name} gives the rows of a stack "
                          "different x-images")
     if np.all(np.diff(tx) == 0.0):
-        raise TransversalityError(f"{f.name}: image collapses in x", x=float(curve.grid[0]))
+        raise TransversalityError(f"{f.name}: image collapses in x")
 
     span = tx[-1] - tx[0]
     alpha = span / (curve.x1 - curve.x0)

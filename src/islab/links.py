@@ -117,8 +117,7 @@ class SuitableModel:
             self.rows = self._validate_hook()
         self.fstar = self._assemble_fstar()
         self.F = compose(hook, self.fstar, name="F") if hook is not None else self.fstar
-        self._links = {}  # side -> the psi-independent half of the link (_link)
-        self._grids = {}  # side -> the grids of the stable chain's steps (stable_curve)
+        self._links = {}  # side -> the psi-independent half of the link and its grids (_link)
 
     # -- regions ------------------------------------------------------------
 
@@ -423,9 +422,10 @@ def _check_support(psi, band, what):
 
 def _link(model, side):
     """The psi-independent half of a link side, built once per model: (chart,
-    w_u, the stable seed pulled back through the itinerary's last piece).
-    Side b's build first checks the a-link and raises ValueError, storing
-    nothing, if broken."""
+    w_u, the stable seed pulled back through the itinerary's last piece, the
+    grids of the backward chain's steps).  The grids come from one walk of
+    the chain without a shear, the seed's grid first.  Side b's build first
+    checks the a-link and raises ValueError, storing nothing, if broken."""
     if side not in model._links:
         if side == "b":
             gap = np.atleast_1d(splitting_a(None, model).sup())
@@ -435,8 +435,12 @@ def _link(model, side):
         fwd = model.forward_itinerary(side)
         c = graph_transform(model.forward_step(fwd[0]), model.seed_unstable(side))
         w_u = graph_transform(chart, c)
-        c = graph_transform(model.backward_step(fwd[-1]), model.seed_stable(side))
-        model._links[side] = (chart, w_u, c)
+        seed = c = graph_transform(model.backward_step(fwd[-1]), model.seed_stable(side))
+        grids = [c.grid]
+        for piece in fwd[::-1]:
+            c = graph_transform(model.backward_step(piece), c)
+            grids.append(c.grid)
+        model._links[side] = (chart, w_u, seed, grids)
     return model._links[side]
 
 
@@ -467,25 +471,19 @@ def stable_curve(model, side, psi=None):
 
     S_{-psi} keeps x, and where the backward steps' x-rule ignores y (the
     base map's pieces do, and so do vertical-shear hooks) the chain's grids
-    do not depend on psi.  So the model keeps each side's grids from its
-    first call, and a later call evaluates psi once on all of them
-    (_at_each: psi must not round a point by its batch).  A step whose grid
-    is not the kept one, under a hook whose x-rule reads y, evaluates psi
-    on its own grid."""
-    chart, _, c = _link(model, side)
-    known = model._grids.get(side)
-    shears = _at_each(psi, known) if psi is not None and known else None
-    grids = []
+    do not depend on psi: they are the link's grids (_link).  So every call
+    evaluates psi once on all of them (_at_each: psi must not round a point
+    by its batch).  A step whose grid is not the link's, under a hook whose
+    x-rule reads y, evaluates psi on its own grid."""
+    chart, _, c, grids = _link(model, side)
+    shears = _at_each(psi, grids) if psi is not None else None
     for k, piece in enumerate([None] + model.forward_itinerary(side)[::-1]):
         if piece is not None:
             c = graph_transform(model.backward_step(piece), c)
-        grids.append(c.grid)
         if psi is not None:
             # a curve's grid is linspace(x0, x1, n), its ends exact
-            kept = shears is not None and (known[k][0], known[k][-1], known[k].size) == (
-                c.x0, c.x1, c.n)
+            kept = (grids[k][0], grids[k][-1], grids[k].size) == (c.x0, c.x1, c.n)
             c = GraphCurve(c.x0, c.x1, c.samples - (shears[k] if kept else psi(c.grid)))
-    model._grids.setdefault(side, grids)
     return graph_transform(chart, c)
 
 

@@ -8,9 +8,9 @@ overflow, of power-iteration alignment error and of any rounding but the
 product's own and one norm's and log's: for a constant symmetric cocycle
 the estimate is exact to rounding at any horizon (the automorphism's reads
 within 2 ulp of sigma from n = 50 to 10000).  One batched kernel,
-`_cocycle_logs`, carries this product for every caller.  It carries every
-admitted row in place to the horizon: a row that stops freezes there, so
-no row leaves its batch.
+`_cocycle_logs`, carries this product for every caller.  It carries
+exactly the rows its caller gives it, in place to the horizon: a row that
+stops freezes there, so no row leaves its batch.
 
 Entropy is the midpoint-rule integral of the clamped-positive exponent field
 over a grid of the unit square: the mean of max(lambda_n, 0) over cells.
@@ -52,14 +52,14 @@ def spectral_norm(m):
 def _cocycle_logs(f, pts, n, exclude=None):
     """Renormalized derivative product along the orbits of pts, shape (m, 2).
 
-    Returns (logs, valid): logs[i] is log ||Df^k(pts[i])|| up to rounding,
-    where k = n for valid rows.  A row turns invalid, and stops
-    accumulating, at the first step whose product or image is not finite
-    (or whose product is 0), or whose image satisfies the vectorized
-    predicate `exclude`; the start point is tested against `exclude` too.
-    A row that stops at an image keeps the log-norm of the steps up to and
-    including that one, a row that stops at its product the log-norm of the
-    steps before it.
+    Returns (logs, live), one entry per row of pts: logs[i] is
+    log ||Df^k(pts[i])|| up to rounding, where k = n for live rows.  A row
+    leaves `live`, and stops accumulating, at the first step whose product
+    or image is not finite (or whose product is 0), or whose image
+    satisfies the vectorized predicate `exclude`; starts are the caller's
+    to admit, and `exclude` is tested on images only.  A row that stops at
+    an image keeps the log-norm of the steps up to and including that one,
+    a row that stops at its product the log-norm of the steps before it.
 
     The product is renormalized by an exact power of two: each step scales
     a row of M by 2^-e, e from `np.frexp` of the row's largest |entry|, so
@@ -68,27 +68,20 @@ def _cocycle_logs(f, pts, n, exclude=None):
     the product of the Jacobians as rounded by `mul2` alone, and each row's
     one spectral norm and log are taken after the loop.
 
-    The rows whose start `exclude` rejects are dropped once, before the
-    first step; every admitted row then stays in place to the horizon.  A
-    row that stops leaves the `live` mask and takes the failed-product path
-    from then on (its step is its old M with e = 0), so its product and E
-    freeze, and its point freezes at its last live image: at the horizon x
-    holds every valid row's f^n(p).  So f may carry one parameter per row
-    of pts, whichever rows stop mid-orbit, but not when `exclude` rejects a
-    start, which shortens the batch.  Each step's Jacobian comes as its
-    four entries from f.ev, and M is carried as four contiguous (m,)
-    arrays (the first Jacobian broadcast to the rows, as a constant one is
-    scalars), so `mul2` and the scaling run on contiguous entry arrays.
-    Every step is row-wise, so a row's logs do not depend on which other
-    rows share its batch.
+    Every row stays in place to the horizon.  A row that stops leaves the
+    `live` mask and takes the failed-product path from then on (its step
+    is its old M with e = 0), so its product and E freeze, and its point
+    freezes at its last live image: at the horizon x holds every live
+    row's f^n(p).  So f may carry one parameter per row of pts, whichever
+    rows stop.  Each step's Jacobian comes as its four entries from f.ev,
+    and M is carried as four contiguous (m,) arrays (the first Jacobian
+    broadcast to the rows, as a constant one is scalars), so `mul2` and the
+    scaling run on contiguous entry arrays.  Every step is row-wise, so a
+    row's logs do not depend on which other rows share its batch.
     """
-    valid = np.ones(pts.shape[0], dtype=bool)
-    if exclude is not None:
-        valid &= ~np.asarray(exclude(pts))
-    rows = np.nonzero(valid)[0]
-    x, E = pts[rows], np.zeros(rows.size, dtype=np.int64)
-    live = np.ones(rows.size, dtype=bool)
-    every = rows.size > 0                   # every row live: live needs no test
+    x, E = pts, np.zeros(pts.shape[0], dtype=np.int64)
+    live = np.ones(pts.shape[0], dtype=bool)
+    every = pts.shape[0] > 0                # every row live: live needs no test
     M = (1.0, 0.0, 0.0, 1.0)                # the product of no steps
     for k in range(n):
         if not (every or live.any()):
@@ -119,10 +112,7 @@ def _cocycle_logs(f, pts, n, exclude=None):
         every = bool(ok.all())
         x = y if every else np.where(ok[:, None], y, x)
         live = ok
-    valid[rows] = live
-    logs = np.zeros(pts.shape[0])
-    logs[rows] = E * LN2 + np.log(spectral_norm(M))
-    return logs, valid
+    return E * LN2 + np.log(spectral_norm(M)), live
 
 
 @dataclass
@@ -205,7 +195,9 @@ def entropy_estimate(f, resolution=100, n=200, exclude=None):
     exclude: optional vectorized predicate; cells whose orbit (including the
     start) ever satisfies it are marked invalid and contribute zero.  The
     admitted cells are those whose start it does not reject, every cell
-    without it; a valid cell is always admitted.
+    without it; a valid cell is always admitted.  exclude is evaluated once
+    on the starts, whose one mask both counts the admitted cells and picks
+    the rows the cocycle runs on, and then once per step on their images.
 
     When f is torsion-symmetric the cocycle runs on one cell per orbit of
     its symmetry group (`_grid_orbits`), and each orbit's logs and validity
@@ -222,8 +214,10 @@ def entropy_estimate(f, resolution=100, n=200, exclude=None):
     m = r * r
 
     starts = _cell_centers(r)[reps]
-    admitted = m if exclude is None else np.count_nonzero(~np.asarray(exclude(starts))[owner])
-    logs, valid = _cocycle_logs(f, starts, n, exclude)
+    admit = np.ones(len(reps), dtype=bool) if exclude is None else ~np.asarray(exclude(starts))
+    logs, valid = np.zeros(len(reps)), np.zeros(len(reps), dtype=bool)
+    logs[admit], valid[admit] = _cocycle_logs(f, starts[admit], n, exclude)
+    admitted = np.count_nonzero(admit[owner])
     logs, valid = logs[owner], valid[owner]
     lam = logs / n
     field_2d = np.where(valid, lam, np.nan).reshape(r, r)

@@ -397,7 +397,7 @@ def test_stable_curve_shears_its_samples_as_the_shear_map_would():
     psit = random_trig_poly(g.tau, harmonics=5, amplitude=2e-3,
                             rng=np.random.default_rng(19), origin=g.x_b)
     psi = MaskedPeriodic(model.partition_bump("b"), psit)
-    chart, _, c = links._link(model, "b")
+    chart, _, c, _ = links._link(model, "b")
     sneg = shear_map(lambda x: -psi(x), lambda x: -psi.d1(x), name="S_-psi")
     c = graph_transform(sneg, c)
     for piece in reversed(model.forward_itinerary("b")):
@@ -408,7 +408,7 @@ def test_stable_curve_shears_its_samples_as_the_shear_map_would():
 
 def _stable_curve_per_grid(model, side, psi):
     """stable_curve with psi evaluated on each step's grid by itself."""
-    chart, _, c = links._link(model, side)
+    chart, _, c, _ = links._link(model, side)
     for piece in [None] + model.forward_itinerary(side)[::-1]:
         if piece is not None:
             c = graph_transform(model.backward_step(piece), c)
@@ -430,9 +430,9 @@ class _CountingShear:
 @pytest.mark.parametrize("side", ["a", "b"])
 @pytest.mark.parametrize("rows", [1, 3, 10])
 def test_stable_curve_evaluates_psi_once_on_its_kept_grids(side, rows):
-    # a side's first call evaluates psi on each grid of the chain and keeps
-    # the grids; every later call evaluates psi once on all of them.  Both
-    # are bitwise the chain that evaluates psi grid by grid, with or
+    # the link keeps the grids of the chain's steps from its build, and
+    # every call, the first one included, evaluates psi once on all of
+    # them: bitwise the chain that evaluates psi grid by grid, with or
     # without a hook
     g = LinkGeometry()
     origin = g.x_a - 2 * g.tau if side == "a" else g.x_b
@@ -440,13 +440,13 @@ def test_stable_curve_evaluates_psi_once_on_its_kept_grids(side, rows):
     for hook in (None, cli._band_hook(g, side, 1e-3)):
         model = build_suitable_model(hook=hook)
         rho = model.partition_bump(side)
-        chain = 1 + len(model.forward_itinerary(side))
+        grids = links._link(model, side)[3]
+        assert len(grids) == 1 + len(model.forward_itinerary(side))
         for call in range(3):
             samples = 2e-3 * rng.standard_normal((rows, PERIODIC_SAMPLES))
             psi = _CountingShear(MaskedPeriodic(rho, PeriodicFn(g.tau, samples, origin)))
-            assert (side in model._grids) == (call > 0)
             got = stable_curve(model, side, psi)
-            assert psi.calls == (chain if call == 0 else 1)
+            assert psi.calls == 1 and links._link(model, side)[3] is grids
             want = _stable_curve_per_grid(model, side, psi.psi)
             assert got.samples.shape == (rows, want.n)
             assert (got.x0, got.x1) == (want.x0, want.x1)
@@ -478,11 +478,10 @@ def _lower_level_shear(c=0.01):
 def test_stable_curve_evaluates_psi_on_a_grid_that_is_not_the_kept_one():
     # where the backward steps' x-rule reads y, a shear moves the chain's
     # grids (here to 142 samples from 283): the steps whose grid is not the
-    # one kept on the model evaluate psi on their own grid
+    # link's evaluate psi on their own grid
     g = LinkGeometry()
     model = build_suitable_model(hook=_lower_level_shear())
-    stable_curve(model, "b")
-    assert [grid.size for grid in model._grids["b"]] == [283] * 8
+    assert [grid.size for grid in links._link(model, "b")[3]] == [283] * 8
     sizes = []
 
     def psi(x):
@@ -492,6 +491,35 @@ def test_stable_curve_evaluates_psi_on_a_grid_that_is_not_the_kept_one():
     got = stable_curve(model, "b", psi)
     assert sizes[0] == 8 * 283 and 142 in sizes[1:]
     assert np.array_equal(got.samples, _stable_curve_per_grid(model, "b", psi).samples)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("size", [1e-3, 1e-2])
+@pytest.mark.parametrize("rows", [1, 5, 10])
+def test_link_grids_are_the_sheared_chains_grids(side, size, rows):
+    # the link walks the backward chain without a shear; under band hooks,
+    # whose x-rule ignores y, each step's grid is bitwise the grid of the
+    # chain with S_{-psi} around each step, which the restoration walks
+    g = LinkGeometry()
+    rng = np.random.default_rng(int(1e4 * size) + rows)
+    heights = size * (0.5 + 0.5 * rng.random(rows))
+    model = build_suitable_model(hook=cli._band_hook(g, side, heights))
+    origin = g.x_a - 2 * g.tau if side == "a" else g.x_b
+    psit = PeriodicFn(g.tau, [random_trig_poly(g.tau, harmonics=8, amplitude=size, rng=rng,
+                                               origin=origin).samples for _ in range(rows)],
+                      origin)
+    psi = MaskedPeriodic(model.partition_bump(side), psit)
+    _, _, c, grids = links._link(model, side)
+    sheared = []
+    for piece in [None] + model.forward_itinerary(side)[::-1]:
+        if piece is not None:
+            c = graph_transform(model.backward_step(piece), c)
+        c = GraphCurve(c.x0, c.x1, c.samples - psi(c.grid))
+        sheared.append(c.grid)
+    assert c.samples.shape == (rows, c.n) and np.any(c.samples != c.samples[0, 0])
+    assert len(grids) == len(sheared)
+    for kept, grid in zip(grids, sheared):
+        assert np.array_equal(kept, grid)
 
 
 @pytest.mark.parametrize("rows", [None, 1, 3])

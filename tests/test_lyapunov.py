@@ -87,10 +87,11 @@ def _near_centre(q):
 def test_cocycle_rows_do_not_depend_on_their_batch():
     f = _leaky_standard_map()
     pts = np.random.default_rng(11).random((64, 2))
+    pts = pts[~_near_centre(pts)]               # the caller admits the starts
     with np.errstate(invalid="ignore"):         # inf - inf in the leaky rows
         logs, valid = _cocycle_logs(f, pts, 40, _near_centre)
         rows = [_cocycle_logs(f, p[None], 40, _near_centre) for p in pts]
-    assert 10 <= np.count_nonzero(valid) <= 54      # many leave mid-run
+    assert 10 <= np.count_nonzero(valid) <= len(pts) - 10     # many leave mid-run
     assert np.array_equal(valid, [v[0] for _, v in rows])
     assert np.array_equal(logs, [lg[0] for lg, _ in rows])
 
@@ -107,36 +108,46 @@ def _island_grid_case():
     _island_grid_case,
 ], ids=["leaky", "anosov", "island-grid-16"])
 def test_cocycle_matches_the_stacked_reference(case):
-    # the kernel carries M as four contiguous entry arrays, every admitted
-    # row in place; the reference carries it as a strided (m, 2, 2) stack
-    # and drops a row when it stops, with the same products, sums and
-    # divisions in the same order
+    # the kernel carries M as four contiguous entry arrays, every row in
+    # place; the reference carries it as a strided (m, 2, 2) stack, tests
+    # the starts against exclude and drops a row when it stops, with the
+    # same products, sums and divisions in the same order.  The kernel gets
+    # the admitted starts only, and the reference's rows of them are its
     f, pts, n, exclude = case()
+    admit = np.ones(len(pts), dtype=bool) if exclude is None else ~exclude(pts)
     with np.errstate(invalid="ignore"):         # inf - inf in the leaky rows
-        got = _cocycle_logs(f, pts, n, exclude)
+        got = _cocycle_logs(f, pts[admit], n, exclude)
         want = stacked_cocycle_logs(f, pts, n, exclude)
-    assert np.array_equal(got[1], want[1])
-    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert np.array_equal(got[1], want[1][admit])
+    assert np.array_equal(got[0].view(np.int64), want[0][admit].view(np.int64))
     if f.name == "leaky":
-        assert 0 < np.count_nonzero(got[1]) < len(pts)      # rows leave mid-run
+        assert 0 < np.count_nonzero(got[1]) < np.count_nonzero(admit)   # rows leave mid-run
+    if exclude is not None:
+        assert 0 < np.count_nonzero(admit) < len(pts)       # some starts are not admitted
 
 
 def test_cocycle_row_excluded_at_step_k_keeps_its_first_k_logs():
+    # the starts are admitted: a row whose k-th image is excluded, k >= 1,
+    # keeps the log-norm of its first k steps; the reference agrees
     f = chirikov_map(1.5)
     pts = np.random.default_rng(11).random((64, 2))
+    pts = pts[~_near_centre(pts)]
     n = 40
     logs, valid = _cocycle_logs(f, pts, n, _near_centre)
     first = np.full(len(pts), -1)           # the first k with f^k(p) excluded
-    x = pts
-    for k in range(n + 1):
+    x = f(pts)
+    for k in range(1, n + 1):
         first[_near_centre(x) & (first < 0)] = k
         x = f(x)
     assert np.array_equal(valid, first < 0)
-    assert 0 in first and np.count_nonzero(first > 0) >= 20
+    assert np.count_nonzero(first > 0) >= 20
     full, _ = _cocycle_logs(f, pts, n)
     for i, k in enumerate(first):
         want = full[i] if k < 0 else _cocycle_logs(f, pts[i:i + 1], k)[0][0]
         assert logs[i] == want
+    want_logs, want_valid = stacked_cocycle_logs(f, pts, n, _near_centre)
+    assert np.array_equal(valid, want_valid)
+    assert np.array_equal(logs.view(np.int64), want_logs.view(np.int64))
 
 
 def test_rows_of_a_per_row_map_stopping_mid_orbit_keep_their_own_logs():
@@ -270,14 +281,19 @@ def _counting(f):
     return dataclasses.replace(f, ev=ev), calls
 
 
-def test_cocycle_with_every_start_excluded_makes_no_step():
-    # exclude rejects every start: no row is live, so the kernel takes no
-    # step and returns zero logs and an all-false mask
+def test_cocycle_of_an_empty_batch_makes_no_step():
+    # no row is live, so the kernel takes no step: it calls neither f nor
+    # exclude, and returns empty logs and an empty mask
     f, calls = _counting(anosov_map())
-    pts = np.random.default_rng(2).random((7, 2))
-    logs, valid = _cocycle_logs(f, pts, 25, lambda q: np.ones(len(q), dtype=bool))
-    assert calls == []
-    assert np.array_equal(logs, np.zeros(7)) and not valid.any()
+    tested = []
+
+    def exclude(q):
+        tested.append(len(q))
+        return np.ones(len(q), dtype=bool)
+
+    logs, live = _cocycle_logs(f, np.empty((0, 2)), 25, exclude)
+    assert calls == [] and tested == []
+    assert logs.shape == live.shape == (0,) and logs.dtype == float and live.dtype == bool
 
 
 def test_cocycle_with_every_row_live_steps_to_the_horizon():
@@ -409,6 +425,26 @@ def test_fraction_above_is_over_the_admitted_cells(island, r):
     good = rep.valid.ravel() & (np.nan_to_num(rep.field.ravel(), nan=-1.0) >= LN4)
     assert 0 < np.count_nonzero(started_in) < r * r
     assert rep.fraction_above == np.count_nonzero(good & started_in) / np.count_nonzero(started_in)
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_entropy_tests_each_start_once(n):
+    # exclude runs once on the starts, whose one mask counts the admitted
+    # cells and picks the cocycle's rows, and once on each step's images:
+    # n + 1 calls when every admitted row reaches the horizon, as it does
+    # under the identity
+    tested = []
+
+    def exclude(q):
+        tested.append(len(q))
+        return _near_centre(q)
+
+    rep = entropy_estimate(identity_map(), resolution=16, n=n, exclude=exclude)
+    inside = np.count_nonzero(_near_centre(_cell_centers(16)))
+    assert 0 < inside < 256
+    assert tested == [256] + [256 - inside] * n
+    assert rep.invalid_cells == inside and rep.estimate == 0.0
+    assert np.array_equal(rep.valid.ravel(), ~_near_centre(_cell_centers(16)))
 
 
 def _full_grid(f):
